@@ -24,9 +24,11 @@ bench:
 
 # One iteration of the optimum benchmarks: exercises the tiered search and
 # the exhaustive sweep end to end (and keeps both compiling and running) in
-# about a second.
+# about a second. The allocation-budget benchmarks fail the target when the
+# simulator's per-rank budget grows with scale or the real tile loop
+# allocates per point again.
 bench-smoke:
-	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$' -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|RunnerBlocking$$|RunnerOverlapped$$' -benchmem -benchtime=1x -run '^$$' .
 
 # Degradation sweep at a fixed seed: exercises the whole fault-injection
 # path end to end and fails if degradation is not graceful or the
@@ -36,9 +38,10 @@ fault-smoke:
 
 # Planning-service drill over a real process boundary, under the race
 # detector: burst past the rate limit (shed 429s, served answers
-# bit-identical to the offline CLI), then SIGTERM and drain to exit 0.
+# bit-identical to the offline CLI), then SIGTERM and drain to exit 0 —
+# also when the signal lands the instant the address is announced.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke$$' ./cmd/tileserve
+	$(GO) test -race -count=1 -run 'TestServeSmoke$$|TestServeSigtermAtStart$$' ./cmd/tileserve
 
 # Self-healing drill over real OS processes, under the race detector: a
 # supervised run has its victim rank SIGKILLed three times at distinct

@@ -400,6 +400,13 @@ func BenchmarkRunnerBlocking(b *testing.B) { benchRunner(b, runner.Blocking) }
 // BenchmarkRunnerOverlapped measures the real overlapped execution (ProcNB).
 func BenchmarkRunnerOverlapped(b *testing.B) { benchRunner(b, runner.Overlapped) }
 
+// runnerAllocsPerTile is the allocation ceiling of one (rank, k-tile) step
+// of a real run, world set-up amortised in: each tile may cost what the
+// in-process transport allocates for its at most two messages (5–6 each,
+// measured in internal/runner's TestTileLoopAllocationFree) and nothing
+// that grows with the points in the tile. Measured: 7.9.
+const runnerAllocsPerTile = 12
+
 func benchRunner(b *testing.B, mode runner.Mode) {
 	cfg := runner.Config{
 		Grid:   model.Grid3D{I: 8, J: 8, K: 1024, PI: 2, PJ: 2},
@@ -408,7 +415,7 @@ func benchRunner(b *testing.B, mode runner.Mode) {
 		Mode:   mode,
 	}
 	points := cfg.Grid.I * cfg.Grid.J * cfg.Grid.K
-	for i := 0; i < b.N; i++ {
+	run := func() {
 		err := mp.Launch(4, func(c mp.Comm) error {
 			_, _, err := runner.Run(c, cfg)
 			return err
@@ -417,7 +424,18 @@ func benchRunner(b *testing.B, mode runner.Mode) {
 			b.Fatal(err)
 		}
 	}
+	for i := 0; i < b.N; i++ {
+		run()
+	}
 	b.ReportMetric(float64(points*int64(b.N))/b.Elapsed().Seconds(), "points/s")
+	b.StopTimer()
+	tiles := float64(cfg.Grid.PI * cfg.Grid.PJ * cfg.Grid.KTiles(cfg.V))
+	perTile := testing.AllocsPerRun(1, run) / tiles
+	b.ReportMetric(perTile, "allocs/tile")
+	if perTile > runnerAllocsPerTile {
+		b.Errorf("%.1f allocations per tile (%d points each) exceed the budget of %d: the tile loop allocates again",
+			perTile, points/int64(tiles), runnerAllocsPerTile)
+	}
 }
 
 // BenchmarkStencilSequential measures the sequential reference kernel

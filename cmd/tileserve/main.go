@@ -58,14 +58,16 @@ func run() error {
 		concurrency: *concFlag, queueDepth: *queueFlag, queueWait: *qwaitFlag,
 		reqTimeout: *rtoFlag, cacheBound: *cacheFlag,
 	}
+	// The handler goes in before the address is announced: a supervisor may
+	// signal the moment it has read the line, and that signal must drain the
+	// server, not kill the process by the default action.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	srv := newServer(cfg)
 	if err := srv.start(*addrFlag); err != nil {
 		return err
 	}
 	fmt.Printf("tileserve: listening on %s\n", srv.addr)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	<-ctx.Done()
 	stop() // restore default signal handling: a second signal kills us
 

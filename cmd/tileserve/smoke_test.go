@@ -5,6 +5,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -162,5 +163,45 @@ func TestServeSmoke(t *testing.T) {
 	<-restDone
 	if !strings.Contains(rest.String(), "drained") {
 		t.Errorf("drain messages missing from child output:\n%s", rest.String())
+	}
+}
+
+// TestServeSigtermAtStart signals the child the instant its address line
+// has been read, as a supervisor that treats the announcement as "ready"
+// would. The handler must already be installed by then: every child drains
+// and exits 0 instead of dying by SIGTERM's default action. The window is
+// a few microseconds wide, so the drill is repeated.
+func TestServeSigtermAtStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	for i := 0; i < 10; i++ {
+		cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0")
+		cmd.Env = append(os.Environ(), "TILESERVE_CHILD=1")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		out := bufio.NewReader(stdout)
+		first, err := out.ReadString('\n')
+		if err == nil {
+			err = cmd.Process.Signal(syscall.SIGTERM)
+		}
+		if err != nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("child %d: %v (announcement %q)", i, err, first)
+		}
+		rest, _ := io.ReadAll(out)
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("child %d, signalled right after %q: %v", i, strings.TrimSpace(first), err)
+		}
+		if !strings.Contains(string(rest), "drained") {
+			t.Fatalf("child %d exited 0 without draining; output after the address:\n%s", i, rest)
+		}
 	}
 }

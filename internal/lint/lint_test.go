@@ -23,6 +23,8 @@ var fixtures = []struct {
 	{AnalyzerUnwaitedHandle, "unwaitedhandle/good", "repro/internal/fixture", false},
 	{AnalyzerDeterminism, "determinism/bad", "repro/internal/sim", true},
 	{AnalyzerDeterminism, "determinism/good", "repro/internal/sim", false},
+	// Files excluded by a //go:build line or a _GOOS suffix are not loaded.
+	{AnalyzerDeterminism, "determinism/constrained", "repro/internal/sim", false},
 	{AnalyzerReservedTag, "reservedtag/bad", "repro/internal/runner", true},
 	{AnalyzerReservedTag, "reservedtag/good", "repro/internal/runner", false},
 	{AnalyzerBlockingDeadline, "blockingdeadline/bad", "repro/cmd/fixture", true},

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -135,19 +136,10 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 
 func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	l.pkgs[path] = nil // cycle marker
-	entries, err := os.ReadDir(dir)
+	names, err := sourceFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go sources in %s", dir)
 	}
@@ -175,9 +167,38 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	return p, nil
 }
 
+// sourceFiles lists, sorted, the files of dir the compiler would build into
+// the package on this host: non-test .go files whose //go:build line and
+// _GOOS/_GOARCH name suffix match the default build context. Loading the
+// others too would type-check per-OS variants of one declaration against
+// each other.
+func sourceFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		n := e.Name()
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
 // LoadModule loads every package of the module: each directory under the
-// root that contains non-test Go sources, skipping testdata trees and
-// hidden directories. Returned in deterministic import-path order.
+// root that contains non-test Go sources built on this host, skipping
+// testdata trees and hidden directories. Returned in deterministic
+// import-path order.
 func (l *Loader) LoadModule() ([]*Package, error) {
 	var paths []string
 	err := filepath.WalkDir(l.ModuleRoot, func(dir string, d os.DirEntry, err error) error {
@@ -191,24 +212,20 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 		if base == "testdata" || (strings.HasPrefix(base, ".") && dir != l.ModuleRoot) {
 			return filepath.SkipDir
 		}
-		entries, err := os.ReadDir(dir)
+		names, err := sourceFiles(dir)
 		if err != nil {
 			return err
 		}
-		for _, e := range entries {
-			n := e.Name()
-			if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-				rel, err := filepath.Rel(l.ModuleRoot, dir)
-				if err != nil {
-					return err
-				}
-				p := l.ModulePath
-				if rel != "." {
-					p += "/" + filepath.ToSlash(rel)
-				}
-				paths = append(paths, p)
-				break
+		if len(names) > 0 {
+			rel, err := filepath.Rel(l.ModuleRoot, dir)
+			if err != nil {
+				return err
 			}
+			p := l.ModulePath
+			if rel != "." {
+				p += "/" + filepath.ToSlash(rel)
+			}
+			paths = append(paths, p)
 		}
 		return nil
 	})

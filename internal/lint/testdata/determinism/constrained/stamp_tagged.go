@@ -1,0 +1,7 @@
+//go:build tilevet_fixture_excluded
+
+package fixture
+
+import "time"
+
+func stamp() int64 { return time.Now().UnixNano() }

@@ -15,6 +15,19 @@
 //   - the TCP transport (ConnectTCP): ranks are separate processes meshed
 //     over TCP sockets via the net package, for multi-process runs.
 //
+// # Buffer ownership
+//
+// A slice handed to Send or Isend belongs to the transport only until the
+// operation completes — Send returning, or Wait on the Isend's request
+// returning. Both transports are done with it by then (the in-process one
+// copies the payload into the envelope, the TCP one has written it to the
+// socket), and every Comm wrapper in this repository passes the slice
+// straight through, so a caller may send every message of a run from one
+// buffer. Receive buffers likewise: the transport fills buf before the
+// receive's Wait returns and not after. runner's tile loop relies on both
+// halves to run without allocating (ownership_test.go holds the transports
+// to it).
+//
 // # Collective schedules
 //
 // The collectives come in pluggable schedules (CollectiveOpts): the

@@ -74,14 +74,21 @@ type Comm interface {
 	Size() int
 	// Send delivers data to dst with the given tag, blocking until the
 	// message is buffered for delivery (eager/buffered semantics, like
-	// MPI_Send on small messages).
+	// MPI_Send on small messages). When Send returns the transport has
+	// copied data or written it out and keeps no reference to it: the
+	// caller may overwrite the slice at once.
 	Send(dst, tag int, data []byte) error
 	// Recv blocks until a matching message arrives and copies it into buf.
 	// src may be AnySource, tag may be AnyTag.
 	Recv(src, tag int, buf []byte) (Status, error)
-	// Isend starts a non-blocking send.
+	// Isend starts a non-blocking send. The caller must leave data alone
+	// until Wait on the returned request has returned; from then on the
+	// transport keeps no reference to it, exactly as after Send.
 	Isend(dst, tag int, data []byte) (Request, error)
-	// Irecv posts a non-blocking receive into buf.
+	// Irecv posts a non-blocking receive into buf. The transport writes buf
+	// at some point before Wait returns and never after, so a caller may
+	// cycle a fixed set of receive buffers, reusing one once its Wait has
+	// returned.
 	Irecv(src, tag int, buf []byte) (Request, error)
 	// Barrier blocks until every rank has entered the barrier.
 	Barrier() error

@@ -184,9 +184,7 @@ func writeCheckpoint(dir string, commSize int, cfg Config2D, l *Local2D, nextTil
 	binary.BigEndian.PutUint64(buf[52:60], uint64(l.Width))
 	binary.BigEndian.PutUint64(buf[60:68], uint64(nextTile))
 	binary.BigEndian.PutUint64(buf[68:76], uint64(payloadLen))
-	for i, v := range l.Data {
-		putF64(buf[ckHdrLen+8*i:], v)
-	}
+	putF64s(buf[ckHdrLen:], l.Data)
 	binary.BigEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(buf[12:]))
 
 	path := CheckpointFile(dir, l.Rank, nextTile)
@@ -298,9 +296,7 @@ func loadCheckpoint(path string, commSize int, cfg Config2D, l *Local2D) (int64,
 	if payloadLen != int64(8*len(l.Data)) || int64(len(buf)) != ckHdrLen+payloadLen {
 		return 0, fmt.Errorf("runner: checkpoint %s: payload length %d, want %d", path, payloadLen, 8*len(l.Data))
 	}
-	for i := range l.Data {
-		l.Data[i] = getF64(buf[ckHdrLen+8*i:])
-	}
+	getF64s(l.Data, buf[ckHdrLen:])
 	return nextTile, nil
 }
 

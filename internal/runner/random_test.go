@@ -30,28 +30,7 @@ func TestRandomConfigurations3D(t *testing.T) {
 			Kernel: stencil.Sqrt3D{},
 			Mode:   mode,
 		}
-		n := int(pi * pj)
-		var grid *stencil.Grid
-		var mu sync.Mutex
-		err := mp.Launch(n, func(c mp.Comm) error {
-			l, _, err := Run(c, cfg)
-			if err != nil {
-				return err
-			}
-			g, err := Gather(c, cfg, l)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				mu.Lock()
-				grid = g
-				mu.Unlock()
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("trial %d (%+v): %v", trial, cfg.Grid, err)
-		}
+		grid := gatherRun(t, mp.Launch, cfg)
 		diff, err := VerifySequential(grid, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -62,18 +63,29 @@ type Local struct {
 	PIdx, PJdx   int64 // processor grid coordinates
 	BaseI, BaseJ int64 // global origin of the subdomain
 	TI, TJ, K    int64
-	Data         []float64 // (TI+1)×(TJ+1)×K including ghost layers at −1
+	// Data is (TI+1)×(TJ+1)×(K+1), k-contiguous, with one ghost layer at
+	// −1 in every dimension: li = −1 and lj = −1 hold the west and north
+	// neighbours' faces (or the boundary on ranks that have no such
+	// neighbour), k = −1 holds the boundary below the first k-plane.
+	Data []float64
 }
 
 func (l *Local) idx(li, lj, k int64) int64 {
-	return ((li+1)*(l.TJ+1)+(lj+1))*l.K + k
+	return ((li+1)*(l.TJ+1)+(lj+1))*(l.K+1) + k + 1
 }
 
 // At returns the local value at subdomain-relative coordinates
-// (li ∈ [−1, TI), lj ∈ [−1, TJ), k ∈ [0, K)).
+// (li ∈ [−1, TI), lj ∈ [−1, TJ), k ∈ [−1, K)).
 func (l *Local) At(li, lj, k int64) float64 { return l.Data[l.idx(li, lj, k)] }
 
 func (l *Local) set(li, lj, k int64, v float64) { l.Data[l.idx(li, lj, k)] = v }
+
+// row returns the n values (li, lj, k0) … (li, lj, k0+n−1), which are
+// contiguous in Data.
+func (l *Local) row(li, lj, k0, n int64) []float64 {
+	o := l.idx(li, lj, k0)
+	return l.Data[o : o+n]
+}
 
 // Validate checks a Config against a communicator size.
 func (cfg Config) Validate(commSize int) error {
@@ -118,6 +130,11 @@ func tileTag(t int64, dir int) int { return int(2*t) + dir }
 // Run executes the configured schedule on communicator c and returns this
 // rank's subdomain and statistics. All ranks must call Run with identical
 // configurations.
+//
+// A kernel that implements stencil.Block3D is swept a tile at a time over
+// the local array; any other kernel — including one that embeds such a
+// kernel — is evaluated point by point through Eval. Both produce the same
+// grid, bit for bit.
 func Run(c mp.Comm, cfg Config) (*Local, Stats, error) {
 	if err := cfg.Validate(c.Size()); err != nil {
 		return nil, Stats{}, err
@@ -137,9 +154,10 @@ func Run(c mp.Comm, cfg Config) (*Local, Stats, error) {
 	}
 	l.BaseI = l.PIdx * l.TI
 	l.BaseJ = l.PJdx * l.TJ
-	l.Data = make([]float64, (l.TI+1)*(l.TJ+1)*l.K)
+	l.Data = make([]float64, (l.TI+1)*(l.TJ+1)*(l.K+1))
 
-	r := &run{cfg: cfg, c: c, l: l}
+	r := newRun(c, cfg, l)
+	r.fillBoundaryGhosts()
 	if err := c.Barrier(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -169,6 +187,43 @@ type run struct {
 	c     mp.Comm
 	l     *Local
 	stats Stats
+
+	// blk is the kernel's block fast path; nil when it offers only Eval.
+	blk stencil.Block3D
+
+	// Face buffers, allocated once and sized for a full tile, so the tile
+	// loop allocates nothing of its own. A send buffer is repacked only
+	// after Send, or Wait on its Isend, has returned (mp's buffer-ownership
+	// contract). The overlapped schedule has tile t+1's receives posted
+	// while tile t's are still being unpacked, hence two receive sets,
+	// indexed by tile parity.
+	sendEast, sendSouth []byte
+	recvWest, recvNorth [2][]byte
+	sendReqs            [2]mp.Request
+}
+
+func newRun(c mp.Comm, cfg Config, l *Local) *run {
+	r := &run{cfg: cfg, c: c, l: l}
+	r.blk, _ = cfg.Kernel.(stencil.Block3D)
+	recvSets := 1
+	if cfg.Mode == Overlapped {
+		recvSets = 2
+	}
+	if r.hasEast() {
+		r.sendEast = make([]byte, 8*l.TJ*cfg.V)
+	}
+	if r.hasSouth() {
+		r.sendSouth = make([]byte, 8*l.TI*cfg.V)
+	}
+	for s := 0; s < recvSets; s++ {
+		if r.hasWest() {
+			r.recvWest[s] = make([]byte, 8*l.TJ*cfg.V)
+		}
+		if r.hasNorth() {
+			r.recvNorth[s] = make([]byte, 8*l.TI*cfg.V)
+		}
+	}
+	return r
 }
 
 func (r *run) westRank() int  { return int((r.l.PIdx-1)*r.cfg.Grid.PJ + r.l.PJdx) }
@@ -193,81 +248,97 @@ func (r *run) tileRange(t int64) (k0, v int64) {
 
 func (r *run) numTiles() int64 { return r.cfg.Grid.KTiles(r.cfg.V) }
 
-// packWestFace packs this rank's own east-most i-plane (li = TI−1) of the
-// given k range; it is the ghost plane the east neighbor needs.
-func (r *run) packEastFace(k0, v int64) []byte {
-	buf := make([]byte, 8*r.l.TJ*v)
-	o := 0
-	for lj := int64(0); lj < r.l.TJ; lj++ {
-		for k := k0; k < k0+v; k++ {
-			putF64(buf[o:], r.l.At(r.l.TI-1, lj, k))
-			o += 8
+// fillBoundaryGhosts turns the boundary from control flow into data: every
+// point outside the iteration space that a local point reads gets its
+// cfg.Boundary value stored in the ghost layer once, so the tile loop reads
+// all three predecessors from Data without asking where it is. (Ghost
+// planes that face a neighbour rank are filled tile by tile from the faces
+// it sends.)
+func (r *run) fillBoundaryGhosts() {
+	l, b := r.l, r.cfg.Boundary
+	q := ilmath.NewVec(3) // one vector for every call: a Boundary does not retain its argument
+	q[2] = -1
+	for li := int64(0); li < l.TI; li++ {
+		for lj := int64(0); lj < l.TJ; lj++ {
+			q[0], q[1] = l.BaseI+li, l.BaseJ+lj
+			l.set(li, lj, -1, b(q))
 		}
+	}
+	if !r.hasWest() {
+		q[0] = -1
+		for lj := int64(0); lj < l.TJ; lj++ {
+			q[1] = l.BaseJ + lj
+			for k, row := int64(0), l.row(-1, lj, 0, l.K); k < l.K; k++ {
+				q[2] = k
+				row[k] = b(q)
+			}
+		}
+	}
+	if !r.hasNorth() {
+		q[1] = -1
+		for li := int64(0); li < l.TI; li++ {
+			q[0] = l.BaseI + li
+			for k, row := int64(0), l.row(li, -1, 0, l.K); k < l.K; k++ {
+				q[2] = k
+				row[k] = b(q)
+			}
+		}
+	}
+}
+
+// packEastFace packs this rank's own east-most i-plane (li = TI−1) of the
+// given k range, one k-row at a time; it is the ghost plane the east
+// neighbor needs.
+func (r *run) packEastFace(k0, v int64) []byte {
+	buf := r.sendEast[:8*r.l.TJ*v]
+	for lj := int64(0); lj < r.l.TJ; lj++ {
+		putF64s(buf[8*lj*v:], r.l.row(r.l.TI-1, lj, k0, v))
 	}
 	return buf
 }
 
+// packSouthFace packs the south-most j-plane (lj = TJ−1) for the south
+// neighbor.
 func (r *run) packSouthFace(k0, v int64) []byte {
-	buf := make([]byte, 8*r.l.TI*v)
-	o := 0
+	buf := r.sendSouth[:8*r.l.TI*v]
 	for li := int64(0); li < r.l.TI; li++ {
-		for k := k0; k < k0+v; k++ {
-			putF64(buf[o:], r.l.At(li, r.l.TJ-1, k))
-			o += 8
-		}
+		putF64s(buf[8*li*v:], r.l.row(li, r.l.TJ-1, k0, v))
 	}
 	return buf
 }
 
 // unpackWestGhost stores a received west ghost plane into the li = −1 layer.
 func (r *run) unpackWestGhost(buf []byte, k0, v int64) {
-	o := 0
 	for lj := int64(0); lj < r.l.TJ; lj++ {
-		for k := k0; k < k0+v; k++ {
-			r.l.set(-1, lj, k, getF64(buf[o:]))
-			o += 8
-		}
+		getF64s(r.l.row(-1, lj, k0, v), buf[8*lj*v:])
 	}
 }
 
+// unpackNorthGhost stores a received north ghost plane into the lj = −1
+// layer.
 func (r *run) unpackNorthGhost(buf []byte, k0, v int64) {
-	o := 0
 	for li := int64(0); li < r.l.TI; li++ {
-		for k := k0; k < k0+v; k++ {
-			r.l.set(li, -1, k, getF64(buf[o:]))
-			o += 8
-		}
+		getF64s(r.l.row(li, -1, k0, v), buf[8*li*v:])
 	}
 }
 
-// computeTile evaluates the kernel over the local tile [k0, k0+v).
+// computeTile evaluates the kernel over the local tile [k0, k0+v). The
+// block path sweeps li → lj → k, k innermost, so the three operand rows
+// are contiguous and the working set is three rows of v values; the
+// generic path calls Eval once per point.
 func (r *run) computeTile(k0, v int64) {
 	l := r.l
-	b := r.cfg.Boundary
-	get := func(q ilmath.Vec) float64 {
-		li, lj, k := q[0]-l.BaseI, q[1]-l.BaseJ, q[2]
-		if k < 0 {
-			return b(q)
-		}
-		if li == -1 {
-			if r.hasWest() {
-				return l.At(-1, lj, k)
-			}
-			return b(q)
-		}
-		if lj == -1 {
-			if r.hasNorth() {
-				return l.At(li, -1, k)
-			}
-			return b(q)
-		}
-		return l.At(li, lj, k)
-	}
-	for k := k0; k < k0+v; k++ {
-		for li := int64(0); li < l.TI; li++ {
-			for lj := int64(0); lj < l.TJ; lj++ {
-				j := ilmath.V(l.BaseI+li, l.BaseJ+lj, k)
-				l.set(li, lj, k, r.cfg.Kernel.Eval(j, get))
+	if r.blk != nil {
+		sj := l.K + 1
+		r.blk.SweepBlock(l.Data, int(l.idx(0, 0, k0)), int(l.TI), int(l.TJ), int(v), int((l.TJ+1)*sj), int(sj))
+	} else {
+		get := func(q ilmath.Vec) float64 { return l.At(q[0]-l.BaseI, q[1]-l.BaseJ, q[2]) }
+		for k := k0; k < k0+v; k++ {
+			for li := int64(0); li < l.TI; li++ {
+				for lj := int64(0); lj < l.TJ; lj++ {
+					j := ilmath.V(l.BaseI+li, l.BaseJ+lj, k)
+					l.set(li, lj, k, r.cfg.Kernel.Eval(j, get))
+				}
 			}
 		}
 	}
@@ -280,7 +351,7 @@ func (r *run) runBlocking() error {
 	for t := int64(0); t < r.numTiles(); t++ {
 		k0, v := r.tileRange(t)
 		if r.hasWest() {
-			buf := make([]byte, 8*r.l.TJ*v)
+			buf := r.recvWest[0][:8*r.l.TJ*v]
 			if _, err := r.c.Recv(r.westRank(), tileTag(t, dirWest), buf); err != nil {
 				return err
 			}
@@ -288,7 +359,7 @@ func (r *run) runBlocking() error {
 			r.stats.MsgsRecvd++
 		}
 		if r.hasNorth() {
-			buf := make([]byte, 8*r.l.TI*v)
+			buf := r.recvNorth[0][:8*r.l.TI*v]
 			if _, err := r.c.Recv(r.northRank(), tileTag(t, dirNorth), buf); err != nil {
 				return err
 			}
@@ -316,62 +387,59 @@ func (r *run) runBlocking() error {
 	return nil
 }
 
+// postGhostRecvs posts the non-blocking receives of tile t's ghost planes
+// into receive set t&1; a nil request means no neighbour on that side.
+func (r *run) postGhostRecvs(t int64) (west, north mp.Request, err error) {
+	_, v := r.tileRange(t)
+	if r.hasWest() {
+		west, err = r.c.Irecv(r.westRank(), tileTag(t, dirWest), r.recvWest[t&1][:8*r.l.TJ*v])
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if r.hasNorth() {
+		north, err = r.c.Irecv(r.northRank(), tileTag(t, dirNorth), r.recvNorth[t&1][:8*r.l.TI*v])
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return west, north, nil
+}
+
+// sendFaces starts the non-blocking sends of the faces tile t produced. The
+// returned slice aliases r.sendReqs and is valid until the next call.
+func (r *run) sendFaces(t int64) ([]mp.Request, error) {
+	k0, v := r.tileRange(t)
+	reqs := r.sendReqs[:0]
+	if r.hasEast() {
+		buf := r.packEastFace(k0, v)
+		req, err := r.c.Isend(r.eastRank(), tileTag(t, dirWest), buf)
+		if err != nil {
+			return nil, err
+		}
+		reqs = append(reqs, req)
+		r.stats.MsgsSent++
+		r.stats.BytesSent += int64(len(buf))
+	}
+	if r.hasSouth() {
+		buf := r.packSouthFace(k0, v)
+		req, err := r.c.Isend(r.southRank(), tileTag(t, dirNorth), buf)
+		if err != nil {
+			return nil, err
+		}
+		reqs = append(reqs, req)
+		r.stats.MsgsSent++
+		r.stats.BytesSent += int64(len(buf))
+	}
+	return reqs, nil
+}
+
 // runOverlapped is ProcNB: at tile t the rank sends the faces produced by
 // tile t−1, has receives posted ahead for tile t+1, and computes tile t in
 // between, exactly as the paper's non-blocking pseudocode.
 func (r *run) runOverlapped() error {
-	type ghostRecv struct {
-		req mp.Request
-		buf []byte
-	}
-	post := func(t int64) (west, north *ghostRecv, err error) {
-		_, v := r.tileRange(t)
-		if r.hasWest() {
-			g := &ghostRecv{buf: make([]byte, 8*r.l.TJ*v)}
-			g.req, err = r.c.Irecv(r.westRank(), tileTag(t, dirWest), g.buf)
-			if err != nil {
-				return nil, nil, err
-			}
-			west = g
-		}
-		if r.hasNorth() {
-			g := &ghostRecv{buf: make([]byte, 8*r.l.TI*v)}
-			g.req, err = r.c.Irecv(r.northRank(), tileTag(t, dirNorth), g.buf)
-			if err != nil {
-				return nil, nil, err
-			}
-			north = g
-		}
-		return west, north, nil
-	}
-	sendFaces := func(t int64) ([]mp.Request, error) {
-		k0, v := r.tileRange(t)
-		var reqs []mp.Request
-		if r.hasEast() {
-			buf := r.packEastFace(k0, v)
-			req, err := r.c.Isend(r.eastRank(), tileTag(t, dirWest), buf)
-			if err != nil {
-				return nil, err
-			}
-			reqs = append(reqs, req)
-			r.stats.MsgsSent++
-			r.stats.BytesSent += int64(len(buf))
-		}
-		if r.hasSouth() {
-			buf := r.packSouthFace(k0, v)
-			req, err := r.c.Isend(r.southRank(), tileTag(t, dirNorth), buf)
-			if err != nil {
-				return nil, err
-			}
-			reqs = append(reqs, req)
-			r.stats.MsgsSent++
-			r.stats.BytesSent += int64(len(buf))
-		}
-		return reqs, nil
-	}
-
 	// Prologue: pre-post the receives for tile 0.
-	curWest, curNorth, err := post(0)
+	curWest, curNorth, err := r.postGhostRecvs(0)
 	if err != nil {
 		return err
 	}
@@ -381,30 +449,30 @@ func (r *run) runOverlapped() error {
 		// Non-blocking sends of the previous tile's results.
 		var sendReqs []mp.Request
 		if t > 0 {
-			if sendReqs, err = sendFaces(t - 1); err != nil {
+			if sendReqs, err = r.sendFaces(t - 1); err != nil {
 				return err
 			}
 		}
 		// Post receives for the next tile.
-		var nextWest, nextNorth *ghostRecv
+		var nextWest, nextNorth mp.Request
 		if t+1 < n {
-			if nextWest, nextNorth, err = post(t + 1); err != nil {
+			if nextWest, nextNorth, err = r.postGhostRecvs(t + 1); err != nil {
 				return err
 			}
 		}
 		// Wait for this tile's ghosts, then compute.
 		if curWest != nil {
-			if _, err := curWest.req.Wait(); err != nil {
+			if _, err := curWest.Wait(); err != nil {
 				return err
 			}
-			r.unpackWestGhost(curWest.buf, k0, v)
+			r.unpackWestGhost(r.recvWest[t&1], k0, v)
 			r.stats.MsgsRecvd++
 		}
 		if curNorth != nil {
-			if _, err := curNorth.req.Wait(); err != nil {
+			if _, err := curNorth.Wait(); err != nil {
 				return err
 			}
-			r.unpackNorthGhost(curNorth.buf, k0, v)
+			r.unpackNorthGhost(r.recvNorth[t&1], k0, v)
 			r.stats.MsgsRecvd++
 		}
 		r.computeTile(k0, v)
@@ -414,7 +482,7 @@ func (r *run) runOverlapped() error {
 		curWest, curNorth = nextWest, nextNorth
 	}
 	// Epilogue: ship the last tile's faces.
-	reqs, err := sendFaces(n - 1)
+	reqs, err := r.sendFaces(n - 1)
 	if err != nil {
 		return err
 	}
@@ -422,18 +490,17 @@ func (r *run) runOverlapped() error {
 }
 
 // Gather assembles the full grid on rank 0 via the mp gather collective
-// (other ranks return nil).
+// (other ranks return nil). Rows along k are contiguous in Local.Data, in
+// the gathered block and in stencil.Grid.Data, so they move whole.
 func Gather(c mp.Comm, cfg Config, l *Local) (*stencil.Grid, error) {
 	g := cfg.Grid
 	blockLen := int(8 * l.TI * l.TJ * l.K)
 	block := make([]byte, blockLen)
-	o := 0
+	o := int64(0)
 	for li := int64(0); li < l.TI; li++ {
 		for lj := int64(0); lj < l.TJ; lj++ {
-			for k := int64(0); k < l.K; k++ {
-				putF64(block[o:], l.At(li, lj, k))
-				o += 8
-			}
+			putF64s(block[o:], l.row(li, lj, 0, l.K))
+			o += 8 * l.K
 		}
 	}
 	blocks, err := mp.GatherBytesSized(c, 0, block, blockLen)
@@ -450,13 +517,12 @@ func Gather(c mp.Comm, cfg Config, l *Local) (*stencil.Grid, error) {
 	out := stencil.NewGrid(sp)
 	for rank, buf := range blocks {
 		pi, pj := int64(rank)/g.PJ, int64(rank)%g.PJ
-		o := 0
+		o := int64(0)
 		for li := int64(0); li < l.TI; li++ {
 			for lj := int64(0); lj < l.TJ; lj++ {
-				for k := int64(0); k < l.K; k++ {
-					out.Set(ilmath.V(pi*l.TI+li, pj*l.TJ+lj, k), getF64(buf[o:]))
-					o += 8
-				}
+				at := ((pi*l.TI+li)*g.J + pj*l.TJ + lj) * g.K
+				getF64s(out.Data[at:at+g.K], buf[o:])
+				o += 8 * g.K
 			}
 		}
 	}
@@ -477,20 +543,19 @@ func VerifySequential(g *stencil.Grid, cfg Config) (float64, error) {
 	return stencil.MaxAbsDiff(g, ref)
 }
 
-func putF64(b []byte, v float64) {
-	u := math.Float64bits(v)
-	b[0] = byte(u >> 56)
-	b[1] = byte(u >> 48)
-	b[2] = byte(u >> 40)
-	b[3] = byte(u >> 32)
-	b[4] = byte(u >> 24)
-	b[5] = byte(u >> 16)
-	b[6] = byte(u >> 8)
-	b[7] = byte(u)
+// putF64s writes src to dst as big-endian IEEE-754 doubles, the wire and
+// checkpoint format of every float the runner ships.
+func putF64s(dst []byte, src []float64) {
+	dst = dst[:8*len(src)]
+	for i, x := range src {
+		binary.BigEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
 }
 
-func getF64(b []byte) float64 {
-	u := uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-	return math.Float64frombits(u)
+// getF64s fills dst from the big-endian doubles at the front of src.
+func getF64s(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
+	}
 }

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/ilmath"
@@ -399,3 +401,9 @@ func VerifySequential2D(g *stencil.Grid, cfg Config2D) (float64, error) {
 	}
 	return stencil.MaxAbsDiff(g, ref)
 }
+
+// putF64 and getF64 are the single-value forms of putF64s/getF64s, which
+// the 2-D executor's faces and gather are written in.
+func putF64(b []byte, v float64) { binary.BigEndian.PutUint64(b, math.Float64bits(v)) }
+
+func getF64(b []byte) float64 { return math.Float64frombits(binary.BigEndian.Uint64(b)) }

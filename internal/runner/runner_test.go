@@ -298,45 +298,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 		Kernel: stencil.Sqrt3D{},
 		Mode:   Overlapped,
 	}
-	addrs := freeAddrs(t, 4)
-	var grid *stencil.Grid
-	var mu sync.Mutex
-	errs := make([]error, 4)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c, err := mp.ConnectTCP(rank, 4, addrs, nil)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			defer c.Close()
-			l, _, err := Run(c, cfg)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			g, err := Gather(c, cfg, l)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			if rank == 0 {
-				mu.Lock()
-				grid = g
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	diff, err := VerifySequential(grid, cfg)
+	diff, err := VerifySequential(gatherRun(t, tcpLaunch(t), cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,28 +336,7 @@ func TestOverlappedUnderRendezvous(t *testing.T) {
 	cfg := baseConfig(Overlapped)
 	for _, mode := range []Mode{Blocking, Overlapped} {
 		cfg.Mode = mode
-		var grid *stencil.Grid
-		var mu sync.Mutex
-		err := mp.LaunchOpts(4, mp.WorldOptions{RendezvousThreshold: 0}, func(c mp.Comm) error {
-			l, _, err := Run(c, cfg)
-			if err != nil {
-				return err
-			}
-			g, err := Gather(c, cfg, l)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				mu.Lock()
-				grid = g
-				mu.Unlock()
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v under rendezvous: %v", mode, err)
-		}
-		diff, err := VerifySequential(grid, cfg)
+		diff, err := VerifySequential(gatherRun(t, rendezvousLaunch, cfg), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

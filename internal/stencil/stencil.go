@@ -22,7 +22,8 @@ type Kernel interface {
 }
 
 // Boundary supplies values for reads outside the iteration space. The
-// default boundary is the constant 1.
+// default boundary is the constant 1. A Boundary must not keep j after it
+// returns: an executor may pass the same vector, rewritten, on every call.
 type Boundary func(j ilmath.Vec) float64
 
 // ConstBoundary returns a Boundary with a fixed value everywhere.
@@ -49,6 +50,41 @@ func (Sqrt3D) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
 	return math.Sqrt(get(ilmath.V(j[0]-1, j[1], j[2]))) +
 		math.Sqrt(get(ilmath.V(j[0], j[1]-1, j[2]))) +
 		math.Sqrt(get(ilmath.V(j[0], j[1], j[2]-1)))
+}
+
+// Block3D is an optional fast path a Kernel may offer when its dependence
+// set is exactly the three unit vectors (1,0,0), (0,1,0), (0,0,1). An
+// executor that stores its subdomain densely, k-contiguous, with the
+// predecessors of every boundary point present as ghost data, asks for a
+// whole box at a time instead of one Eval per point. A type that merely
+// embeds a Kernel does not inherit the method, so decorators fall back to
+// Eval.
+type Block3D interface {
+	// SweepBlock evaluates the kernel, in lexicographic order, over the box
+	// of ni×nj×nk points whose point (i, j, k) lives at
+	// a[base + i·si + j·sj + k]. The predecessors sit at offsets −si, −sj
+	// and −1, and every one of them a box point reads must be addressable:
+	// the planes i = −1, j = −1 and k = −1 hold ghost values. Each result
+	// equals what Eval returns for the same point, bit for bit.
+	SweepBlock(a []float64, base, ni, nj, nk, si, sj int)
+}
+
+// SweepBlock implements Block3D. The sum is formed left to right exactly as
+// in Eval (west, north, then k−1), so the two paths agree bit for bit.
+func (Sqrt3D) SweepBlock(a []float64, base, ni, nj, nk, si, sj int) {
+	for i := 0; i < ni; i++ {
+		for j := 0; j < nj; j++ {
+			o := base + i*si + j*sj
+			row := a[o : o+nk]
+			west := a[o-si:][:len(row)] // same length, stated so the loop needs no bounds checks
+			north := a[o-sj:][:len(row)]
+			prev := a[o-1]
+			for k := range row {
+				prev = math.Sqrt(west[k]) + math.Sqrt(north[k]) + math.Sqrt(prev)
+				row[k] = prev
+			}
+		}
+	}
 }
 
 // Sum2D is the kernel of the paper's Example 1:

@@ -172,3 +172,51 @@ func TestBoundaryInfluence(t *testing.T) {
 		t.Error("boundary value had no effect")
 	}
 }
+
+// TestSqrt3DSweepBlockMatchesEval runs the block method alone on a padded
+// array whose i = −1, j = −1 and k = −1 planes hold a position-dependent
+// boundary, and compares every point with Eval driven over the same data.
+// The box is embedded with slack on every side (and poisoned with NaN
+// outside the ghost planes) so a stray read or write shows.
+func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
+	const ni, nj, nk = 3, 4, 5
+	const sj = nk + 3        // k-row pitch, wider than the box
+	const si = (nj + 2) * sj // i-plane pitch
+	const base = si + sj + 2 // where point (0,0,0) lives
+	at := func(i, j, k int) int { return base + i*si + j*sj + k }
+	boundary := func(i, j, k int) float64 { return 1 + float64(i+1) + 0.25*float64(j+1) + 0.0625*float64(k+1) }
+
+	a := make([]float64, base+ni*si)
+	for x := range a {
+		a[x] = math.NaN()
+	}
+	for i := -1; i < ni; i++ {
+		for j := -1; j < nj; j++ {
+			for k := -1; k < nk; k++ {
+				if i < 0 || j < 0 || k < 0 {
+					a[at(i, j, k)] = boundary(i, j, k)
+				}
+			}
+		}
+	}
+	want := append([]float64(nil), a...)
+	get := func(q ilmath.Vec) float64 { return want[at(int(q[0]), int(q[1]), int(q[2]))] }
+	for i := 0; i < ni; i++ {
+		for j := 0; j < nj; j++ {
+			for k := 0; k < nk; k++ {
+				want[at(i, j, k)] = Sqrt3D{}.Eval(ilmath.V(int64(i), int64(j), int64(k)), get)
+			}
+		}
+	}
+
+	var blk Block3D = Sqrt3D{}
+	blk.SweepBlock(a, base, ni, nj, nk, si, sj)
+	for x := range a {
+		if math.Float64bits(a[x]) != math.Float64bits(want[x]) {
+			t.Fatalf("offset %d: block path %v, Eval %v", x, a[x], want[x])
+		}
+	}
+	if v := a[at(ni-1, nj-1, nk-1)]; math.IsNaN(v) || v <= 0 {
+		t.Errorf("last point = %v: a poisoned cell was read", v)
+	}
+}
