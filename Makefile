@@ -25,10 +25,12 @@ bench:
 # One iteration of the optimum benchmarks: exercises the tiered search and
 # the exhaustive sweep end to end (and keeps both compiling and running) in
 # about a second. The allocation-budget benchmarks fail the target when the
-# simulator's per-rank budget grows with scale or the real tile loop
-# allocates per point again.
+# simulator's per-rank budget grows with scale, the real tile loop allocates
+# per point again, or a small message over the TCP transport costs more
+# than 4 allocations.
 bench-smoke:
 	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|RunnerBlocking$$|RunnerOverlapped$$' -benchmem -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'TCPSmallMsgStream$$' -benchtime=1x -run '^$$' ./internal/mp
 
 # Degradation sweep at a fixed seed: exercises the whole fault-injection
 # path end to end and fails if degradation is not graceful or the

@@ -402,10 +402,11 @@ func BenchmarkRunnerOverlapped(b *testing.B) { benchRunner(b, runner.Overlapped)
 
 // runnerAllocsPerTile is the allocation ceiling of one (rank, k-tile) step
 // of a real run, world set-up amortised in: each tile may cost what the
-// in-process transport allocates for its at most two messages (5–6 each,
+// in-process transport allocates for its at most two messages (2–3 each,
 // measured in internal/runner's TestTileLoopAllocationFree) and nothing
-// that grows with the points in the tile. Measured: 7.9.
-const runnerAllocsPerTile = 12
+// that grows with the points in the tile. Measured: 4.6 blocking, 5.6
+// overlapped.
+const runnerAllocsPerTile = 8
 
 func benchRunner(b *testing.B, mode runner.Mode) {
 	cfg := runner.Config{

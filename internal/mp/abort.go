@@ -1,14 +1,14 @@
 package mp
 
-import "sync"
+import "sync/atomic"
 
 // aborter is the once-only abort latch shared by all blocking machinery of
 // a communicator. The first abort stores the error and closes the channel;
-// blocked operations select on done() and pick the error up via cause().
+// blocked operations select on done() and pick the error up via cause(),
+// which every send checks and so must not take a lock.
 type aborter struct {
-	mu  sync.Mutex
 	ch  chan struct{}
-	err *AbortError
+	err atomic.Pointer[AbortError]
 }
 
 func newAborter() *aborter { return &aborter{ch: make(chan struct{})} }
@@ -16,12 +16,9 @@ func newAborter() *aborter { return &aborter{ch: make(chan struct{})} }
 // abort latches e; only the first call wins. Reports whether this call was
 // the one that latched.
 func (a *aborter) abort(e *AbortError) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.err != nil {
+	if !a.err.CompareAndSwap(nil, e) {
 		return false
 	}
-	a.err = e
 	close(a.ch)
 	return true
 }
@@ -30,11 +27,7 @@ func (a *aborter) abort(e *AbortError) bool {
 func (a *aborter) done() <-chan struct{} { return a.ch }
 
 // cause returns the latched abort error, or nil while not aborted.
-func (a *aborter) cause() *AbortError {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
-}
+func (a *aborter) cause() *AbortError { return a.err.Load() }
 
 // abortChildren returns the ranks this rank must forward an abort to, on
 // the binomial dissemination tree rooted at origin: the same log-depth tree

@@ -19,14 +19,26 @@
 //
 // A slice handed to Send or Isend belongs to the transport only until the
 // operation completes — Send returning, or Wait on the Isend's request
-// returning. Both transports are done with it by then (the in-process one
-// copies the payload into the envelope, the TCP one has written it to the
-// socket), and every Comm wrapper in this repository passes the slice
-// straight through, so a caller may send every message of a run from one
-// buffer. Receive buffers likewise: the transport fills buf before the
-// receive's Wait returns and not after. runner's tile loop relies on both
-// halves to run without allocating (ownership_test.go holds the transports
-// to it).
+// returning. Both transports are done with it by then, and every Comm
+// wrapper in this repository passes the slice straight through, so a caller
+// may send every message of a run from one buffer. In process the payload
+// has been copied, into the posted receive's buffer or the mailbox's own.
+// On TCP it has been copied into the destination's bounded pending buffer,
+// from which that peer's writer goroutine puts everything queued on the
+// socket with one write — or, for a frame larger than the whole buffer,
+// written out from the caller's slice before Isend returns. Either way
+// Isend returning already means "copied or written", Wait returns at once,
+// and a full pending buffer blocks the sender (bounded by Deadline, abort
+// and IOTimeout): that is the transport's flow control. Receive buffers
+// likewise: the transport fills buf before the receive's Wait returns and
+// not after. runner's tile loop relies on both halves to run without
+// allocating (ownership_test.go holds the transports to it).
+//
+// Because a TCP send returns before its bytes reach the socket, a write
+// failure cannot be reported by the send that lost them. It is latched per
+// peer: TCPOptions.OnEvent sees EvWriteErr once, and the next Send or Isend
+// to that peer, Wait on any request to it, Barrier, and Close all return
+// that error.
 //
 // # Collective schedules
 //

@@ -5,14 +5,26 @@ import (
 	"time"
 )
 
-// envelope is a message in flight.
+// inlinePayload is the largest payload an envelope stores in its own
+// allocation (the "eager short" message of an MPI implementation).
+const inlinePayload = 64
+
+// envelope is an unexpected message waiting in a mailbox for its receive.
 type envelope struct {
 	src  int
 	tag  int
 	data []byte // owned copy
+	seq  uint64 // arrival number, shared with the posted receives
 	// matched, when non-nil, is signalled once a receive consumes the
 	// envelope — the completion hook for rendezvous-mode sends.
 	matched *sendOp
+
+	// Links of the source's srcQueue; guarded by the mailbox lock.
+	prev, next *envelope // arrival order
+	nextTag    *envelope // next indexed message with the same tag
+	indexed    bool
+
+	inline [inlinePayload]byte
 }
 
 // sendOp is the waitable handle of a rendezvous send: it completes when the
@@ -76,10 +88,13 @@ func (op *sendOp) Test() (bool, Status, error) {
 	}
 }
 
-// recvOp is a posted receive awaiting a match. Like sendOp it publishes
-// completion by closing ch; status/err are stable once ch is closed. mb
-// points back at the mailbox the op is posted in so a deadline expiry can
-// withdraw it from the matching queue.
+// recvOp is a posted receive awaiting a match. Whoever takes the op out of
+// the mailbox's posted queue (a match, a cancel, a poison) owns its one
+// completion; status/err are stable from then on. A waiter that arrives
+// first makes ch and blocks on it for the completion token — a receive
+// whose message beat it to the mailbox never needs the channel. mb points
+// back at the mailbox the op is posted in so a deadline expiry can withdraw
+// it from the matching queue.
 type recvOp struct {
 	src int // AnySource allowed
 	tag int // AnyTag allowed
@@ -88,59 +103,53 @@ type recvOp struct {
 	mb       *mailbox
 	deadline time.Duration // 0 = wait forever
 
+	// Position in the mailbox's posted queue; guarded by mb.mu.
+	seq        uint64
+	prev, next *recvOp
+	queued     bool
+
 	mu     sync.Mutex
 	done   bool
-	ch     chan struct{}
+	ch     chan struct{} // capacity 1, made by the first waiter that has to block
 	status Status
 	err    error
 }
 
-func newRecvOp(src, tag int, buf []byte) *recvOp {
-	return &recvOp{src: src, tag: tag, buf: buf, ch: make(chan struct{})}
-}
+// recvOps recycles the ops of blocking receives, which never leave the
+// package: Recv posts one, waits on it and hands it back, so a steady
+// stream of receives allocates neither an op nor a channel.
+var recvOps = sync.Pool{New: func() any { return new(recvOp) }}
 
-func (op *recvOp) matches(e *envelope) bool {
-	if op.src != AnySource && op.src != e.src {
-		return false
-	}
-	if op.tag != AnyTag && op.tag != e.tag {
-		return false
-	}
-	return true
-}
-
-// complete copies the envelope into the buffer and wakes the waiter.
-func (op *recvOp) complete(e *envelope) {
+// finish publishes the op's outcome and wakes the waiter.
+func (op *recvOp) finish(st Status, err error) {
 	op.mu.Lock()
-	defer op.mu.Unlock()
-	if op.done {
-		return
-	}
-	if len(e.data) > len(op.buf) {
-		op.err = ErrTruncated
-	} else {
-		copy(op.buf, e.data)
-	}
-	op.status = Status{Source: e.src, Tag: e.tag, Bytes: len(e.data)}
-	op.done = true
-	close(op.ch)
-}
-
-func (op *recvOp) fail(err error) {
-	op.mu.Lock()
-	defer op.mu.Unlock()
 	if !op.done {
-		op.err = err
-		op.done = true
-		close(op.ch)
+		op.status, op.err, op.done = st, err, true
+		if op.ch != nil {
+			op.ch <- struct{}{}
+		}
 	}
+	op.mu.Unlock()
 }
 
-// result reads the settled outcome; callers must only reach it once ch is
-// (about to be) closed — it blocks for the tiny deliver→complete window.
-func (op *recvOp) result() (Status, error) {
-	<-op.ch
-	return op.status, op.err
+// complete copies a matched message into the buffer and wakes the waiter.
+func (op *recvOp) complete(src, tag int, data []byte) {
+	var err error
+	if len(data) > len(op.buf) {
+		err = ErrTruncated
+	} else {
+		copy(op.buf, data)
+	}
+	op.finish(Status{Source: src, Tag: tag, Bytes: len(data)}, err)
+}
+
+func (op *recvOp) fail(err error) { op.finish(Status{}, err) }
+
+// Test implements Request for receives.
+func (op *recvOp) Test() (bool, Status, error) {
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	return op.done, op.status, op.err
 }
 
 // Wait implements Request for receives, honoring the op's deadline: on
@@ -148,72 +157,247 @@ func (op *recvOp) result() (Status, error) {
 // ErrDeadline. A withdrawal that loses the race against an in-flight match
 // returns the match instead.
 func (op *recvOp) Wait() (Status, error) {
-	select {
-	case <-op.ch:
+	op.mu.Lock()
+	if op.done {
+		defer op.mu.Unlock()
 		return op.status, op.err
-	default:
 	}
-	if op.deadline <= 0 {
-		return op.result()
+	if op.ch == nil {
+		op.ch = make(chan struct{}, 1)
 	}
-	timer := time.NewTimer(op.deadline)
-	defer timer.Stop()
-	select {
-	case <-op.ch:
-		return op.status, op.err
-	case <-timer.C:
-		op.mb.cancel(op, ErrDeadline)
-		return op.result()
+	op.mu.Unlock()
+	if op.deadline > 0 {
+		timer := time.NewTimer(op.deadline)
+		defer timer.Stop()
+		select {
+		case <-op.ch:
+			op.ch <- struct{}{}
+			return op.status, op.err
+		case <-timer.C:
+			op.mb.cancel(op, ErrDeadline) // false: a match is completing it right now
+		}
+	}
+	// The token goes straight back so any other waiter on the same request
+	// wakes too.
+	<-op.ch
+	op.ch <- struct{}{}
+	return op.status, op.err
+}
+
+// matchKey is a receive pattern, wildcards included; posted receives queue
+// in one FIFO per pattern.
+type matchKey struct{ src, tag int }
+
+func (k matchKey) wild() bool { return k.src == AnySource || k.tag == AnyTag }
+
+// opQueue is an intrusive FIFO of posted receives, stored by value in the
+// mailbox's map; an empty queue's key is deleted.
+type opQueue struct{ head, tail *recvOp }
+
+// srcQueue holds the unexpected messages of one source in arrival order,
+// with an index by tag that is built only when it is needed: a receiver
+// that consumes a source's messages in the order they were sent — every
+// tile loop — finds each at the head and never touches the index, and the
+// first receive that asks out of order indexes what has arrived since the
+// last one did. Every message is indexed at most once, so a match costs
+// O(1) amortised however long the backlog is.
+type srcQueue struct {
+	head, tail *envelope
+	unindexed  *envelope        // oldest message not in byTag yet; everything after it is not either
+	byTag      map[int]tagChain // the indexed messages of each tag, oldest first
+}
+
+// tagChain links the indexed messages of one tag through nextTag.
+type tagChain struct{ head, tail *envelope }
+
+func (q *srcQueue) push(e *envelope) {
+	if e.prev = q.tail; q.tail == nil {
+		q.head = e
+	} else {
+		q.tail.next = e
+	}
+	q.tail = e
+	if q.unindexed == nil {
+		q.unindexed = e
 	}
 }
 
-// Test implements Request for receives.
-func (op *recvOp) Test() (bool, Status, error) {
-	select {
-	case <-op.ch:
-		return true, op.status, op.err
-	default:
-		return false, Status{}, nil
+// oldest returns the oldest message carrying tag (AnyTag: the oldest of
+// all) without removing it.
+func (q *srcQueue) oldest(tag int) *envelope {
+	if q.head == nil || tag == AnyTag || q.head.tag == tag {
+		return q.head
 	}
+	if c, ok := q.byTag[tag]; ok {
+		return c.head
+	}
+	for e := q.unindexed; e != nil; e = e.next {
+		if e.tag == tag {
+			q.unindexed = e
+			return e
+		}
+		if q.byTag == nil {
+			q.byTag = make(map[int]tagChain)
+		}
+		c := q.byTag[e.tag]
+		if c.tail == nil {
+			c.head = e
+		} else {
+			c.tail.nextTag = e
+		}
+		c.tail, e.indexed = e, true
+		q.byTag[e.tag] = c
+	}
+	q.unindexed = nil
+	return nil
 }
 
-// mailbox performs MPI-style (source, tag) matching for one rank.
-// Unexpected messages queue in arrival order; posted receives queue in post
-// order; matching always prefers the oldest candidate, which yields the
-// non-overtaking guarantee per (source, tag) pair.
+// remove unlinks e, which oldest returned: the first of its tag.
+func (q *srcQueue) remove(e *envelope) {
+	if e.prev == nil {
+		q.head = e.next
+	} else {
+		e.prev.next = e.next
+	}
+	if e.next == nil {
+		q.tail = e.prev
+	} else {
+		e.next.prev = e.prev
+	}
+	if q.unindexed == e {
+		q.unindexed = e.next
+	}
+	if e.indexed {
+		if c := q.byTag[e.tag]; e.nextTag == nil {
+			delete(q.byTag, e.tag)
+		} else {
+			c.head = e.nextTag
+			q.byTag[e.tag] = c
+		}
+	}
+	e.prev, e.next, e.nextTag = nil, nil, nil
+}
+
+// mailbox performs MPI-style (source, tag) matching for one rank. Messages
+// and receives carry one shared arrival/post sequence number; unexpected
+// messages wait in a queue per source (srcQueue), posted receives in a FIFO
+// per pattern, so the specific match every tile loop makes is O(1) however
+// long the backlog is. Matching always prefers the oldest candidate — for a
+// wildcard that is the lowest sequence number among the queues it admits —
+// which yields the non-overtaking guarantee per (source, tag) pair.
 type mailbox struct {
 	mu         sync.Mutex
-	unexpected []*envelope
-	posted     []*recvOp
+	seq        uint64
+	unexpected []srcQueue // by source rank
+	posted     map[matchKey]opQueue
+	wildPosted int   // posted receives with a wildcard in their pattern
 	failErr    error // ErrClosed or an *AbortError; nil while healthy
 }
 
-// deliver hands an incoming envelope to the oldest matching posted receive,
-// or queues it as unexpected.
-func (mb *mailbox) deliver(e *envelope) error {
+// newMailbox returns the mailbox of one rank in a world of n.
+func newMailbox(n int) *mailbox {
+	return &mailbox{unexpected: make([]srcQueue, n), posted: make(map[matchKey]opQueue)}
+}
+
+// deliver hands a message to the oldest matching posted receive, copying
+// data straight into the receive's buffer, or queues a copy of it as
+// unexpected. data is only borrowed for the call. matched, when non-nil, is
+// completed once a receive consumes the message.
+func (mb *mailbox) deliver(src, tag int, data []byte, matched *sendOp) error {
 	mb.mu.Lock()
 	if mb.failErr != nil {
 		err := mb.failErr
 		mb.mu.Unlock()
-		if e.matched != nil {
-			e.matched.complete(err)
+		if matched != nil {
+			matched.complete(err)
 		}
 		return err
 	}
-	for i, op := range mb.posted {
-		if op.matches(e) {
-			mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
-			mb.mu.Unlock()
-			op.complete(e)
-			if e.matched != nil {
-				e.matched.complete(nil)
-			}
-			return nil
+	if op := mb.takePosted(src, tag); op != nil {
+		mb.mu.Unlock()
+		op.complete(src, tag, data)
+		if matched != nil {
+			matched.complete(nil)
 		}
+		return nil
 	}
-	mb.unexpected = append(mb.unexpected, e)
+	mb.seq++
+	e := &envelope{src: src, tag: tag, matched: matched, seq: mb.seq}
+	if len(data) <= inlinePayload {
+		e.data = e.inline[:len(data)]
+	} else {
+		e.data = make([]byte, len(data))
+	}
+	copy(e.data, data)
+	mb.unexpected[src].push(e)
 	mb.mu.Unlock()
 	return nil
+}
+
+// takePosted removes and returns the oldest posted receive that admits
+// (src, tag): the lowest-numbered head among the four patterns that can.
+func (mb *mailbox) takePosted(src, tag int) *recvOp {
+	best, ok := mb.posted[matchKey{src, tag}]
+	if mb.wildPosted > 0 {
+		for _, k := range [...]matchKey{{AnySource, tag}, {src, AnyTag}, {AnySource, AnyTag}} {
+			if q, found := mb.posted[k]; found && (!ok || q.head.seq < best.head.seq) {
+				best, ok = q, true
+			}
+		}
+	}
+	if !ok {
+		return nil
+	}
+	mb.unpost(best.head)
+	return best.head
+}
+
+// unpost unlinks op from its posted queue.
+func (mb *mailbox) unpost(op *recvOp) {
+	k := matchKey{op.src, op.tag}
+	q := mb.posted[k]
+	if op.prev == nil {
+		q.head = op.next
+	} else {
+		op.prev.next = op.next
+	}
+	if op.next == nil {
+		q.tail = op.prev
+	} else {
+		op.next.prev = op.prev
+	}
+	op.prev, op.next, op.queued = nil, nil, false
+	if q.head == nil {
+		delete(mb.posted, k)
+	} else {
+		mb.posted[k] = q
+	}
+	if k.wild() {
+		mb.wildPosted--
+	}
+}
+
+// takeUnexpected removes and returns the oldest queued message pattern k
+// admits; AnySource compares the candidates of every source.
+func (mb *mailbox) takeUnexpected(k matchKey) *envelope {
+	if k.src != AnySource {
+		q := &mb.unexpected[k.src]
+		e := q.oldest(k.tag)
+		if e != nil {
+			q.remove(e)
+		}
+		return e
+	}
+	var best *envelope
+	for src := range mb.unexpected {
+		if e := mb.unexpected[src].oldest(k.tag); e != nil && (best == nil || e.seq < best.seq) {
+			best = e
+		}
+	}
+	if best != nil {
+		mb.unexpected[best.src].remove(best)
+	}
+	return best
 }
 
 // post registers a receive, matching it immediately against queued
@@ -226,20 +410,64 @@ func (mb *mailbox) post(op *recvOp) error {
 		return err
 	}
 	op.mb = mb
-	for i, e := range mb.unexpected {
-		if op.matches(e) {
-			mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
-			mb.mu.Unlock()
-			op.complete(e)
-			if e.matched != nil {
-				e.matched.complete(nil)
-			}
-			return nil
+	k := matchKey{op.src, op.tag}
+	if e := mb.takeUnexpected(k); e != nil {
+		mb.mu.Unlock()
+		op.complete(e.src, e.tag, e.data)
+		if e.matched != nil {
+			e.matched.complete(nil)
 		}
+		return nil
 	}
-	mb.posted = append(mb.posted, op)
+	mb.seq++
+	op.seq, op.queued = mb.seq, true
+	q := mb.posted[k]
+	if op.prev = q.tail; q.tail == nil {
+		q.head = op
+	} else {
+		q.tail.next = op
+	}
+	q.tail = op
+	mb.posted[k] = q
+	if k.wild() {
+		mb.wildPosted++
+	}
 	mb.mu.Unlock()
 	return nil
+}
+
+// recv is the blocking receive both transports' Recv run: post, wait, and
+// return the op to the pool.
+func (mb *mailbox) recv(src, tag int, buf []byte, deadline time.Duration) (Status, error) {
+	op := recvOps.Get().(*recvOp)
+	op.src, op.tag, op.buf, op.deadline = src, tag, buf, deadline
+	err := mb.post(op)
+	var st Status
+	if err == nil {
+		st, err = op.Wait()
+	}
+	// Whoever completed the op may still be inside finish; the lock orders
+	// the reset after it, and the token it left is taken back.
+	op.mu.Lock()
+	op.buf, op.done, op.err = nil, false, nil
+	if op.ch != nil {
+		select {
+		case <-op.ch:
+		default:
+		}
+	}
+	op.mu.Unlock()
+	recvOps.Put(op)
+	return st, err
+}
+
+// irecv is the non-blocking receive both transports' Irecv run.
+func (mb *mailbox) irecv(src, tag int, buf []byte, deadline time.Duration) (Request, error) {
+	op := &recvOp{src: src, tag: tag, buf: buf, deadline: deadline}
+	if err := mb.post(op); err != nil {
+		return nil, err
+	}
+	return op, nil
 }
 
 // cancel withdraws a posted receive and fails it with err (the deadline
@@ -247,16 +475,14 @@ func (mb *mailbox) post(op *recvOp) error {
 // completed it concurrently, which then takes precedence.
 func (mb *mailbox) cancel(op *recvOp, err error) bool {
 	mb.mu.Lock()
-	for i, o := range mb.posted {
-		if o == op {
-			mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
-			mb.mu.Unlock()
-			op.fail(err)
-			return true
-		}
+	if !op.queued {
+		mb.mu.Unlock()
+		return false
 	}
+	mb.unpost(op)
 	mb.mu.Unlock()
-	return false
+	op.fail(err)
+	return true
 }
 
 // poison fails every pending receive and unmatched rendezvous sender with
@@ -269,17 +495,26 @@ func (mb *mailbox) poison(err error) {
 		return
 	}
 	mb.failErr = err
-	pend := mb.posted
+	var pend []*recvOp
+	for _, q := range mb.posted {
+		for op := q.head; op != nil; op = op.next {
+			pend = append(pend, op)
+		}
+	}
+	for _, op := range pend {
+		op.prev, op.next, op.queued = nil, nil, false
+	}
 	unm := mb.unexpected
-	mb.posted = nil
-	mb.unexpected = nil
+	mb.posted, mb.unexpected, mb.wildPosted = nil, nil, 0
 	mb.mu.Unlock()
 	for _, op := range pend {
 		op.fail(err)
 	}
-	for _, e := range unm {
-		if e.matched != nil {
-			e.matched.complete(err)
+	for _, q := range unm {
+		for e := q.head; e != nil; e = e.next {
+			if e.matched != nil {
+				e.matched.complete(err)
+			}
 		}
 	}
 }
@@ -289,6 +524,19 @@ func (mb *mailbox) close() { mb.poison(ErrClosed) }
 
 // sendReq is the trivial already-complete Request returned by eager sends.
 type sendReq struct{ err error }
+
+// sent is the request of every eager send that succeeded, shared so that a
+// send does not allocate one.
+var sent Request = sendReq{}
+
+// eagerSend is what Isend returns for a send that completed, with err, in
+// the call itself.
+func eagerSend(err error) (Request, error) {
+	if err == nil {
+		return sent, nil
+	}
+	return sendReq{err: err}, err
+}
 
 func (s sendReq) Wait() (Status, error)       { return Status{}, s.err }
 func (s sendReq) Test() (bool, Status, error) { return true, Status{}, s.err }

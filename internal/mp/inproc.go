@@ -48,7 +48,7 @@ func NewWorldOpts(n int, opts WorldOptions) (*World, []Comm, error) {
 	w.bar.init(n)
 	comms := make([]Comm, n)
 	for i := 0; i < n; i++ {
-		w.boxes[i] = &mailbox{}
+		w.boxes[i] = newMailbox(n)
 		w.comms[i] = &inprocComm{world: w, rank: i}
 		comms[i] = w.comms[i]
 	}
@@ -151,48 +151,44 @@ func (c *inprocComm) Isend(dst, tag int, data []byte) (Request, error) {
 	if err := checkTag(tag, false); err != nil {
 		return nil, err
 	}
-	// Copy the payload so the caller may reuse its buffer immediately (the
-	// MPI system-buffer copy of the paper's A1/B3).
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	e := &envelope{src: c.rank, tag: tag, data: cp}
+	// deliver copies the payload — into the posted receive's buffer, or
+	// into the mailbox's own (the MPI system-buffer copy of the paper's
+	// A1/B3) — so the caller may reuse its buffer immediately.
+	box := c.world.boxes[dst]
 	if t := c.world.opts.RendezvousThreshold; t >= 0 && len(data) > t {
 		// Rendezvous mode: the request completes when the receiver matches.
-		e.matched = newSendOp()
-		e.matched.deadline = c.world.opts.Deadline
-		if err := c.world.boxes[dst].deliver(e); err != nil {
+		op := newSendOp()
+		op.deadline = c.world.opts.Deadline
+		if err := box.deliver(c.rank, tag, data, op); err != nil {
 			return nil, err
 		}
-		return e.matched, nil
+		return op, nil
 	}
-	err := c.world.boxes[dst].deliver(e)
-	return sendReq{err: err}, err
+	return eagerSend(box.deliver(c.rank, tag, data, nil))
 }
 
 func (c *inprocComm) Recv(src, tag int, buf []byte) (Status, error) {
-	req, err := c.Irecv(src, tag, buf)
-	if err != nil {
+	if err := c.checkRecv(src, tag); err != nil {
 		return Status{}, err
 	}
-	return req.Wait()
+	return c.world.boxes[c.rank].recv(src, tag, buf, c.world.opts.Deadline)
+}
+
+func (c *inprocComm) checkRecv(src, tag int) error {
+	if c.isClosed() {
+		return ErrClosed
+	}
+	if err := checkSource(src, c.world.n); err != nil {
+		return err
+	}
+	return checkTag(tag, true)
 }
 
 func (c *inprocComm) Irecv(src, tag int, buf []byte) (Request, error) {
-	if c.isClosed() {
-		return nil, ErrClosed
-	}
-	if err := checkSource(src, c.world.n); err != nil {
+	if err := c.checkRecv(src, tag); err != nil {
 		return nil, err
 	}
-	if err := checkTag(tag, true); err != nil {
-		return nil, err
-	}
-	op := newRecvOp(src, tag, buf)
-	op.deadline = c.world.opts.Deadline
-	if err := c.world.boxes[c.rank].post(op); err != nil {
-		return nil, err
-	}
-	return op, nil
+	return c.world.boxes[c.rank].irecv(src, tag, buf, c.world.opts.Deadline)
 }
 
 func (c *inprocComm) Barrier() error {

@@ -76,14 +76,21 @@ type Comm interface {
 	// message is buffered for delivery (eager/buffered semantics, like
 	// MPI_Send on small messages). When Send returns the transport has
 	// copied data or written it out and keeps no reference to it: the
-	// caller may overwrite the slice at once.
+	// caller may overwrite the slice at once. On TCP "buffered" is the
+	// destination's bounded pending buffer, so Send blocks while that is
+	// full, and an error writing the socket is reported by the next
+	// operation toward that peer rather than by the Send whose bytes were
+	// lost (see "Buffer ownership" in the package documentation).
 	Send(dst, tag int, data []byte) error
 	// Recv blocks until a matching message arrives and copies it into buf.
 	// src may be AnySource, tag may be AnyTag.
 	Recv(src, tag int, buf []byte) (Status, error)
 	// Isend starts a non-blocking send. The caller must leave data alone
 	// until Wait on the returned request has returned; from then on the
-	// transport keeps no reference to it, exactly as after Send.
+	// transport keeps no reference to it, exactly as after Send. On TCP
+	// the frame is already queued (or written) when Isend returns, Wait
+	// does not block, and what Wait reports is a write failure latched on
+	// that peer by then, if any.
 	Isend(dst, tag int, data []byte) (Request, error)
 	// Irecv posts a non-blocking receive into buf. The transport writes buf
 	// at some point before Wait returns and never after, so a caller may

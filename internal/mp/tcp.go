@@ -1,7 +1,7 @@
 package mp
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,6 +33,29 @@ const (
 // header fails the frame instead of forcing a huge allocation.
 const maxFrameLen = 64 << 20
 
+const (
+	// frameHdrLen is the frame header: src int32 | tag int32 | len int32.
+	frameHdrLen = 12
+	// sendBufSize bounds the frames queued per peer for its writer; a
+	// sender that finds it full blocks, which is the transport's flow
+	// control. Four times a 64 KiB face, so a tile's messages queue whole.
+	sendBufSize = 256 << 10
+	// ctlHeadroom is how far abort, heartbeat and goodbye frames may
+	// overrun sendBufSize so they never wait behind a full data buffer;
+	// past it they are dropped (they are best effort).
+	ctlHeadroom = 4 << 10
+	// recvBufSize is each reader's buffer: frames up to this size are
+	// matched and copied out of it without an allocation of their own.
+	recvBufSize = 64 << 10
+	// closeDrain caps how long Close waits for queued frames to leave when
+	// no IOTimeout bounds the writes.
+	closeDrain = 3 * time.Second
+)
+
+// errBackedUp reports a best-effort control frame dropped because the
+// peer's queue is past its bound: the peer has stopped reading.
+var errBackedUp = errors.New("mp: peer send queue backed up, control frame dropped")
+
 // TCPOptions tunes ConnectTCP.
 type TCPOptions struct {
 	// DialTimeout bounds how long a rank retries connecting to its peers
@@ -44,10 +67,11 @@ type TCPOptions struct {
 	// jitter so a cluster of late dialers doesn't stampede the listener.
 	// Default 10ms.
 	DialBackoff time.Duration
-	// IOTimeout, when positive, bounds every post-handshake frame write;
-	// a peer that stops draining its socket then fails the writer instead
-	// of wedging it forever. Reads stay unbounded (an idle rank
-	// legitimately waits arbitrarily long for the next message).
+	// IOTimeout, when positive, bounds every post-handshake socket write;
+	// a peer that stops draining its socket then fails that peer's writer
+	// (and every sender queued behind it) instead of wedging it forever.
+	// Reads stay unbounded (an idle rank legitimately waits arbitrarily
+	// long for the next message).
 	IOTimeout time.Duration
 	// Deadline, when positive, bounds every blocking wait (Recv,
 	// Request.Wait, Barrier): a wait that exceeds it fails with
@@ -76,8 +100,8 @@ type TCPOptions struct {
 	// OnEvent, when non-nil, observes transport lifecycle events: dial
 	// retries and successes, accepted handshakes, handshake failures,
 	// post-handshake frame-write errors, heartbeats, lost peers, and
-	// aborts. It is called synchronously from the dial/accept goroutines
-	// and the send path, so it must be safe for concurrent use and must
+	// aborts. It is called synchronously from the dial/accept, reader and
+	// writer goroutines, so it must be safe for concurrent use and must
 	// not block; obs.InstrumentComm uses it to feed the runtime TCP
 	// counters.
 	OnEvent func(TCPEvent)
@@ -105,7 +129,9 @@ const (
 	// EvHandshakeErr: a handshake read/write failed (Peer is -1 on the
 	// accept side, where the peer's rank was never learned).
 	EvHandshakeErr
-	// EvWriteErr: a post-handshake frame write to Peer failed with Err.
+	// EvWriteErr: a post-handshake socket write to Peer failed with Err.
+	// Emitted once per peer: the failure is latched and every queued and
+	// later send to that peer fails with the same error.
 	EvWriteErr
 	// EvHeartbeat: a liveness probe arrived from Peer.
 	EvHeartbeat
@@ -185,8 +211,8 @@ func (e *EpochError) Error() string {
 func (e *EpochError) Is(target error) bool { return target == ErrStaleEpoch }
 
 // tuneConn applies socket options to a mesh connection: TCP_NODELAY
-// explicitly on (the transport writes whole frames and latency matters;
-// Nagle coalescing only delays the tail of a frame).
+// explicitly on (each peer's writer already coalesces whole frames into
+// one write; Nagle on top would only delay the tail of the last one).
 func tuneConn(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -224,7 +250,7 @@ func ConnectTCP(rank, size int, addrs []string, opts *TCPOptions) (Comm, error) 
 		rank:     rank,
 		size:     size,
 		conns:    make([]*peerConn, size),
-		box:      &mailbox{},
+		box:      newMailbox(size),
 		ab:       newAborter(),
 		hbMiss:   defaultHeartbeatMiss,
 		hbStop:   make(chan struct{}),
@@ -443,17 +469,46 @@ func ConnectTCP(rank, size int, addrs []string, opts *TCPOptions) (Comm, error) 
 	return c, nil
 }
 
-// peerConn wraps one TCP connection with a write lock.
+// peerConn is one mesh connection and its send queue. Senders append whole
+// frames to pend under mu and return; the writer goroutine swaps pend out
+// and issues one Write for everything queued since its last one, so a burst
+// of small frames costs one syscall and the computing goroutine none.
 type peerConn struct {
 	conn net.Conn
-	wmu  sync.Mutex
+	peer int
+
+	mu      sync.Mutex
+	pend    []byte        // frames queued for the writer, at most sendBufSize (+ctlHeadroom)
+	writing bool          // a socket write is in flight: the writer's, or a write-through sender's
+	closing bool          // Close has queued the goodbye: no more frames, the writer exits once drained
+	changed chan struct{} // non-nil while a sender waits for room; closed on the next state change
+	frames  int64         // frames accepted
+	writes  int64         // socket writes issued
+	wake    chan struct{} // capacity 1: tells the writer pend filled, the socket freed, or to stop
+	done    chan struct{} // closed when the writer has exited
+
+	// err is the latched write failure: set once, under mu, after which
+	// pend is dropped and every send fails with it. Read without the lock
+	// by Wait on a send request, once per tile in the overlapped schedule.
+	err       atomic.Pointer[error]
+	blockedNs atomic.Int64
+}
+
+// PeerWriteStats is the send-side tally of one mesh connection:
+// Frames/Writes is how many frames the writer coalesced per socket write,
+// Blocked how long senders waited for room in a full queue.
+type PeerWriteStats struct {
+	Peer    int
+	Frames  int64
+	Writes  int64
+	Blocked time.Duration
 }
 
 type tcpComm struct {
 	rank, size int
 	epoch      uint32
 	listener   net.Listener
-	conns      []*peerConn
+	conns      []*peerConn // immutable once ConnectTCP returns
 	box        *mailbox
 	readers    sync.WaitGroup
 	ioTimeout  time.Duration
@@ -468,10 +523,10 @@ type tcpComm struct {
 	hbStopOnce        sync.Once
 	abortOnDisconnect bool
 	departed          []atomic.Bool  // peer sent ctlGoodbye
-	lastSeen          []atomic.Int64 // UnixNano of last frame per peer
+	lastSeen          []atomic.Int64 // UnixNano of last frame per peer (heartbeats on only)
 
-	mu        sync.Mutex
-	closed    bool
+	mu        sync.Mutex // guards conns during mesh-up
+	closed    atomic.Bool
 	closeOnce sync.Once
 
 	// Barrier state: rank 0 coordinates.
@@ -481,13 +536,13 @@ type tcpComm struct {
 	barGen     int
 }
 
-// setConn registers a completed handshake. A duplicate claim for the same
-// rank or a comm already torn down closes the connection instead of
-// leaking it.
+// setConn registers a completed handshake and starts the connection's
+// writer. A duplicate claim for the same rank or a comm already torn down
+// closes the connection instead of leaking it.
 func (c *tcpComm) setConn(peer int, conn net.Conn) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		conn.Close()
 		return ErrClosed
 	}
@@ -495,68 +550,229 @@ func (c *tcpComm) setConn(peer int, conn net.Conn) error {
 		conn.Close()
 		return fmt.Errorf("mp: rank %d: duplicate connection claiming rank %d", c.rank, peer)
 	}
-	c.conns[peer] = &peerConn{conn: conn}
+	pc := &peerConn{conn: conn, peer: peer, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	c.conns[peer] = pc
+	go pc.writeLoop(c) // Close stops it and waits on pc.done
 	return nil
 }
 
 func (c *tcpComm) Rank() int { return c.rank }
 func (c *tcpComm) Size() int { return c.size }
 
-func (c *tcpComm) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
+// WriteStats reports the send-side counters of every mesh connection, in
+// peer order; obs.InstrumentComm picks it up for the metrics snapshot.
+func (c *tcpComm) WriteStats() []PeerWriteStats {
+	var out []PeerWriteStats
+	for _, pc := range c.conns {
+		if pc != nil {
+			pc.mu.Lock()
+			out = append(out, PeerWriteStats{Peer: pc.peer, Frames: pc.frames,
+				Writes: pc.writes, Blocked: time.Duration(pc.blockedNs.Load())})
+			pc.mu.Unlock()
+		}
+	}
+	return out
 }
 
-// frame layout: src int32 | tag int32 | len int32 | payload.
-func (c *tcpComm) writeFrame(dst, tag int, data []byte) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	pc := c.conns[dst]
-	c.mu.Unlock()
-	if pc == nil {
-		return fmt.Errorf("mp: no connection to rank %d", dst)
-	}
-	return c.writeFrameConn(pc, dst, tag, data)
-}
-
-// writeFrameConn writes one frame on an already-resolved connection; Close
-// uses it directly for the goodbye frames after marking the comm closed.
+// appendHeader appends the header of a frame carrying n payload bytes.
 // Reserved-tag (control) frames carry a 4-byte epoch prefix in front of
 // their payload so a peer from another world generation can reject them:
 // the handshake already fences whole connections, the prefix fences any
 // frame that was in flight when the worlds changed over.
-func (c *tcpComm) writeFrameConn(pc *peerConn, dst, tag int, data []byte) error {
+func appendHeader(buf []byte, src, tag int, epoch uint32, n int) []byte {
 	if tag < 0 {
-		stamped := make([]byte, 4+len(data))
-		binary.BigEndian.PutUint32(stamped[0:4], c.epoch)
-		copy(stamped[4:], data)
-		data = stamped
+		n += 4
 	}
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(int32(c.rank)))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(int32(tag)))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(int32(len(data))))
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	if c.ioTimeout > 0 {
-		pc.conn.SetWriteDeadline(time.Now().Add(c.ioTimeout))
-		defer pc.conn.SetWriteDeadline(time.Time{})
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(tag)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(n)))
+	if tag < 0 {
+		buf = binary.BigEndian.AppendUint32(buf, epoch)
 	}
-	if _, err := pc.conn.Write(hdr[:]); err != nil {
-		c.event(TCPEvent{Kind: EvWriteErr, Peer: dst, Err: err})
-		return err
+	return buf
+}
+
+// send hands one frame to dst's writer and returns once it is queued (the
+// payload is copied), blocking while the queue is full — bounded by
+// Deadline, abort and, through the writer, IOTimeout. A write failure is
+// latched per peer, so it surfaces on the next send after the writer hit
+// it, not on the send whose bytes were lost. urgent marks the control
+// frames that must never block (abort, heartbeat, goodbye): they may
+// overrun the bound by ctlHeadroom and are dropped beyond it.
+func (c *tcpComm) send(dst, tag int, data []byte, urgent bool) error {
+	if c.closed.Load() {
+		return ErrClosed
 	}
-	if len(data) > 0 {
-		if _, err := pc.conn.Write(data); err != nil {
-			c.event(TCPEvent{Kind: EvWriteErr, Peer: dst, Err: err})
+	pc := c.conns[dst]
+	if pc == nil {
+		return fmt.Errorf("mp: no connection to rank %d", dst)
+	}
+	need := len(data) + frameHdrLen
+	if tag < 0 {
+		need += 4 // the epoch prefix
+	}
+	pc.mu.Lock()
+	if !urgent && !pc.room(need) {
+		if err := pc.awaitRoom(c, need); err != nil {
 			return err
 		}
 	}
+	var err error
+	switch {
+	case pc.err.Load() != nil:
+		err = pc.failure()
+	case pc.closing:
+		err = ErrClosed
+	case urgent && len(pc.pend)+need > sendBufSize+ctlHeadroom:
+		err = errBackedUp
+	case !urgent && need > sendBufSize:
+		// The bufio.Writer rule: nothing is queued or in flight ahead of a
+		// frame larger than the whole buffer, so it goes out from the
+		// caller's slice, and the writer gets the socket back afterwards.
+		pc.writing = true
+		pc.frames++
+		pc.mu.Unlock()
+		err = pc.write(c, appendHeader(nil, c.rank, tag, c.epoch, len(data)), data)
+		pc.signal()
+		return err
+	default:
+		idle := len(pc.pend) == 0
+		pc.pend = append(appendHeader(pc.pend, c.rank, tag, c.epoch, len(data)), data...)
+		pc.frames++
+		pc.mu.Unlock()
+		if idle {
+			pc.signal()
+		}
+		return nil
+	}
+	pc.mu.Unlock()
+	return err
+}
+
+// room reports whether a frame of need bytes may go now: into pend, or past
+// it when it is larger than the whole buffer. A failed or closing
+// connection has "room" so the sender gets to its error. Called with mu
+// held.
+func (pc *peerConn) room(need int) bool {
+	switch {
+	case pc.err.Load() != nil || pc.closing:
+		return true
+	case need > sendBufSize:
+		return len(pc.pend) == 0 && !pc.writing
+	}
+	return len(pc.pend)+need <= sendBufSize
+}
+
+// awaitRoom blocks until room(need). Called with mu held; returns with it
+// held on success and released on error.
+func (pc *peerConn) awaitRoom(c *tcpComm, need int) error {
+	start := time.Now()
+	defer func() { pc.blockedNs.Add(int64(time.Since(start))) }()
+	var expire <-chan time.Time
+	if c.deadline > 0 {
+		timer := time.NewTimer(c.deadline)
+		defer timer.Stop()
+		expire = timer.C
+	}
+	for !pc.room(need) {
+		if pc.changed == nil {
+			pc.changed = make(chan struct{})
+		}
+		changed := pc.changed
+		pc.mu.Unlock()
+		select {
+		case <-changed:
+		case <-c.ab.done():
+			return c.ab.cause()
+		case <-expire:
+			return ErrDeadline
+		}
+		pc.mu.Lock()
+	}
 	return nil
+}
+
+// notify wakes the senders waiting in awaitRoom. Called with mu held.
+func (pc *peerConn) notify() {
+	if pc.changed != nil {
+		close(pc.changed)
+		pc.changed = nil
+	}
+}
+
+// signal wakes the writer.
+func (pc *peerConn) signal() {
+	select {
+	case pc.wake <- struct{}{}:
+	default:
+	}
+}
+
+// failure returns the latched write error, if any.
+func (pc *peerConn) failure() error {
+	if err := pc.err.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// write puts bufs on the socket, each write bounded by IOTimeout, and
+// settles the outcome; the caller has set pc.writing. Writes on a
+// connection never overlap and the first failure is the last write, so it
+// is reported exactly once — before it is latched, so no send can return
+// the error ahead of the event. Latching drops what is queued.
+func (pc *peerConn) write(c *tcpComm, bufs ...[]byte) error {
+	var err error
+	var writes int64
+	for _, b := range bufs {
+		if c.ioTimeout > 0 {
+			pc.conn.SetWriteDeadline(time.Now().Add(c.ioTimeout))
+		}
+		writes++
+		if _, err = pc.conn.Write(b); err != nil {
+			break
+		}
+	}
+	if err != nil && !c.closed.Load() { // Close pulling the socket from under a stuck write is not news
+		c.event(TCPEvent{Kind: EvWriteErr, Peer: pc.peer, Err: err})
+	}
+	pc.mu.Lock()
+	pc.writing = false
+	pc.writes += writes
+	if err != nil {
+		latched := err // a copy, so that err itself need not live on the heap
+		pc.pend = nil
+		pc.err.Store(&latched)
+	}
+	pc.notify()
+	pc.mu.Unlock()
+	return err
+}
+
+// writeLoop is the connection's writer: it sleeps until frames are queued,
+// takes all of them and writes them with one call. It exits on the first
+// write failure, or when Close has marked the connection closing and
+// everything queued has left.
+func (pc *peerConn) writeLoop(c *tcpComm) {
+	defer close(pc.done)
+	var buf []byte
+	for {
+		pc.mu.Lock()
+		for pc.err.Load() == nil && (pc.writing || len(pc.pend) == 0 && !pc.closing) {
+			pc.mu.Unlock()
+			<-pc.wake
+			pc.mu.Lock()
+		}
+		if pc.err.Load() != nil || len(pc.pend) == 0 {
+			pc.mu.Unlock()
+			return
+		}
+		buf, pc.pend = pc.pend, buf[:0]
+		pc.writing = true
+		pc.notify()
+		pc.mu.Unlock()
+		pc.write(c, buf)
+	}
 }
 
 // event delivers ev to the registered observer, if any.
@@ -566,54 +782,89 @@ func (c *tcpComm) event(ev TCPEvent) {
 	}
 }
 
-// decodeFrame reads and validates one frame. A corrupt header (source out
-// of range, negative or oversized length) fails with an error rather than
-// panicking, and a large length claim on a truncated stream grows its
-// buffer incrementally instead of trusting the header with one huge
-// allocation.
-func decodeFrame(r io.Reader, size int) (src, tag int, payload []byte, err error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader decodes one connection's frames through a recvBufSize
+// buffer. The payload next returns aliases that buffer — or, for a frame
+// larger than it, a slab reused from frame to frame — and is valid until
+// the following call.
+type frameReader struct {
+	br   *bufio.Reader
+	size int // world size, to validate the source rank
+	held int // bytes of br the previous payload still occupies
+	slab []byte
+}
+
+func newFrameReader(r io.Reader, size int) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, recvBufSize), size: size}
+}
+
+// next reads and validates one frame. A corrupt header (source out of
+// range, negative or oversized length) fails with an error rather than
+// panicking.
+func (fr *frameReader) next() (src, tag int, payload []byte, err error) {
+	fr.br.Discard(fr.held) // cannot fail: those bytes are buffered
+	fr.held = 0
+	hdr, err := fr.br.Peek(frameHdrLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, 0, nil, err
 	}
 	src = int(int32(binary.BigEndian.Uint32(hdr[0:4])))
 	tag = int(int32(binary.BigEndian.Uint32(hdr[4:8])))
-	n := int64(int32(binary.BigEndian.Uint32(hdr[8:12])))
-	if src < 0 || src >= size {
-		return 0, 0, nil, fmt.Errorf("mp: frame source %d out of range [0,%d)", src, size)
+	n := int(int32(binary.BigEndian.Uint32(hdr[8:12])))
+	if src < 0 || src >= fr.size {
+		return 0, 0, nil, fmt.Errorf("mp: frame source %d out of range [0,%d)", src, fr.size)
 	}
 	if n < 0 || n > maxFrameLen {
-		return 0, 0, nil, fmt.Errorf("mp: frame length %d out of range [0,%d]", n, int64(maxFrameLen))
+		return 0, 0, nil, fmt.Errorf("mp: frame length %d out of range [0,%d]", n, maxFrameLen)
 	}
-	switch {
-	case n == 0:
-	case n <= 64<<10: // common case: one exact allocation
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+	fr.br.Discard(frameHdrLen)
+	if n <= recvBufSize {
+		if payload, err = fr.br.Peek(n); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return 0, 0, nil, err
 		}
-	default:
-		var buf bytes.Buffer
-		if _, err := io.CopyN(&buf, r, n); err != nil {
+		fr.held = n
+		return src, tag, payload, nil
+	}
+	// A large frame goes to the slab, which grows only as bytes actually
+	// arrive (eightfold, at most to n): a hostile length on a truncated
+	// stream cannot force an allocation of more than 8× what was really
+	// sent, a 32 MiB Gather block gets there in four steps, and a run of
+	// equally large frames allocates once.
+	for off := 0; off < n; {
+		if off == cap(fr.slab) {
+			grown := make([]byte, min(n, max(8*cap(fr.slab), 2*recvBufSize)))
+			copy(grown, fr.slab[:off])
+			fr.slab = grown
+		}
+		end := min(n, cap(fr.slab))
+		if _, err := io.ReadFull(fr.br, fr.slab[off:end]); err != nil {
 			return 0, 0, nil, err
 		}
-		payload = buf.Bytes()
+		off = end
 	}
-	return src, tag, payload, nil
+	return src, tag, fr.slab[:n], nil
 }
 
 func (c *tcpComm) readLoop(peer int, pc *peerConn) {
 	defer c.readers.Done()
+	fr := newFrameReader(pc.conn, c.size)
 	for {
-		src, tag, data, err := decodeFrame(pc.conn, c.size)
+		src, tag, data, err := fr.next()
 		if err != nil {
 			c.peerGone(peer, err)
 			return
 		}
-		c.lastSeen[peer].Store(time.Now().UnixNano())
+		if c.hbInterval > 0 {
+			c.lastSeen[peer].Store(time.Now().UnixNano())
+		}
 		if tag < 0 {
-			// Control frames carry an epoch prefix (see writeFrameConn).
-			// A mismatch means the frame was written by an endpoint of a
+			// Control frames carry an epoch prefix (see appendHeader). A
+			// mismatch means the frame was written by an endpoint of a
 			// different world generation: drop it rather than letting a
 			// pre-crash abort or goodbye poison the rebuilt world.
 			if len(data) < 4 {
@@ -629,7 +880,9 @@ func (c *tcpComm) readLoop(peer int, pc *peerConn) {
 			c.handleControl(src, tag, data[4:])
 			continue
 		}
-		_ = c.box.deliver(&envelope{src: src, tag: tag, data: data})
+		// A posted receive gets the payload copied straight out of the
+		// reader's buffer; only an unexpected message allocates.
+		_ = c.box.deliver(src, tag, data, nil)
 	}
 }
 
@@ -637,7 +890,7 @@ func (c *tcpComm) readLoop(peer int, pc *peerConn) {
 // clean goodbye, otherwise it is a crash signal — reported, and (when the
 // failure-detection options ask for it) escalated to a world abort.
 func (c *tcpComm) peerGone(peer int, err error) {
-	if c.isClosed() || c.ab.cause() != nil || c.departed[peer].Load() {
+	if c.closed.Load() || c.ab.cause() != nil || c.departed[peer].Load() {
 		return
 	}
 	c.event(TCPEvent{Kind: EvPeerLost, Peer: peer, Err: err})
@@ -707,14 +960,14 @@ func (c *tcpComm) doAbort(e *AbortError, forward bool) {
 	}
 	payload := encodeAbort(e)
 	for _, child := range abortChildren(c.rank, e.Rank, c.size) {
-		// Best effort: a child whose connection is already dead will learn
-		// of the abort from its own disconnect signal or deadline.
-		_ = c.writeFrame(child, ctlAbort, payload)
+		// Best effort: a child whose connection is already dead or backed up
+		// will learn of the abort from its own disconnect signal or deadline.
+		_ = c.send(child, ctlAbort, payload, true)
 	}
 }
 
 func (c *tcpComm) Abort(cause error) error {
-	if c.isClosed() {
+	if c.closed.Load() {
 		return ErrClosed
 	}
 	c.doAbort(&AbortError{Rank: c.rank, Cause: cause}, true)
@@ -740,7 +993,7 @@ func (c *tcpComm) heartbeatLoop() {
 				if p == c.rank || c.conns[p] == nil || c.departed[p].Load() {
 					continue
 				}
-				_ = c.writeFrame(p, ctlHeartbeat, nil)
+				_ = c.send(p, ctlHeartbeat, nil, true)
 				silent := now.Sub(time.Unix(0, c.lastSeen[p].Load()))
 				if silent > limit {
 					err := fmt.Errorf("mp: rank %d heartbeat timeout (silent %v > %v)", p, silent.Round(time.Millisecond), limit)
@@ -773,36 +1026,42 @@ func (c *tcpComm) Isend(dst, tag int, data []byte) (Request, error) {
 		return nil, err
 	}
 	if dst == c.rank {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		err := c.box.deliver(&envelope{src: c.rank, tag: tag, data: cp})
-		return sendReq{err: err}, err
+		return eagerSend(c.box.deliver(c.rank, tag, data, nil))
 	}
-	err := c.writeFrame(dst, tag, data)
-	return sendReq{err: err}, err
+	if err := c.send(dst, tag, data, false); err != nil {
+		return eagerSend(err)
+	}
+	return queuedSend{c.conns[dst]}, nil
 }
 
+// queuedSend is the Request of a frame handed to a peer's writer. The frame
+// was copied (or, too large for the queue, written out), so the request is
+// complete at once; what Wait and Test still report is that peer's latched
+// write failure, if there is one by then.
+type queuedSend struct{ pc *peerConn }
+
+func (s queuedSend) Wait() (Status, error)       { return Status{}, s.pc.failure() }
+func (s queuedSend) Test() (bool, Status, error) { return true, Status{}, s.pc.failure() }
+
 func (c *tcpComm) Recv(src, tag int, buf []byte) (Status, error) {
-	req, err := c.Irecv(src, tag, buf)
-	if err != nil {
+	if err := c.checkRecv(src, tag); err != nil {
 		return Status{}, err
 	}
-	return req.Wait()
+	return c.box.recv(src, tag, buf, c.deadline)
+}
+
+func (c *tcpComm) checkRecv(src, tag int) error {
+	if err := checkSource(src, c.size); err != nil {
+		return err
+	}
+	return checkTag(tag, true)
 }
 
 func (c *tcpComm) Irecv(src, tag int, buf []byte) (Request, error) {
-	if err := checkSource(src, c.size); err != nil {
+	if err := c.checkRecv(src, tag); err != nil {
 		return nil, err
 	}
-	if err := checkTag(tag, true); err != nil {
-		return nil, err
-	}
-	op := newRecvOp(src, tag, buf)
-	op.deadline = c.deadline
-	if err := c.box.post(op); err != nil {
-		return nil, err
-	}
-	return op, nil
+	return c.box.irecv(src, tag, buf, c.deadline)
 }
 
 // Barrier: ranks send an arrive frame to rank 0; rank 0 waits for size−1
@@ -841,7 +1100,7 @@ func (c *tcpComm) Barrier() error {
 		c.barArrived -= c.size - 1
 		c.barMu.Unlock()
 		for i := 1; i < c.size; i++ {
-			if err := c.writeFrame(i, ctlBarrierRelease, nil); err != nil {
+			if err := c.send(i, ctlBarrierRelease, nil, false); err != nil {
 				return err
 			}
 		}
@@ -850,7 +1109,7 @@ func (c *tcpComm) Barrier() error {
 	c.barMu.Lock()
 	gen := c.barGen
 	c.barMu.Unlock()
-	if err := c.writeFrame(0, ctlBarrierArrive, nil); err != nil {
+	if err := c.send(0, ctlBarrierArrive, nil, false); err != nil {
 		return err
 	}
 	c.barMu.Lock()
@@ -867,37 +1126,69 @@ func (c *tcpComm) Barrier() error {
 	return nil
 }
 
+// Close says goodbye to every peer, lets the writers drain what is queued
+// (bounded by IOTimeout, or closeDrain without one), then tears the
+// endpoint down. It returns the write failure latched on a peer that has
+// not itself departed, if any: the last chance to learn that queued frames
+// never left.
 func (c *tcpComm) Close() error {
+	var failed error
 	c.closeOnce.Do(func() {
 		// Stop probing before the connections go away.
 		c.hbStopOnce.Do(func() { close(c.hbStop) })
+		c.mu.Lock()
+		conns := make([]*peerConn, 0, len(c.conns))
+		for _, pc := range c.conns {
+			if pc != nil {
+				conns = append(conns, pc)
+			}
+		}
+		c.mu.Unlock()
 		// Polite departure: tell live peers this endpoint is leaving so
 		// the connection teardown below is not mistaken for a crash.
 		// Sent even when the world is aborted: abort propagation may
 		// still be in flight, and a peer that has not latched it yet
 		// would otherwise see a bare EOF and misreport this clean close
 		// as a peer-lost crash.
-		c.mu.Lock()
-		conns := append([]*peerConn(nil), c.conns...)
-		c.mu.Unlock()
-		for p, pc := range conns {
-			if pc != nil && p != c.rank {
-				_ = c.writeFrameConn(pc, p, ctlGoodbye, nil)
+		for _, pc := range conns {
+			_ = c.send(pc.peer, ctlGoodbye, nil, true)
+			pc.mu.Lock()
+			pc.closing = true
+			pc.notify()
+			pc.mu.Unlock()
+			pc.signal()
+		}
+		limit := c.ioTimeout
+		if limit <= 0 {
+			limit = closeDrain
+		}
+		timer := time.NewTimer(limit)
+		defer timer.Stop()
+	drain:
+		for _, pc := range conns {
+			select {
+			case <-pc.done:
+			case <-timer.C: // a peer stopped reading; closing the socket frees its writer
+				break drain
 			}
 		}
-		c.mu.Lock()
-		c.closed = true
-		c.mu.Unlock()
+		for _, pc := range conns {
+			if err := pc.failure(); err != nil && failed == nil && !c.departed[pc.peer].Load() {
+				failed = err
+			}
+		}
+		c.closed.Store(true)
 		if c.listener != nil {
 			c.listener.Close()
 		}
 		for _, pc := range conns {
-			if pc != nil {
-				pc.conn.Close()
-			}
+			pc.conn.Close()
+		}
+		for _, pc := range conns {
+			<-pc.done
 		}
 		c.box.close()
 		c.readers.Wait()
 	})
-	return nil
+	return failed
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -13,8 +14,14 @@ import (
 	"time"
 )
 
+// decodeFrame decodes one frame from a fresh stream the way a connection's
+// reader does; FuzzFrameDecode drives it.
+func decodeFrame(r io.Reader, size int) (src, tag int, payload []byte, err error) {
+	return newFrameReader(r, size).next()
+}
+
 // freeAddrs reserves n distinct loopback ports by listening and closing.
-func freeAddrs(t *testing.T, n int) []string {
+func freeAddrs(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)

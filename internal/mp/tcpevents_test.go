@@ -104,8 +104,11 @@ func TestTCPEventsConnect(t *testing.T) {
 	}
 }
 
-// TestTCPEventsWriteErr: a frame write on a dead connection must emit
-// EvWriteErr naming the destination before Send returns the error.
+// TestTCPEventsWriteErr pins how a write failure surfaces now that sends
+// are queued for a per-peer writer: the Send whose bytes are lost may
+// itself succeed, but the failure is latched — EvWriteErr fires exactly
+// once, from the writer, and every later Send, Isend, Wait and Barrier
+// toward that peer returns that same error, as does Close.
 func TestTCPEventsWriteErr(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	var log eventLog
@@ -117,7 +120,7 @@ func TestTCPEventsWriteErr(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			opts := &TCPOptions{DialTimeout: 5 * time.Second}
-			if rank == 0 {
+			if rank == 1 {
 				opts.OnEvent = log.record
 			}
 			comms[rank], errs[rank] = ConnectTCP(rank, 2, addrs, opts)
@@ -128,22 +131,49 @@ func TestTCPEventsWriteErr(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
-		defer comms[rank].Close()
 	}
+	defer comms[0].Close()
 
-	// Kill the underlying socket out from under rank 0, then Send: the
-	// frame write must fail and be reported.
-	c0 := comms[0].(*tcpComm)
-	c0.conns[1].conn.Close()
-	if err := c0.Send(1, 7, []byte("doomed")); err == nil {
-		t.Fatal("Send on a closed connection succeeded")
+	// Kill the underlying socket out from under rank 1, then keep sending:
+	// within a few sends the writer has hit the dead socket.
+	c1 := comms[1].(*tcpComm)
+	c1.conns[0].conn.Close()
+	var latched error
+	for deadline := time.Now().Add(5 * time.Second); latched == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("sends on a closed connection kept succeeding")
+		}
+		latched = c1.Send(0, 7, []byte("doomed"))
 	}
 	ev, found := log.find(EvWriteErr)
 	if !found {
-		t.Fatal("no EvWriteErr recorded for the failed Send")
+		t.Fatal("no EvWriteErr recorded for the failed write")
 	}
-	if ev.Peer != 1 || ev.Err == nil {
-		t.Errorf("EvWriteErr = %+v, want Peer 1 and a non-nil Err", ev)
+	if ev.Peer != 0 || ev.Err != latched {
+		t.Errorf("EvWriteErr = %+v, want Peer 0 and Err %v", ev, latched)
+	}
+	if err := c1.Send(0, 8, []byte("after")); err != latched {
+		t.Errorf("Send after the failure: %v, want the latched %v", err, latched)
+	}
+	if _, err := c1.Isend(0, 9, nil); err != latched {
+		t.Errorf("Isend after the failure: %v, want the latched %v", err, latched)
+	}
+	// A request handed out before the writer failed reports it from Wait.
+	if _, err := (queuedSend{c1.conns[0]}).Wait(); err != latched {
+		t.Errorf("Wait on an earlier Isend: %v, want the latched %v", err, latched)
+	}
+	if err := c1.Barrier(); err != latched {
+		t.Errorf("Barrier after the failure: %v, want the latched %v", err, latched)
+	}
+	start := time.Now()
+	if err := c1.Close(); err != latched {
+		t.Errorf("Close: %v, want the latched %v", err, latched)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("Close on a failed peer took %v", el)
+	}
+	if n := log.count(EvWriteErr); n != 1 {
+		t.Errorf("%d EvWriteErr events, want exactly 1", n)
 	}
 }
 

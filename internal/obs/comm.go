@@ -61,7 +61,14 @@ type CommMetrics struct {
 
 	checkpoints     atomic.Int64
 	checkpointBytes atomic.Int64
+
+	wire atomic.Pointer[wireStats] // the wrapped endpoint's own send-side tally, if it keeps one
 }
+
+// wireStats is what the TCP transport counts per mesh connection beneath
+// the Comm interface: frames queued, socket writes issued, time senders
+// spent blocked on a full queue.
+type wireStats interface{ WriteStats() []mp.PeerWriteStats }
 
 // NewCommMetrics returns a metrics collector for the given rank in a world
 // of the given size.
@@ -119,6 +126,12 @@ type PeerTraffic struct {
 	SendBytes int64 `json:"send_bytes"`
 	RecvMsgs  int64 `json:"recv_msgs"`
 	RecvBytes int64 `json:"recv_bytes"`
+	// TCP transport only: frames queued for the peer (data and control)
+	// and the socket writes that carried them — frames/writes is the
+	// coalescing ratio — and how long senders waited on a full queue.
+	Frames        int64 `json:"frames,omitempty"`
+	Writes        int64 `json:"writes,omitempty"`
+	SendBlockedNs int64 `json:"send_blocked_ns,omitempty"`
 }
 
 // WaitBucket is one non-empty histogram bucket: Count waits with duration
@@ -166,20 +179,29 @@ type CommSnapshot struct {
 // teardown snapshots after the endpoint quiesces.
 func (m *CommMetrics) Snapshot() CommSnapshot {
 	s := CommSnapshot{Rank: m.rank, Size: m.size}
+	wire := make([]mp.PeerWriteStats, len(m.peers))
+	if w := m.wire.Load(); w != nil {
+		for _, st := range (*w).WriteStats() {
+			wire[st.Peer] = st
+		}
+	}
 	for p := range m.peers {
 		pc := &m.peers[p]
 		t := PeerTraffic{
-			Peer:      p,
-			SendMsgs:  pc.sendMsgs.Load(),
-			SendBytes: pc.sendBytes.Load(),
-			RecvMsgs:  pc.recvMsgs.Load(),
-			RecvBytes: pc.recvBytes.Load(),
+			Peer:          p,
+			SendMsgs:      pc.sendMsgs.Load(),
+			SendBytes:     pc.sendBytes.Load(),
+			RecvMsgs:      pc.recvMsgs.Load(),
+			RecvBytes:     pc.recvBytes.Load(),
+			Frames:        wire[p].Frames,
+			Writes:        wire[p].Writes,
+			SendBlockedNs: int64(wire[p].Blocked),
 		}
 		s.SendMsgs += t.SendMsgs
 		s.SendBytes += t.SendBytes
 		s.RecvMsgs += t.RecvMsgs
 		s.RecvBytes += t.RecvBytes
-		if t.SendMsgs != 0 || t.RecvMsgs != 0 {
+		if t.SendMsgs != 0 || t.RecvMsgs != 0 || t.Frames != 0 {
 			s.Peers = append(s.Peers, t)
 		}
 	}
@@ -213,8 +235,12 @@ func (m *CommMetrics) Snapshot() CommSnapshot {
 // contract, but with the per-peer / latency / transport detail the live
 // metrics endpoint serves. Counting happens only on success, matching the
 // simulator's convention that failed transfers contribute retransmits, not
-// traffic.
+// traffic. An endpoint that keeps its own per-peer send-side tally (the TCP
+// transport's WriteStats) has it folded into the snapshot.
 func InstrumentComm(c mp.Comm, m *CommMetrics) mp.Comm {
+	if w, ok := c.(wireStats); ok {
+		m.wire.Store(&w)
+	}
 	return &instrumentedComm{Comm: c, m: m}
 }
 

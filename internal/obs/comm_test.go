@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -151,6 +152,74 @@ func TestCommMetricsTCPEvents(t *testing.T) {
 		Heartbeats: 2, PeersLost: 1, Aborts: 1}
 	if got != want {
 		t.Errorf("TCP counts = %+v, want %+v", got, want)
+	}
+}
+
+// TestCommMetricsWireStats: wrapping a TCP endpoint surfaces the
+// transport's own per-peer frame/write tally in the snapshot — every
+// message is a frame, a burst shares socket writes, and the barrier's and
+// the goodbye's control frames count too. An in-process endpoint has none.
+func TestCommMetricsWireStats(t *testing.T) {
+	const msgs = 2000
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	ms := []*CommMetrics{NewCommMetrics(0, 2), NewCommMetrics(1, 2)}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for rank := range ms {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			raw, err := mp.ConnectTCP(rank, 2, addrs, &mp.TCPOptions{OnEvent: ms[rank].TCPEvent})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			c := InstrumentComm(raw, ms[rank])
+			defer c.Close()
+			buf := make([]byte, 64)
+			for m := 0; m < msgs && errs[rank] == nil; m++ {
+				if rank == 0 {
+					errs[rank] = c.Send(1, m, buf)
+				} else {
+					_, errs[rank] = c.Recv(0, m, buf)
+				}
+			}
+			if errs[rank] == nil {
+				errs[rank] = c.Barrier()
+			}
+		}(rank)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	s := ms[0].Snapshot()
+	if len(s.Peers) != 1 || s.Peers[0].Peer != 1 {
+		t.Fatalf("rank 0 peers = %+v, want one entry for rank 1", s.Peers)
+	}
+	p := s.Peers[0]
+	if p.SendMsgs != msgs || p.Frames != msgs+2 { // + barrier release + goodbye
+		t.Errorf("rank 0 → 1: %d messages in %d frames, want %d in %d", p.SendMsgs, p.Frames, msgs, msgs+2)
+	}
+	if p.Writes < 1 || p.Writes >= p.Frames {
+		t.Errorf("rank 0 → 1: %d frames in %d writes, want some coalescing", p.Frames, p.Writes)
+	}
+	if r := ms[1].Snapshot().Peers; len(r) != 1 || r[0].Frames != 2 || r[0].RecvMsgs != msgs {
+		t.Errorf("rank 1 peers = %+v, want %d messages received and the barrier arrive + goodbye sent", r, msgs)
+	}
+	inproc, _ := ringTraffic(t, 2)
+	if p := inproc[0].Snapshot().Peers; len(p) == 0 || p[0].Frames != 0 || p[0].Writes != 0 {
+		t.Errorf("in-process peers = %+v, want traffic and no wire tally", p)
 	}
 }
 
