@@ -439,6 +439,35 @@ func benchRunner(b *testing.B, mode runner.Mode) {
 	}
 }
 
+// BenchmarkRunner2D measures the Example 1 front door on the ladder's
+// geometry (bench/ladder.go: 65536×32, S1 = 64, two in-process ranks) under
+// the same allocation gate, so Run2D cannot go back to a buffer per message
+// unnoticed. Each tile has one message; measured 1.5 allocations per tile.
+func BenchmarkRunner2D(b *testing.B) {
+	cfg := runner.Config2D{I1: 65536, I2: 32, S1: 64, Kernel: stencil.Sum2D{}, Mode: runner.Overlapped}
+	const ranks = 2
+	run := func() {
+		err := mp.Launch(ranks, func(c mp.Comm) error {
+			_, _, err := runner.Run2D(c, cfg)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(cfg.I1*cfg.I2*int64(b.N))/b.Elapsed().Seconds(), "points/s")
+	b.StopTimer()
+	tiles := float64(ranks * cfg.I1 / cfg.S1)
+	perTile := testing.AllocsPerRun(1, run) / tiles
+	b.ReportMetric(perTile, "allocs/tile")
+	if perTile > runnerAllocsPerTile {
+		b.Errorf("%.1f allocations per tile exceed the budget of %d: the 2-D tile loop allocates again", perTile, runnerAllocsPerTile)
+	}
+}
+
 // BenchmarkStencilSequential measures the sequential reference kernel
 // (points/second), the baseline t_c of the machine model.
 func BenchmarkStencilSequential(b *testing.B) {

@@ -16,11 +16,11 @@ import (
 // instead of hanging CI forever (the blockingdeadline contract).
 const verifyDeadline = 2 * time.Minute
 
-// runVerify executes both real executors (the 3-D grid and the 2-D strip)
-// in both modes on the in-process fabric — including a pure-rendezvous
-// pass — and checks every result bit-exact against a sequential run. This
-// is the operational proof that the schedules the benchmarks time are
-// *correct* schedules.
+// runVerify executes both loop shapes (the 3-D grid and the 2-D strip) on
+// the real executor in both modes on the in-process fabric — including a
+// pure-rendezvous pass — and checks every result bit-exact against a
+// sequential run. This is the operational proof that the schedules the
+// benchmarks time are *correct* schedules.
 func runVerify() error {
 	fmt.Println("verify: real execution vs sequential reference")
 
@@ -42,7 +42,7 @@ func runVerify() error {
 			{"rendezvous", mp.WorldOptions{RendezvousThreshold: 0, Deadline: verifyDeadline}},
 		} {
 			cfg3.Mode = mode
-			diff, elapsed, err := verify3D(cfg3, opts.w)
+			diff, elapsed, err := verifyRun(cfg3, int(cfg3.Grid.PI*cfg3.Grid.PJ), opts.w, runner.Run, runner.Gather, runner.VerifySequential)
 			if err != nil {
 				return err
 			}
@@ -65,7 +65,8 @@ func runVerify() error {
 	}
 	for _, mode := range []runner.Mode{runner.Blocking, runner.Overlapped} {
 		cfg2.Mode = mode
-		diff, elapsed, err := verify2D(cfg2, 6)
+		diff, elapsed, err := verifyRun(cfg2, 6, mp.WorldOptions{RendezvousThreshold: -1, Deadline: verifyDeadline},
+			runner.Run2D, runner.Gather2D, runner.VerifySequential2D)
 		if err != nil {
 			return err
 		}
@@ -83,17 +84,23 @@ func runVerify() error {
 	return nil
 }
 
-func verify3D(cfg runner.Config, opts mp.WorldOptions) (float64, time.Duration, error) {
-	n := int(cfg.Grid.PI * cfg.Grid.PJ)
+// verifyRun executes cfg through one of the runner's front doors — Run,
+// Gather and VerifySequential, or their 2-D namesakes — on an in-process
+// world and returns the difference from the sequential reference and the
+// slowest rank's elapsed time.
+func verifyRun[C any](cfg C, ranks int, opts mp.WorldOptions,
+	run func(mp.Comm, C) (*runner.Local, runner.Stats, error),
+	gather func(mp.Comm, C, *runner.Local) (*stencil.Grid, error),
+	check func(*stencil.Grid, C) (float64, error)) (float64, time.Duration, error) {
 	var grid *stencil.Grid
 	var elapsed time.Duration
 	var mu sync.Mutex
-	err := mp.LaunchOpts(n, opts, func(c mp.Comm) error {
-		l, st, err := runner.Run(c, cfg)
+	err := mp.LaunchOpts(ranks, opts, func(c mp.Comm) error {
+		l, st, err := run(c, cfg)
 		if err != nil {
 			return err
 		}
-		g, err := runner.Gather(c, cfg, l)
+		g, err := gather(c, cfg, l)
 		if err != nil {
 			return err
 		}
@@ -110,36 +117,6 @@ func verify3D(cfg runner.Config, opts mp.WorldOptions) (float64, time.Duration, 
 	if err != nil {
 		return 0, 0, err
 	}
-	diff, err := runner.VerifySequential(grid, cfg)
-	return diff, elapsed, err
-}
-
-func verify2D(cfg runner.Config2D, ranks int) (float64, time.Duration, error) {
-	var grid *stencil.Grid
-	var elapsed time.Duration
-	var mu sync.Mutex
-	err := mp.LaunchOpts(ranks, mp.WorldOptions{RendezvousThreshold: -1, Deadline: verifyDeadline}, func(c mp.Comm) error {
-		l, st, err := runner.Run2D(c, cfg)
-		if err != nil {
-			return err
-		}
-		g, err := runner.Gather2D(c, cfg, l)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if st.Elapsed > elapsed {
-			elapsed = st.Elapsed
-		}
-		if c.Rank() == 0 {
-			grid = g
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	diff, err := runner.VerifySequential2D(grid, cfg)
+	diff, err := check(grid, cfg)
 	return diff, elapsed, err
 }

@@ -44,137 +44,139 @@ func child(ctx context.Context, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// TestChaosKillAndRestore is the end-to-end crash drill: a 2-rank 2-D run
-// over real TCP processes is SIGKILLed on a (seeded-)random rank mid-run;
-// the surviving rank must detect the death and abort within its failure
-// deadline rather than hang; and a -restore run from the checkpoints the
-// dead run left behind must produce a grid byte-identical to an
-// uninterrupted baseline.
+// TestChaosKillAndRestore is the end-to-end crash drill, once per loop
+// shape: a 2-rank run over real TCP processes is SIGKILLed on a
+// (seeded-)random rank mid-run; the surviving rank must detect the death and
+// abort within its failure deadline rather than hang; and a -restore run
+// from the checkpoints the dead run left behind must produce a grid
+// byte-identical to an uninterrupted baseline.
 func TestChaosKillAndRestore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	dir := t.TempDir()
-	ckDir := filepath.Join(dir, "ck")
-	if err := os.Mkdir(ckDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	baseGrid := filepath.Join(dir, "base.bin")
-	restoredGrid := filepath.Join(dir, "restored.bin")
-	const n = 2
-	shape := []string{
-		"-shape", "2d", "-space2d", "40x4", "-s1", "2", "-ranks", "2",
-		"-mode", "overlapped", "-verify=false",
-	}
-
-	// 1. Uninterrupted baseline (single process, -spawn).
-	out, err := child(ctx, append(shape, "-spawn", "-grid-out", baseGrid)...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("baseline run: %v\n%s", err, out)
-	}
-
-	// 2. Chaos run: one real process per rank, checkpointing, with the
-	// failure detectors armed and each tile slowed so the kill lands
-	// mid-run deterministically (checkpoint files gate the kill).
-	addrs, err := loopbackAddrs(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := rand.New(rand.NewSource(2001)).Intn(n)
-	procs := make([]*exec.Cmd, n)
-	outs := make([]bytes.Buffer, n)
-	for r := 0; r < n; r++ {
-		procs[r] = child(ctx, append(shape,
-			"-rank", fmt.Sprint(r), "-addrs", strings.Join(addrs, ","),
-			"-checkpoint-dir", ckDir, "-checkpoint-every", "2",
-			"-tile-delay", "10ms", "-heartbeat", "50ms", "-deadline", "10s",
-		)...)
-		procs[r].Stdout = &outs[r]
-		procs[r].Stderr = &outs[r]
-		if err := procs[r].Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Kill the victim once it has provably checkpointed past tile 4 (of
-	// 20): early enough that most of the run is still ahead, late enough
-	// that a restore has real state to resume from.
-	killDeadline := time.Now().Add(time.Minute)
-	for {
-		tile, _, err := runner.LatestCheckpoint(ckDir, victim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tile >= 4 {
-			break
-		}
-		if time.Now().After(killDeadline) {
-			t.Fatalf("rank %d never checkpointed past tile 4\nrank outputs:\n%s\n%s",
-				victim, outs[0].String(), outs[1].String())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := procs[victim].Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-
-	// 3. Every process must exit promptly: the victim by the kill, the
-	// survivors non-zero because the world aborted — no hang.
-	var wg sync.WaitGroup
-	waitErrs := make([]error, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			waitErrs[r] = procs[r].Wait()
-		}(r)
-	}
-	waited := make(chan struct{})
-	go func() { wg.Wait(); close(waited) }()
-	select {
-	case <-waited:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("ranks still running 30s after the kill — survivors hung\nrank outputs:\n%s\n%s",
-			outs[0].String(), outs[1].String())
-	}
-	for r := 0; r < n; r++ {
-		if r == victim {
-			var ee *exec.ExitError
-			if !isSignal(waitErrs[r], syscall.SIGKILL, &ee) {
-				t.Fatalf("victim rank %d: %v (want SIGKILL)", r, waitErrs[r])
+	for _, shape := range [][]string{
+		{"-shape", "2d", "-space2d", "40x4", "-s1", "2", "-ranks", "2", "-mode", "overlapped", "-verify=false"},
+		{"-shape", "3d", "-space", "2x2x40", "-procs", "2x1", "-v", "2", "-mode", "overlapped", "-verify=false"},
+	} {
+		t.Run(shape[1], func(t *testing.T) {
+			dir := t.TempDir()
+			ckDir := filepath.Join(dir, "ck")
+			if err := os.Mkdir(ckDir, 0o755); err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if waitErrs[r] == nil {
-			t.Fatalf("surviving rank %d exited 0 — it never noticed the crash\n%s", r, outs[r].String())
-		}
-		if s := outs[r].String(); !strings.Contains(s, "abort") {
-			t.Errorf("surviving rank %d's failure does not mention the abort:\n%s", r, s)
-		}
-	}
+			baseGrid := filepath.Join(dir, "base.bin")
+			restoredGrid := filepath.Join(dir, "restored.bin")
+			const n = 2
+			// 1. Uninterrupted baseline (single process, -spawn).
+			out, err := child(ctx, append(shape, "-spawn", "-grid-out", baseGrid)...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("baseline run: %v\n%s", err, out)
+			}
 
-	// 4. Restore from the snapshots the dead run left behind; the grid
-	// must be byte-identical to the uninterrupted baseline.
-	out, err = child(ctx, append(shape,
-		"-spawn", "-checkpoint-dir", ckDir, "-restore", "-grid-out", restoredGrid)...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("restore run: %v\n%s", err, out)
-	}
-	base, err := os.ReadFile(baseGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := os.ReadFile(restoredGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) == 0 {
-		t.Fatal("baseline grid is empty")
-	}
-	if !bytes.Equal(base, restored) {
-		t.Fatalf("restored grid differs from baseline (%d vs %d bytes)", len(restored), len(base))
+			// 2. Chaos run: one real process per rank, checkpointing, with the
+			// failure detectors armed and each tile slowed so the kill lands
+			// mid-run deterministically (checkpoint files gate the kill).
+			addrs, err := loopbackAddrs(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := rand.New(rand.NewSource(2001)).Intn(n)
+			procs := make([]*exec.Cmd, n)
+			outs := make([]bytes.Buffer, n)
+			for r := 0; r < n; r++ {
+				procs[r] = child(ctx, append(shape,
+					"-rank", fmt.Sprint(r), "-addrs", strings.Join(addrs, ","),
+					"-checkpoint-dir", ckDir, "-checkpoint-every", "2",
+					"-tile-delay", "10ms", "-heartbeat", "50ms", "-deadline", "10s",
+				)...)
+				procs[r].Stdout = &outs[r]
+				procs[r].Stderr = &outs[r]
+				if err := procs[r].Start(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Kill the victim once it has provably checkpointed past tile 4 (of
+			// 20): early enough that most of the run is still ahead, late enough
+			// that a restore has real state to resume from.
+			killDeadline := time.Now().Add(time.Minute)
+			for {
+				tile, _, err := runner.LatestCheckpoint(ckDir, victim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tile >= 4 {
+					break
+				}
+				if time.Now().After(killDeadline) {
+					t.Fatalf("rank %d never checkpointed past tile 4\nrank outputs:\n%s\n%s",
+						victim, outs[0].String(), outs[1].String())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := procs[victim].Process.Kill(); err != nil {
+				t.Fatal(err)
+			}
+
+			// 3. Every process must exit promptly: the victim by the kill, the
+			// survivors non-zero because the world aborted — no hang.
+			var wg sync.WaitGroup
+			waitErrs := make([]error, n)
+			for r := 0; r < n; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					waitErrs[r] = procs[r].Wait()
+				}(r)
+			}
+			waited := make(chan struct{})
+			go func() { wg.Wait(); close(waited) }()
+			select {
+			case <-waited:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("ranks still running 30s after the kill — survivors hung\nrank outputs:\n%s\n%s",
+					outs[0].String(), outs[1].String())
+			}
+			for r := 0; r < n; r++ {
+				if r == victim {
+					var ee *exec.ExitError
+					if !isSignal(waitErrs[r], syscall.SIGKILL, &ee) {
+						t.Fatalf("victim rank %d: %v (want SIGKILL)", r, waitErrs[r])
+					}
+					continue
+				}
+				if waitErrs[r] == nil {
+					t.Fatalf("surviving rank %d exited 0 — it never noticed the crash\n%s", r, outs[r].String())
+				}
+				if s := outs[r].String(); !strings.Contains(s, "abort") {
+					t.Errorf("surviving rank %d's failure does not mention the abort:\n%s", r, s)
+				}
+			}
+
+			// 4. Restore from the snapshots the dead run left behind; the grid
+			// must be byte-identical to the uninterrupted baseline.
+			out, err = child(ctx, append(shape,
+				"-spawn", "-checkpoint-dir", ckDir, "-restore", "-grid-out", restoredGrid)...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("restore run: %v\n%s", err, out)
+			}
+			base, err := os.ReadFile(baseGrid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := os.ReadFile(restoredGrid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base) == 0 {
+				t.Fatal("baseline grid is empty")
+			}
+			if !bytes.Equal(base, restored) {
+				t.Fatalf("restored grid differs from baseline (%d vs %d bytes)", len(restored), len(base))
+			}
+		})
 	}
 }
 

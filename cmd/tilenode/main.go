@@ -21,9 +21,10 @@
 //	tilenode -spawn -space 8x8x1024 -procs 2x2 -v 64 \
 //	         -metrics-addr :8080 -metrics-snapshot metrics.json
 //
-// The 2-D executor (-shape 2d) additionally supports failure handling:
-// -deadline bounds every blocking wait, -heartbeat starts the liveness
-// probe that aborts the world when a peer goes silent, and
+// Either shape (-shape 3d, the paper's Section 5 grid, or -shape 2d, its
+// Example 1 strip) runs on the one tile executor and supports failure
+// handling: -deadline bounds every blocking wait, -heartbeat starts the
+// liveness probe that aborts the world when a peer goes silent, and
 // -checkpoint-dir/-checkpoint-every/-restore give deterministic
 // checkpoint/restart — a run killed partway can be resumed and produces a
 // bit-identical grid:
@@ -57,7 +58,7 @@ var (
 	rankFlag  = flag.Int("rank", -1, "this process's rank (with -addrs)")
 	addrsFlag = flag.String("addrs", "", "comma-separated host:port per rank")
 	spawnFlag = flag.Bool("spawn", false, "run all ranks in-process over loopback TCP")
-	shapeFlag = flag.String("shape", "3d", "3d | 2d (which executor to run)")
+	shapeFlag = flag.String("shape", "3d", "3d | 2d (which loop shape to run)")
 	spaceFlag = flag.String("space", "8x8x1024", "iteration space IxJxK (with -shape 3d)")
 	procsFlag = flag.String("procs", "2x2", "processor grid PIxPJ (with -shape 3d)")
 	vFlag     = flag.Int64("v", 64, "tile height along k (with -shape 3d)")
@@ -70,11 +71,11 @@ var (
 
 	deadlineFlag  = flag.Duration("deadline", 0, "bound every blocking wait (0 = forever)")
 	heartbeatFlag = flag.Duration("heartbeat", 0, "liveness probe interval (0 = off)")
-	ckDirFlag     = flag.String("checkpoint-dir", "", "directory for tile-frontier snapshots (2d only)")
-	ckEveryFlag   = flag.Int64("checkpoint-every", 0, "snapshot every N tiles (2d only, 0 = off)")
-	restoreFlag   = flag.Bool("restore", false, "resume from the newest usable snapshot (2d only)")
+	ckDirFlag     = flag.String("checkpoint-dir", "", "directory for tile-frontier snapshots")
+	ckEveryFlag   = flag.Int64("checkpoint-every", 0, "snapshot every N tiles (0 = off)")
+	restoreFlag   = flag.Bool("restore", false, "resume from the newest usable snapshot")
 	gridOutFlag   = flag.String("grid-out", "", "rank 0 writes the gathered grid (big-endian float64) here")
-	tileDelay     = flag.Duration("tile-delay", 0, "slow each tile row by this much (chaos testing)")
+	tileDelay     = flag.Duration("tile-delay", 0, "slow each tile by this much (chaos testing)")
 
 	metricsAddr = flag.String("metrics-addr", "",
 		"serve expvar, net/http/pprof and /metrics.json on this host:port (\":0\" picks a free port)")
@@ -90,109 +91,145 @@ func main() {
 	}
 }
 
-func parse3(s string) (a, b, c int64, err error) {
+// parseDims parses n integers separated by "x".
+func parseDims(s string, n int) ([]int64, error) {
 	p := strings.Split(s, "x")
-	if len(p) != 3 {
-		return 0, 0, 0, fmt.Errorf("want IxJxK, got %q", s)
+	if len(p) != n {
+		return nil, fmt.Errorf("want %d numbers separated by x, got %q", n, s)
 	}
-	vs := make([]int64, 3)
+	vs := make([]int64, n)
 	for i := range p {
+		var err error
 		if vs[i], err = strconv.ParseInt(p[i], 10, 64); err != nil {
-			return 0, 0, 0, err
+			return nil, err
 		}
 	}
-	return vs[0], vs[1], vs[2], nil
+	return vs, nil
 }
 
-func parse2(s string) (a, b int64, err error) {
-	p := strings.Split(s, "x")
-	if len(p) != 2 {
-		return 0, 0, fmt.Errorf("want PIxPJ, got %q", s)
-	}
-	if a, err = strconv.ParseInt(p[0], 10, 64); err != nil {
-		return 0, 0, err
-	}
-	if b, err = strconv.ParseInt(p[1], 10, 64); err != nil {
-		return 0, 0, err
-	}
-	return a, b, nil
+// job is the run the flags describe, reduced to what rankMain and the
+// supervisor do with it; the two loop shapes differ only in which runner
+// front door the closures call and in the stats line.
+type job struct {
+	ranks int
+	tiles int64 // per rank
+	run   func(mp.Comm) (*runner.Local, runner.Stats, error)
+	// gather and verify are collective-on-rank-0 steps after a run.
+	gather func(mp.Comm, *runner.Local) (*stencil.Grid, error)
+	verify func(*stencil.Grid) (float64, error)
+	line   func(runner.Stats) string // rank 0's stats line
 }
 
-func buildConfig() (runner.Config, error) {
-	i, j, k, err := parse3(*spaceFlag)
-	if err != nil {
-		return runner.Config{}, err
+// tilesAlong is the number of tiles of the given height along n points; a
+// height the runner's Validate will reject counts as none.
+func tilesAlong(n, height int64) int64 {
+	if height <= 0 {
+		return 0
 	}
-	pi, pj, err := parse2(*procsFlag)
-	if err != nil {
-		return runner.Config{}, err
-	}
-	var mode runner.Mode
-	switch *modeFlag {
-	case "blocking":
-		mode = runner.Blocking
-	case "overlapped":
-		mode = runner.Overlapped
-	default:
-		return runner.Config{}, fmt.Errorf("unknown mode %q", *modeFlag)
-	}
-	return runner.Config{
-		Grid:   model.Grid3D{I: i, J: j, K: k, PI: pi, PJ: pj},
-		V:      *vFlag,
-		Kernel: stencil.Sqrt3D{},
-		Mode:   mode,
-	}, nil
+	return (n + height - 1) / height
 }
 
-func buildConfig2D() (runner.Config2D, error) {
-	p := strings.Split(*space2Flag, "x")
-	if len(p) != 2 {
-		return runner.Config2D{}, fmt.Errorf("want I1xI2, got %q", *space2Flag)
-	}
-	i1, err := strconv.ParseInt(p[0], 10, 64)
-	if err != nil {
-		return runner.Config2D{}, err
-	}
-	i2, err := strconv.ParseInt(p[1], 10, 64)
-	if err != nil {
-		return runner.Config2D{}, err
-	}
-	var mode runner.Mode
-	switch *modeFlag {
-	case "blocking":
-		mode = runner.Blocking
-	case "overlapped":
-		mode = runner.Overlapped
-	default:
-		return runner.Config2D{}, fmt.Errorf("unknown mode %q", *modeFlag)
-	}
-	var kernel stencil.Kernel = stencil.Sum2D{}
-	if *tileDelay > 0 {
-		kernel = slowKernel{Kernel: kernel, s1: *s1Flag, delay: *tileDelay}
-	}
-	return runner.Config2D{
-		I1: i1, I2: i2, S1: *s1Flag,
-		Kernel: kernel,
-		Mode:   mode,
-		Checkpoint: runner.CheckpointConfig{
-			Dir:     *ckDirFlag,
-			Every:   *ckEveryFlag,
-			Restore: *restoreFlag,
+func job3D(cfg runner.Config) job {
+	g := cfg.Grid
+	return job{
+		ranks: int(g.PI * g.PJ),
+		tiles: tilesAlong(g.K, cfg.V),
+		run: func(c mp.Comm) (*runner.Local, runner.Stats, error) {
+			slow := cfg
+			slow.Kernel = withTileDelay(cfg.Kernel, 2, cfg.V)
+			return runner.Run(c, slow)
 		},
-	}, nil
+		gather: func(c mp.Comm, l *runner.Local) (*stencil.Grid, error) { return runner.Gather(c, cfg, l) },
+		verify: func(grid *stencil.Grid) (float64, error) { return runner.VerifySequential(grid, cfg) },
+		line: func(st runner.Stats) string {
+			return fmt.Sprintf("mode=%s space=%dx%dx%d procs=%dx%d V=%d elapsed=%v tiles=%d sent=%d msgs (%d bytes)",
+				cfg.Mode, g.I, g.J, g.K, g.PI, g.PJ, cfg.V, st.Elapsed.Round(time.Microsecond),
+				st.Tiles, st.MsgsSent, st.BytesSent)
+		},
+	}
 }
 
-// slowKernel stretches a run out for chaos testing: every evaluation on a
-// tile's first row sleeps, so each tile costs at least width×delay and a
+func job2D(cfg runner.Config2D, ranks int) job {
+	return job{
+		ranks: ranks,
+		tiles: tilesAlong(cfg.I1, cfg.S1),
+		run: func(c mp.Comm) (*runner.Local, runner.Stats, error) {
+			slow := cfg
+			slow.Kernel = withTileDelay(cfg.Kernel, 0, cfg.S1)
+			return runner.Run2D(c, slow)
+		},
+		gather: func(c mp.Comm, l *runner.Local) (*stencil.Grid, error) { return runner.Gather2D(c, cfg, l) },
+		verify: func(grid *stencil.Grid) (float64, error) { return runner.VerifySequential2D(grid, cfg) },
+		line: func(st runner.Stats) string {
+			return fmt.Sprintf("mode=%s space2d=%dx%d s1=%d elapsed=%v tiles=%d sent=%d msgs (%d bytes) checkpoints=%d",
+				cfg.Mode, cfg.I1, cfg.I2, cfg.S1, st.Elapsed.Round(time.Microsecond),
+				st.Tiles, st.MsgsSent, st.BytesSent, st.Checkpoints)
+		},
+	}
+}
+
+// buildJob turns the flags into the job they describe.
+func buildJob() (job, error) {
+	var mode runner.Mode
+	switch *modeFlag {
+	case "blocking":
+		mode = runner.Blocking
+	case "overlapped":
+		mode = runner.Overlapped
+	default:
+		return job{}, fmt.Errorf("unknown mode %q", *modeFlag)
+	}
+	ck := runner.CheckpointConfig{Dir: *ckDirFlag, Every: *ckEveryFlag, Restore: *restoreFlag}
+	switch *shapeFlag {
+	case "3d":
+		sp, err := parseDims(*spaceFlag, 3)
+		if err != nil {
+			return job{}, fmt.Errorf("-space: %w", err)
+		}
+		pr, err := parseDims(*procsFlag, 2)
+		if err != nil {
+			return job{}, fmt.Errorf("-procs: %w", err)
+		}
+		return job3D(runner.Config{
+			Grid: model.Grid3D{I: sp[0], J: sp[1], K: sp[2], PI: pr[0], PJ: pr[1]}, V: *vFlag,
+			Kernel: stencil.Sqrt3D{}, Mode: mode, Checkpoint: ck,
+		}), nil
+	case "2d":
+		sp, err := parseDims(*space2Flag, 2)
+		if err != nil {
+			return job{}, fmt.Errorf("-space2d: %w", err)
+		}
+		return job2D(runner.Config2D{
+			I1: sp[0], I2: sp[1], S1: *s1Flag,
+			Kernel: stencil.Sum2D{}, Mode: mode, Checkpoint: ck,
+		}, *ranksFlag), nil
+	}
+	return job{}, fmt.Errorf("unknown shape %q", *shapeFlag)
+}
+
+// slowKernel stretches a run out for chaos testing: the first point a rank
+// evaluates in each tile sleeps, so every tile costs at least delay and a
 // SIGKILL can be aimed mid-run instead of racing a sub-millisecond finish.
+// It remembers the tile it is in, so each rank's run needs its own.
 type slowKernel struct {
 	stencil.Kernel
-	s1    int64
-	delay time.Duration
+	axis   int   // the component of a point that runs along the tiles
+	height int64 // tile height along it
+	delay  time.Duration
+	tile   int64
 }
 
-func (k slowKernel) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
-	if j[0]%k.s1 == 0 {
+// withTileDelay wraps k for one rank's run when -tile-delay is set.
+func withTileDelay(k stencil.Kernel, axis int, height int64) stencil.Kernel {
+	if *tileDelay <= 0 {
+		return k
+	}
+	return &slowKernel{Kernel: k, axis: axis, height: height, delay: *tileDelay, tile: -1}
+}
+
+func (k *slowKernel) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
+	if t := j[k.axis] / k.height; t != k.tile {
+		k.tile = t
 		time.Sleep(k.delay)
 	}
 	return k.Kernel.Eval(j, get)
@@ -208,26 +245,23 @@ func writeGrid(path string, g *stencil.Grid) error {
 	return os.WriteFile(path, buf, 0o644)
 }
 
-func rankMain2D(c mp.Comm, cfg runner.Config2D, obsv *observer) error {
-	local, stats, err := runner.Run2D(c, cfg)
+// rankMain is one rank's whole life: run, record the checkpoint counters,
+// gather, and on rank 0 print the stats line, verify and write the grid.
+func rankMain(c mp.Comm, j job, obsv *observer) error {
+	local, stats, err := j.run(c)
 	if err != nil {
 		return err
 	}
 	if m := obsv.metrics(c.Rank()); m != nil {
 		m.RecordCheckpoints(stats.Checkpoints, stats.CheckpointBytes)
 	}
-	grid, err := runner.Gather2D(c, cfg, local)
-	if err != nil {
+	grid, err := j.gather(c, local)
+	if err != nil || c.Rank() != 0 {
 		return err
 	}
-	if c.Rank() != 0 {
-		return nil
-	}
-	fmt.Printf("mode=%s space2d=%s s1=%d elapsed=%v tiles=%d sent=%d msgs (%d bytes) checkpoints=%d\n",
-		cfg.Mode, *space2Flag, cfg.S1, stats.Elapsed.Round(time.Microsecond),
-		stats.Tiles, stats.MsgsSent, stats.BytesSent, stats.Checkpoints)
+	fmt.Println(j.line(stats))
 	if *verify {
-		diff, err := runner.VerifySequential2D(grid, cfg)
+		diff, err := j.verify(grid)
 		if err != nil {
 			return err
 		}
@@ -238,34 +272,6 @@ func rankMain2D(c mp.Comm, cfg runner.Config2D, obsv *observer) error {
 	}
 	if *gridOutFlag != "" {
 		return writeGrid(*gridOutFlag, grid)
-	}
-	return nil
-}
-
-func rankMain(c mp.Comm, cfg runner.Config) error {
-	local, stats, err := runner.Run(c, cfg)
-	if err != nil {
-		return err
-	}
-	grid, err := runner.Gather(c, cfg, local)
-	if err != nil {
-		return err
-	}
-	if c.Rank() != 0 {
-		return nil
-	}
-	fmt.Printf("mode=%s space=%s procs=%s V=%d elapsed=%v tiles=%d sent=%d msgs (%d bytes)\n",
-		cfg.Mode, *spaceFlag, *procsFlag, cfg.V, stats.Elapsed.Round(time.Microsecond),
-		stats.Tiles, stats.MsgsSent, stats.BytesSent)
-	if *verify {
-		diff, err := runner.VerifySequential(grid, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("verification: max |parallel - sequential| = %g\n", diff)
-		if diff != 0 {
-			return fmt.Errorf("verification failed")
-		}
 	}
 	return nil
 }
@@ -441,41 +447,20 @@ func run() error {
 	if *superviseFlag {
 		return superviseMain()
 	}
-	var n int
-	var rankFn func(c mp.Comm) error
-	switch *shapeFlag {
-	case "3d":
-		cfg, err := buildConfig()
-		if err != nil {
-			return err
-		}
-		n = int(cfg.Grid.PI * cfg.Grid.PJ)
-		rankFn = func(c mp.Comm) error { return rankMain(c, cfg) }
-	case "2d":
-		cfg, err := buildConfig2D()
-		if err != nil {
-			return err
-		}
-		n = *ranksFlag
-		rankFn = func(c mp.Comm) error { return rankMain2D(c, cfg, theObserver) }
-	default:
-		return fmt.Errorf("unknown shape %q", *shapeFlag)
+	j, err := buildJob()
+	if err != nil {
+		return err
 	}
 	obsv, err := newObserver(*metricsAddr, *metricsSnap)
 	if err != nil {
 		return err
 	}
-	theObserver = obsv
-	err = runRanks(n, obsv, rankFn)
+	err = runRanks(j.ranks, obsv, func(c mp.Comm) error { return rankMain(c, j, obsv) })
 	if ferr := obsv.finish(); err == nil {
 		err = ferr
 	}
 	return err
 }
-
-// theObserver is the process-wide observer; rankMain2D reads it to report
-// checkpoint counters. Set once in run() before any rank starts.
-var theObserver *observer
 
 // baseTCPOptions carries the failure-handling flags into every transport.
 func baseTCPOptions(cancel <-chan struct{}) mp.TCPOptions {

@@ -46,7 +46,7 @@ func TestSpawnRunReportsFirstFailure(t *testing.T) {
 			&mp.TCPOptions{DialTimeout: 30 * time.Second, Cancel: cancel})
 	}
 	done := make(chan error, 1)
-	go func() { done <- spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, cfg) }) }()
+	go func() { done <- spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, job3D(cfg), nil) }) }()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -81,7 +81,7 @@ func TestSpawnRunDelayedRankSucceeds(t *testing.T) {
 			&mp.TCPOptions{DialTimeout: 30 * time.Second, Cancel: cancel})
 	}
 	done := make(chan error, 1)
-	go func() { done <- spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, cfg) }) }()
+	go func() { done <- spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, job3D(cfg), nil) }) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -123,7 +123,7 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 		counting[rank] = mp.WithCounters(c)
 		return wrap(counting[rank]), nil
 	}
-	if err := spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, cfg) }); err != nil {
+	if err := spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, job3D(cfg), nil) }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -32,7 +32,7 @@ import (
 
 var (
 	superviseFlag = flag.Bool("supervise", false,
-		"supervise one OS process per rank with automatic restart+restore (2d only; needs -checkpoint-dir/-checkpoint-every)")
+		"supervise one OS process per rank with automatic restart+restore (needs -checkpoint-dir/-checkpoint-every)")
 	epochFlag = flag.Uint("epoch", 0,
 		"world epoch stamped into the transport handshake (set per epoch by -supervise)")
 	maxRestartsFlag = flag.Int("max-restarts", 3,
@@ -49,29 +49,25 @@ var (
 )
 
 func superviseMain() error {
-	if *shapeFlag != "2d" {
-		return fmt.Errorf("-supervise requires -shape 2d (the checkpointing executor)")
-	}
 	if *spawnFlag || *rankFlag >= 0 {
 		return fmt.Errorf("-supervise replaces -spawn/-rank: it launches one process per rank itself")
 	}
 	if *ckDirFlag == "" || *ckEveryFlag <= 0 {
 		return fmt.Errorf("-supervise needs -checkpoint-dir and -checkpoint-every: recovery restores from snapshots")
 	}
-	cfg, err := buildConfig2D()
+	j, err := buildJob()
 	if err != nil {
 		return err
 	}
-	n := *ranksFlag
+	n := j.ranks
 	if n <= 0 {
-		return fmt.Errorf("-ranks must be positive, got %d", n)
+		return fmt.Errorf("the run needs a positive number of ranks, got %d", n)
 	}
 	if *chaosKillsFlag > 0 && (*chaosVictimFlag < 0 || *chaosVictimFlag >= n) {
 		return fmt.Errorf("-chaos-victim %d out of range [0,%d)", *chaosVictimFlag, n)
 	}
 
-	tilesPerRank := (cfg.I1 + cfg.S1 - 1) / cfg.S1
-	rec := obs.NewRecoveryMetrics(n, int64(n)*tilesPerRank)
+	rec := obs.NewRecoveryMetrics(n, int64(n)*j.tiles)
 	var reg *obs.Registry
 	if *metricsAddr != "" || *metricsSnap != "" {
 		reg = obs.NewRegistry()
@@ -90,7 +86,7 @@ func superviseMain() error {
 	done := make(chan struct{})
 	defer close(done)
 	if *chaosKillsFlag > 0 {
-		go chaosKiller(done, l, tilesPerRank)
+		go chaosKiller(done, l, j.tiles)
 	}
 
 	res, runErr := supervise.Run(supervise.Config{
@@ -201,10 +197,9 @@ func childArgs(sp supervise.Spec, addrs []string) []string {
 	args := []string{
 		"-rank", fmt.Sprint(sp.Rank),
 		"-addrs", strings.Join(addrs, ","),
-		"-shape", "2d",
-		"-space2d", *space2Flag,
-		"-s1", fmt.Sprint(*s1Flag),
-		"-ranks", fmt.Sprint(*ranksFlag),
+		"-shape", *shapeFlag,
+		"-space", *spaceFlag, "-procs", *procsFlag, "-v", fmt.Sprint(*vFlag),
+		"-space2d", *space2Flag, "-s1", fmt.Sprint(*s1Flag), "-ranks", fmt.Sprint(*ranksFlag),
 		"-mode", *modeFlag,
 		fmt.Sprintf("-verify=%v", *verify),
 		"-epoch", fmt.Sprint(sp.Epoch),

@@ -10,9 +10,15 @@ import (
 // communicator, in the same order; distinct collectives are kept apart by
 // reserved tags plus the transport's non-overtaking guarantee.
 
-// Reserved tag bases for collectives (user tags should stay below 1<<28).
+// UserTagLimit bounds the tags a caller may use for its own point-to-point
+// messages: [0, UserTagLimit). The collectives' reserved bands start at it, so
+// a caller that derives tags from a count (a tile index, say) must reject
+// counts that would reach it.
+const UserTagLimit = 1 << 28
+
+// Reserved tag bases for collectives.
 const (
-	tagBcast = 1<<28 + iota*4096
+	tagBcast = UserTagLimit + iota*4096
 	tagReduce
 	tagGather
 )

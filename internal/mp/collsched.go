@@ -83,12 +83,12 @@ type CollectiveOpts struct {
 // Reserved tag bases for the scheduled collectives (one 4096-tag band each,
 // continuing the collectives.go bands).
 const (
-	tagRoundBcastS = 1<<28 + 3*4096 + iota*4096 // scatter phase
-	tagRoundBcastG                              // allgather phase
-	tagRoundRedS                                // reduce-scatter phase
-	tagRoundRedG                                // gather phase
-	tagHierL                                    // hierarchical leader stage
-	tagHierI                                    // hierarchical intra stage
+	tagRoundBcastS = UserTagLimit + 3*4096 + iota*4096 // scatter phase
+	tagRoundBcastG                                     // allgather phase
+	tagRoundRedS                                       // reduce-scatter phase
+	tagRoundRedG                                       // gather phase
+	tagHierL                                           // hierarchical leader stage
+	tagHierI                                           // hierarchical intra stage
 )
 
 // pow2 reports whether n is a positive power of two.

@@ -98,7 +98,11 @@ func requireBitIdentical(t *testing.T, what string, got, want *stencil.Grid) {
 // positionBoundary differs at every ghost point a run reads, so a ghost
 // plane filled from the wrong coordinates cannot cancel out.
 func positionBoundary(j ilmath.Vec) float64 {
-	return 1 + float64((j[0]+2)*3%7) + float64((j[1]+2)*5%11)/4 + float64((j[2]+2)%13)/16
+	b := 1 + float64((j[0]+2)*3%7) + float64((j[1]+2)*5%11)/4
+	if len(j) > 2 {
+		b += float64((j[2]+2)%13) / 16
+	}
+	return b
 }
 
 // TestBlockPathMatchesGenericAndSequential is the differential test behind
@@ -141,8 +145,73 @@ func TestBlockPathMatchesGenericAndSequential(t *testing.T) {
 	}
 }
 
-// TestBlockPathOverTCP is the loopback-TCP case of the differential test.
+// gatherRun2D is gatherRun for the Example 1 shape on n ranks.
+func gatherRun2D(t *testing.T, launch launcher, n int, cfg Config2D) *stencil.Grid {
+	t.Helper()
+	var grid *stencil.Grid
+	err := launch(n, func(c mp.Comm) error {
+		l, _, err := Run2D(c, cfg)
+		if err != nil {
+			return err
+		}
+		g, err := Gather2D(c, cfg, l)
+		if c.Rank() == 0 {
+			grid = g
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("%v on %dx%d S1=%d, %d ranks: %v", cfg.Mode, cfg.I1, cfg.I2, cfg.S1, n, err)
+	}
+	return grid
+}
+
+// TestBlockPath2DMatchesGenericAndSequential is the same differential test
+// for stencil.Sum2D through Run2D: strips of unequal width, tile sides that
+// do not divide I1, S1 = 1 and S1 = I1, and a boundary that depends on
+// position — so the corner each face message carries for the diagonal
+// dependence cannot be confused with its neighbours.
+func TestBlockPath2DMatchesGenericAndSequential(t *testing.T) {
+	if _, ok := stencil.Kernel(stencil.Sum2D{}).(stencil.Block3D); !ok {
+		t.Fatal("stencil.Sum2D does not offer the block path")
+	}
+	rng := rand.New(rand.NewSource(22))
+	for _, ranks := range []int{1, 2, 3, 5} {
+		i1 := rng.Int63n(30) + 5
+		i2 := int64(ranks)*(rng.Int63n(3)+1) + int64(ranks)/2 // ranks > 1: the first ranks/2 strips are one wider
+		ragged := rng.Int63n(i1-2) + 2
+		for i1%ragged == 0 {
+			ragged++
+		}
+		ref, err := stencil.RunSequential(space.MustRect(i1, i2), stencil.Sum2D{}, positionBoundary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s1 := range []int64{ragged, 1, i1} {
+			for _, mode := range []Mode{Blocking, Overlapped} {
+				for _, w := range inprocWorlds {
+					cfg := Config2D{I1: i1, I2: i2, S1: s1, Kernel: stencil.Sum2D{}, Boundary: positionBoundary, Mode: mode}
+					what := fmt.Sprintf("%dx%d on %d ranks S1=%d %v %s", i1, i2, ranks, s1, mode, w.name)
+					requireBitIdentical(t, what+": block path vs sequential", gatherRun2D(t, w.launch, ranks, cfg), ref)
+					cfg.Kernel = passThrough{stencil.Sum2D{}}
+					requireBitIdentical(t, what+": generic path vs sequential", gatherRun2D(t, w.launch, ranks, cfg), ref)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockPathOverTCP is the loopback-TCP case of the differential tests.
 func TestBlockPathOverTCP(t *testing.T) {
+	ref2, err := stencil.RunSequential(space.MustRect(23, 7), stencil.Sum2D{}, positionBoundary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{Blocking, Overlapped} {
+		cfg := Config2D{I1: 23, I2: 7, S1: 5, Kernel: stencil.Sum2D{}, Boundary: positionBoundary, Mode: mode}
+		requireBitIdentical(t, mode.String()+" 2-D: block path vs sequential", gatherRun2D(t, tcpLaunch(t), 3, cfg), ref2)
+	}
+
 	g := model.Grid3D{I: 4, J: 6, K: 23, PI: 2, PJ: 2}
 	ref, err := stencil.RunSequential(space.MustRect(g.I, g.J, g.K), stencil.Sqrt3D{}, positionBoundary)
 	if err != nil {
@@ -156,61 +225,80 @@ func TestBlockPathOverTCP(t *testing.T) {
 	}
 }
 
-// TestGhostLayerAddressable pins Local.At's contract after the k = −1 layer
-// was added: interior coordinates are unchanged, and the three ghost planes
-// hold the boundary on a rank with no neighbours.
+// TestGhostLayerAddressable pins Local.At's contract on a rank with no
+// neighbours: interior coordinates are the sequential grid's, and the ghost
+// shell holds the boundary exactly where the dependence set reaches. For the
+// 3-D unit dependences that is the three planes, their common edges and
+// corner staying the zeros they were allocated as; the 2-D run has no i = −1
+// plane at all, and its diagonal dependence reads the (lj, k) = (−1, −1)
+// corner, so that cell is filled too.
 func TestGhostLayerAddressable(t *testing.T) {
-	cfg := Config{
+	cfg3 := Config{
 		Grid: model.Grid3D{I: 2, J: 3, K: 4, PI: 1, PJ: 1}, V: 2,
 		Kernel: stencil.Sqrt3D{}, Boundary: positionBoundary, Mode: Blocking,
 	}
-	err := mp.Launch(1, func(c mp.Comm) error {
-		l, _, err := Run(c, cfg)
-		if err != nil {
-			return err
-		}
-		ref, err := stencil.RunSequential(space.MustRect(2, 3, 4), cfg.Kernel, cfg.Boundary)
-		if err != nil {
-			return err
-		}
-		for li := int64(-1); li < l.TI; li++ {
-			for lj := int64(-1); lj < l.TJ; lj++ {
-				for k := int64(-1); k < l.K; k++ {
-					q := ilmath.V(li, lj, k)
-					outside := 0
-					for _, x := range q {
-						if x < 0 {
-							outside++
+	cfg2 := Config2D{I1: 4, I2: 3, S1: 2, Kernel: stencil.Sum2D{}, Boundary: positionBoundary, Mode: Blocking}
+	for _, tc := range []struct {
+		name   string
+		p      problem
+		lowI   int64
+		point  func(li, lj, k int64) ilmath.Vec
+		filled func(outside int) bool // is a ghost cell outside the space in this many coordinates filled?
+	}{
+		{"3d", cfg3.problem(), -1, func(li, lj, k int64) ilmath.Vec { return ilmath.V(li, lj, k) }, func(n int) bool { return n == 1 }},
+		{"2d", cfg2.problem(1), 0, func(li, lj, k int64) ilmath.Vec { return ilmath.V(k, lj) }, func(n int) bool { return true }},
+	} {
+		err := mp.Launch(1, func(c mp.Comm) error {
+			l, _, err := tc.p.run(c)
+			if err != nil {
+				return err
+			}
+			ref, err := tc.p.gather(c, l)
+			if err != nil {
+				return err
+			}
+			if diff, err := VerifySequential(ref, Config{Kernel: tc.p.kernel, Boundary: tc.p.boundary}); err != nil || diff != 0 {
+				return fmt.Errorf("single-rank run differs from sequential by %v (%v)", diff, err)
+			}
+			for li := tc.lowI; li < l.TI; li++ {
+				for lj := int64(-1); lj < l.TJ; lj++ {
+					for k := int64(-1); k < l.K; k++ {
+						q := tc.point(li, lj, k)
+						outside := 0
+						for _, x := range q {
+							if x < 0 {
+								outside++
+							}
 						}
-					}
-					want := 0.0 // edges and the corner of the ghost layer are never read nor written
-					switch outside {
-					case 0:
-						want = ref.At(q)
-					case 1:
-						want = positionBoundary(q)
-					}
-					if got := l.At(li, lj, k); got != want {
-						return fmt.Errorf("At(%d,%d,%d) = %v, want %v", li, lj, k, got, want)
+						want := 0.0 // never read nor written
+						switch {
+						case outside == 0:
+							want = ref.At(q)
+						case tc.filled(outside):
+							want = positionBoundary(q)
+						}
+						if got := l.At(li, lj, k); got != want {
+							return fmt.Errorf("At(%d,%d,%d) = %v, want %v", li, lj, k, got, want)
+						}
 					}
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
-// runAllocs is the allocation count of one whole 2-rank in-process run of
-// cfg — world, buffers, tile loop — as testing.AllocsPerRun sees it (one P,
-// so the ranks interleave the same way every time).
-func runAllocs(t *testing.T, launch launcher, cfg Config) float64 {
+// runAllocs is the allocation count of one whole 2-rank in-process run of p
+// — world, buffers, tile loop — as testing.AllocsPerRun sees it (one P, so
+// the ranks interleave the same way every time).
+func runAllocs(t *testing.T, launch launcher, p problem) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(10, func() {
 		err := launch(2, func(c mp.Comm) error {
-			_, _, err := Run(c, cfg)
+			_, _, err := p.run(c)
 			return err
 		})
 		if err != nil {
@@ -260,7 +348,7 @@ func bareAllocs(t *testing.T, launch launcher, mode Mode, msgs, size int) float6
 // for that tile's one message (measured here by a bare loop of the same
 // message count), not a buffer, request slice or closure of the runner's.
 func TestTileLoopAllocationFree(t *testing.T) {
-	// What the in-process transport may allocate for one 512-byte message
+	// What the in-process transport may allocate for one face-sized message
 	// that arrives before its receive is posted. Measured: eager 2.00
 	// blocking (envelope, payload copy) and 3.00 overlapped (+ the Irecv's
 	// op); rendezvous 3.00 and 4.50 (+ the send's op and the channel of
@@ -270,36 +358,44 @@ func TestTileLoopAllocationFree(t *testing.T) {
 	// Scheduling on the one P can still differ by a goroutine hand-off, and
 	// each costs the runtime an allocation or two; a per-point or per-tile
 	// leak is hundreds.
-	const slack = 4
-	base := Config{Grid: model.Grid3D{I: 4, J: 4, K: 256, PI: 2, PJ: 1}, V: 16, Kernel: stencil.Sqrt3D{}}
-	for _, w := range inprocWorlds {
-		for _, mode := range []Mode{Blocking, Overlapped} {
-			cfg := base
-			cfg.Mode = mode
-			tiles := int(cfg.Grid.KTiles(cfg.V))
-			allocs := runAllocs(t, w.launch, cfg)
+	const slack = 4.0
+	// Two ranks, one face per tile between them, k extent and tile height free.
+	for _, sh := range []struct {
+		name      string
+		p         func(k, v int64, mode Mode) problem
+		faceBytes func(v int64) int
+	}{
+		{"3d", func(k, v int64, mode Mode) problem {
+			return Config{Grid: model.Grid3D{I: 4, J: 4, K: k, PI: 2, PJ: 1}, V: v, Kernel: stencil.Sqrt3D{}, Mode: mode}.problem()
+		}, func(v int64) int { return int(8 * 4 * v) }},
+		{"2d", func(k, v int64, mode Mode) problem {
+			return Config2D{I1: k, I2: 8, S1: v, Kernel: stencil.Sum2D{}, Mode: mode}.problem(2)
+		}, func(v int64) int { return int(8 * (v + 1)) }},
+	} {
+		for _, w := range inprocWorlds {
+			for _, mode := range []Mode{Blocking, Overlapped} {
+				const k, v, tiles = 256, 16, 16
+				what := fmt.Sprintf("%s %s %v", sh.name, w.name, mode)
+				allocs := runAllocs(t, w.launch, sh.p(k, v, mode))
 
-			taller := cfg // same 16 tiles, twice the points in each
-			taller.Grid.K, taller.V = 2*cfg.Grid.K, 2*cfg.V
-			if got := runAllocs(t, w.launch, taller); math.Abs(got-allocs) > slack {
-				t.Errorf("%s %v: %v allocations with V=%d, %v with V=%d at the same tile count",
-					w.name, mode, allocs, cfg.V, got, taller.V)
-			}
+				// Same 16 tiles, twice the points in each.
+				if got := runAllocs(t, w.launch, sh.p(2*k, 2*v, mode)); math.Abs(got-allocs) > slack {
+					t.Errorf("%s: %v allocations with V=%d, %v with V=%d at the same tile count", what, allocs, v, got, 2*v)
+				}
 
-			longer := cfg // twice the tiles at the same V
-			longer.Grid.K = 2 * cfg.Grid.K
-			faceBytes := int(8 * cfg.Grid.TileJ() * cfg.V)
-			perTile := (runAllocs(t, w.launch, longer) - allocs) / float64(tiles)
-			perMsg := (bareAllocs(t, w.launch, mode, 2*tiles, faceBytes) -
-				bareAllocs(t, w.launch, mode, tiles, faceBytes)) / float64(tiles)
-			if perTile > perMsg+float64(slack)/float64(tiles) {
-				t.Errorf("%s %v: a tile adds %.2f allocations, its message alone %.2f", w.name, mode, perTile, perMsg)
+				// Twice the tiles at the same V.
+				perTile := (runAllocs(t, w.launch, sh.p(2*k, v, mode)) - allocs) / tiles
+				perMsg := (bareAllocs(t, w.launch, mode, 2*tiles, sh.faceBytes(v)) -
+					bareAllocs(t, w.launch, mode, tiles, sh.faceBytes(v))) / tiles
+				if perTile > perMsg+slack/tiles {
+					t.Errorf("%s: a tile adds %.2f allocations, its message alone %.2f", what, perTile, perMsg)
+				}
+				if perMsg > transportAllocsPerMsg+slack/tiles {
+					t.Errorf("%s: the transport allocates %.2f per message, ceiling %v", what, perMsg, transportAllocsPerMsg)
+				}
+				t.Logf("%s: %v allocations for %d tiles; +%.2f per tile, transport +%.2f per message",
+					what, allocs, tiles, perTile, perMsg)
 			}
-			if perMsg > transportAllocsPerMsg+float64(slack)/float64(tiles) {
-				t.Errorf("%s %v: the transport allocates %.2f per message, ceiling %v", w.name, mode, perMsg, transportAllocsPerMsg)
-			}
-			t.Logf("%s %v: %v allocations for %d tiles; +%.2f per tile, transport +%.2f per message",
-				w.name, mode, allocs, tiles, perTile, perMsg)
 		}
 	}
 }

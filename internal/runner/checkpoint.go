@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,15 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/mp"
 )
 
-// Checkpoint/restart for the 2-D executor.
+// Checkpoint/restart for the tile executor, either shape.
 //
 // Every rank snapshots its full tile-frontier state — the local block
-// including the ghost column, plus the index of the next tile to execute —
+// including its ghost layers, plus the index of the next tile to execute —
 // at deterministic tile boundaries (after tile t whenever (t+1) is a
 // multiple of Every). All generations are kept, so after a crash the ranks
 // can agree on the highest boundary every one of them reached: restore
@@ -25,22 +25,24 @@ import (
 // corrupt) snapshots reports 0, which forces a fresh start for everyone —
 // the protocol never resumes from an inconsistent frontier.
 //
-// File layout (all integers big-endian):
+// File layout, version 2 (all integers big-endian; version 1 described the
+// 2-D strip only and is rejected as unsupported, which restore treats like
+// any other unusable generation):
 //
 //	offset  size  field
 //	0       4     magic "TLCP"
-//	4       4     version (currently 1)
+//	4       4     version
 //	8       4     CRC-32 (IEEE) over bytes [12, EOF)
 //	12      4     rank
 //	16      4     comm size
-//	20      8     I1
-//	28      8     I2
-//	36      8     S1
-//	44      8     Base2
-//	52      8     Width
-//	60      8     next tile index
-//	68      8     payload length (must be 8×(Width+1)×I1)
-//	76      —     payload: Local2D.Data as big-endian float64
+//	20      4     kernel dimension (2 or 3)
+//	24      3×8   space extents along local i, j, k
+//	48      8     tile height
+//	56      2×8   BaseI, BaseJ
+//	72      2×8   TI, TJ
+//	88      8     next tile index
+//	96      8     payload length (must be 8×len(Local.Data))
+//	104     —     payload: Local.Data as big-endian float64
 //
 // Files are written to a temporary name and renamed into place, so a crash
 // mid-write can never leave a truncated file under a valid checkpoint name;
@@ -48,18 +50,44 @@ import (
 
 const (
 	ckMagic   = "TLCP"
-	ckVersion = 1
-	ckHdrLen  = 76
+	ckVersion = 2
+	ckHdrLen  = 104
 )
 
-// CheckpointConfig enables periodic snapshots and restart for Run2D.
+// ckHeader is the first ckHdrLen bytes of a snapshot: after the framing, what
+// must match the run for the payload to mean anything, and where the run stood.
+type ckHeader struct {
+	Magic        [4]byte
+	Version, CRC uint32
+	Rank, Size   int32
+	Dim          int32
+	Space        [3]int64
+	V            int64
+	BaseI, BaseJ int64
+	TI, TJ       int64
+	NextTile     int64
+	PayloadLen   int64
+}
+
+func (r *run) ckHeader(nextTile int64) ckHeader {
+	p, l := r.p, r.l
+	return ckHeader{
+		Magic: [4]byte([]byte(ckMagic)), Version: ckVersion,
+		Rank: int32(l.Rank), Size: int32(r.c.Size()), Dim: int32(len(p.axis)),
+		Space: p.space, V: p.v,
+		BaseI: l.BaseI, BaseJ: l.BaseJ, TI: l.TI, TJ: l.TJ,
+		NextTile: nextTile, PayloadLen: int64(8 * len(l.Data)),
+	}
+}
+
+// CheckpointConfig enables periodic snapshots and restart for Run and Run2D.
 type CheckpointConfig struct {
 	// Dir is the directory checkpoint files are written to (shared or
 	// per-rank; file names embed the rank). Empty disables checkpointing.
 	Dir string
 	// Every checkpoints after every Every-th tile. Zero disables.
 	Every int64
-	// Restore makes Run2D resume from the latest snapshot boundary all
+	// Restore makes the run resume from the latest snapshot boundary all
 	// ranks reached, falling back to a fresh start when there is none.
 	Restore bool
 }
@@ -94,18 +122,11 @@ const (
 	RestoreFreshPeerBehind
 )
 
+var restoreReasonNames = [...]string{"not-requested", "resumed", "fresh-no-snapshot", "fresh-all-corrupt", "fresh-peer-behind"}
+
 func (r RestoreReason) String() string {
-	switch r {
-	case RestoreNotRequested:
-		return "not-requested"
-	case RestoreResumed:
-		return "resumed"
-	case RestoreFreshNoSnapshot:
-		return "fresh-no-snapshot"
-	case RestoreFreshAllCorrupt:
-		return "fresh-all-corrupt"
-	case RestoreFreshPeerBehind:
-		return "fresh-peer-behind"
+	if r >= 0 && int(r) < len(restoreReasonNames) {
+		return restoreReasonNames[r]
 	}
 	return fmt.Sprintf("RestoreReason(%d)", int(r))
 }
@@ -135,9 +156,10 @@ func CheckpointFile(dir string, rank int, nextTile int64) string {
 	return filepath.Join(dir, fmt.Sprintf("ck-r%04d-t%08d.bin", rank, nextTile))
 }
 
-// checkpointTiles lists the boundaries rank has snapshot files for,
+// checkpointTiles lists the boundaries rank has files for under CheckpointFile's
+// name plus suffix ("" for snapshots, ".tmp" for writes that never finished),
 // ascending. Existence only — validity is the loader's business.
-func checkpointTiles(dir string, rank int) ([]int64, error) {
+func checkpointTiles(dir string, rank int, suffix string) ([]int64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -147,9 +169,12 @@ func checkpointTiles(dir string, rank int) ([]int64, error) {
 	}
 	var tiles []int64
 	for _, e := range entries {
+		// Sscanf reports success on the two integers even when the literal
+		// tail mismatches, so the name is rebuilt and compared.
 		var r int
 		var t int64
-		if n, _ := fmt.Sscanf(e.Name(), "ck-r%04d-t%08d.bin", &r, &t); n == 2 && r == rank {
+		if n, _ := fmt.Sscanf(e.Name(), "ck-r%04d-t%08d", &r, &t); n == 2 && r == rank &&
+			e.Name() == filepath.Base(CheckpointFile(dir, rank, t))+suffix {
 			tiles = append(tiles, t)
 		}
 	}
@@ -161,7 +186,7 @@ func checkpointTiles(dir string, rank int) ([]int64, error) {
 // a rank (0 when there is none yet). It checks names only, not contents —
 // cheap enough for a launcher to poll.
 func LatestCheckpoint(dir string, rank int) (nextTile int64, path string, err error) {
-	tiles, err := checkpointTiles(dir, rank)
+	tiles, err := checkpointTiles(dir, rank, "")
 	if err != nil || len(tiles) == 0 {
 		return 0, "", err
 	}
@@ -169,21 +194,15 @@ func LatestCheckpoint(dir string, rank int) (nextTile int64, path string, err er
 	return t, CheckpointFile(dir, rank, t), nil
 }
 
-// writeCheckpoint snapshots l atomically (temp file + rename).
-func writeCheckpoint(dir string, commSize int, cfg Config2D, l *Local2D, nextTile int64) (int64, error) {
-	payloadLen := int64(8 * len(l.Data))
-	buf := make([]byte, ckHdrLen+payloadLen)
-	copy(buf[0:4], ckMagic)
-	binary.BigEndian.PutUint32(buf[4:8], ckVersion)
-	binary.BigEndian.PutUint32(buf[12:16], uint32(int32(l.Rank)))
-	binary.BigEndian.PutUint32(buf[16:20], uint32(int32(commSize)))
-	binary.BigEndian.PutUint64(buf[20:28], uint64(cfg.I1))
-	binary.BigEndian.PutUint64(buf[28:36], uint64(cfg.I2))
-	binary.BigEndian.PutUint64(buf[36:44], uint64(cfg.S1))
-	binary.BigEndian.PutUint64(buf[44:52], uint64(l.Base2))
-	binary.BigEndian.PutUint64(buf[52:60], uint64(l.Width))
-	binary.BigEndian.PutUint64(buf[60:68], uint64(nextTile))
-	binary.BigEndian.PutUint64(buf[68:76], uint64(payloadLen))
+// writeCheckpoint snapshots r.l atomically (temp file + rename).
+func (r *run) writeCheckpoint(nextTile int64) (int64, error) {
+	dir, l := r.p.checkpoint.Dir, r.l
+	var hdr bytes.Buffer
+	if err := binary.Write(&hdr, binary.BigEndian, r.ckHeader(nextTile)); err != nil { // CRC filled in below
+		return 0, err
+	}
+	buf := make([]byte, ckHdrLen+8*len(l.Data))
+	copy(buf, hdr.Bytes())
 	putF64s(buf[ckHdrLen:], l.Data)
 	binary.BigEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(buf[12:]))
 
@@ -237,81 +256,60 @@ func syncDir(dir string) error {
 // truncate it but differing boundaries accumulate forever. Called at run
 // start, when any temp bearing this rank's name is provably dead.
 func removeOrphanTemps(dir string, rank int) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		// Sscanf reports success on the two integers even when the literal
-		// tail mismatches, so the .tmp suffix must be checked separately —
-		// otherwise finished checkpoints would match too.
-		if !strings.HasSuffix(e.Name(), ".tmp") {
-			continue
-		}
-		var r int
-		var t int64
-		if n, _ := fmt.Sscanf(e.Name(), "ck-r%04d-t%08d.bin.tmp", &r, &t); n == 2 && r == rank {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
+	tiles, _ := checkpointTiles(dir, rank, ".tmp")
+	for _, t := range tiles {
+		os.Remove(CheckpointFile(dir, rank, t) + ".tmp")
 	}
 }
 
 // loadCheckpoint validates the snapshot at path against the run's geometry
-// and fills l.Data from it, returning the stored next-tile index.
-func loadCheckpoint(path string, commSize int, cfg Config2D, l *Local2D) (int64, error) {
+// and fills r.l.Data from it, returning the stored next-tile index.
+func (r *run) loadCheckpoint(path string) (int64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if len(buf) < ckHdrLen {
+	var h ckHeader
+	if err := binary.Read(bytes.NewReader(buf), binary.BigEndian, &h); err != nil {
 		return 0, fmt.Errorf("runner: checkpoint %s: truncated header (%d bytes)", path, len(buf))
 	}
-	if string(buf[0:4]) != ckMagic {
-		return 0, fmt.Errorf("runner: checkpoint %s: bad magic %q", path, buf[0:4])
+	if string(h.Magic[:]) != ckMagic {
+		return 0, fmt.Errorf("runner: checkpoint %s: bad magic %q", path, h.Magic)
 	}
-	if v := binary.BigEndian.Uint32(buf[4:8]); v != ckVersion {
-		return 0, fmt.Errorf("runner: checkpoint %s: unsupported version %d", path, v)
+	if h.Version != ckVersion {
+		return 0, fmt.Errorf("runner: checkpoint %s: unsupported version %d", path, h.Version)
 	}
-	if got, want := crc32.ChecksumIEEE(buf[12:]), binary.BigEndian.Uint32(buf[8:12]); got != want {
-		return 0, fmt.Errorf("runner: checkpoint %s: CRC mismatch (file %08x, computed %08x)", path, want, got)
+	if got := crc32.ChecksumIEEE(buf[12:]); got != h.CRC {
+		return 0, fmt.Errorf("runner: checkpoint %s: CRC mismatch (file %08x, computed %08x)", path, h.CRC, got)
 	}
-	rank := int(int32(binary.BigEndian.Uint32(buf[12:16])))
-	size := int(int32(binary.BigEndian.Uint32(buf[16:20])))
-	i1 := int64(binary.BigEndian.Uint64(buf[20:28]))
-	i2 := int64(binary.BigEndian.Uint64(buf[28:36]))
-	s1 := int64(binary.BigEndian.Uint64(buf[36:44]))
-	base2 := int64(binary.BigEndian.Uint64(buf[44:52]))
-	width := int64(binary.BigEndian.Uint64(buf[52:60]))
-	nextTile := int64(binary.BigEndian.Uint64(buf[60:68]))
-	payloadLen := int64(binary.BigEndian.Uint64(buf[68:76]))
-	if rank != l.Rank || size != commSize ||
-		i1 != cfg.I1 || i2 != cfg.I2 || s1 != cfg.S1 ||
-		base2 != l.Base2 || width != l.Width {
-		return 0, fmt.Errorf("runner: checkpoint %s: geometry mismatch (rank %d/%d size %d space %dx%d s1 %d strip %d+%d)",
-			path, rank, l.Rank, size, i1, i2, s1, base2, width)
+	want := r.ckHeader(h.NextTile)
+	want.CRC = h.CRC
+	if h != want {
+		return 0, fmt.Errorf("runner: checkpoint %s: geometry mismatch (file %+v, run %+v)", path, h, want)
 	}
-	if nextTile <= 0 || nextTile > cfg.tiles1() {
-		return 0, fmt.Errorf("runner: checkpoint %s: next tile %d out of range", path, nextTile)
+	if h.NextTile <= 0 || h.NextTile > r.tiles {
+		return 0, fmt.Errorf("runner: checkpoint %s: next tile %d out of range", path, h.NextTile)
 	}
-	if payloadLen != int64(8*len(l.Data)) || int64(len(buf)) != ckHdrLen+payloadLen {
-		return 0, fmt.Errorf("runner: checkpoint %s: payload length %d, want %d", path, payloadLen, 8*len(l.Data))
+	if int64(len(buf)) != ckHdrLen+h.PayloadLen {
+		return 0, fmt.Errorf("runner: checkpoint %s: %d payload bytes, header says %d", path, len(buf)-ckHdrLen, h.PayloadLen)
 	}
-	getF64s(l.Data, buf[ckHdrLen:])
-	return nextTile, nil
+	getF64s(r.l.Data, buf[ckHdrLen:])
+	return h.NextTile, nil
 }
 
 // latestValid returns the newest snapshot boundary whose file actually
 // loads and matches the run's geometry (0 when none does) plus the typed
 // reason for a zero answer. A corrupt generation is skipped in favor of an
-// older one; l is left holding the winning snapshot's data (or untouched
+// older one; r.l is left holding the winning snapshot's data (or untouched
 // when there is none).
-func latestValid(dir string, commSize int, cfg Config2D, l *Local2D) (int64, RestoreReason) {
-	tiles, err := checkpointTiles(dir, l.Rank)
+func (r *run) latestValid() (int64, RestoreReason) {
+	dir, rank := r.p.checkpoint.Dir, r.l.Rank
+	tiles, err := checkpointTiles(dir, rank, "")
 	if err != nil || len(tiles) == 0 {
 		return 0, RestoreFreshNoSnapshot
 	}
 	for i := len(tiles) - 1; i >= 0; i-- {
-		t, err := loadCheckpoint(CheckpointFile(dir, l.Rank, tiles[i]), commSize, cfg, l)
+		t, err := r.loadCheckpoint(CheckpointFile(dir, rank, tiles[i]))
 		if err == nil {
 			return t, RestoreResumed
 		}
@@ -319,28 +317,26 @@ func latestValid(dir string, commSize int, cfg Config2D, l *Local2D) (int64, Res
 	return 0, RestoreFreshAllCorrupt
 }
 
-// restore2D agrees on a global restart tile: every rank proposes its latest
+// restore agrees on a global restart tile: every rank proposes its latest
 // valid snapshot boundary and the minimum wins, so the frontier is one
 // every rank can actually resume from. A fresh start (no snapshot, all
 // generations corrupt, or a peer with nothing) is a typed outcome, not an
 // error; only divergence — an agreed generation this rank cannot load — is.
-// On return l holds the agreed snapshot's data (zeroed on a fresh start).
-func restore2D(c mp.Comm, cfg Config2D, l *Local2D) (RestoreInfo, error) {
+// On return r.l holds the agreed snapshot's data (zeroed on a fresh start).
+func (r *run) restore() (RestoreInfo, error) {
 	info := RestoreInfo{Requested: true}
-	mine, reason := latestValid(cfg.Checkpoint.Dir, c.Size(), cfg, l)
-	agreed, err := mp.AllReduce(c, []float64{float64(mine)}, mp.OpMin)
+	mine, reason := r.latestValid()
+	agreed, err := mp.AllReduce(r.c, []float64{float64(mine)}, mp.OpMin)
 	if err != nil {
 		return info, err
 	}
 	start := int64(agreed[0])
 	if start <= 0 {
 		// Someone has nothing to resume from: fresh start. Discard any
-		// snapshot latestValid left in l. Everything this rank had proven
+		// snapshot latestValid left in r.l. Everything this rank had proven
 		// done is recomputed from tile 0.
 		if mine > 0 {
-			for i := range l.Data {
-				l.Data[i] = 0
-			}
+			clear(r.l.Data)
 			reason = RestoreFreshPeerBehind
 			info.WastedTiles = mine
 		}
@@ -354,20 +350,20 @@ func restore2D(c mp.Comm, cfg Config2D, l *Local2D) (RestoreInfo, error) {
 		return info, nil
 	}
 	// Roll back to the agreed (older) generation; it must load cleanly.
-	if _, err := loadCheckpoint(CheckpointFile(cfg.Checkpoint.Dir, l.Rank, start), c.Size(), cfg, l); err != nil {
-		return info, fmt.Errorf("runner: rank %d cannot load agreed checkpoint at tile %d: %w", l.Rank, start, err)
+	if _, err := r.loadCheckpoint(CheckpointFile(r.p.checkpoint.Dir, r.l.Rank, start)); err != nil {
+		return info, fmt.Errorf("runner: rank %d cannot load agreed checkpoint at tile %d: %w", r.l.Rank, start, err)
 	}
 	return info, nil
 }
 
 // maybeCheckpoint snapshots after tile t when t+1 lands on a configured
 // boundary (and the run is not already over).
-func (r *run2d) maybeCheckpoint(t int64) error {
-	cc := r.cfg.Checkpoint
-	if !cc.enabled() || (t+1)%cc.Every != 0 || t+1 >= r.cfg.tiles1() {
+func (r *run) maybeCheckpoint(t int64) error {
+	cc := r.p.checkpoint
+	if !cc.enabled() || (t+1)%cc.Every != 0 || t+1 >= r.tiles {
 		return nil
 	}
-	n, err := writeCheckpoint(cc.Dir, r.c.Size(), r.cfg, r.l, t+1)
+	n, err := r.writeCheckpoint(t + 1)
 	if err != nil {
 		return err
 	}

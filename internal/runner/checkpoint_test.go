@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -48,44 +49,107 @@ func TestLatestCheckpointEmpty(t *testing.T) {
 	}
 }
 
-// checkpointAll2D runs cfg on n ranks and returns the gathered grid.
-func checkpointAll2D(t *testing.T, n int, cfg Config2D) *stencil.Grid {
+// shapes are the two front doors as the shape-neutral tests see them: the
+// problem each base configuration reduces to, on four ranks, with a boundary
+// that differs at every ghost point.
+var shapes = []struct {
+	name string
+	base func(Mode) problem
+}{
+	{"2d", func(m Mode) problem { return withBoundary(base2D(m).problem(shapeRanks)) }},
+	{"3d", func(m Mode) problem { return withBoundary(baseConfig(m).problem()) }},
+}
+
+const shapeRanks = 4
+
+func withBoundary(p problem) problem {
+	p.boundary = positionBoundary
+	return p
+}
+
+// runProblem executes p on shapeRanks in-process ranks, each communicator
+// passed through wrap, and returns rank 0's gathered grid and per-rank stats.
+func runProblem(t *testing.T, p problem, wrap func(mp.Comm) mp.Comm) (*stencil.Grid, []Stats) {
 	t.Helper()
-	grid, _ := runAll2D(t, n, cfg)
-	return grid
+	if err := p.validate(shapeRanks); err != nil {
+		t.Fatal(err)
+	}
+	stats := make([]Stats, shapeRanks)
+	var grid *stencil.Grid
+	var mu sync.Mutex
+	err := mp.Launch(shapeRanks, func(c mp.Comm) error {
+		if wrap != nil {
+			c = wrap(c)
+		}
+		l, st, err := p.run(c)
+		if err != nil {
+			return err
+		}
+		g, err := p.gather(c, l)
+		mu.Lock()
+		defer mu.Unlock()
+		stats[c.Rank()] = st
+		if c.Rank() == 0 {
+			grid = g
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid, stats
+}
+
+// checkpointed is p snapshotting every second tile into dir; the run that
+// leaves the snapshots behind must itself match ref.
+func checkpointed(t *testing.T, p problem, dir string, ref *stencil.Grid) problem {
+	t.Helper()
+	p.checkpoint = CheckpointConfig{Dir: dir, Every: 2}
+	grid, stats := runProblem(t, p, nil)
+	gridsByteIdentical(t, grid, ref)
+	for rank, st := range stats {
+		if st.Checkpoints == 0 || st.CheckpointBytes == 0 {
+			t.Fatalf("rank %d wrote no checkpoints: %+v", rank, st)
+		}
+		if tile, _, err := LatestCheckpoint(dir, rank); err != nil || tile == 0 {
+			t.Fatalf("rank %d has no snapshot on disk (tile=%d err=%v)", rank, tile, err)
+		}
+	}
+	return p
+}
+
+// flipLastByte corrupts one payload byte of the snapshot at path.
+func flipLastByte(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-1] ^= 0x40
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	for _, mode := range []Mode{Blocking, Overlapped} {
 		t.Run(mode.String(), func(t *testing.T) {
-			const n = 4
-			ref := checkpointAll2D(t, n, base2D(mode))
-
-			// A checkpointing run leaves snapshots behind...
-			dir := t.TempDir()
-			cfg := base2D(mode)
-			cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-			grid, stats := runAll2D(t, n, cfg)
-			gridsByteIdentical(t, grid, ref)
-			for rank, st := range stats {
-				if st.Checkpoints == 0 || st.CheckpointBytes == 0 {
-					t.Fatalf("rank %d wrote no checkpoints: %+v", rank, st)
-				}
-				if tile, _, err := LatestCheckpoint(dir, rank); err != nil || tile == 0 {
-					t.Fatalf("rank %d has no snapshot on disk (tile=%d err=%v)", rank, tile, err)
-				}
-			}
-
-			// ...and a restore run resumes from the newest boundary,
-			// recomputing only the tail, yet the result is bit-identical.
-			cfg.Checkpoint.Restore = true
-			restored, rstats := runAll2D(t, n, cfg)
-			gridsByteIdentical(t, restored, ref)
-			full := base2D(mode).tiles1()
-			for rank, st := range rstats {
-				if int64(st.Tiles) >= full {
-					t.Errorf("rank %d recomputed all %d tiles — restore did not resume", rank, st.Tiles)
-				}
+			for _, sh := range shapes {
+				t.Run(sh.name, func(t *testing.T) {
+					ref, _ := runProblem(t, sh.base(mode), nil)
+					// A checkpointing run leaves snapshots behind...
+					p := checkpointed(t, sh.base(mode), t.TempDir(), ref)
+					// ...and a restore run resumes from the newest boundary,
+					// recomputing only the tail, yet the result is bit-identical.
+					p.checkpoint.Restore = true
+					restored, rstats := runProblem(t, p, nil)
+					gridsByteIdentical(t, restored, ref)
+					for rank, st := range rstats {
+						if int64(st.Tiles) >= p.tiles() {
+							t.Errorf("rank %d recomputed all %d tiles — restore did not resume", rank, st.Tiles)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -95,35 +159,63 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 // must be rejected by the CRC and restore must fall back to the previous
 // generation — still bit-identical.
 func TestCheckpointCorruptGenerationFallsBack(t *testing.T) {
-	const n = 4
-	ref := checkpointAll2D(t, n, base2D(Blocking))
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ref, _ := runProblem(t, sh.base(Blocking), nil)
+			dir := t.TempDir()
+			p := checkpointed(t, sh.base(Blocking), dir, ref)
+			// Flip one payload byte in rank 1's newest snapshot.
+			tile, path, err := LatestCheckpoint(dir, 1)
+			if err != nil || tile == 0 {
+				t.Fatalf("no snapshot to corrupt: tile=%d err=%v", tile, err)
+			}
+			flipLastByte(t, path)
+
+			p.checkpoint.Restore = true
+			restored, stats := runProblem(t, p, nil)
+			gridsByteIdentical(t, restored, ref)
+			// Every rank resumed from the boundary before the corrupt one.
+			for rank, st := range stats {
+				if want := p.tiles() - (tile - p.checkpoint.Every); int64(st.Tiles) != want {
+					t.Errorf("rank %d recomputed %d tiles, want %d (fallback generation)", rank, st.Tiles, want)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointVersion1Rejected: a snapshot stamped with the retired 2-D-only
+// format version is named as such by the loader, and a restore that finds
+// nothing else takes the fresh-start fallback like any other unusable file.
+func TestCheckpointVersion1Rejected(t *testing.T) {
+	ref, _ := runProblem(t, shapes[0].base(Blocking), nil)
 	dir := t.TempDir()
-	cfg := base2D(Blocking)
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-	if grid, _ := runAll2D(t, n, cfg); grid == nil {
-		t.Fatal("no grid")
-	}
-	// Flip one payload byte in rank 1's newest snapshot.
-	tile, path, err := LatestCheckpoint(dir, 1)
-	if err != nil || tile == 0 {
-		t.Fatalf("no snapshot to corrupt: tile=%d err=%v", tile, err)
-	}
-	buf, err := os.ReadFile(path)
+	p := checkpointed(t, shapes[0].base(Blocking), dir, ref)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[len(buf)-1] ^= 0x40
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
+	for _, e := range ents {
+		path := filepath.Join(dir, e.Name())
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(buf[4:8], 1) // outside the CRC'd range: only the version is wrong
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	cfg.Checkpoint.Restore = true
-	restored, stats := runAll2D(t, n, cfg)
+	r := &run{p: p, l: &Local{}}
+	if _, err := r.loadCheckpoint(filepath.Join(dir, ents[0].Name())); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("version-1 file: %v, want an unsupported-version error", err)
+	}
+	p.checkpoint.Restore = true
+	restored, stats := runProblem(t, p, nil)
 	gridsByteIdentical(t, restored, ref)
-	// Every rank resumed from the boundary before the corrupt one.
 	for rank, st := range stats {
-		if want := base2D(Blocking).tiles1() - (tile - cfg.Checkpoint.Every); int64(st.Tiles) != want {
-			t.Errorf("rank %d recomputed %d tiles, want %d (fallback generation)", rank, st.Tiles, want)
+		if st.Restore.Reason != RestoreFreshAllCorrupt || int64(st.Tiles) != p.tiles() {
+			t.Errorf("rank %d: restore %+v after %d tiles, want a full fresh-all-corrupt run", rank, st.Restore, st.Tiles)
 		}
 	}
 }
@@ -132,7 +224,7 @@ func TestCheckpointCorruptGenerationFallsBack(t *testing.T) {
 // at all, the AllReduce(min) forces a clean fresh start for everyone.
 func TestCheckpointAllCorruptMeansFreshStart(t *testing.T) {
 	const n = 2
-	ref := checkpointAll2D(t, n, base2D(Overlapped))
+	ref := runAll2DGrid(t, n, base2D(Overlapped))
 	dir := t.TempDir()
 	cfg := base2D(Overlapped)
 	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
@@ -153,7 +245,7 @@ func TestCheckpointAllCorruptMeansFreshStart(t *testing.T) {
 	cfg.Checkpoint.Restore = true
 	restored, stats := runAll2D(t, n, cfg)
 	gridsByteIdentical(t, restored, ref)
-	full := base2D(Overlapped).tiles1()
+	full := tiles2D(base2D(Overlapped))
 	for rank, st := range stats {
 		if int64(st.Tiles) != full {
 			t.Errorf("rank %d computed %d tiles, want full %d (fresh start)", rank, st.Tiles, full)
@@ -164,22 +256,20 @@ func TestCheckpointAllCorruptMeansFreshStart(t *testing.T) {
 // TestCheckpointGeometryMismatchRejected: a snapshot from a different run
 // shape must not load.
 func TestCheckpointGeometryMismatchRejected(t *testing.T) {
-	dir := t.TempDir()
-	cfg := base2D(Blocking)
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-	if grid, _ := runAll2D(t, 2, cfg); grid == nil {
-		t.Fatal("no grid")
-	}
-	other := cfg
-	other.S1 = 5 // different tiling: snapshots are incompatible
-	other.Checkpoint.Restore = true
-	restored, stats := runAll2D(t, 2, other)
-	want, _ := runAll2D(t, 2, func() Config2D { c := base2D(Blocking); c.S1 = 5; return c }())
-	gridsByteIdentical(t, restored, want)
-	for rank, st := range stats {
-		if int64(st.Tiles) != other.tiles1() {
-			t.Errorf("rank %d resumed from an incompatible snapshot (%d tiles)", rank, st.Tiles)
-		}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ref, _ := runProblem(t, sh.base(Blocking), nil)
+			other := checkpointed(t, sh.base(Blocking), t.TempDir(), ref)
+			other.v /= 2 // different tiling: snapshots are incompatible
+			other.checkpoint.Restore = true
+			restored, stats := runProblem(t, other, nil)
+			gridsByteIdentical(t, restored, ref)
+			for rank, st := range stats {
+				if int64(st.Tiles) != other.tiles() || st.Restore.Reason != RestoreFreshAllCorrupt {
+					t.Errorf("rank %d resumed from an incompatible snapshot (%d tiles, %+v)", rank, st.Tiles, st.Restore)
+				}
+			}
+		})
 	}
 }
 
@@ -225,6 +315,33 @@ func TestRunnerAbortsWorldOnError(t *testing.T) {
 	}
 }
 
+// TestPartialStatsTravelWithError: when the tile loop fails, either front
+// door returns how far the attempt got alongside the error. Rank 0 computes
+// its first tile and fails the send that follows.
+func TestPartialStatsTravelWithError(t *testing.T) {
+	for name, run := range map[string]func(mp.Comm) (Stats, error){
+		"3d": func(c mp.Comm) (Stats, error) { _, st, err := Run(c, baseConfig(Blocking)); return st, err },
+		"2d": func(c mp.Comm) (Stats, error) { _, st, err := Run2D(c, base2D(Blocking)); return st, err },
+	} {
+		var got Stats
+		err := mp.Launch(shapeRanks, func(c mp.Comm) error {
+			if c.Rank() != 0 {
+				_, err := run(c)
+				return err
+			}
+			st, err := run(failingComm{Comm: c})
+			got = st // Launch's wait orders this write before the read below
+			return err
+		})
+		if err == nil {
+			t.Fatalf("%s: run with a failing rank succeeded", name)
+		}
+		if got.Tiles != 1 || got.MsgsSent != 0 {
+			t.Errorf("%s: failed attempt reported %+v, want the one tile computed before the failed send", name, got)
+		}
+	}
+}
+
 type failingComm struct{ mp.Comm }
 
 type errInjected struct{}
@@ -245,7 +362,7 @@ func (f failingComm) Isend(dst, tag int, data []byte) (mp.Request, error) {
 // produce the byte-identical grid.
 func TestCheckpointAllGenerationsCorruptTypedReason(t *testing.T) {
 	const n = 2
-	ref := checkpointAll2D(t, n, base2D(Blocking))
+	ref := runAll2DGrid(t, n, base2D(Blocking))
 	dir := t.TempDir()
 	cfg := base2D(Blocking)
 	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
@@ -271,7 +388,7 @@ func TestCheckpointAllGenerationsCorruptTypedReason(t *testing.T) {
 	cfg.Checkpoint.Restore = true
 	restored, stats := runAll2D(t, n, cfg)
 	gridsByteIdentical(t, restored, ref)
-	full := base2D(Blocking).tiles1()
+	full := tiles2D(base2D(Blocking))
 	for rank, st := range stats {
 		if int64(st.Tiles) != full {
 			t.Errorf("rank %d computed %d tiles, want full %d (fresh start)", rank, st.Tiles, full)
@@ -288,84 +405,82 @@ func TestCheckpointAllGenerationsCorruptTypedReason(t *testing.T) {
 // a rank rolled back past a corrupt newest generation, and a peer-forced
 // fresh start.
 func TestCheckpointRestoreReasonsAndWaste(t *testing.T) {
-	const n = 4
-	dir := t.TempDir()
-	cfg := base2D(Blocking)
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-	if grid, _ := runAll2D(t, n, cfg); grid == nil {
-		t.Fatal("no grid")
-	}
-	tile, path, err := LatestCheckpoint(dir, 1)
-	if err != nil || tile == 0 {
-		t.Fatalf("no snapshot: tile=%d err=%v", tile, err)
-	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ref, _ := runProblem(t, sh.base(Blocking), nil)
+			dir := t.TempDir()
+			p := checkpointed(t, sh.base(Blocking), dir, ref)
+			tile, path, err := LatestCheckpoint(dir, 1)
+			if err != nil || tile == 0 {
+				t.Fatalf("no snapshot: tile=%d err=%v", tile, err)
+			}
 
-	// Clean resume: everyone restarts at the newest boundary, and the
-	// recomputation is exactly what the snapshots prove was already done —
-	// nothing, since every rank restarts at its own newest generation.
-	cfg.Checkpoint.Restore = true
-	_, stats := runAll2D(t, n, cfg)
-	for rank, st := range stats {
-		ri := st.Restore
-		if ri.Reason != RestoreResumed || ri.StartTile != tile || ri.WastedTiles != 0 {
-			t.Errorf("rank %d clean resume info = %+v, want resumed at %d with 0 wasted", rank, ri, tile)
-		}
-	}
+			// Clean resume: everyone restarts at the newest boundary, and the
+			// recomputation is exactly what the snapshots prove was already
+			// done — nothing, since every rank restarts at its own newest
+			// generation.
+			p.checkpoint.Restore = true
+			_, stats := runProblem(t, p, nil)
+			for rank, st := range stats {
+				ri := st.Restore
+				if ri.Reason != RestoreResumed || ri.StartTile != tile || ri.WastedTiles != 0 {
+					t.Errorf("rank %d clean resume info = %+v, want resumed at %d with 0 wasted", rank, ri, tile)
+				}
+			}
 
-	// Corrupt rank 1's newest generation: the world rolls back one
-	// boundary, so every OTHER rank provably recomputes Every tiles.
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-1] ^= 0x40
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, stats = runAll2D(t, n, cfg)
-	for rank, st := range stats {
-		ri := st.Restore
-		wantWaste := cfg.Checkpoint.Every
-		if rank == 1 {
-			wantWaste = 0 // its own newest valid IS the agreed boundary
-		}
-		if ri.Reason != RestoreResumed || ri.StartTile != tile-cfg.Checkpoint.Every || ri.WastedTiles != wantWaste {
-			t.Errorf("rank %d rollback info = %+v, want resumed at %d with %d wasted",
-				rank, ri, tile-cfg.Checkpoint.Every, wantWaste)
-		}
-	}
+			// Corrupt rank 1's newest generation: the world rolls back one
+			// boundary, so every OTHER rank provably recomputes Every tiles.
+			flipLastByte(t, path)
+			_, stats = runProblem(t, p, nil)
+			for rank, st := range stats {
+				ri := st.Restore
+				wantWaste := p.checkpoint.Every
+				if rank == 1 {
+					wantWaste = 0 // its own newest valid IS the agreed boundary
+				}
+				if ri.Reason != RestoreResumed || ri.StartTile != tile-p.checkpoint.Every || ri.WastedTiles != wantWaste {
+					t.Errorf("rank %d rollback info = %+v, want resumed at %d with %d wasted",
+						rank, ri, tile-p.checkpoint.Every, wantWaste)
+				}
+			}
 
-	// Wipe rank 2 entirely: a peer with nothing forces tile 0 on everyone;
-	// survivors waste everything their snapshots had proven.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "ck-r0002-") {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			// Wipe rank 2 entirely: a peer with nothing forces tile 0 on
+			// everyone; survivors waste everything their snapshots had proven.
+			ents, err := os.ReadDir(dir)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	// (The rollback run above re-checkpointed, so every surviving rank's
-	// newest valid generation is the full boundary `tile` again.)
-	_, stats = runAll2D(t, n, cfg)
-	for rank, st := range stats {
-		ri := st.Restore
-		switch rank {
-		case 2:
-			if ri.Reason != RestoreFreshNoSnapshot || ri.WastedTiles != 0 {
-				t.Errorf("rank 2 info = %+v, want fresh-no-snapshot", ri)
+			for _, e := range ents {
+				if strings.HasPrefix(e.Name(), "ck-r0002-") {
+					if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		default:
-			if ri.Reason != RestoreFreshPeerBehind || ri.WastedTiles != tile {
-				t.Errorf("rank %d info = %+v, want fresh-peer-behind wasting %d", rank, ri, tile)
+			// (The rollback run above re-checkpointed, so every surviving
+			// rank's newest valid generation is the full boundary `tile`
+			// again.) The survivors loaded that snapshot before the agreement
+			// and had it zeroed after: the grid is right only if the boundary
+			// ghosts are filled after the restore decision.
+			grid, stats := runProblem(t, p, nil)
+			gridsByteIdentical(t, grid, ref)
+			for rank, st := range stats {
+				ri := st.Restore
+				switch rank {
+				case 2:
+					if ri.Reason != RestoreFreshNoSnapshot || ri.WastedTiles != 0 {
+						t.Errorf("rank 2 info = %+v, want fresh-no-snapshot", ri)
+					}
+				default:
+					if ri.Reason != RestoreFreshPeerBehind || ri.WastedTiles != tile {
+						t.Errorf("rank %d info = %+v, want fresh-peer-behind wasting %d", rank, ri, tile)
+					}
+				}
+				if ri.StartTile != 0 {
+					t.Errorf("rank %d start tile %d, want 0", rank, ri.StartTile)
+				}
 			}
-		}
-		if ri.StartTile != 0 {
-			t.Errorf("rank %d start tile %d, want 0", rank, ri.StartTile)
-		}
+		})
 	}
 }
 
@@ -373,48 +488,24 @@ func TestCheckpointRestoreReasonsAndWaste(t *testing.T) {
 // (injected delivery delays riding the restore AllReduce and the resumed
 // tile traffic) must not break the agreement or the bit-exactness.
 func TestCheckpointRestoreUnderFaultPlan(t *testing.T) {
-	const n = 4
-	ref := checkpointAll2D(t, n, base2D(Overlapped))
-	dir := t.TempDir()
-	cfg := base2D(Overlapped)
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, Every: 2}
-	if grid, _ := runAll2D(t, n, cfg); grid == nil {
-		t.Fatal("no grid")
-	}
-	cfg.Checkpoint.Restore = true
-	var mu sync.Mutex
-	var grid *stencil.Grid
-	stats := make([]Stats, n)
-	err := mp.Launch(n, func(c mp.Comm) error {
-		f := mp.WithFaults(c, 29)
-		f.DelayProb = 0.4
-		f.Delay = time.Millisecond
-		l, st, err := Run2D(f, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		stats[c.Rank()] = st
-		mu.Unlock()
-		g, err := Gather2D(f, cfg, l)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			grid = g
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gridsByteIdentical(t, grid, ref)
-	for rank, st := range stats {
-		if st.Restore.Reason != RestoreResumed {
-			t.Errorf("rank %d under faults: restore reason %v, want resumed", rank, st.Restore.Reason)
-		}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ref, _ := runProblem(t, sh.base(Overlapped), nil)
+			p := checkpointed(t, sh.base(Overlapped), t.TempDir(), ref)
+			p.checkpoint.Restore = true
+			grid, stats := runProblem(t, p, func(c mp.Comm) mp.Comm {
+				f := mp.WithFaults(c, 29)
+				f.DelayProb = 0.4
+				f.Delay = time.Millisecond
+				return f
+			})
+			gridsByteIdentical(t, grid, ref)
+			for rank, st := range stats {
+				if st.Restore.Reason != RestoreResumed {
+					t.Errorf("rank %d under faults: restore reason %v, want resumed", rank, st.Restore.Reason)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package runner executes the paper's Section 5 experiment for real on the
-// mp message-passing layer: the 3-D stencil over an I×J×K space, tiled
-// (I/PI)×(J/PJ)×V with all k-tiles of a column mapped to one rank, under
-// either the blocking receive→compute→send scheme (ProcB) or the
-// non-blocking overlapped scheme (ProcNB) from the paper's pseudocode.
+// Package runner executes the paper's tiled loops for real on the mp
+// message-passing layer: one tile-pipeline executor, under either the blocking
+// receive→compute→send scheme (ProcB) or the non-blocking overlapped scheme
+// (ProcNB) of the paper's pseudocode. Run takes the Section 5 experiment (an
+// I×J×K stencil on a PI×PJ grid, all k-tiles of a column on one rank), Run2D
+// the Example 1 strip; both only describe their geometry to the same loop.
 package runner

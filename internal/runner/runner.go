@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/ilmath"
@@ -33,13 +34,31 @@ func (m Mode) String() string {
 	return "overlapped"
 }
 
-// Config describes one run.
+// Config describes one run of the paper's Section 5 shape: an I×J×K space on
+// a PI×PJ processor grid, every rank executing its column of tiles along k.
 type Config struct {
 	Grid     model.Grid3D
 	V        int64 // tile height along k
 	Kernel   stencil.Kernel
 	Boundary stencil.Boundary
 	Mode     Mode
+	// Checkpoint enables periodic snapshots and restart (see checkpoint.go).
+	Checkpoint CheckpointConfig
+}
+
+// Config2D describes one run of the paper's Example 1 shape: an I1×I2 space
+// with dependences ⊆ {(1,1),(1,0),(0,1)}, mapped along dimension 0 — each
+// rank owns a strip of columns (a balanced partition of I2, so every rank
+// gets at least one whenever there are no more ranks than columns) and
+// executes its tiles of S1 rows bottom-up.
+type Config2D struct {
+	I1, I2   int64 // iteration space extents
+	S1       int64 // tile side along dim 0 (local steps: ceil(I1/S1))
+	Kernel   stencil.Kernel
+	Boundary stencil.Boundary
+	Mode     Mode
+	// Checkpoint enables periodic snapshots and restart (see checkpoint.go).
+	Checkpoint CheckpointConfig
 }
 
 // Stats reports what one rank did.
@@ -50,41 +69,44 @@ type Stats struct {
 	MsgsRecvd int
 	BytesSent int64
 	// Checkpoints counts snapshots written; CheckpointBytes their total
-	// on-disk size (2-D executor only).
+	// on-disk size.
 	Checkpoints     int
 	CheckpointBytes int64
-	// Restore reports how a restore-enabled run started (2-D executor only).
+	// Restore reports how a restore-enabled run started.
 	Restore RestoreInfo
 }
 
-// Local is one rank's subdomain after a run.
-type Local struct {
-	Rank         int
-	PIdx, PJdx   int64 // processor grid coordinates
-	BaseI, BaseJ int64 // global origin of the subdomain
-	TI, TJ, K    int64
-	// Data is (TI+1)×(TJ+1)×(K+1), k-contiguous, with one ghost layer at
-	// −1 in every dimension: li = −1 and lj = −1 hold the west and north
-	// neighbours' faces (or the boundary on ranks that have no such
-	// neighbour), k = −1 holds the boundary below the first k-plane.
-	Data []float64
+// problem is a Config or a Config2D in the executor's own terms: a box of
+// space[0]×space[1]×space[2] points along the local axes i, j, k, cut into
+// procs[0]×procs[1] columns (rank = pi·procs[1] + pj) whose owners each
+// execute their tiles of height v along k — the mapping dimension — in order.
+// Example 1 is the case of one i-row on a 1×P grid with k its dimension 0.
+type problem struct {
+	procs [2]int64
+	space [3]int64
+	v     int64
+	// axis[x] is the local axis (0, 1, 2 for i, j, k) that component x of the
+	// kernel's vectors runs along.
+	axis       []int
+	kernel     stencil.Kernel
+	boundary   stencil.Boundary
+	mode       Mode
+	checkpoint CheckpointConfig
 }
 
-func (l *Local) idx(li, lj, k int64) int64 {
-	return ((li+1)*(l.TJ+1)+(lj+1))*(l.K+1) + k + 1
+func (cfg Config) problem() problem {
+	g := cfg.Grid
+	return problem{
+		procs: [2]int64{g.PI, g.PJ}, space: [3]int64{g.I, g.J, g.K}, v: cfg.V, axis: []int{0, 1, 2},
+		kernel: cfg.Kernel, boundary: cfg.Boundary, mode: cfg.Mode, checkpoint: cfg.Checkpoint,
+	}
 }
 
-// At returns the local value at subdomain-relative coordinates
-// (li ∈ [−1, TI), lj ∈ [−1, TJ), k ∈ [−1, K)).
-func (l *Local) At(li, lj, k int64) float64 { return l.Data[l.idx(li, lj, k)] }
-
-func (l *Local) set(li, lj, k int64, v float64) { l.Data[l.idx(li, lj, k)] = v }
-
-// row returns the n values (li, lj, k0) … (li, lj, k0+n−1), which are
-// contiguous in Data.
-func (l *Local) row(li, lj, k0, n int64) []float64 {
-	o := l.idx(li, lj, k0)
-	return l.Data[o : o+n]
+func (cfg Config2D) problem(commSize int) problem {
+	return problem{
+		procs: [2]int64{1, int64(commSize)}, space: [3]int64{1, cfg.I2, cfg.I1}, v: cfg.S1, axis: []int{2, 1},
+		kernel: cfg.Kernel, boundary: cfg.Boundary, mode: cfg.Mode, checkpoint: cfg.Checkpoint,
+	}
 }
 
 // Validate checks a Config against a communicator size.
@@ -92,44 +114,123 @@ func (cfg Config) Validate(commSize int) error {
 	if err := cfg.Grid.Validate(); err != nil {
 		return err
 	}
-	if cfg.V <= 0 || cfg.V > cfg.Grid.K {
-		return fmt.Errorf("runner: tile height %d out of range (0, %d]", cfg.V, cfg.Grid.K)
-	}
-	if cfg.Kernel == nil {
-		return fmt.Errorf("runner: nil kernel")
-	}
-	if cfg.Kernel.Deps().Dim() != 3 {
-		return fmt.Errorf("runner: kernel %s is not 3-D", cfg.Kernel.Name())
-	}
-	// Only nearest-neighbor unit dependences are supported: the runner's
-	// ghost exchange carries exactly the i-, j- and k-faces.
-	for _, d := range cfg.Kernel.Deps().Vectors() {
-		if !d.Equal(ilmath.V(1, 0, 0)) && !d.Equal(ilmath.V(0, 1, 0)) && !d.Equal(ilmath.V(0, 0, 1)) {
-			return fmt.Errorf("runner: unsupported dependence %v (unit vectors only)", d)
-		}
-	}
-	if int64(commSize) != cfg.Grid.PI*cfg.Grid.PJ {
-		return fmt.Errorf("runner: communicator has %d ranks, grid wants %d×%d = %d",
-			commSize, cfg.Grid.PI, cfg.Grid.PJ, cfg.Grid.PI*cfg.Grid.PJ)
-	}
-	if cfg.Mode != Blocking && cfg.Mode != Overlapped {
-		return fmt.Errorf("runner: unknown mode %d", int(cfg.Mode))
-	}
-	return nil
+	return cfg.problem().validate(commSize)
 }
 
-// message tags: two directions per k-tile index (tile tags are 2t+dir; the
-// final gather uses the mp collective's reserved tag space).
-const (
-	dirWest  = 0 // ghosts arriving from (pi−1, pj)
-	dirNorth = 1 // ghosts arriving from (pi, pj−1)
-)
+// Validate checks a Config2D against a communicator size.
+func (cfg Config2D) Validate(commSize int) error { return cfg.problem(commSize).validate(commSize) }
 
-func tileTag(t int64, dir int) int { return int(2*t) + dir }
+func (p problem) tiles() int64 { return (p.space[2] + p.v - 1) / p.v }
+
+func (p problem) validate(commSize int) error {
+	if p.space[0] <= 0 || p.space[1] <= 0 || p.space[2] <= 0 {
+		return fmt.Errorf("runner: non-positive space %v", p.space)
+	}
+	if p.v <= 0 || p.v > p.space[2] {
+		return fmt.Errorf("runner: tile height %d out of range (0, %d]", p.v, p.space[2])
+	}
+	// Tile tags are 2t+dir; at mp.UserTagLimit the collectives' begin, and a
+	// face could match the restore AllReduce or the gather.
+	if 2*p.tiles() > mp.UserTagLimit {
+		return fmt.Errorf("runner: %d tiles per rank, tags allow %d", p.tiles(), mp.UserTagLimit/2)
+	}
+	if p.kernel == nil {
+		return fmt.Errorf("runner: nil kernel")
+	}
+	if _, err := p.faceOverlap(); err != nil {
+		return err
+	}
+	if commSize <= 0 || int64(commSize) != p.procs[0]*p.procs[1] || p.procs[0] > p.space[0] || p.procs[1] > p.space[1] {
+		return fmt.Errorf("runner: communicator has %d ranks, want a %d×%d grid over space %v with a point for each",
+			commSize, p.procs[0], p.procs[1], p.space)
+	}
+	if p.mode != Blocking && p.mode != Overlapped {
+		return fmt.Errorf("runner: unknown mode %d", int(p.mode))
+	}
+	return p.checkpoint.validate()
+}
+
+// faceOverlap checks the kernel's dependences against what the ghost
+// exchange carries and returns c, the number of rows below a tile that ride
+// along in its face messages. Written as a local (i, j, k) step, every
+// dependence must have components in {0, 1} and cross at most one of i and j:
+// the faces are the planes i = −1 and j = −1, never their common edge. c is 1
+// when some dependence crosses to a neighbour rank and steps along k at once
+// — Example 1's (1,1) — because the value it reads for a tile's first row
+// sits one row below the tile.
+func (p problem) faceOverlap() (c int64, err error) {
+	d := p.kernel.Deps()
+	if d.Dim() != len(p.axis) {
+		return 0, fmt.Errorf("runner: kernel %s is not %d-D", p.kernel.Name(), len(p.axis))
+	}
+	for _, vec := range d.Vectors() {
+		var s [3]int64
+		for x, a := range p.axis {
+			s[a] = vec[x]
+		}
+		if s[0]|s[1]|s[2] != 1 || s[0]+s[1] > 1 {
+			return 0, fmt.Errorf("runner: unsupported dependence %v (components in {0,1}, at most one across ranks)", vec)
+		}
+		if s[0]+s[1] == 1 && s[2] == 1 {
+			c = 1
+		}
+	}
+	return c, nil
+}
+
+// geometry is the box one rank owns.
+type geometry struct {
+	Rank         int
+	BaseI, BaseJ int64 // global origin
+	TI, TJ, K    int64 // extents
+	// gi is the number of ghost planes below li = 0: 1 when the kernel has an
+	// i axis, else 0. j and k always have one.
+	gi int64
+}
+
+// split is the balanced partition of n points over parts owners: the first
+// n mod parts get one extra, so nobody is left empty while parts ≤ n.
+func split(n, parts, idx int64) (base, width int64) {
+	q, r := n/parts, n%parts
+	base, next := idx*q+min(idx, r), (idx+1)*q+min(idx+1, r)
+	return base, next - base
+}
+
+func (p problem) geometry(rank int) geometry {
+	g := geometry{Rank: rank, K: p.space[2]}
+	g.BaseI, g.TI = split(p.space[0], p.procs[0], int64(rank)/p.procs[1])
+	g.BaseJ, g.TJ = split(p.space[1], p.procs[1], int64(rank)%p.procs[1])
+	if slices.Contains(p.axis, 0) {
+		g.gi = 1
+	}
+	return g
+}
+
+func (g *geometry) idx(li, lj, k int64) int64 {
+	return ((li+g.gi)*(g.TJ+1)+(lj+1))*(g.K+1) + k + 1
+}
+
+// Local is one rank's subdomain after a run.
+type Local struct {
+	geometry
+	// Data is (TI+1)×(TJ+1)×(K+1), k-contiguous, with one ghost layer at −1
+	// in every dimension (a 2-D run has TI = 1 and no i ghost): li = −1 and
+	// lj = −1 hold the west and north neighbours' faces (or the boundary on
+	// ranks that have no such neighbour), k = −1 holds the boundary below
+	// the first k-plane.
+	Data []float64
+}
+
+// At returns the local value at subdomain-relative coordinates
+// (li ∈ [−1, TI), lj ∈ [−1, TJ), k ∈ [−1, K); a 2-D run's (row i1, column c)
+// is At(0, c, i1)).
+func (l *Local) At(li, lj, k int64) float64 { return l.Data[l.idx(li, lj, k)] }
 
 // Run executes the configured schedule on communicator c and returns this
 // rank's subdomain and statistics. All ranks must call Run with identical
-// configurations.
+// configurations. On a failure inside the tile loop the statistics gathered
+// so far travel with the error: a supervisor accounting wasted work wants to
+// know how far this attempt got.
 //
 // A kernel that implements stencil.Block3D is swept a tile at a time over
 // the local array; any other kernel — including one that embeds such a
@@ -139,24 +240,41 @@ func Run(c mp.Comm, cfg Config) (*Local, Stats, error) {
 	if err := cfg.Validate(c.Size()); err != nil {
 		return nil, Stats{}, err
 	}
-	if cfg.Boundary == nil {
-		cfg.Boundary = stencil.ConstBoundary(1)
-	}
-	g := cfg.Grid
-	rank := c.Rank()
-	l := &Local{
-		Rank: rank,
-		PIdx: int64(rank) / g.PJ,
-		PJdx: int64(rank) % g.PJ,
-		TI:   g.TileI(),
-		TJ:   g.TileJ(),
-		K:    g.K,
-	}
-	l.BaseI = l.PIdx * l.TI
-	l.BaseJ = l.PJdx * l.TJ
-	l.Data = make([]float64, (l.TI+1)*(l.TJ+1)*(l.K+1))
+	return cfg.problem().run(c)
+}
 
-	r := newRun(c, cfg, l)
+// Run2D is Run for the Example 1 shape.
+func Run2D(c mp.Comm, cfg Config2D) (*Local, Stats, error) {
+	if err := cfg.Validate(c.Size()); err != nil {
+		return nil, Stats{}, err
+	}
+	return cfg.problem(c.Size()).run(c)
+}
+
+func (p problem) run(c mp.Comm) (*Local, Stats, error) {
+	if p.boundary == nil {
+		p.boundary = stencil.ConstBoundary(1)
+	}
+	rank := c.Rank()
+	l := &Local{geometry: p.geometry(rank)}
+	l.Data = make([]float64, (l.TI+l.gi)*(l.TJ+1)*(l.K+1))
+	r := newRun(c, p, l)
+	if p.checkpoint.Dir != "" {
+		removeOrphanTemps(p.checkpoint.Dir, rank)
+	}
+	// Agree on a restart tile before any compute: the AllReduce inside
+	// restore doubles as the first synchronization point.
+	var startTile int64
+	if p.checkpoint.Restore {
+		info, err := r.restore()
+		if err != nil {
+			abortComm(c, err)
+			return nil, Stats{}, fmt.Errorf("runner: rank %d restore: %w", rank, err)
+		}
+		r.stats.Restore = info
+		startTile = info.StartTile
+	}
+	// After the restore decision: a peer-forced fresh start zeroes Data.
 	r.fillBoundaryGhosts()
 	if err := c.Barrier(); err != nil {
 		return nil, Stats{}, err
@@ -164,180 +282,187 @@ func Run(c mp.Comm, cfg Config) (*Local, Stats, error) {
 	//tilevet:allow determinism -- Stats.Elapsed is the paper's measured wall-clock output; it never feeds the computed grid
 	start := time.Now()
 	var err error
-	switch cfg.Mode {
-	case Blocking:
-		err = r.runBlocking()
-	case Overlapped:
-		err = r.runOverlapped()
+	if p.mode == Blocking {
+		err = r.runBlocking(startTile)
+	} else {
+		err = r.runOverlapped(startTile)
 	}
 	if err != nil {
 		abortComm(c, err)
-		return nil, Stats{}, fmt.Errorf("runner: rank %d: %w", rank, err)
+		return nil, r.stats, fmt.Errorf("runner: rank %d: %w", rank, err)
 	}
 	if err := c.Barrier(); err != nil {
-		return nil, Stats{}, err
+		return nil, r.stats, err
 	}
 	r.stats.Elapsed = time.Since(start) //tilevet:allow determinism -- wall-clock measurement, reporting only
 	return l, r.stats, nil
 }
 
-// run carries the per-rank execution state.
-type run struct {
-	cfg   Config
-	c     mp.Comm
-	l     *Local
-	stats Stats
+// The two directions a face can travel; message tags are 2t+dir for tile t
+// (the restore agreement and the gather use mp's reserved collective tags).
+const (
+	dirWest  = 0 // across i: ghosts arriving from (pi−1, pj)
+	dirNorth = 1 // across j: ghosts arriving from (pi, pj−1)
+)
 
-	// blk is the kernel's block fast path; nil when it offers only Eval.
-	blk stencil.Block3D
+func tileTag(t int64, dir int) int { return int(2*t) + dir }
 
-	// Face buffers, allocated once and sized for a full tile, so the tile
-	// loop allocates nothing of its own. A send buffer is repacked only
-	// after Send, or Wait on its Isend, has returned (mp's buffer-ownership
-	// contract). The overlapped schedule has tile t+1's receives posted
-	// while tile t's are still being unpacked, hence two receive sets,
-	// indexed by tile parity.
-	sendEast, sendSouth []byte
-	recvWest, recvNorth [2][]byte
-	sendReqs            [2]mp.Request
+// face is one direction's half of the ghost exchange: the plane of k-rows
+// that arrives from the rank upstream into this rank's ghost layer, and this
+// rank's own last plane, which the rank downstream needs in turn.
+type face struct {
+	dir             int   // dirWest or dirNorth
+	up, down        int   // neighbour ranks, −1 where the processor grid ends
+	rows, rowStride int64 // k-rows in the plane, and their distance in Data
+	ghost, own      int64 // Data offset of (row 0, k = 0) in the ghost plane and in the own last plane
+
+	// Buffers sized for a full tile and allocated once, so the tile loop
+	// allocates nothing of its own. The send buffer is repacked only after
+	// Send, or Wait on its Isend, has returned (mp's buffer-ownership
+	// contract). The overlapped schedule has tile t+1's receive posted while
+	// tile t's is still being unpacked, hence two receive buffers and
+	// requests, indexed by tile parity.
+	send    []byte
+	recv    [2][]byte
+	sendReq mp.Request
+	recvReq [2]mp.Request
 }
 
-func newRun(c mp.Comm, cfg Config, l *Local) *run {
-	r := &run{cfg: cfg, c: c, l: l}
-	r.blk, _ = cfg.Kernel.(stencil.Block3D)
-	recvSets := 1
-	if cfg.Mode == Overlapped {
-		recvSets = 2
-	}
-	if r.hasEast() {
-		r.sendEast = make([]byte, 8*l.TJ*cfg.V)
-	}
-	if r.hasSouth() {
-		r.sendSouth = make([]byte, 8*l.TI*cfg.V)
-	}
-	for s := 0; s < recvSets; s++ {
-		if r.hasWest() {
-			r.recvWest[s] = make([]byte, 8*l.TJ*cfg.V)
+// run carries the per-rank execution state.
+type run struct {
+	p       problem
+	c       mp.Comm
+	l       *Local
+	stats   Stats
+	tiles   int64 // tiles along k
+	overlap int64 // p.faceOverlap's c
+	face    [2]face
+	ups     []*face         // the faces that have a rank upstream
+	downs   []*face         // ... downstream
+	blk     stencil.Block3D // the kernel's block fast path; nil when it offers only Eval
+	pt      ilmath.Vec      // the one vector handed to Eval and Boundary: neither keeps it
+}
+
+func newRun(c mp.Comm, p problem, l *Local) *run {
+	r := &run{p: p, c: c, l: l, tiles: p.tiles(), pt: ilmath.NewVec(len(p.axis))}
+	r.overlap, _ = p.faceOverlap() // validate has seen the error
+	r.blk, _ = p.kernel.(stencil.Block3D)
+	coord := [2]int64{int64(l.Rank) / p.procs[1], int64(l.Rank) % p.procs[1]}
+	step := [2]int{int(p.procs[1]), 1} // rank distance to the next column along i, j
+	ext, stride := [2]int64{l.TI, l.TJ}, [2]int64{(l.TJ + 1) * (l.K + 1), l.K + 1}
+	for dir := range r.face {
+		f := &r.face[dir]
+		f.dir, f.up, f.down = dir, -1, -1
+		f.rows, f.rowStride = ext[1-dir], stride[1-dir]
+		f.ghost, f.own = l.idx(0, 0, 0)-stride[dir], l.idx(0, 0, 0)+(ext[dir]-1)*stride[dir]
+		n := 8 * f.rows * (p.v + r.overlap)
+		if coord[dir] < p.procs[dir]-1 {
+			f.down, f.send = l.Rank+step[dir], make([]byte, n)
+			r.downs = append(r.downs, f)
 		}
-		if r.hasNorth() {
-			r.recvNorth[s] = make([]byte, 8*l.TI*cfg.V)
+		if coord[dir] > 0 {
+			f.up, f.recv[0] = l.Rank-step[dir], make([]byte, n)
+			if p.mode == Overlapped {
+				f.recv[1] = make([]byte, n)
+			}
+			r.ups = append(r.ups, f)
 		}
 	}
 	return r
 }
 
-func (r *run) westRank() int  { return int((r.l.PIdx-1)*r.cfg.Grid.PJ + r.l.PJdx) }
-func (r *run) eastRank() int  { return int((r.l.PIdx+1)*r.cfg.Grid.PJ + r.l.PJdx) }
-func (r *run) northRank() int { return int(r.l.PIdx*r.cfg.Grid.PJ + r.l.PJdx - 1) }
-func (r *run) southRank() int { return int(r.l.PIdx*r.cfg.Grid.PJ + r.l.PJdx + 1) }
-
-func (r *run) hasWest() bool  { return r.l.PIdx > 0 }
-func (r *run) hasEast() bool  { return r.l.PIdx < r.cfg.Grid.PI-1 }
-func (r *run) hasNorth() bool { return r.l.PJdx > 0 }
-func (r *run) hasSouth() bool { return r.l.PJdx < r.cfg.Grid.PJ-1 }
-
 // tileRange returns [k0, k0+v) for k-tile t.
 func (r *run) tileRange(t int64) (k0, v int64) {
-	k0 = t * r.cfg.V
-	v = r.cfg.V
-	if k0+v > r.cfg.Grid.K {
-		v = r.cfg.Grid.K - k0
-	}
-	return k0, v
+	k0 = t * r.p.v
+	return k0, min(r.p.v, r.l.K-k0)
 }
 
-func (r *run) numTiles() int64 { return r.cfg.Grid.KTiles(r.cfg.V) }
+// point writes the kernel-space coordinates of local (li, lj, k) into r.pt.
+func (r *run) point(li, lj, k int64) ilmath.Vec {
+	at := [3]int64{r.l.BaseI + li, r.l.BaseJ + lj, k}
+	for x, a := range r.p.axis {
+		r.pt[x] = at[a]
+	}
+	return r.pt
+}
 
 // fillBoundaryGhosts turns the boundary from control flow into data: every
 // point outside the iteration space that a local point reads gets its
-// cfg.Boundary value stored in the ghost layer once, so the tile loop reads
-// all three predecessors from Data without asking where it is. (Ghost
-// planes that face a neighbour rank are filled tile by tile from the faces
-// it sends.)
+// Boundary value stored in the ghost layer once, so the tile loop reads all
+// its predecessors from Data without asking where it is. (Ghost planes that
+// face a neighbour rank are filled tile by tile from the faces it sends.)
 func (r *run) fillBoundaryGhosts() {
-	l, b := r.l, r.cfg.Boundary
-	q := ilmath.NewVec(3) // one vector for every call: a Boundary does not retain its argument
-	q[2] = -1
+	l, b, c := r.l, r.p.boundary, r.overlap
+	kx := slices.Index(r.p.axis, 2) // the component of a point that runs along k
 	for li := int64(0); li < l.TI; li++ {
 		for lj := int64(0); lj < l.TJ; lj++ {
-			q[0], q[1] = l.BaseI+li, l.BaseJ+lj
-			l.set(li, lj, -1, b(q))
+			l.Data[l.idx(li, lj, -1)] = b(r.point(li, lj, -1))
 		}
 	}
-	if !r.hasWest() {
-		q[0] = -1
-		for lj := int64(0); lj < l.TJ; lj++ {
-			q[1] = l.BaseJ + lj
-			for k, row := int64(0), l.row(-1, lj, 0, l.K); k < l.K; k++ {
-				q[2] = k
-				row[k] = b(q)
-			}
+	for dir := range r.face {
+		f := &r.face[dir]
+		if f.up >= 0 || dir == dirWest && l.gi == 0 { // a neighbour fills it, or there is no such plane
+			continue
 		}
-	}
-	if !r.hasNorth() {
-		q[1] = -1
-		for li := int64(0); li < l.TI; li++ {
-			q[0] = l.BaseI + li
-			for k, row := int64(0), l.row(li, -1, 0, l.K); k < l.K; k++ {
-				q[2] = k
-				row[k] = b(q)
+		for n := int64(0); n < f.rows; n++ {
+			at := [2]int64{n, n}
+			at[dir] = -1
+			q, row := r.point(at[0], at[1], 0), l.Data[f.ghost+n*f.rowStride-c:][:l.K+c]
+			for i := range row {
+				q[kx] = int64(i) - c
+				row[i] = b(q)
 			}
 		}
 	}
 }
 
-// packEastFace packs this rank's own east-most i-plane (li = TI−1) of the
-// given k range, one k-row at a time; it is the ghost plane the east
-// neighbor needs.
-func (r *run) packEastFace(k0, v int64) []byte {
-	buf := r.sendEast[:8*r.l.TJ*v]
-	for lj := int64(0); lj < r.l.TJ; lj++ {
-		putF64s(buf[8*lj*v:], r.l.row(r.l.TI-1, lj, k0, v))
+// faceBytes is the size of f's message for a tile of height v.
+func (r *run) faceBytes(f *face, v int64) int64 { return 8 * f.rows * (v + r.overlap) }
+
+// packFace packs, for the rank downstream, this rank's own last plane over
+// the k range [k0−c, k0+v), one k-row at a time: the ghost plane that rank's
+// tile [k0, k0+v) reads. The c rows below the tile are the previous tile's
+// (at k0 = 0, the k = −1 boundary ghost — the very point the receiver's
+// corner stands for).
+func (r *run) packFace(f *face, k0, v int64) []byte {
+	w, buf := v+r.overlap, f.send[:r.faceBytes(f, v)]
+	for n := int64(0); n < f.rows; n++ {
+		putF64s(buf[8*n*w:], r.l.Data[f.own+n*f.rowStride+k0-r.overlap:][:w])
 	}
 	return buf
 }
 
-// packSouthFace packs the south-most j-plane (lj = TJ−1) for the south
-// neighbor.
-func (r *run) packSouthFace(k0, v int64) []byte {
-	buf := r.sendSouth[:8*r.l.TI*v]
-	for li := int64(0); li < r.l.TI; li++ {
-		putF64s(buf[8*li*v:], r.l.row(li, r.l.TJ-1, k0, v))
+// unpackFace stores a received face into f's ghost plane.
+func (r *run) unpackFace(f *face, buf []byte, k0, v int64) {
+	w := v + r.overlap
+	for n := int64(0); n < f.rows; n++ {
+		getF64s(r.l.Data[f.ghost+n*f.rowStride+k0-r.overlap:][:w], buf[8*n*w:])
 	}
-	return buf
-}
-
-// unpackWestGhost stores a received west ghost plane into the li = −1 layer.
-func (r *run) unpackWestGhost(buf []byte, k0, v int64) {
-	for lj := int64(0); lj < r.l.TJ; lj++ {
-		getF64s(r.l.row(-1, lj, k0, v), buf[8*lj*v:])
-	}
-}
-
-// unpackNorthGhost stores a received north ghost plane into the lj = −1
-// layer.
-func (r *run) unpackNorthGhost(buf []byte, k0, v int64) {
-	for li := int64(0); li < r.l.TI; li++ {
-		getF64s(r.l.row(li, -1, k0, v), buf[8*li*v:])
-	}
+	r.stats.MsgsRecvd++
 }
 
 // computeTile evaluates the kernel over the local tile [k0, k0+v). The
-// block path sweeps li → lj → k, k innermost, so the three operand rows
-// are contiguous and the working set is three rows of v values; the
-// generic path calls Eval once per point.
+// block path sweeps li → lj → k, k innermost, so the operand rows are
+// contiguous and the working set is a few rows of v values; the generic
+// path calls Eval once per point.
 func (r *run) computeTile(k0, v int64) {
 	l := r.l
+	strides := [3]int64{(l.TJ + 1) * (l.K + 1), l.K + 1, 1}
 	if r.blk != nil {
-		sj := l.K + 1
-		r.blk.SweepBlock(l.Data, int(l.idx(0, 0, k0)), int(l.TI), int(l.TJ), int(v), int((l.TJ+1)*sj), int(sj))
+		r.blk.SweepBlock(l.Data, int(l.idx(0, 0, k0)), int(l.TI), int(l.TJ), int(v), int(strides[0]), int(strides[1]))
 	} else {
-		get := func(q ilmath.Vec) float64 { return l.At(q[0]-l.BaseI, q[1]-l.BaseJ, q[2]) }
+		origin := l.idx(-l.BaseI, -l.BaseJ, 0)
+		get := func(q ilmath.Vec) float64 { // the inverse of point
+			o := origin
+			for x, a := range r.p.axis {
+				o += q[x] * strides[a]
+			}
+			return l.Data[o]
+		}
 		for k := k0; k < k0+v; k++ {
 			for li := int64(0); li < l.TI; li++ {
 				for lj := int64(0); lj < l.TJ; lj++ {
-					j := ilmath.V(l.BaseI+li, l.BaseJ+lj, k)
-					l.set(li, lj, k, r.cfg.Kernel.Eval(j, get))
+					l.Data[l.idx(li, lj, k)] = r.p.kernel.Eval(r.point(li, lj, k), get)
 				}
 			}
 		}
@@ -347,182 +472,166 @@ func (r *run) computeTile(k0, v int64) {
 
 // runBlocking is ProcB: for each tile, blocking receives, compute, blocking
 // sends.
-func (r *run) runBlocking() error {
-	for t := int64(0); t < r.numTiles(); t++ {
+func (r *run) runBlocking(start int64) error {
+	for t := start; t < r.tiles; t++ {
 		k0, v := r.tileRange(t)
-		if r.hasWest() {
-			buf := r.recvWest[0][:8*r.l.TJ*v]
-			if _, err := r.c.Recv(r.westRank(), tileTag(t, dirWest), buf); err != nil {
+		for _, f := range r.ups {
+			buf := f.recv[0][:r.faceBytes(f, v)]
+			if _, err := r.c.Recv(f.up, tileTag(t, f.dir), buf); err != nil {
 				return err
 			}
-			r.unpackWestGhost(buf, k0, v)
-			r.stats.MsgsRecvd++
-		}
-		if r.hasNorth() {
-			buf := r.recvNorth[0][:8*r.l.TI*v]
-			if _, err := r.c.Recv(r.northRank(), tileTag(t, dirNorth), buf); err != nil {
-				return err
-			}
-			r.unpackNorthGhost(buf, k0, v)
-			r.stats.MsgsRecvd++
+			r.unpackFace(f, buf, k0, v)
 		}
 		r.computeTile(k0, v)
-		if r.hasEast() {
-			buf := r.packEastFace(k0, v)
-			if err := r.c.Send(r.eastRank(), tileTag(t, dirWest), buf); err != nil {
+		for _, f := range r.downs {
+			buf := r.packFace(f, k0, v)
+			if err := r.c.Send(f.down, tileTag(t, f.dir), buf); err != nil {
 				return err
 			}
-			r.stats.MsgsSent++
-			r.stats.BytesSent += int64(len(buf))
+			r.sent(buf)
 		}
-		if r.hasSouth() {
-			buf := r.packSouthFace(k0, v)
-			if err := r.c.Send(r.southRank(), tileTag(t, dirNorth), buf); err != nil {
-				return err
-			}
-			r.stats.MsgsSent++
-			r.stats.BytesSent += int64(len(buf))
+		if err := r.maybeCheckpoint(t); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // postGhostRecvs posts the non-blocking receives of tile t's ghost planes
-// into receive set t&1; a nil request means no neighbour on that side.
-func (r *run) postGhostRecvs(t int64) (west, north mp.Request, err error) {
+// into receive buffers t&1.
+func (r *run) postGhostRecvs(t int64) (err error) {
 	_, v := r.tileRange(t)
-	if r.hasWest() {
-		west, err = r.c.Irecv(r.westRank(), tileTag(t, dirWest), r.recvWest[t&1][:8*r.l.TJ*v])
-		if err != nil {
-			return nil, nil, err
+	for _, f := range r.ups {
+		if f.recvReq[t&1], err = r.c.Irecv(f.up, tileTag(t, f.dir), f.recv[t&1][:r.faceBytes(f, v)]); err != nil {
+			return err
 		}
 	}
-	if r.hasNorth() {
-		north, err = r.c.Irecv(r.northRank(), tileTag(t, dirNorth), r.recvNorth[t&1][:8*r.l.TI*v])
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return west, north, nil
+	return nil
 }
 
-// sendFaces starts the non-blocking sends of the faces tile t produced. The
-// returned slice aliases r.sendReqs and is valid until the next call.
-func (r *run) sendFaces(t int64) ([]mp.Request, error) {
+// sendFaces starts the non-blocking sends of the faces tile t produced;
+// waitSends completes them.
+func (r *run) sendFaces(t int64) (err error) {
 	k0, v := r.tileRange(t)
-	reqs := r.sendReqs[:0]
-	if r.hasEast() {
-		buf := r.packEastFace(k0, v)
-		req, err := r.c.Isend(r.eastRank(), tileTag(t, dirWest), buf)
-		if err != nil {
-			return nil, err
+	for _, f := range r.downs {
+		buf := r.packFace(f, k0, v)
+		if f.sendReq, err = r.c.Isend(f.down, tileTag(t, f.dir), buf); err != nil {
+			return err
 		}
-		reqs = append(reqs, req)
-		r.stats.MsgsSent++
-		r.stats.BytesSent += int64(len(buf))
+		r.sent(buf)
 	}
-	if r.hasSouth() {
-		buf := r.packSouthFace(k0, v)
-		req, err := r.c.Isend(r.southRank(), tileTag(t, dirNorth), buf)
-		if err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, req)
-		r.stats.MsgsSent++
-		r.stats.BytesSent += int64(len(buf))
-	}
-	return reqs, nil
+	return nil
+}
+
+func (r *run) waitSends() error { return mp.WaitAll(r.face[0].sendReq, r.face[1].sendReq) }
+
+func (r *run) sent(buf []byte) {
+	r.stats.MsgsSent++
+	r.stats.BytesSent += int64(len(buf))
 }
 
 // runOverlapped is ProcNB: at tile t the rank sends the faces produced by
 // tile t−1, has receives posted ahead for tile t+1, and computes tile t in
 // between, exactly as the paper's non-blocking pseudocode.
-func (r *run) runOverlapped() error {
-	// Prologue: pre-post the receives for tile 0.
-	curWest, curNorth, err := r.postGhostRecvs(0)
-	if err != nil {
+//
+// The restart rule: a snapshot is taken after tile t's compute, when this
+// rank has shipped the faces of tiles < t and unpacked the ghosts of tiles
+// ≤ t. So on a run restored at tile start, tile start−1's face was consumed
+// before the neighbour's snapshot — its ghosts are in the neighbour's Data —
+// and the first face sent is tile start's, one iteration later.
+func (r *run) runOverlapped(start int64) error {
+	// Prologue: pre-post the receives for the first tile.
+	if err := r.postGhostRecvs(start); err != nil {
 		return err
 	}
-	n := r.numTiles()
-	for t := int64(0); t < n; t++ {
+	for t := start; t < r.tiles; t++ {
 		k0, v := r.tileRange(t)
 		// Non-blocking sends of the previous tile's results.
-		var sendReqs []mp.Request
-		if t > 0 {
-			if sendReqs, err = r.sendFaces(t - 1); err != nil {
+		if t > start {
+			if err := r.sendFaces(t - 1); err != nil {
 				return err
 			}
 		}
 		// Post receives for the next tile.
-		var nextWest, nextNorth mp.Request
-		if t+1 < n {
-			if nextWest, nextNorth, err = r.postGhostRecvs(t + 1); err != nil {
+		if t+1 < r.tiles {
+			if err := r.postGhostRecvs(t + 1); err != nil {
 				return err
 			}
 		}
 		// Wait for this tile's ghosts, then compute.
-		if curWest != nil {
-			if _, err := curWest.Wait(); err != nil {
+		for _, f := range r.ups {
+			if _, err := f.recvReq[t&1].Wait(); err != nil {
 				return err
 			}
-			r.unpackWestGhost(r.recvWest[t&1], k0, v)
-			r.stats.MsgsRecvd++
-		}
-		if curNorth != nil {
-			if _, err := curNorth.Wait(); err != nil {
-				return err
-			}
-			r.unpackNorthGhost(r.recvNorth[t&1], k0, v)
-			r.stats.MsgsRecvd++
+			r.unpackFace(f, f.recv[t&1], k0, v)
 		}
 		r.computeTile(k0, v)
-		if err := mp.WaitAll(sendReqs...); err != nil {
+		if err := r.waitSends(); err != nil {
 			return err
 		}
-		curWest, curNorth = nextWest, nextNorth
+		if err := r.maybeCheckpoint(t); err != nil {
+			return err
+		}
 	}
 	// Epilogue: ship the last tile's faces.
-	reqs, err := r.sendFaces(n - 1)
-	if err != nil {
+	if err := r.sendFaces(r.tiles - 1); err != nil {
 		return err
 	}
-	return mp.WaitAll(reqs...)
+	return r.waitSends()
 }
 
 // Gather assembles the full grid on rank 0 via the mp gather collective
-// (other ranks return nil). Rows along k are contiguous in Local.Data, in
-// the gathered block and in stencil.Grid.Data, so they move whole.
+// (other ranks return nil).
 func Gather(c mp.Comm, cfg Config, l *Local) (*stencil.Grid, error) {
-	g := cfg.Grid
-	blockLen := int(8 * l.TI * l.TJ * l.K)
-	block := make([]byte, blockLen)
+	return cfg.problem().gather(c, l)
+}
+
+// Gather2D is Gather for the Example 1 shape.
+func Gather2D(c mp.Comm, cfg Config2D, l *Local) (*stencil.Grid, error) {
+	return cfg.problem(c.Size()).gather(c, l)
+}
+
+// gather ships every rank's owned k-rows, which are contiguous in Data, and
+// scatters them into the kernel-space grid on rank 0, where consecutive k
+// are a fixed stride apart (1 when k is the kernel's last dimension).
+func (p problem) gather(c mp.Comm, l *Local) (*stencil.Grid, error) {
+	block := make([]byte, 8*l.TI*l.TJ*l.K)
 	o := int64(0)
 	for li := int64(0); li < l.TI; li++ {
 		for lj := int64(0); lj < l.TJ; lj++ {
-			putF64s(block[o:], l.row(li, lj, 0, l.K))
+			putF64s(block[o:], l.Data[l.idx(li, lj, 0):][:l.K])
 			o += 8 * l.K
 		}
 	}
-	blocks, err := mp.GatherBytesSized(c, 0, block, blockLen)
-	if err != nil {
+	blocks, err := mp.GatherBytes(c, 0, block)
+	if err != nil || c.Rank() != 0 {
 		return nil, err
 	}
-	if c.Rank() != 0 {
-		return nil, nil
+	// The grid is row-major over the kernel's dimensions, each as long as
+	// the local axis it runs along.
+	dims := make([]int64, len(p.axis))
+	var strides [3]int64 // grid stride by local axis
+	for x, n := len(p.axis)-1, int64(1); x >= 0; x-- {
+		dims[x], strides[p.axis[x]] = p.space[p.axis[x]], n
+		n *= dims[x]
 	}
-	sp, err := space.Rect(g.I, g.J, g.K)
+	sp, err := space.Rect(dims...)
 	if err != nil {
 		return nil, err
 	}
 	out := stencil.NewGrid(sp)
 	for rank, buf := range blocks {
-		pi, pj := int64(rank)/g.PJ, int64(rank)%g.PJ
-		o := int64(0)
-		for li := int64(0); li < l.TI; li++ {
-			for lj := int64(0); lj < l.TJ; lj++ {
-				at := ((pi*l.TI+li)*g.J + pj*l.TJ + lj) * g.K
-				getF64s(out.Data[at:at+g.K], buf[o:])
-				o += 8 * g.K
+		g := p.geometry(rank)
+		if int64(len(buf)) != 8*g.TI*g.TJ*g.K {
+			return nil, fmt.Errorf("runner: gather: %d bytes from rank %d, whose box is %d×%d×%d", len(buf), rank, g.TI, g.TJ, g.K)
+		}
+		for li := int64(0); li < g.TI; li++ {
+			for lj := int64(0); lj < g.TJ; lj++ {
+				at := (g.BaseI+li)*strides[0] + (g.BaseJ+lj)*strides[1]
+				for k := int64(0); k < g.K; k++ {
+					out.Data[at+k*strides[2]] = math.Float64frombits(binary.BigEndian.Uint64(buf))
+					buf = buf[8:]
+				}
 			}
 		}
 	}
@@ -532,15 +641,16 @@ func Gather(c mp.Comm, cfg Config, l *Local) (*stencil.Grid, error) {
 // VerifySequential runs the kernel sequentially over the full space and
 // returns the maximum absolute difference against the gathered grid.
 func VerifySequential(g *stencil.Grid, cfg Config) (float64, error) {
-	sp, err := space.Rect(cfg.Grid.I, cfg.Grid.J, cfg.Grid.K)
-	if err != nil {
-		return 0, err
-	}
-	ref, err := stencil.RunSequential(sp, cfg.Kernel, cfg.Boundary)
+	ref, err := stencil.RunSequential(g.Space, cfg.Kernel, cfg.Boundary)
 	if err != nil {
 		return 0, err
 	}
 	return stencil.MaxAbsDiff(g, ref)
+}
+
+// VerifySequential2D is VerifySequential for the Example 1 shape.
+func VerifySequential2D(g *stencil.Grid, cfg Config2D) (float64, error) {
+	return VerifySequential(g, Config{Kernel: cfg.Kernel, Boundary: cfg.Boundary})
 }
 
 // putF64s writes src to dst as big-endian IEEE-754 doubles, the wire and

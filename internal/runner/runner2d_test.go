@@ -40,6 +40,16 @@ func runAll2D(t *testing.T, n int, cfg Config2D) (*stencil.Grid, []Stats) {
 	return grid, stats
 }
 
+// runAll2DGrid is runAll2D for callers that only want the grid.
+func runAll2DGrid(t *testing.T, n int, cfg Config2D) *stencil.Grid {
+	t.Helper()
+	grid, _ := runAll2D(t, n, cfg)
+	return grid
+}
+
+// tiles2D is the number of tiles each rank of cfg executes.
+func tiles2D(cfg Config2D) int64 { return cfg.problem(1).tiles() }
+
 func base2D(mode Mode) Config2D {
 	return Config2D{I1: 60, I2: 40, S1: 10, Kernel: stencil.Sum2D{}, Mode: mode}
 }

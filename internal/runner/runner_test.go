@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/deps"
+	"repro/internal/ilmath"
 	"repro/internal/model"
 	"repro/internal/mp"
 	"repro/internal/stencil"
@@ -88,6 +90,62 @@ func TestValidate(t *testing.T) {
 	}
 	w, _ := stencil.NewWeighted("diag", stencil.Sum2D{}.Deps(), []float64{1, 1, 1}, false)
 	_ = w // 2-D kernel covered above; diagonal 3-D below
+}
+
+// TestValidateBoundsTileCount: tile tags are 2t+dir and must stay below
+// mp.UserTagLimit, where the collectives' reserved tags begin; one tile more
+// than fits is rejected by both front doors.
+func TestValidateBoundsTileCount(t *testing.T) {
+	const most = mp.UserTagLimit / 2
+	cfg := Config{Grid: model.Grid3D{I: 1, J: 1, K: most, PI: 1, PJ: 1}, V: 1, Kernel: stencil.Sqrt3D{}}
+	cfg2 := Config2D{I1: most, I2: 1, S1: 1, Kernel: stencil.Sum2D{}}
+	if err := cfg.Validate(1); err != nil {
+		t.Errorf("3-D: %d tiles rejected: %v", most, err)
+	}
+	if err := cfg2.Validate(1); err != nil {
+		t.Errorf("2-D: %d tiles rejected: %v", most, err)
+	}
+	if got := tileTag(most-1, dirNorth); got != mp.UserTagLimit-1 {
+		t.Errorf("last tile's tag = %d, want the last user tag %d", got, mp.UserTagLimit-1)
+	}
+	cfg.Grid.K++
+	cfg2.I1++
+	if cfg.Validate(1) == nil || cfg2.Validate(1) == nil {
+		t.Errorf("%d tiles accepted: tags would reach mp's collective range", most+1)
+	}
+}
+
+// TestDependenceRule: what the ghost exchange carries is a rule over the
+// dependence set, not a list per shape. A dependence may cross to one
+// neighbour and step along k at once — the faces then carry the row below the
+// tile, as Example 1's do — but not cross both i and j, whose common edge no
+// face holds.
+func TestDependenceRule(t *testing.T) {
+	d := deps.MustNewSet(ilmath.V(1, 0, 0), ilmath.V(0, 1, 0), ilmath.V(0, 0, 1), ilmath.V(1, 0, 1), ilmath.V(0, 1, 1))
+	w, err := stencil.NewWeighted("skew3", d, []float64{0.25, 0.5, 0.125, 0.0625, 0.03125}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{Blocking, Overlapped} {
+		cfg := Config{Grid: model.Grid3D{I: 4, J: 6, K: 11, PI: 2, PJ: 2}, V: 3, Kernel: w, Boundary: positionBoundary, Mode: mode}
+		grid, stats := runAll(t, cfg)
+		if diff, err := VerifySequential(grid, cfg); err != nil || diff != 0 {
+			t.Errorf("%v: skewed 3-D dependences differ from sequential by %g (%v)", mode, diff, err)
+		}
+		// Rank 0 sends two faces per tile, each one row taller than the tile.
+		if want := int64(8*(2*(3+1)+3*(3+1))*3 + 8*(2*(2+1)+3*(2+1))); stats[0].BytesSent != want {
+			t.Errorf("%v: rank 0 sent %d bytes, want %d", mode, stats[0].BytesSent, want)
+		}
+	}
+	edge, err := stencil.NewWeighted("edge", deps.MustNewSet(ilmath.V(1, 1, 0), ilmath.V(0, 0, 1)), []float64{1, 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(Blocking)
+	cfg.Kernel = edge
+	if cfg.Validate(4) == nil {
+		t.Error("a dependence across both i and j accepted")
+	}
 }
 
 func TestBlockingMatchesSequential(t *testing.T) {

@@ -52,20 +52,20 @@ func (Sqrt3D) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
 		math.Sqrt(get(ilmath.V(j[0], j[1], j[2]-1)))
 }
 
-// Block3D is an optional fast path a Kernel may offer when its dependence
-// set is exactly the three unit vectors (1,0,0), (0,1,0), (0,0,1). An
-// executor that stores its subdomain densely, k-contiguous, with the
-// predecessors of every boundary point present as ghost data, asks for a
-// whole box at a time instead of one Eval per point. A type that merely
-// embeds a Kernel does not inherit the method, so decorators fall back to
-// Eval.
+// Block3D is an optional fast path a Kernel may offer to an executor that
+// stores its subdomain densely, k-contiguous, with the predecessors of every
+// boundary point present as ghost data: it asks for a whole box at a time
+// instead of one Eval per point. A type that merely embeds a Kernel does not
+// inherit the method, so decorators fall back to Eval.
 type Block3D interface {
-	// SweepBlock evaluates the kernel, in lexicographic order, over the box
-	// of ni×nj×nk points whose point (i, j, k) lives at
-	// a[base + i·si + j·sj + k]. The predecessors sit at offsets −si, −sj
-	// and −1, and every one of them a box point reads must be addressable:
-	// the planes i = −1, j = −1 and k = −1 hold ghost values. Each result
-	// equals what Eval returns for the same point, bit for bit.
+	// SweepBlock evaluates the kernel over the box of ni×nj×nk points whose
+	// point (i, j, k) lives at a[base + i·si + j·sj + k], in an order that
+	// honours the dependences. The predecessor for dependence d sits at
+	// offset −(d·strides), the strides being (si, sj, 1) for a 3-D kernel
+	// and (1, sj) for a 2-D one, whose dimension 0 runs along k (ni = 1).
+	// The ghost shell the dependence set reaches from the box is
+	// addressable. Each result equals what Eval returns for the same point,
+	// bit for bit.
 	SweepBlock(a []float64, base, ni, nj, nk, si, sj int)
 }
 
@@ -103,6 +103,24 @@ func (Sum2D) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
 	return get(ilmath.V(j[0]-1, j[1]-1)) +
 		get(ilmath.V(j[0]-1, j[1])) +
 		get(ilmath.V(j[0], j[1]-1))
+}
+
+// SweepBlock implements Block3D. A column (fixed i2) is swept along i1 with
+// the column to its left as the other operand row; the sum is formed left to
+// right exactly as in Eval (diagonal, i1−1, then i2−1).
+func (Sum2D) SweepBlock(a []float64, base, ni, nj, nk, si, sj int) {
+	for i := 0; i < ni; i++ {
+		for j := 0; j < nj; j++ {
+			o := base + i*si + j*sj
+			row := a[o : o+nk]
+			left := a[o-sj-1:][:len(row)+1] // left[k] is the diagonal predecessor of row[k], left[k+1] the one beside it
+			prev := a[o-1]
+			for k := range row {
+				prev = left[k] + prev + left[k+1]
+				row[k] = prev
+			}
+		}
+	}
 }
 
 // Weighted is a generic uniform-dependence kernel: a weighted sum over the

@@ -179,18 +179,40 @@ func TestBoundaryInfluence(t *testing.T) {
 // The box is embedded with slack on every side (and poisoned with NaN
 // outside the ghost planes) so a stray read or write shows.
 func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
-	const ni, nj, nk = 3, 4, 5
+	sweepBlockMatchesEval(t, Sqrt3D{}, 3,
+		func(i, j, k int) ilmath.Vec { return ilmath.V(int64(i), int64(j), int64(k)) },
+		func(q ilmath.Vec) (i, j, k int) { return int(q[0]), int(q[1]), int(q[2]) })
+}
+
+// TestSum2DSweepBlockMatchesEval is the same for the 2-D kernel, swept the
+// way its contract says: one i-row, dimension 0 along k, dimension 1 along j.
+// Its ghost shell is the j = −1 column and the k = −1 row, corner included
+// (the diagonal dependence reads it); the i = −1 plane stays poisoned.
+func TestSum2DSweepBlockMatchesEval(t *testing.T) {
+	sweepBlockMatchesEval(t, Sum2D{}, 1,
+		func(i, j, k int) ilmath.Vec { return ilmath.V(int64(k), int64(j)) },
+		func(q ilmath.Vec) (i, j, k int) { return 0, int(q[1]), int(q[0]) })
+}
+
+// sweepBlockMatchesEval checks kern's SweepBlock against its Eval on an
+// ni×4×5 box; vec and its inverse say which kernel-space point a box point is.
+func sweepBlockMatchesEval(t *testing.T, kern Kernel, ni int, vec func(i, j, k int) ilmath.Vec, unvec func(ilmath.Vec) (i, j, k int)) {
+	const nj, nk = 4, 5
 	const sj = nk + 3        // k-row pitch, wider than the box
 	const si = (nj + 2) * sj // i-plane pitch
 	const base = si + sj + 2 // where point (0,0,0) lives
 	at := func(i, j, k int) int { return base + i*si + j*sj + k }
 	boundary := func(i, j, k int) float64 { return 1 + float64(i+1) + 0.25*float64(j+1) + 0.0625*float64(k+1) }
+	lowI := -1
+	if kern.Deps().Dim() == 2 {
+		lowI = 0 // nothing of a 2-D kernel's reaches across i
+	}
 
 	a := make([]float64, base+ni*si)
 	for x := range a {
 		a[x] = math.NaN()
 	}
-	for i := -1; i < ni; i++ {
+	for i := lowI; i < ni; i++ {
 		for j := -1; j < nj; j++ {
 			for k := -1; k < nk; k++ {
 				if i < 0 || j < 0 || k < 0 {
@@ -200,16 +222,19 @@ func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
 		}
 	}
 	want := append([]float64(nil), a...)
-	get := func(q ilmath.Vec) float64 { return want[at(int(q[0]), int(q[1]), int(q[2]))] }
+	get := func(q ilmath.Vec) float64 { return want[at(unvec(q))] }
 	for i := 0; i < ni; i++ {
 		for j := 0; j < nj; j++ {
 			for k := 0; k < nk; k++ {
-				want[at(i, j, k)] = Sqrt3D{}.Eval(ilmath.V(int64(i), int64(j), int64(k)), get)
+				want[at(i, j, k)] = kern.Eval(vec(i, j, k), get)
 			}
 		}
 	}
 
-	var blk Block3D = Sqrt3D{}
+	blk, ok := kern.(Block3D)
+	if !ok {
+		t.Fatalf("%s does not offer the block path", kern.Name())
+	}
 	blk.SweepBlock(a, base, ni, nj, nk, si, sj)
 	for x := range a {
 		if math.Float64bits(a[x]) != math.Float64bits(want[x]) {
