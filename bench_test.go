@@ -13,6 +13,7 @@ package repro
 
 import (
 	"flag"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -465,6 +466,73 @@ func BenchmarkRunner2D(b *testing.B) {
 	b.ReportMetric(perTile, "allocs/tile")
 	if perTile > runnerAllocsPerTile {
 		b.Errorf("%.1f allocations per tile exceed the budget of %d: the 2-D tile loop allocates again", perTile, runnerAllocsPerTile)
+	}
+}
+
+// gatherAllocRatio caps the bytes runner.Gather allocates per byte of grid
+// it assembles: the grid itself, two chunk buffers on each side and the
+// transport's per-message bookkeeping. Measured 1.06 on the coarse geometry;
+// a gather that went back to box-sized buffers allocates 3 or more.
+const gatherAllocRatio = 1.1
+
+// BenchmarkGather measures the gather that follows every run on the
+// benchmark's node3d-coarse geometry (bench/README.md): 64×64×2048 on 2×1
+// in-process ranks, V = 128, one Run, then one Gather on both ranks per
+// iteration. It reports the rate at which rank 0 receives the grid and the
+// bytes allocated per byte gathered, gated at gatherAllocRatio.
+func BenchmarkGather(b *testing.B) {
+	cfg := runner.Config{
+		Grid:   model.Grid3D{I: 64, J: 64, K: 2048, PI: 2, PJ: 1},
+		V:      128,
+		Kernel: stencil.Sqrt3D{},
+		Mode:   runner.Overlapped,
+	}
+	gridBytes := 8 * cfg.Grid.I * cfg.Grid.J * cfg.Grid.K
+	w, comms, err := mp.NewWorld(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	var locals [2]*runner.Local
+	each := func(fn func(c mp.Comm) error) {
+		var wg sync.WaitGroup
+		errs := make([]error, len(comms))
+		for r, c := range comms {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[r] = fn(c)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	each(func(c mp.Comm) (err error) {
+		locals[c.Rank()], _, err = runner.Run(c, cfg)
+		return err
+	})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.SetBytes(gridBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		each(func(c mp.Comm) error {
+			_, err := runner.Gather(c, cfg, locals[c.Rank()])
+			return err
+		})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(gridBytes*int64(b.N))
+	b.ReportMetric(perByte, "alloc_B/B")
+	if perByte > gatherAllocRatio {
+		b.Errorf("the gather allocates %.2f bytes per byte gathered, over the budget of %.2f: a box-sized buffer is back",
+			perByte, gatherAllocRatio)
 	}
 }
 

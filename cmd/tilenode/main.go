@@ -5,8 +5,9 @@
 //	tilenode -rank 0 -addrs host0:9000,host1:9001,host2:9002,host3:9003 \
 //	         -space 8x8x1024 -procs 2x2 -v 64 -mode overlapped
 //
-// Rank 0 gathers the result, verifies it against a sequential run, and
-// prints the wall-clock comparison line.
+// Rank 0 gathers the result (every other rank streams its box to it in
+// chunks of at most 1 MiB, so a grid of any size gathers), verifies it
+// against a sequential run, and prints the wall-clock comparison line.
 //
 // For a single-machine demo, -spawn launches all ranks as goroutines over
 // loopback TCP sockets (separate sockets, same code path):
@@ -35,6 +36,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -238,11 +240,25 @@ func (k *slowKernel) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
 // writeGrid dumps a gathered grid as big-endian float64s — the format the
 // chaos test byte-compares across a killed-then-restored run.
 func writeGrid(path string, g *stencil.Grid) error {
-	buf := make([]byte, 8*len(g.Data))
-	for i, v := range g.Data {
-		binary.BigEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
 	}
-	return os.WriteFile(path, buf, 0o644)
+	w := bufio.NewWriterSize(f, 64<<10)
+	var enc [4 << 10]byte
+	for data := g.Data; len(data) > 0; {
+		n := min(len(data), len(enc)/8)
+		for i, v := range data[:n] {
+			binary.BigEndian.PutUint64(enc[8*i:], math.Float64bits(v))
+		}
+		w.Write(enc[:8*n]) // a failure sticks; Flush reports it
+		data = data[n:]
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // rankMain is one rank's whole life: run, record the checkpoint counters,

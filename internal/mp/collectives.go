@@ -134,56 +134,9 @@ func AllReduce(c Comm, in []float64, op ReduceOp) ([]float64, error) {
 	return unpackFloats(buf), nil
 }
 
-// GatherBytes collects every rank's block on root. On root the result has
-// Size() entries indexed by rank (including root's own block); on other
-// ranks it is nil. Blocks may have different lengths: each sender prefixes
-// its payload with a size message so the root can allocate exactly.
-func GatherBytes(c Comm, root int, block []byte) ([][]byte, error) {
-	size := c.Size()
-	if err := checkRank(root, size, "root"); err != nil {
-		return nil, err
-	}
-	if c.Rank() != root {
-		var hdr [8]byte
-		n := uint64(len(block))
-		for i := 0; i < 8; i++ {
-			hdr[i] = byte(n >> (56 - 8*i))
-		}
-		if err := c.Send(root, tagGather, hdr[:]); err != nil {
-			return nil, err
-		}
-		return nil, c.Send(root, tagGather, block)
-	}
-	out := make([][]byte, size)
-	out[root] = append([]byte(nil), block...)
-	for rank := 0; rank < size; rank++ {
-		if rank == root {
-			continue
-		}
-		var hdr [8]byte
-		if _, err := c.Recv(rank, tagGather, hdr[:]); err != nil {
-			return nil, err
-		}
-		var n uint64
-		for i := 0; i < 8; i++ {
-			n = n<<8 | uint64(hdr[i])
-		}
-		buf := make([]byte, n)
-		st, err := c.Recv(rank, tagGather, buf)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(st.Bytes) != n {
-			return nil, fmt.Errorf("mp: gather from rank %d: %d bytes, header said %d", rank, st.Bytes, n)
-		}
-		out[rank] = buf
-	}
-	return out, nil
-}
-
-// GatherBytesSized is GatherBytes for equal, known block sizes — the common
-// case (and the one runner uses). Every rank must pass a block of exactly
-// blockLen bytes.
+// GatherBytesSized collects every rank's block on root. On root the result
+// has Size() entries indexed by rank (including root's own block); on other
+// ranks it is nil. Every rank must pass a block of exactly blockLen bytes.
 func GatherBytesSized(c Comm, root int, block []byte, blockLen int) ([][]byte, error) {
 	if len(block) != blockLen {
 		return nil, fmt.Errorf("mp: block is %d bytes, want %d", len(block), blockLen)

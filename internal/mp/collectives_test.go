@@ -173,29 +173,6 @@ func TestGatherBytesSized(t *testing.T) {
 	}
 }
 
-func TestGatherBytesVariableSizes(t *testing.T) {
-	const n = 4
-	err := Launch(n, func(c Comm) error {
-		block := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()+1)
-		out, err := GatherBytes(c, 0, block)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 0 {
-			return nil
-		}
-		for r := 0; r < n; r++ {
-			if len(out[r]) != r+1 {
-				return fmt.Errorf("block %d has %d bytes, want %d", r, len(out[r]), r+1)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGatherSizedMismatch(t *testing.T) {
 	err := Launch(2, func(c Comm) error {
 		_, err := GatherBytesSized(c, 0, []byte{1, 2}, 3)

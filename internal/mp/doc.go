@@ -40,6 +40,15 @@
 // to that peer, Wait on any request to it, Barrier, and Close all return
 // that error.
 //
+// # Message size
+//
+// A TCP message carries at most 64 MiB (maxFrameLen): a longer Send or
+// Isend fails at once with an error naming the limit, nothing of it is
+// queued, and the connection goes on carrying later messages. The bound is
+// what lets a reader refuse a corrupt length header instead of allocating
+// it. The in-process transport has no limit. Code that ships data of any
+// size cuts it into bounded chunks, as runner's gather does.
+//
 // # Collective schedules
 //
 // The collectives come in pluggable schedules (CollectiveOpts): the

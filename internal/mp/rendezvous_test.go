@@ -162,7 +162,7 @@ func TestCollectivesUnderRendezvous(t *testing.T) {
 		if buf[0] != 7 {
 			return fmt.Errorf("bcast = %d", buf[0])
 		}
-		blocks, err := GatherBytes(c, 0, []byte{byte(c.Rank())})
+		blocks, err := GatherBytesSized(c, 0, []byte{byte(c.Rank())}, 1)
 		if err != nil {
 			return err
 		}

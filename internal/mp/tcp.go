@@ -598,7 +598,9 @@ func appendHeader(buf []byte, src, tag int, epoch uint32, n int) []byte {
 // latched per peer, so it surfaces on the next send after the writer hit
 // it, not on the send whose bytes were lost. urgent marks the control
 // frames that must never block (abort, heartbeat, goodbye): they may
-// overrun the bound by ctlHeadroom and are dropped beyond it.
+// overrun the bound by ctlHeadroom and are dropped beyond it. A payload over
+// maxFrameLen fails here, before anything is queued: the peer's reader
+// would reject the frame and stop reading the connection.
 func (c *tcpComm) send(dst, tag int, data []byte, urgent bool) error {
 	if c.closed.Load() {
 		return ErrClosed
@@ -607,10 +609,14 @@ func (c *tcpComm) send(dst, tag int, data []byte, urgent bool) error {
 	if pc == nil {
 		return fmt.Errorf("mp: no connection to rank %d", dst)
 	}
-	need := len(data) + frameHdrLen
+	n := len(data)
 	if tag < 0 {
-		need += 4 // the epoch prefix
+		n += 4 // the epoch prefix
 	}
+	if n > maxFrameLen {
+		return fmt.Errorf("mp: %d-byte message to rank %d exceeds the TCP frame limit of %d bytes (maxFrameLen)", len(data), dst, maxFrameLen)
+	}
+	need := n + frameHdrLen
 	pc.mu.Lock()
 	if !urgent && !pc.room(need) {
 		if err := pc.awaitRoom(c, need); err != nil {

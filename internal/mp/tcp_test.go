@@ -328,6 +328,44 @@ func TestTCPConnectCancel(t *testing.T) {
 	}
 }
 
+// TestTCPOversizeSendFails: a payload over maxFrameLen fails in Send and
+// Isend themselves, before a byte is queued (the peer's reader would reject
+// the frame and stop reading, and both ranks would block for good), and the
+// connection still carries the next message.
+func TestTCPOversizeSendFails(t *testing.T) {
+	huge := make([]byte, maxFrameLen+1)
+	err := launchTCP(t, 2, func(c Comm) error {
+		if c.Rank() == 1 {
+			buf := make([]byte, 16)
+			st, err := c.Recv(0, AnyTag, buf)
+			if err != nil {
+				return err
+			}
+			if st.Tag != 2 || string(buf[:st.Bytes]) != "after" {
+				return fmt.Errorf("first message: tag %d %q, want tag 2 %q", st.Tag, buf[:st.Bytes], "after")
+			}
+			return nil
+		}
+		tc := c.(*tcpComm)
+		if err := c.Send(1, 1, huge); err == nil || !strings.Contains(err.Error(), "maxFrameLen") {
+			return fmt.Errorf("Send of %d bytes: %v, want an error naming maxFrameLen", len(huge), err)
+		}
+		if _, err := c.Isend(1, 1, huge); err == nil || !strings.Contains(err.Error(), "maxFrameLen") {
+			return fmt.Errorf("Isend of %d bytes: %v, want an error naming maxFrameLen", len(huge), err)
+		}
+		if frames := tc.WriteStats()[0].Frames; frames != 0 {
+			return fmt.Errorf("%d frames queued by the failed sends, want 0", frames)
+		}
+		if err := c.Send(1, 2, []byte("after")); err != nil {
+			return fmt.Errorf("the send after the failed ones: %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTCPLargePayload(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	for i := range payload {

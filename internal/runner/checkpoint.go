@@ -194,14 +194,18 @@ func LatestCheckpoint(dir string, rank int) (nextTile int64, path string, err er
 	return t, CheckpointFile(dir, rank, t), nil
 }
 
-// writeCheckpoint snapshots r.l atomically (temp file + rename).
+// writeCheckpoint snapshots r.l atomically (temp file + rename). Every
+// snapshot of a run is the same size, so one buffer serves them all.
 func (r *run) writeCheckpoint(nextTile int64) (int64, error) {
 	dir, l := r.p.checkpoint.Dir, r.l
 	var hdr bytes.Buffer
 	if err := binary.Write(&hdr, binary.BigEndian, r.ckHeader(nextTile)); err != nil { // CRC filled in below
 		return 0, err
 	}
-	buf := make([]byte, ckHdrLen+8*len(l.Data))
+	if r.ckBuf == nil {
+		r.ckBuf = make([]byte, ckHdrLen+8*len(l.Data))
+	}
+	buf := r.ckBuf
 	copy(buf, hdr.Bytes())
 	putF64s(buf[ckHdrLen:], l.Data)
 	binary.BigEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(buf[12:]))

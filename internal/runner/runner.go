@@ -129,10 +129,11 @@ func (p problem) validate(commSize int) error {
 	if p.v <= 0 || p.v > p.space[2] {
 		return fmt.Errorf("runner: tile height %d out of range (0, %d]", p.v, p.space[2])
 	}
-	// Tile tags are 2t+dir; at mp.UserTagLimit the collectives' begin, and a
-	// face could match the restore AllReduce or the gather.
-	if 2*p.tiles() > mp.UserTagLimit {
-		return fmt.Errorf("runner: %d tiles per rank, tags allow %d", p.tiles(), mp.UserTagLimit/2)
+	// Tile tags are 2t+dir and must stay below gatherTag, the last user tag
+	// (past it the collectives' begin, and a face could match the restore
+	// AllReduce).
+	if 2*p.tiles() > gatherTag {
+		return fmt.Errorf("runner: %d tiles per rank, tags allow %d", p.tiles(), gatherTag/2)
 	}
 	if p.kernel == nil {
 		return fmt.Errorf("runner: nil kernel")
@@ -299,7 +300,8 @@ func (p problem) run(c mp.Comm) (*Local, Stats, error) {
 }
 
 // The two directions a face can travel; message tags are 2t+dir for tile t
-// (the restore agreement and the gather use mp's reserved collective tags).
+// (the restore agreement uses mp's reserved collective tags, the gather
+// gatherTag).
 const (
 	dirWest  = 0 // across i: ghosts arriving from (pi−1, pj)
 	dirNorth = 1 // across j: ghosts arriving from (pi, pj−1)
@@ -341,6 +343,7 @@ type run struct {
 	downs   []*face         // ... downstream
 	blk     stencil.Block3D // the kernel's block fast path; nil when it offers only Eval
 	pt      ilmath.Vec      // the one vector handed to Eval and Boundary: neither keeps it
+	ckBuf   []byte          // the snapshot buffer, made by the first checkpoint
 }
 
 func newRun(c mp.Comm, p problem, l *Local) *run {
@@ -580,8 +583,8 @@ func (r *run) runOverlapped(start int64) error {
 	return r.waitSends()
 }
 
-// Gather assembles the full grid on rank 0 via the mp gather collective
-// (other ranks return nil).
+// Gather assembles the full grid on rank 0 (other ranks return nil). Every
+// rank must call it, after Run.
 func Gather(c mp.Comm, cfg Config, l *Local) (*stencil.Grid, error) {
 	return cfg.problem().gather(c, l)
 }
@@ -591,28 +594,106 @@ func Gather2D(c mp.Comm, cfg Config2D, l *Local) (*stencil.Grid, error) {
 	return cfg.problem(c.Size()).gather(c, l)
 }
 
-// gather ships every rank's owned k-rows, which are contiguous in Data, and
-// scatters them into the kernel-space grid on rank 0, where consecutive k
-// are a fixed stride apart (1 when k is the kernel's last dimension).
+const (
+	// gatherChunk bounds one gather message, far below the TCP transport's
+	// frame limit whatever the box, and large enough that the per-message
+	// cost vanishes next to the bytes.
+	gatherChunk = 1 << 20
+	// gatherTag carries the gather's chunks and the credits rank 0 answers
+	// them with: the last user tag, which Validate keeps every tile tag below.
+	gatherTag = mp.UserTagLimit - 1
+)
+
+// gather streams every rank's owned values to rank 0, which stores them
+// straight into the kernel-space grid. A box travels as a run of chunks of
+// at most gatherChunk bytes, its values in (li, lj, k) order, so both sides
+// cut the same chunks from the geometry alone and no size is sent. Rank 0
+// takes the ranks in order and, through two reused buffers, posts the
+// receive for chunk n+1 and sends that chunk's credit (an empty message)
+// before it decodes chunk n; a sender ships a chunk only once its credit is
+// in. So every chunk finds its receive posted, nothing waits in rank 0's
+// mailbox, and the gather holds the grid plus two chunks on rank 0 and two
+// chunks on every other rank.
 func (p problem) gather(c mp.Comm, l *Local) (*stencil.Grid, error) {
-	block := make([]byte, 8*l.TI*l.TJ*l.K)
-	o := int64(0)
-	for li := int64(0); li < l.TI; li++ {
-		for lj := int64(0); lj < l.TJ; lj++ {
-			putF64s(block[o:], l.Data[l.idx(li, lj, 0):][:l.K])
-			o += 8 * l.K
+	var out *stencil.Grid
+	var err error
+	if c.Rank() == 0 {
+		out, err = p.assemble(c, l)
+	} else {
+		err = sendBox(c, l)
+	}
+	if err != nil {
+		abortComm(c, err) // a peer waiting on a chunk or a credit unwinds
+		return nil, fmt.Errorf("runner: rank %d gather: %w", c.Rank(), err)
+	}
+	return out, nil
+}
+
+// chunkValues is how many values one gather chunk holds.
+const chunkValues = gatherChunk / 8
+
+// chunkRange is the value range [v0, v1) of chunk n of a box of total values.
+func chunkRange(n, total int64) (v0, v1 int64) {
+	v0 = n * chunkValues
+	return v0, min(v0+chunkValues, total)
+}
+
+// points is the number of values the box holds.
+func (g *geometry) points() int64 { return g.TI * g.TJ * g.K }
+
+// rowSpans splits the values [v0, v1) of the box, in (li, lj, k) order, at
+// its k-row ends and calls fn for each piece: n values of row (li, lj) from
+// k on, off values after v0.
+func (g *geometry) rowSpans(v0, v1 int64, fn func(li, lj, k, n, off int64)) {
+	for v := v0; v < v1; {
+		row, k := v/g.K, v%g.K
+		n := min(g.K-k, v1-v)
+		fn(row/g.TJ, row%g.TJ, k, n, v-v0)
+		v += n
+	}
+}
+
+// sendBox is a non-root rank's half of gather: pack a chunk into the buffer
+// whose previous send has completed, wait for its credit, ship it.
+func sendBox(c mp.Comm, l *Local) error {
+	var bufs [2][]byte
+	var reqs [2]mp.Request
+	total := l.points()
+	for n := int64(0); n*chunkValues < total; n++ {
+		v0, v1 := chunkRange(n, total)
+		b := n & 1
+		if reqs[b] != nil {
+			if _, err := reqs[b].Wait(); err != nil {
+				return err
+			}
+		}
+		if bufs[b] == nil {
+			bufs[b] = make([]byte, 8*min(chunkValues, total))
+		}
+		buf := bufs[b][:8*(v1-v0)]
+		l.rowSpans(v0, v1, func(li, lj, k, m, off int64) {
+			putF64s(buf[8*off:], l.Data[l.idx(li, lj, k):][:m])
+		})
+		if _, err := c.Recv(0, gatherTag, nil); err != nil {
+			return err
+		}
+		var err error
+		if reqs[b], err = c.Isend(0, gatherTag, buf); err != nil {
+			return err
 		}
 	}
-	blocks, err := mp.GatherBytes(c, 0, block)
-	if err != nil || c.Rank() != 0 {
-		return nil, err
-	}
+	return mp.WaitAll(reqs[0], reqs[1])
+}
+
+// assemble is rank 0's half of gather.
+func (p problem) assemble(c mp.Comm, l *Local) (*stencil.Grid, error) {
 	// The grid is row-major over the kernel's dimensions, each as long as
-	// the local axis it runs along.
+	// the local axis it runs along; consecutive k are stride[2] apart (1 when
+	// k is the kernel's last dimension).
 	dims := make([]int64, len(p.axis))
-	var strides [3]int64 // grid stride by local axis
+	var stride [3]int64 // grid stride by local axis
 	for x, n := len(p.axis)-1, int64(1); x >= 0; x-- {
-		dims[x], strides[p.axis[x]] = p.space[p.axis[x]], n
+		dims[x], stride[p.axis[x]] = p.space[p.axis[x]], n
 		n *= dims[x]
 	}
 	sp, err := space.Rect(dims...)
@@ -620,19 +701,57 @@ func (p problem) gather(c mp.Comm, l *Local) (*stencil.Grid, error) {
 		return nil, err
 	}
 	out := stencil.NewGrid(sp)
-	for rank, buf := range blocks {
+	// at is the grid offset of local (li, lj, k) in box g.
+	at := func(g *geometry, li, lj, k int64) int64 {
+		return (g.BaseI+li)*stride[0] + (g.BaseJ+lj)*stride[1] + k*stride[2]
+	}
+	l.rowSpans(0, l.points(), func(li, lj, k, m, _ int64) {
+		storeF64s(out.Data, at(&l.geometry, li, lj, k), stride[2], l.Data[l.idx(li, lj, k):][:m])
+	})
+
+	var most int64 // the largest chunk any rank sends
+	for rank := 1; rank < c.Size(); rank++ {
 		g := p.geometry(rank)
-		if int64(len(buf)) != 8*g.TI*g.TJ*g.K {
-			return nil, fmt.Errorf("runner: gather: %d bytes from rank %d, whose box is %d×%d×%d", len(buf), rank, g.TI, g.TJ, g.K)
+		most = max(most, min(chunkValues, g.points()))
+	}
+	var bufs [2][]byte
+	var reqs [2]mp.Request
+	for rank := 1; rank < c.Size(); rank++ {
+		g := p.geometry(rank)
+		total := g.points()
+		post := func(n int64) (err error) {
+			v0, v1 := chunkRange(n, total)
+			b := n & 1
+			if bufs[b] == nil {
+				bufs[b] = make([]byte, 8*most)
+			}
+			if reqs[b], err = c.Irecv(rank, gatherTag, bufs[b][:8*(v1-v0)]); err != nil {
+				return err
+			}
+			return c.Send(rank, gatherTag, nil)
 		}
-		for li := int64(0); li < g.TI; li++ {
-			for lj := int64(0); lj < g.TJ; lj++ {
-				at := (g.BaseI+li)*strides[0] + (g.BaseJ+lj)*strides[1]
-				for k := int64(0); k < g.K; k++ {
-					out.Data[at+k*strides[2]] = math.Float64frombits(binary.BigEndian.Uint64(buf))
-					buf = buf[8:]
+		if err := post(0); err != nil {
+			return nil, err
+		}
+		for n := int64(0); n*chunkValues < total; n++ {
+			if (n+1)*chunkValues < total {
+				if err := post(n + 1); err != nil {
+					return nil, err
 				}
 			}
+			v0, v1 := chunkRange(n, total)
+			st, err := reqs[n&1].Wait()
+			if err != nil {
+				return nil, fmt.Errorf("chunk %d from rank %d: %w", n, rank, err)
+			}
+			if int64(st.Bytes) != 8*(v1-v0) {
+				return nil, fmt.Errorf("chunk %d from rank %d has %d bytes, want %d (its box is %d×%d×%d)",
+					n, rank, st.Bytes, 8*(v1-v0), g.TI, g.TJ, g.K)
+			}
+			buf := bufs[n&1]
+			g.rowSpans(v0, v1, func(li, lj, k, m, off int64) {
+				decodeF64s(out.Data, at(&g, li, lj, k), stride[2], buf[8*off:][:8*m])
+			})
 		}
 	}
 	return out, nil
@@ -659,6 +778,29 @@ func putF64s(dst []byte, src []float64) {
 	dst = dst[:8*len(src)]
 	for i, x := range src {
 		binary.BigEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
+}
+
+// storeF64s stores src at dst[o], dst[o+s], dst[o+2s], …
+func storeF64s(dst []float64, o, s int64, src []float64) {
+	if s == 1 {
+		copy(dst[o:][:len(src)], src)
+		return
+	}
+	for i, x := range src {
+		dst[o+int64(i)*s] = x
+	}
+}
+
+// decodeF64s stores the big-endian doubles of src at dst[o], dst[o+s],
+// dst[o+2s], …
+func decodeF64s(dst []float64, o, s int64, src []byte) {
+	if s == 1 {
+		getF64s(dst[o:][:len(src)/8], src)
+		return
+	}
+	for i := int64(0); i < int64(len(src)/8); i++ {
+		dst[o+i*s] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
 	}
 }
 

@@ -93,10 +93,12 @@ func TestValidate(t *testing.T) {
 }
 
 // TestValidateBoundsTileCount: tile tags are 2t+dir and must stay below
-// mp.UserTagLimit, where the collectives' reserved tags begin; one tile more
-// than fits is rejected by both front doors.
+// gatherTag, the last user tag (mp.UserTagLimit, where the collectives'
+// reserved tags begin, is one further). Taking that tag for the gather costs
+// one tile: the most a rank may have is mp.UserTagLimit/2 − 1, and one tile
+// more is rejected by both front doors.
 func TestValidateBoundsTileCount(t *testing.T) {
-	const most = mp.UserTagLimit / 2
+	const most = mp.UserTagLimit/2 - 1
 	cfg := Config{Grid: model.Grid3D{I: 1, J: 1, K: most, PI: 1, PJ: 1}, V: 1, Kernel: stencil.Sqrt3D{}}
 	cfg2 := Config2D{I1: most, I2: 1, S1: 1, Kernel: stencil.Sum2D{}}
 	if err := cfg.Validate(1); err != nil {
@@ -105,13 +107,16 @@ func TestValidateBoundsTileCount(t *testing.T) {
 	if err := cfg2.Validate(1); err != nil {
 		t.Errorf("2-D: %d tiles rejected: %v", most, err)
 	}
-	if got := tileTag(most-1, dirNorth); got != mp.UserTagLimit-1 {
-		t.Errorf("last tile's tag = %d, want the last user tag %d", got, mp.UserTagLimit-1)
+	if got := tileTag(most-1, dirNorth); got >= gatherTag {
+		t.Errorf("last tile's tag = %d, reaches the gather's %d", got, gatherTag)
+	}
+	if tileTag(most, dirNorth) < gatherTag {
+		t.Errorf("one tile more would still fit below the gather's tag: the bound is not tight")
 	}
 	cfg.Grid.K++
 	cfg2.I1++
 	if cfg.Validate(1) == nil || cfg2.Validate(1) == nil {
-		t.Errorf("%d tiles accepted: tags would reach mp's collective range", most+1)
+		t.Errorf("%d tiles accepted: tags would reach the gather's tag", most+1)
 	}
 }
 
