@@ -12,6 +12,7 @@
 package repro
 
 import (
+	"context"
 	"flag"
 	"runtime"
 	"sync"
@@ -54,11 +55,11 @@ func benchFigure(b *testing.B, s experiments.Sweep, paperVOpt int64) {
 	m := s.Machine
 	var ov, bl, theory float64
 	for i := 0; i < b.N; i++ {
-		rOv, err := sim.SimulateGrid(g, v, m, sim.Overlapped, sim.CapDMA)
+		rOv, err := sim.SimulateGrid(g, v, m, sim.Overlapped, sim.CapDMA, sim.GridOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rBl, err := sim.SimulateGrid(g, v, m, sim.Blocking, sim.CapNone)
+		rBl, err := sim.SimulateGrid(g, v, m, sim.Blocking, sim.CapNone, sim.GridOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func BenchmarkScaleAllocBudget(b *testing.B) {
 	perRank := func(pi, pj int64) float64 {
 		g := model.Grid3D{I: 4 * pi, J: 4 * pj, K: 128, PI: pi, PJ: pj}
 		allocs := testing.AllocsPerRun(1, func() {
-			_, err := sim.SimulateGridWith(g, 64, m, sim.Overlapped, sim.CapDMA,
+			_, err := sim.SimulateGrid(g, 64, m, sim.Overlapped, sim.CapDMA,
 				sim.GridOpts{Interconnect: spec})
 			if err != nil {
 				b.Fatal(err)
@@ -251,11 +252,11 @@ func BenchmarkAblationScheduleVector(b *testing.B) {
 	m := model.PentiumCluster()
 	var bl, ovNoDMA float64
 	for i := 0; i < b.N; i++ {
-		rBl, err := sim.SimulateGrid(g, 64, m, sim.Blocking, sim.CapNone)
+		rBl, err := sim.SimulateGrid(g, 64, m, sim.Blocking, sim.CapNone, sim.GridOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rOv, err := sim.SimulateGrid(g, 64, m, sim.Overlapped, sim.CapNone)
+		rOv, err := sim.SimulateGrid(g, 64, m, sim.Overlapped, sim.CapNone, sim.GridOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -303,6 +304,68 @@ func BenchmarkSimBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(acts), "activities")
+}
+
+// BenchmarkSimCache measures sim.Cache's own cost on the tiny 2×2×1024 grid
+// of the benchmark ladder's sim.cache.* rungs (bench/ladder.go), which only
+// run in the full benchmark: a hit, a miss that evaluates and inserts, and a
+// miss into a full bounded cache that also evicts. Tile heights from 512 to
+// 1023 are the keys, so a DES evaluation is one or two tiles per rank and
+// the lookup itself dominates. The hit path is gated at zero allocations;
+// runs in make bench-smoke.
+func BenchmarkSimCache(b *testing.B) {
+	tiny := model.Grid3D{I: 2, J: 2, K: 1024, PI: 1, PJ: 1}
+	m := model.PentiumCluster()
+	const keys = 512
+	lookup := func(c *sim.Cache, i int) {
+		_, err := c.SimulateGridCtx(context.Background(), tiny, 1023-int64(i%keys), m,
+			sim.Overlapped, sim.CapDMA, sim.GridOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("hit", func(b *testing.B) {
+		c := sim.NewCache()
+		for i := 0; i < keys; i++ {
+			lookup(c, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lookup(c, i)
+		}
+		b.StopTimer()
+		if allocs := testing.AllocsPerRun(100, func() { lookup(c, 7) }); allocs != 0 {
+			b.Errorf("a cache hit allocates %.1f times, want 0", allocs)
+		}
+	})
+	b.Run("miss-insert", func(b *testing.B) {
+		b.ReportAllocs()
+		var c *sim.Cache
+		for i := 0; i < b.N; i++ {
+			if i%keys == 0 {
+				c = sim.NewCache()
+			}
+			lookup(c, i)
+		}
+	})
+	b.Run("evict", func(b *testing.B) {
+		const bound = keys / 4
+		c := sim.NewCacheBounded(bound)
+		for i := 0; i < bound; i++ {
+			lookup(c, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		// Cycling through more keys than the bound misses every time.
+		for i := bound; i < bound+b.N; i++ {
+			lookup(c, i)
+		}
+		b.StopTimer()
+		if st := c.Stats(); st.Evictions != uint64(b.N) {
+			b.Errorf("%d evictions over %d inserts into a full cache", st.Evictions, b.N)
+		}
+	})
 }
 
 // BenchmarkSweepParallel measures one full parallel sweep (both schedules

@@ -40,7 +40,7 @@ func runTrace() error {
 	// The exported schedule runs with both the labeled trace and the
 	// metrics pass; the other schedule needs only the metrics.
 	opts := sim.GridOpts{Trace: true, Metrics: true}
-	res, err := sim.SimulateGridWith(s.Grid, v, s.Machine, mode, s.ModeCap(mode), opts)
+	res, err := sim.SimulateGrid(s.Grid, v, s.Machine, mode, s.ModeCap(mode), opts)
 	if err != nil {
 		return err
 	}
@@ -62,7 +62,7 @@ func runTrace() error {
 	if mode == sim.Overlapped {
 		other = sim.Blocking
 	}
-	resOther, err := sim.SimulateGridWith(s.Grid, v, s.Machine, other, s.ModeCap(other), sim.GridOpts{Metrics: true})
+	resOther, err := sim.SimulateGrid(s.Grid, v, s.Machine, other, s.ModeCap(other), sim.GridOpts{Metrics: true})
 	if err != nil {
 		return err
 	}

@@ -37,6 +37,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -377,10 +378,9 @@ func spawnRun(n int,
 // *observer is valid and turns every method into a no-op, so the plain
 // uninstrumented path stays untouched.
 type observer struct {
-	reg      *obs.Registry
-	bound    string // address the metrics server actually bound
-	snap     string
-	shutdown func() error
+	reg  *obs.Registry
+	srv  *obs.MetricsServer // nil without -metrics-addr
+	snap string
 
 	mu sync.Mutex
 	ms map[int]*obs.CommMetrics // per-rank collectors, by rank
@@ -393,13 +393,12 @@ func newObserver(addr, snap string) (*observer, error) {
 	}
 	o := &observer{reg: obs.NewRegistry(), snap: snap, ms: make(map[int]*obs.CommMetrics)}
 	if addr != "" {
-		bound, stop, err := o.reg.Serve(addr)
+		srv, err := o.reg.Start(addr)
 		if err != nil {
 			return nil, err
 		}
-		o.bound = bound
-		o.shutdown = stop
-		fmt.Fprintf(os.Stderr, "tilenode: metrics on http://%s/debug/vars\n", bound)
+		o.srv = srv
+		fmt.Fprintf(os.Stderr, "tilenode: metrics on http://%s/debug/vars\n", srv.Addr)
 	}
 	return o, nil
 }
@@ -453,8 +452,12 @@ func (o *observer) finish() error {
 			err = o.reg.WriteJSON(w)
 		}
 	}
-	if o.shutdown != nil {
-		o.shutdown()
+	if o.srv != nil {
+		// Drain rather than cut off: a scrape in flight at teardown
+		// completes, and the deadline bounds a stuck client.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		o.srv.Shutdown(ctx)
 	}
 	return err
 }

@@ -128,7 +128,7 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 	}
 
 	// Live endpoint, after the ranks quiesced but before teardown.
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics.json", obsv.bound))
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics.json", obsv.srv.Addr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,15 +361,19 @@ func TestClientTimeoutCounted(t *testing.T) {
 	if err == nil {
 		t.Fatal("stalled request returned before its client timeout")
 	}
-	close(release)
 
+	// The evaluation stays stalled in the hook until the disconnect is
+	// counted: released earlier, a fast evaluation on a loaded host can
+	// finish before the server notices the client left.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.metrics.Tenant("impatient").Cancelled.Load() == 0 {
 		if time.Now().After(deadline) {
+			close(release)
 			t.Fatal("client disconnect never counted as Cancelled")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	close(release)
 	resp, out := postPlan(t, s.addr, reqJSON(128, "patient"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after disconnect: status %d: %s", resp.StatusCode, out)

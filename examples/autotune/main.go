@@ -66,7 +66,7 @@ func main() {
 	// Stage 3: recommendation per hardware capability.
 	fmt.Println("capability sensitivity at the recommended V:")
 	for _, cap := range []sim.Capability{sim.CapNone, sim.CapDMA, sim.CapFullDuplex} {
-		r, err := sim.SimulateGrid(grid, vOv, m, sim.Overlapped, cap)
+		r, err := sim.SimulateGrid(grid, vOv, m, sim.Overlapped, cap, sim.GridOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

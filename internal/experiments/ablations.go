@@ -33,7 +33,7 @@ type CapabilityResult struct {
 // Run executes the four configurations.
 func (a CapabilityAblation) Run() (CapabilityResult, error) {
 	var res CapabilityResult
-	bl, err := sim.SimulateGrid(a.Grid, a.V, a.Machine, sim.Blocking, sim.CapNone)
+	bl, err := sim.SimulateGrid(a.Grid, a.V, a.Machine, sim.Blocking, sim.CapNone, sim.GridOpts{})
 	if err != nil {
 		return res, err
 	}
@@ -46,7 +46,7 @@ func (a CapabilityAblation) Run() (CapabilityResult, error) {
 		{sim.CapDMA, &res.DMA},
 		{sim.CapFullDuplex, &res.FullDuplex},
 	} {
-		r, err := sim.SimulateGrid(a.Grid, a.V, a.Machine, sim.Overlapped, c.cap)
+		r, err := sim.SimulateGrid(a.Grid, a.V, a.Machine, sim.Overlapped, c.cap, sim.GridOpts{})
 		if err != nil {
 			return res, err
 		}
@@ -183,7 +183,7 @@ func (a NetworkAblation) Run() (NetworkResult, error) {
 		{sim.Overlapped, sim.CapDMA, sim.SharedBus, &res.OverlapSharedBus},
 	}
 	for _, c := range cells {
-		r, err := sim.SimulateGridNet(a.Grid, a.V, a.Machine, c.mode, c.cap, c.net)
+		r, err := sim.SimulateGrid(a.Grid, a.V, a.Machine, c.mode, c.cap, sim.GridOpts{Net: c.net})
 		if err != nil {
 			return res, err
 		}

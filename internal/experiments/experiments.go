@@ -38,10 +38,11 @@ type Sweep struct {
 	Exact bool
 }
 
-// cache returns the sweep's shared cache, or a fresh private one.
-func (s Sweep) cache() *sim.Cache {
-	if s.Cache != nil {
-		return s.Cache
+// cacheOr returns a sweep's shared cache c, or a fresh private one when c
+// is nil.
+func cacheOr(c *sim.Cache) *sim.Cache {
+	if c != nil {
+		return c
 	}
 	return sim.NewCache()
 }
@@ -49,11 +50,14 @@ func (s Sweep) cache() *sim.Cache {
 // ModeCap returns the hardware capability each schedule is simulated with:
 // the sweep's capability for the overlapped schedule, no DMA for blocking
 // (the blocking schedule burns CPU for every copy regardless).
-func (s Sweep) ModeCap(mode sim.Mode) sim.Capability {
+func (s Sweep) ModeCap(mode sim.Mode) sim.Capability { return modeCap(mode, s.Cap) }
+
+// modeCap is ModeCap for any experiment's overlapped capability cap.
+func modeCap(mode sim.Mode, cap sim.Capability) sim.Capability {
 	if mode == sim.Blocking {
 		return sim.CapNone
 	}
-	return s.Cap
+	return cap
 }
 
 // SweepRow is one point of a sweep.
@@ -163,19 +167,17 @@ type simPoint struct {
 	mode sim.Mode
 }
 
-// evalPoints simulates every point on a bounded pool of GOMAXPROCS workers,
-// each holding its own engine via the cache's simulator pool. Results are
-// assembled in input order, so the output is identical regardless of worker
-// scheduling (the simulator itself is deterministic). The first simulation
-// error — or cancellation of the parent context — stops the remaining work
-// promptly: workers observe the cancelled context at their next cache call
-// (the granularity of one DES evaluation).
-func (s Sweep) evalPoints(parent context.Context, c *sim.Cache, pts []simPoint) ([]sim.Result, error) {
-	res := make([]sim.Result, len(pts))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pts) {
-		workers = len(pts)
-	}
+// evalAll runs eval(ctx, i) for every i in [0, n) on a bounded pool of
+// GOMAXPROCS workers, each simulation drawing its own engine from the
+// cache's simulator pool, and returns the results in input order, so the
+// output is identical regardless of worker scheduling (the simulator itself
+// is deterministic). The first error — or cancellation of the parent
+// context — stops the remaining work promptly: workers observe the
+// cancelled context at their next cache call (the granularity of one DES
+// evaluation). It is the one worker pool behind every sweep.
+func evalAll(parent context.Context, n int, eval func(ctx context.Context, i int) (sim.Result, error)) ([]sim.Result, error) {
+	res := make([]sim.Result, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers < 1 {
 		workers = 1
 	}
@@ -192,12 +194,10 @@ func (s Sweep) evalPoints(parent context.Context, c *sim.Cache, pts []simPoint) 
 		go func() {
 			defer wg.Done()
 			for i := range tasks {
-				p := pts[i]
-				r, err := c.SimulateGridCtx(ctx, s.Grid, p.v, s.Machine, p.mode, s.ModeCap(p.mode),
-					sim.GridOpts{Metrics: s.Metrics})
+				r, err := eval(ctx, i)
 				if err != nil {
 					errOnce.Do(func() {
-						firstErr = fmt.Errorf("%s: V=%d %s: %w", s.ID, p.v, p.mode, err)
+						firstErr = err
 						cancel()
 					})
 					return
@@ -207,7 +207,7 @@ func (s Sweep) evalPoints(parent context.Context, c *sim.Cache, pts []simPoint) 
 		}()
 	}
 feed:
-	for i := range pts {
+	for i := 0; i < n; i++ {
 		select {
 		case tasks <- i:
 		case <-ctx.Done():
@@ -225,6 +225,20 @@ feed:
 		return nil, firstErr
 	}
 	return res, nil
+}
+
+// evalPoints simulates every (height, mode) point of the sweep through c on
+// the worker pool.
+func (s Sweep) evalPoints(ctx context.Context, c *sim.Cache, pts []simPoint) ([]sim.Result, error) {
+	return evalAll(ctx, len(pts), func(ctx context.Context, i int) (sim.Result, error) {
+		p := pts[i]
+		r, err := c.SimulateGridCtx(ctx, s.Grid, p.v, s.Machine, p.mode, s.ModeCap(p.mode),
+			sim.GridOpts{Metrics: s.Metrics})
+		if err != nil {
+			return r, fmt.Errorf("%s: V=%d %s: %w", s.ID, p.v, p.mode, err)
+		}
+		return r, nil
+	})
 }
 
 // rowAt assembles one SweepRow from the two simulated schedules at height v.
@@ -265,7 +279,7 @@ func (s Sweep) RunCtx(ctx context.Context) ([]SweepRow, error) {
 	for _, v := range s.Heights {
 		pts = append(pts, simPoint{v, sim.Overlapped}, simPoint{v, sim.Blocking})
 	}
-	res, err := s.evalPoints(ctx, s.cache(), pts)
+	res, err := s.evalPoints(ctx, cacheOr(s.Cache), pts)
 	if err != nil {
 		return nil, err
 	}
@@ -282,12 +296,12 @@ func (s Sweep) RunCtx(ctx context.Context) ([]SweepRow, error) {
 func (s Sweep) RunSequential() ([]SweepRow, error) {
 	rows := make([]SweepRow, 0, len(s.Heights))
 	for _, v := range s.Heights {
-		ov, err := sim.SimulateGridWith(s.Grid, v, s.Machine, sim.Overlapped, s.Cap,
+		ov, err := sim.SimulateGrid(s.Grid, v, s.Machine, sim.Overlapped, s.Cap,
 			sim.GridOpts{Metrics: s.Metrics})
 		if err != nil {
 			return nil, fmt.Errorf("%s: V=%d overlapped: %w", s.ID, v, err)
 		}
-		bl, err := sim.SimulateGridWith(s.Grid, v, s.Machine, sim.Blocking, sim.CapNone,
+		bl, err := sim.SimulateGrid(s.Grid, v, s.Machine, sim.Blocking, sim.CapNone,
 			sim.GridOpts{Metrics: s.Metrics})
 		if err != nil {
 			return nil, fmt.Errorf("%s: V=%d blocking: %w", s.ID, v, err)

@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/model"
@@ -53,21 +51,6 @@ type FaultRow struct {
 	WorstChain   float64
 	BudgetHit    bool
 	DeadlineHit  bool
-}
-
-func (s FaultSweep) cache() *sim.Cache {
-	if s.Cache != nil {
-		return s.Cache
-	}
-	return sim.NewCache()
-}
-
-// modeCap mirrors Sweep.modeCap: blocking always burns the CPU for copies.
-func (s FaultSweep) modeCap(mode sim.Mode) sim.Capability {
-	if mode == sim.Blocking {
-		return sim.CapNone
-	}
-	return s.Cap
 }
 
 // faultPoint is one (plan, mode) simulation of the sweep.
@@ -169,54 +152,18 @@ func (s FaultSweep) Run() ([]FaultRow, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	c := s.cache()
+	c := cacheOr(s.Cache)
 	pts := s.points()
-	res := make([]sim.Result, len(pts))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pts) {
-		workers = len(pts)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	tasks := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				p := pts[i]
-				r, err := c.SimulateGridFault(s.Grid, s.V, s.Machine, p.mode, s.modeCap(p.mode), sim.Switched, p.fp)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("%s: intensity %g %s: %w", s.ID, p.fp.Intensity, p.mode, err)
-						cancel()
-					})
-					return
-				}
-				res[i] = r
-			}
-		}()
-	}
-feed:
-	for i := range pts {
-		select {
-		case tasks <- i:
-		case <-ctx.Done():
-			break feed
+	res, err := evalAll(context.Background(), len(pts), func(ctx context.Context, i int) (sim.Result, error) {
+		p := pts[i]
+		r, err := c.SimulateGridCtx(ctx, s.Grid, s.V, s.Machine, p.mode, modeCap(p.mode, s.Cap), sim.GridOpts{Fault: p.fp})
+		if err != nil {
+			return r, fmt.Errorf("%s: intensity %g %s: %w", s.ID, p.fp.Intensity, p.mode, err)
 		}
-	}
-	close(tasks)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s.rows(res), nil
 }
@@ -231,7 +178,7 @@ func (s FaultSweep) RunSequential() ([]FaultRow, error) {
 	pts := s.points()
 	res := make([]sim.Result, len(pts))
 	for i, p := range pts {
-		r, err := sim.SimulateGridFault(s.Grid, s.V, s.Machine, p.mode, s.modeCap(p.mode), sim.Switched, p.fp)
+		r, err := sim.SimulateGrid(s.Grid, s.V, s.Machine, p.mode, modeCap(p.mode, s.Cap), sim.GridOpts{Fault: p.fp})
 		if err != nil {
 			return nil, fmt.Errorf("%s: intensity %g %s: %w", s.ID, p.fp.Intensity, p.mode, err)
 		}

@@ -83,11 +83,11 @@ func TestFaultSweepZeroIntensityMatchesBaseline(t *testing.T) {
 	if r0.OverlapX != 1 || r0.BlockingX != 1 {
 		t.Errorf("zero intensity perturbed the run: overlap ×%v, blocking ×%v", r0.OverlapX, r0.BlockingX)
 	}
-	ov, err := sim.SimulateGrid(s.Grid, s.V, s.Machine, sim.Overlapped, s.Cap)
+	ov, err := sim.SimulateGrid(s.Grid, s.V, s.Machine, sim.Overlapped, s.Cap, sim.GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := sim.SimulateGrid(s.Grid, s.V, s.Machine, sim.Blocking, sim.CapNone)
+	bl, err := sim.SimulateGrid(s.Grid, s.V, s.Machine, sim.Blocking, sim.CapNone, sim.GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

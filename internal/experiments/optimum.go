@@ -74,7 +74,7 @@ func (s Sweep) OptimumDetail(mode sim.Mode) (estimate.Outcome, error) {
 // OptimumDetailCtx is OptimumDetail under a context: a cancelled or expired
 // ctx aborts the search between DES probes with ctx.Err().
 func (s Sweep) OptimumDetailCtx(ctx context.Context, mode sim.Mode) (estimate.Outcome, error) {
-	c := s.cache()
+	c := cacheOr(s.Cache)
 	heights := s.OptimumHeights()
 	if s.Exact {
 		v, t, err := s.optimumExact(ctx, c, mode, heights)
@@ -100,7 +100,7 @@ func (s Sweep) OptimumExact(mode sim.Mode) (vOpt int64, tOpt float64, err error)
 
 // OptimumExactCtx is OptimumExact under a context.
 func (s Sweep) OptimumExactCtx(ctx context.Context, mode sim.Mode) (vOpt int64, tOpt float64, err error) {
-	return s.optimumExact(ctx, s.cache(), mode, s.OptimumHeights())
+	return s.optimumExact(ctx, cacheOr(s.Cache), mode, s.OptimumHeights())
 }
 
 func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, heights []int64) (int64, float64, error) {

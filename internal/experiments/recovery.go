@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -85,13 +86,6 @@ type RecoveryRow struct {
 	YoungOpt float64
 }
 
-func (s RecoverySweep) cache() *sim.Cache {
-	if s.Cache != nil {
-		return s.Cache
-	}
-	return sim.NewCache()
-}
-
 func (s RecoverySweep) validate() error {
 	if s.V <= 0 {
 		return fmt.Errorf("experiments: recovery sweep %s: non-positive tile height %d", s.ID, s.V)
@@ -127,8 +121,8 @@ func (s RecoverySweep) Run() ([]RecoveryRow, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	c := s.cache()
-	base, err := c.SimulateGridFault(s.Grid, s.V, s.Machine, sim.Overlapped, s.Cap, sim.Switched, fault.Plan{})
+	c := cacheOr(s.Cache)
+	base, err := c.SimulateGridCtx(context.Background(), s.Grid, s.V, s.Machine, sim.Overlapped, s.Cap, sim.GridOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: fault-free anchor: %w", s.ID, err)
 	}
@@ -150,7 +144,7 @@ func (s RecoverySweep) Run() ([]RecoveryRow, error) {
 		if x > 0 {
 			fp = fault.Default(s.Seed, x)
 		}
-		r, err := c.SimulateGridFault(s.Grid, s.V, s.Machine, sim.Overlapped, s.Cap, sim.Switched, fp)
+		r, err := c.SimulateGridCtx(context.Background(), s.Grid, s.V, s.Machine, sim.Overlapped, s.Cap, sim.GridOpts{Fault: fp})
 		if err != nil {
 			return nil, fmt.Errorf("%s: intensity %g: %w", s.ID, x, err)
 		}

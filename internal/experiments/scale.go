@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -106,14 +104,6 @@ func DefaultScaleSweep() ScaleSweep {
 	}
 }
 
-// cache returns the sweep's shared cache, or a fresh private one.
-func (s ScaleSweep) cache() *sim.Cache {
-	if s.Cache != nil {
-		return s.Cache
-	}
-	return sim.NewCache()
-}
-
 // GridAt expands one point into its weak-scaled iteration space (see the K
 // field for the depth rule).
 func (s ScaleSweep) GridAt(p ScalePoint) model.Grid3D {
@@ -129,14 +119,6 @@ func (s ScaleSweep) GridAt(p ScalePoint) model.Grid3D {
 		I: s.TileI * p.PI, J: s.TileJ * p.PJ, K: k,
 		PI: p.PI, PJ: p.PJ,
 	}
-}
-
-// modeCap mirrors Sweep.ModeCap: blocking always runs without DMA.
-func (s ScaleSweep) modeCap(mode sim.Mode) sim.Capability {
-	if mode == sim.Blocking {
-		return sim.CapNone
-	}
-	return s.Cap
 }
 
 // Run evaluates every point under both schedules. The (point, mode) pairs
@@ -156,57 +138,18 @@ func (s ScaleSweep) RunCtx(ctx context.Context) ([]ScaleRow, error) {
 	for _, p := range s.Points {
 		tasks = append(tasks, task{p, sim.Overlapped}, task{p, sim.Blocking})
 	}
-	res := make([]sim.Result, len(tasks))
-	c := s.cache()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	feed := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				t := tasks[i]
-				r, err := c.SimulateGridCtx(cctx, s.GridAt(t.p), s.V, s.Machine, t.mode, s.modeCap(t.mode),
-					sim.GridOpts{Interconnect: s.Interconnect, Metrics: true})
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("%s: %d ranks %s: %w", s.ID, t.p.Ranks(), t.mode, err)
-						cancel()
-					})
-					return
-				}
-				res[i] = r
-			}
-		}()
-	}
-send:
-	for i := range tasks {
-		select {
-		case feed <- i:
-		case <-cctx.Done():
-			break send
+	c := cacheOr(s.Cache)
+	res, err := evalAll(ctx, len(tasks), func(ctx context.Context, i int) (sim.Result, error) {
+		t := tasks[i]
+		r, err := c.SimulateGridCtx(ctx, s.GridAt(t.p), s.V, s.Machine, t.mode, modeCap(t.mode, s.Cap),
+			sim.GridOpts{Interconnect: s.Interconnect, Metrics: true})
+		if err != nil {
+			return r, fmt.Errorf("%s: %d ranks %s: %w", s.ID, t.p.Ranks(), t.mode, err)
 		}
-	}
-	close(feed)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return r, nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	rows := make([]ScaleRow, 0, len(s.Points))
 	for i, p := range s.Points {

@@ -233,21 +233,22 @@ func TestCommMetricsCheckpoints(t *testing.T) {
 	}
 }
 
-// TestRegistryServe spins up the metrics endpoint on a loopback port and
+// TestRegistryStart spins up the metrics endpoint on a loopback port and
 // checks all three surfaces: /metrics.json round-trips the snapshot,
 // /debug/vars carries the published "tilecomm" variable, and
 // /debug/pprof/ answers.
-func TestRegistryServe(t *testing.T) {
+func TestRegistryStart(t *testing.T) {
 	metrics, _ := ringTraffic(t, 2)
 	reg := NewRegistry()
 	for _, m := range metrics {
 		reg.Register(m)
 	}
-	addr, shutdown, err := reg.Serve("127.0.0.1:0")
+	srv, err := reg.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shutdown()
+	defer srv.Close()
+	addr := srv.Addr
 
 	get := func(path string) []byte {
 		t.Helper()

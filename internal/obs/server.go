@@ -193,14 +193,3 @@ func (r *Registry) Start(addr string) (*MetricsServer, error) {
 	go srv.Serve(ln)
 	return &MetricsServer{Addr: ln.Addr().String(), srv: srv}, nil
 }
-
-// Serve is the legacy form of Start: it returns the bound address and an
-// abrupt-stop function. Prefer Start, whose handle can also drain
-// gracefully.
-func (r *Registry) Serve(addr string) (string, func() error, error) {
-	s, err := r.Start(addr)
-	if err != nil {
-		return "", nil, err
-	}
-	return s.Addr, s.Close, nil
-}

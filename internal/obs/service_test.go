@@ -137,24 +137,6 @@ func TestStartShutdown(t *testing.T) {
 	}
 }
 
-// TestServeCompat: the legacy Serve form still returns a working address
-// and stop function (cmd/tilenode depends on it).
-func TestServeCompat(t *testing.T) {
-	reg := NewRegistry()
-	addr, stop, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if err := stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-}
-
 // TestHTTPTimeouts pins the timeout profile: every server must bound
 // reads, and the write timeout must outlast pprof's 30-second profile
 // window.

@@ -3,76 +3,30 @@ package sim
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/model"
-	"repro/internal/topo"
 )
 
 // cacheKey identifies one grid simulation point. Every field is a plain
-// comparable value (fault.Plan included), so two requests for the same
-// point — e.g. a ladder rung revisited by the refinement pass of an optimum
-// search, or a sweep height re-simulated by a later Optimum call — collapse
-// onto one entry.
+// comparable value (GridOpts' fault plan and interconnect included), so two
+// requests for the same point — e.g. a ladder rung revisited by the
+// refinement pass of an optimum search, or a sweep height re-simulated by a
+// later Optimum call — collapse onto one entry.
 type cacheKey struct {
-	grid         model.Grid3D
-	v            int64
-	machine      model.Machine
-	mode         Mode
-	cap          Capability
-	net          Network
-	interconnect topo.Spec
-	fault        fault.Plan
-	metrics      bool
-	trace        bool
+	grid model.Grid3D
+	v    int64
+	m    model.Machine
+	mode Mode
+	cap  Capability
+	o    GridOpts
 }
 
-// shardIndex hashes the cheap discriminating key fields (FNV-1a over the
-// grid shape, height, and flags) to pick a shard. Machine and fault-plan
-// fields are left out of the hash on purpose: same-point-different-machine
-// requests merely share a shard, never an entry, and the grid/height fields
-// are what actually vary inside one serving process.
-func (k *cacheKey) shardIndex() int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		h ^= x
-		h *= prime64
-	}
-	mix(uint64(k.grid.I))
-	mix(uint64(k.grid.J))
-	mix(uint64(k.grid.K))
-	mix(uint64(k.grid.PI))
-	mix(uint64(k.grid.PJ))
-	mix(uint64(k.v))
-	mix(uint64(k.mode)<<8 | uint64(k.cap)<<4 | uint64(k.net)<<2)
-	if lv := k.interconnect.Levels; lv > 0 {
-		mix(uint64(lv)<<16 | uint64(k.interconnect.L[0].Radix))
-	}
-	if k.metrics {
-		mix(1)
-	}
-	if k.trace {
-		mix(2)
-	}
-	return int(h % cacheShards)
-}
-
-// cacheShards is the fixed shard count: enough to keep GOMAXPROCS sweep
-// workers off each other's locks, small enough that per-shard overhead is
-// noise.
-const cacheShards = 16
-
-// cacheEntry is one stored simulation result on its shard's LRU list.
+// cacheEntry is one stored simulation result on the cache's LRU ring.
 type cacheEntry struct {
 	key        cacheKey
 	r          Result
-	stamp      uint64      // global recency clock value at last use
-	prev, next *cacheEntry // intrusive LRU links; head side is most recent
+	prev, next *cacheEntry // intrusive LRU links; the head side is most recent
 }
 
 // inflightCall coalesces concurrent misses on one key: the first caller
@@ -86,73 +40,35 @@ type inflightCall struct {
 	err  error
 }
 
-// cacheShard is one lock domain of the cache: a result map, the shard-local
-// LRU order of those results, and the in-flight calls keyed there.
-type cacheShard struct {
+// Cache memoizes grid simulation results keyed on (grid, V, machine, mode,
+// capability, GridOpts). The simulator is deterministic, so a cached Result
+// is bit-identical to a fresh SimulateGrid run. A Cache is safe for
+// concurrent use and keeps a pool of Simulators so misses reuse engine
+// memory instead of allocating fresh engines.
+//
+// One mutex guards the result map, the in-flight map, the LRU ring and the
+// counters. It is held for a map lookup and a few pointer swaps, well under
+// a microsecond, while a miss costs milliseconds of DES work outside the
+// lock, and at most a sweep's GOMAXPROCS workers or a planning server's
+// handlers contend for it, so the lock is never the bottleneck (DESIGN.md
+// §11). Concurrent misses on the same key coalesce: exactly one caller runs
+// the engine and every waiter shares its result, so Evals counts real
+// engine executions exactly.
+//
+// A cache built with NewCacheBounded never holds more than its bound: an
+// insert past it evicts the least recently used entry under the same lock,
+// so the LRU order is exact under concurrency too, and a long-running
+// process serving many distinct planning points holds memory constant
+// instead of growing without limit.
+type Cache struct {
+	maxEntries int // <= 0 = unbounded
+	pool       sync.Pool
+
 	mu       sync.Mutex
 	m        map[cacheKey]*cacheEntry
 	inflight map[cacheKey]*inflightCall
-	lru      cacheEntry // sentinel ring: lru.next is most recent
-}
-
-func (s *cacheShard) init() {
-	s.m = make(map[cacheKey]*cacheEntry)
-	s.inflight = make(map[cacheKey]*inflightCall)
-	s.lru.prev, s.lru.next = &s.lru, &s.lru
-}
-
-// pushFront links e as the shard's most recently used entry.
-func (s *cacheShard) pushFront(e *cacheEntry) {
-	e.prev = &s.lru
-	e.next = s.lru.next
-	e.prev.next = e
-	e.next.prev = e
-}
-
-// unlink removes e from the LRU ring.
-func (s *cacheShard) unlink(e *cacheEntry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
-}
-
-// touch moves an existing entry to the front of the shard's LRU ring.
-func (s *cacheShard) touch(e *cacheEntry) {
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-// Cache memoizes grid simulation results keyed on (grid, V, machine, mode,
-// capability, network, interconnect hierarchy, fault plan, metrics/trace
-// flags). The simulator is
-// deterministic, so a cached Result is bit-identical to a fresh run. A
-// Cache is safe for concurrent use and keeps a pool of Simulators so
-// misses reuse engine memory instead of allocating fresh engines.
-//
-// The key space is split over a fixed number of shards so concurrent
-// lookups from a sweep's worker pool (or a planning server's request
-// handlers) do not serialize on one lock. Concurrent misses on the same
-// key coalesce: exactly one caller runs the engine and every waiter shares
-// its result, so Evals counts real engine executions exactly.
-//
-// A cache built with NewCacheBounded additionally enforces a global entry
-// bound with LRU eviction: every use stamps its entry from a global recency
-// clock, and an insert that overflows the bound evicts the globally oldest
-// of the per-shard oldest entries, so a long-running process serving many
-// distinct planning points holds memory constant instead of growing without
-// limit.
-type Cache struct {
-	shards     [cacheShards]cacheShard
-	maxEntries int64 // 0 = unbounded
-	entries    atomic.Int64
-	clock      atomic.Uint64 // global recency clock; see cacheEntry.stamp
-	pool       sync.Pool
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evals     atomic.Uint64
-	evictions atomic.Uint64
-	coalesced atomic.Uint64
+	lru      cacheEntry // sentinel of the recency ring: lru.next is the most recent entry, lru.prev the next victim
+	stats    CacheStats // every field but Entries, which is len(m)
 }
 
 // CacheStats is a point-in-time snapshot of a Cache's counters, in the
@@ -177,14 +93,11 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evals:     c.evals.Load(),
-		Coalesced: c.coalesced.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats
+	st.Entries = len(c.m)
+	return st
 }
 
 // NewCache returns an empty, unbounded simulation cache — the right choice
@@ -194,116 +107,124 @@ func NewCache() *Cache {
 }
 
 // NewCacheBounded returns an empty cache that never holds more than
-// maxEntries results: inserting past the bound evicts least-recently-used
-// entries (counted in CacheStats.Evictions). maxEntries <= 0 means
+// maxEntries results: inserting past the bound evicts the least recently
+// used entry (counted in CacheStats.Evictions). maxEntries <= 0 means
 // unbounded. Long-running services must bound their cache — a planning
 // server's key space is as unbounded as its request stream.
 func NewCacheBounded(maxEntries int) *Cache {
 	c := &Cache{
-		maxEntries: int64(maxEntries),
+		maxEntries: maxEntries,
 		pool:       sync.Pool{New: func() any { return NewSimulator() }},
+		m:          make(map[cacheKey]*cacheEntry),
+		inflight:   make(map[cacheKey]*inflightCall),
 	}
-	for i := range c.shards {
-		c.shards[i].init()
-	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
 }
 
 // MaxEntries returns the configured entry bound (0 = unbounded).
-func (c *Cache) MaxEntries() int { return int(c.maxEntries) }
+func (c *Cache) MaxEntries() int { return c.maxEntries }
 
 // Len returns how many distinct points are currently stored.
 func (c *Cache) Len() int {
-	return int(c.entries.Load())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
-// SimulateGrid is the memoized SimulateGrid: a hit returns the stored
-// Result, a miss simulates (reusing a pooled engine) and stores it.
-func (c *Cache) SimulateGrid(g model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability) (Result, error) {
-	return c.SimulateGridNet(g, v, m, mode, cap, Switched)
+// pushFront links e as the most recently used entry.
+func (c *Cache) pushFront(e *cacheEntry) {
+	e.prev = &c.lru
+	e.next = c.lru.next
+	e.prev.next = e
+	e.next.prev = e
 }
 
-// SimulateGridNet is SimulateGrid with an explicit interconnect model.
-func (c *Cache) SimulateGridNet(g model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, net Network) (Result, error) {
-	return c.SimulateGridFault(g, v, m, mode, cap, net, fault.Plan{})
+// unlink removes e from the LRU ring.
+func (c *Cache) unlink(e *cacheEntry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
 }
 
-// SimulateGridFault is SimulateGridNet with a fault-injection plan. An
-// inactive plan (zero intensity) is canonicalized to the zero plan, so a
-// fault-free request through this path shares its cache entry — and its
-// byte-identical result — with the plain SimulateGrid path.
-func (c *Cache) SimulateGridFault(g model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, net Network, fp fault.Plan) (Result, error) {
-	return c.SimulateGridWith(g, v, m, mode, cap, GridOpts{Net: net, Fault: fp})
-}
-
-// SimulateGridWith is the memoized SimulateGridWith. The metrics and trace
-// flags are part of the cache key — those Results carry the extra Obs report
-// / labeled trace, so they cannot share an entry with the plain one — and
-// cache hits return the same *obs.Report pointer and Trace slice, which
-// callers must treat as read-only.
-func (c *Cache) SimulateGridWith(g model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) (Result, error) {
-	return c.SimulateGridCtx(context.Background(), g, v, m, mode, cap, o)
-}
-
-// SimulateGridCtx is SimulateGridWith under a context. Cancellation is
-// honored at the admission points — before an evaluation starts, and while
-// waiting on another caller's coalesced evaluation — so a cancelled sweep
-// stops issuing DES work promptly. An evaluation that has already started
-// runs to completion and is stored: its cost is bounded (one grid point),
-// coalesced waiters may depend on it, and a completed result left in the
-// cache keeps later uncancelled queries bit-identical.
+// SimulateGridCtx is the memoized SimulateGrid: a hit returns the stored
+// Result, a miss simulates (reusing a pooled engine) and stores it. An
+// inactive fault plan is canonicalized to the zero plan, so a fault-free
+// request shares its entry with the plain one. The metrics and trace flags
+// are part of the key — those Results carry the extra Obs report / labeled
+// trace — and hits return the same *obs.Report pointer and Trace slice,
+// which callers must treat as read-only.
+//
+// Cancellation is honored at the admission points — before an evaluation
+// starts, and while waiting on another caller's coalesced evaluation — so a
+// cancelled sweep stops issuing DES work promptly. An evaluation that has
+// already started runs to completion and is stored: its cost is bounded
+// (one grid point), coalesced waiters may depend on it, and a completed
+// result left in the cache keeps later uncancelled queries bit-identical.
 func (c *Cache) SimulateGridCtx(ctx context.Context, g model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) (Result, error) {
 	if !o.Fault.Active() {
 		o.Fault = fault.Plan{}
 	}
-	key := cacheKey{grid: g, v: v, machine: m, mode: mode, cap: cap, net: o.Net,
-		interconnect: o.Interconnect, fault: o.Fault, metrics: o.Metrics, trace: o.Trace}
-	sh := &c.shards[key.shardIndex()]
+	key := cacheKey{grid: g, v: v, m: m, mode: mode, cap: cap, o: o}
 
-	sh.mu.Lock()
-	if e, ok := sh.m[key]; ok {
-		e.stamp = c.clock.Add(1)
-		sh.touch(e)
+	c.mu.Lock()
+	if e, ok := c.m[key]; ok {
+		c.stats.Hits++
+		c.unlink(e)
+		c.pushFront(e)
 		r := e.r
-		sh.mu.Unlock()
-		c.hits.Add(1)
+		c.mu.Unlock()
 		return r, nil
 	}
-	c.misses.Add(1)
-	if call, ok := sh.inflight[key]; ok {
-		sh.mu.Unlock()
-		c.coalesced.Add(1)
-		return c.await(ctx, call)
+	c.stats.Misses++
+	if call, ok := c.inflight[key]; ok {
+		c.stats.Coalesced++
+		c.mu.Unlock()
+		return call.await(ctx)
 	}
 	if err := ctx.Err(); err != nil {
 		// Not yet committed to leading an evaluation: bail before the
 		// engine runs rather than after.
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return Result{}, err
 	}
 	call := &inflightCall{done: make(chan struct{})}
-	sh.inflight[key] = call
-	sh.mu.Unlock()
+	c.inflight[key] = call
+	c.mu.Unlock()
 
-	call.r, call.err = c.eval(key, o)
-
-	sh.mu.Lock()
-	delete(sh.inflight, key)
-	if call.err == nil {
-		e := &cacheEntry{key: key, r: call.r, stamp: c.clock.Add(1)}
-		sh.m[key] = e
-		sh.pushFront(e)
-		c.entries.Add(1)
+	cfg, err := gridConfig(g, v, m, mode, cap, o)
+	ran := err == nil
+	if ran {
+		sm := c.pool.Get().(*Simulator)
+		call.r, err = sm.Simulate(cfg)
+		c.pool.Put(sm)
 	}
-	sh.mu.Unlock()
+	call.err = err
+
+	c.mu.Lock()
+	delete(c.inflight, key)
+	if ran {
+		c.stats.Evals++
+	}
+	if err == nil {
+		e := &cacheEntry{key: key, r: call.r}
+		c.m[key] = e
+		c.pushFront(e)
+		if c.maxEntries > 0 && len(c.m) > c.maxEntries {
+			victim := c.lru.prev
+			c.unlink(victim)
+			delete(c.m, victim.key)
+			c.stats.Evictions++
+		}
+	}
+	c.mu.Unlock()
 	close(call.done)
-	c.enforceBound()
 	return call.r, call.err
 }
 
 // await blocks until a coalesced in-flight evaluation completes or ctx is
 // cancelled. A result that is ready wins over a simultaneous cancellation.
-func (c *Cache) await(ctx context.Context, call *inflightCall) (Result, error) {
+func (call *inflightCall) await(ctx context.Context) (Result, error) {
 	select {
 	case <-call.done:
 		return call.r, call.err
@@ -314,68 +235,5 @@ func (c *Cache) await(ctx context.Context, call *inflightCall) (Result, error) {
 		default:
 		}
 		return Result{}, ctx.Err()
-	}
-}
-
-// eval runs one simulation through validation and the pooled engine.
-func (c *Cache) eval(key cacheKey, o GridOpts) (Result, error) {
-	cfg, err := GridConfig(key.grid, key.v, key.machine, key.mode, key.cap)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.Network = o.Net
-	cfg.Interconnect = o.Interconnect
-	if o.Fault.Active() {
-		fp := o.Fault
-		cfg.Fault = &fp
-	}
-	cfg.Metrics = o.Metrics
-	cfg.Trace = o.Trace
-	c.evals.Add(1)
-	sm := c.pool.Get().(*Simulator)
-	r, err := sm.Simulate(cfg)
-	c.pool.Put(sm)
-	return r, err
-}
-
-// enforceBound evicts least-recently-used entries until the global entry
-// count is back under the bound. Called with no locks held: each pass
-// scans the per-shard oldest entries (locking one shard at a time, so
-// concurrent evictors cannot deadlock) and removes the globally oldest.
-// Racing touches can promote a chosen victim between the scan and the
-// removal; the re-check under the victim shard's lock then skips it and
-// the loop re-scans, so the policy is an approximate LRU under contention
-// and an exact one single-threaded. The bound itself is never exceeded for
-// longer than the eviction takes — an insert that overflows runs this
-// before returning.
-func (c *Cache) enforceBound() {
-	if c.maxEntries <= 0 {
-		return
-	}
-	for c.entries.Load() > c.maxEntries {
-		var (
-			victimShard *cacheShard
-			victim      *cacheEntry
-			victimStamp uint64
-		)
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.Lock()
-			if e := sh.lru.prev; e != &sh.lru && (victim == nil || e.stamp < victimStamp) {
-				victimShard, victim, victimStamp = sh, e, e.stamp
-			}
-			sh.mu.Unlock()
-		}
-		if victim == nil {
-			return // raced with concurrent evictors; nothing left to drop
-		}
-		victimShard.mu.Lock()
-		if cur, ok := victimShard.m[victim.key]; ok && cur == victim && victim.stamp == victimStamp {
-			victimShard.unlink(victim)
-			delete(victimShard.m, victim.key)
-			c.entries.Add(-1)
-			c.evictions.Add(1)
-		}
-		victimShard.mu.Unlock()
 	}
 }

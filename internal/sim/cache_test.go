@@ -21,7 +21,7 @@ func TestCacheStatsCounting(t *testing.T) {
 	}
 
 	// First request: a miss that evaluates and stores.
-	r1, err := c.SimulateGrid(g, 8, m, Overlapped, CapDMA)
+	r1, err := c.SimulateGridCtx(context.Background(), g, 8, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestCacheStatsCounting(t *testing.T) {
 	}
 
 	// Same point again: a hit, no new evaluation, bit-identical result.
-	r2, err := c.SimulateGrid(g, 8, m, Overlapped, CapDMA)
+	r2, err := c.SimulateGridCtx(context.Background(), g, 8, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCacheStatsCounting(t *testing.T) {
 
 	// The metrics flag is part of the key: same point with metrics on is a
 	// distinct entry, so another miss and evaluation.
-	if _, err := c.SimulateGridWith(g, 8, m, Overlapped, CapDMA, GridOpts{Metrics: true}); err != nil {
+	if _, err := c.SimulateGridCtx(context.Background(), g, 8, m, Overlapped, CapDMA, GridOpts{Metrics: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st != (CacheStats{Hits: 1, Misses: 2, Evals: 2, Entries: 2}) {
@@ -54,7 +54,7 @@ func TestCacheStatsCounting(t *testing.T) {
 	// miss is counted, the evaluation is not.
 	bad := g
 	bad.I = 7 // PI=4 does not divide 7
-	if _, err := c.SimulateGrid(bad, 8, m, Overlapped, CapDMA); err == nil {
+	if _, err := c.SimulateGridCtx(context.Background(), bad, 8, m, Overlapped, CapDMA, GridOpts{}); err == nil {
 		t.Fatal("malformed grid accepted")
 	}
 	if st := c.Stats(); st != (CacheStats{Hits: 1, Misses: 3, Evals: 2, Entries: 2}) {
@@ -77,7 +77,7 @@ func TestCacheStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				v := heights[i%len(heights)]
-				if _, err := c.SimulateGrid(g, v, m, Overlapped, CapDMA); err != nil {
+				if _, err := c.SimulateGridCtx(context.Background(), g, v, m, Overlapped, CapDMA, GridOpts{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -119,7 +119,7 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-release // line everyone up on the same cold key
-			r, err := c.SimulateGrid(g, 16, m, Overlapped, CapDMA)
+			r, err := c.SimulateGridCtx(context.Background(), g, 16, m, Overlapped, CapDMA, GridOpts{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -161,7 +161,7 @@ func TestCacheBoundEviction(t *testing.T) {
 	heights := []int64{2, 4, 8, 16, 32, 64}
 	first := make(map[int64]float64)
 	for _, v := range heights {
-		r, err := c.SimulateGrid(g, v, m, Overlapped, CapDMA)
+		r, err := c.SimulateGridCtx(context.Background(), g, v, m, Overlapped, CapDMA, GridOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestCacheBoundEviction(t *testing.T) {
 		t.Errorf("entries = %d, want %d", st.Entries, bound)
 	}
 	// An evicted point re-simulates (another eval) to the same bits.
-	r, err := c.SimulateGrid(g, heights[0], m, Overlapped, CapDMA)
+	r, err := c.SimulateGridCtx(context.Background(), g, heights[0], m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,29 +196,82 @@ func TestCacheBoundLRUOrder(t *testing.T) {
 	g, m := cacheTestGrid()
 	c := NewCacheBounded(2)
 	for _, v := range []int64{2, 4} {
-		if _, err := c.SimulateGrid(g, v, m, Overlapped, CapDMA); err != nil {
+		if _, err := c.SimulateGridCtx(context.Background(), g, v, m, Overlapped, CapDMA, GridOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch V=2 so V=4 is now least recent; inserting V=8 must evict V=4.
-	if _, err := c.SimulateGrid(g, 2, m, Overlapped, CapDMA); err != nil {
+	if _, err := c.SimulateGridCtx(context.Background(), g, 2, m, Overlapped, CapDMA, GridOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SimulateGrid(g, 8, m, Overlapped, CapDMA); err != nil {
+	if _, err := c.SimulateGridCtx(context.Background(), g, 8, m, Overlapped, CapDMA, GridOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	pre := c.Stats()
-	if _, err := c.SimulateGrid(g, 2, m, Overlapped, CapDMA); err != nil {
+	if _, err := c.SimulateGridCtx(context.Background(), g, 2, m, Overlapped, CapDMA, GridOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if post := c.Stats(); post.Hits != pre.Hits+1 {
 		t.Errorf("V=2 should have survived eviction (hits %d -> %d)", pre.Hits, post.Hits)
 	}
-	if _, err := c.SimulateGrid(g, 4, m, Overlapped, CapDMA); err != nil {
+	if _, err := c.SimulateGridCtx(context.Background(), g, 4, m, Overlapped, CapDMA, GridOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if post := c.Stats(); post.Misses != pre.Misses+1 {
 		t.Errorf("V=4 should have been evicted (misses %d -> %d)", pre.Misses, post.Misses)
+	}
+}
+
+// TestCacheBoundConcurrent drives a bounded cache from several goroutines
+// over more keys than it holds (run under -race in make check), so inserts,
+// evictions, hits and coalesced misses interleave. At quiescence the bound
+// must hold and the counters must balance exactly: every lookup is a hit or
+// a miss, every miss either led one evaluation or coalesced onto one, and
+// every evaluation's entry is either still stored or was evicted.
+func TestCacheBoundConcurrent(t *testing.T) {
+	g, m := cacheTestGrid()
+	const bound, workers, iters = 4, 8, 30
+	heights := []int64{2, 3, 4, 5, 6, 8, 12, 16, 24, 32}
+	want := make(map[int64]float64)
+	for _, v := range heights {
+		r, err := SimulateGrid(g, v, m, Overlapped, CapDMA, GridOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = r.Makespan
+	}
+	c := NewCacheBounded(bound)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				v := heights[(w*3+i*7)%len(heights)]
+				r, err := c.SimulateGridCtx(context.Background(), g, v, m, Overlapped, CapDMA, GridOpts{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if r.Makespan != want[v] {
+					t.Errorf("V=%d: cached makespan %g != uncached %g", v, r.Makespan, want[v])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if n := c.Len(); n > bound || n != st.Entries {
+		t.Errorf("Len() = %d, Stats().Entries = %d, bound %d", n, st.Entries, bound)
+	}
+	if st.Hits+st.Misses != workers*iters {
+		t.Errorf("hits+misses = %d+%d, want %d calls", st.Hits, st.Misses, workers*iters)
+	}
+	if st.Evals != st.Misses-st.Coalesced {
+		t.Errorf("evals = %d, want misses(%d) - coalesced(%d)", st.Evals, st.Misses, st.Coalesced)
+	}
+	if st.Evictions != st.Evals-uint64(st.Entries) {
+		t.Errorf("evictions = %d, want evals(%d) - entries(%d)", st.Evictions, st.Evals, st.Entries)
 	}
 }
 
@@ -242,7 +295,7 @@ func TestCacheCtxCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewCache().SimulateGrid(g, 8, m, Overlapped, CapDMA)
+	want, err := NewCache().SimulateGridCtx(context.Background(), g, 8, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -128,23 +129,23 @@ func TestFaultCachedMatchesDirect(t *testing.T) {
 	c := NewCache()
 	m := model.PentiumCluster()
 	fp := fault.Default(23, 0.5)
-	direct, err := SimulateGridFault(faultTestGrid, 64, m, Overlapped, CapDMA, Switched, fp)
+	direct, err := SimulateGrid(faultTestGrid, 64, m, Overlapped, CapDMA, GridOpts{Fault: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := c.SimulateGridFault(faultTestGrid, 64, m, Overlapped, CapDMA, Switched, fp)
+	cached, err := c.SimulateGridCtx(context.Background(), faultTestGrid, 64, m, Overlapped, CapDMA, GridOpts{Fault: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached.Makespan != direct.Makespan {
 		t.Errorf("cached %v != direct %v", cached.Makespan, direct.Makespan)
 	}
-	if _, err := c.SimulateGrid(faultTestGrid, 64, m, Overlapped, CapDMA); err != nil {
+	if _, err := c.SimulateGridCtx(context.Background(), faultTestGrid, 64, m, Overlapped, CapDMA, GridOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	n := c.Len()
 	// An inactive plan canonicalizes onto the plain entry: no new key.
-	if _, err := c.SimulateGridFault(faultTestGrid, 64, m, Overlapped, CapDMA, Switched, fault.Default(23, 0)); err != nil {
+	if _, err := c.SimulateGridCtx(context.Background(), faultTestGrid, 64, m, Overlapped, CapDMA, GridOpts{Fault: fault.Default(23, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != n {

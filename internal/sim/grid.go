@@ -82,28 +82,12 @@ func GridConfig(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capabil
 	}, nil
 }
 
-// SimulateGrid is the one-call entry point used by the benchmark harness:
-// simulate one (experiment, tile height, mode) combination on a switched
-// network and return the makespan in seconds.
-func SimulateGrid(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability) (Result, error) {
-	return SimulateGridNet(c, v, m, mode, cap, Switched)
-}
-
-// SimulateGridNet is SimulateGrid with an explicit interconnect model.
-func SimulateGridNet(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, net Network) (Result, error) {
-	return SimulateGridWith(c, v, m, mode, cap, GridOpts{Net: net})
-}
-
-// SimulateGridFault is SimulateGridNet under a fault-injection plan. An
-// inactive plan leaves the result byte-identical to SimulateGridNet's.
-func SimulateGridFault(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, net Network, fp fault.Plan) (Result, error) {
-	return SimulateGridWith(c, v, m, mode, cap, GridOpts{Net: net, Fault: fp})
-}
-
 // GridOpts bundles the optional knobs of a grid simulation: the interconnect
 // model (zero value: switched), the switch hierarchy (zero value: flat), a
-// fault plan (zero value: fault-free), the phase-accounting metrics pass and
-// the full labeled trace (both off by default).
+// fault plan (zero value or zero intensity: fault-free, byte-identical to no
+// plan), the phase-accounting metrics pass and the full labeled trace (both
+// off by default). The zero value is the paper's plain switched cluster.
+// Every field is part of a Cache key.
 type GridOpts struct {
 	Net          Network
 	Interconnect topo.Spec
@@ -112,12 +96,25 @@ type GridOpts struct {
 	Trace        bool
 }
 
-// SimulateGridWith is SimulateGrid with the full option set; the other
-// SimulateGrid* entry points are shorthands for common opt subsets.
-func SimulateGridWith(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) (Result, error) {
-	cfg, err := GridConfig(c, v, m, mode, cap)
+// SimulateGrid simulates one (grid, tile height, schedule) point of the
+// paper's Section 5 experiments under the options o, with a one-shot
+// engine. It is the uncached reference: (*Cache).SimulateGridCtx returns
+// bit-identical Results, and the sequential sweep references and the tests
+// compare against this.
+func SimulateGrid(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) (Result, error) {
+	cfg, err := gridConfig(c, v, m, mode, cap, o)
 	if err != nil {
 		return Result{}, err
+	}
+	return Simulate(cfg)
+}
+
+// gridConfig is GridConfig with the options applied: the one place a
+// GridOpts becomes a Config, for the cached and the uncached path alike.
+func gridConfig(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) (Config, error) {
+	cfg, err := GridConfig(c, v, m, mode, cap)
+	if err != nil {
+		return Config{}, err
 	}
 	cfg.Network = o.Net
 	cfg.Interconnect = o.Interconnect
@@ -127,5 +124,5 @@ func SimulateGridWith(c model.Grid3D, v int64, m model.Machine, mode Mode, cap C
 	}
 	cfg.Metrics = o.Metrics
 	cfg.Trace = o.Trace
-	return Simulate(cfg)
+	return cfg, nil
 }

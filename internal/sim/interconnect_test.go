@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
@@ -15,11 +16,11 @@ func TestInterconnectSameSwitchIdentity(t *testing.T) {
 	g := model.Grid3D{I: 8, J: 8, K: 64, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
 	for _, mode := range []Mode{Blocking, Overlapped} {
-		flat, err := SimulateGridWith(g, 8, m, mode, CapDMA, GridOpts{})
+		flat, err := SimulateGrid(g, 8, m, mode, CapDMA, GridOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := SimulateGridWith(g, 8, m, mode, CapDMA, GridOpts{
+		wide, err := SimulateGrid(g, 8, m, mode, CapDMA, GridOpts{
 			Interconnect: topo.TwoLevel(16, 4, 1e-6, 2),
 		})
 		if err != nil {
@@ -39,17 +40,17 @@ func TestInterconnectSameSwitchIdentity(t *testing.T) {
 func TestInterconnectSlowsCrossSwitchTraffic(t *testing.T) {
 	g := model.Grid3D{I: 8, J: 8, K: 64, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
-	flat, err := SimulateGridWith(g, 8, m, Overlapped, CapDMA, GridOpts{})
+	flat, err := SimulateGrid(g, 8, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := SimulateGridWith(g, 8, m, Overlapped, CapDMA, GridOpts{
+	fast, err := SimulateGrid(g, 8, m, Overlapped, CapDMA, GridOpts{
 		Interconnect: topo.TwoLevel(4, 4, 1e-5, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	thin, err := SimulateGridWith(g, 8, m, Overlapped, CapDMA, GridOpts{
+	thin, err := SimulateGrid(g, 8, m, Overlapped, CapDMA, GridOpts{
 		Interconnect: topo.TwoLevel(4, 0.25, 1e-5, 1),
 	})
 	if err != nil {
@@ -70,14 +71,14 @@ func TestInterconnectSlowsCrossSwitchTraffic(t *testing.T) {
 func TestInterconnectValidate(t *testing.T) {
 	g := model.Grid3D{I: 4, J: 4, K: 8, PI: 2, PJ: 2}
 	m := model.PentiumCluster()
-	_, err := SimulateGridWith(g, 2, m, Blocking, CapDMA, GridOpts{
+	_, err := SimulateGrid(g, 2, m, Blocking, CapDMA, GridOpts{
 		Net:          SharedBus,
 		Interconnect: topo.TwoLevel(2, 1, 0, 1),
 	})
 	if err == nil {
 		t.Error("hierarchical interconnect on shared bus not rejected")
 	}
-	_, err = SimulateGridWith(g, 2, m, Blocking, CapDMA, GridOpts{
+	_, err = SimulateGrid(g, 2, m, Blocking, CapDMA, GridOpts{
 		Interconnect: topo.Spec{Levels: 1}, // zero radix
 	})
 	if err == nil {
@@ -93,7 +94,7 @@ func TestInterconnectObsReport(t *testing.T) {
 	g := model.Grid3D{I: 8, J: 8, K: 64, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
 	spec := topo.FatTree(4, 2, 2, 4, 1e-5, 2)
-	res, err := SimulateGridWith(g, 8, m, Overlapped, CapDMA, GridOpts{
+	res, err := SimulateGrid(g, 8, m, Overlapped, CapDMA, GridOpts{
 		Interconnect: spec, Metrics: true,
 	})
 	if err != nil {
@@ -115,7 +116,7 @@ func TestInterconnectObsReport(t *testing.T) {
 		}
 	}
 
-	traced, err := SimulateGridWith(g, 8, m, Overlapped, CapDMA, GridOpts{
+	traced, err := SimulateGrid(g, 8, m, Overlapped, CapDMA, GridOpts{
 		Interconnect: spec, Trace: true,
 	})
 	if err != nil {
@@ -156,11 +157,11 @@ func TestInterconnectCacheKey(t *testing.T) {
 	g := model.Grid3D{I: 8, J: 8, K: 64, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
 	c := NewCache()
-	flat, err := c.SimulateGridWith(g, 8, m, Overlapped, CapDMA, GridOpts{})
+	flat, err := c.SimulateGridCtx(context.Background(), g, 8, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := c.SimulateGridWith(g, 8, m, Overlapped, CapDMA, GridOpts{
+	hier, err := c.SimulateGridCtx(context.Background(), g, 8, m, Overlapped, CapDMA, GridOpts{
 		Interconnect: topo.TwoLevel(4, 0.25, 1e-5, 1),
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -135,11 +136,11 @@ func TestOverlapEfficiencyOverlappedBeatsBlocking(t *testing.T) {
 	if v > metricsGrid.K {
 		v = metricsGrid.K
 	}
-	ov, err := SimulateGridWith(metricsGrid, v, m, Overlapped, CapDMA, GridOpts{Metrics: true})
+	ov, err := SimulateGrid(metricsGrid, v, m, Overlapped, CapDMA, GridOpts{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := SimulateGridWith(metricsGrid, v, m, Blocking, CapDMA, GridOpts{Metrics: true})
+	bl, err := SimulateGrid(metricsGrid, v, m, Blocking, CapDMA, GridOpts{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestMetricsFaultCounters(t *testing.T) {
 	// Seed 3 is chosen to deterministically yield both losses and pauses at
 	// this intensity on this grid (some seeds produce neither by chance).
 	fp := fault.Default(3, 0.9)
-	res, err := SimulateGridWith(model.Grid3D{I: 8, J: 8, K: 512, PI: 2, PJ: 2},
+	res, err := SimulateGrid(model.Grid3D{I: 8, J: 8, K: 512, PI: 2, PJ: 2},
 		64, model.PentiumCluster(), Overlapped, CapDMA,
 		GridOpts{Fault: fp, Metrics: true})
 	if err != nil {
@@ -187,14 +188,14 @@ func TestMetricsFaultCounters(t *testing.T) {
 func TestCacheMetricsKey(t *testing.T) {
 	c := NewCache()
 	m := model.PentiumCluster()
-	plain, err := c.SimulateGridWith(metricsGrid, 16, m, Overlapped, CapDMA, GridOpts{})
+	plain, err := c.SimulateGridCtx(context.Background(), metricsGrid, 16, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Obs != nil {
 		t.Error("plain cached run unexpectedly carries a report")
 	}
-	with, err := c.SimulateGridWith(metricsGrid, 16, m, Overlapped, CapDMA, GridOpts{Metrics: true})
+	with, err := c.SimulateGridCtx(context.Background(), metricsGrid, 16, m, Overlapped, CapDMA, GridOpts{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestCacheMetricsKey(t *testing.T) {
 	if with.Makespan != plain.Makespan {
 		t.Errorf("metrics pass changed the makespan: %g vs %g", with.Makespan, plain.Makespan)
 	}
-	hit, err := c.SimulateGridWith(metricsGrid, 16, m, Overlapped, CapDMA, GridOpts{Metrics: true})
+	hit, err := c.SimulateGridCtx(context.Background(), metricsGrid, 16, m, Overlapped, CapDMA, GridOpts{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

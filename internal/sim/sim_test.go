@@ -99,7 +99,7 @@ func TestSimulateSingleProcessorNoComm(t *testing.T) {
 	c := model.Grid3D{I: 2, J: 2, K: 4, PI: 1, PJ: 1}
 	m := testMachine()
 	for _, mode := range []Mode{Blocking, Overlapped} {
-		r, err := SimulateGrid(c, 2, m, mode, CapDMA)
+		r, err := SimulateGrid(c, 2, m, mode, CapDMA, GridOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestBlockingMatchesHandComputation(t *testing.T) {
 	// [8.782, 9.532], P1 compute [9.532, 17.532].
 	c := model.Grid3D{I: 2, J: 4, K: 2, PI: 1, PJ: 2}
 	m := testMachine()
-	r, err := SimulateGrid(c, 2, m, Blocking, CapNone)
+	r, err := SimulateGrid(c, 2, m, Blocking, CapNone, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestOverlappedPipelinesAcrossSteps(t *testing.T) {
 	// makespan ≈ offset + steps·computePerTile when compute dominates.
 	c := model.Grid3D{I: 2, J: 4, K: 32, PI: 1, PJ: 2}
 	m := testMachine()
-	ov, err := SimulateGrid(c, 2, m, Overlapped, CapFullDuplex)
+	ov, err := SimulateGrid(c, 2, m, Overlapped, CapFullDuplex, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := SimulateGrid(c, 2, m, Blocking, CapNone)
+	bl, err := SimulateGrid(c, 2, m, Blocking, CapNone, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestOverlapBeatsBlockingOnPaperGrid(t *testing.T) {
 	c := model.Grid3D{I: 8, J: 8, K: 256, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
 	v := int64(16)
-	bl, err := SimulateGrid(c, v, m, Blocking, CapNone)
+	bl, err := SimulateGrid(c, v, m, Blocking, CapNone, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, err := SimulateGrid(c, v, m, Overlapped, CapDMA)
+	ov, err := SimulateGrid(c, v, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCapabilityOrdering(t *testing.T) {
 	v := int64(8)
 	makespan := map[Capability]float64{}
 	for _, cap := range []Capability{CapNone, CapDMA, CapFullDuplex} {
-		r, err := SimulateGrid(c, v, m, Overlapped, cap)
+		r, err := SimulateGrid(c, v, m, Overlapped, cap, GridOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,11 +248,11 @@ func TestCapabilityOrdering(t *testing.T) {
 func TestDeterministicRepeats(t *testing.T) {
 	c := smallGrid()
 	m := model.PentiumCluster()
-	r1, err := SimulateGrid(c, 2, m, Overlapped, CapDMA)
+	r1, err := SimulateGrid(c, 2, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SimulateGrid(c, 2, m, Overlapped, CapDMA)
+	r2, err := SimulateGrid(c, 2, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestMessageCountMatchesTopology(t *testing.T) {
 	// 2x2 processor grid, kt tiles each: cross messages = per k-tile,
 	// i-direction: 1 proc boundary × 2 j-procs; j-direction likewise.
 	c := smallGrid() // 2x2 procs
-	r, err := SimulateGrid(c, 2, testMachine(), Blocking, CapNone)
+	r, err := SimulateGrid(c, 2, testMachine(), Blocking, CapNone, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestWavefrontLowerBound(t *testing.T) {
 	chainLen := float64((c.PI - 1) + (c.PJ - 1) + (c.KTiles(v) - 1) + 1)
 	lower := chainLen * g
 	for _, mode := range []Mode{Blocking, Overlapped} {
-		r, err := SimulateGrid(c, v, m, mode, CapFullDuplex)
+		r, err := SimulateGrid(c, v, m, mode, CapFullDuplex, GridOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,11 +391,11 @@ func TestSharedBusSlowerOrEqual(t *testing.T) {
 	c := model.Grid3D{I: 8, J: 8, K: 128, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
 	for _, mode := range []Mode{Blocking, Overlapped} {
-		sw, err := SimulateGridNet(c, 8, m, mode, CapDMA, Switched)
+		sw, err := SimulateGrid(c, 8, m, mode, CapDMA, GridOpts{Net: Switched})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := SimulateGridNet(c, 8, m, mode, CapDMA, SharedBus)
+		sb, err := SimulateGrid(c, 8, m, mode, CapDMA, GridOpts{Net: SharedBus})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,11 +410,11 @@ func TestSharedBusSingleMessageExtraStage(t *testing.T) {
 	// stage (the medium arbitration) to the end-to-end path.
 	c := model.Grid3D{I: 2, J: 4, K: 2, PI: 1, PJ: 2}
 	m := testMachine()
-	sw, err := SimulateGridNet(c, 2, m, Blocking, CapNone, Switched)
+	sw, err := SimulateGrid(c, 2, m, Blocking, CapNone, GridOpts{Net: Switched})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := SimulateGridNet(c, 2, m, Blocking, CapNone, SharedBus)
+	sb, err := SimulateGrid(c, 2, m, Blocking, CapNone, GridOpts{Net: SharedBus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,11 +431,11 @@ func TestSharedBusErodesOverlapGain(t *testing.T) {
 	m.Tt *= 10 // a slow shared medium (the paper's 10 Mbps Ethernet era)
 	v := int64(16)
 	gain := func(net Network) float64 {
-		ov, err := SimulateGridNet(c, v, m, Overlapped, CapDMA, net)
+		ov, err := SimulateGrid(c, v, m, Overlapped, CapDMA, GridOpts{Net: net})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bl, err := SimulateGridNet(c, v, m, Blocking, CapNone, net)
+		bl, err := SimulateGrid(c, v, m, Blocking, CapNone, GridOpts{Net: net})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +506,7 @@ func TestStragglerSlowsCluster(t *testing.T) {
 	// by less than 2x (only that node's work is slower).
 	c := model.Grid3D{I: 8, J: 8, K: 128, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
-	base, err := SimulateGrid(c, 8, m, Overlapped, CapDMA)
+	base, err := SimulateGrid(c, 8, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestUniformSpeedScalesComputeBoundRun(t *testing.T) {
 	// on the comm-influenced parts).
 	c := model.Grid3D{I: 8, J: 8, K: 128, PI: 4, PJ: 4}
 	m := testMachine() // compute dominates strongly (1 s per point)
-	base, err := SimulateGrid(c, 8, m, Overlapped, CapDMA)
+	base, err := SimulateGrid(c, 8, m, Overlapped, CapDMA, GridOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
