@@ -96,7 +96,8 @@ func TestSpawnRunDelayedRankSucceeds(t *testing.T) {
 // instrumentation: an in-process cluster runs with each rank wrapped in
 // BOTH obs.InstrumentComm and mp.CountingComm, and the teardown snapshot's
 // per-rank message and byte counts must equal the CountingComm reference
-// totals exactly. The snapshot is read back over the live HTTP endpoint
+// totals exactly, with per-peer TCP frames and writes consistent with the
+// messages sent. The snapshot is read back over the live HTTP endpoint
 // (/metrics.json) and from the -metrics-snapshot teardown file, so the
 // whole observer path — registry, server, JSON dump — is covered.
 func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
@@ -120,8 +121,10 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		counting[rank] = mp.WithCounters(c)
-		return wrap(counting[rank]), nil
+		// The observer wraps the transport itself, as tilenode's does, so
+		// the snapshot carries the TCP writer's per-peer frames and writes.
+		counting[rank] = mp.WithCounters(wrap(c))
+		return counting[rank], nil
 	}
 	if err := spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, job3D(cfg), nil) }); err != nil {
 		t.Fatal(err)
@@ -170,6 +173,14 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 		if s.TCP.DialOKs+s.TCP.AcceptOKs != int64(n-1) {
 			t.Errorf("rank %d: %d dials + %d accepts, want %d connections",
 				s.Rank, s.TCP.DialOKs, s.TCP.AcceptOKs, n-1)
+		}
+		// Every data message is one frame (control frames add more), and
+		// the writer puts one or more frames on the socket per write.
+		for _, p := range s.Peers {
+			if p.Frames < p.SendMsgs || p.Writes < 1 || p.Writes > p.Frames {
+				t.Errorf("rank %d peer %d: frames %d, writes %d for %d messages sent",
+					s.Rank, p.Peer, p.Frames, p.Writes, p.SendMsgs)
+			}
 		}
 	}
 }

@@ -20,7 +20,6 @@ const UserTagLimit = 1 << 28
 const (
 	tagBcast = UserTagLimit + iota*4096
 	tagReduce
-	tagGather
 )
 
 // ReduceOp combines two float64 values.
@@ -134,39 +133,6 @@ func AllReduce(c Comm, in []float64, op ReduceOp) ([]float64, error) {
 	return unpackFloats(buf), nil
 }
 
-// GatherBytesSized collects every rank's block on root. On root the result
-// has Size() entries indexed by rank (including root's own block); on other
-// ranks it is nil. Every rank must pass a block of exactly blockLen bytes.
-func GatherBytesSized(c Comm, root int, block []byte, blockLen int) ([][]byte, error) {
-	if len(block) != blockLen {
-		return nil, fmt.Errorf("mp: block is %d bytes, want %d", len(block), blockLen)
-	}
-	size := c.Size()
-	if err := checkRank(root, size, "root"); err != nil {
-		return nil, err
-	}
-	if c.Rank() != root {
-		return nil, c.Send(root, tagGather, block)
-	}
-	out := make([][]byte, size)
-	out[root] = append([]byte(nil), block...)
-	for rank := 0; rank < size; rank++ {
-		if rank == root {
-			continue
-		}
-		buf := make([]byte, blockLen)
-		st, err := c.Recv(rank, tagGather, buf)
-		if err != nil {
-			return nil, err
-		}
-		if st.Bytes != blockLen {
-			return nil, fmt.Errorf("mp: gather from rank %d: %d bytes, want %d", rank, st.Bytes, blockLen)
-		}
-		out[rank] = buf
-	}
-	return out, nil
-}
-
 func packFloats(buf []byte, xs []float64) {
 	for i, x := range xs {
 		u := math.Float64bits(x)
@@ -191,54 +157,4 @@ func unpackFloats(buf []byte) []float64 {
 		xs[i] = math.Float64frombits(u)
 	}
 	return xs
-}
-
-// Sendrecv performs a simultaneous exchange: send `send` to dst while
-// receiving into recvBuf from src, without deadlock regardless of
-// transport mode (the send is issued non-blocking first). Either side may
-// be disabled by passing dst or src as -1 (like MPI_PROC_NULL).
-func Sendrecv(c Comm, dst, sendTag int, send []byte, src, recvTag int, recvBuf []byte) (Status, error) {
-	var sreq Request
-	var err error
-	if dst >= 0 {
-		if sreq, err = c.Isend(dst, sendTag, send); err != nil {
-			return Status{}, err
-		}
-	}
-	var st Status
-	if src >= 0 {
-		if st, err = c.Recv(src, recvTag, recvBuf); err != nil {
-			return Status{}, err
-		}
-	}
-	if sreq != nil {
-		if _, err := sreq.Wait(); err != nil {
-			return Status{}, err
-		}
-	}
-	return st, nil
-}
-
-// AllGather collects every rank's equal-size block on every rank, indexed
-// by rank: Gather to rank 0 followed by a broadcast of the concatenation.
-func AllGather(c Comm, block []byte, blockLen int) ([][]byte, error) {
-	blocks, err := GatherBytesSized(c, 0, block, blockLen)
-	if err != nil {
-		return nil, err
-	}
-	size := c.Size()
-	flat := make([]byte, size*blockLen)
-	if c.Rank() == 0 {
-		for r, b := range blocks {
-			copy(flat[r*blockLen:], b)
-		}
-	}
-	if err := Bcast(c, 0, flat); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, size)
-	for r := 0; r < size; r++ {
-		out[r] = flat[r*blockLen : (r+1)*blockLen]
-	}
-	return out, nil
 }

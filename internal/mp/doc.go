@@ -49,24 +49,14 @@
 // it. The in-process transport has no limit. Code that ships data of any
 // size cuts it into bounded chunks, as runner's gather does.
 //
-// # Collective schedules
+// # Collectives
 //
-// The collectives come in pluggable schedules (CollectiveOpts): the
-// log-depth binomial tree is the default, and BcastOpts / ReduceOpts /
-// AllReduceOpts additionally offer round-based schedules in the style of
-// Träff's optimal-depth constructions (scatter + recursive doubling for
-// broadcast, recursive-halving reduce-scatter + gather for reduce) and a
-// two-stage hierarchical schedule that follows a switch hierarchy
-// (intra-group first, then across group leaders — GroupSize is the
-// topology hint, typically topo.Spec.GroupSize(0)). Schedule selection
-// never changes results: every reduction schedule evaluates the exact
-// expression tree of the binomial schedule, so even non-associative
-// floating-point reductions are bit-identical across schedules (the
-// property tests in collsched_test.go sweep this, and DESIGN.md §12
-// explains why the trees coincide). Shapes a schedule cannot serve
-// (non-power-of-two worlds, indivisible groups) fall back to binomial
-// transparently, and all schedules inherit the Comm contract below —
-// reserved tags, non-overtaking matching, deadline and abort semantics.
+// Bcast, Reduce and AllReduce run over log-depth binomial trees built from
+// Send and Recv on reserved tags (from UserTagLimit up), so they inherit the
+// Comm contract below: non-overtaking matching, deadlines and abort. The
+// paper's programs are point-to-point only; the one collective a run uses
+// is runner's AllReduce(OpMin), with which the ranks agree on the newest
+// checkpoint they all hold before a restore.
 //
 // # Failure handling
 //

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/deps"
@@ -279,25 +281,64 @@ func TestMessageCountMatchesTopology(t *testing.T) {
 	}
 }
 
-// TestWavefrontLowerBound: the makespan can never beat the critical path
-// lower bound of the dependence chain: the last tile transitively depends on
-// (PI-1)+(PJ-1)+(KT-1) predecessors' computes.
+// TestWavefrontLowerBound: the makespan can never beat the compute-only
+// critical path of the dependence chain. The last rank's first tile
+// transitively depends on the first k-tiles of (PI-1)+(PJ-1) ranks, each a
+// full V·TileI·TileJ compute, and that rank then computes its whole column
+// of K·TileI·TileJ points in order. The table covers the V ladder (1, a
+// non-divisor of K, 64, K), both modes, every capability and both networks,
+// through the uncached reference and through a small bounded cache (a miss
+// on a pooled engine, then a hit, with evictions along the way).
 func TestWavefrontLowerBound(t *testing.T) {
-	c := model.Grid3D{I: 8, J: 8, K: 16, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
-	v := int64(4)
-	g := float64(c.TileVolume(v)) * m.Tc
-	chainLen := float64((c.PI - 1) + (c.PJ - 1) + (c.KTiles(v) - 1) + 1)
-	lower := chainLen * g
-	for _, mode := range []Mode{Blocking, Overlapped} {
-		r, err := SimulateGrid(c, v, m, mode, CapFullDuplex, GridOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Makespan < lower {
-			t.Errorf("%v makespan %g below dependence-chain lower bound %g", mode, r.Makespan, lower)
+	cache := NewCacheBounded(8)
+	points, tightest := 0, math.Inf(1)
+	for _, tc := range []struct {
+		g  model.Grid3D
+		vs []int64
+	}{
+		{model.Grid3D{I: 8, J: 8, K: 128, PI: 4, PJ: 4}, []int64{1, 3, 64, 128}},
+		{model.Grid3D{I: 16, J: 8, K: 100, PI: 2, PJ: 4}, []int64{1, 7, 64, 100}},
+		{model.Grid3D{I: 12, J: 12, K: 64, PI: 3, PJ: 2}, []int64{1, 5, 64}},
+		{model.Grid3D{I: 64, J: 64, K: 256, PI: 2, PJ: 2}, []int64{1, 10, 64, 256}}, // compute-heavy: the bound is tight
+	} {
+		c := tc.g
+		face := float64(c.TileI()*c.TileJ()) * m.Tc
+		for _, v := range tc.vs {
+			lower := float64((c.PI-1)+(c.PJ-1))*float64(v)*face + float64(c.K)*face
+			for _, mode := range []Mode{Blocking, Overlapped} {
+				for _, cp := range []Capability{CapNone, CapDMA, CapFullDuplex} {
+					for _, net := range []Network{Switched, SharedBus} {
+						o := GridOpts{Net: net}
+						ref, err := SimulateGrid(c, v, m, mode, cp, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						miss, err := cache.SimulateGridCtx(context.Background(), c, v, m, mode, cp, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						hit, err := cache.SimulateGridCtx(context.Background(), c, v, m, mode, cp, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for path, r := range map[string]Result{"reference": ref, "cache miss": miss, "cache hit": hit} {
+							points++
+							tightest = math.Min(tightest, r.Makespan/lower)
+							if r.Makespan < lower {
+								t.Errorf("%+v V=%d %v %v %v (%s): makespan %g below dependence-chain lower bound %g",
+									c, v, mode, cp, net, path, r.Makespan, lower)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
+	if st := cache.Stats(); st.Hits == 0 || st.Evictions == 0 {
+		t.Errorf("cache path not exercised: %+v", st)
+	}
+	t.Logf("%d points, tightest makespan/bound %.3f", points, tightest)
 }
 
 // TestGenericTopology2D drives Simulate directly with a 2-D tiled space
