@@ -5,7 +5,7 @@ GO ?= go
 
 BENCH ?= Fig9$$|Fig10$$|Fig11$$|Fig12$$|SimEngine$$|SimBuild$$|SweepParallel$$
 
-.PHONY: build test race bench bench-smoke fault-smoke serve-smoke chaos examples-smoke vet lint docs-check check
+.PHONY: build test race bench bench-smoke fault-smoke serve-smoke chaos vet lint docs-check check
 
 build:
 	$(GO) build ./...
@@ -54,16 +54,6 @@ serve-smoke:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosSupervised' ./cmd/tilenode
 
-# Every program under examples/ is built once and run to completion (each
-# takes about a second at most); a non-zero exit or a hang past 60 s fails.
-examples-smoke:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir" ./examples/... && \
-	for ex in "$$dir"/*; do \
-		echo "examples-smoke: $$(basename $$ex)"; \
-		timeout 60 "$$ex" >/dev/null || { echo "examples-smoke: $$(basename $$ex) failed"; exit 1; }; \
-	done
-
 # Toolchain hygiene: go vet and a gofmt-clean tree (testdata included).
 vet:
 	$(GO) vet ./...
@@ -83,4 +73,4 @@ lint:
 docs-check:
 	$(GO) run ./cmd/docscheck .
 
-check: build test race fault-smoke serve-smoke chaos bench-smoke examples-smoke vet lint docs-check
+check: build test race fault-smoke serve-smoke chaos bench-smoke vet lint docs-check

@@ -302,7 +302,7 @@ func (s *server) answer(ctx context.Context, q planapi.PlanRequest) (planapi.Pla
 		Version:        planapi.Version,
 		Mode:           mode.String(),
 		V:              out.V,
-		G:              (g.I / g.PI) * (g.J / g.PJ) * out.V,
+		G:              g.TileVolume(out.V),
 		TSeconds:       out.T,
 		Tier:           out.Tier.String(),
 		Probes:         out.Probes,

@@ -4,7 +4,7 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory and README.md for the package-dependency overview); runnable
-// entry points are under cmd/ and examples/; the benchmarks in
+// entry points are under cmd/; the benchmarks in
 // bench_test.go regenerate every figure and table of the paper's
 // evaluation (see EXPERIMENTS.md for paper-vs-measured results, and
 // OBSERVABILITY.md for the metrics, trace-export, and live-instrumentation

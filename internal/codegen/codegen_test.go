@@ -204,46 +204,3 @@ func TestCheckOrderSequentialIsLegal(t *testing.T) {
 		}
 	}
 }
-
-func TestEmitProgramParses(t *testing.T) {
-	sp := space.MustRect(100, 40)
-	tl := tiling.MustRectangular(10, 8)
-	src, err := EmitProgram(sp, tl,
-		"at(i0-1, i1-1) + at(i0-1, i1) + at(i0, i1-1)", 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckProgram(src); err != nil {
-		t.Fatalf("generated program does not parse: %v\n%s", err, src)
-	}
-	for _, want := range []string{"package main", "func idx", "func at", "func main()", "for t0 :="} {
-		if !strings.Contains(src, want) {
-			t.Errorf("program missing %q", want)
-		}
-	}
-}
-
-func TestEmitProgram3D(t *testing.T) {
-	sp := space.MustRect(8, 8, 16)
-	tl := tiling.MustRectangular(4, 4, 8)
-	src, err := EmitProgram(sp, tl,
-		"at(i0-1, i1, i2) + at(i0, i1-1, i2) + at(i0, i1, i2-1)", 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckProgram(src); err != nil {
-		t.Fatalf("3-D program does not parse: %v", err)
-	}
-}
-
-func TestEmitProgramErrors(t *testing.T) {
-	if _, err := EmitProgram(space.MustRect(4), tiling.MustRectangular(2, 2), "x", 0); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
-func TestCheckProgramCatchesBadSyntax(t *testing.T) {
-	if err := CheckProgram("package main\nfunc {"); err == nil {
-		t.Error("syntax error not caught")
-	}
-}

@@ -12,5 +12,5 @@
 //	simr, _ := plan.Simulate(...)     // discrete-event makespans
 //
 // The real (wall-clock, message-passing) execution path lives in
-// internal/runner and is demonstrated by the examples.
+// internal/runner and is driven by `tilebench verify` and cmd/tilenode.
 package core

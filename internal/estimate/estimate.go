@@ -15,7 +15,7 @@ import (
 const (
 	DefaultTol      = 0.30 // max |model − probe| / probe over probed rungs
 	DefaultResidTol = 0.06 // same, after geometric-mean ratio calibration
-	DefaultMargin   = 2.0  // elision safety margin, in units of ResidTol
+	DefaultMargin   = 2.0  // elision safety margin, in units of DefaultResidTol
 )
 
 // Tier identifies which tier produced an Outcome.
@@ -61,12 +61,6 @@ type Config struct {
 	// earliest height of minimal time — the same tie-break as the
 	// experiments package's exact search.
 	Exact func() (v int64, t float64, err error)
-
-	// Tol, ResidTol and Margin override the certification constants; zero
-	// or negative values select the defaults.
-	Tol      float64
-	ResidTol float64
-	Margin   float64
 }
 
 // Outcome reports a tiered query's answer and how it was obtained.
@@ -101,16 +95,6 @@ type probeRec struct {
 func Optimum(ctx context.Context, cfg Config) (Outcome, error) {
 	if cfg.Model == nil || cfg.Probe == nil {
 		return Outcome{}, fmt.Errorf("estimate: Config.Model and Config.Probe are required")
-	}
-	tol, residTol, margin := cfg.Tol, cfg.ResidTol, cfg.Margin
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if residTol <= 0 {
-		residTol = DefaultResidTol
-	}
-	if margin <= 0 {
-		margin = DefaultMargin
 	}
 	heights := dedupeSorted(cfg.Heights)
 
@@ -220,7 +204,7 @@ func Optimum(ctx context.Context, cfg Config) (Outcome, error) {
 			return t > tBest, nil
 		}
 		rho := tBest / cfg.Model(heights[best])
-		if pred := rho * cfg.Model(v); pred > tBest*(1+margin*residTol) {
+		if pred := rho * cfg.Model(v); pred > tBest*(1+DefaultMargin*DefaultResidTol) {
 			return true, nil
 		}
 		t, err := probe(v)
@@ -255,7 +239,7 @@ func Optimum(ctx context.Context, cfg Config) (Outcome, error) {
 	// Tier 3: certify. Recompute the calibration ratio as the geometric
 	// mean over every probe, then require both the raw and the calibrated
 	// model-vs-DES disagreement to stay within tolerance at every probed
-	// rung. The checks are written as !(err <= tol) so a NaN from a
+	// rung. The checks are written as !(err <= DefaultTol) so a NaN from a
 	// degenerate model fails certification instead of passing it.
 	logSum := 0.0
 	for _, r := range recs {
@@ -264,10 +248,10 @@ func Optimum(ctx context.Context, cfg Config) (Outcome, error) {
 	rho := math.Exp(logSum / float64(len(recs)))
 	for _, r := range recs {
 		pred := cfg.Model(r.v)
-		if e := math.Abs(pred-r.t) / r.t; !(e <= tol) {
+		if e := math.Abs(pred-r.t) / r.t; !(e <= DefaultTol) {
 			return fallback("tol")
 		}
-		if e := math.Abs(rho*pred-r.t) / r.t; !(e <= residTol) {
+		if e := math.Abs(rho*pred-r.t) / r.t; !(e <= DefaultResidTol) {
 			return fallback("resid")
 		}
 	}

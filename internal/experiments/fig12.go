@@ -40,16 +40,10 @@ func PaperFig12() []Fig12Row {
 	}
 }
 
-// Fig12 regenerates the summary table on the simulated cluster: for each of
-// the three spaces it finds the simulated optima of both schedules, then
-// evaluates the analytic model at the overlapped optimum (the paper's
-// theoretical column).
-func Fig12() ([]Fig12Row, error) {
-	return Fig12For([]Sweep{Fig9(), Fig10(), Fig11()})
-}
-
-// Fig12For runs the Fig. 12 pipeline over arbitrary sweeps (scaled-down
-// variants in tests).
+// Fig12For regenerates the summary table on the simulated cluster: for each
+// sweep (the paper's three spaces, or scaled-down variants in tests) it
+// finds the simulated optima of both schedules, then evaluates the analytic
+// model at the overlapped optimum (the paper's theoretical column).
 func Fig12For(sweeps []Sweep) ([]Fig12Row, error) {
 	rows := make([]Fig12Row, 0, len(sweeps))
 	for _, s := range sweeps {

@@ -27,7 +27,13 @@ import (
 // same seeded fault plan the degradation sweep uses) supplies the useful
 // work time that failures interrupt. The recovery arithmetic on top is
 // deliberately the expectation model, not a crash simulation — it is the
-// curve an operator consults to pick -checkpoint-every before a run.
+// curve an operator consults to pick -checkpoint-every before a run. Its
+// costs are fixed fractions of the fault-free makespan t0: writing one
+// checkpoint generation costs CkCost = t0/200 (snapshots are cheap but not
+// free), one restart costs Restart = t0/50 (detection, backoff and world
+// rebuild, the supervisor's MTTR floor), and the mean time between rank
+// failures at intensity 1 is MTBF = t0/2 of useful work (about two crashes
+// per run); intensity x scales the failure rate to x/MTBF.
 type RecoverySweep struct {
 	ID      string
 	Grid    model.Grid3D
@@ -42,19 +48,6 @@ type RecoverySweep struct {
 	// Intensities are the fault intensities to cross, ascending; include 0
 	// for the checkpoint-overhead-only column.
 	Intensities []float64
-	// CkCost is the wall time of writing one checkpoint generation, in
-	// seconds (0 defaults to faultfree/200: snapshots are cheap but not
-	// free).
-	CkCost float64
-	// Restart is the per-incident recovery cost in seconds — detection,
-	// backoff and world rebuild, i.e. the supervisor's MTTR floor (0
-	// defaults to faultfree/50).
-	Restart float64
-	// MTBF is the mean time between rank failures at intensity 1, in
-	// seconds of useful work (0 defaults to faultfree/2: about two crashes
-	// per run at full intensity). Intensity x scales the failure rate to
-	// x/MTBF.
-	MTBF float64
 	// Cache optionally memoizes the DES points across runs.
 	Cache *sim.Cache
 }
@@ -109,9 +102,6 @@ func (s RecoverySweep) validate() error {
 			return fmt.Errorf("experiments: recovery sweep %s: intensities not ascending at %d", s.ID, i)
 		}
 	}
-	if s.CkCost < 0 || s.Restart < 0 || s.MTBF < 0 {
-		return fmt.Errorf("experiments: recovery sweep %s: negative cost parameter", s.ID)
-	}
 	return nil
 }
 
@@ -127,16 +117,7 @@ func (s RecoverySweep) Run() ([]RecoveryRow, error) {
 		return nil, fmt.Errorf("%s: fault-free anchor: %w", s.ID, err)
 	}
 	t0 := base.Makespan
-	ckCost, restart, mtbf := s.CkCost, s.Restart, s.MTBF
-	if ckCost == 0 {
-		ckCost = t0 / 200
-	}
-	if restart == 0 {
-		restart = t0 / 50
-	}
-	if mtbf == 0 {
-		mtbf = t0 / 2
-	}
+	ckCost, restart, mtbf := t0/200, t0/50, t0/2
 	tiles := s.Grid.KTiles(s.V)
 	rows := make([]RecoveryRow, 0, len(s.Intensities)*len(s.Intervals))
 	for _, x := range s.Intensities {

@@ -24,22 +24,11 @@ type ScaleSweep struct {
 	Points []ScalePoint
 	// TileI/TileJ are the per-rank tile footprint in the i and j
 	// dimensions: point {PI, PJ} simulates a TileI·PI × TileJ·PJ × K
-	// space on a PI×PJ processor grid.
+	// space on a PI×PJ processor grid (K from GridAt).
 	TileI, TileJ int64
-	// K fixes the k extent of every point when nonzero. When zero, each
-	// point gets StepsFactor·(PI+PJ) tile heights of k — the wavefront
-	// takes PI+PJ−2 tile times to fill the processor grid, so scaling the
-	// depth with the grid keeps every point in the steady-state regime
-	// the paper's comparison is about (a fixed shallow K at 10000 ranks
-	// would measure pipeline fill, where neither schedule overlaps
-	// anything).
-	K int64
-	// StepsFactor is the k-tile count per unit of wavefront depth under
-	// automatic K (zero means 2).
-	StepsFactor int64
-	V           int64
-	Machine     model.Machine
-	Cap         sim.Capability
+	V            int64
+	Machine      model.Machine
+	Cap          sim.Capability
 	// Interconnect is the switch hierarchy every point is simulated under.
 	// The fabric sizes itself to each point's rank count, so one spec
 	// serves the whole sweep.
@@ -104,19 +93,15 @@ func DefaultScaleSweep() ScaleSweep {
 	}
 }
 
-// GridAt expands one point into its weak-scaled iteration space (see the K
-// field for the depth rule).
+// GridAt expands one point into its weak-scaled iteration space, of depth
+// K = 2·(PI+PJ)·V. The wavefront takes PI+PJ−2 tile times to fill the
+// processor grid, so scaling the depth with the grid keeps every point in
+// the steady-state regime the paper's comparison is about (a fixed shallow
+// K at 10000 ranks would measure pipeline fill, where neither schedule
+// overlaps anything).
 func (s ScaleSweep) GridAt(p ScalePoint) model.Grid3D {
-	k := s.K
-	if k == 0 {
-		f := s.StepsFactor
-		if f <= 0 {
-			f = 2
-		}
-		k = f * (p.PI + p.PJ) * s.V
-	}
 	return model.Grid3D{
-		I: s.TileI * p.PI, J: s.TileJ * p.PJ, K: k,
+		I: s.TileI * p.PI, J: s.TileJ * p.PJ, K: 2 * (p.PI + p.PJ) * s.V,
 		PI: p.PI, PJ: p.PJ,
 	}
 }

@@ -87,13 +87,6 @@ func (c Grid3D) PredictOverlap(v int64, m Machine) float64 {
 	return m.TotalOverlapped(c.POverlap(v), c.InteriorStep(v, m))
 }
 
-// PredictOverlapPaper evaluates eq. 5 the way the paper's Fig. 12 does:
-// the approximate P(g) times the CPU-side step cost A1+A2+A3.
-func (c Grid3D) PredictOverlapPaper(v int64, m Machine) float64 {
-	cpu, _ := m.OverlappedStepParts(c.InteriorStep(v, m))
-	return c.PPaperOverlap(v) * cpu
-}
-
 // SweepPoint is one point of a tile-height sweep.
 type SweepPoint struct {
 	V          int64

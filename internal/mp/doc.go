@@ -11,7 +11,8 @@
 //
 //   - the in-process transport (NewWorld/Launch): ranks are goroutines
 //     sharing a matching fabric; this is the default substrate for the
-//     examples and the wall-clock comparison of the two schedules;
+//     tests, `tilebench verify` and the wall-clock comparison of the two
+//     schedules;
 //   - the TCP transport (ConnectTCP): ranks are separate processes meshed
 //     over TCP sockets via the net package, for multi-process runs.
 //

@@ -124,14 +124,12 @@ func (q PlanRequest) Validate() error {
 	if pi <= 0 || pj <= 0 || pi*pj > MaxProcs {
 		return fmt.Errorf("planapi: processor grid %dx%d outside (0, %d] processors", pi, pj, MaxProcs)
 	}
-	g, err := q.Grid()
-	if err != nil {
+	if _, err := q.Grid(); err != nil {
 		return err
 	}
 	if worst := pi * pj * k; worst > MaxWorstCaseTiles {
 		return fmt.Errorf("planapi: worst-case tile count PI*PJ*K = %d exceeds the %d limit", worst, MaxWorstCaseTiles)
 	}
-	_ = g
 	if _, err := q.SimMode(); err != nil {
 		return err
 	}

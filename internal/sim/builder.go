@@ -43,9 +43,6 @@ type builder struct {
 	// computeActs[tileRank] is the A2 activity of each tile.
 	computeActs []*simnet.Activity
 	msgs        msgArena
-	// pending holds consumption edges whose producing message had not been
-	// issued yet at construction time.
-	pending []pendingEdge
 
 	// Fault counters for the metrics report, tallied during construction
 	// (the perturbations are deterministic, so build-time counts equal
@@ -123,7 +120,6 @@ func (b *builder) procRank(tc ilmath.Vec) int64 {
 
 func (b *builder) build() error {
 	b.eng.KeepTrace(b.trace)
-	b.eng.KeepUtilization(b.trace)
 	b.eng.KeepIntervals(b.cfg.Metrics)
 	if err := b.makeNodes(); err != nil {
 		return err
@@ -476,6 +472,12 @@ func (b *builder) buildOverlapped() {
 		if m.posted != nil {
 			b.eng.AddDep(m.posted, b2)
 		}
+		// Consumption edge: construction runs by step, then processor, so
+		// the consuming compute may already exist (its sender comes later in
+		// the same sweep); otherwise the compute's emission adds the edge.
+		if comp := b.computeActs[m.toRank]; comp != nil {
+			b.eng.AddDep(b2, comp)
+		}
 		m.dataReady = b2
 		m.sendQueued = true
 	}
@@ -502,19 +504,15 @@ func (b *builder) buildOverlapped() {
 					issueSend(p, m)
 				}
 			}
-			// A2: compute, gated on all inbound data for this tile.
+			// A2: compute, gated on all inbound data for this tile (a
+			// message not issued yet gets its edge from issueSend).
 			comp := b.eng.NewActivity(cpu,
 				float64(ti.volume)*mch.Tc/b.speed(p),
 				b.tlabel("compute", ti))
 			chain(p, comp)
 			b.computeActs[ti.rank] = comp
 			for _, m := range b.inbox[slot] {
-				if m.dataReady == nil {
-					// Sender has not issued yet (sender's issuing step is
-					// after ours in construction order); defer via a
-					// placeholder resolved below.
-					b.deferConsume(m, comp)
-				} else {
+				if m.dataReady != nil {
 					b.eng.AddDep(m.dataReady, comp)
 				}
 			}
@@ -532,32 +530,6 @@ func (b *builder) buildOverlapped() {
 			}
 		}
 	}
-	b.resolveDeferred()
-}
-
-// deferred consumption edges: compute activities waiting for messages whose
-// send pipeline had not been constructed yet at the time the compute was
-// emitted (construction order is by step, then processor; a message's
-// sender may come later in the same step's processor sweep).
-type pendingEdge struct {
-	m    *message
-	comp *simnet.Activity
-}
-
-func (b *builder) deferConsume(m *message, comp *simnet.Activity) {
-	b.pending = append(b.pending, pendingEdge{m: m, comp: comp})
-}
-
-func (b *builder) resolveDeferred() {
-	ts := b.cfg.Topo.TileSpace
-	for _, pe := range b.pending {
-		if pe.m.dataReady == nil {
-			panic(fmt.Sprintf("sim: message %v->%v never issued",
-				ts.Delinearize(pe.m.fromRank), ts.Delinearize(pe.m.toRank)))
-		}
-		b.eng.AddDep(pe.m.dataReady, pe.comp)
-	}
-	b.pending = nil
 }
 
 // wire emits the transmission stage(s) of a message after predecessor pred

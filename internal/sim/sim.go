@@ -148,8 +148,7 @@ type Config struct {
 // Result of one simulation.
 type Result struct {
 	// Result carries the makespan plus, when Config.Trace is set, the full
-	// execution trace and the per-resource Utilization map (nil otherwise —
-	// untraced sweeps skip the map churn; CPUUtilization is always set).
+	// execution trace.
 	simnet.Result
 	NumTiles    int
 	NumMessages int

@@ -19,8 +19,7 @@ type Resource struct {
 }
 
 // BusyTime returns the total time the resource spent executing activities
-// in the last Run. Dividing by the makespan gives its utilization without
-// materializing the Result.Utilization map.
+// in the last Run. Dividing by the makespan gives its utilization.
 func (r *Resource) BusyTime() float64 { return r.busyTime }
 
 // Activity is a unit of work bound to one resource.
@@ -76,7 +75,6 @@ type Engine struct {
 
 	trace     []TraceEntry
 	keepTrace bool
-	skipUtil  bool
 	perturb   PerturbFunc
 
 	// intervals is the string-free activity log behind KeepIntervals. Unlike
@@ -137,7 +135,6 @@ func (e *Engine) Reset() {
 	e.intervals = e.intervals[:0]
 	e.keepTrace = false
 	e.keepIntervals = false
-	e.skipUtil = false
 	e.perturb = nil
 }
 
@@ -161,11 +158,6 @@ func (e *Engine) KeepIntervals(on bool) { e.keepIntervals = on }
 // invalidated by the next Reset: callers must finish aggregating before
 // reusing the engine.
 func (e *Engine) Intervals() []Interval { return e.intervals }
-
-// KeepUtilization controls whether Run materializes the Result.Utilization
-// map (on by default). Sweep-style callers that read Resource.BusyTime
-// directly turn it off to avoid per-run map and string churn.
-func (e *Engine) KeepUtilization(on bool) { e.skipUtil = !on }
 
 // Reserve pre-sizes the engine's bookkeeping for a graph of about the given
 // number of activities and dependence edges, so a builder that knows its
@@ -377,10 +369,7 @@ func (h *actHeap) pop() *Activity {
 // Result summarizes a completed simulation.
 type Result struct {
 	Makespan float64
-	// Utilization maps resource name to busy-time / makespan. It is nil
-	// when KeepUtilization(false) was set; read Resource.BusyTime instead.
-	Utilization map[string]float64
-	Trace       []TraceEntry
+	Trace    []TraceEntry
 }
 
 // Run executes the simulation to completion and returns the makespan. It
@@ -476,18 +465,7 @@ func (e *Engine) Run() (Result, error) {
 		return Result{}, fmt.Errorf("simnet: deadlock, only %d of %d activities completed (dependency cycle?)",
 			completed, len(e.activities))
 	}
-	res := Result{Makespan: now, Trace: e.trace}
-	if !e.skipUtil {
-		res.Utilization = make(map[string]float64, len(e.resources))
-		for _, r := range e.resources {
-			if now > 0 {
-				res.Utilization[r.Name] = r.busyTime / now
-			} else {
-				res.Utilization[r.Name] = 0
-			}
-		}
-	}
-	return res, nil
+	return Result{Makespan: now, Trace: e.trace}, nil
 }
 
 // NumActivities returns how many activities have been registered.

@@ -16,8 +16,8 @@ func TestSingleActivity(t *testing.T) {
 	if r.Makespan != 5 {
 		t.Errorf("makespan = %g, want 5", r.Makespan)
 	}
-	if r.Utilization["cpu"] != 1.0 {
-		t.Errorf("utilization = %g, want 1", r.Utilization["cpu"])
+	if u := cpu.BusyTime() / r.Makespan; u != 1.0 {
+		t.Errorf("utilization = %g, want 1", u)
 	}
 }
 
@@ -227,8 +227,10 @@ func TestUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Utilization["cpu"] != 0.5 || r.Utilization["nic"] != 0.5 {
-		t.Errorf("utilization = %v, want 0.5 each", r.Utilization)
+	for _, res := range []*Resource{cpu, nic} {
+		if u := res.BusyTime() / r.Makespan; u != 0.5 {
+			t.Errorf("%s utilization = %g, want 0.5", res.Name, u)
+		}
 	}
 }
 

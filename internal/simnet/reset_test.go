@@ -3,8 +3,9 @@ package simnet
 import "testing"
 
 // buildPipeline registers a two-resource pipelined graph and returns the
-// expected makespan: n stages of work 1 on cpu feeding work 2 on nic.
-func buildPipeline(e *Engine, n int) float64 {
+// nic and the expected makespan: n stages of work 1 on cpu feeding work 2
+// on nic.
+func buildPipeline(e *Engine, n int) (*Resource, float64) {
 	cpu := e.NewResource("cpu")
 	nic := e.NewResource("nic")
 	var prev *Activity
@@ -19,7 +20,7 @@ func buildPipeline(e *Engine, n int) float64 {
 	}
 	// cpu chain takes n, the last transmit finishes 2 after the last
 	// compute, and the nic is the bottleneck once it fills: 1 + 2n.
-	return float64(1 + 2*n)
+	return nic, float64(1 + 2*n)
 }
 
 // TestEngineReset: a Reset engine reproduces a fresh engine's results
@@ -28,13 +29,13 @@ func TestEngineReset(t *testing.T) {
 	reused := NewEngine()
 	for gen, n := range []int{5, 17, 3, 64} {
 		reused.Reset()
-		want := buildPipeline(reused, n)
+		nic, want := buildPipeline(reused, n)
 		got, err := reused.Run()
 		if err != nil {
 			t.Fatalf("gen %d: %v", gen, err)
 		}
 		fresh := NewEngine()
-		buildPipeline(fresh, n)
+		freshNIC, _ := buildPipeline(fresh, n)
 		ref, err := fresh.Run()
 		if err != nil {
 			t.Fatalf("gen %d fresh: %v", gen, err)
@@ -42,8 +43,9 @@ func TestEngineReset(t *testing.T) {
 		if got.Makespan != ref.Makespan || got.Makespan != want {
 			t.Errorf("gen %d: makespan %g (fresh %g, want %g)", gen, got.Makespan, ref.Makespan, want)
 		}
-		if got.Utilization["nic"] != ref.Utilization["nic"] {
-			t.Errorf("gen %d: utilization drifted across reuse", gen)
+		if nic.BusyTime() != freshNIC.BusyTime() || nic.BusyTime() != float64(2*n) {
+			t.Errorf("gen %d: nic busy %g (fresh %g, want %d): busy time drifted across reuse",
+				gen, nic.BusyTime(), freshNIC.BusyTime(), 2*n)
 		}
 	}
 }
@@ -72,24 +74,5 @@ func TestResetAbandonsTrace(t *testing.T) {
 		if r1.Trace[i] != snapshot[i] {
 			t.Fatalf("entry %d of the first run's trace was clobbered by reuse", i)
 		}
-	}
-}
-
-// TestKeepUtilizationOff: with utilization reporting off, Run leaves the
-// map nil and BusyTime still carries the data.
-func TestKeepUtilizationOff(t *testing.T) {
-	e := NewEngine()
-	e.KeepUtilization(false)
-	cpu := e.NewResource("cpu")
-	e.NewActivity(cpu, 3, "w")
-	r, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Utilization != nil {
-		t.Error("Utilization map built despite KeepUtilization(false)")
-	}
-	if cpu.BusyTime() != 3 {
-		t.Errorf("BusyTime = %g, want 3", cpu.BusyTime())
 	}
 }

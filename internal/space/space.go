@@ -151,21 +151,6 @@ func (s *Space) Points(yield func(ilmath.Vec) bool) {
 	}
 }
 
-// Next advances j to the lexicographically next point in s, returning false
-// when j was the last point. j must be inside s.
-func (s *Space) Next(j ilmath.Vec) bool {
-	d := s.Dim() - 1
-	for d >= 0 {
-		j[d]++
-		if j[d] <= s.Upper[d] {
-			return true
-		}
-		j[d] = s.Lower[d]
-		d--
-	}
-	return false
-}
-
 // LargestDim returns the index of the dimension with the largest extent
 // (first one on ties). The paper maps tiles to processors along this
 // dimension in the tiled space.

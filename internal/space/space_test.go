@@ -111,24 +111,6 @@ func TestPointsEarlyStop(t *testing.T) {
 	}
 }
 
-func TestNext(t *testing.T) {
-	s := MustRect(2, 2)
-	j := s.Lower.Clone()
-	var seen []int64
-	seen = append(seen, s.Linearize(j))
-	for s.Next(j) {
-		seen = append(seen, s.Linearize(j))
-	}
-	if len(seen) != 4 {
-		t.Fatalf("Next visited %d points, want 4", len(seen))
-	}
-	for i, r := range seen {
-		if r != int64(i) {
-			t.Errorf("rank %d at position %d", r, i)
-		}
-	}
-}
-
 func TestLargestDim(t *testing.T) {
 	if d := MustRect(16, 16, 16384).LargestDim(); d != 2 {
 		t.Errorf("LargestDim = %d, want 2", d)

@@ -121,19 +121,6 @@ func (t *Timeline) CSV(w io.Writer) error {
 	return nil
 }
 
-// BusyFraction returns, per resource, the fraction of the makespan it was
-// occupied.
-func (t *Timeline) BusyFraction() map[string]float64 {
-	out := map[string]float64{}
-	if t.Makespan <= 0 {
-		return out
-	}
-	for _, e := range t.Entries {
-		out[e.Resource] += (e.End - e.Start) / t.Makespan
-	}
-	return out
-}
-
 // svgPalette maps Gantt glyphs to fill colors.
 var svgPalette = map[byte]string{
 	'C': "#4878d0", // compute
@@ -181,21 +168,6 @@ func (t *Timeline) SVG(w io.Writer, width int) error {
 	fmt.Fprintf(w, "  <text x=\"%d\" y=\"%d\">0 .. %.6gs</text>\n", labelW, len(names)*rowH+20, t.Makespan)
 	_, err := fmt.Fprintln(w, "</svg>")
 	return err
-}
-
-// PhaseBreakdown aggregates total busy time per activity class (compute,
-// send-side CPU, recv-side CPU, kernel copies, wire) across all resources —
-// the "where does the time go" summary behind the paper's Fig. 4
-// decomposition.
-func (t *Timeline) PhaseBreakdown() map[string]float64 {
-	names := map[byte]string{
-		'C': "compute", 'S': "send", 'R': "recv", 'k': "kernel-copy", 'w': "wire", '#': "other",
-	}
-	out := map[string]float64{}
-	for _, e := range t.Entries {
-		out[names[classify(e.Label)]] += e.End - e.Start
-	}
-	return out
 }
 
 // ChromeTrace writes the timeline in the Chrome/Perfetto trace-event JSON

@@ -120,19 +120,6 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestBusyFraction(t *testing.T) {
-	bf := sampleTimeline().BusyFraction()
-	if bf["cpu0"] != 0.5 { // (4 + 1) / 10
-		t.Errorf("cpu0 busy = %g, want 0.5", bf["cpu0"])
-	}
-	if bf["comm0"] != 0.2 {
-		t.Errorf("comm0 busy = %g, want 0.2", bf["comm0"])
-	}
-	if len((&Timeline{}).BusyFraction()) != 0 {
-		t.Error("empty timeline busy fractions not empty")
-	}
-}
-
 func TestClassify(t *testing.T) {
 	cases := map[string]byte{
 		"compute(0)": 'C', "isendX": 'S', "sendY": 'S',
@@ -172,19 +159,6 @@ func TestSVG(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "</svg>") {
 		t.Error("empty timeline svg invalid")
-	}
-}
-
-func TestPhaseBreakdown(t *testing.T) {
-	pb := sampleTimeline().PhaseBreakdown()
-	if pb["compute"] != 6 { // 4 + 2
-		t.Errorf("compute = %g, want 6", pb["compute"])
-	}
-	if pb["send"] != 1 || pb["recv"] != 1 || pb["wire"] != 2 {
-		t.Errorf("breakdown = %v", pb)
-	}
-	if len((&Timeline{}).PhaseBreakdown()) != 0 {
-		t.Error("empty timeline breakdown not empty")
 	}
 }
 
