@@ -23,12 +23,14 @@ bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
 
 # One iteration of the optimum benchmarks: exercises the tiered search and
-# the exhaustive sweep end to end (and keeps both compiling and running) in
-# about a second. The allocation-budget benchmarks fail the target when the
-# simulator's per-rank budget grows with scale, the real tile loop allocates
-# per point or per message again through either front door, the result
-# gather allocates a box-sized buffer again, a sim.Cache hit allocates, or
-# a small message over the TCP transport costs more than 4 allocations.
+# the bound-pruned exact tier end to end (and keeps both compiling and
+# running) in about a second; either fails the target if a query simulates
+# every rung of the ladder. The allocation-budget benchmarks fail the
+# target when the simulator's per-rank budget grows with scale, the real
+# tile loop allocates per point or per message again through either front
+# door, the result gather allocates a box-sized buffer again, a sim.Cache
+# hit allocates, or a small message over the TCP transport costs more than
+# 4 allocations.
 bench-smoke:
 	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|RunnerBlocking$$|RunnerOverlapped$$|Runner2D$$|Gather$$|SimCache$$' -benchmem -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'TCPSmallMsgStream$$' -benchtime=1x -run '^$$' ./internal/mp

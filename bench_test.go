@@ -116,7 +116,8 @@ func BenchmarkFig12(b *testing.B) {
 // benchOptimum measures one ladder-granularity optimum query per mode and
 // iteration on a fresh cache (so every DES evaluation is real), reporting
 // the mean DES evaluations a query costs — the headline number of the
-// tiered-search rework.
+// tiered-search rework. A query that simulates every rung of the ladder
+// fails the benchmark: neither tier may degrade to the exhaustive sweep.
 func benchOptimum(b *testing.B, exact bool) {
 	s := experiments.Fig9()
 	if !*fullScale {
@@ -124,16 +125,21 @@ func benchOptimum(b *testing.B, exact bool) {
 		s.Heights = experiments.Ladder(4, s.Grid.K/4)
 	}
 	s.Exact = exact
+	rungs := uint64(len(s.OptimumHeights()))
 	var evals uint64
 	for i := 0; i < b.N; i++ {
 		s.Cache = sim.NewCache()
-		if _, _, err := s.Optimum(sim.Overlapped); err != nil {
-			b.Fatal(err)
+		for _, mode := range []sim.Mode{sim.Overlapped, sim.Blocking} {
+			pre := s.Cache.Stats().Evals
+			if _, _, err := s.Optimum(mode); err != nil {
+				b.Fatal(err)
+			}
+			n := s.Cache.Stats().Evals - pre
+			if n >= rungs {
+				b.Errorf("%s query simulated %d of %d rungs: the lower-bound pruning is gone", mode, n, rungs)
+			}
+			evals += n
 		}
-		if _, _, err := s.Optimum(sim.Blocking); err != nil {
-			b.Fatal(err)
-		}
-		evals += s.Cache.Stats().Evals
 	}
 	b.ReportMetric(float64(evals)/float64(2*b.N), "des_evals/query")
 }
@@ -144,7 +150,8 @@ func benchOptimum(b *testing.B, exact bool) {
 func BenchmarkOptimumTiered(b *testing.B) { benchOptimum(b, false) }
 
 // BenchmarkOptimumSweep runs the same queries with the tiered path
-// disabled — the exhaustive full-ladder sweep, the pre-rework cost.
+// disabled: the exact tier alone, which simulates only the rungs whose
+// sim.GridLowerBound does not exceed its incumbent.
 func BenchmarkOptimumSweep(b *testing.B) { benchOptimum(b, true) }
 
 // BenchmarkScaleAllocBudget locks the simulator's allocation budget at

@@ -35,7 +35,7 @@ var (
 	traceOut       = flag.String("o", "trace.json", "for trace: output path for the Chrome trace-event JSON")
 	traceMode      = flag.String("trace-mode", "overlapped", "for trace: which schedule to export (blocking | overlapped)")
 	traceV         = flag.Int64("trace-v", 0, "for trace: tile height (0 searches for the schedule's optimum)")
-	exact          = flag.Bool("exact", false, "force optimum searches onto the exhaustive tier (skip the analytic fast path)")
+	exact          = flag.Bool("exact", false, "force optimum searches onto the exact tier (skip the analytic fast path)")
 )
 
 func main() {
@@ -92,7 +92,7 @@ func runAll(ids []string) int {
 }
 
 // shrink applies the global sweep flags: -quick reduces the space ~16x,
-// -exact forces optimum searches onto the exhaustive tier.
+// -exact forces optimum searches onto the exact tier.
 func shrink(s experiments.Sweep) experiments.Sweep {
 	s.Exact = *exact
 	if !*quick {

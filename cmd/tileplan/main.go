@@ -12,7 +12,8 @@
 // planning query directly: the simulated-optimal tile height for both
 // schedules on a -procs processor grid, via the tiered search — analytic
 // closed form, a few targeted simulator probes, certified or falling back
-// to the exhaustive sweep (-exact forces the latter):
+// to the exact tier, which simulates every rung that can win (-exact
+// forces the latter):
 //
 //	tileplan -space 16x16x16384 -procs 4x4 -optimum [-exact]
 package main
@@ -48,7 +49,7 @@ var (
 	chromeOut   = flag.String("chrome", "", "with -simulate -gantt: also write Perfetto/chrome trace JSON to <path>-<mode>.json")
 	optimum     = flag.Bool("optimum", false, "answer the optimum-tile-height query for a 3-D space (tiered search)")
 	procsFlag   = flag.String("procs", "4x4", "with -optimum: processor grid, e.g. 4x4")
-	exactFlag   = flag.Bool("exact", false, "with -optimum: force the exhaustive tier (skip the analytic fast path)")
+	exactFlag   = flag.Bool("exact", false, "with -optimum: force the exact tier (skip the analytic fast path)")
 )
 
 func main() {

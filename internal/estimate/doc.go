@@ -2,9 +2,10 @@
 // analytical fast path over the eq. 3/4 cost models with a certified
 // fallback to the exact discrete-event sweep.
 //
-// The exact optimum search simulates every rung of the height ladder — a
-// dozen-plus DES runs per query. This package answers the same query with
-// a handful of targeted probes:
+// The exact optimum search simulates every rung of the height ladder that
+// a closed-form lower bound cannot rule out — still several DES runs per
+// query. This package answers the same query with a handful of targeted
+// probes:
 //
 //	tier 1 (analytic): the closed-form V* = √(K·a/(C·b)) seeds a bracket
 //	  of two adjacent ladder rungs around the predicted optimum.
@@ -17,8 +18,8 @@
 //	  geometric-mean calibration. If either disagreement exceeds its
 //	  tolerance, or the search hit a degenerate case (tied bracket, no
 //	  usable seed), the result is discarded and
-//	tier 4 (exact): the full exact sweep runs instead, so answers are
-//	  never worse than today's exhaustive search.
+//	tier 4 (exact): the exact search runs instead, so answers are
+//	  always the exact ladder argmin.
 //
 // Certification assumes the DES makespan curve is unimodal over the
 // ladder, which is what the paper's T(g) = P(g)·(A1+A2+A3) analysis

@@ -30,11 +30,11 @@ type Sweep struct {
 	// fills the OverlapEff/BlockingEff columns of the rows. Off by default:
 	// the pass costs an interval log per simulation.
 	Metrics bool
-	// Exact forces every Optimum query onto the exhaustive tier, skipping
-	// the analytic fast path (the CLIs expose it as -exact). The tiered
-	// search returns the same heights — the fallback guarantees it when
-	// certification fails — so this is an escape hatch for auditing, not a
-	// correctness knob.
+	// Exact forces every Optimum query onto the exact tier, skipping the
+	// analytic fast path (the CLIs expose it as -exact): every rung that
+	// can win is simulated. The tiered search returns the same heights —
+	// the fallback guarantees it when certification fails — so this is an
+	// escape hatch for auditing, not a correctness knob.
 	Exact bool
 }
 

@@ -17,8 +17,11 @@ import (
 //     a certification step either vouches for the answer or falls back to
 //     OptimumExact — so the result is always the exact ladder argmin,
 //     usually at a fraction of the DES evaluations.
-//   - OptimumExact: the exhaustive reference — every OptimumHeights rung
-//     simulated on the parallel worker pool, earliest minimum wins.
+//   - OptimumExact: the exact ladder argmin by branch and bound — every
+//     OptimumHeights rung that can win, judged by the closed-form
+//     sim.GridLowerBound, simulated on the parallel worker pool, earliest
+//     minimum wins. RunSequential over the same rungs is the unpruned
+//     oracle the tests hold it to.
 //   - OptimumRefined: Optimum plus the multiplicative refinement pass
 //     around the winning rung, the search the CLIs and figures print
 //     (finer-than-ladder granularity, same answers as before the rework).
@@ -49,8 +52,8 @@ func (s Sweep) OptimumHeights() []int64 {
 
 // Optimum finds the simulated-optimal tile height among OptimumHeights for
 // the given mode via the tiered search: identical to OptimumExact's
-// answer, but typically a handful of DES probes instead of a full ladder
-// sweep. Set Sweep.Exact to force the exhaustive tier.
+// answer, but typically a handful of DES probes instead of every rung that
+// can win. Set Sweep.Exact to force the exact tier.
 func (s Sweep) Optimum(mode sim.Mode) (vOpt int64, tOpt float64, err error) {
 	return s.OptimumCtx(context.Background(), mode)
 }
@@ -90,10 +93,11 @@ func (s Sweep) OptimumDetailCtx(ctx context.Context, mode sim.Mode) (estimate.Ou
 	return estimate.Optimum(ctx, cfg)
 }
 
-// OptimumExact is the exhaustive reference search: every OptimumHeights
-// rung simulated (on the parallel worker pool), earliest height of minimal
-// makespan wins — the same scan order and tie-break as RunSequential plus
-// an argmin.
+// OptimumExact is the exact tier: every OptimumHeights rung that can win
+// simulated (on the parallel worker pool), earliest height of minimal
+// makespan wins — bit-identical to RunSequential over every rung plus an
+// argmin. A rung whose sim.GridLowerBound exceeds an already simulated
+// makespan cannot win and is skipped (see optimumExact).
 func (s Sweep) OptimumExact(mode sim.Mode) (vOpt int64, tOpt float64, err error) {
 	return s.OptimumExactCtx(context.Background(), mode)
 }
@@ -103,13 +107,43 @@ func (s Sweep) OptimumExactCtx(ctx context.Context, mode sim.Mode) (vOpt int64, 
 	return s.optimumExact(ctx, cacheOr(s.Cache), mode, s.OptimumHeights())
 }
 
+// optimumExact is a branch-and-bound over heights. Every rung is priced by
+// sim.GridLowerBound; the rung of smallest bound (earliest on ties) is
+// simulated first and its makespan becomes the incumbent. Only the rungs
+// whose bound does not exceed the incumbent are then simulated, and the
+// earliest minimum among them wins. That is the unpruned argmin: a pruned
+// rung has makespan ≥ bound > incumbent ≥ the minimum, so it neither is
+// the minimum nor ties it. The kept set depends only on the incumbent, so
+// the evaluation count is the same for every worker count.
 func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, heights []int64) (int64, float64, error) {
-	rs, err := s.evalHeights(ctx, c, mode, heights)
+	if len(heights) == 0 {
+		return -1, 0, nil
+	}
+	cap, o := s.ModeCap(mode), sim.GridOpts{Metrics: s.Metrics}
+	bounds := make([]float64, len(heights))
+	first := 0
+	for i, v := range heights {
+		bounds[i] = sim.GridLowerBound(s.Grid, v, s.Machine, mode, cap, o)
+		if bounds[i] < bounds[first] {
+			first = i
+		}
+	}
+	inc, err := s.evalHeights(ctx, c, mode, heights[first:first+1])
+	if err != nil {
+		return 0, 0, err
+	}
+	var kept []int64
+	for i, v := range heights {
+		if !(bounds[i] > inc[0].Makespan) {
+			kept = append(kept, v)
+		}
+	}
+	rs, err := s.evalHeights(ctx, c, mode, kept)
 	if err != nil {
 		return 0, 0, err
 	}
 	best, bestT := int64(-1), 0.0
-	considerHeights(heights, rs, &best, &bestT)
+	considerHeights(kept, rs, &best, &bestT)
 	return best, bestT, nil
 }
 

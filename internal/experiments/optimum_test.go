@@ -12,12 +12,30 @@ import (
 	"repro/internal/sim"
 )
 
+// sequentialArgmin is the unpruned oracle of an optimum query: the
+// RunSequential rows over every OptimumHeights rung, earliest minimum of
+// the mode's column.
+func sequentialArgmin(rows []SweepRow, mode sim.Mode) (int64, float64) {
+	best, bestT := int64(-1), 0.0
+	for _, r := range rows {
+		t := r.OverlapSim
+		if mode == sim.Blocking {
+			t = r.BlockingSim
+		}
+		if best < 0 || t < bestT {
+			best, bestT = r.V, t
+		}
+	}
+	return best, bestT
+}
+
 // TestTieredOptimumMatchesExactOnFigures is the acceptance gate of the
 // tiered-search rework: on the paper's Fig. 9-11 spaces (which also feed
-// Fig. 12) and for both schedules, the tiered Optimum must return the
-// bit-identical (V, t) the exhaustive search returns, while issuing at
-// least 4x fewer DES evaluations per query and at least 5x fewer in
-// aggregate — measured with the sim.Cache counters.
+// Fig. 12) and for both schedules, the tiered Optimum and the bound-pruned
+// OptimumExact must both return the bit-identical (V, t) of the unpruned
+// sequential argmin over OptimumHeights, while the tiered search issues at
+// least 4x fewer DES evaluations per query than the ladder has rungs and
+// at least 5x fewer in aggregate — measured with the sim.Cache counters.
 func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale figure spaces")
@@ -25,67 +43,82 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("full-scale DES is prohibitively slow under the race detector; the randomized property test covers the tiered path there")
 	}
-	type counts struct{ tiered, exact uint64 }
+	type counts struct{ tiered, exact, rungs uint64 }
 	var mu sync.Mutex // subtests run in parallel
 	results := make(map[string]counts)
 	var queries []string
 	for _, fig := range []Sweep{Fig9(), Fig10(), Fig11()} {
 		fig := fig
 		for _, mode := range []sim.Mode{sim.Overlapped, sim.Blocking} {
-			mode := mode
 			name := fmt.Sprintf("%s/%s", fig.ID, mode)
 			queries = append(queries, name)
 			results[name] = counts{}
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				s := fig
-				s.Cache = sim.NewCache()
-				out, err := s.OptimumDetail(mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tiered := s.Cache.Stats().Evals
-				if out.Tier != estimate.TierCertified {
-					t.Errorf("paper grid not certified: %+v", out)
-				}
-
-				s.Cache = sim.NewCache()
-				vEx, tEx, err := s.OptimumExact(mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exact := s.Cache.Stats().Evals
-
-				if out.V != vEx || out.T != tEx {
-					t.Errorf("tiered (V=%d t=%v) != exact (V=%d t=%v)", out.V, out.T, vEx, tEx)
-				}
-				if tiered*4 > exact {
-					t.Errorf("per-query savings too small: %d tiered vs %d exact evals", tiered, exact)
-				}
-				mu.Lock()
-				results[name] = counts{tiered, exact}
-				mu.Unlock()
-			})
 		}
+		t.Run(fig.ID, func(t *testing.T) {
+			t.Parallel()
+			ref := fig
+			ref.Heights = fig.OptimumHeights()
+			rows, err := ref.RunSequential()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rungs := uint64(len(ref.Heights))
+			for _, mode := range []sim.Mode{sim.Overlapped, sim.Blocking} {
+				t.Run(mode.String(), func(t *testing.T) {
+					wantV, wantT := sequentialArgmin(rows, mode)
+					s := fig
+					s.Cache = sim.NewCache()
+					out, err := s.OptimumDetail(mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tiered := s.Cache.Stats().Evals
+					if out.Tier != estimate.TierCertified {
+						t.Errorf("paper grid not certified: %+v", out)
+					}
+
+					s.Cache = sim.NewCache()
+					vEx, tEx, err := s.OptimumExact(mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exact := s.Cache.Stats().Evals
+
+					if out.V != wantV || out.T != wantT {
+						t.Errorf("tiered (V=%d t=%v) != sequential argmin (V=%d t=%v)", out.V, out.T, wantV, wantT)
+					}
+					if vEx != wantV || tEx != wantT {
+						t.Errorf("exact (V=%d t=%v) != sequential argmin (V=%d t=%v)", vEx, tEx, wantV, wantT)
+					}
+					if tiered*4 > rungs {
+						t.Errorf("per-query savings too small: %d tiered evals vs %d rungs", tiered, rungs)
+					}
+					mu.Lock()
+					results[fmt.Sprintf("%s/%s", fig.ID, mode)] = counts{tiered, exact, rungs}
+					mu.Unlock()
+				})
+			}
+		})
 	}
 	// Runs after every parallel subtest above has finished.
 	t.Cleanup(func() {
 		mu.Lock()
 		defer mu.Unlock()
-		var tiered, exact uint64
+		var sum counts
 		for _, name := range queries {
 			c := results[name]
-			if c.exact == 0 {
+			if c.rungs == 0 {
 				return // a subtest failed before recording; it already reported
 			}
-			tiered += c.tiered
-			exact += c.exact
+			sum.tiered += c.tiered
+			sum.exact += c.exact
+			sum.rungs += c.rungs
 		}
-		if tiered*5 > exact {
-			t.Errorf("aggregate savings below 5x: %d tiered vs %d exact DES evaluations", tiered, exact)
+		if sum.tiered*5 > sum.rungs {
+			t.Errorf("aggregate savings below 5x: %d tiered DES evaluations vs %d rungs", sum.tiered, sum.rungs)
 		}
-		t.Logf("DES evaluations across %d queries: tiered %d, exact %d (%.1fx)",
-			len(queries), tiered, exact, float64(exact)/float64(tiered))
+		t.Logf("DES evaluations across %d queries: tiered %d, bound-pruned exact %d, rungs %d (%.1fx tiered)",
+			len(queries), sum.tiered, sum.exact, sum.rungs, float64(sum.rungs)/float64(sum.tiered))
 	})
 }
 
@@ -95,7 +128,10 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 // the sequential reference sweep over the same candidate heights and
 // taking the earliest argmin. On configurations far from the calibrated
 // regime the certification tolerances reject the fast path and the exact
-// fallback answers — either way the identity must hold bit-for-bit.
+// fallback answers — either way the identity must hold bit-for-bit. Each
+// trial also forces the bound-pruned exact tier (Sweep.Exact), which must
+// match the same argmin across a machine population where either term of
+// sim.GridLowerBound can dominate.
 func TestOptimumMatchesSequentialArgminRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const trials = 10
@@ -130,23 +166,17 @@ func TestOptimumMatchesSequentialArgminRandomized(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, mode := range []sim.Mode{sim.Overlapped, sim.Blocking} {
-			wantV, wantT := int64(-1), 0.0
-			for _, r := range rows {
-				tt := r.OverlapSim
-				if mode == sim.Blocking {
-					tt = r.BlockingSim
+			wantV, wantT := sequentialArgmin(rows, mode)
+			for _, exact := range []bool{false, true} {
+				s.Exact = exact
+				out, err := s.OptimumDetail(mode)
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, mode, err)
 				}
-				if wantV < 0 || tt < wantT {
-					wantV, wantT = r.V, tt
+				if out.V != wantV || out.T != wantT {
+					t.Errorf("trial %d %s exact=%v (grid %+v): V=%d t=%v != reference V=%d t=%v (outcome %+v)",
+						trial, mode, exact, g, out.V, out.T, wantV, wantT, out)
 				}
-			}
-			out, err := s.OptimumDetail(mode)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, mode, err)
-			}
-			if out.V != wantV || out.T != wantT {
-				t.Errorf("trial %d %s (grid %+v): tiered V=%d t=%v != reference V=%d t=%v (outcome %+v)",
-					trial, mode, g, out.V, out.T, wantV, wantT, out)
 			}
 		}
 	}

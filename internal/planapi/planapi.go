@@ -52,7 +52,7 @@ type PlanRequest struct {
 	Machine string `json:"machine,omitempty"`
 	// Mode selects the schedule: "overlapped" (default) or "blocking".
 	Mode string `json:"mode,omitempty"`
-	// Exact forces the exhaustive tier, skipping the analytic fast path —
+	// Exact forces the exact tier, skipping the analytic fast path —
 	// the audit escape hatch, same as `tileplan -optimum -exact`.
 	Exact bool `json:"exact,omitempty"`
 	// Tenant is an advisory label for per-tenant accounting; it never

@@ -109,6 +109,51 @@ func SimulateGrid(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capab
 	return Simulate(cfg)
 }
 
+// boundSlack is the relative slack GridLowerBound gives up so that it holds
+// under floating-point summation: the closed form multiplies K·TileI·TileJ
+// by t_c once, while the DES accumulates the same work tile by tile and
+// message by message, and the two orders may round apart by a few ulps per
+// term. 1e-9 covers over 10^6 terms and costs no pruning power.
+const boundSlack = 1e-9
+
+// GridLowerBound returns a closed-form lower bound on the makespan
+// SimulateGrid returns for the same point, without simulating: the larger
+// of two terms, each a quantity the DES cannot finish before.
+//
+//   - The compute-only dependence chain: the (PI−1)+(PJ−1) first-row tiles
+//     of height V that feed the last processor, then its whole k column,
+//     ((PI−1)+(PJ−1))·V·TileI·TileJ·t_c + K·TileI·TileJ·t_c.
+//   - The busiest CPU's total work: its compute K·TileI·TileJ·t_c plus the
+//     CPU-resident cost of every message end it handles — min(PI−1, 2)
+//     i-faces and min(PJ−1, 2) j-faces per k tile, the partial last tile
+//     priced exactly. An end costs FillMPI+FillKernel in blocking mode or
+//     under CapNone (buildBlocking and the CapNone kernel copies run on the
+//     CPU) and FillMPI otherwise (the kernel copies ride the comm channel).
+//
+// The network, the interconnect and the wire only add constraints, so the
+// bound holds for every fault-free GridOpts. Under an active fault plan
+// (stragglers, pauses) and for a point SimulateGrid would reject, it
+// returns 0: no bound.
+func GridLowerBound(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) float64 {
+	if o.Fault.Active() || c.Validate() != nil || m.Validate() != nil || v <= 0 || v > c.K {
+		return 0
+	}
+	face := float64(c.TileI()*c.TileJ()) * m.Tc
+	chain := float64((c.PI-1)+(c.PJ-1))*float64(v)*face + float64(c.K)*face
+
+	end := m.FillMPI
+	if mode == Blocking || cap == CapNone {
+		end = func(bytes int64) float64 { return m.FillMPI(bytes) + m.FillKernel(bytes) }
+	}
+	nI, nJ := float64(min(c.PI-1, 2)), float64(min(c.PJ-1, 2))
+	ends := func(h int64) float64 {
+		return nI*end(c.FaceBytesI(h, m.BytesPerElem)) + nJ*end(c.FaceBytesJ(h, m.BytesPerElem))
+	}
+	kt := c.KTiles(v)
+	busy := float64(c.K)*face + float64(kt-1)*ends(v) + ends(c.K-v*(kt-1))
+	return max(chain, busy) * (1 - boundSlack)
+}
+
 // gridConfig is GridConfig with the options applied: the one place a
 // GridOpts becomes a Config, for the cached and the uncached path alike.
 func gridConfig(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) (Config, error) {

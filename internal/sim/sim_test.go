@@ -3,13 +3,16 @@ package sim
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/deps"
+	"repro/internal/fault"
 	"repro/internal/ilmath"
 	"repro/internal/model"
 	"repro/internal/schedule"
 	"repro/internal/space"
+	"repro/internal/topo"
 )
 
 // testMachine returns a machine with simple round numbers for hand
@@ -281,14 +284,15 @@ func TestMessageCountMatchesTopology(t *testing.T) {
 	}
 }
 
-// TestWavefrontLowerBound: the makespan can never beat the compute-only
-// critical path of the dependence chain. The last rank's first tile
-// transitively depends on the first k-tiles of (PI-1)+(PJ-1) ranks, each a
-// full V·TileI·TileJ compute, and that rank then computes its whole column
-// of K·TileI·TileJ points in order. The table covers the V ladder (1, a
-// non-divisor of K, 64, K), both modes, every capability and both networks,
-// through the uncached reference and through a small bounded cache (a miss
-// on a pooled engine, then a hit, with evictions along the way).
+// TestWavefrontLowerBound: the makespan can never beat GridLowerBound,
+// whose chain term is the compute-only critical path of the dependence
+// chain. The last rank's first tile transitively depends on the first
+// k-tiles of (PI-1)+(PJ-1) ranks, each a full V·TileI·TileJ compute, and
+// that rank then computes its whole column of K·TileI·TileJ points in
+// order. The table covers the V ladder (1, a non-divisor of K, 64, K), both
+// modes, every capability and both networks, through the uncached
+// reference and through a small bounded cache (a miss on a pooled engine,
+// then a hit, with evictions along the way).
 func TestWavefrontLowerBound(t *testing.T) {
 	m := model.PentiumCluster()
 	cache := NewCacheBounded(8)
@@ -303,13 +307,12 @@ func TestWavefrontLowerBound(t *testing.T) {
 		{model.Grid3D{I: 64, J: 64, K: 256, PI: 2, PJ: 2}, []int64{1, 10, 64, 256}}, // compute-heavy: the bound is tight
 	} {
 		c := tc.g
-		face := float64(c.TileI()*c.TileJ()) * m.Tc
 		for _, v := range tc.vs {
-			lower := float64((c.PI-1)+(c.PJ-1))*float64(v)*face + float64(c.K)*face
 			for _, mode := range []Mode{Blocking, Overlapped} {
 				for _, cp := range []Capability{CapNone, CapDMA, CapFullDuplex} {
 					for _, net := range []Network{Switched, SharedBus} {
 						o := GridOpts{Net: net}
+						lower := GridLowerBound(c, v, m, mode, cp, o)
 						ref, err := SimulateGrid(c, v, m, mode, cp, o)
 						if err != nil {
 							t.Fatal(err)
@@ -326,7 +329,7 @@ func TestWavefrontLowerBound(t *testing.T) {
 							points++
 							tightest = math.Min(tightest, r.Makespan/lower)
 							if r.Makespan < lower {
-								t.Errorf("%+v V=%d %v %v %v (%s): makespan %g below dependence-chain lower bound %g",
+								t.Errorf("%+v V=%d %v %v %v (%s): makespan %g below GridLowerBound %g",
 									c, v, mode, cp, net, path, r.Makespan, lower)
 							}
 						}
@@ -339,6 +342,96 @@ func TestWavefrontLowerBound(t *testing.T) {
 		t.Errorf("cache path not exercised: %+v", st)
 	}
 	t.Logf("%d points, tightest makespan/bound %.3f", points, tightest)
+}
+
+// TestGridLowerBound: GridLowerBound never exceeds the simulated makespan,
+// on the reference and on the cache path. The matrix adds to
+// TestWavefrontLowerBound's a one-row and a one-column processor grid, a
+// two-level switch hierarchy beside the flat switched and shared-bus
+// networks, and ten seeded random machines scaled as in the experiments
+// package's randomized optimum test, so the chain term and the busy-CPU
+// term each dominate somewhere. An active fault plan yields no bound.
+func TestGridLowerBound(t *testing.T) {
+	grids := []struct {
+		g  model.Grid3D
+		vs []int64 // 1, a non-divisor of K, 64, K
+	}{
+		{model.Grid3D{I: 8, J: 8, K: 128, PI: 4, PJ: 4}, []int64{1, 3, 64, 128}},
+		{model.Grid3D{I: 16, J: 8, K: 100, PI: 2, PJ: 4}, []int64{1, 7, 64, 100}},
+		{model.Grid3D{I: 12, J: 12, K: 64, PI: 3, PJ: 2}, []int64{1, 5, 64}},
+		{model.Grid3D{I: 64, J: 64, K: 256, PI: 2, PJ: 2}, []int64{1, 10, 64, 256}},
+		{model.Grid3D{I: 4, J: 16, K: 96, PI: 1, PJ: 4}, []int64{1, 5, 64, 96}},
+		{model.Grid3D{I: 16, J: 4, K: 96, PI: 4, PJ: 1}, []int64{1, 5, 64, 96}},
+	}
+	nets := []GridOpts{
+		{Net: Switched},
+		{Net: SharedBus},
+		{Interconnect: topo.TwoLevel(2, 0.25, 1e-5, 1)},
+	}
+	rng := rand.New(rand.NewSource(42))
+	machines := []model.Machine{model.PentiumCluster()}
+	for i := 0; i < 10; i++ {
+		m := model.PentiumCluster()
+		scale := func(x float64) float64 { return x * math.Exp(2.2*rng.Float64()-1.1) }
+		m.Tc = scale(m.Tc)
+		m.Ts = scale(m.Ts)
+		m.Tt = scale(m.Tt)
+		m.FillMPIBase = scale(m.FillMPIBase)
+		m.FillMPIPerByte = scale(m.FillMPIPerByte)
+		m.FillKernelBase = scale(m.FillKernelBase)
+		m.FillKernelPerByte = scale(m.FillKernelPerByte)
+		machines = append(machines, m)
+	}
+	// The network does not enter the bound, so the random machines take one
+	// network per point in rotation, and the points alternate between the
+	// reference and the cache path: every axis is covered at a third of
+	// the full cross product's DES work.
+	cache := NewCacheBounded(8)
+	faulted := fault.Default(7, 0.5)
+	points, tightest := 0, math.Inf(1)
+	for mi, m := range machines {
+		for _, tc := range grids {
+			for _, v := range tc.vs {
+				for _, mode := range []Mode{Blocking, Overlapped} {
+					for _, cp := range []Capability{CapNone, CapDMA, CapFullDuplex} {
+						ns := nets
+						if mi > 0 {
+							k := points % len(nets)
+							ns = nets[k : k+1]
+						}
+						for _, o := range ns {
+							lower := GridLowerBound(tc.g, v, m, mode, cp, o)
+							if !(lower > 0) {
+								t.Fatalf("machine %d %+v V=%d %v %v %+v: no bound (%g)", mi, tc.g, v, mode, cp, o, lower)
+							}
+							path, r, err := "reference", Result{}, error(nil)
+							if points%2 == 0 {
+								r, err = SimulateGrid(tc.g, v, m, mode, cp, o)
+							} else {
+								path = "cache"
+								r, err = cache.SimulateGridCtx(context.Background(), tc.g, v, m, mode, cp, o)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							points++
+							tightest = math.Min(tightest, r.Makespan/lower)
+							if r.Makespan < lower {
+								t.Errorf("machine %d %+v V=%d %v %v %+v (%s): makespan %g below GridLowerBound %g",
+									mi, tc.g, v, mode, cp, o, path, r.Makespan, lower)
+							}
+							fo := o
+							fo.Fault = faulted
+							if lb := GridLowerBound(tc.g, v, m, mode, cp, fo); lb != 0 {
+								t.Errorf("%+v V=%d under %v: bound %g, want 0", tc.g, v, faulted, lb)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d points, tightest makespan/bound %.6f", points, tightest)
 }
 
 // TestGenericTopology2D drives Simulate directly with a 2-D tiled space
