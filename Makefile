@@ -29,10 +29,10 @@ bench:
 # target when the simulator's per-rank budget grows with scale, the real
 # tile loop allocates per point or per message again through either front
 # door, the result gather allocates a box-sized buffer again, a sim.Cache
-# hit allocates, or a small message over the TCP transport costs more than
-# 4 allocations.
+# hit allocates, a small message over the TCP transport costs more than 4
+# allocations, or a simulation on a reused sim.Simulator allocates per tile.
 bench-smoke:
-	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|RunnerBlocking$$|RunnerOverlapped$$|Runner2D$$|Gather$$|SimCache$$' -benchmem -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|SimEngine$$|RunnerBlocking$$|RunnerOverlapped$$|Runner2D$$|Gather$$|SimCache$$' -benchmem -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'TCPSmallMsgStream$$' -benchtime=1x -run '^$$' ./internal/mp
 
 # Degradation sweep at a fixed seed: exercises the whole fault-injection

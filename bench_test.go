@@ -274,24 +274,47 @@ func BenchmarkAblationScheduleVector(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkSimEngine measures raw discrete-event throughput
-// (activities/second) on a pipelined two-resource graph.
+// simAllocsPerTile is the allocation ceiling of one simulated tile on a
+// reused sim.Simulator: the engine's slabs, heaps and edge buffers are
+// recycled, so only the builder's per-run index arrays remain, a handful
+// per simulation, not per tile.
+const simAllocsPerTile = 0.05
+
+// BenchmarkSimEngine measures end-to-end simulation throughput
+// (activities/second, graph build plus discrete-event run) on a reused
+// sim.Simulator, the way a sim.Cache miss runs, and gates its allocations
+// per tile at simAllocsPerTile. Runs in make bench-smoke.
 func BenchmarkSimEngine(b *testing.B) {
 	g := model.Grid3D{I: 8, J: 8, K: 512, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
-	var acts int
-	for i := 0; i < b.N; i++ {
-		cfg, err := sim.GridConfig(g, 8, m, sim.Overlapped, sim.CapDMA)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := sim.Simulate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acts = r.NumTiles
+	cfg, err := sim.GridConfig(g, 8, m, sim.Overlapped, sim.CapDMA)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(acts), "tiles")
+	acts, _, err := sim.BuildStats(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sm := sim.NewSimulator()
+	var r sim.Result
+	run := func() {
+		if r, err = sm.Simulate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm the engine's slabs so every timed run reuses them
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(acts)*float64(b.N)/b.Elapsed().Seconds(), "activities/s")
+	b.StopTimer()
+	perTile := testing.AllocsPerRun(2, run) / float64(r.NumTiles)
+	b.ReportMetric(perTile, "allocs/tile")
+	if perTile > simAllocsPerTile {
+		b.Errorf("%.3f allocations per simulated tile exceed the budget of %.2f: the reused engine allocates per tile again",
+			perTile, simAllocsPerTile)
+	}
 }
 
 // BenchmarkSimBuild measures activity-DAG construction alone (no Run), so

@@ -54,7 +54,9 @@ type Config struct {
 	// Model prices a height with the analytic cost model (seconds).
 	Model func(v int64) float64
 	// Probe prices a height on the simulator (seconds). Errors abort the
-	// query — the exact tier would hit the same failure.
+	// query — the exact tier would hit the same failure. Optimum never calls
+	// Probe concurrently, so a wrapper around it needs no locking; Probe
+	// itself may run work in parallel inside one call (ForGrid's does).
 	Probe func(v int64) (float64, error)
 	// Exact computes the reference answer for the fallback tier. When nil,
 	// the fallback probes every height sequentially and returns the
@@ -146,22 +148,14 @@ func Optimum(ctx context.Context, cfg Config) (Outcome, error) {
 		}
 		return fallback("ladder")
 	}
-	if !(cfg.SeedV > 0) || math.IsInf(cfg.SeedV, 1) {
+	// Tier 1: bracket the two ladder rungs straddling the analytic seed.
+	lo, hi, ok := bracket(heights, cfg.SeedV)
+	if !ok {
 		return fallback("seed")
 	}
 
-	// Tier 1: bracket the two ladder rungs straddling the analytic seed
-	// (the edge rungs when the seed falls outside the ladder).
-	i := sort.Search(len(heights), func(i int) bool { return float64(heights[i]) >= cfg.SeedV })
-	lo, hi := i-1, i
-	switch {
-	case i == 0:
-		lo, hi = 0, 1
-	case i == len(heights):
-		lo, hi = len(heights)-2, len(heights)-1
-	}
-
-	// Tier 2: probe the bracket and walk downhill along the ladder.
+	// Tier 2: probe the bracket, lower rung first, and walk downhill along
+	// the ladder.
 	tLo, err := probe(heights[lo])
 	if err != nil {
 		return Outcome{}, err
@@ -258,8 +252,36 @@ func Optimum(ctx context.Context, cfg Config) (Outcome, error) {
 	return Outcome{V: heights[best], T: seen[heights[best]], Tier: TierCertified, Probes: nProbe}, nil
 }
 
-// dedupeSorted returns a sorted copy of vs with duplicates removed.
+// bracket returns the indices of the two rungs of the sorted, deduped
+// ladder heights that straddle the analytic seed — the edge rungs when the
+// seed falls outside the ladder. ok is false when the ladder has fewer than
+// two rungs or the seed is non-positive or non-finite, which leaves the
+// search nothing to bracket.
+func bracket(heights []int64, seed float64) (lo, hi int, ok bool) {
+	if len(heights) < 2 || !(seed > 0) || math.IsInf(seed, 1) {
+		return 0, 0, false
+	}
+	i := sort.Search(len(heights), func(i int) bool { return float64(heights[i]) >= seed })
+	switch {
+	case i == 0:
+		return 0, 1, true
+	case i == len(heights):
+		return len(heights) - 2, len(heights) - 1, true
+	}
+	return i - 1, i, true
+}
+
+// dedupeSorted returns vs sorted with duplicates removed: vs itself when
+// it already is (a ladder usually arrives that way, and callers only read
+// the result), otherwise a sorted copy.
 func dedupeSorted(vs []int64) []int64 {
+	i := 1
+	for i < len(vs) && vs[i-1] < vs[i] {
+		i++
+	}
+	if i >= len(vs) {
+		return vs
+	}
 	out := append([]int64(nil), vs...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	w := 0

@@ -162,10 +162,7 @@ func (c *Cache) unlink(e *cacheEntry) {
 // (one grid point), coalesced waiters may depend on it, and a completed
 // result left in the cache keeps later uncancelled queries bit-identical.
 func (c *Cache) SimulateGridCtx(ctx context.Context, g model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) (Result, error) {
-	if !o.Fault.Active() {
-		o.Fault = fault.Plan{}
-	}
-	key := cacheKey{grid: g, v: v, m: m, mode: mode, cap: cap, o: o}
+	key := keyOf(g, v, m, mode, cap, o)
 
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
@@ -220,6 +217,28 @@ func (c *Cache) SimulateGridCtx(ctx context.Context, g model.Grid3D, v int64, m 
 	c.mu.Unlock()
 	close(call.done)
 	return call.r, call.err
+}
+
+// Contains reports whether the point's result is stored. It counts no
+// lookup and leaves the recency order alone, so asking changes nothing a
+// later SimulateGridCtx observes; a caller uses it to learn that an
+// evaluation would be a cheap hit before deciding how to run it.
+func (c *Cache) Contains(g model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) bool {
+	key := keyOf(g, v, m, mode, cap, o)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.m[key]
+	return ok
+}
+
+// keyOf builds a point's cache key. An inactive fault plan is
+// canonicalized to the zero plan, so a fault-free request shares its entry
+// with the plain one.
+func keyOf(g model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability, o GridOpts) cacheKey {
+	if !o.Fault.Active() {
+		o.Fault = fault.Plan{}
+	}
+	return cacheKey{grid: g, v: v, m: m, mode: mode, cap: cap, o: o}
 }
 
 // await blocks until a coalesced in-flight evaluation completes or ctx is

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/model"
 )
 
@@ -219,6 +220,36 @@ func TestCacheBoundLRUOrder(t *testing.T) {
 	}
 	if post := c.Stats(); post.Misses != pre.Misses+1 {
 		t.Errorf("V=4 should have been evicted (misses %d -> %d)", pre.Misses, post.Misses)
+	}
+}
+
+// TestCacheContains: Contains sees stored points (an inactive fault plan
+// canonicalized like SimulateGridCtx's key), counts no lookup and leaves
+// the recency order alone, so the entry it asked about is still the next
+// victim.
+func TestCacheContains(t *testing.T) {
+	g, m := cacheTestGrid()
+	c := NewCacheBounded(2)
+	for _, v := range []int64{2, 4} {
+		if _, err := c.SimulateGridCtx(context.Background(), g, v, m, Overlapped, CapDMA, GridOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := c.Stats()
+	if !c.Contains(g, 2, m, Overlapped, CapDMA, GridOpts{Fault: fault.Plan{Seed: 9}}) {
+		t.Error("stored point V=2 not contained")
+	}
+	if c.Contains(g, 8, m, Overlapped, CapDMA, GridOpts{}) || c.Contains(g, 2, m, Blocking, CapDMA, GridOpts{}) {
+		t.Error("unstored point contained")
+	}
+	if st := c.Stats(); st != pre {
+		t.Errorf("Contains moved the counters: %+v -> %+v", pre, st)
+	}
+	if _, err := c.SimulateGridCtx(context.Background(), g, 8, m, Overlapped, CapDMA, GridOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Contains(g, 2, m, Overlapped, CapDMA, GridOpts{}) || !c.Contains(g, 4, m, Overlapped, CapDMA, GridOpts{}) {
+		t.Error("Contains touched V=2's recency: V=4 was evicted in its place")
 	}
 }
 

@@ -45,31 +45,36 @@ type CritStep struct {
 // execution order. It must be called after Run; it returns nil on an empty
 // or unrun engine.
 func (e *Engine) CriticalPath() []CritStep {
-	var last *Activity
-	for _, a := range e.activities {
-		if !a.done {
-			return nil
-		}
-		if last == nil || a.End > last.End {
-			last = a
+	last := int32(-1)
+	for c := 0; c < e.numSlabs(); c++ {
+		slab := e.slab(c)
+		for i := range slab {
+			a := &slab[i]
+			if !a.done {
+				return nil
+			}
+			if last < 0 || a.End > e.act(last).End {
+				last = int32(a.ID)
+			}
 		}
 	}
-	if last == nil {
+	if last < 0 {
 		return nil
 	}
-	var rev []*Activity
-	for a := last; a != nil; a = a.critPred {
-		rev = append(rev, a)
+	var rev []int32
+	for i := last; i >= 0; i = e.act(i).critPred {
+		rev = append(rev, i)
 	}
 	out := make([]CritStep, len(rev))
-	for i := range rev {
-		a := rev[len(rev)-1-i]
-		out[i] = CritStep{
-			Label:    a.Label,
-			Resource: a.Res.Name,
+	for k := range rev {
+		i := rev[len(rev)-1-k]
+		a := e.act(i)
+		out[k] = CritStep{
+			Label:    e.label(i),
+			Resource: e.resources[a.res].Name,
 			Start:    a.Start,
 			End:      a.End,
-			Kind:     a.critKind,
+			Kind:     CritKind(a.critKind),
 		}
 	}
 	return out

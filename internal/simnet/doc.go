@@ -35,7 +35,12 @@
 // dependence edges accumulate in one flat list that Run compacts into a
 // CSR-style successor array via a two-pass degree count, and Reset lets a
 // caller reuse one Engine — and all of its backing memory — across many
-// simulations (one engine per sweep worker). The Fabric follows the same
+// simulations (one engine per sweep worker). The graph is also
+// pointer-free: an Activity refers to its resource, its predecessors and
+// its successors by int32 index, labels live in a side table allocated
+// only for traced builds, and the edge list, the CSR array and both heaps
+// hold int32 ids. The activity slabs are therefore no-scan memory the
+// garbage collector never walks, however large the graph. The Fabric follows the same
 // discipline: its links are slab resources, sized once from the world size
 // and the spec, and Route appends into a caller-owned buffer so
 // steady-state routing allocates nothing — the per-rank allocation budget

@@ -12,8 +12,8 @@ type Resource struct {
 
 	busy    bool
 	freeAt  float64
-	pending actHeap
-	lastAct *Activity // most recently completed activity, for critical paths
+	pending keyedHeap // ready activities: (ready time, ID)
+	lastAct int32     // most recently completed activity (−1 for none), for critical paths
 	// busyTime accumulates total occupancy for utilization reporting.
 	busyTime float64
 }
@@ -23,55 +23,70 @@ type Resource struct {
 func (r *Resource) BusyTime() float64 { return r.busyTime }
 
 // Activity is a unit of work bound to one resource.
+//
+// An Activity holds no pointers, strings or slices: its resource, its
+// predecessors and its successors are int32 indices into the engine, and
+// its label lives in the engine's side table. The slabs activities live in
+// are therefore allocated no-scan, and the garbage collector never walks a
+// simulation graph however large it grows.
 type Activity struct {
 	ID       int
-	Label    string
-	Res      *Resource
 	Duration float64
 
 	// Start and End are filled in by Run.
 	Start, End float64
 
-	npreds int
+	ready float64 // max end time of completed predecessors
+	res   int32   // index of the resource the activity occupies
+	// npreds counts predecessors not yet completed.
+	npreds int32
 	// Successors live in the engine's CSR array: succList[succOff:succOff+succN].
 	succOff, succN int32
-	ready          float64 // max end time of completed predecessors
-	started        bool
-	done           bool
 
-	// Critical-path bookkeeping (see critpath.go).
-	readyPred *Activity // the predecessor whose completion set `ready`
-	critPred  *Activity
-	critKind  CritKind
+	// Critical-path bookkeeping (see critpath.go): activity indices, −1 for
+	// none.
+	readyPred int32 // the predecessor whose completion set `ready`
+	critPred  int32
+	critKind  int8 // a CritKind
+	done      bool
 }
 
-// edge is one precedence constraint, buffered until Run builds the CSR
-// successor lists.
+// edge is one precedence constraint between two activity indices, buffered
+// until Run builds the CSR successor lists.
 type edge struct {
-	before, after *Activity
+	before, after int32
 }
 
 // Slab sizes: large enough that slab bookkeeping is negligible, small
-// enough that a tiny simulation doesn't waste memory.
+// enough that a tiny simulation doesn't waste memory. The activity slab
+// size is a power of two so an index splits into (slab, offset) by shift
+// and mask.
 const (
-	actSlabSize = 4096
-	resSlabSize = 64
+	actSlabShift = 12
+	actSlabSize  = 1 << actSlabShift
+	resSlabSize  = 64
 )
 
 // Engine owns the resources and activities of one simulation.
 type Engine struct {
-	resources  []*Resource
-	activities []*Activity
+	resources []*Resource
 
-	// Chunked arenas backing the pointers above. Chunks are never
-	// reallocated, so &slab[i] stays valid while the graph grows; Reset
-	// rewinds the counters and reuses the same chunks.
-	actSlabs [][]Activity
+	// Chunked arenas backing the activities and resources. Chunks are
+	// never reallocated, so &slab[i] stays valid while the graph grows;
+	// Reset rewinds the counters and reuses the same chunks. Activity i is
+	// actSlabs[i>>actSlabShift][i&(actSlabSize-1)].
+	actSlabs []*[actSlabSize]Activity
+	nacts    int
 	resSlabs [][]Resource
 
+	// labels[i] is activity i's label. It stays nil until the first
+	// non-empty label arrives, so untraced builds never allocate it; an
+	// index past its end reads as "".
+	labels []string
+
 	edges    []edge
-	succList []*Activity
-	events   eventHeap
+	succList []int32
+	events   keyedHeap // in-flight activities: (end time, start sequence)
 
 	trace     []TraceEntry
 	keepTrace bool
@@ -125,7 +140,8 @@ func NewEngine() *Engine { return &Engine{} }
 // not be used afterwards.
 func (e *Engine) Reset() {
 	e.resources = e.resources[:0]
-	e.activities = e.activities[:0]
+	e.nacts = 0
+	e.labels = nil
 	e.edges = e.edges[:0]
 	e.succList = e.succList[:0]
 	e.events = e.events[:0]
@@ -163,10 +179,12 @@ func (e *Engine) Intervals() []Interval { return e.intervals }
 // number of activities and dependence edges, so a builder that knows its
 // tile and message counts up front avoids regrowth entirely.
 func (e *Engine) Reserve(activities, deps int) {
-	if n := len(e.activities) + activities; cap(e.activities) < n {
-		grown := make([]*Activity, len(e.activities), n)
-		copy(grown, e.activities)
-		e.activities = grown
+	// Slabs themselves are allocated as the graph reaches them (the
+	// estimate may be generous); only the slab table is sized up front.
+	if n := (e.nacts + activities + actSlabSize - 1) >> actSlabShift; cap(e.actSlabs) < n {
+		grown := make([]*[actSlabSize]Activity, len(e.actSlabs), n)
+		copy(grown, e.actSlabs)
+		e.actSlabs = grown
 	}
 	if n := len(e.edges) + deps; cap(e.edges) < n {
 		grown := make([]edge, len(e.edges), n)
@@ -184,14 +202,15 @@ func (e *Engine) NewResource(name string) *Resource {
 	}
 	r := &e.resSlabs[chunk][idx]
 	pending := r.pending[:0] // keep the ready-heap's backing array across Resets
-	*r = Resource{ID: n, Name: name, pending: pending}
+	*r = Resource{ID: n, Name: name, pending: pending, lastAct: -1}
 	e.resources = append(e.resources, r)
 	return r
 }
 
 // NewActivity registers an activity of the given duration on resource r.
 // Durations must be non-negative; zero-duration activities are permitted
-// (useful as synchronization points).
+// (useful as synchronization points). The returned pointer stays valid
+// until the next Reset.
 func (e *Engine) NewActivity(r *Resource, duration float64, label string) *Activity {
 	if r == nil {
 		panic("simnet: nil resource")
@@ -205,15 +224,47 @@ func (e *Engine) NewActivity(r *Resource, duration float64, label string) *Activ
 			panic(fmt.Sprintf("simnet: perturbed duration %g for %q is invalid", duration, label))
 		}
 	}
-	n := len(e.activities)
-	chunk, idx := n/actSlabSize, n%actSlabSize
-	if chunk == len(e.actSlabs) {
-		e.actSlabs = append(e.actSlabs, make([]Activity, actSlabSize))
+	n := e.nacts
+	if n == math.MaxInt32 {
+		panic("simnet: too many activities for int32 indices")
 	}
-	a := &e.actSlabs[chunk][idx]
-	*a = Activity{ID: n, Label: label, Res: r, Duration: duration}
-	e.activities = append(e.activities, a)
+	chunk := n >> actSlabShift
+	if chunk == len(e.actSlabs) {
+		e.actSlabs = append(e.actSlabs, new([actSlabSize]Activity))
+	}
+	a := &e.actSlabs[chunk][n&(actSlabSize-1)]
+	*a = Activity{ID: n, Duration: duration, res: int32(r.ID), readyPred: -1, critPred: -1}
+	e.nacts++
+	if label != "" {
+		for len(e.labels) < n {
+			e.labels = append(e.labels, "")
+		}
+		e.labels = append(e.labels, label)
+	}
 	return a
+}
+
+// act returns activity i.
+func (e *Engine) act(i int32) *Activity {
+	return &e.actSlabs[i>>actSlabShift][i&(actSlabSize-1)]
+}
+
+// slab returns the registered prefix of activity slab c.
+func (e *Engine) slab(c int) []Activity {
+	return e.actSlabs[c][:min(actSlabSize, e.nacts-c*actSlabSize)]
+}
+
+// numSlabs returns how many activity slabs hold registered activities.
+func (e *Engine) numSlabs() int {
+	return (e.nacts + actSlabSize - 1) >> actSlabShift
+}
+
+// label returns activity i's label ("" when none was given).
+func (e *Engine) label(i int32) string {
+	if int(i) < len(e.labels) {
+		return e.labels[i]
+	}
+	return ""
 }
 
 // AddDep declares that 'before' must finish before 'after' may start.
@@ -221,147 +272,100 @@ func (e *Engine) AddDep(before, after *Activity) {
 	if before == nil || after == nil {
 		panic("simnet: nil activity in dependency")
 	}
-	e.edges = append(e.edges, edge{before, after})
+	e.edges = append(e.edges, edge{int32(before.ID), int32(after.ID)})
 	after.npreds++
 }
 
 // buildSuccs compacts the edge list into the CSR successor array: one pass
 // counts out-degrees, a prefix sum assigns offsets, a second pass fills.
 func (e *Engine) buildSuccs() {
-	for i := range e.edges {
-		e.edges[i].before.succN++
+	for _, ed := range e.edges {
+		e.act(ed.before).succN++
 	}
 	var off int32
-	for _, a := range e.activities {
-		a.succOff = off
-		off += a.succN
-		a.succN = 0
+	for c := 0; c < e.numSlabs(); c++ {
+		slab := e.slab(c)
+		for i := range slab {
+			a := &slab[i]
+			a.succOff = off
+			off += a.succN
+			a.succN = 0
+		}
 	}
 	if cap(e.succList) < len(e.edges) {
-		e.succList = make([]*Activity, len(e.edges))
+		e.succList = make([]int32, len(e.edges))
 	} else {
 		e.succList = e.succList[:len(e.edges)]
 	}
 	for _, ed := range e.edges {
-		b := ed.before
+		b := e.act(ed.before)
 		e.succList[b.succOff+b.succN] = ed.after
 		b.succN++
 	}
 }
 
-// succs returns a's successor list.
-func (e *Engine) succs(a *Activity) []*Activity {
-	return e.succList[a.succOff : a.succOff+a.succN]
+// keyed is a heap entry: activity id, ordered by the time t and then by
+// tie. In the event heap t is the completion time and tie the start
+// sequence number; in a resource's ready heap t is the ready time and tie
+// the activity ID itself. Ties are unique within a heap, so each order is
+// total and the pop sequence does not depend on the heap's shape — and no
+// comparison dereferences an activity.
+type keyed struct {
+	t       float64
+	tie, id int32
 }
 
-// completion is an entry in the event heap.
-type completion struct {
-	t   float64
-	seq int
-	act *Activity
+func (k keyed) before(l keyed) bool {
+	return k.t < l.t || k.t == l.t && k.tie < l.tie
 }
 
-// eventHeap is a binary min-heap over (time, sequence). The push/pop
-// functions are hand-rolled instead of container/heap because the latter
-// boxes every pushed element into an interface — one allocation per
-// scheduled event, the dominant churn of large sweeps.
-type eventHeap []completion
+// keyedHeap is a binary min-heap of keyed entries, serving as both the
+// event heap and the per-resource ready heaps. The push/pop functions are
+// hand-rolled instead of container/heap because the latter boxes every
+// pushed element into an interface — one allocation per scheduled event,
+// the dominant churn of large sweeps. Both sift a hole instead of
+// swapping, so each level costs one element move.
+type keyedHeap []keyed
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(c completion) {
-	*h = append(*h, c)
+func (h *keyedHeap) push(k keyed) {
+	*h = append(*h, k)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.less(i, p) {
+		if !k.before(s[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = k
 }
 
-func (h *eventHeap) pop() completion {
+func (h *keyedHeap) pop() keyed {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	x := s[n]
 	s = s[:n]
 	*h = s
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
-// actHeap orders ready activities by (ready time, ID); same hand-rolled
-// heap as eventHeap for the same allocation reason.
-type actHeap []*Activity
-
-func (h actHeap) less(i, j int) bool {
-	if h[i].ready != h[j].ready {
-		return h[i].ready < h[j].ready
-	}
-	return h[i].ID < h[j].ID
-}
-
-func (h *actHeap) push(a *Activity) {
-	*h = append(*h, a)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
+		if r := m + 1; r < n && s[r].before(s[m]) {
+			m = r
+		}
+		if !s[m].before(x) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
-		i = p
+		s[i] = s[m]
+		i = m
 	}
-}
-
-func (h *actHeap) pop() *Activity {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = nil // let the engine's Reset-retained backing array release it
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+	if n > 0 {
+		s[i] = x
 	}
 	return top
 }
@@ -381,23 +385,24 @@ func (e *Engine) Run() (Result, error) {
 	e.buildSuccs()
 	e.events = e.events[:0]
 	events := &e.events
-	seq := 0
+	var seq int32
 	now := 0.0
 
 	startOn := func(r *Resource) {
 		for !r.busy && len(r.pending) > 0 {
-			a := r.pending.pop()
-			start := a.ready
+			w := r.pending.pop()
+			a := e.act(w.id)
+			start := w.t
 			a.critPred = a.readyPred
-			a.critKind = CritDependency
-			if a.readyPred == nil {
-				a.critKind = CritStart
+			a.critKind = int8(CritDependency)
+			if a.readyPred < 0 {
+				a.critKind = int8(CritStart)
 			}
 			if r.freeAt > start {
 				start = r.freeAt
-				if r.lastAct != nil {
+				if r.lastAct >= 0 {
 					a.critPred = r.lastAct
-					a.critKind = CritResource
+					a.critKind = int8(CritResource)
 				}
 			}
 			if start < now {
@@ -405,18 +410,20 @@ func (e *Engine) Run() (Result, error) {
 			}
 			a.Start = start
 			a.End = start + a.Duration
-			a.started = true
 			r.busy = true
-			events.push(completion{t: a.End, seq: seq, act: a})
+			events.push(keyed{t: a.End, tie: seq, id: w.id})
 			seq++
 		}
 	}
 
 	// Seed: all activities with no predecessors are ready at t=0.
-	for _, a := range e.activities {
-		if a.npreds == 0 {
-			a.ready = 0
-			a.Res.pending.push(a)
+	for c := 0; c < e.numSlabs(); c++ {
+		slab := e.slab(c)
+		for i := range slab {
+			if a := &slab[i]; a.npreds == 0 {
+				a.ready = 0
+				e.resources[a.res].pending.push(keyed{0, int32(a.ID), int32(a.ID)})
+			}
 		}
 	}
 	for _, r := range e.resources {
@@ -426,50 +433,51 @@ func (e *Engine) Run() (Result, error) {
 	completed := 0
 	for len(*events) > 0 {
 		ev := events.pop()
-		a := ev.act
+		a := e.act(ev.id)
 		now = ev.t
 		a.done = true
 		completed++
-		r := a.Res
+		r := e.resources[a.res]
 		r.busy = false
 		r.freeAt = a.End
-		r.lastAct = a
+		r.lastAct = ev.id
 		r.busyTime += a.Duration
 		if e.keepTrace {
-			e.trace = append(e.trace, TraceEntry{Resource: r.Name, Label: a.Label, Start: a.Start, End: a.End, Ready: a.ready})
+			e.trace = append(e.trace, TraceEntry{Resource: r.Name, Label: e.label(ev.id), Start: a.Start, End: a.End, Ready: a.ready})
 		}
 		if e.keepIntervals {
 			e.intervals = append(e.intervals, Interval{Res: r, Ready: a.ready, Start: a.Start, End: a.End})
 		}
-		succs := e.succs(a)
-		for _, s := range succs {
+		succs := e.succList[a.succOff : a.succOff+a.succN]
+		for _, id := range succs {
+			s := e.act(id)
 			s.npreds--
 			if a.End > s.ready {
 				s.ready = a.End
-				s.readyPred = a
+				s.readyPred = ev.id
 			}
 			if s.npreds == 0 {
-				s.Res.pending.push(s)
+				e.resources[s.res].pending.push(keyed{s.ready, id, id})
 			}
 		}
 		// The freed resource and any resources that gained ready work may
 		// start something. Trying all successors' resources plus r covers
 		// every resource whose pending set changed.
 		startOn(r)
-		for _, s := range succs {
-			startOn(s.Res)
+		for _, id := range succs {
+			startOn(e.resources[e.act(id).res])
 		}
 	}
 
-	if completed != len(e.activities) {
+	if completed != e.nacts {
 		return Result{}, fmt.Errorf("simnet: deadlock, only %d of %d activities completed (dependency cycle?)",
-			completed, len(e.activities))
+			completed, e.nacts)
 	}
 	return Result{Makespan: now, Trace: e.trace}, nil
 }
 
 // NumActivities returns how many activities have been registered.
-func (e *Engine) NumActivities() int { return len(e.activities) }
+func (e *Engine) NumActivities() int { return e.nacts }
 
 // NumResources returns how many resources have been registered.
 func (e *Engine) NumResources() int { return len(e.resources) }
