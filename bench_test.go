@@ -641,6 +641,50 @@ func BenchmarkStencilSequential(b *testing.B) {
 	b.SetBytes(sp.Volume() * 8)
 }
 
+// BenchmarkStencilBlock measures the kernel the runner actually calls,
+// Sqrt3D's block sweep, one tile per iteration on the two rank boxes of the
+// benchmark's node geometries (bench/README.md), laid out as runner.Local
+// lays them out, ghosts included: node3d-coarse's 32×64 cross-section of a
+// K = 2048 column at V = 128, which takes the grouped sweep, and
+// node3d-fine's 8×1 cross-section of K = 16384 at V = 1, which takes the
+// plain row loop. It reports ns/point and fails if a sweep allocates.
+func BenchmarkStencilBlock(b *testing.B) {
+	for _, c := range []struct {
+		name         string
+		ti, tj, k, v int
+	}{
+		{"coarse", 32, 64, 2048, 128},
+		{"fine", 8, 1, 16384, 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sj := c.k + 1         // j-row pitch
+			si := (c.tj + 1) * sj // i-plane pitch
+			a := make([]float64, (c.ti+1)*si)
+			for x := range a {
+				a[x] = 1 // the boundary value, in the ghosts and as a start everywhere else
+			}
+			var blk stencil.Block3D = stencil.Sqrt3D{}
+			tiles := c.k / c.v
+			tile := 0
+			sweep := func() {
+				blk.SweepBlock(a, si+sj+1+tile*c.v, c.ti, c.tj, c.v, si, sj)
+				tile = (tile + 1) % tiles
+			}
+			for range tiles {
+				sweep() // first touch of the whole column, outside the timing
+			}
+			if n := testing.AllocsPerRun(10, sweep); n != 0 {
+				b.Errorf("one sweep allocates %.0f times", n)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.ti*c.tj*c.v), "ns/point")
+		})
+	}
+}
+
 // BenchmarkAblationNetwork measures the interconnect ablation: switched
 // versus shared-bus medium at 10 Mbps-era wire speed, where bus contention
 // visibly erodes the overlap gain.

@@ -111,7 +111,11 @@ func positionBoundary(j ilmath.Vec) float64 {
 // decorator (per-point path) and by stencil.RunSequential are identical bit
 // for bit — in both modes, on eager and on pure-rendezvous in-process
 // worlds, with tile heights that do not divide K, V = 1 and V = K, and a
-// boundary that depends on position.
+// boundary that depends on position. The random geometries have at most
+// three rows per rank; three fixed ones add ranks of 4, 7 and 9 rows and
+// tiles longer than the kernel's 256-point chunk, so its grouped sweep runs
+// whole groups, groups with rows left over, and ragged last tiles too short
+// to group.
 func TestBlockPathMatchesGenericAndSequential(t *testing.T) {
 	if _, ok := stencil.Kernel(stencil.Sqrt3D{}).(stencil.Block3D); !ok {
 		t.Fatal("stencil.Sqrt3D does not offer the block path")
@@ -119,6 +123,11 @@ func TestBlockPathMatchesGenericAndSequential(t *testing.T) {
 	if _, ok := stencil.Kernel(passThrough{stencil.Sqrt3D{}}).(stencil.Block3D); ok {
 		t.Fatal("an embedding decorator exposes the block path; the generic path would go untested")
 	}
+	type geometry struct {
+		g  model.Grid3D
+		vs []int64
+	}
+	var cases []geometry
 	rng := rand.New(rand.NewSource(14))
 	for _, procs := range [][2]int64{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 2}} {
 		pi, pj := procs[0], procs[1]
@@ -127,15 +136,24 @@ func TestBlockPathMatchesGenericAndSequential(t *testing.T) {
 		for g.K%ragged == 0 {
 			ragged++ // K−1 never divides K ≥ 5, so this stops below K
 		}
+		cases = append(cases, geometry{g, []int64{ragged, 1, g.K}})
+	}
+	cases = append(cases,
+		geometry{model.Grid3D{I: 3, J: 4, K: 300, PI: 1, PJ: 1}, []int64{7, 1, 300}},    // last tile 6
+		geometry{model.Grid3D{I: 6, J: 14, K: 530, PI: 2, PJ: 2}, []int64{4, 1, 530}},   // last tile 2
+		geometry{model.Grid3D{I: 4, J: 18, K: 600, PI: 2, PJ: 2}, []int64{257, 1, 600}}, // last tile 86
+	)
+	for _, c := range cases {
+		g := c.g
 		ref, err := stencil.RunSequential(space.MustRect(g.I, g.J, g.K), stencil.Sqrt3D{}, positionBoundary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range []int64{ragged, 1, g.K} {
+		for _, v := range c.vs {
 			for _, mode := range []Mode{Blocking, Overlapped} {
 				for _, w := range inprocWorlds {
 					cfg := Config{Grid: g, V: v, Kernel: stencil.Sqrt3D{}, Boundary: positionBoundary, Mode: mode}
-					what := fmt.Sprintf("%dx%dx%d on %dx%d V=%d %v %s", g.I, g.J, g.K, pi, pj, v, mode, w.name)
+					what := fmt.Sprintf("%dx%dx%d on %dx%d V=%d %v %s", g.I, g.J, g.K, g.PI, g.PJ, v, mode, w.name)
 					requireBitIdentical(t, what+": block path vs sequential", gatherRun(t, w.launch, cfg), ref)
 					cfg.Kernel = passThrough{stencil.Sqrt3D{}}
 					requireBitIdentical(t, what+": generic path vs sequential", gatherRun(t, w.launch, cfg), ref)

@@ -445,9 +445,8 @@ func (r *run) unpackFace(f *face, buf []byte, k0, v int64) {
 }
 
 // computeTile evaluates the kernel over the local tile [k0, k0+v). The
-// block path sweeps li → lj → k, k innermost, so the operand rows are
-// contiguous and the working set is a few rows of v values; the generic
-// path calls Eval once per point.
+// block path hands the kernel the whole tile, k-contiguous, and the kernel
+// picks the order; the generic path calls Eval once per point.
 func (r *run) computeTile(k0, v int64) {
 	l := r.l
 	strides := [3]int64{(l.TJ + 1) * (l.K + 1), l.K + 1, 1}

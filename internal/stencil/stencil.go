@@ -69,9 +69,110 @@ type Block3D interface {
 	SweepBlock(a []float64, base, ni, nj, nk, si, sj int)
 }
 
-// SweepBlock implements Block3D. The sum is formed left to right exactly as
-// in Eval (west, north, then k−1), so the two paths agree bit for bit.
+// Sqrt3D's grouped sweep advances sqrtGroup rows together over k-runs of at
+// most sqrtChunk points, the length of its root buffer.
+const (
+	sqrtGroup = 4
+	sqrtChunk = 256
+)
+
+// SweepBlock implements Block3D. Boxes of at least sqrtGroup rows and points
+// per row take the grouped sweep; the rows left over, and boxes too small to
+// group, take the plain row loop. The sum is formed left to right exactly as
+// in Eval (west, north, then k−1), and a root is the same value wherever it
+// is taken, so every path agrees with Eval bit for bit.
 func (Sqrt3D) SweepBlock(a []float64, base, ni, nj, nk, si, sj int) {
+	grouped := 0
+	if nk >= sqrtGroup {
+		grouped = nj - nj%sqrtGroup
+	}
+	if grouped > 0 { // only then: the call zeroes an 8 KiB root buffer
+		sweepSqrtGroups(a, base, ni, grouped, nk, si, sj)
+	}
+	sweepSqrtRows(a, base+grouped*sj, ni, nj-grouped, nk, si, sj)
+}
+
+// sweepSqrtGroups sweeps a box whose nj is a multiple of sqrtGroup and whose
+// nk is at least sqrtGroup. Within a group, row r runs r points behind row 0
+// along k, so the root row r takes of its own previous value is also the
+// north root row r+1 needs at the same step. Every root taken is kept in
+// roots as the west root of the next i-plane. Fresh roots remain only for the
+// north of a group's first row, the west of the box's first plane and the
+// k−1 ghost of each row in each chunk: about 1.25 per point instead of 3.
+func sweepSqrtGroups(a []float64, base, ni, nj, nk, si, sj int) {
+	var roots [sqrtGroup][sqrtChunk]float64 // roots[r][x]: √ of row r's point x in the plane before
+	chunks := (nk + sqrtChunk - 1) / sqrtChunk
+	for c := 0; c < chunks; c++ {
+		k0 := c * nk / chunks
+		n := (c+1)*nk/chunks - k0 // even split: never below sqrtChunk/2 once nk > sqrtChunk
+		for j := 0; j < nj; j += sqrtGroup {
+			o := base + j*sj + k0
+			for r := range roots {
+				for x, v := range a[o-si+r*sj:][:n] {
+					roots[r][x] = math.Sqrt(v)
+				}
+			}
+			for i := 0; i < ni; i++ {
+				sweepSqrtGroup(a, o+i*si, n, sj, &roots)
+			}
+		}
+	}
+}
+
+// sweepSqrtGroup computes sqrtGroup rows of n ≥ sqrtGroup points starting at
+// a[o], a[o+sj], …, their west roots in roots, which it overwrites with the
+// roots of the rows it computes. At step t row r takes the root of its point
+// t−r−1 (or of its k−1 ghost) and, while t−r < n, computes point t−r.
+func sweepSqrtGroup(a []float64, o, n, sj int, roots *[sqrtGroup][sqrtChunk]float64) {
+	north := a[o-sj:][:n]
+	var rows [sqrtGroup][]float64
+	var last [sqrtGroup]float64 // each row's latest value, whose root the next step takes
+	for r := range rows {
+		rows[r] = a[o+r*sj:][:n]
+		last[r] = a[o+r*sj-1]
+	}
+	// ramp runs steps [t0, t1) row by row; it covers the steps where some
+	// row has not started or has already finished.
+	ramp := func(t0, t1 int) {
+		for t := t0; t < t1; t++ {
+			var q float64 // the root the row above took this step: this row's north
+			for r := max(0, t-n); r <= min(sqrtGroup-1, t); r++ {
+				x, above := t-r, q
+				q = math.Sqrt(last[r])
+				if x > 0 {
+					roots[r][x-1] = q
+				}
+				if x < n {
+					if r == 0 {
+						above = math.Sqrt(north[x])
+					}
+					last[r] = roots[r][x] + above + q
+					rows[r][x] = last[r]
+				}
+			}
+		}
+	}
+	ramp(0, sqrtGroup)
+	// The steady state, unrolled: all four rows are inside the chunk.
+	r0, r1, r2, r3 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
+	w0, w1, w2, w3 := roots[0][:n], roots[1][:n], roots[2][:n], roots[3][:n]
+	v0, v1, v2, v3 := last[0], last[1], last[2], last[3]
+	for x := sqrtGroup; x < n; x++ {
+		q0, q1, q2, q3 := math.Sqrt(v0), math.Sqrt(v1), math.Sqrt(v2), math.Sqrt(v3)
+		w0[x-1], w1[x-2], w2[x-3], w3[x-4] = q0, q1, q2, q3
+		v0 = w0[x] + math.Sqrt(north[x]) + q0
+		v1 = w1[x-1] + q0 + q1
+		v2 = w2[x-2] + q1 + q2
+		v3 = w3[x-3] + q2 + q3
+		r0[x], r1[x-1], r2[x-2], r3[x-3] = v0, v1, v2, v3
+	}
+	last = [sqrtGroup]float64{v0, v1, v2, v3}
+	ramp(n, n+sqrtGroup)
+}
+
+// sweepSqrtRows is the plain row loop: three roots per point, one k-chain at
+// a time.
+func sweepSqrtRows(a []float64, base, ni, nj, nk, si, sj int) {
 	for i := 0; i < ni; i++ {
 		for j := 0; j < nj; j++ {
 			o := base + i*si + j*sj
@@ -207,14 +308,23 @@ func RunSequential(s *space.Space, k Kernel, b Boundary) (*Grid, error) {
 }
 
 // MaxAbsDiff returns the maximum absolute element difference between two
-// grids over the same space.
+// grids over the same space. Elements with the same bits differ by 0, NaN and
+// infinities included. A pair with different bits whose difference is NaN (a
+// NaN against anything else) counts as +Inf, so a NaN never verifies.
 func MaxAbsDiff(a, b *Grid) (float64, error) {
 	if !a.Space.Equal(b.Space) {
 		return 0, fmt.Errorf("stencil: grids cover different spaces")
 	}
 	var m float64
-	for i := range a.Data {
-		d := math.Abs(a.Data[i] - b.Data[i])
+	for i, x := range a.Data {
+		y := b.Data[i]
+		if math.Float64bits(x) == math.Float64bits(y) {
+			continue
+		}
+		d := math.Abs(x - y)
+		if math.IsNaN(d) {
+			d = math.Inf(1)
+		}
 		if d > m {
 			m = d
 		}

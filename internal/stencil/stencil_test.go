@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -151,6 +152,36 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 }
 
+// TestMaxAbsDiffNonFinite: a NaN or an infinity that does not match bit for
+// bit is never a zero difference; one that does is.
+func TestMaxAbsDiffNonFinite(t *testing.T) {
+	nan, negNaN, inf := math.NaN(), math.Copysign(math.NaN(), -1), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		x, y float64
+		want float64
+	}{
+		{"NaN vs number", nan, 0, inf},
+		{"number vs NaN", 2, nan, inf},
+		{"NaN vs the same NaN", nan, nan, 0},
+		{"NaN vs another NaN", nan, negNaN, inf},
+		{"NaN vs Inf", nan, inf, inf},
+		{"Inf vs Inf", inf, inf, 0},
+		{"-Inf vs -Inf", -inf, -inf, 0},
+		{"Inf vs -Inf", inf, -inf, inf},
+		{"Inf vs number", inf, 1, inf},
+	} {
+		s := space.MustRect(2)
+		a, b := NewGrid(s), NewGrid(s)
+		a.Data[1], b.Data[1] = c.x, c.y
+		a.Data[0], b.Data[0] = 1, 1.25 // a finite difference alongside
+		want := math.Max(c.want, 0.25)
+		if d, err := MaxAbsDiff(a, b); err != nil || d != want {
+			t.Errorf("%s: diff = %v, %v; want %v", c.name, d, err, want)
+		}
+	}
+}
+
 // TestSequentialDeterministic: two runs produce identical grids.
 func TestSequentialDeterministic(t *testing.T) {
 	s := space.MustRect(8, 8, 8)
@@ -177,11 +208,21 @@ func TestBoundaryInfluence(t *testing.T) {
 // array whose i = −1, j = −1 and k = −1 planes hold a position-dependent
 // boundary, and compares every point with Eval driven over the same data.
 // The box is embedded with slack on every side (and poisoned with NaN
-// outside the ghost planes) so a stray read or write shows.
+// outside the ghost planes) so a stray read or write shows. The shapes cover
+// every row count modulo the group of four, boxes too short to group, and
+// k-extents on both sides of the chunk length.
 func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
-	sweepBlockMatchesEval(t, Sqrt3D{}, 3,
-		func(i, j, k int) ilmath.Vec { return ilmath.V(int64(i), int64(j), int64(k)) },
-		func(q ilmath.Vec) (i, j, k int) { return int(q[0]), int(q[1]), int(q[2]) })
+	for _, ni := range []int{1, 3} {
+		for nj := 1; nj <= 9; nj++ {
+			for _, nk := range []int{1, 2, 3, 4, 5, 255, 256, 257, 515} {
+				t.Run(fmt.Sprintf("%dx%dx%d", ni, nj, nk), func(t *testing.T) {
+					sweepBlockMatchesEval(t, Sqrt3D{}, ni, nj, nk,
+						func(i, j, k int) ilmath.Vec { return ilmath.V(int64(i), int64(j), int64(k)) },
+						func(q ilmath.Vec) (i, j, k int) { return int(q[0]), int(q[1]), int(q[2]) })
+				})
+			}
+		}
+	}
 }
 
 // TestSum2DSweepBlockMatchesEval is the same for the 2-D kernel, swept the
@@ -189,18 +230,18 @@ func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
 // Its ghost shell is the j = −1 column and the k = −1 row, corner included
 // (the diagonal dependence reads it); the i = −1 plane stays poisoned.
 func TestSum2DSweepBlockMatchesEval(t *testing.T) {
-	sweepBlockMatchesEval(t, Sum2D{}, 1,
+	sweepBlockMatchesEval(t, Sum2D{}, 1, 4, 5,
 		func(i, j, k int) ilmath.Vec { return ilmath.V(int64(k), int64(j)) },
 		func(q ilmath.Vec) (i, j, k int) { return 0, int(q[1]), int(q[0]) })
 }
 
 // sweepBlockMatchesEval checks kern's SweepBlock against its Eval on an
-// ni×4×5 box; vec and its inverse say which kernel-space point a box point is.
-func sweepBlockMatchesEval(t *testing.T, kern Kernel, ni int, vec func(i, j, k int) ilmath.Vec, unvec func(ilmath.Vec) (i, j, k int)) {
-	const nj, nk = 4, 5
-	const sj = nk + 3        // k-row pitch, wider than the box
-	const si = (nj + 2) * sj // i-plane pitch
-	const base = si + sj + 2 // where point (0,0,0) lives
+// ni×nj×nk box; vec and its inverse say which kernel-space point a box point
+// is.
+func sweepBlockMatchesEval(t *testing.T, kern Kernel, ni, nj, nk int, vec func(i, j, k int) ilmath.Vec, unvec func(ilmath.Vec) (i, j, k int)) {
+	sj := nk + 3        // k-row pitch, wider than the box
+	si := (nj + 2) * sj // i-plane pitch
+	base := si + sj + 2 // where point (0,0,0) lives
 	at := func(i, j, k int) int { return base + i*si + j*sj + k }
 	boundary := func(i, j, k int) float64 { return 1 + float64(i+1) + 0.25*float64(j+1) + 0.0625*float64(k+1) }
 	lowI := -1
