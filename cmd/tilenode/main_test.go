@@ -93,10 +93,11 @@ func TestSpawnRunDelayedRankSucceeds(t *testing.T) {
 }
 
 // TestSpawnRunInstrumentedSnapshot is the acceptance check for the live
-// instrumentation: an in-process cluster runs with each rank wrapped in
-// BOTH obs.InstrumentComm and mp.CountingComm, and the teardown snapshot's
-// per-rank message and byte counts must equal the CountingComm reference
-// totals exactly, with per-peer TCP frames and writes consistent with the
+// instrumentation: a loopback TCP cluster runs with each rank wrapped in
+// obs.InstrumentComm, and the teardown snapshot must conserve traffic —
+// what rank a counts as sent to b, in messages and bytes, is exactly what
+// rank b counts as received from a, and every rank counts the same
+// barriers — with per-peer TCP frames and writes consistent with the
 // messages sent. The snapshot is read back over the live HTTP endpoint
 // (/metrics.json) and from the -metrics-snapshot teardown file, so the
 // whole observer path — registry, server, JSON dump — is covered.
@@ -112,7 +113,6 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := make([]*mp.CountingComm, n)
 	connect := func(rank int, cancel <-chan struct{}) (mp.Comm, error) {
 		opts, wrap := obsv.instrument(rank, n, mp.TCPOptions{
 			DialTimeout: 30 * time.Second, Cancel: cancel,
@@ -123,8 +123,7 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 		}
 		// The observer wraps the transport itself, as tilenode's does, so
 		// the snapshot carries the TCP writer's per-peer frames and writes.
-		counting[rank] = mp.WithCounters(wrap(c))
-		return counting[rank], nil
+		return wrap(c), nil
 	}
 	if err := spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, job3D(cfg), nil) }); err != nil {
 		t.Fatal(err)
@@ -160,12 +159,26 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 	if len(dump.Ranks) != n {
 		t.Fatalf("snapshot has %d ranks, want %d", len(dump.Ranks), n)
 	}
+	peers := make([]map[int]obs.PeerTraffic, n)
 	for _, s := range dump.Ranks {
-		ref := counting[s.Rank].C.Snapshot()
-		if s.SendMsgs != ref.SendMsgs || s.SendBytes != ref.SendBytes ||
-			s.RecvMsgs != ref.RecvMsgs || s.RecvBytes != ref.RecvBytes ||
-			s.Barriers != ref.Barriers {
-			t.Errorf("rank %d: snapshot %+v != CountingComm reference %+v", s.Rank, s, ref)
+		peers[s.Rank] = map[int]obs.PeerTraffic{}
+		for _, p := range s.Peers {
+			peers[s.Rank][p.Peer] = p
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			sent, got := peers[a][b], peers[b][a]
+			if sent.SendMsgs != got.RecvMsgs || sent.SendBytes != got.RecvBytes {
+				t.Errorf("rank %d -> %d: %d msgs / %d bytes sent, %d / %d received",
+					a, b, sent.SendMsgs, sent.SendBytes, got.RecvMsgs, got.RecvBytes)
+			}
+		}
+	}
+	for _, s := range dump.Ranks {
+		if s.Barriers != dump.Ranks[0].Barriers {
+			t.Errorf("rank %d: %d barriers, rank %d counted %d",
+				s.Rank, s.Barriers, dump.Ranks[0].Rank, dump.Ranks[0].Barriers)
 		}
 		if s.SendBytes == 0 || s.RecvBytes == 0 {
 			t.Errorf("rank %d: no traffic recorded (%+v) — instrumentation not wired", s.Rank, s)

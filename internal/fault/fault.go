@@ -138,8 +138,8 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Unit hashes (seed, ids...) to a uniform float64 in [0, 1). It is the
-// shared stateless randomness primitive: exported so the mp layer's
-// FaultyComm draws from the same replayable family.
+// shared stateless randomness primitive: exported so the real executor's
+// delay-injection tests draw from the same replayable family.
 func Unit(seed uint64, ids ...int64) float64 {
 	h := splitmix64(seed)
 	for _, id := range ids {

@@ -60,8 +60,8 @@ func runReservedTag(p *Package) []Diagnostic {
 
 // isPointToPointCall reports whether call is a Send/Recv/Isend/Irecv
 // style method call: matched by name plus the (int, int, []byte...)
-// shape so wrappers (obs.InstrumentComm, mp.CountingComm, fixtures)
-// are covered without needing the concrete mp.Comm type.
+// shape so wrappers (obs.InstrumentComm, test fixtures) are covered
+// without needing the concrete mp.Comm type.
 func isPointToPointCall(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -6,12 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/fault"
 )
 
 // Internal control tags used by the TCP transport; user tags are >= 0.
@@ -376,6 +375,7 @@ func ConnectTCP(rank, size int, addrs []string, opts *TCPOptions) (Comm, error) 
 			defer wg.Done()
 			deadline := time.Now().Add(timeout)
 			backoff := backoff0
+			jitter := rand.New(rand.NewPCG(uint64(rank), uint64(peer)))
 			var conn net.Conn
 			var err error
 			for attempt := int64(0); ; attempt++ {
@@ -396,8 +396,7 @@ func ConnectTCP(rank, size int, addrs []string, opts *TCPOptions) (Comm, error) 
 				c.event(TCPEvent{Kind: EvDialRetry, Peer: peer, Attempt: int(attempt), Err: err})
 				// Capped exponential backoff with deterministic ±25% jitter
 				// keyed on (rank, peer, attempt).
-				u := fault.Unit(uint64(rank)+1, int64(peer), attempt)
-				sleep := time.Duration(float64(backoff) * (0.75 + 0.5*u))
+				sleep := time.Duration(float64(backoff) * (0.75 + 0.5*jitter.Float64()))
 				select {
 				case <-abort:
 					return

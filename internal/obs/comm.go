@@ -231,8 +231,8 @@ func (m *CommMetrics) Snapshot() CommSnapshot {
 
 // InstrumentComm wraps c so every operation updates m: per-peer traffic on
 // Send/Isend/Recv/Irecv, and the blocking-wait histogram on Recv,
-// Request.Wait and Barrier. It generalizes mp.WithCounters — same drop-in
-// contract, but with the per-peer / latency / transport detail the live
+// Request.Wait and Barrier. It is the one Comm decorator outside tests: a
+// drop-in wrapper with the per-peer / latency / transport detail the live
 // metrics endpoint serves. Counting happens only on success, matching the
 // simulator's convention that failed transfers contribute retransmits, not
 // traffic. An endpoint that keeps its own per-peer send-side tally (the TCP

@@ -16,10 +16,12 @@ import (
 )
 
 // ringTraffic runs a small all-pairs exchange on an in-process world with
-// every rank double-wrapped: InstrumentComm outside, mp.WithCounters
-// inside. Both layers see the exact same completed operations, so the
-// snapshots must agree — the cross-check the acceptance criteria ask for.
-func ringTraffic(t *testing.T, size int) ([]*CommMetrics, []*mp.CountingComm) {
+// every rank wrapped by InstrumentComm. Rank r sends one message of 10+dst
+// bytes to every other rank dst (blocking to lower ranks, Isend to higher
+// ones), receives one from every other rank through Irecv, observes each
+// completed receive three times (WaitAll, Wait, Test), and enters one
+// barrier.
+func ringTraffic(t *testing.T, size int) []*CommMetrics {
 	t.Helper()
 	world, comms, err := mp.NewWorld(size)
 	if err != nil {
@@ -27,30 +29,33 @@ func ringTraffic(t *testing.T, size int) ([]*CommMetrics, []*mp.CountingComm) {
 	}
 	defer world.Close()
 	metrics := make([]*CommMetrics, size)
-	counting := make([]*mp.CountingComm, size)
 	var wg sync.WaitGroup
 	errs := make([]error, size)
 	for rank := 0; rank < size; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			counting[rank] = mp.WithCounters(comms[rank])
 			metrics[rank] = NewCommMetrics(rank, size)
-			c := InstrumentComm(counting[rank], metrics[rank])
+			c := InstrumentComm(comms[rank], metrics[rank])
 			defer c.Close()
 
-			// Blocking sends to every other rank, sized by destination.
+			var sends []mp.Request
 			for dst := 0; dst < size; dst++ {
 				if dst == rank {
 					continue
 				}
 				payload := bytes.Repeat([]byte{byte(rank)}, 10+dst)
-				if err := c.Send(dst, rank, payload); err != nil {
-					errs[rank] = err
+				if dst < rank {
+					errs[rank] = c.Send(dst, rank, payload)
+				} else {
+					var req mp.Request
+					req, errs[rank] = c.Isend(dst, rank, payload)
+					sends = append(sends, req)
+				}
+				if errs[rank] != nil {
 					return
 				}
 			}
-			// Non-blocking receives from every other rank, completed by Wait.
 			reqs := make([]mp.Request, 0, size-1)
 			for src := 0; src < size; src++ {
 				if src == rank {
@@ -63,9 +68,20 @@ func ringTraffic(t *testing.T, size int) ([]*CommMetrics, []*mp.CountingComm) {
 				}
 				reqs = append(reqs, req)
 			}
-			if err := mp.WaitAll(reqs...); err != nil {
+			if err := mp.WaitAll(append(reqs, sends...)...); err != nil {
 				errs[rank] = err
 				return
+			}
+			// Observing a completed receive again must not count it again.
+			for _, req := range reqs {
+				if _, err := req.Wait(); err != nil {
+					errs[rank] = err
+					return
+				}
+				if done, _, err := req.Test(); !done || err != nil {
+					errs[rank] = fmt.Errorf("Test after Wait: done=%v err=%v", done, err)
+					return
+				}
 			}
 			errs[rank] = c.Barrier()
 		}(rank)
@@ -76,21 +92,29 @@ func ringTraffic(t *testing.T, size int) ([]*CommMetrics, []*mp.CountingComm) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	return metrics, counting
+	return metrics
 }
 
-func TestInstrumentCommMatchesCounters(t *testing.T) {
+// TestInstrumentCommCountsRingTraffic checks every counter against the
+// traffic ringTraffic is known to generate.
+func TestInstrumentCommCountsRingTraffic(t *testing.T) {
 	const size = 4
-	metrics, counting := ringTraffic(t, size)
+	metrics := ringTraffic(t, size)
 	for rank := 0; rank < size; rank++ {
 		snap := metrics[rank].Snapshot()
-		ref := counting[rank].C.Snapshot()
-		if snap.SendMsgs != ref.SendMsgs || snap.SendBytes != ref.SendBytes ||
-			snap.RecvMsgs != ref.RecvMsgs || snap.RecvBytes != ref.RecvBytes ||
-			snap.Barriers != ref.Barriers {
-			t.Errorf("rank %d: snapshot %+v disagrees with CountingComm %+v", rank, snap, ref)
+		var wantSendBytes int64
+		for dst := 0; dst < size; dst++ {
+			if dst != rank {
+				wantSendBytes += int64(10 + dst)
+			}
 		}
-		// Per-peer detail: rank sent 10+dst bytes to each dst.
+		if snap.SendMsgs != size-1 || snap.SendBytes != wantSendBytes ||
+			snap.RecvMsgs != size-1 || snap.RecvBytes != (size-1)*int64(10+rank) ||
+			snap.Barriers != 1 {
+			t.Errorf("rank %d: sent %d msgs / %d bytes, received %d / %d, %d barriers; want %d / %d, %d / %d, 1",
+				rank, snap.SendMsgs, snap.SendBytes, snap.RecvMsgs, snap.RecvBytes, snap.Barriers,
+				size-1, wantSendBytes, size-1, (size-1)*(10+rank))
+		}
 		if len(snap.Peers) != size-1 {
 			t.Fatalf("rank %d: %d peers with traffic, want %d", rank, len(snap.Peers), size-1)
 		}
@@ -104,8 +128,10 @@ func TestInstrumentCommMatchesCounters(t *testing.T) {
 					rank, p.Peer, p.RecvMsgs, p.RecvBytes, 10+rank)
 			}
 		}
-		// Every Wait and the Barrier passed through the histogram.
-		wantWaits := int64(size) // size-1 request Waits + 1 barrier
+		// Every Wait and the Barrier passed through the histogram: two
+		// Waits per receive, one per Isend (to the size-1-rank higher
+		// ranks), and the barrier. Test records none.
+		wantWaits := int64(2*(size-1) + (size - 1 - rank) + 1)
 		if snap.WaitCount != wantWaits {
 			t.Errorf("rank %d: %d waits recorded, want %d", rank, snap.WaitCount, wantWaits)
 		}
@@ -217,7 +243,7 @@ func TestCommMetricsWireStats(t *testing.T) {
 	if r := ms[1].Snapshot().Peers; len(r) != 1 || r[0].Frames != 2 || r[0].RecvMsgs != msgs {
 		t.Errorf("rank 1 peers = %+v, want %d messages received and the barrier arrive + goodbye sent", r, msgs)
 	}
-	inproc, _ := ringTraffic(t, 2)
+	inproc := ringTraffic(t, 2)
 	if p := inproc[0].Snapshot().Peers; len(p) == 0 || p[0].Frames != 0 || p[0].Writes != 0 {
 		t.Errorf("in-process peers = %+v, want traffic and no wire tally", p)
 	}
@@ -238,7 +264,7 @@ func TestCommMetricsCheckpoints(t *testing.T) {
 // /debug/vars carries the published "tilecomm" variable, and
 // /debug/pprof/ answers.
 func TestRegistryStart(t *testing.T) {
-	metrics, _ := ringTraffic(t, 2)
+	metrics := ringTraffic(t, 2)
 	reg := NewRegistry()
 	for _, m := range metrics {
 		reg.Register(m)

@@ -494,10 +494,7 @@ func TestCheckpointRestoreUnderFaultPlan(t *testing.T) {
 			p := checkpointed(t, sh.base(Overlapped), t.TempDir(), ref)
 			p.checkpoint.Restore = true
 			grid, stats := runProblem(t, p, func(c mp.Comm) mp.Comm {
-				f := mp.WithFaults(c, 29)
-				f.DelayProb = 0.4
-				f.Delay = time.Millisecond
-				return f
+				return &delayComm{Comm: c, seed: 29, prob: 0.4, max: time.Millisecond}
 			})
 			gridsByteIdentical(t, grid, ref)
 			for rank, st := range stats {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/mp"
+	"repro/internal/obs"
 	"repro/internal/stencil"
 	"repro/internal/tiling"
 )
@@ -42,21 +43,12 @@ func TestMeasuredTrafficMatchesTileDepVolumes2D(t *testing.T) {
 		t.Fatalf("theory: cross volume = %d points/tile, want %d", crossPoints, s1+1)
 	}
 
-	// Practice: run with counting comms and compare.
+	// Practice: run with instrumented comms and compare.
 	tilesPerRank := int64(i1 / s1)
-	snaps := make([]mp.Snapshot, ranks)
-	var mu sync.Mutex
-	err = mp.Launch(ranks, func(raw mp.Comm) error {
-		c := mp.WithCounters(raw)
-		_, _, err := Run2D(c, cfg)
-		mu.Lock()
-		snaps[raw.Rank()] = c.C.Snapshot()
-		mu.Unlock()
-		return err
+	snaps := measuredTraffic(t, ranks, func(c mp.Comm) (Stats, error) {
+		_, st, err := Run2D(c, cfg)
+		return st, err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantBytes := tilesPerRank * crossPoints * 8
 	for r := 0; r < ranks-1; r++ { // every rank but the last sends east
 		if snaps[r].SendBytes != wantBytes {
@@ -98,20 +90,10 @@ func TestMeasuredTrafficMatchesFaceVolumes3D(t *testing.T) {
 	perTilePoints := rows[0].Int() + rows[1].Int()
 	kTiles := cfg.Grid.KTiles(cfg.V)
 
-	n := int(cfg.Grid.PI * cfg.Grid.PJ)
-	snaps := make([]mp.Snapshot, n)
-	var mu sync.Mutex
-	err = mp.Launch(n, func(raw mp.Comm) error {
-		c := mp.WithCounters(raw)
-		_, _, err := Run(c, cfg)
-		mu.Lock()
-		snaps[raw.Rank()] = c.C.Snapshot()
-		mu.Unlock()
-		return err
+	snaps := measuredTraffic(t, int(cfg.Grid.PI*cfg.Grid.PJ), func(c mp.Comm) (Stats, error) {
+		_, st, err := Run(c, cfg)
+		return st, err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Rank 0 (corner, sends east and south): exactly the two faces.
 	want := kTiles * perTilePoints * 8
 	if snaps[0].SendBytes != want {
@@ -123,4 +105,34 @@ func TestMeasuredTrafficMatchesFaceVolumes3D(t *testing.T) {
 		t.Errorf("interior rank traffic %d/%d bytes, want %d each",
 			snaps[interior].SendBytes, snaps[interior].RecvBytes, want)
 	}
+}
+
+// measuredTraffic runs run on n in-process ranks, each wrapped by
+// obs.InstrumentComm, and returns the per-rank traffic the transport saw.
+// It also checks that traffic against the executor's own Stats: the tile
+// loop's face messages are the only point-to-point sends of a run without
+// restore (the barriers are not sends), so the two tallies must agree.
+func measuredTraffic(t *testing.T, n int, run func(mp.Comm) (Stats, error)) []obs.CommSnapshot {
+	t.Helper()
+	snaps := make([]obs.CommSnapshot, n)
+	stats := make([]Stats, n)
+	var mu sync.Mutex
+	err := mp.Launch(n, func(raw mp.Comm) error {
+		m := obs.NewCommMetrics(raw.Rank(), n)
+		st, err := run(obs.InstrumentComm(raw, m))
+		mu.Lock()
+		snaps[raw.Rank()], stats[raw.Rank()] = m.Snapshot(), st
+		mu.Unlock()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, s := range snaps {
+		if s.SendMsgs != int64(stats[r].MsgsSent) || s.SendBytes != stats[r].BytesSent {
+			t.Errorf("rank %d: transport saw %d msgs / %d bytes sent, executor counted %d / %d",
+				r, s.SendMsgs, s.SendBytes, stats[r].MsgsSent, stats[r].BytesSent)
+		}
+	}
+	return snaps
 }

@@ -2,16 +2,62 @@ package runner
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/mp"
 	"repro/internal/stencil"
 )
 
-// TestRunUnderDelayFaults: injected message delays (mp.FaultyComm) slow
-// the real execution down but must never change the computed grid — the
+// delayComm wraps a Comm and sleeps before a replayable share of its
+// operations: operation op of rank r waits when u = fault.Unit(seed, r, op)
+// falls below prob, for u/prob of max. Messages are only slowed, never
+// lost or reordered, so a correct executor must produce the same grid.
+type delayComm struct {
+	mp.Comm
+	seed uint64
+	prob float64
+	max  time.Duration
+	ops  atomic.Int64
+}
+
+func (d *delayComm) delay() {
+	op := d.ops.Add(1)
+	if u := fault.Unit(d.seed, int64(d.Rank()), op); u < d.prob {
+		time.Sleep(time.Duration(u / d.prob * float64(d.max)))
+	}
+}
+
+func (d *delayComm) Send(dst, tag int, data []byte) error {
+	d.delay()
+	return d.Comm.Send(dst, tag, data)
+}
+
+func (d *delayComm) Isend(dst, tag int, data []byte) (mp.Request, error) {
+	d.delay()
+	return d.Comm.Isend(dst, tag, data)
+}
+
+func (d *delayComm) Recv(src, tag int, buf []byte) (mp.Status, error) {
+	d.delay()
+	return d.Comm.Recv(src, tag, buf)
+}
+
+func (d *delayComm) Irecv(src, tag int, buf []byte) (mp.Request, error) {
+	d.delay()
+	return d.Comm.Irecv(src, tag, buf)
+}
+
+func (d *delayComm) Barrier() error {
+	d.delay()
+	return d.Comm.Barrier()
+}
+
+// TestRunUnderDelayFaults: injected message delays (delayComm) slow the
+// real execution down but must never change the computed grid — the
 // runner's correctness depends only on message ordering, which the
 // injector preserves.
 func TestRunUnderDelayFaults(t *testing.T) {
@@ -22,9 +68,7 @@ func TestRunUnderDelayFaults(t *testing.T) {
 		Mode:   Overlapped,
 	}
 	err := mp.Launch(4, func(c mp.Comm) error {
-		f := mp.WithFaults(c, 11)
-		f.DelayProb = 0.5
-		f.Delay = time.Millisecond
+		f := &delayComm{Comm: c, seed: 11, prob: 0.5, max: time.Millisecond}
 		local, _, err := Run(f, cfg)
 		if err != nil {
 			return err
@@ -36,7 +80,7 @@ func TestRunUnderDelayFaults(t *testing.T) {
 		if f.Rank() != 0 {
 			return nil
 		}
-		if f.Ops() == 0 {
+		if f.ops.Load() == 0 {
 			return fmt.Errorf("no operations passed through the injector")
 		}
 		diff, err := VerifySequential(grid, cfg)
