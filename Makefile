@@ -32,10 +32,12 @@ bench:
 # hit allocates, a small message over the TCP transport costs more than 4
 # allocations, a simulation on a reused sim.Simulator allocates per tile, or
 # one Sqrt3D block sweep allocates (the grouped sweep's root buffer must stay
-# on the stack) on either node geometry's rank box.
+# on the stack) on either node geometry's rank box. PlanHot keeps the
+# in-process warm-cache tileserve request benchmark compiling and running.
 bench-smoke:
 	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|SimEngine$$|RunnerBlocking$$|RunnerOverlapped$$|Runner2D$$|Gather$$|SimCache$$|StencilBlock$$' -benchmem -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'TCPSmallMsgStream$$' -benchtime=1x -run '^$$' ./internal/mp
+	$(GO) test -bench 'PlanHot$$' -benchmem -benchtime=1x -run '^$$' ./cmd/tileserve
 
 # Degradation sweep at a fixed seed: exercises the whole fault-injection
 # path end to end and fails if degradation is not graceful or the

@@ -11,11 +11,12 @@
 //
 // The admission pipeline, in order: strict decode (400), token-bucket
 // rate limit (429 + Retry-After), concurrency cap with a bounded queue
-// (503), then a coalesced, cache-backed, cancellable evaluation. Answers
-// are bit-identical to the offline CLI. SIGTERM/SIGINT drain gracefully:
-// the listener closes, in-flight requests get -drain-timeout to finish,
-// stragglers are cancelled. /metrics.json exposes per-tenant
-// admitted/shed/coalesced/cancelled counters and the cache gauges
+// (503), then a cache-backed evaluation on the request's own goroutine,
+// cancelled with the request's context. Answers are bit-identical to the
+// offline CLI. SIGTERM/SIGINT drain gracefully: the listener closes,
+// in-flight requests get -drain-timeout to finish, stragglers are
+// cancelled. /metrics.json exposes per-tenant
+// admitted/shed/cancelled/panics/completed counters and the cache gauges
 // (OBSERVABILITY.md documents every field); /debug/pprof is live.
 package main
 

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -37,22 +36,10 @@ func defaultConfig() config {
 	}
 }
 
-// planCall is one in-flight evaluation shared by every concurrent request
-// with the same planapi key. The evaluation context is refcounted: it dies
-// when the last interested client disconnects, so an abandoned sweep
-// aborts promptly instead of burning a slot, but survives any single
-// waiter's departure while others still want the answer.
-type planCall struct {
-	done   chan struct{} // closed once res/err are final
-	cancel context.CancelFunc
-	refs   int // guarded by server.mu
-	res    planapi.PlanResult
-	err    error
-}
-
 // server is the planning service: admission control in front of the
-// request-level singleflight in front of the bounded evaluation cache in
-// front of the DES engine.
+// bounded evaluation cache in front of the DES engine. The cache is the
+// one coalescing layer: concurrent identical requests each run their own
+// sweep, and the cache evaluates every point they share once.
 type server struct {
 	cfg     config
 	cache   *sim.Cache
@@ -61,20 +48,18 @@ type server struct {
 	bucket  *tokenBucket
 	gate    *slotGate
 
-	mu       sync.Mutex
-	inflight map[string]*planCall
-
-	// baseCtx parents every evaluation; cancelling it (drain deadline
-	// expired) aborts all in-flight DES work.
+	// baseCtx parents every request context (http.Server.BaseContext);
+	// cancelling it (drain deadline expired) aborts all in-flight DES work.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
 	httpSrv *http.Server
 	addr    string
 
-	// testHook, when set, runs inside each evaluation before the sweep —
-	// the tests' lever for injecting panics and stalls.
-	testHook func(q planapi.PlanRequest)
+	// testHook, when set, runs inside each evaluation before the sweep,
+	// under the request's context — the tests' lever for injecting panics
+	// and stalls.
+	testHook func(ctx context.Context, q planapi.PlanRequest)
 }
 
 func newServer(cfg config) *server {
@@ -82,13 +67,12 @@ func newServer(cfg config) *server {
 		cfg.now = time.Now
 	}
 	s := &server{
-		cfg:      cfg,
-		cache:    sim.NewCacheBounded(cfg.cacheBound),
-		metrics:  obs.NewServiceMetrics(),
-		reg:      obs.NewRegistry(),
-		bucket:   newTokenBucket(cfg.rate, cfg.burst, cfg.now),
-		gate:     newSlotGate(cfg.concurrency, cfg.queueDepth, cfg.queueWait),
-		inflight: make(map[string]*planCall),
+		cfg:     cfg,
+		cache:   sim.NewCacheBounded(cfg.cacheBound),
+		metrics: obs.NewServiceMetrics(),
+		reg:     obs.NewRegistry(),
+		bucket:  newTokenBucket(cfg.rate, cfg.burst, cfg.now),
+		gate:    newSlotGate(cfg.concurrency, cfg.queueDepth, cfg.queueWait),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.metrics.SetCacheGauges(func() map[string]uint64 {
@@ -120,15 +104,19 @@ func (s *server) start(addr string) error {
 		return fmt.Errorf("tileserve: listen: %w", err)
 	}
 	s.addr = ln.Addr().String()
-	s.httpSrv = &http.Server{Handler: s.mux()}
+	s.httpSrv = &http.Server{
+		Handler:     s.mux(),
+		BaseContext: func(net.Listener) context.Context { return s.baseCtx },
+	}
 	obs.HTTPTimeouts(s.httpSrv)
 	go s.httpSrv.Serve(ln)
 	return nil
 }
 
 // shutdown drains gracefully: stop accepting, let in-flight requests
-// finish until ctx expires, then cancel every remaining evaluation and
-// close. Returns nil when the drain completed cleanly.
+// finish until ctx expires, then cancel every remaining request context
+// (each derives from baseCtx) and close. Returns nil when the drain
+// completed cleanly.
 func (s *server) shutdown(ctx context.Context) error {
 	err := s.httpSrv.Shutdown(ctx)
 	s.baseCancel() // abort any evaluation that outlived the drain
@@ -148,8 +136,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handlePlan is the admission pipeline: decode/validate (400) → rate
 // limit (429 + Retry-After) → concurrency gate with bounded queue (503) →
-// coalesced, cache-backed, cancellable evaluation. Every response path
-// lands in exactly one tenant counter.
+// cache-backed evaluation on this goroutine, under the request's context.
+// Every decoded request lands in exactly one of Shed or Admitted, and
+// every admitted one in exactly one of Completed, Cancelled or Panics.
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.reqTimeout)
 	defer cancel()
@@ -173,8 +162,8 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	release, ok, gateErr := s.gate.acquire(ctx)
-	if gateErr != nil {
-		tc.Cancelled.Add(1)
+	if gateErr != nil { // gave up while queued: never admitted
+		tc.Shed.Add(1)
 		http.Error(w, gateErr.Error(), statusForCtxErr(gateErr))
 		return
 	}
@@ -184,35 +173,27 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server at capacity", http.StatusServiceUnavailable)
 		return
 	}
+	// The slot is held until the sweep returns, so a client that
+	// disconnects mid-evaluation keeps it until the sweep stops at the
+	// next DES-evaluation boundary.
 	defer release()
 	tc.Admitted.Add(1)
 
-	call, leader := s.attach(q)
-	defer s.detach(q.Key(), call)
-	if !leader {
-		tc.Coalesced.Add(1)
-	}
-	select {
-	case <-call.done:
-	case <-ctx.Done():
-		tc.Cancelled.Add(1)
-		http.Error(w, ctx.Err().Error(), statusForCtxErr(ctx.Err()))
-		return
-	}
+	res, err := s.evaluate(ctx, q)
 	switch {
-	case call.err == nil:
+	case err == nil:
 		tc.Completed.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		planapi.EncodeResult(w, call.res)
-	case errors.Is(call.err, context.Canceled), errors.Is(call.err, context.DeadlineExceeded):
+		planapi.EncodeResult(w, res)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		tc.Cancelled.Add(1)
-		http.Error(w, call.err.Error(), statusForCtxErr(call.err))
-	case errors.As(call.err, new(panicError)):
+		http.Error(w, err.Error(), statusForCtxErr(err))
+	case errors.As(err, new(panicError)):
 		tc.Panics.Add(1)
 		http.Error(w, "internal error", http.StatusInternalServerError)
 	default:
 		tc.Completed.Add(1) // served an answer, albeit an error
-		http.Error(w, call.err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
@@ -223,67 +204,26 @@ func statusForCtxErr(err error) int {
 	return 499 // client closed request (nginx convention); never seen by the client
 }
 
-// attach joins (or starts) the in-flight evaluation for q. The second
-// return is true for the leader — the request that triggered the
-// evaluation; followers coalesce onto it.
-func (s *server) attach(q planapi.PlanRequest) (*planCall, bool) {
-	key := q.Key()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if call := s.inflight[key]; call != nil {
-		call.refs++
-		return call, false
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.reqTimeout)
-	call := &planCall{done: make(chan struct{}), cancel: cancel, refs: 1}
-	s.inflight[key] = call
-	go s.evaluate(ctx, key, q, call)
-	return call, true
-}
-
-// detach drops one waiter; when the last one leaves, the evaluation's
-// context is cancelled — an answer nobody wants stops consuming the
-// engine. (Cancelling an already-finished call is a no-op.)
-func (s *server) detach(key string, call *planCall) {
-	s.mu.Lock()
-	call.refs--
-	last := call.refs == 0
-	s.mu.Unlock()
-	if last {
-		call.cancel()
-	}
-}
-
 // panicError marks an evaluation that died by panic, so the handler can
 // distinguish "our bug" (500 + Panics counter) from a clean error.
 type panicError struct{ v any }
 
 func (e panicError) Error() string { return fmt.Sprintf("evaluation panicked: %v", e.v) }
 
-// evaluate runs one plan query to completion (or cancellation) and
-// publishes the result to every attached waiter. Panics are contained
-// here: one poisoned request must never take the process down.
-func (s *server) evaluate(ctx context.Context, key string, q planapi.PlanRequest, call *planCall) {
+// evaluate computes the PlanResult for a validated request: the same
+// sweep construction as `tileplan -optimum`, against the shared bounded
+// cache, under ctx. Panics are contained here (estimate re-raises one from
+// the bracket pair's second goroutine onto this one): one poisoned request
+// must never take the process down.
+func (s *server) evaluate(ctx context.Context, q planapi.PlanRequest) (res planapi.PlanResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			call.err = panicError{p}
+			err = panicError{p}
 		}
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		call.cancel()
-		close(call.done)
 	}()
 	if s.testHook != nil {
-		s.testHook(q)
+		s.testHook(ctx, q)
 	}
-	call.res, call.err = s.answer(ctx, q)
-}
-
-// answer computes the PlanResult for a validated request: the same sweep
-// construction as `tileplan -optimum`, against the shared bounded cache,
-// under the evaluation context.
-func (s *server) answer(ctx context.Context, q planapi.PlanRequest) (planapi.PlanResult, error) {
 	sw, err := q.Sweep()
 	if err != nil {
 		return planapi.PlanResult{}, err

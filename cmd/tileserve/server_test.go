@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,6 +45,20 @@ func postPlan(t *testing.T, addr, body string) (*http.Response, string) {
 	b.ReadFrom(resp.Body)
 	resp.Body.Close()
 	return resp, b.String()
+}
+
+// tryPostPlan is postPlan for goroutines other than the test's own: a
+// transport error comes back as status 0 with the error as the body.
+func tryPostPlan(addr, body string) (int, string) {
+	resp, err := http.Post(fmt.Sprintf("http://%s/v1/plan", addr), "application/json",
+		strings.NewReader(body))
+	if err != nil {
+		return 0, err.Error()
+	}
+	defer resp.Body.Close()
+	var b bytes.Buffer
+	b.ReadFrom(resp.Body)
+	return resp.StatusCode, b.String()
 }
 
 func reqJSON(k int64, tenant string) string {
@@ -166,7 +183,7 @@ func TestQueueFullSheds(t *testing.T) {
 	var holdOnce sync.Once
 	releaseHold := func() { holdOnce.Do(func() { close(hold) }) }
 	entered := make(chan struct{}, 8)
-	s.testHook = func(q planapi.PlanRequest) {
+	s.testHook = func(_ context.Context, q planapi.PlanRequest) {
 		entered <- struct{}{}
 		<-hold
 	}
@@ -201,35 +218,24 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 }
 
-// TestCoalescing: N identical concurrent requests share one evaluation —
-// N-1 count as Coalesced, all N get the same bytes, and the engine runs
-// the sweep once.
-func TestCoalescing(t *testing.T) {
+// TestConcurrentIdenticalRequestsShareDES: sim.Cache is the one
+// coalescing layer. N identical concurrent requests each run their own
+// sweep, all N get the same bytes, and together they cost exactly the DES
+// evaluations of one request served alone.
+func TestConcurrentIdenticalRequestsShareDES(t *testing.T) {
 	const n = 8
 	cfg := defaultConfig()
 	cfg.rate = 0
 	cfg.concurrency = n
-	s := newServer(cfg)
-	s.testHook = func(q planapi.PlanRequest) {
-		// Leader waits for every follower to attach, so the test is
-		// deterministic rather than timing-dependent.
-		deadline := time.Now().Add(10 * time.Second)
-		for s.metrics.Tenant("t").Coalesced.Load() < n-1 {
-			if time.Now().After(deadline) {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if err := s.start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.shutdown(ctx)
-	}()
 
+	alone := testServer(t, cfg)
+	resp, want := postPlan(t, alone.addr, reqJSON(256, "t"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single request: status %d: %s", resp.StatusCode, want)
+	}
+	oneEvals := alone.cache.Stats().Evals
+
+	s := testServer(t, cfg)
 	var wg sync.WaitGroup
 	bodies := make([]string, n)
 	codes := make([]int, n)
@@ -237,8 +243,7 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, out := postPlan(t, s.addr, reqJSON(256, "t"))
-			codes[i], bodies[i] = resp.StatusCode, out
+			codes[i], bodies[i] = tryPostPlan(s.addr, reqJSON(256, "t"))
 		}(i)
 	}
 	wg.Wait()
@@ -246,12 +251,15 @@ func TestCoalescing(t *testing.T) {
 		if codes[i] != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, codes[i], bodies[i])
 		}
-		if bodies[i] != bodies[0] {
-			t.Errorf("request %d body differs:\n%s\n%s", i, bodies[i], bodies[0])
+		if bodies[i] != want {
+			t.Errorf("request %d body differs:\n%s\n%s", i, bodies[i], want)
 		}
 	}
+	if got := s.cache.Stats().Evals; oneEvals == 0 || got != oneEvals {
+		t.Errorf("%d concurrent requests ran %d DES evaluations, one alone ran %d", n, got, oneEvals)
+	}
 	snap := s.metrics.Snapshot()
-	if snap.Totals.Coalesced != n-1 || snap.Totals.Admitted != n || snap.Totals.Completed != n {
+	if snap.Totals.Admitted != n || snap.Totals.Completed != n {
 		t.Errorf("counters %+v", snap.Totals)
 	}
 }
@@ -262,7 +270,7 @@ func TestPanicIsolation(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.rate = 0
 	s := newServer(cfg)
-	s.testHook = func(q planapi.PlanRequest) {
+	s.testHook = func(_ context.Context, q planapi.PlanRequest) {
 		if q.Tenant == "boom" {
 			panic("injected failure")
 		}
@@ -290,60 +298,36 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestAbandonedEvaluationCancelled: when the last client detaches from an
-// in-flight evaluation, its context dies and the sweep aborts with
-// context.Canceled instead of running to completion.
+// TestAbandonedEvaluationCancelled: once the request's context dies (its
+// client walked away) the sweep aborts with context.Canceled before the
+// engine runs, instead of running to completion.
 func TestAbandonedEvaluationCancelled(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.rate = 0
-	cfg.reqTimeout = time.Minute
-	s := newServer(cfg)
-	started := make(chan struct{})
-	s.testHook = func(q planapi.PlanRequest) {
-		close(started)
-		// Give the detach a head start so cancellation lands mid-ladder.
-		time.Sleep(10 * time.Millisecond)
-	}
+	s := newServer(defaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.testHook = func(context.Context, planapi.PlanRequest) { cancel() }
 	q, err := planapi.DecodeRequest(strings.NewReader(
 		`{"version":1,"space":[8,8,16384],"procs":[4,4],"exact":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	call, leader := s.attach(q)
-	if !leader {
-		t.Fatal("first attach was not the leader")
+	if _, err := s.evaluate(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Errorf("abandoned evaluation returned %v, want context.Canceled", err)
 	}
-	<-started
-	s.detach(q.Key(), call) // last client walks away
-
-	select {
-	case <-call.done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("abandoned evaluation did not stop")
-	}
-	if call.err == nil || !strings.Contains(call.err.Error(), "context canceled") {
-		t.Errorf("abandoned evaluation returned %v, want context.Canceled", call.err)
-	}
-	s.mu.Lock()
-	left := len(s.inflight)
-	s.mu.Unlock()
-	if left != 0 {
-		t.Errorf("%d calls still in flight after abandonment", left)
+	if st := s.cache.Stats(); st.Evals != 0 {
+		t.Errorf("abandoned evaluation ran %d DES evaluations", st.Evals)
 	}
 }
 
 // TestClientTimeoutCounted: a client that gives up mid-evaluation lands in
-// the Cancelled counter and gets a timeout-class status, and the server
-// keeps serving afterwards.
+// the Cancelled counter, and the server keeps serving afterwards.
 func TestClientTimeoutCounted(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.rate = 0
 	s := newServer(cfg)
-	release := make(chan struct{})
-	s.testHook = func(q planapi.PlanRequest) {
+	s.testHook = func(ctx context.Context, q planapi.PlanRequest) {
 		if q.Tenant == "impatient" {
-			<-release
+			<-ctx.Done() // stalls like a sweep, stops like one between evaluations
 		}
 	}
 	if err := s.start("127.0.0.1:0"); err != nil {
@@ -361,22 +345,176 @@ func TestClientTimeoutCounted(t *testing.T) {
 	if err == nil {
 		t.Fatal("stalled request returned before its client timeout")
 	}
-
-	// The evaluation stays stalled in the hook until the disconnect is
-	// counted: released earlier, a fast evaluation on a loaded host can
-	// finish before the server notices the client left.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.Tenant("impatient").Cancelled.Load() == 0 {
-		if time.Now().After(deadline) {
-			close(release)
-			t.Fatal("client disconnect never counted as Cancelled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
+	waitFor(t, "client disconnect counted as Cancelled", func() bool {
+		return s.metrics.Tenant("impatient").Cancelled.Load() == 1
+	})
 	resp, out := postPlan(t, s.addr, reqJSON(128, "patient"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after disconnect: status %d: %s", resp.StatusCode, out)
+	}
+}
+
+// TestSlotHeldUntilEvaluationStops: -concurrency is an honest bound. A
+// client that disconnects mid-evaluation keeps its slot until its
+// evaluation stops, so with one slot no two evaluations ever overlap.
+func TestSlotHeldUntilEvaluationStops(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.rate = 0
+	cfg.concurrency = 1
+	s := newServer(cfg)
+	var active, peak atomic.Int32
+	gone := make(chan struct{})
+	s.testHook = func(ctx context.Context, q planapi.PlanRequest) {
+		n := active.Add(1)
+		defer active.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		if q.Tenant != "gone" {
+			return
+		}
+		<-ctx.Done()
+		close(gone)
+		// Stand in for a DES evaluation that runs to completion whatever
+		// its client does: run until the next request is either queued
+		// behind this one or evaluating beside it.
+		deadline := time.Now().Add(10 * time.Second)
+		for s.gate.queued.Load() == 0 && active.Load() < 2 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := s.start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.shutdown(ctx)
+	}()
+
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	if _, err := client.Post(fmt.Sprintf("http://%s/v1/plan", s.addr), "application/json",
+		strings.NewReader(reqJSON(64, "gone"))); err == nil {
+		t.Fatal("stalled request returned before its client timeout")
+	}
+	select {
+	case <-gone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never saw the client disconnect")
+	}
+	resp, out := postPlan(t, s.addr, reqJSON(128, "next"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second request: status %d: %s", resp.StatusCode, out)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Errorf("%d evaluations ran at once under -concurrency 1", p)
+	}
+	tot := s.metrics.Snapshot().Totals
+	if tot.Admitted != 2 || tot.Cancelled != 1 || tot.Completed != 1 {
+		t.Errorf("counters %+v", tot)
+	}
+}
+
+// TestQueuedGiveUpCountedShed: a request whose client gives up while it
+// waits in the queue was never admitted, so it counts as Shed and the
+// in-flight invariant admitted = completed + cancelled + panics holds.
+func TestQueuedGiveUpCountedShed(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.rate = 0
+	cfg.concurrency = 1
+	s := newServer(cfg)
+	hold := make(chan struct{})
+	var holdOnce sync.Once
+	releaseHold := func() { holdOnce.Do(func() { close(hold) }) }
+	entered := make(chan struct{}, 1)
+	s.testHook = func(_ context.Context, q planapi.PlanRequest) {
+		if q.Tenant == "holder" {
+			entered <- struct{}{}
+			<-hold
+		}
+	}
+	if err := s.start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		releaseHold()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.shutdown(ctx)
+	}()
+
+	done := make(chan int, 1)
+	go func() {
+		code, _ := tryPostPlan(s.addr, reqJSON(64, "holder"))
+		done <- code
+	}()
+	<-entered // the holder owns the only slot
+
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	if _, err := client.Post(fmt.Sprintf("http://%s/v1/plan", s.addr), "application/json",
+		strings.NewReader(reqJSON(128, "queued"))); err == nil {
+		t.Fatal("queued request returned before its client timeout")
+	}
+	waitFor(t, "queued give-up counted as Shed", func() bool {
+		return s.metrics.Tenant("queued").Shed.Load() == 1
+	})
+	releaseHold()
+	if code := <-done; code != http.StatusOK {
+		t.Errorf("holder: status %d", code)
+	}
+	tot := s.metrics.Snapshot().Totals
+	if tot.Admitted != tot.Completed+tot.Cancelled+tot.Panics || tot.Admitted != 1 || tot.Shed != 1 {
+		t.Errorf("counters %+v break admitted = completed + cancelled + panics", tot)
+	}
+}
+
+// TestDrainDeadlineCancelsEvaluation: an evaluation that outlives the
+// drain deadline is cancelled through its request context (derived from
+// the server's base context); shutdown reports the deadline promptly and
+// the request lands in Cancelled.
+func TestDrainDeadlineCancelsEvaluation(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.rate = 0
+	s := newServer(cfg)
+	entered := make(chan struct{})
+	s.testHook = func(ctx context.Context, q planapi.PlanRequest) {
+		close(entered)
+		<-ctx.Done()
+	}
+	if err := s.start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	replied := make(chan struct{})
+	go func() {
+		defer close(replied)
+		tryPostPlan(s.addr, reqJSON(64, "straggler"))
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := s.shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("shutdown returned %v, want the drain deadline", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("shutdown took %v past a 50ms drain deadline", d)
+	}
+	waitFor(t, "straggler counted as Cancelled", func() bool {
+		return s.metrics.Snapshot().Totals.Cancelled == 1
+	})
+	<-replied
+}
+
+// waitFor polls cond for up to five seconds and fails the test if it never
+// holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting: %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -504,6 +642,32 @@ func TestHealthzAndMetricsMounted(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+}
+
+// BenchmarkPlanHot serves a warm-cache /v1/plan request through the
+// service mux in process: decode, admission, cache-hit sweep and encode,
+// without the network. Allocations per request are the layer's number.
+func BenchmarkPlanHot(b *testing.B) {
+	cfg := defaultConfig()
+	cfg.rate = 0
+	s := newServer(cfg)
+	h := s.mux()
+	body := reqJSON(256, "hot")
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		return rec
+	}
+	if rec := serve(); rec.Code != http.StatusOK {
+		b.Fatalf("warm-up: status %d: %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(); rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
 }

@@ -8,10 +8,11 @@ import (
 
 // ServiceMetrics is the planning service's admission-side observability:
 // per-tenant counters for every fate a request can meet (admitted, shed,
-// coalesced, cancelled, panicked, completed) plus a pluggable gauge
-// callback for the evaluation cache. It rides the same Registry/expvar/
-// HTTP plumbing CommMetrics uses, so one /metrics.json read shows both
-// where a cluster's time went and where a service's requests went.
+// cancelled, panicked, completed) plus a pluggable gauge callback for the
+// evaluation cache, whose own coalesced gauge counts shared evaluations.
+// It rides the same Registry/expvar/HTTP plumbing CommMetrics uses, so one
+// /metrics.json read shows both where a cluster's time went and where a
+// service's requests went.
 //
 // The import direction forces the cache indirection: sim imports obs for
 // fault counters, so obs cannot import sim to read sim.CacheStats.
@@ -23,21 +24,26 @@ type ServiceMetrics struct {
 	cacheFn atomic.Pointer[func() map[string]uint64]
 }
 
+// maxTenants caps the tenant rows; every later label counts in the
+// overflowTenant row, whose name lies outside planapi's tenant alphabet so
+// no real tenant collides with it. Totals still sum every request.
+const (
+	maxTenants     = 256
+	overflowTenant = "*"
+)
+
 // NewServiceMetrics returns an empty collector.
 func NewServiceMetrics() *ServiceMetrics {
 	return &ServiceMetrics{tenants: make(map[string]*TenantCounters)}
 }
 
 // TenantCounters counts one tenant's request fates. All fields are
-// monotone; increment them directly. A request is Admitted exactly once
-// when it passes admission control, then lands in exactly one of
-// Completed, Cancelled or Panics; Shed requests were never admitted;
-// Coalesced counts admitted requests whose answer was shared from a
-// concurrent identical evaluation rather than computed.
+// monotone; increment them directly. A decoded request is either Shed
+// (refused, or gave up while queued; never admitted) or Admitted, and an
+// admitted one then lands in exactly one of Completed, Cancelled or Panics.
 type TenantCounters struct {
 	Admitted  atomic.Uint64
 	Shed      atomic.Uint64
-	Coalesced atomic.Uint64
 	Cancelled atomic.Uint64
 	Panics    atomic.Uint64
 	Completed atomic.Uint64
@@ -48,7 +54,6 @@ type TenantSnapshot struct {
 	Tenant    string `json:"tenant"`
 	Admitted  uint64 `json:"admitted"`
 	Shed      uint64 `json:"shed"`
-	Coalesced uint64 `json:"coalesced"`
 	Cancelled uint64 `json:"cancelled"`
 	Panics    uint64 `json:"panics"`
 	Completed uint64 `json:"completed"`
@@ -66,12 +71,16 @@ type ServiceSnapshot struct {
 
 // Tenant returns the counters for name, creating them on first use. The
 // caller has already validated name (planapi bounds tenant labels), so an
-// unknown tenant is a new row, not an error; the empty name is the
-// anonymous tenant.
+// unknown tenant is a new row, not an error, until maxTenants rows exist;
+// then it is the overflow row. The empty name is the anonymous tenant.
 func (s *ServiceMetrics) Tenant(name string) *TenantCounters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tenants[name]
+	if t == nil && len(s.tenants) >= maxTenants {
+		name = overflowTenant
+		t = s.tenants[name]
+	}
 	if t == nil {
 		t = &TenantCounters{}
 		s.tenants[name] = t
@@ -111,7 +120,6 @@ func (s *ServiceMetrics) Snapshot() ServiceSnapshot {
 			Tenant:    name,
 			Admitted:  t.Admitted.Load(),
 			Shed:      t.Shed.Load(),
-			Coalesced: t.Coalesced.Load(),
 			Cancelled: t.Cancelled.Load(),
 			Panics:    t.Panics.Load(),
 			Completed: t.Completed.Load(),
@@ -119,7 +127,6 @@ func (s *ServiceMetrics) Snapshot() ServiceSnapshot {
 		out.Tenants = append(out.Tenants, snap)
 		out.Totals.Admitted += snap.Admitted
 		out.Totals.Shed += snap.Shed
-		out.Totals.Coalesced += snap.Coalesced
 		out.Totals.Cancelled += snap.Cancelled
 		out.Totals.Panics += snap.Panics
 		out.Totals.Completed += snap.Completed

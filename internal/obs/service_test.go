@@ -22,7 +22,6 @@ func TestServiceMetricsSnapshot(t *testing.T) {
 	a.Cancelled.Add(1)
 	b.Admitted.Add(1)
 	b.Shed.Add(4)
-	b.Coalesced.Add(1)
 	b.Completed.Add(1)
 
 	snap := sm.Snapshot()
@@ -32,11 +31,11 @@ func TestServiceMetricsSnapshot(t *testing.T) {
 	if snap.Tenants[0].Admitted != 3 || snap.Tenants[0].Cancelled != 1 {
 		t.Errorf("alpha row %+v", snap.Tenants[0])
 	}
-	if snap.Tenants[1].Shed != 4 || snap.Tenants[1].Coalesced != 1 {
+	if snap.Tenants[1].Shed != 4 || snap.Tenants[1].Completed != 1 {
 		t.Errorf("bravo row %+v", snap.Tenants[1])
 	}
 	tot := snap.Totals
-	if tot.Admitted != 4 || tot.Shed != 4 || tot.Completed != 3 || tot.Cancelled != 1 || tot.Coalesced != 1 {
+	if tot.Admitted != 4 || tot.Shed != 4 || tot.Completed != 3 || tot.Cancelled != 1 {
 		t.Errorf("totals %+v", tot)
 	}
 	if snap.Cache != nil {
@@ -61,6 +60,38 @@ func TestServiceMetricsSameTenantSameRow(t *testing.T) {
 	wg.Wait()
 	if got := sm.Snapshot().Totals.Admitted; got != 800 {
 		t.Errorf("admitted = %d, want 800", got)
+	}
+}
+
+// TestServiceMetricsTenantCap: rows stop growing at maxTenants; every
+// later label shares the overflow row, and the totals still count every
+// request.
+func TestServiceMetricsTenantCap(t *testing.T) {
+	sm := NewServiceMetrics()
+	const names = maxTenants + 100
+	for i := 0; i < names; i++ {
+		c := sm.Tenant(fmt.Sprintf("tenant-%d", i))
+		c.Shed.Add(2)
+		c.Admitted.Add(1)
+	}
+	snap := sm.Snapshot()
+	if len(snap.Tenants) > maxTenants+1 {
+		t.Errorf("%d tenant rows for %d names, cap %d", len(snap.Tenants), names, maxTenants)
+	}
+	if snap.Totals.Shed != 2*names || snap.Totals.Admitted != names {
+		t.Errorf("totals %+v, want shed %d admitted %d", snap.Totals, 2*names, names)
+	}
+	var overflow *TenantSnapshot
+	for i := range snap.Tenants {
+		if snap.Tenants[i].Tenant == overflowTenant {
+			overflow = &snap.Tenants[i]
+		}
+	}
+	if overflow == nil || overflow.Admitted != names-maxTenants {
+		t.Errorf("overflow row %+v, want %d admitted", overflow, names-maxTenants)
+	}
+	if sm.Tenant("tenant-0") == sm.Tenant(overflowTenant) {
+		t.Error("a tenant admitted before the cap lost its own row")
 	}
 }
 
