@@ -30,10 +30,11 @@ bench:
 # tile loop allocates per point or per message again through either front
 # door, the result gather allocates a box-sized buffer again, a sim.Cache
 # hit allocates, a small message over the TCP transport costs more than 4
-# allocations, a simulation on a reused sim.Simulator allocates per tile, or
-# one Sqrt3D block sweep allocates (the grouped sweep's root buffer must stay
-# on the stack) on either node geometry's rank box. PlanHot keeps the
-# in-process warm-cache tileserve request benchmark compiling and running.
+# allocations, a simulation of either schedule (blocking or overlapped) on
+# a reused sim.Simulator allocates per tile, or one Sqrt3D block sweep
+# allocates (the grouped sweep's root buffer must stay on the stack) on
+# either node geometry's rank box. PlanHot keeps the in-process warm-cache
+# tileserve request benchmark compiling and running.
 bench-smoke:
 	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|SimEngine$$|RunnerBlocking$$|RunnerOverlapped$$|Runner2D$$|Gather$$|SimCache$$|StencilBlock$$' -benchmem -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'TCPSmallMsgStream$$' -benchtime=1x -run '^$$' ./internal/mp

@@ -131,7 +131,7 @@ func benchOptimum(b *testing.B, exact bool) {
 		s.Cache = sim.NewCache()
 		for _, mode := range []sim.Mode{sim.Overlapped, sim.Blocking} {
 			pre := s.Cache.Stats().Evals
-			if _, _, err := s.Optimum(mode); err != nil {
+			if _, err := s.OptimumDetail(mode); err != nil {
 				b.Fatal(err)
 			}
 			n := s.Cache.Stats().Evals - pre
@@ -282,12 +282,19 @@ const simAllocsPerTile = 0.05
 
 // BenchmarkSimEngine measures end-to-end simulation throughput
 // (activities/second, graph build plus discrete-event run) on a reused
-// sim.Simulator, the way a sim.Cache miss runs, and gates its allocations
-// per tile at simAllocsPerTile. Runs in make bench-smoke.
+// sim.Simulator, the way a sim.Cache miss runs, once per schedule, and
+// gates each schedule's allocations per tile at simAllocsPerTile. Runs in
+// make bench-smoke.
 func BenchmarkSimEngine(b *testing.B) {
+	for _, mode := range []sim.Mode{sim.Blocking, sim.Overlapped} {
+		b.Run(mode.String(), func(b *testing.B) { benchSimEngine(b, mode) })
+	}
+}
+
+func benchSimEngine(b *testing.B, mode sim.Mode) {
 	g := model.Grid3D{I: 8, J: 8, K: 512, PI: 4, PJ: 4}
 	m := model.PentiumCluster()
-	cfg, err := sim.GridConfig(g, 8, m, sim.Overlapped, sim.CapDMA)
+	cfg, err := sim.GridConfig(g, 8, m, mode, sim.CapDMA)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,10 +33,6 @@ var sweepOps = []struct {
 		_, err := s.RunCtx(ctx)
 		return err
 	}},
-	{"OptimumCtx", func(ctx context.Context, s Sweep) error {
-		_, _, err := s.OptimumCtx(ctx, sim.Overlapped)
-		return err
-	}},
 	{"OptimumDetailCtx", func(ctx context.Context, s Sweep) error {
 		_, err := s.OptimumDetailCtx(ctx, sim.Blocking)
 		return err
@@ -145,15 +141,15 @@ func TestCancelThenRerunBitIdentical(t *testing.T) {
 	}
 
 	// Same for the optimum query path.
-	v1, t1, err := s.OptimumCtx(context.Background(), sim.Overlapped)
+	o1, err := s.OptimumDetailCtx(context.Background(), sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, t2, err := ref.OptimumCtx(context.Background(), sim.Overlapped)
+	o2, err := ref.OptimumDetailCtx(context.Background(), sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != v2 || t1 != t2 {
-		t.Errorf("optimum after cancel (V=%d t=%g) != fresh (V=%d t=%g)", v1, t1, v2, t2)
+	if o1.V != o2.V || o1.T != o2.T {
+		t.Errorf("optimum after cancel (V=%d t=%g) != fresh (V=%d t=%g)", o1.V, o1.T, o2.V, o2.T)
 	}
 }

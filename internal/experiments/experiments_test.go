@@ -77,10 +77,11 @@ func TestSweepRun(t *testing.T) {
 
 func TestSweepOptimumInterior(t *testing.T) {
 	s := tinySweep()
-	vOpt, tOpt, err := s.Optimum(sim.Overlapped)
+	out, err := s.OptimumDetail(sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
+	vOpt, tOpt := out.V, out.T
 	if vOpt <= s.Heights[0] || vOpt >= s.Grid.K {
 		t.Errorf("optimum V=%d not interior", vOpt)
 	}

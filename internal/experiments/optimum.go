@@ -8,28 +8,29 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the sweep-level optimum search. Since the tiered-estimator
-// rework it comes in three flavors:
+// This file is the sweep-level optimum search. Its entry points:
 //
-//   - Optimum / OptimumDetail: the tiered search (internal/estimate) at
-//     ladder granularity over OptimumHeights. The analytic closed form
-//     seeds a bracket, a few targeted DES probes localize the minimum, and
-//     a certification step either vouches for the answer or falls back to
-//     OptimumExact — so the result is always the exact ladder argmin,
-//     usually at a fraction of the DES evaluations.
-//   - OptimumExact: the exact ladder argmin by branch and bound — every
+//   - OptimumDetail / OptimumDetailCtx: the tiered search
+//     (internal/estimate) at ladder granularity over OptimumHeights. The
+//     analytic closed form seeds a bracket, a few targeted DES probes
+//     localize the minimum, and a certification step either vouches for
+//     the answer or falls back to the exact tier — so the result is always
+//     the exact ladder argmin, usually at a fraction of the DES
+//     evaluations. The estimate.Outcome says which tier answered.
+//   - OptimumExactCtx: the exact ladder argmin by branch and bound — every
 //     OptimumHeights rung that can win, judged by the closed-form
 //     sim.GridLowerBound, simulated on the parallel worker pool, earliest
 //     minimum wins. RunSequential over the same rungs is the unpruned
 //     oracle the tests hold it to.
-//   - OptimumRefined: Optimum plus the multiplicative refinement pass
-//     around the winning rung, the search the CLIs and figures print
-//     (finer-than-ladder granularity, same answers as before the rework).
+//   - OptimumRefined / OptimumRefinedCtx: the tiered search plus the
+//     multiplicative refinement pass around the winning rung, the search
+//     the CLIs and figures print (finer-than-ladder granularity, same
+//     answers as before the rework).
 //
-// Every flavor has a Ctx variant that aborts at DES-evaluation granularity
-// when the context is cancelled or its deadline expires — the contract the
-// planning service relies on to shed abandoned queries. The context-free
-// forms run under context.Background().
+// The Ctx forms abort at DES-evaluation granularity when the context is
+// cancelled or its deadline expires — the contract the planning service
+// relies on to shed abandoned queries. The context-free forms run under
+// context.Background().
 
 // OptimumHeights returns the candidate ladder the optimum search ranges
 // over: the sweep's own Heights extended with the full geometric ladder
@@ -50,26 +51,12 @@ func (s Sweep) OptimumHeights() []int64 {
 	return merged[:w]
 }
 
-// Optimum finds the simulated-optimal tile height among OptimumHeights for
-// the given mode via the tiered search: identical to OptimumExact's
-// answer, but typically a handful of DES probes instead of every rung that
-// can win. Set Sweep.Exact to force the exact tier.
-func (s Sweep) Optimum(mode sim.Mode) (vOpt int64, tOpt float64, err error) {
-	return s.OptimumCtx(context.Background(), mode)
-}
-
-// OptimumCtx is Optimum under a context.
-func (s Sweep) OptimumCtx(ctx context.Context, mode sim.Mode) (vOpt int64, tOpt float64, err error) {
-	out, err := s.OptimumDetailCtx(ctx, mode)
-	if err != nil {
-		return 0, 0, err
-	}
-	return out.V, out.T, nil
-}
-
-// OptimumDetail is Optimum with the full estimate.Outcome: which tier
+// OptimumDetail finds the simulated-optimal tile height among
+// OptimumHeights for the given mode via the tiered search: identical to
+// OptimumExactCtx's answer, but typically a handful of DES probes instead
+// of every rung that can win. The estimate.Outcome says which tier
 // answered, how many probes the tiered stage issued, and why the exact
-// tier ran if it did.
+// tier ran if it did. Set Sweep.Exact to force the exact tier.
 func (s Sweep) OptimumDetail(mode sim.Mode) (estimate.Outcome, error) {
 	return s.OptimumDetailCtx(context.Background(), mode)
 }
@@ -93,16 +80,11 @@ func (s Sweep) OptimumDetailCtx(ctx context.Context, mode sim.Mode) (estimate.Ou
 	return estimate.Optimum(ctx, cfg)
 }
 
-// OptimumExact is the exact tier: every OptimumHeights rung that can win
-// simulated (on the parallel worker pool), earliest height of minimal
+// OptimumExactCtx is the exact tier: every OptimumHeights rung that can
+// win simulated (on the parallel worker pool), earliest height of minimal
 // makespan wins — bit-identical to RunSequential over every rung plus an
 // argmin. A rung whose sim.GridLowerBound exceeds an already simulated
 // makespan cannot win and is skipped (see optimumExact).
-func (s Sweep) OptimumExact(mode sim.Mode) (vOpt int64, tOpt float64, err error) {
-	return s.OptimumExactCtx(context.Background(), mode)
-}
-
-// OptimumExactCtx is OptimumExact under a context.
 func (s Sweep) OptimumExactCtx(ctx context.Context, mode sim.Mode) (vOpt int64, tOpt float64, err error) {
 	return s.optimumExact(ctx, cacheOr(s.Cache), mode, s.OptimumHeights())
 }
@@ -147,7 +129,7 @@ func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, he
 	return best, bestT, nil
 }
 
-// OptimumRefined sharpens Optimum below ladder granularity: the
+// OptimumRefined sharpens OptimumDetail below ladder granularity: the
 // multiplicative Refine window around the winning rung is evaluated and
 // the overall earliest minimum returned. This is the search the figures,
 // traces and examples print; on the paper's grids its answers are

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -31,8 +32,8 @@ func sequentialArgmin(rows []SweepRow, mode sim.Mode) (int64, float64) {
 
 // TestTieredOptimumMatchesExactOnFigures is the acceptance gate of the
 // tiered-search rework: on the paper's Fig. 9-11 spaces (which also feed
-// Fig. 12) and for both schedules, the tiered Optimum and the bound-pruned
-// OptimumExact must both return the bit-identical (V, t) of the unpruned
+// Fig. 12) and for both schedules, the tiered OptimumDetail and the
+// bound-pruned OptimumExactCtx must both return the bit-identical (V, t) of the unpruned
 // sequential argmin over OptimumHeights, while the tiered search issues at
 // least 4x fewer DES evaluations per query than the ladder has rungs and
 // at least 5x fewer in aggregate — measured with the sim.Cache counters.
@@ -78,7 +79,7 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 					}
 
 					s.Cache = sim.NewCache()
-					vEx, tEx, err := s.OptimumExact(mode)
+					vEx, tEx, err := s.OptimumExactCtx(context.Background(), mode)
 					if err != nil {
 						t.Fatal(err)
 					}

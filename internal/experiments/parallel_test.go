@@ -124,7 +124,7 @@ func TestOptimumUsesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	afterRun := s.Cache.Len()
-	v1, t1, err := s.Optimum(sim.Overlapped)
+	o1, err := s.OptimumDetail(sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +134,15 @@ func TestOptimumUsesCache(t *testing.T) {
 	}
 	// A second identical search is answered fully from the cache.
 	before := s.Cache.Len()
-	v2, t2, err := s.Optimum(sim.Overlapped)
+	o2, err := s.OptimumDetail(sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Cache.Len() != before {
 		t.Errorf("repeated Optimum simulated %d new points", s.Cache.Len()-before)
 	}
-	if v1 != v2 || t1 != t2 {
-		t.Errorf("repeated Optimum disagrees: (%d, %g) vs (%d, %g)", v1, t1, v2, t2)
+	if o1.V != o2.V || o1.T != o2.T {
+		t.Errorf("repeated Optimum disagrees: (%d, %g) vs (%d, %g)", o1.V, o1.T, o2.V, o2.T)
 	}
 }
 

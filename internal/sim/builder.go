@@ -40,9 +40,11 @@ type builder struct {
 	// messages it produces. Bucket capacity is deps.Len() each.
 	inbox  [][]*message
 	outbox [][]*message
-	// computeActs[tileRank] is the A2 activity of each tile.
+	// computeActs[tileRank] is the A2 activity of each tile emitted so far.
 	computeActs []*simnet.Activity
-	msgs        msgArena
+	// prevCPU[p] is the last activity in processor p's program order.
+	prevCPU []*simnet.Activity
+	msgs    msgArena
 
 	// Fault counters for the metrics report, tallied during construction
 	// (the perturbations are deterministic, so build-time counts equal
@@ -53,13 +55,11 @@ type builder struct {
 	linkRetx    map[int64]int
 }
 
-// tileInfo is the precomputed per-tile record the emission passes run on,
-// so they never touch coordinate vectors (except for trace labels).
+// tileInfo is the precomputed per-tile record the walk runs on, so it never
+// touches coordinate vectors (trace labels delinearize the rank).
 type tileInfo struct {
-	rank   int64      // lexicographic rank in the tile space
-	volume int64      // iteration points (boundary tiles may be smaller)
-	exists bool       // the (proc, step) slot holds a tile of the space
-	coord  ilmath.Vec // populated only when tracing, for labels
+	rank   int64 // lexicographic rank in the tile space
+	volume int64 // iteration points (boundary tiles may be smaller)
 }
 
 // msgArena allocates messages in chunked slabs: pointers stay stable while
@@ -125,12 +125,10 @@ func (b *builder) build() error {
 		return err
 	}
 	b.collectMessages()
-	// Pre-size the engine: each tile emits one compute plus a few activities
-	// and edges per message (at most 6 activities and ~12 edges per message
-	// across both modes, bus stage included). A hierarchical interconnect
-	// adds up to 2·Levels hop activities (one edge each) per message. An
-	// active fault plan can add a pause per tile and up to 2·MaxResend
-	// activities (retransmission + timeout) per message.
+	// Pre-size the engine: per tile one compute, per message at most 6
+	// activities and ~12 edges (bus stage included), plus 2·Levels hops on a
+	// hierarchical interconnect; a fault plan adds a pause per tile and up
+	// to 2·MaxResend activities (retransmission + timeout) per message.
 	acts, edges := b.numTiles+6*b.numMsgs+1, 2*b.numTiles+12*b.numMsgs
 	if lv := b.cfg.Interconnect.Levels; lv > 0 {
 		acts += 2 * lv * b.numMsgs
@@ -141,12 +139,7 @@ func (b *builder) build() error {
 		edges += b.numTiles + 2*b.fp.MaxResend*b.numMsgs
 	}
 	b.eng.Reserve(acts, edges)
-	switch b.cfg.Mode {
-	case Blocking:
-		b.buildBlocking()
-	case Overlapped:
-		b.buildOverlapped()
-	}
+	b.walk()
 	return nil
 }
 
@@ -251,21 +244,14 @@ func (b *builder) collectMessages() {
 		b.outbox[i] = backing[out : out : out+nDeps]
 	}
 
-	mapDim := m.MapDim
-	mapLower := ts.Lower[mapDim]
+	mapDim, mapLower := m.MapDim, ts.Lower[m.MapDim]
 	from := make(ilmath.Vec, ts.Dim())
 	ts.Points(func(tc ilmath.Vec) bool {
 		b.numTiles++
 		toProc := b.procRank(tc)
-		toStep := tc[mapDim] - mapLower
-		slot := toProc*b.steps + toStep
+		slot := toProc*b.steps + tc[mapDim] - mapLower
 		ti := &b.tiles[slot]
-		ti.rank = ts.Linearize(tc)
-		ti.volume = topo.TileVolume(tc)
-		ti.exists = true
-		if b.trace {
-			ti.coord = tc.Clone()
-		}
+		*ti = tileInfo{rank: ts.Linearize(tc), volume: topo.TileVolume(tc)}
 		for i := 0; i < nDeps; i++ {
 			d := depVecs[i]
 			for j := range tc {
@@ -291,27 +277,13 @@ func (b *builder) collectMessages() {
 				toProc:   toProc,
 				bytes:    bytes,
 			}
-			if b.trace {
-				msg.from = from.Clone()
-				msg.to = tc.Clone()
-			}
 			b.numMsgs++
-			fromStep := from[mapDim] - mapLower
-			fromSlot := fromProc*b.steps + fromStep
+			fromSlot := fromProc*b.steps + from[mapDim] - mapLower
 			b.outbox[fromSlot] = append(b.outbox[fromSlot], msg)
 			b.inbox[slot] = append(b.inbox[slot], msg)
 		}
 		return true
 	})
-}
-
-// inboxAt returns the messages consumed by processor p's step-s tile;
-// out-of-range steps (the s+1 lookahead past the last step) yield nil.
-func (b *builder) inboxAt(p, s int64) []*message {
-	if s < 0 || s >= b.steps {
-		return nil
-	}
-	return b.inbox[p*b.steps+s]
 }
 
 // mlabel renders a message-activity label ("prefixFROM->TO", or "<-" with
@@ -320,216 +292,160 @@ func (b *builder) mlabel(prefix string, m *message, recv bool) string {
 	if !b.trace {
 		return ""
 	}
+	ts := b.cfg.Topo.TileSpace
+	from, to := ts.Delinearize(m.fromRank), ts.Delinearize(m.toRank)
 	if recv {
-		return fmt.Sprintf("%s%v<-%v", prefix, m.to, m.from)
+		return fmt.Sprintf("%s%v<-%v", prefix, to, from)
 	}
-	return fmt.Sprintf("%s%v->%v", prefix, m.from, m.to)
+	return fmt.Sprintf("%s%v->%v", prefix, from, to)
 }
 
-// tlabel renders a tile-activity label only when tracing.
-func (b *builder) tlabel(prefix string, ti *tileInfo) string {
-	if !b.trace {
-		return ""
+// onCPU emits an activity of duration d on processor p's CPU and appends it
+// to that processor's program order.
+func (b *builder) onCPU(p int64, d float64, label string) *simnet.Activity {
+	a := b.eng.NewActivity(b.nodes[p].cpu, d, label)
+	if prev := b.prevCPU[p]; prev != nil {
+		b.eng.AddDep(prev, a)
 	}
-	return fmt.Sprintf("%s%v", prefix, ti.coord)
+	b.prevCPU[p] = a
+	return a
 }
 
-// plabel renders a pause-activity label only when tracing.
-func (b *builder) plabel(p, s int64) string {
-	if !b.trace {
-		return ""
+// walk emits the schedule in one pass over the tiles, step by step and,
+// within a step, processor by processor. Each tile appends its CPU program
+// to its processor's chain; the mode decides only which message ops come
+// before and after the compute. Blocking (ProcB, Section 3): receive,
+// compute, send, all copies on the CPU. Overlapped (ProcNB, Section 4):
+// send step s−1's results (A1), compute (A2), post step s+1's receives
+// (A3); step 0 posts its own receives first and an epilogue sends the last
+// step's results. Dependences have 0/1 components and the tile space is
+// rectangular, so every message's sender tile comes before its receiver
+// tile: the sender creates the wire stages once, predecessor attached.
+func (b *builder) walk() {
+	ov := b.cfg.Mode == Overlapped
+	b.prevCPU = make([]*simnet.Activity, b.numProcs)
+	for s := int64(0); s < b.steps; s++ {
+		for p := int64(0); p < b.numProcs; p++ {
+			slot := p*b.steps + s
+			b.pause(p, s)
+			switch {
+			case !ov:
+				for _, m := range b.inbox[slot] {
+					b.recv(p, m)
+				}
+			case s == 0:
+				for _, m := range b.inbox[slot] {
+					b.post(p, m)
+				}
+			default:
+				for _, m := range b.outbox[slot-1] {
+					b.isend(p, m)
+				}
+			}
+			// A2. Under Overlapped it waits on the B2 of every inbound
+			// message sent so far; isend adds the edge for later ones.
+			ti := &b.tiles[slot]
+			label := ""
+			if b.trace {
+				label = fmt.Sprintf("compute%v", b.cfg.Topo.TileSpace.Delinearize(ti.rank))
+			}
+			comp := b.onCPU(p, float64(ti.volume)*b.cfg.Machine.Tc/b.speed(p), label)
+			b.computeActs[ti.rank] = comp
+			for _, m := range b.inbox[slot] {
+				if ov && m.ready != nil {
+					b.eng.AddDep(m.ready, comp)
+				}
+			}
+			switch {
+			case !ov:
+				for _, m := range b.outbox[slot] {
+					b.send(p, m, comp)
+				}
+			case s+1 < b.steps:
+				for _, m := range b.inbox[slot+1] {
+					b.post(p, m)
+				}
+			}
+		}
 	}
-	return fmt.Sprintf("pause p%d s%d", p, s)
+	if ov {
+		for p := int64(0); p < b.numProcs; p++ {
+			for _, m := range b.outbox[p*b.steps+b.steps-1] {
+				b.isend(p, m)
+			}
+		}
+	}
 }
 
 // pause chains the fault plan's transient node pause (if any) onto
 // processor p's CPU program order ahead of its step-s tile work.
-func (b *builder) pause(p, s int64, chain func(int64, *simnet.Activity) *simnet.Activity) {
+func (b *builder) pause(p, s int64) {
 	if b.fp == nil {
 		return
 	}
 	if d := b.fp.Pause(p, s); d > 0 {
 		b.pauseCount++
-		chain(p, b.eng.NewActivity(b.nodes[p].cpu, d, b.plabel(p, s)))
+		label := ""
+		if b.trace {
+			label = fmt.Sprintf("pause p%d s%d", p, s)
+		}
+		b.onCPU(p, d, label)
 	}
 }
 
-// buildBlocking emits the ProcB structure of Section 5: for every local
-// step, blocking receives (CPU copies in), compute, blocking sends (CPU
-// copies out). The wire transfer itself rides the comm channels.
-//
-// Per message: sender CPU does A1+B3 as one "send" op, then B4 occupies the
-// sender's tx channel and B1 the receiver's rx channel; the receiver's CPU
-// "recv" op (B2+A3) runs when the data has arrived and it is that
-// processor's turn in its program order.
-func (b *builder) buildBlocking() {
+// recv is the blocking receive: kernel→user copy (B2) and MPI-buffer
+// preparation (A3) on the CPU, once the data has left the wire (B1).
+func (b *builder) recv(p int64, m *message) {
 	mch := b.cfg.Machine
-	prevCPU := make([]*simnet.Activity, len(b.nodes))
-
-	chain := func(p int64, a *simnet.Activity) *simnet.Activity {
-		if prevCPU[p] != nil {
-			b.eng.AddDep(prevCPU[p], a)
-		}
-		prevCPU[p] = a
-		return a
-	}
-
-	for s := int64(0); s < b.steps; s++ {
-		for p := int64(0); p < b.numProcs; p++ {
-			slot := p*b.steps + s
-			ti := &b.tiles[slot]
-			if !ti.exists {
-				continue
-			}
-			cpu := b.nodes[p].cpu
-			b.pause(p, s, chain)
-			// Blocking receives: copy kernel→user (B2) and prepare the MPI
-			// buffer (A3) on the CPU, after the data hit the wire's end.
-			for _, m := range b.inbox[slot] {
-				recv := b.eng.NewActivity(cpu,
-					(mch.FillKernel(m.bytes)+mch.FillMPI(m.bytes))/b.speed(p),
-					b.mlabel("recv", m, true))
-				chain(p, recv)
-				b.eng.AddDep(b.ensureWire(m), recv)
-				m.dataReady = recv
-			}
-			// Compute.
-			comp := b.eng.NewActivity(cpu,
-				float64(ti.volume)*mch.Tc/b.speed(p),
-				b.tlabel("compute", ti))
-			chain(p, comp)
-			b.computeActs[ti.rank] = comp
-			// Blocking sends: fill MPI buffer (A1) + kernel copy (B3) on
-			// CPU, then the wire stages.
-			for _, m := range b.outbox[slot] {
-				send := b.eng.NewActivity(cpu,
-					(mch.FillMPI(m.bytes)+mch.FillKernel(m.bytes))/b.speed(p),
-					b.mlabel("send", m, false))
-				chain(p, send)
-				b.eng.AddDep(comp, send)
-				b.queueWire(m, send)
-			}
-		}
-	}
-	// Consumption edges are implicit: each tile's inbound receive ops
-	// precede its compute in the same step's CPU chain, and the inbox is
-	// indexed by the consuming step, so no cross-step edges remain.
+	r := b.onCPU(p, (mch.FillKernel(m.bytes)+mch.FillMPI(m.bytes))/b.speed(p),
+		b.mlabel("recv", m, true))
+	b.eng.AddDep(m.ready, r)
 }
 
-// buildOverlapped emits the ProcNB structure: at local step s the CPU does
-// A1 (sends of step s−1 results), A2 (compute), A3 (posting receives for
-// step s+1); kernel copies ride the DMA engines (or the CPU when the node
-// has none) and the wire rides the comm channels.
-func (b *builder) buildOverlapped() {
+// send is the blocking send: MPI-buffer fill (A1) and kernel copy (B3) on
+// the CPU after the tile's compute, then the wire stages.
+func (b *builder) send(p int64, m *message, comp *simnet.Activity) {
 	mch := b.cfg.Machine
-	prevCPU := make([]*simnet.Activity, len(b.nodes))
+	a := b.onCPU(p, (mch.FillMPI(m.bytes)+mch.FillKernel(m.bytes))/b.speed(p),
+		b.mlabel("send", m, false))
+	b.eng.AddDep(comp, a)
+	m.ready = b.wire(m, a)
+}
 
-	chain := func(p int64, a *simnet.Activity) *simnet.Activity {
-		if prevCPU[p] != nil {
-			b.eng.AddDep(prevCPU[p], a)
-		}
-		prevCPU[p] = a
-		return a
-	}
+// post is the overlapped A3: the CPU posts m's receive buffer.
+func (b *builder) post(p int64, m *message) {
+	m.posted = b.onCPU(p, b.cfg.Machine.FillMPI(m.bytes)/b.speed(p), b.mlabel("irecv", m, true))
+}
 
-	postRecv := func(p int64, m *message) {
-		a := b.eng.NewActivity(b.nodes[p].cpu, mch.FillMPI(m.bytes)/b.speed(p),
-			b.mlabel("irecv", m, true))
-		chain(p, a)
-		m.posted = a
+// isend is the overlapped send of m: A1 on the CPU after the producing
+// tile's compute, B3, the wire stages, then B2 at the receiver once its
+// buffer is posted. B2 gates the consuming compute.
+func (b *builder) isend(p int64, m *message) {
+	a1 := b.onCPU(p, b.cfg.Machine.FillMPI(m.bytes)/b.speed(p), b.mlabel("isend", m, false))
+	b.eng.AddDep(b.computeActs[m.fromRank], a1)
+	b3 := b.kcopy(p, b.nodes[p].commOut, m, b.mlabel("kcopy-tx", m, false))
+	b.eng.AddDep(a1, b3)
+	b1 := b.wire(m, b3)
+	b2 := b.kcopy(m.toProc, b.nodes[m.toProc].commIn, m, b.mlabel("kcopy-rx", m, true))
+	b.eng.AddDep(b1, b2)
+	b.eng.AddDep(m.posted, b2)
+	// A consumer on the sender's step (a dependence along the processor
+	// dimensions only) was emitted before this send: add its edge here.
+	if comp := b.computeActs[m.toRank]; comp != nil {
+		b.eng.AddDep(b2, comp)
 	}
+	m.ready = b2
+}
 
-	issueSend := func(p int64, m *message) {
-		// A1: CPU fills the MPI send buffer.
-		a1 := b.eng.NewActivity(b.nodes[p].cpu, mch.FillMPI(m.bytes)/b.speed(p),
-			b.mlabel("isend", m, false))
-		chain(p, a1)
-		// The data being sent was produced by the 'from' tile's compute.
-		if comp := b.computeActs[m.fromRank]; comp != nil {
-			b.eng.AddDep(comp, a1)
-		}
-		// B3: kernel copy, on DMA or CPU depending on capability.
-		b3res := b.nodes[p].commOut
-		b3dur := mch.FillKernel(m.bytes)
-		if b.cfg.Cap == CapNone {
-			b3res = b.nodes[p].cpu
-			b3dur /= b.speed(p)
-		}
-		b3 := b.eng.NewActivity(b3res, b3dur, b.mlabel("kcopy-tx", m, false))
-		b.eng.AddDep(a1, b3)
-		// B4 wire out, then B1 wire in at the receiver (or one shared-bus
-		// occupancy).
-		b1 := b.wire(m, b3)
-		// B2: receiver kernel→MPI-buffer copy; requires the posted receive.
-		b2res := b.nodes[m.toProc].commIn
-		b2dur := mch.FillKernel(m.bytes)
-		if b.cfg.Cap == CapNone {
-			b2res = b.nodes[m.toProc].cpu
-			b2dur /= b.speed(m.toProc)
-		}
-		b2 := b.eng.NewActivity(b2res, b2dur, b.mlabel("kcopy-rx", m, true))
-		b.eng.AddDep(b1, b2)
-		if m.posted != nil {
-			b.eng.AddDep(m.posted, b2)
-		}
-		// Consumption edge: construction runs by step, then processor, so
-		// the consuming compute may already exist (its sender comes later in
-		// the same sweep); otherwise the compute's emission adds the edge.
-		if comp := b.computeActs[m.toRank]; comp != nil {
-			b.eng.AddDep(b2, comp)
-		}
-		m.dataReady = b2
-		m.sendQueued = true
+// kcopy emits a kernel-buffer copy of m at processor p on res, or on p's
+// CPU (outside its program order) when the node has no DMA.
+func (b *builder) kcopy(p int64, res *simnet.Resource, m *message, label string) *simnet.Activity {
+	d := b.cfg.Machine.FillKernel(m.bytes)
+	if b.cfg.Cap == CapNone {
+		res = b.nodes[p].cpu
+		d /= b.speed(p)
 	}
-
-	for s := int64(0); s < b.steps; s++ {
-		for p := int64(0); p < b.numProcs; p++ {
-			slot := p*b.steps + s
-			ti := &b.tiles[slot]
-			if !ti.exists {
-				continue
-			}
-			cpu := b.nodes[p].cpu
-			b.pause(p, s, chain)
-			// Prologue at s = 0: post receives for this first tile's own
-			// inputs (the pseudocode pre-posts them before the loop).
-			if s == 0 {
-				for _, m := range b.inbox[slot] {
-					postRecv(p, m)
-				}
-			}
-			// A1 phase: send the results produced at step s−1.
-			if s > 0 {
-				for _, m := range b.outbox[slot-1] {
-					issueSend(p, m)
-				}
-			}
-			// A2: compute, gated on all inbound data for this tile (a
-			// message not issued yet gets its edge from issueSend).
-			comp := b.eng.NewActivity(cpu,
-				float64(ti.volume)*mch.Tc/b.speed(p),
-				b.tlabel("compute", ti))
-			chain(p, comp)
-			b.computeActs[ti.rank] = comp
-			for _, m := range b.inbox[slot] {
-				if m.dataReady != nil {
-					b.eng.AddDep(m.dataReady, comp)
-				}
-			}
-			// A3 phase: post receives for step s+1's inputs.
-			for _, m := range b.inboxAt(p, s+1) {
-				postRecv(p, m)
-			}
-		}
-	}
-	// Epilogue: results of the last local step still have to be sent.
-	for p := int64(0); p < b.numProcs; p++ {
-		for _, m := range b.outbox[p*b.steps+b.steps-1] {
-			if !m.sendQueued {
-				issueSend(p, m)
-			}
-		}
-	}
+	return b.eng.NewActivity(res, d, label)
 }
 
 // wire emits the transmission stage(s) of a message after predecessor pred
@@ -557,21 +473,14 @@ func (b *builder) wire(m *message, pred *simnet.Activity) *simnet.Activity {
 			b.linkRetx[m.fromProc*b.numProcs+m.toProc] += resends
 		}
 	}
-	var b4, prev *simnet.Activity
+	prev := pred
 	for attempt := 0; attempt <= resends; attempt++ {
 		dur := base
 		if b.fp != nil {
 			dur *= b.fp.WireFactor(m.fromRank, m.toRank, attempt)
 		}
 		a := b.eng.NewActivity(tx, dur, b.mlabel("wire-tx", m, false))
-		if prev != nil {
-			b.eng.AddDep(prev, a)
-		} else {
-			if pred != nil {
-				b.eng.AddDep(pred, a)
-			}
-			b4 = a // the first attempt is what the sender CPU op gates
-		}
+		b.eng.AddDep(prev, a)
 		prev = a
 		if attempt < resends {
 			// Lost attempt: the sender's NIC waits out the retransmission
@@ -601,33 +510,11 @@ func (b *builder) wire(m *message, pred *simnet.Activity) *simnet.Activity {
 	if b.cfg.Network == SharedBus {
 		// The shared medium is an extra arbitration stage between the tx
 		// and rx ports: every message in the cluster serializes through it.
-		w := b.eng.NewActivity(b.bus, b.cfg.Machine.Wire(m.bytes),
-			b.mlabel("wire-bus", m, false))
+		w := b.eng.NewActivity(b.bus, base, b.mlabel("wire-bus", m, false))
 		b.eng.AddDep(last, w)
 		last = w
 	}
-	b1 := b.eng.NewActivity(b.nodes[m.toProc].commIn, b.cfg.Machine.Wire(m.bytes),
-		b.mlabel("wire-rx", m, true))
+	b1 := b.eng.NewActivity(b.nodes[m.toProc].commIn, base, b.mlabel("wire-rx", m, true))
 	b.eng.AddDep(last, b1)
-	m.wireIn = b1
-	m.wireOut = b4
 	return b1
-}
-
-// ensureWire lazily creates the wire pipeline of a blocking-mode message
-// and returns the arrival activity. The sender CPU op is attached later via
-// queueWire.
-func (b *builder) ensureWire(m *message) *simnet.Activity {
-	if m.wireIn != nil {
-		return m.wireIn
-	}
-	return b.wire(m, nil)
-}
-
-// queueWire attaches the sender's CPU send op as the predecessor of the
-// message's wire pipeline.
-func (b *builder) queueWire(m *message, send *simnet.Activity) {
-	b.ensureWire(m)
-	b.eng.AddDep(send, m.wireOut)
-	m.sendQueued = true
 }

@@ -12,7 +12,7 @@ import (
 // comparable value (GridOpts' fault plan and interconnect included), so two
 // requests for the same point — e.g. a ladder rung revisited by the
 // refinement pass of an optimum search, or a sweep height re-simulated by a
-// later Optimum call — collapse onto one entry.
+// later optimum search — collapse onto one entry.
 type cacheKey struct {
 	grid model.Grid3D
 	v    int64

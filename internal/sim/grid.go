@@ -127,8 +127,9 @@ const boundSlack = 1e-9
 //     CPU-resident cost of every message end it handles — min(PI−1, 2)
 //     i-faces and min(PJ−1, 2) j-faces per k tile, the partial last tile
 //     priced exactly. An end costs FillMPI+FillKernel in blocking mode or
-//     under CapNone (buildBlocking and the CapNone kernel copies run on the
-//     CPU) and FillMPI otherwise (the kernel copies ride the comm channel).
+//     under CapNone (the blocking send and receive and the CapNone kernel
+//     copies run on the CPU) and FillMPI otherwise (the kernel copies ride
+//     the comm channel).
 //
 // The network, the interconnect and the wire only add constraints, so the
 // bound holds for every fault-free GridOpts. Under an active fault plan

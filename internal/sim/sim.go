@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/deps"
 	"repro/internal/fault"
@@ -204,8 +205,8 @@ func (c Config) Validate() error {
 	}
 	if c.NodeSpeed != nil {
 		for p := int64(0); p < c.Topo.Map.NumProcs(); p++ {
-			if s := c.NodeSpeed(p); s <= 0 {
-				return fmt.Errorf("sim: non-positive speed %g for node %d", s, p)
+			if s := c.NodeSpeed(p); !(s > 0) || math.IsInf(s, 0) {
+				return fmt.Errorf("sim: speed %g for node %d is not finite and positive", s, p)
 			}
 		}
 	}
@@ -224,27 +225,25 @@ type node struct {
 	commOut *simnet.Resource
 }
 
-// message tracks the activity pipeline of one tile-to-tile transfer. Tiles
-// are identified by their rank in the tile space; the coordinate vectors
-// are only retained for labels when tracing.
+// message tracks one tile-to-tile transfer. Tiles are identified by their
+// rank in the tile space; trace labels delinearize the ranks.
 type message struct {
-	fromRank   int64
-	toRank     int64
-	fromProc   int64
-	toProc     int64
-	bytes      int64
-	from, to   ilmath.Vec       // populated only when Config.Trace is set
-	dataReady  *simnet.Activity // last stage (B2); compute at 'to' depends on it
-	wireIn     *simnet.Activity // B1, used by blocking receive copy
-	wireOut    *simnet.Activity // B4, gated on the sender's CPU send op
-	posted     *simnet.Activity // overlapped A3 that posted the receive buffer
-	sendQueued bool
+	fromRank int64
+	toRank   int64
+	fromProc int64
+	toProc   int64
+	bytes    int64
+	// ready is what the receiving side waits on: the wire's last stage (B1)
+	// under Blocking, the receiver's kernel copy (B2) under Overlapped. The
+	// sender sets it.
+	ready  *simnet.Activity
+	posted *simnet.Activity // overlapped A3 that posted the receive buffer
 }
 
 // Simulator runs simulations while reusing one discrete-event engine — and
-// all of its slab, heap and edge memory — across runs. A sweep worker keeps
-// one Simulator per goroutine; a Simulator itself is not safe for
-// concurrent use.
+// all of its slab, heap and edge memory — across runs. Sweeps reach it
+// through a Cache, which pools Simulators so that each miss reuses one. A
+// Simulator is not safe for concurrent use.
 type Simulator struct {
 	eng *simnet.Engine
 }

@@ -284,6 +284,44 @@ func TestMessageCountMatchesTopology(t *testing.T) {
 	}
 }
 
+// TestBuildStatsShape pins the activity graph's size on a ragged grid
+// (V = 3 leaves a partial last tile): one compute per tile plus k
+// activities per message — send, wire-tx, wire-rx and recv under
+// Blocking; A1, B3, wire-tx, wire-rx, B2 and A3 under Overlapped — and one
+// more per message for the bus stage on a shared bus.
+func TestBuildStatsShape(t *testing.T) {
+	c := smallGrid()
+	for _, v := range []int64{1, 3, 4} {
+		for _, mode := range []Mode{Blocking, Overlapped} {
+			for _, cp := range []Capability{CapNone, CapDMA, CapFullDuplex} {
+				for _, net := range []Network{Switched, SharedBus} {
+					cfg, err := gridConfig(c, v, testMachine(), mode, cp, GridOpts{Net: net})
+					if err != nil {
+						t.Fatal(err)
+					}
+					acts, msgs, err := BuildStats(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kt := (c.K + v - 1) / v
+					tiles := int(c.PI * c.PJ * kt)
+					if want := int(kt * ((c.PI-1)*c.PJ + c.PI*(c.PJ-1))); msgs != want {
+						t.Errorf("V=%d %s %s %s: messages = %d, want %d", v, mode, cp, net, msgs, want)
+					}
+					k := map[Mode]int{Blocking: 4, Overlapped: 6}[mode]
+					if net == SharedBus {
+						k++
+					}
+					if want := tiles + msgs*k; acts != want {
+						t.Errorf("V=%d %s %s %s: activities = %d, want %d tiles + %d×%d messages = %d",
+							v, mode, cp, net, acts, tiles, msgs, k, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWavefrontLowerBound: the makespan can never beat GridLowerBound,
 // whose chain term is the compute-only critical path of the dependence
 // chain. The last rank's first tile transitively depends on the first
@@ -629,9 +667,11 @@ func TestNodeSpeedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NodeSpeed = func(rank int64) float64 { return 0 }
-	if _, err := Simulate(cfg); err == nil {
-		t.Error("zero node speed accepted")
+	for _, speed := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg.NodeSpeed = func(rank int64) float64 { return speed }
+		if _, err := Simulate(cfg); err == nil {
+			t.Errorf("node speed %g accepted", speed)
+		}
 	}
 }
 
