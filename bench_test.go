@@ -99,11 +99,11 @@ func BenchmarkFig12(b *testing.B) {
 	}
 	var imp float64
 	for i := 0; i < b.N; i++ {
-		vOv, tOv, err := s.OptimumRefined(sim.Overlapped)
+		vOv, tOv, err := s.OptimumRefinedCtx(context.Background(), sim.Overlapped)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, tBl, err := s.OptimumRefined(sim.Blocking)
+		_, tBl, err := s.OptimumRefinedCtx(context.Background(), sim.Blocking)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func benchOptimum(b *testing.B, exact bool) {
 		s.Cache = sim.NewCache()
 		for _, mode := range []sim.Mode{sim.Overlapped, sim.Blocking} {
 			pre := s.Cache.Stats().Evals
-			if _, err := s.OptimumDetail(mode); err != nil {
+			if _, err := s.OptimumDetailCtx(context.Background(), mode); err != nil {
 				b.Fatal(err)
 			}
 			n := s.Cache.Stats().Evals - pre
@@ -217,7 +217,7 @@ func BenchmarkAblationCapability(b *testing.B) {
 	var r experiments.CapabilityResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = a.Run()
+		r, err = a.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkAblationMapping(b *testing.B) {
 	var rows []experiments.MappingResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = a.Run()
+		rows, err = a.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -418,7 +418,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Cache = sim.NewCache()
 		var err error
-		rows, err = s.Run()
+		rows, err = s.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -706,7 +706,7 @@ func BenchmarkAblationNetwork(b *testing.B) {
 	var r experiments.NetworkResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = a.Run()
+		r, err = a.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -728,7 +728,7 @@ func BenchmarkAblationStraggler(b *testing.B) {
 	var rows []experiments.StragglerRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = a.Run()
+		rows, err = a.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

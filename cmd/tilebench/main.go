@@ -4,16 +4,20 @@
 //
 // Usage:
 //
-//	tilebench [-quick] [-heights n] fig9|fig10|fig11|fig12|ex1|ex3|ablation-cap|ablation-map|recovery-sweep|scale-sweep|all
+//	tilebench [flags] verify|fig9|fig10|fig11|fig12|ex1|ex3|ablation-cap|ablation-map|ablation-net|ablation-straggler|fault-sweep|recovery-sweep|scale-sweep|trace|all
 //
 // -quick shrinks the iteration spaces ~16x so every experiment finishes in
-// seconds; the full-size figures take a few minutes of simulation.
+// seconds; tilebench -h lists the other flags. An interrupt (SIGINT) stops
+// the running experiment within one simulation and exits non-zero.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 
@@ -25,7 +29,7 @@ import (
 
 var (
 	quick          = flag.Bool("quick", false, "shrink the spaces ~16x for fast runs")
-	csvOut         = flag.String("csv", "", "for fig9/fig10/fig11: also write the sweep as CSV to this file")
+	csvOut         = flag.String("csv", "", "for fig9/fig10/fig11, recovery-sweep and scale-sweep: also write the rows as CSV to this file")
 	cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile     = flag.String("memprofile", "", "write a heap profile to this file after the runs")
 	faultSeed      = flag.Uint64("fault-seed", 1, "for fault-sweep: fault-injection seed")
@@ -38,9 +42,13 @@ var (
 	exact          = flag.Bool("exact", false, "force optimum searches onto the exact tier (skip the analytic fast path)")
 )
 
+// subcommands is the command line's experiment list, as the package
+// comment gives it.
+const subcommands = "verify|fig9|fig10|fig11|fig12|ex1|ex3|ablation-cap|ablation-map|ablation-net|ablation-straggler|fault-sweep|recovery-sweep|scale-sweep|trace|all"
+
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tilebench [-quick] [-exact] [-csv file] [-cpuprofile file] [-memprofile file] [-fault-seed n] [-fault-intensity x] [-deadline] [-o file] [-trace-mode m] [-trace-v n] verify|fig9|fig10|fig11|fig12|ex1|ex3|ablation-cap|ablation-map|ablation-net|ablation-straggler|fault-sweep|recovery-sweep|scale-sweep|trace|all\n")
+		fmt.Fprintf(os.Stderr, "usage: tilebench [flags] %s\n", subcommands)
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -53,8 +61,10 @@ func main() {
 
 // runAll runs every requested experiment inside the optional profiling
 // window and returns the process exit code (deferred profile writers must
-// run before os.Exit).
+// run before os.Exit). An interrupt cancels the experiments' context.
 func runAll(ids []string) int {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -83,7 +93,7 @@ func runAll(ids []string) int {
 		}()
 	}
 	for _, id := range ids {
-		if err := run(id); err != nil {
+		if err := run(ctx, id); err != nil {
 			fmt.Fprintf(os.Stderr, "tilebench: %s: %v\n", id, err)
 			return 1
 		}
@@ -104,7 +114,27 @@ func shrink(s experiments.Sweep) experiments.Sweep {
 	return s
 }
 
-func run(id string) error {
+// writeCSV writes one experiment's rows to the -csv file, if one is set.
+func writeCSV(write func(io.Writer) error) error {
+	if *csvOut == "" {
+		return nil
+	}
+	f, err := os.Create(*csvOut)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("(csv written to %s)\n", *csvOut)
+	return nil
+}
+
+func run(ctx context.Context, id string) error {
 	switch id {
 	case "fig9", "fig10", "fig11":
 		var s experiments.Sweep
@@ -121,31 +151,20 @@ func run(id string) error {
 		// One memo across the sweep and both optimum searches: the optimum
 		// ladder revisits every sweep height.
 		s.Cache = sim.NewCache()
-		rows, err := s.Run()
+		rows, err := s.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.Format(s, rows))
-		if *csvOut != "" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				return err
-			}
-			if err := experiments.CSV(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("(csv written to %s)\n", *csvOut)
+		if err := writeCSV(func(w io.Writer) error { return experiments.CSV(w, rows) }); err != nil {
+			return err
 		}
 		preOpt := s.Cache.Stats()
-		vOv, tOv, err := s.OptimumRefined(sim.Overlapped)
+		vOv, tOv, err := s.OptimumRefinedCtx(ctx, sim.Overlapped)
 		if err != nil {
 			return err
 		}
-		vBl, tBl, err := s.OptimumRefined(sim.Blocking)
+		vBl, tBl, err := s.OptimumRefinedCtx(ctx, sim.Blocking)
 		if err != nil {
 			return err
 		}
@@ -172,7 +191,7 @@ func run(id string) error {
 		for i := range sweeps {
 			sweeps[i].Exact = *exact
 		}
-		rows, err := experiments.Fig12For(sweeps)
+		rows, err := experiments.Fig12For(ctx, sweeps)
 		if err != nil {
 			return err
 		}
@@ -180,7 +199,7 @@ func run(id string) error {
 		fmt.Println()
 		return nil
 	case "ex1", "ex3":
-		out, err := experiments.Examples()
+		out, err := experiments.Examples(ctx)
 		if err != nil {
 			return err
 		}
@@ -197,7 +216,7 @@ func run(id string) error {
 			a.Grid.K = 512
 			a.V = 32
 		}
-		r, err := a.Run()
+		r, err := a.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -218,7 +237,7 @@ func run(id string) error {
 			a.Grid.K = 512
 			a.V = 32
 		}
-		r, err := a.Run()
+		r, err := a.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -235,7 +254,7 @@ func run(id string) error {
 			a.SpaceSizes = []int64{8, 8, 256}
 			a.TileSides = ilmath.V(4, 4, 16)
 		}
-		rows, err := a.Run()
+		rows, err := a.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -254,7 +273,7 @@ func run(id string) error {
 			a.Grid.K = 512
 			a.V = 32
 		}
-		rows, err := a.Run()
+		rows, err := a.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -266,7 +285,7 @@ func run(id string) error {
 		// does the overlapped schedule keep its edge as the cluster sours?
 		base := shrink(experiments.Fig9())
 		base.Cache = sim.NewCache()
-		vOpt, _, err := base.OptimumRefined(sim.Overlapped)
+		vOpt, _, err := base.OptimumRefinedCtx(ctx, sim.Overlapped)
 		if err != nil {
 			return err
 		}
@@ -289,7 +308,7 @@ func run(id string) error {
 			Intensities: intensities,
 			Cache:       base.Cache,
 		}
-		rows, err := fs.Run()
+		rows, err := fs.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -315,7 +334,7 @@ func run(id string) error {
 		// consults to pick -checkpoint-every for a supervised run.
 		base := shrink(experiments.Fig9())
 		base.Cache = sim.NewCache()
-		vOpt, _, err := base.OptimumRefined(sim.Overlapped)
+		vOpt, _, err := base.OptimumRefinedCtx(ctx, sim.Overlapped)
 		if err != nil {
 			return err
 		}
@@ -334,24 +353,13 @@ func run(id string) error {
 			Intensities: []float64{0, max / 4, max / 2, max},
 			Cache:       base.Cache,
 		}
-		rows, err := rs.Run()
+		rows, err := rs.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.FormatRecovery(rs, rows))
-		if *csvOut != "" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				return err
-			}
-			if err := experiments.RecoveryCSV(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("(csv written to %s)\n", *csvOut)
+		if err := writeCSV(func(w io.Writer) error { return experiments.RecoveryCSV(w, rows) }); err != nil {
+			return err
 		}
 		if err := experiments.CheckRecoveryTradeoff(rows); err != nil {
 			fmt.Println("recovery tradeoff check: VIOLATED")
@@ -367,24 +375,13 @@ func run(id string) error {
 			s.Title += " (quick: 64-1024 ranks)"
 		}
 		s.Cache = sim.NewCache()
-		rows, err := s.Run()
+		rows, err := s.RunCtx(ctx)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.FormatScale(s, rows))
-		if *csvOut != "" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				return err
-			}
-			if err := experiments.ScaleCSV(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("(csv written to %s)\n", *csvOut)
+		if err := writeCSV(func(w io.Writer) error { return experiments.ScaleCSV(w, rows) }); err != nil {
+			return err
 		}
 		if err := experiments.CheckScale(rows); err != nil {
 			fmt.Println("scale check: overlap does NOT hold its edge")
@@ -394,12 +391,12 @@ func run(id string) error {
 		fmt.Println()
 		return nil
 	case "trace":
-		return runTrace()
+		return runTrace(ctx)
 	case "verify":
 		return runVerify()
 	case "all":
 		for _, sub := range []string{"verify", "ex1", "fig9", "fig10", "fig11", "fig12", "ablation-cap", "ablation-map", "ablation-net", "ablation-straggler", "fault-sweep", "recovery-sweep"} {
-			if err := run(sub); err != nil {
+			if err := run(ctx, sub); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -16,7 +17,7 @@ import (
 // schedules at that height so the exported picture comes with its numbers.
 // -trace-v picks the height; 0 searches for the exported schedule's
 // simulated optimum first.
-func runTrace() error {
+func runTrace(ctx context.Context) error {
 	s := shrink(experiments.Fig9())
 	s.Cache = sim.NewCache()
 	var mode sim.Mode
@@ -31,7 +32,7 @@ func runTrace() error {
 	v := *traceV
 	if v == 0 {
 		var err error
-		if v, _, err = s.OptimumRefined(mode); err != nil {
+		if v, _, err = s.OptimumRefinedCtx(ctx, mode); err != nil {
 			return err
 		}
 		fmt.Printf("trace: using %s-optimal tile height V=%d (override with -trace-v)\n", *traceMode, v)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/experiments"
@@ -47,7 +48,7 @@ func runOptimum(sizes []int64, m model.Machine) error {
 			seed, _, _ = g.OptimalVBlockingAnalytic(m)
 		}
 		pre := s.Cache.Stats()
-		out, err := s.OptimumDetail(mode)
+		out, err := s.OptimumDetailCtx(context.Background(), mode)
 		if err != nil {
 			return err
 		}

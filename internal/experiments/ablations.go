@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -30,29 +31,28 @@ type CapabilityResult struct {
 	FullDuplex float64
 }
 
-// Run executes the four configurations.
-func (a CapabilityAblation) Run() (CapabilityResult, error) {
-	var res CapabilityResult
-	bl, err := sim.SimulateGrid(a.Grid, a.V, a.Machine, sim.Blocking, sim.CapNone, sim.GridOpts{})
+// points lays out the four configurations: overlapped without DMA and the
+// blocking baseline, then overlapped with one DMA engine and full duplex.
+func (a CapabilityAblation) points() []point {
+	pts := pair(a.Grid, a.V, sim.CapNone, sim.GridOpts{})
+	for _, cap := range []sim.Capability{sim.CapDMA, sim.CapFullDuplex} {
+		pts = append(pts, point{a.Grid, a.V, sim.Overlapped, cap, sim.GridOpts{}})
+	}
+	return pts
+}
+
+// RunCtx executes the four configurations.
+func (a CapabilityAblation) RunCtx(ctx context.Context) (CapabilityResult, error) {
+	res, err := evalGrid(ctx, nil, "capability ablation", a.Machine, a.points())
 	if err != nil {
-		return res, err
+		return CapabilityResult{}, err
 	}
-	res.Blocking = bl.Makespan
-	for _, c := range []struct {
-		cap sim.Capability
-		dst *float64
-	}{
-		{sim.CapNone, &res.NoDMA},
-		{sim.CapDMA, &res.DMA},
-		{sim.CapFullDuplex, &res.FullDuplex},
-	} {
-		r, err := sim.SimulateGrid(a.Grid, a.V, a.Machine, sim.Overlapped, c.cap, sim.GridOpts{})
-		if err != nil {
-			return res, err
-		}
-		*c.dst = r.Makespan
-	}
-	return res, nil
+	return CapabilityResult{
+		NoDMA:      res[0].Makespan,
+		Blocking:   res[1].Makespan,
+		DMA:        res[2].Makespan,
+		FullDuplex: res[3].Makespan,
+	}, nil
 }
 
 // FormatCapability renders the ablation.
@@ -97,8 +97,10 @@ type MappingResult struct {
 	NonOverlap float64 // simulated blocking makespan
 }
 
-// Run evaluates every mapping dimension.
-func (a MappingAblation) Run() ([]MappingResult, error) {
+// RunCtx evaluates every mapping dimension. Its points are core.Plans, not
+// grids, so each is simulated by Plan.SimulateOne on the evalAll pool:
+// points 2d and 2d+1 are plan d's blocking and overlapped schedules.
+func (a MappingAblation) RunCtx(ctx context.Context) ([]MappingResult, error) {
 	sp, err := space.Rect(a.SpaceSizes...)
 	if err != nil {
 		return nil, err
@@ -107,8 +109,9 @@ func (a MappingAblation) Run() ([]MappingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]MappingResult, 0, sp.Dim())
-	for d := 0; d < sp.Dim(); d++ {
+	plans := make([]*core.Plan, sp.Dim())
+	out := make([]MappingResult, sp.Dim())
+	for d := range plans {
 		dim := d
 		plan, err := p.Plan(a.Machine, core.PlanOptions{TileSides: a.TileSides.Clone(), MapDim: &dim})
 		if err != nil {
@@ -118,17 +121,20 @@ func (a MappingAblation) Run() ([]MappingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		simr, err := plan.Simulate(sim.CapDMA)
-		if err != nil {
-			return nil, err
+		plans[d] = plan
+		out[d] = MappingResult{MapDim: d, P: pred.POverlap, Procs: plan.Mapping.NumProcs()}
+	}
+	res, err := evalAll(ctx, 2*len(plans), func(_ context.Context, i int) (sim.Result, error) {
+		if i%2 == 0 {
+			return plans[i/2].SimulateOne(sim.Blocking, sim.CapNone, false)
 		}
-		out = append(out, MappingResult{
-			MapDim:     d,
-			P:          pred.POverlap,
-			Procs:      plan.Mapping.NumProcs(),
-			Overlap:    simr.Overlap.Makespan,
-			NonOverlap: simr.NonOverlap.Makespan,
-		})
+		return plans[i/2].SimulateOne(sim.Overlapped, sim.CapDMA, false)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for d := range out {
+		out[d].NonOverlap, out[d].Overlap = res[2*d].Makespan, res[2*d+1].Makespan
 	}
 	return out, nil
 }
@@ -168,28 +174,25 @@ type NetworkResult struct {
 	OverlapSharedBus  float64
 }
 
-// Run executes the four cells.
-func (a NetworkAblation) Run() (NetworkResult, error) {
-	var res NetworkResult
-	cells := []struct {
-		mode sim.Mode
-		cap  sim.Capability
-		net  sim.Network
-		dst  *float64
-	}{
-		{sim.Blocking, sim.CapNone, sim.Switched, &res.BlockingSwitched},
-		{sim.Overlapped, sim.CapDMA, sim.Switched, &res.OverlapSwitched},
-		{sim.Blocking, sim.CapNone, sim.SharedBus, &res.BlockingSharedBus},
-		{sim.Overlapped, sim.CapDMA, sim.SharedBus, &res.OverlapSharedBus},
+// points lays out the four cells: an (overlapped, blocking) pair on the
+// switched network, then one on the shared bus.
+func (a NetworkAblation) points() []point {
+	return append(pair(a.Grid, a.V, sim.CapDMA, sim.GridOpts{Net: sim.Switched}),
+		pair(a.Grid, a.V, sim.CapDMA, sim.GridOpts{Net: sim.SharedBus})...)
+}
+
+// RunCtx executes the four cells.
+func (a NetworkAblation) RunCtx(ctx context.Context) (NetworkResult, error) {
+	res, err := evalGrid(ctx, nil, "network ablation", a.Machine, a.points())
+	if err != nil {
+		return NetworkResult{}, err
 	}
-	for _, c := range cells {
-		r, err := sim.SimulateGrid(a.Grid, a.V, a.Machine, c.mode, c.cap, sim.GridOpts{Net: c.net})
-		if err != nil {
-			return res, err
-		}
-		*c.dst = r.Makespan
-	}
-	return res, nil
+	return NetworkResult{
+		OverlapSwitched:   res[0].Makespan,
+		BlockingSwitched:  res[1].Makespan,
+		OverlapSharedBus:  res[2].Makespan,
+		BlockingSharedBus: res[3].Makespan,
+	}, nil
 }
 
 // FormatNetwork renders the ablation.
@@ -226,52 +229,49 @@ type StragglerRow struct {
 	OverlapSlowdown  float64
 }
 
-// Run executes the ablation.
-func (a StragglerAblation) Run() ([]StragglerRow, error) {
-	run := func(mode sim.Mode, cap sim.Capability, speed float64) (float64, error) {
-		cfg, err := sim.GridConfig(a.Grid, a.V, a.Machine, mode, cap)
-		if err != nil {
-			return 0, err
-		}
-		if speed != 1 {
-			cfg.NodeSpeed = func(rank int64) float64 {
-				if rank == a.Straggler {
-					return speed
-				}
-				return 1
+// RunCtx executes the ablation. A per-rank NodeSpeed is a function, not a
+// grid option the cache can key on, so its points are sim.Configs simulated
+// by sim.Simulate on the evalAll pool: an (overlapped, blocking) pair at
+// full speed, then one per slowdown.
+func (a StragglerAblation) RunCtx(ctx context.Context) ([]StragglerRow, error) {
+	if ranks := a.Grid.PI * a.Grid.PJ; a.Straggler < 0 || a.Straggler >= ranks {
+		return nil, fmt.Errorf("experiments: straggler rank %d outside the %dx%d processor grid", a.Straggler, a.Grid.PI, a.Grid.PJ)
+	}
+	var cfgs []sim.Config
+	for _, speed := range append([]float64{1}, a.Slowdowns...) {
+		for _, p := range pair(a.Grid, a.V, sim.CapDMA, sim.GridOpts{}) {
+			cfg, err := sim.GridConfig(p.g, p.v, a.Machine, p.mode, p.cap)
+			if err != nil {
+				return nil, err
 			}
+			if speed != 1 {
+				cfg.NodeSpeed = func(rank int64) float64 {
+					if rank == a.Straggler {
+						return speed
+					}
+					return 1
+				}
+			}
+			cfgs = append(cfgs, cfg)
 		}
-		r, err := sim.Simulate(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return r.Makespan, nil
 	}
-	baseBl, err := run(sim.Blocking, sim.CapNone, 1)
+	res, err := evalAll(ctx, len(cfgs), func(_ context.Context, i int) (sim.Result, error) {
+		return sim.Simulate(cfgs[i])
+	})
 	if err != nil {
 		return nil, err
 	}
-	baseOv, err := run(sim.Overlapped, sim.CapDMA, 1)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]StragglerRow, 0, len(a.Slowdowns))
-	for _, s := range a.Slowdowns {
-		bl, err := run(sim.Blocking, sim.CapNone, s)
-		if err != nil {
-			return nil, err
-		}
-		ov, err := run(sim.Overlapped, sim.CapDMA, s)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, StragglerRow{
-			Speed:            s,
+	baseOv, baseBl := res[0].Makespan, res[1].Makespan
+	rows := make([]StragglerRow, len(a.Slowdowns))
+	for i, speed := range a.Slowdowns {
+		ov, bl := res[2+2*i].Makespan, res[3+2*i].Makespan
+		rows[i] = StragglerRow{
+			Speed:            speed,
 			Blocking:         bl,
 			Overlap:          ov,
 			BlockingSlowdown: bl / baseBl,
 			OverlapSlowdown:  ov / baseOv,
-		})
+		}
 	}
 	return rows, nil
 }

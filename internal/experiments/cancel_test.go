@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ilmath"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -22,9 +23,15 @@ func cancelSweep() Sweep {
 	}
 }
 
-// sweepOps is the table of context-bearing sweep entry points the
-// cancellation contract covers. Each op must surface the context error
-// unwrapped (errors.Is) without issuing DES work under a dead context.
+// sweepOps is the table of context-bearing entry points the cancellation
+// contract covers: every experiment's RunCtx, the optimum searches,
+// Fig12For and Examples. Each op must surface the context error unwrapped
+// (errors.Is) without issuing DES work under a dead context. Experiments
+// with a Cache field run on the sweep's cache, where the test counts the
+// evaluations; the ablations keep a private cache, so for them the last op
+// pins the pool's guarantee directly: evalAll starts no evaluation under a
+// dead context, even one whose closure ignores ctx as the mapping and
+// straggler ablations' do.
 var sweepOps = []struct {
 	name string
 	call func(ctx context.Context, s Sweep) error
@@ -43,6 +50,56 @@ var sweepOps = []struct {
 	}},
 	{"OptimumRefinedCtx", func(ctx context.Context, s Sweep) error {
 		_, _, err := s.OptimumRefinedCtx(ctx, sim.Overlapped)
+		return err
+	}},
+	{"Fig12For", func(ctx context.Context, s Sweep) error {
+		_, err := Fig12For(ctx, []Sweep{s})
+		return err
+	}},
+	{"FaultSweep.RunCtx", func(ctx context.Context, s Sweep) error {
+		f := smallFaultSweep()
+		f.Cache = s.Cache
+		_, err := f.RunCtx(ctx)
+		return err
+	}},
+	{"RecoverySweep.RunCtx", func(ctx context.Context, s Sweep) error {
+		r := testRecoverySweep()
+		r.Cache = s.Cache
+		_, err := r.RunCtx(ctx)
+		return err
+	}},
+	{"ScaleSweep.RunCtx", func(ctx context.Context, s Sweep) error {
+		sc := tinyScale()
+		sc.Cache = s.Cache
+		_, err := sc.RunCtx(ctx)
+		return err
+	}},
+	{"CapabilityAblation.RunCtx", func(ctx context.Context, s Sweep) error {
+		_, err := CapabilityAblation{Grid: s.Grid, V: 16, Machine: s.Machine}.RunCtx(ctx)
+		return err
+	}},
+	{"NetworkAblation.RunCtx", func(ctx context.Context, s Sweep) error {
+		_, err := NetworkAblation{Grid: s.Grid, V: 16, Machine: s.Machine}.RunCtx(ctx)
+		return err
+	}},
+	{"MappingAblation.RunCtx", func(ctx context.Context, s Sweep) error {
+		a := MappingAblation{SpaceSizes: []int64{8, 8, 128}, TileSides: ilmath.V(4, 4, 8), Machine: s.Machine}
+		_, err := a.RunCtx(ctx)
+		return err
+	}},
+	{"StragglerAblation.RunCtx", func(ctx context.Context, s Sweep) error {
+		a := StragglerAblation{Grid: s.Grid, V: 16, Machine: s.Machine, Straggler: 5, Slowdowns: []float64{0.5}}
+		_, err := a.RunCtx(ctx)
+		return err
+	}},
+	{"Examples", func(ctx context.Context, s Sweep) error {
+		_, err := Examples(ctx)
+		return err
+	}},
+	{"evalAll", func(ctx context.Context, s Sweep) error {
+		_, err := evalAll(ctx, 4, func(_ context.Context, i int) (sim.Result, error) {
+			return s.Cache.SimulateGridCtx(context.Background(), s.Grid, s.Heights[i], s.Machine, sim.Blocking, sim.CapNone, sim.GridOpts{})
+		})
 		return err
 	}},
 }

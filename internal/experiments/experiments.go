@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -21,8 +22,8 @@ type Sweep struct {
 	Heights []int64
 	Machine model.Machine
 	Cap     sim.Capability
-	// Cache optionally memoizes simulation points across Run and Optimum
-	// calls on the same sweep (the Optimum ladder pass revisits every Run
+	// Cache optionally memoizes simulation points across RunCtx and Optimum
+	// calls on the same sweep (the Optimum ladder pass revisits every RunCtx
 	// height, and its refinement rungs overlap the ladder). When nil, each
 	// call uses a private cache, which still deduplicates within the call.
 	Cache *sim.Cache
@@ -50,14 +51,11 @@ func cacheOr(c *sim.Cache) *sim.Cache {
 // ModeCap returns the hardware capability each schedule is simulated with:
 // the sweep's capability for the overlapped schedule, no DMA for blocking
 // (the blocking schedule burns CPU for every copy regardless).
-func (s Sweep) ModeCap(mode sim.Mode) sim.Capability { return modeCap(mode, s.Cap) }
-
-// modeCap is ModeCap for any experiment's overlapped capability cap.
-func modeCap(mode sim.Mode, cap sim.Capability) sim.Capability {
+func (s Sweep) ModeCap(mode sim.Mode) sim.Capability {
 	if mode == sim.Blocking {
 		return sim.CapNone
 	}
-	return cap
+	return s.Cap
 }
 
 // SweepRow is one point of a sweep.
@@ -161,39 +159,45 @@ func Fig11() Sweep {
 	}
 }
 
-// simPoint identifies one (height, mode) simulation of a sweep.
-type simPoint struct {
+// point is one grid simulation of an experiment: a (grid, tile height,
+// schedule) run under a hardware capability and the simulator options.
+// Every grid experiment lays its work out as a point list for evalGrid.
+type point struct {
+	g    model.Grid3D
 	v    int64
 	mode sim.Mode
+	cap  sim.Capability
+	o    sim.GridOpts
+}
+
+// pair returns the overlapped point at (g, v) with capability cap and the
+// blocking point beside it, whose capability ModeCap decides.
+func pair(g model.Grid3D, v int64, cap sim.Capability, o sim.GridOpts) []point {
+	return []point{{g, v, sim.Overlapped, cap, o}, {g, v, sim.Blocking, Sweep{Cap: cap}.ModeCap(sim.Blocking), o}}
 }
 
 // evalAll runs eval(ctx, i) for every i in [0, n) on a bounded pool of
-// GOMAXPROCS workers, each simulation drawing its own engine from the
-// cache's simulator pool, and returns the results in input order, so the
-// output is identical regardless of worker scheduling (the simulator itself
-// is deterministic). The first error — or cancellation of the parent
-// context — stops the remaining work promptly: workers observe the
-// cancelled context at their next cache call (the granularity of one DES
-// evaluation). It is the one worker pool behind every sweep.
+// GOMAXPROCS workers and returns the results in input order, so the output
+// is identical regardless of worker scheduling (the simulator itself is
+// deterministic). The first error — or cancellation of the parent context —
+// stops the remaining work promptly: no worker starts an evaluation under a
+// dead context, so the granularity is one DES evaluation. It is the one
+// worker pool behind every experiment; evalGrid is its grid front end.
 func evalAll(parent context.Context, n int, eval func(ctx context.Context, i int) (sim.Result, error)) ([]sim.Result, error) {
 	res := make([]sim.Result, n)
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers < 1 {
-		workers = 1
-	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
+		next     atomic.Int64 // the next index to evaluate
 		errOnce  sync.Once
 		firstErr error
 	)
-	tasks := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range tasks {
+			for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
 				r, err := eval(ctx, i)
 				if err != nil {
 					errOnce.Do(func() {
@@ -206,15 +210,6 @@ func evalAll(parent context.Context, n int, eval func(ctx context.Context, i int
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case tasks <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(tasks)
 	wg.Wait()
 	// A parent cancellation surfaces as the bare context error, not wrapped
 	// in whichever point happened to observe it first.
@@ -227,88 +222,71 @@ feed:
 	return res, nil
 }
 
-// evalPoints simulates every (height, mode) point of the sweep through c on
-// the worker pool.
-func (s Sweep) evalPoints(ctx context.Context, c *sim.Cache, pts []simPoint) ([]sim.Result, error) {
+// evalGrid simulates every point through the cache c (a private one when c
+// is nil) on the evalAll pool and returns the results in point order. It is
+// how every grid experiment reaches the simulator; an error names the
+// experiment id and the failing point.
+func evalGrid(ctx context.Context, c *sim.Cache, id string, m model.Machine, pts []point) ([]sim.Result, error) {
+	c = cacheOr(c)
 	return evalAll(ctx, len(pts), func(ctx context.Context, i int) (sim.Result, error) {
 		p := pts[i]
-		r, err := c.SimulateGridCtx(ctx, s.Grid, p.v, s.Machine, p.mode, s.ModeCap(p.mode),
-			sim.GridOpts{Metrics: s.Metrics})
+		r, err := c.SimulateGridCtx(ctx, p.g, p.v, m, p.mode, p.cap, p.o)
 		if err != nil {
-			return r, fmt.Errorf("%s: V=%d %s: %w", s.ID, p.v, p.mode, err)
+			return r, fmt.Errorf("%s: %dx%dx%d on %dx%d, V=%d %s: %w",
+				id, p.g.I, p.g.J, p.g.K, p.g.PI, p.g.PJ, p.v, p.mode, err)
 		}
 		return r, nil
 	})
 }
 
-// rowAt assembles one SweepRow from the two simulated schedules at height v.
-func (s Sweep) rowAt(v int64, ov, bl sim.Result) SweepRow {
-	r := SweepRow{
-		V:               v,
-		G:               s.Grid.TileVolume(v),
-		OverlapSim:      ov.Makespan,
-		BlockingSim:     bl.Makespan,
-		OverlapModel:    s.Grid.PredictOverlap(v, s.Machine),
-		BlockingModel:   s.Grid.PredictNonOverlap(v, s.Machine),
-		OverlapCPUUtil:  ov.CPUUtilization,
-		BlockingCPUUtil: bl.CPUUtilization,
-	}
-	if ov.Obs != nil {
-		r.OverlapEff = ov.Obs.OverlapEfficiency
-	}
-	if bl.Obs != nil {
-		r.BlockingEff = bl.Obs.OverlapEfficiency
-	}
-	return r
-}
-
-// Run evaluates the sweep: simulated and analytic completion times for both
-// schedules at every height. The (height, mode) points fan out over a
-// bounded worker pool; the rows are assembled in height order and are
-// identical to RunSequential's (see TestRunParallelMatchesSequential).
-func (s Sweep) Run() ([]SweepRow, error) {
-	return s.RunCtx(context.Background())
-}
-
-// RunCtx is Run under a context: cancellation or an expired deadline stops
-// the sweep at DES-evaluation granularity and returns ctx.Err(). Points
-// already simulated stay in the sweep's cache, so a later uncancelled run
-// completes from where the cancelled one stopped, bit-identically.
-func (s Sweep) RunCtx(ctx context.Context) ([]SweepRow, error) {
-	pts := make([]simPoint, 0, 2*len(s.Heights))
+// points lays out the sweep: an (overlapped, blocking) pair per height.
+func (s Sweep) points() []point {
+	o := sim.GridOpts{Metrics: s.Metrics}
+	pts := make([]point, 0, 2*len(s.Heights))
 	for _, v := range s.Heights {
-		pts = append(pts, simPoint{v, sim.Overlapped}, simPoint{v, sim.Blocking})
+		pts = append(pts, pair(s.Grid, v, s.Cap, o)...)
 	}
-	res, err := s.evalPoints(ctx, cacheOr(s.Cache), pts)
+	return pts
+}
+
+// rows assembles one SweepRow per height from results laid out by points.
+func (s Sweep) rows(res []sim.Result) []SweepRow {
+	rows := make([]SweepRow, len(s.Heights))
+	for i, v := range s.Heights {
+		ov, bl := res[2*i], res[2*i+1]
+		r := SweepRow{
+			V:               v,
+			G:               s.Grid.TileVolume(v),
+			OverlapSim:      ov.Makespan,
+			BlockingSim:     bl.Makespan,
+			OverlapModel:    s.Grid.PredictOverlap(v, s.Machine),
+			BlockingModel:   s.Grid.PredictNonOverlap(v, s.Machine),
+			OverlapCPUUtil:  ov.CPUUtilization,
+			BlockingCPUUtil: bl.CPUUtilization,
+		}
+		if ov.Obs != nil {
+			r.OverlapEff = ov.Obs.OverlapEfficiency
+		}
+		if bl.Obs != nil {
+			r.BlockingEff = bl.Obs.OverlapEfficiency
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+// RunCtx evaluates the sweep: simulated and analytic completion times for
+// both schedules at every height, in height order. Cancellation or an
+// expired deadline stops the sweep at DES-evaluation granularity and
+// returns ctx.Err(). Points already simulated stay in the sweep's cache,
+// so a later uncancelled run completes from where the cancelled one
+// stopped, bit-identically.
+func (s Sweep) RunCtx(ctx context.Context) ([]SweepRow, error) {
+	res, err := evalGrid(ctx, s.Cache, s.ID, s.Machine, s.points())
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]SweepRow, 0, len(s.Heights))
-	for i, v := range s.Heights {
-		rows = append(rows, s.rowAt(v, res[2*i], res[2*i+1]))
-	}
-	return rows, nil
-}
-
-// RunSequential is the retained sequential reference implementation of Run:
-// one direct simulation after another, no worker pool, no cache. The
-// determinism test checks Run against it point for point.
-func (s Sweep) RunSequential() ([]SweepRow, error) {
-	rows := make([]SweepRow, 0, len(s.Heights))
-	for _, v := range s.Heights {
-		ov, err := sim.SimulateGrid(s.Grid, v, s.Machine, sim.Overlapped, s.Cap,
-			sim.GridOpts{Metrics: s.Metrics})
-		if err != nil {
-			return nil, fmt.Errorf("%s: V=%d overlapped: %w", s.ID, v, err)
-		}
-		bl, err := sim.SimulateGrid(s.Grid, v, s.Machine, sim.Blocking, sim.CapNone,
-			sim.GridOpts{Metrics: s.Metrics})
-		if err != nil {
-			return nil, fmt.Errorf("%s: V=%d blocking: %w", s.ID, v, err)
-		}
-		rows = append(rows, s.rowAt(v, ov, bl))
-	}
-	return rows, nil
+	return s.rows(res), nil
 }
 
 // Format renders the sweep as an aligned text table. Sweeps run with Metrics

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestRefine(t *testing.T) {
 
 func TestSweepRun(t *testing.T) {
 	s := tinySweep()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestSweepRun(t *testing.T) {
 
 func TestSweepOptimumInterior(t *testing.T) {
 	s := tinySweep()
-	out, err := s.OptimumDetail(sim.Overlapped)
+	out, err := s.OptimumDetailCtx(context.Background(), sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestSweepOptimumInterior(t *testing.T) {
 		t.Errorf("optimum V=%d not interior", vOpt)
 	}
 	// The optimum must beat the ladder endpoints.
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSweepOptimumInterior(t *testing.T) {
 
 func TestFormat(t *testing.T) {
 	s := tinySweep()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestPaperFig12Reference(t *testing.T) {
 }
 
 func TestExamplesText(t *testing.T) {
-	out, err := Examples()
+	out, err := Examples(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestCapabilityAblation(t *testing.T) {
 		V:       8,
 		Machine: model.PentiumCluster(),
 	}
-	r, err := a.Run()
+	r, err := a.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestMappingAblation(t *testing.T) {
 		TileSides:  ilmath.V(4, 4, 8),
 		Machine:    model.PentiumCluster(),
 	}
-	rows, err := a.Run()
+	rows, err := a.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestNetworkAblation(t *testing.T) {
 		V:       8,
 		Machine: model.PentiumCluster(),
 	}
-	r, err := a.Run()
+	r, err := a.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestNetworkAblation(t *testing.T) {
 
 func TestCSVExport(t *testing.T) {
 	s := tinySweep()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestCheckShape(t *testing.T) {
 	s := tinySweep()
 	s.Grid.K = 1024
 	s.Heights = Ladder(4, s.Grid.K)
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestStragglerAblation(t *testing.T) {
 		Straggler: 5,
 		Slowdowns: []float64{1.0, 0.5},
 	}
-	rows, err := a.Run()
+	rows, err := a.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +334,28 @@ func TestStragglerAblation(t *testing.T) {
 	}
 }
 
+// TestStragglerRankOutsideGrid: a straggler rank that names no processor
+// is rejected instead of reporting an unharmed 1.00x for both schedules.
+func TestStragglerRankOutsideGrid(t *testing.T) {
+	for _, rank := range []int64{-1, 4, 99} {
+		a := StragglerAblation{
+			Grid:      model.Grid3D{I: 8, J: 8, K: 128, PI: 2, PJ: 2},
+			V:         8,
+			Machine:   model.PentiumCluster(),
+			Straggler: rank,
+			Slowdowns: []float64{0.25},
+		}
+		if rows, err := a.RunCtx(context.Background()); err == nil {
+			t.Errorf("straggler rank %d on a 2x2 grid accepted: %+v", rank, rows)
+		}
+	}
+}
+
 func TestFig12PipelineScaled(t *testing.T) {
 	s := tinySweep()
 	s.Grid.K = 1024
 	s.Heights = Ladder(4, s.Grid.K/2)
-	rows, err := Fig12For([]Sweep{s})
+	rows, err := Fig12For(context.Background(), []Sweep{s})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,27 +53,17 @@ type FaultRow struct {
 	DeadlineHit  bool
 }
 
-// faultPoint is one (plan, mode) simulation of the sweep.
-type faultPoint struct {
-	fp   fault.Plan
-	mode sim.Mode
-}
-
 // points lays out the simulations a sweep needs: the fault-free baseline
 // pair first, then an (overlapped, blocking) pair per intensity.
-func (s FaultSweep) points() []faultPoint {
-	pts := make([]faultPoint, 0, 2+2*len(s.Intensities))
-	pts = append(pts,
-		faultPoint{fault.Plan{}, sim.Overlapped},
-		faultPoint{fault.Plan{}, sim.Blocking})
+func (s FaultSweep) points() []point {
+	pts := pair(s.Grid, s.V, s.Cap, sim.GridOpts{})
 	for _, in := range s.Intensities {
-		fp := fault.Default(s.Seed, in)
-		pts = append(pts, faultPoint{fp, sim.Overlapped}, faultPoint{fp, sim.Blocking})
+		pts = append(pts, pair(s.Grid, s.V, s.Cap, sim.GridOpts{Fault: fault.Default(s.Seed, in)})...)
 	}
 	return pts
 }
 
-// rows assembles the row set from results laid out by points().
+// rows assembles the row set from results laid out by points.
 func (s FaultSweep) rows(res []sim.Result) []FaultRow {
 	baseOv, baseBl := res[0].Makespan, res[1].Makespan
 	rows := make([]FaultRow, len(s.Intensities))
@@ -130,59 +120,38 @@ func (s FaultSweep) deadline(fp fault.Plan) (worstResends int, worstChain float6
 	return worstResends, worstChain, budgetHit, deadlineHit
 }
 
-func (s FaultSweep) validate() error {
-	if s.V <= 0 {
-		return fmt.Errorf("experiments: fault sweep %s: non-positive tile height %d", s.ID, s.V)
+// checkFaultSweep rejects a non-positive tile height and a fault-intensity
+// list that is empty or not ascending within [0, 1]. fault.Default treats
+// a negative or NaN intensity as no faults at all, so without this check
+// such a row would silently report the fault-free makespans.
+func checkFaultSweep(kind, id string, v int64, xs []float64) error {
+	if v <= 0 {
+		return fmt.Errorf("experiments: %s sweep %s: non-positive tile height %d", kind, id, v)
 	}
-	if len(s.Intensities) == 0 {
-		return fmt.Errorf("experiments: fault sweep %s has no intensities", s.ID)
+	if len(xs) == 0 {
+		return fmt.Errorf("experiments: %s sweep %s has no intensities", kind, id)
 	}
-	for i := 1; i < len(s.Intensities); i++ {
-		if s.Intensities[i] < s.Intensities[i-1] {
-			return fmt.Errorf("experiments: fault sweep %s: intensities not ascending at %d", s.ID, i)
+	for i, x := range xs {
+		if !(x >= 0 && x <= 1) {
+			return fmt.Errorf("experiments: %s sweep %s: intensity %g outside [0, 1]", kind, id, x)
+		}
+		if i > 0 && x < xs[i-1] {
+			return fmt.Errorf("experiments: %s sweep %s: intensities not ascending at %d", kind, id, i)
 		}
 	}
 	return nil
 }
 
-// Run evaluates the sweep on a bounded worker pool, like Sweep.Run. The
-// fault model is stateless in simulation order, so the rows are identical
-// to RunSequential's regardless of worker scheduling.
-func (s FaultSweep) Run() ([]FaultRow, error) {
-	if err := s.validate(); err != nil {
+// RunCtx evaluates the sweep through evalGrid. The fault model is
+// stateless in simulation order, so the rows are identical to the
+// sequential reference's regardless of worker scheduling.
+func (s FaultSweep) RunCtx(ctx context.Context) ([]FaultRow, error) {
+	if err := checkFaultSweep("fault", s.ID, s.V, s.Intensities); err != nil {
 		return nil, err
 	}
-	c := cacheOr(s.Cache)
-	pts := s.points()
-	res, err := evalAll(context.Background(), len(pts), func(ctx context.Context, i int) (sim.Result, error) {
-		p := pts[i]
-		r, err := c.SimulateGridCtx(ctx, s.Grid, s.V, s.Machine, p.mode, modeCap(p.mode, s.Cap), sim.GridOpts{Fault: p.fp})
-		if err != nil {
-			return r, fmt.Errorf("%s: intensity %g %s: %w", s.ID, p.fp.Intensity, p.mode, err)
-		}
-		return r, nil
-	})
+	res, err := evalGrid(ctx, s.Cache, s.ID, s.Machine, s.points())
 	if err != nil {
 		return nil, err
-	}
-	return s.rows(res), nil
-}
-
-// RunSequential is the retained sequential reference: one direct
-// simulation after another, no pool, no cache. The replayability test
-// checks Run against it row for row.
-func (s FaultSweep) RunSequential() ([]FaultRow, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	pts := s.points()
-	res := make([]sim.Result, len(pts))
-	for i, p := range pts {
-		r, err := sim.SimulateGrid(s.Grid, s.V, s.Machine, p.mode, modeCap(p.mode, s.Cap), sim.GridOpts{Fault: p.fp})
-		if err != nil {
-			return nil, fmt.Errorf("%s: intensity %g %s: %w", s.ID, p.fp.Intensity, p.mode, err)
-		}
-		res[i] = r
 	}
 	return s.rows(res), nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/fault"
@@ -25,18 +27,19 @@ func smallFaultSweep() FaultSweep {
 // reference — the stateless fault model makes worker scheduling invisible.
 func TestFaultSweepReplayable(t *testing.T) {
 	s := smallFaultSweep()
-	a, err := s.Run()
+	a, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run()
+	b, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := s.RunSequential()
+	res, err := sequential(s.Machine, s.points())
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := s.rows(res)
 	if len(a) != len(b) || len(a) != len(seq) {
 		t.Fatalf("row counts diverge: %d, %d, %d", len(a), len(b), len(seq))
 	}
@@ -54,7 +57,7 @@ func TestFaultSweepReplayable(t *testing.T) {
 // monotonically with intensity.
 func TestFaultSweepDegrades(t *testing.T) {
 	s := smallFaultSweep()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestFaultSweepDegrades(t *testing.T) {
 // exactly the fault-free numbers (slowdown exactly 1.0).
 func TestFaultSweepZeroIntensityMatchesBaseline(t *testing.T) {
 	s := smallFaultSweep()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +104,17 @@ func TestFaultSweepZeroIntensityMatchesBaseline(t *testing.T) {
 func TestFaultSweepValidation(t *testing.T) {
 	s := smallFaultSweep()
 	s.Intensities = []float64{0.5, 0.25}
-	if _, err := s.Run(); err == nil {
+	if _, err := s.RunCtx(context.Background()); err == nil {
 		t.Error("descending intensities accepted")
 	}
 	s = smallFaultSweep()
 	s.Intensities = nil
-	if _, err := s.Run(); err == nil {
+	if _, err := s.RunCtx(context.Background()); err == nil {
 		t.Error("empty intensity list accepted")
 	}
 	s = smallFaultSweep()
 	s.V = 0
-	if _, err := s.Run(); err == nil {
+	if _, err := s.RunCtx(context.Background()); err == nil {
 		t.Error("zero tile height accepted")
 	}
 }
@@ -122,7 +125,7 @@ func TestFaultSweepValidation(t *testing.T) {
 // otherwise the cross-check would pass vacuously.
 func TestFaultSweepDeadlineConsistent(t *testing.T) {
 	s := smallFaultSweep()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,5 +218,38 @@ func TestCheckDegradationRejects(t *testing.T) {
 	}
 	if err := CheckDegradation(nil); err == nil {
 		t.Error("empty sweep passed")
+	}
+}
+
+// TestBadIntensitiesRejected: both fault-driven sweeps reject a NaN,
+// negative or above-one intensity before any DES work. fault.Default
+// treats the first two as no faults at all, so an accepted row would
+// silently report fault-free makespans (and pass CheckDegradation).
+func TestBadIntensitiesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		xs   []float64
+	}{
+		{"negative", []float64{-0.5}},
+		{"NaN", []float64{math.NaN()}},
+		{"negative then NaN", []float64{-0.5, math.NaN()}},
+		{"above one", []float64{0, 1.5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := sim.NewCache()
+			fs := smallFaultSweep()
+			fs.Intensities, fs.Cache = tc.xs, c
+			if _, err := fs.RunCtx(context.Background()); err == nil {
+				t.Errorf("fault sweep accepted intensities %v", tc.xs)
+			}
+			rs := testRecoverySweep()
+			rs.Intensities, rs.Cache = tc.xs, c
+			if _, err := rs.RunCtx(context.Background()); err == nil {
+				t.Errorf("recovery sweep accepted intensities %v", tc.xs)
+			}
+			if n := c.Stats().Evals; n != 0 {
+				t.Errorf("rejected sweeps still ran %d DES evaluations", n)
+			}
+		})
 	}
 }

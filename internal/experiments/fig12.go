@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -43,20 +44,16 @@ func PaperFig12() []Fig12Row {
 // Fig12For regenerates the summary table on the simulated cluster: for each
 // sweep (the paper's three spaces, or scaled-down variants in tests) it
 // finds the simulated optima of both schedules, then evaluates the analytic
-// model at the overlapped optimum (the paper's theoretical column).
-func Fig12For(sweeps []Sweep) ([]Fig12Row, error) {
+// model at the overlapped optimum (the paper's theoretical column). A
+// cancelled ctx stops it between DES evaluations with ctx.Err().
+func Fig12For(ctx context.Context, sweeps []Sweep) ([]Fig12Row, error) {
 	rows := make([]Fig12Row, 0, len(sweeps))
 	for _, s := range sweeps {
-		if s.Cache == nil {
-			// Share one memo between the two optimum searches and within
-			// each search's ladder+refine passes.
-			s.Cache = sim.NewCache()
-		}
-		vOv, tOv, err := s.OptimumRefined(sim.Overlapped)
+		vOv, tOv, err := s.OptimumRefinedCtx(ctx, sim.Overlapped)
 		if err != nil {
 			return nil, err
 		}
-		vBl, tBl, err := s.OptimumRefined(sim.Blocking)
+		vBl, tBl, err := s.OptimumRefinedCtx(ctx, sim.Blocking)
 		if err != nil {
 			return nil, err
 		}
@@ -125,8 +122,9 @@ func FormatFig12(rows []Fig12Row) string {
 }
 
 // Examples renders the worked Examples 1 and 3 of the paper from the model
-// package, with the paper's reference values.
-func Examples() (string, error) {
+// package, with the paper's reference values, and cross-checks them on the
+// simulator under ctx.
+func Examples(ctx context.Context) (string, error) {
 	e1, err := model.Example1()
 	if err != nil {
 		return "", err
@@ -148,14 +146,16 @@ func Examples() (string, error) {
 	// message pattern of the real 2-D executor: s1+1 values per tile).
 	m := model.Example1Machine()
 	g2 := sim.Example1Grid2D()
-	bl, err := g2.Simulate(m, sim.Blocking, sim.CapNone)
+	res, err := evalAll(ctx, 2, func(_ context.Context, i int) (sim.Result, error) {
+		if i == 0 {
+			return g2.Simulate(m, sim.Blocking, sim.CapNone)
+		}
+		return g2.Simulate(m, sim.Overlapped, sim.CapDMA)
+	})
 	if err != nil {
 		return "", err
 	}
-	ov, err := g2.Simulate(m, sim.Overlapped, sim.CapDMA)
-	if err != nil {
-		return "", err
-	}
+	bl, ov := res[0], res[1]
 	fmt.Fprintf(&b, "Simulated on the 100-strip cluster deployment:\n")
 	fmt.Fprintf(&b, "  blocking %.6f s, overlapped %.6f s, improvement %.1f%%\n",
 		bl.Makespan, ov.Makespan, 100*(1-ov.Makespan/bl.Makespan))

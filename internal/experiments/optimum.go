@@ -10,27 +10,25 @@ import (
 
 // This file is the sweep-level optimum search. Its entry points:
 //
-//   - OptimumDetail / OptimumDetailCtx: the tiered search
-//     (internal/estimate) at ladder granularity over OptimumHeights. The
-//     analytic closed form seeds a bracket, a few targeted DES probes
-//     localize the minimum, and a certification step either vouches for
-//     the answer or falls back to the exact tier — so the result is always
-//     the exact ladder argmin, usually at a fraction of the DES
-//     evaluations. The estimate.Outcome says which tier answered.
+//   - OptimumDetailCtx: the tiered search (internal/estimate) at ladder
+//     granularity over OptimumHeights. The analytic closed form seeds a
+//     bracket, a few targeted DES probes localize the minimum, and a
+//     certification step either vouches for the answer or falls back to
+//     the exact tier — so the result is always the exact ladder argmin,
+//     usually at a fraction of the DES evaluations. The estimate.Outcome
+//     says which tier answered.
 //   - OptimumExactCtx: the exact ladder argmin by branch and bound — every
 //     OptimumHeights rung that can win, judged by the closed-form
-//     sim.GridLowerBound, simulated on the parallel worker pool, earliest
-//     minimum wins. RunSequential over the same rungs is the unpruned
-//     oracle the tests hold it to.
-//   - OptimumRefined / OptimumRefinedCtx: the tiered search plus the
-//     multiplicative refinement pass around the winning rung, the search
-//     the CLIs and figures print (finer-than-ladder granularity, same
-//     answers as before the rework).
+//     sim.GridLowerBound, simulated on the evalAll pool, earliest minimum
+//     wins. The tests hold it to the unpruned argmin of the sequential
+//     reference over the same rungs.
+//   - OptimumRefinedCtx: the tiered search plus the multiplicative
+//     refinement pass around the winning rung, the search the CLIs and
+//     figures print (finer-than-ladder granularity).
 //
-// The Ctx forms abort at DES-evaluation granularity when the context is
-// cancelled or its deadline expires — the contract the planning service
-// relies on to shed abandoned queries. The context-free forms run under
-// context.Background().
+// Each aborts at DES-evaluation granularity when its context is cancelled
+// or its deadline expires — the contract the planning service relies on to
+// shed abandoned queries.
 
 // OptimumHeights returns the candidate ladder the optimum search ranges
 // over: the sweep's own Heights extended with the full geometric ladder
@@ -51,45 +49,33 @@ func (s Sweep) OptimumHeights() []int64 {
 	return merged[:w]
 }
 
-// OptimumDetail finds the simulated-optimal tile height among
+// OptimumDetailCtx finds the simulated-optimal tile height among
 // OptimumHeights for the given mode via the tiered search: identical to
 // OptimumExactCtx's answer, but typically a handful of DES probes instead
 // of every rung that can win. The estimate.Outcome says which tier
 // answered, how many probes the tiered stage issued, and why the exact
-// tier ran if it did. Set Sweep.Exact to force the exact tier.
-func (s Sweep) OptimumDetail(mode sim.Mode) (estimate.Outcome, error) {
-	return s.OptimumDetailCtx(context.Background(), mode)
-}
-
-// OptimumDetailCtx is OptimumDetail under a context: a cancelled or expired
-// ctx aborts the search between DES probes with ctx.Err().
+// tier ran if it did. Set Sweep.Exact to force the exact tier. A cancelled
+// or expired ctx aborts the search between DES probes with ctx.Err().
 func (s Sweep) OptimumDetailCtx(ctx context.Context, mode sim.Mode) (estimate.Outcome, error) {
-	c := cacheOr(s.Cache)
-	heights := s.OptimumHeights()
+	s.Cache = cacheOr(s.Cache) // the tiered stage and the exact tier share one memo
 	if s.Exact {
-		v, t, err := s.optimumExact(ctx, c, mode, heights)
+		v, t, err := s.OptimumExactCtx(ctx, mode)
 		if err != nil {
 			return estimate.Outcome{}, err
 		}
 		return estimate.Outcome{V: v, T: t, Tier: estimate.TierExact, FallbackReason: "forced"}, nil
 	}
-	cfg := estimate.ForGrid(ctx, s.Grid, s.Machine, mode, s.ModeCap(mode), c, heights)
+	cfg := estimate.ForGrid(ctx, s.Grid, s.Machine, mode, s.ModeCap(mode), s.Cache, s.OptimumHeights())
 	cfg.Exact = func() (int64, float64, error) {
-		return s.optimumExact(ctx, c, mode, heights)
+		return s.OptimumExactCtx(ctx, mode)
 	}
 	return estimate.Optimum(ctx, cfg)
 }
 
 // OptimumExactCtx is the exact tier: every OptimumHeights rung that can
-// win simulated (on the parallel worker pool), earliest height of minimal
-// makespan wins — bit-identical to RunSequential over every rung plus an
-// argmin. A rung whose sim.GridLowerBound exceeds an already simulated
-// makespan cannot win and is skipped (see optimumExact).
-func (s Sweep) OptimumExactCtx(ctx context.Context, mode sim.Mode) (vOpt int64, tOpt float64, err error) {
-	return s.optimumExact(ctx, cacheOr(s.Cache), mode, s.OptimumHeights())
-}
-
-// optimumExact is a branch-and-bound over heights. Every rung is priced by
+// win simulated (on the evalAll pool), earliest height of minimal makespan
+// wins — bit-identical to the sequential reference over every rung plus an
+// argmin. It is a branch-and-bound over the rungs. Every rung is priced by
 // sim.GridLowerBound; the rung of smallest bound (earliest on ties) is
 // simulated first and its makespan becomes the incumbent. Only the rungs
 // whose bound does not exceed the incumbent are then simulated, and the
@@ -97,7 +83,9 @@ func (s Sweep) OptimumExactCtx(ctx context.Context, mode sim.Mode) (vOpt int64, 
 // rung has makespan ≥ bound > incumbent ≥ the minimum, so it neither is
 // the minimum nor ties it. The kept set depends only on the incumbent, so
 // the evaluation count is the same for every worker count.
-func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, heights []int64) (int64, float64, error) {
+func (s Sweep) OptimumExactCtx(ctx context.Context, mode sim.Mode) (vOpt int64, tOpt float64, err error) {
+	s.Cache = cacheOr(s.Cache) // the incumbent's evaluation is reused by the kept pass
+	heights := s.OptimumHeights()
 	if len(heights) == 0 {
 		return -1, 0, nil
 	}
@@ -110,7 +98,7 @@ func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, he
 			first = i
 		}
 	}
-	inc, err := s.evalHeights(ctx, c, mode, heights[first:first+1])
+	inc, err := s.evalHeights(ctx, mode, heights[first:first+1])
 	if err != nil {
 		return 0, 0, err
 	}
@@ -120,7 +108,7 @@ func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, he
 			kept = append(kept, v)
 		}
 	}
-	rs, err := s.evalHeights(ctx, c, mode, kept)
+	rs, err := s.evalHeights(ctx, mode, kept)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -129,24 +117,15 @@ func (s Sweep) optimumExact(ctx context.Context, c *sim.Cache, mode sim.Mode, he
 	return best, bestT, nil
 }
 
-// OptimumRefined sharpens OptimumDetail below ladder granularity: the
-// multiplicative Refine window around the winning rung is evaluated and
-// the overall earliest minimum returned. This is the search the figures,
-// traces and examples print; on the paper's grids its answers are
-// unchanged from the pre-tiered implementation (the tiered ladder stage
-// picks the same rung the exhaustive ladder pass did). Refinement rungs
-// that duplicate ladder rungs are skipped — they could never win the
-// strict-improvement comparison.
-func (s Sweep) OptimumRefined(mode sim.Mode) (vOpt int64, tOpt float64, err error) {
-	return s.OptimumRefinedCtx(context.Background(), mode)
-}
-
-// OptimumRefinedCtx is OptimumRefined under a context.
+// OptimumRefinedCtx sharpens OptimumDetailCtx below ladder granularity:
+// the multiplicative Refine window around the winning rung is evaluated
+// and the overall earliest minimum returned. This is the search the
+// figures, traces and examples print; on the paper's grids the tiered
+// ladder stage picks the same rung an exhaustive ladder pass would.
+// Refinement rungs that duplicate ladder rungs are skipped — they could
+// never win the strict-improvement comparison.
 func (s Sweep) OptimumRefinedCtx(ctx context.Context, mode sim.Mode) (vOpt int64, tOpt float64, err error) {
-	if s.Cache == nil {
-		s.Cache = sim.NewCache() // share the ladder stage's probes with the refine pass
-	}
-	c := s.Cache
+	s.Cache = cacheOr(s.Cache) // share the ladder stage's probes with the refine pass
 	out, err := s.OptimumDetailCtx(ctx, mode)
 	if err != nil {
 		return 0, 0, err
@@ -162,7 +141,7 @@ func (s Sweep) OptimumRefinedCtx(ctx context.Context, mode sim.Mode) (vOpt int64
 			refined = append(refined, v)
 		}
 	}
-	rs, err := s.evalHeights(ctx, c, mode, refined)
+	rs, err := s.evalHeights(ctx, mode, refined)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -170,13 +149,14 @@ func (s Sweep) OptimumRefinedCtx(ctx context.Context, mode sim.Mode) (vOpt int64
 	return best, bestT, nil
 }
 
-// evalHeights simulates one mode at each height on the worker pool.
-func (s Sweep) evalHeights(ctx context.Context, c *sim.Cache, mode sim.Mode, heights []int64) ([]sim.Result, error) {
-	pts := make([]simPoint, len(heights))
+// evalHeights simulates one mode at each height through evalGrid on the
+// sweep's cache.
+func (s Sweep) evalHeights(ctx context.Context, mode sim.Mode, heights []int64) ([]sim.Result, error) {
+	pts := make([]point, len(heights))
 	for i, v := range heights {
-		pts[i] = simPoint{v, mode}
+		pts[i] = point{s.Grid, v, mode, s.ModeCap(mode), sim.GridOpts{Metrics: s.Metrics}}
 	}
-	return s.evalPoints(ctx, c, pts)
+	return evalGrid(ctx, s.Cache, s.ID, s.Machine, pts)
 }
 
 // considerHeights scans heights in input order with a strict-improvement

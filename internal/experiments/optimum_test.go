@@ -14,7 +14,7 @@ import (
 )
 
 // sequentialArgmin is the unpruned oracle of an optimum query: the
-// RunSequential rows over every OptimumHeights rung, earliest minimum of
+// runSequential rows over every OptimumHeights rung, earliest minimum of
 // the mode's column.
 func sequentialArgmin(rows []SweepRow, mode sim.Mode) (int64, float64) {
 	best, bestT := int64(-1), 0.0
@@ -32,7 +32,7 @@ func sequentialArgmin(rows []SweepRow, mode sim.Mode) (int64, float64) {
 
 // TestTieredOptimumMatchesExactOnFigures is the acceptance gate of the
 // tiered-search rework: on the paper's Fig. 9-11 spaces (which also feed
-// Fig. 12) and for both schedules, the tiered OptimumDetail and the
+// Fig. 12) and for both schedules, the tiered OptimumDetailCtx and the
 // bound-pruned OptimumExactCtx must both return the bit-identical (V, t) of the unpruned
 // sequential argmin over OptimumHeights, while the tiered search issues at
 // least 4x fewer DES evaluations per query than the ladder has rungs and
@@ -59,7 +59,7 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 			t.Parallel()
 			ref := fig
 			ref.Heights = fig.OptimumHeights()
-			rows, err := ref.RunSequential()
+			rows, err := runSequential(ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 					wantV, wantT := sequentialArgmin(rows, mode)
 					s := fig
 					s.Cache = sim.NewCache()
-					out, err := s.OptimumDetail(mode)
+					out, err := s.OptimumDetailCtx(context.Background(), mode)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -162,7 +162,7 @@ func TestOptimumMatchesSequentialArgminRandomized(t *testing.T) {
 		ref := s
 		ref.Heights = s.OptimumHeights()
 		ref.Cache = nil
-		rows, err := ref.RunSequential()
+		rows, err := runSequential(ref)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -170,7 +170,7 @@ func TestOptimumMatchesSequentialArgminRandomized(t *testing.T) {
 			wantV, wantT := sequentialArgmin(rows, mode)
 			for _, exact := range []bool{false, true} {
 				s.Exact = exact
-				out, err := s.OptimumDetail(mode)
+				out, err := s.OptimumDetailCtx(context.Background(), mode)
 				if err != nil {
 					t.Fatalf("trial %d %s: %v", trial, mode, err)
 				}

@@ -68,7 +68,11 @@ func TestPairedBracketInvisible(t *testing.T) {
 			cap := s.ModeCap(mode)
 			query := func(c *sim.Cache, sequential bool) (estimate.Outcome, []probeRec) {
 				cfg := estimate.ForGrid(ctx, s.Grid, s.Machine, mode, cap, c, heights)
-				cfg.Exact = func() (int64, float64, error) { return s.optimumExact(ctx, c, mode, heights) }
+				cfg.Exact = func() (int64, float64, error) {
+					exact := s
+					exact.Cache = c
+					return exact.OptimumExactCtx(ctx, mode)
+				}
 				probe := cfg.Probe
 				if sequential {
 					probe = func(v int64) (float64, error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -15,55 +16,19 @@ func shrinkSweep(s Sweep, factor int64) Sweep {
 	return s
 }
 
-// TestRunParallelMatchesSequential: the parallel worker-pool Run must
-// produce rows deep-equal (bit-identical floats included) to the retained
-// sequential reference implementation, for each figure's configuration.
-func TestRunParallelMatchesSequential(t *testing.T) {
-	cases := []struct {
-		name   string
-		sweep  Sweep
-		factor int64
-	}{
-		{"fig9", Fig9(), 64},
-		{"fig10", Fig10(), 128},
-		{"fig11", Fig11(), 16},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			s := shrinkSweep(tc.sweep, tc.factor)
-			if len(s.Heights) < 3 {
-				t.Fatalf("scaled sweep has only %d heights", len(s.Heights))
-			}
-			par, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, err := s.RunSequential()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(par, seq) {
-				t.Errorf("parallel rows differ from sequential reference:\npar: %+v\nseq: %+v", par, seq)
-			}
-		})
-	}
-}
-
 // TestRunMetricsParallelMatchesSequential: with the phase-accounting pass on,
-// the worker-pool Run must still deep-equal the sequential reference — the
+// the worker-pool RunCtx must still deep-equal the sequential reference — the
 // overlap-efficiency columns included — regardless of worker scheduling
 // (obs.Analyze iterates tracks in a canonical order, so the float
 // accumulation order is fixed).
 func TestRunMetricsParallelMatchesSequential(t *testing.T) {
 	s := shrinkSweep(Fig9(), 64)
 	s.Metrics = true
-	par, err := s.Run()
+	par, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := s.RunSequential()
+	seq, err := runSequential(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,20 +59,20 @@ func TestRunMetricsParallelMatchesSequential(t *testing.T) {
 func TestRunSharedCacheIdentical(t *testing.T) {
 	s := shrinkSweep(Fig9(), 64)
 	s.Cache = sim.NewCache()
-	first, err := s.Run()
+	first, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	points := s.Cache.Len()
 	if want := 2 * len(s.Heights); points != want {
-		t.Errorf("cache holds %d points after Run, want %d", points, want)
+		t.Errorf("cache holds %d points after RunCtx, want %d", points, want)
 	}
-	second, err := s.Run()
+	second, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Cache.Len() != points {
-		t.Errorf("second Run simulated new points: %d -> %d", points, s.Cache.Len())
+		t.Errorf("second RunCtx simulated new points: %d -> %d", points, s.Cache.Len())
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Error("cached rows differ from fresh rows")
@@ -115,16 +80,16 @@ func TestRunSharedCacheIdentical(t *testing.T) {
 }
 
 // TestOptimumUsesCache: the ladder pass of Optimum revisits every height the
-// preceding Run simulated, so with a shared cache the search must only add
+// preceding RunCtx simulated, so with a shared cache the search must only add
 // its novel refinement rungs.
 func TestOptimumUsesCache(t *testing.T) {
 	s := shrinkSweep(Fig9(), 64)
 	s.Cache = sim.NewCache()
-	if _, err := s.Run(); err != nil {
+	if _, err := s.RunCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	afterRun := s.Cache.Len()
-	o1, err := s.OptimumDetail(sim.Overlapped)
+	o1, err := s.OptimumDetailCtx(context.Background(), sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +99,7 @@ func TestOptimumUsesCache(t *testing.T) {
 	}
 	// A second identical search is answered fully from the cache.
 	before := s.Cache.Len()
-	o2, err := s.OptimumDetail(sim.Overlapped)
+	o2, err := s.OptimumDetailCtx(context.Background(), sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +152,7 @@ func TestRefineDedupSorted(t *testing.T) {
 func TestRunErrorPropagates(t *testing.T) {
 	s := shrinkSweep(Fig9(), 64)
 	s.Heights = append(append([]int64{}, s.Heights...), s.Grid.K+1) // out of range
-	if _, err := s.Run(); err == nil {
-		t.Fatal("Run accepted an out-of-range height")
+	if _, err := s.RunCtx(context.Background()); err == nil {
+		t.Fatal("RunCtx accepted an out-of-range height")
 	}
 }

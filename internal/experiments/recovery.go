@@ -80,11 +80,8 @@ type RecoveryRow struct {
 }
 
 func (s RecoverySweep) validate() error {
-	if s.V <= 0 {
-		return fmt.Errorf("experiments: recovery sweep %s: non-positive tile height %d", s.ID, s.V)
-	}
-	if len(s.Intervals) == 0 || len(s.Intensities) == 0 {
-		return fmt.Errorf("experiments: recovery sweep %s needs intervals and intensities", s.ID)
+	if len(s.Intervals) == 0 {
+		return fmt.Errorf("experiments: recovery sweep %s has no intervals", s.ID)
 	}
 	for i, iv := range s.Intervals {
 		if iv <= 0 {
@@ -94,42 +91,42 @@ func (s RecoverySweep) validate() error {
 			return fmt.Errorf("experiments: recovery sweep %s: intervals not strictly ascending at %d", s.ID, i)
 		}
 	}
-	for i, x := range s.Intensities {
-		if x < 0 {
-			return fmt.Errorf("experiments: recovery sweep %s: negative intensity %g", s.ID, x)
-		}
-		if i > 0 && x < s.Intensities[i-1] {
-			return fmt.Errorf("experiments: recovery sweep %s: intensities not ascending at %d", s.ID, i)
-		}
-	}
-	return nil
+	return checkFaultSweep("recovery", s.ID, s.V, s.Intensities)
 }
 
-// Run evaluates the sweep: one DES point per intensity (plus the fault-free
-// anchor), then the recovery expectation per interval on top.
-func (s RecoverySweep) Run() ([]RecoveryRow, error) {
+// points lays out the sweep's DES work: the fault-free anchor, then the
+// overlapped schedule under each intensity's fault plan.
+func (s RecoverySweep) points() []point {
+	pts := []point{{s.Grid, s.V, sim.Overlapped, s.Cap, sim.GridOpts{}}}
+	for _, x := range s.Intensities {
+		pts = append(pts, point{s.Grid, s.V, sim.Overlapped, s.Cap, sim.GridOpts{Fault: fault.Default(s.Seed, x)}})
+	}
+	return pts
+}
+
+// RunCtx evaluates the sweep: one DES point per intensity (plus the
+// fault-free anchor) through evalGrid, then the recovery expectation per
+// interval on top.
+func (s RecoverySweep) RunCtx(ctx context.Context) ([]RecoveryRow, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	c := cacheOr(s.Cache)
-	base, err := c.SimulateGridCtx(context.Background(), s.Grid, s.V, s.Machine, sim.Overlapped, s.Cap, sim.GridOpts{})
+	res, err := evalGrid(ctx, s.Cache, s.ID, s.Machine, s.points())
 	if err != nil {
-		return nil, fmt.Errorf("%s: fault-free anchor: %w", s.ID, err)
+		return nil, err
 	}
-	t0 := base.Makespan
+	return s.rows(res), nil
+}
+
+// rows applies the recovery expectation model to results laid out by
+// points.
+func (s RecoverySweep) rows(res []sim.Result) []RecoveryRow {
+	t0 := res[0].Makespan
 	ckCost, restart, mtbf := t0/200, t0/50, t0/2
 	tiles := s.Grid.KTiles(s.V)
 	rows := make([]RecoveryRow, 0, len(s.Intensities)*len(s.Intervals))
-	for _, x := range s.Intensities {
-		fp := fault.Plan{}
-		if x > 0 {
-			fp = fault.Default(s.Seed, x)
-		}
-		r, err := c.SimulateGridCtx(context.Background(), s.Grid, s.V, s.Machine, sim.Overlapped, s.Cap, sim.GridOpts{Fault: fp})
-		if err != nil {
-			return nil, fmt.Errorf("%s: intensity %g: %w", s.ID, x, err)
-		}
-		faulty := r.Makespan
+	for i, x := range s.Intensities {
+		faulty := res[1+i].Makespan
 		step := faulty / float64(tiles)
 		failures := x * faulty / mtbf
 		for _, iv := range s.Intervals {
@@ -150,7 +147,7 @@ func (s RecoverySweep) Run() ([]RecoveryRow, error) {
 			rows = append(rows, row)
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // BestIntervals returns, per intensity in row order, the interval with the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func testRecoverySweep() RecoverySweep {
 
 func TestRecoverySweepTradeoff(t *testing.T) {
 	s := testRecoverySweep()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,11 @@ func TestRecoverySweepTradeoff(t *testing.T) {
 
 func TestRecoverySweepDeterministic(t *testing.T) {
 	s := testRecoverySweep()
-	a, err := s.Run()
+	a, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run()
+	b, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestRecoverySweepDeterministic(t *testing.T) {
 
 func TestRecoveryCSVConventions(t *testing.T) {
 	s := testRecoverySweep()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +117,17 @@ func TestRecoveryCSVConventions(t *testing.T) {
 func TestRecoverySweepValidate(t *testing.T) {
 	bad := testRecoverySweep()
 	bad.Intervals = []int64{4, 2}
-	if _, err := bad.Run(); err == nil {
+	if _, err := bad.RunCtx(context.Background()); err == nil {
 		t.Error("descending intervals accepted")
 	}
 	bad = testRecoverySweep()
 	bad.Intensities = []float64{0.5, 0.25}
-	if _, err := bad.Run(); err == nil {
+	if _, err := bad.RunCtx(context.Background()); err == nil {
 		t.Error("descending intensities accepted")
 	}
 	bad = testRecoverySweep()
 	bad.V = 0
-	if _, err := bad.Run(); err == nil {
+	if _, err := bad.RunCtx(context.Background()); err == nil {
 		t.Error("zero tile height accepted")
 	}
 }

@@ -106,61 +106,51 @@ func (s ScaleSweep) GridAt(p ScalePoint) model.Grid3D {
 	}
 }
 
-// Run evaluates every point under both schedules. The (point, mode) pairs
-// fan out over a bounded worker pool exactly like Sweep.Run; rows come back
-// in input order regardless of worker scheduling.
-func (s ScaleSweep) Run() ([]ScaleRow, error) {
-	return s.RunCtx(context.Background())
+// points lays out the sweep: an (overlapped, blocking) pair per processor
+// grid, each under the sweep's interconnect with the metrics pass on.
+func (s ScaleSweep) points() []point {
+	o := sim.GridOpts{Interconnect: s.Interconnect, Metrics: true}
+	pts := make([]point, 0, 2*len(s.Points))
+	for _, p := range s.Points {
+		pts = append(pts, pair(s.GridAt(p), s.V, s.Cap, o)...)
+	}
+	return pts
 }
 
-// RunCtx is Run under a context (cancellation semantics as in Sweep.RunCtx).
+// RunCtx evaluates every point under both schedules through evalGrid; rows
+// come back in point order regardless of worker scheduling (cancellation
+// semantics as in Sweep.RunCtx).
 func (s ScaleSweep) RunCtx(ctx context.Context) ([]ScaleRow, error) {
-	type task struct {
-		p    ScalePoint
-		mode sim.Mode
-	}
-	tasks := make([]task, 0, 2*len(s.Points))
-	for _, p := range s.Points {
-		tasks = append(tasks, task{p, sim.Overlapped}, task{p, sim.Blocking})
-	}
-	c := cacheOr(s.Cache)
-	res, err := evalAll(ctx, len(tasks), func(ctx context.Context, i int) (sim.Result, error) {
-		t := tasks[i]
-		r, err := c.SimulateGridCtx(ctx, s.GridAt(t.p), s.V, s.Machine, t.mode, modeCap(t.mode, s.Cap),
-			sim.GridOpts{Interconnect: s.Interconnect, Metrics: true})
-		if err != nil {
-			return r, fmt.Errorf("%s: %d ranks %s: %w", s.ID, t.p.Ranks(), t.mode, err)
-		}
-		return r, nil
-	})
+	res, err := evalGrid(ctx, s.Cache, s.ID, s.Machine, s.points())
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]ScaleRow, 0, len(s.Points))
-	for i, p := range s.Points {
-		rows = append(rows, s.rowAt(p, res[2*i], res[2*i+1]))
-	}
-	return rows, nil
+	return s.rows(res), nil
 }
 
-// rowAt assembles one ScaleRow from the two schedules at one point.
-func (s ScaleSweep) rowAt(p ScalePoint, ov, bl sim.Result) ScaleRow {
-	r := ScaleRow{
-		Ranks:           p.Ranks(),
-		Grid:            s.GridAt(p),
-		OverlapSim:      ov.Makespan,
-		BlockingSim:     bl.Makespan,
-		OverlapCPUUtil:  ov.CPUUtilization,
-		BlockingCPUUtil: bl.CPUUtilization,
-	}
-	if ov.Obs != nil {
-		r.OverlapEff = ov.Obs.OverlapEfficiency
-		for _, ll := range ov.Obs.LinkLevels {
-			r.LinkBusy += ll.Busy
-			r.LinkQueueWait += ll.QueueWait
+// rows assembles one ScaleRow per point from results laid out by points.
+func (s ScaleSweep) rows(res []sim.Result) []ScaleRow {
+	rows := make([]ScaleRow, len(s.Points))
+	for i, p := range s.Points {
+		ov, bl := res[2*i], res[2*i+1]
+		r := ScaleRow{
+			Ranks:           p.Ranks(),
+			Grid:            s.GridAt(p),
+			OverlapSim:      ov.Makespan,
+			BlockingSim:     bl.Makespan,
+			OverlapCPUUtil:  ov.CPUUtilization,
+			BlockingCPUUtil: bl.CPUUtilization,
 		}
+		if ov.Obs != nil {
+			r.OverlapEff = ov.Obs.OverlapEfficiency
+			for _, ll := range ov.Obs.LinkLevels {
+				r.LinkBusy += ll.Busy
+				r.LinkQueueWait += ll.QueueWait
+			}
+		}
+		rows[i] = r
 	}
-	return r
+	return rows
 }
 
 // FormatScale renders the sweep as an aligned text table.

@@ -24,7 +24,7 @@ func tinyScale() ScaleSweep {
 // are populated and in range.
 func TestScaleSweepRuns(t *testing.T) {
 	s := tinyScale()
-	rows, err := s.Run()
+	rows, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +68,12 @@ func TestScaleSweepDeterministic(t *testing.T) {
 	s := tinyScale()
 	s.Points = s.Points[:2]
 	s.Cache = sim.NewCache()
-	a, err := s.Run()
+	a, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Cache = nil
-	b, err := s.Run()
+	b, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
