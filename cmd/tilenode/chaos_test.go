@@ -180,6 +180,71 @@ func TestChaosKillAndRestore(t *testing.T) {
 	}
 }
 
+// TestReaderDecidedByRankZero: whether the grid is gathered is rank 0's
+// decision alone, because only rank 0's flags name a reader. Two real
+// processes run with different flags: rank 0 writing the grid while rank 1
+// does not verify must still gather a grid byte-identical to a -spawn
+// run's, and rank 0 not verifying while rank 1 keeps the default -verify
+// must skip the gather on both. A rank that decided from its own flags
+// would wait on a chunk or a credit its peer never sends; -deadline turns
+// that into a failed exit instead of a hang.
+func TestReaderDecidedByRankZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	shape := []string{"-shape", "3d", "-space", "2x2x40", "-procs", "2x1", "-v", "2",
+		"-mode", "overlapped", "-deadline", "5s"}
+	dir := t.TempDir()
+	baseGrid := filepath.Join(dir, "base.bin")
+	if out, err := child(ctx, append(shape, "-spawn", "-verify=false", "-grid-out", baseGrid)...).CombinedOutput(); err != nil {
+		t.Fatalf("baseline run: %v\n%s", err, out)
+	}
+	// pair runs rank 0 and rank 1 as processes with their own extra flags.
+	pair := func(t *testing.T, flags0, flags1 []string) {
+		t.Helper()
+		addrs, err := loopbackAddrs(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var procs [2]*exec.Cmd
+		var outs [2]bytes.Buffer
+		for r, flags := range [][]string{flags0, flags1} {
+			args := append(append([]string{"-rank", fmt.Sprint(r), "-addrs", strings.Join(addrs, ",")}, shape...), flags...)
+			procs[r] = child(ctx, args...)
+			procs[r].Stdout, procs[r].Stderr = &outs[r], &outs[r]
+			if err := procs[r].Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r, p := range procs {
+			if err := p.Wait(); err != nil {
+				t.Errorf("rank %d: %v\n%s", r, err, outs[r].String())
+			}
+		}
+	}
+
+	t.Run("grid-out on rank 0 only", func(t *testing.T) {
+		gridOut := filepath.Join(dir, "pair.bin")
+		pair(t, []string{"-verify=false", "-grid-out", gridOut}, []string{"-verify=false"})
+		base, err := os.ReadFile(baseGrid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(gridOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(base) == 0 || !bytes.Equal(base, got) {
+			t.Fatalf("grid written by rank 0 differs from the -spawn run's (%d vs %d bytes)", len(got), len(base))
+		}
+	})
+	t.Run("verify on rank 1 only", func(t *testing.T) {
+		pair(t, []string{"-verify=false"}, nil)
+	})
+}
+
 // isSignal reports whether err is an ExitError terminated by sig.
 func isSignal(err error, sig syscall.Signal, out **exec.ExitError) bool {
 	ee, ok := err.(*exec.ExitError)

@@ -5,9 +5,12 @@
 //	tilenode -rank 0 -addrs host0:9000,host1:9001,host2:9002,host3:9003 \
 //	         -space 8x8x1024 -procs 2x2 -v 64 -mode overlapped
 //
-// Rank 0 gathers the result (every other rank streams its box to it in
-// chunks of at most 1 MiB, so a grid of any size gathers), verifies it
-// against a sequential run, and prints the wall-clock comparison line.
+// Rank 0 prints the wall-clock comparison line. The result is gathered onto
+// rank 0 only when something there reads it: -verify (the check against a
+// sequential run) or -grid-out. Rank 0 alone decides and tells the other
+// ranks, and then every other rank streams its box to it in chunks of at
+// most 1 MiB, so a grid of any size gathers. A timing run with
+// -verify=false and no -grid-out never holds the whole grid anywhere.
 //
 // For a single-machine demo, -spawn launches all ranks as goroutines over
 // loopback TCP sockets (separate sockets, same code path):
@@ -66,7 +69,7 @@ var (
 	procsFlag = flag.String("procs", "2x2", "processor grid PIxPJ (with -shape 3d)")
 	vFlag     = flag.Int64("v", 64, "tile height along k (with -shape 3d)")
 	modeFlag  = flag.String("mode", "overlapped", "blocking | overlapped")
-	verify    = flag.Bool("verify", true, "rank 0 verifies against a sequential run")
+	verify    = flag.Bool("verify", true, "rank 0 gathers the grid and verifies it against a sequential run")
 
 	space2Flag = flag.String("space2d", "64x8", "iteration space I1xI2 (with -shape 2d)")
 	s1Flag     = flag.Int64("s1", 8, "tile side along dim 0 (with -shape 2d)")
@@ -77,7 +80,7 @@ var (
 	ckDirFlag     = flag.String("checkpoint-dir", "", "directory for tile-frontier snapshots")
 	ckEveryFlag   = flag.Int64("checkpoint-every", 0, "snapshot every N tiles (0 = off)")
 	restoreFlag   = flag.Bool("restore", false, "resume from the newest usable snapshot")
-	gridOutFlag   = flag.String("grid-out", "", "rank 0 writes the gathered grid (big-endian float64) here")
+	gridOutFlag   = flag.String("grid-out", "", "rank 0 gathers the grid and writes it (big-endian float64) here")
 	tileDelay     = flag.Duration("tile-delay", 0, "slow each tile by this much (chaos testing)")
 
 	metricsAddr = flag.String("metrics-addr", "",
@@ -121,6 +124,11 @@ type job struct {
 	gather func(mp.Comm, *runner.Local) (*stencil.Grid, error)
 	verify func(*stencil.Grid) (float64, error)
 	line   func(runner.Stats) string // rank 0's stats line
+
+	// check and gridOut are what rank 0 reads the gathered grid for
+	// (-verify, -grid-out); on any other rank they mean nothing.
+	check   bool
+	gridOut string
 }
 
 // tilesAlong is the number of tiles of the given height along n points; a
@@ -171,7 +179,9 @@ func job2D(cfg runner.Config2D, ranks int) job {
 	}
 }
 
-// buildJob turns the flags into the job they describe.
+// buildJob turns the flags into the job they describe, checked by the
+// runner against the job's own rank count before any socket or process
+// exists.
 func buildJob() (job, error) {
 	var mode runner.Mode
 	switch *modeFlag {
@@ -183,6 +193,10 @@ func buildJob() (job, error) {
 		return job{}, fmt.Errorf("unknown mode %q", *modeFlag)
 	}
 	ck := runner.CheckpointConfig{Dir: *ckDirFlag, Every: *ckEveryFlag, Restore: *restoreFlag}
+	var (
+		j        job
+		validate func(ranks int) error
+	)
 	switch *shapeFlag {
 	case "3d":
 		sp, err := parseDims(*spaceFlag, 3)
@@ -193,21 +207,29 @@ func buildJob() (job, error) {
 		if err != nil {
 			return job{}, fmt.Errorf("-procs: %w", err)
 		}
-		return job3D(runner.Config{
+		cfg := runner.Config{
 			Grid: model.Grid3D{I: sp[0], J: sp[1], K: sp[2], PI: pr[0], PJ: pr[1]}, V: *vFlag,
 			Kernel: stencil.Sqrt3D{}, Mode: mode, Checkpoint: ck,
-		}), nil
+		}
+		j, validate = job3D(cfg), cfg.Validate
 	case "2d":
 		sp, err := parseDims(*space2Flag, 2)
 		if err != nil {
 			return job{}, fmt.Errorf("-space2d: %w", err)
 		}
-		return job2D(runner.Config2D{
+		cfg := runner.Config2D{
 			I1: sp[0], I2: sp[1], S1: *s1Flag,
 			Kernel: stencil.Sum2D{}, Mode: mode, Checkpoint: ck,
-		}, *ranksFlag), nil
+		}
+		j, validate = job2D(cfg, *ranksFlag), cfg.Validate
+	default:
+		return job{}, fmt.Errorf("unknown shape %q", *shapeFlag)
 	}
-	return job{}, fmt.Errorf("unknown shape %q", *shapeFlag)
+	if err := validate(j.ranks); err != nil {
+		return job{}, err
+	}
+	j.check, j.gridOut = *verify, *gridOutFlag
+	return j, nil
 }
 
 // slowKernel stretches a run out for chaos testing: the first point a rank
@@ -263,7 +285,8 @@ func writeGrid(path string, g *stencil.Grid) error {
 }
 
 // rankMain is one rank's whole life: run, record the checkpoint counters,
-// gather, and on rank 0 print the stats line, verify and write the grid.
+// gather if rank 0 reads the grid, and on rank 0 print the stats line,
+// verify and write the grid.
 func rankMain(c mp.Comm, j job, obsv *observer) error {
 	local, stats, err := j.run(c)
 	if err != nil {
@@ -272,12 +295,29 @@ func rankMain(c mp.Comm, j job, obsv *observer) error {
 	if m := obsv.metrics(c.Rank()); m != nil {
 		m.RecordCheckpoints(stats.Checkpoints, stats.CheckpointBytes)
 	}
-	grid, err := j.gather(c, local)
-	if err != nil || c.Rank() != 0 {
+	// Only rank 0's flags say whether the grid has a reader (-verify means
+	// something there alone, and the supervisor hands -grid-out to rank 0
+	// only), so rank 0 decides and broadcasts one byte. A rank deciding
+	// from its own flags could wait for a credit that never comes, or
+	// never send the chunks rank 0 waits for.
+	read := []byte{0}
+	if c.Rank() == 0 && (j.check || j.gridOut != "") {
+		read[0] = 1
+	}
+	if err := mp.Bcast(c, 0, read); err != nil {
 		return err
 	}
+	var grid *stencil.Grid
+	if read[0] == 1 {
+		if grid, err = j.gather(c, local); err != nil {
+			return err
+		}
+	}
+	if c.Rank() != 0 {
+		return nil
+	}
 	fmt.Println(j.line(stats))
-	if *verify {
+	if j.check {
 		diff, err := j.verify(grid)
 		if err != nil {
 			return err
@@ -287,8 +327,8 @@ func rankMain(c mp.Comm, j job, obsv *observer) error {
 			return fmt.Errorf("verification failed")
 		}
 	}
-	if *gridOutFlag != "" {
-		return writeGrid(*gridOutFlag, grid)
+	if j.gridOut != "" {
+		return writeGrid(j.gridOut, grid)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -68,6 +69,8 @@ func TestSpawnRunReportsFirstFailure(t *testing.T) {
 // and verifies.
 func TestSpawnRunDelayedRankSucceeds(t *testing.T) {
 	cfg := testConfig()
+	j := job3D(cfg)
+	j.check = true
 	n := int(cfg.Grid.PI * cfg.Grid.PJ)
 	addrs, err := loopbackAddrs(n)
 	if err != nil {
@@ -81,7 +84,7 @@ func TestSpawnRunDelayedRankSucceeds(t *testing.T) {
 			&mp.TCPOptions{DialTimeout: 30 * time.Second, Cancel: cancel})
 	}
 	done := make(chan error, 1)
-	go func() { done <- spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, job3D(cfg), nil) }) }()
+	go func() { done <- spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, j, nil) }) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -101,9 +104,97 @@ func TestSpawnRunDelayedRankSucceeds(t *testing.T) {
 // messages sent. The snapshot is read back over the live HTTP endpoint
 // (/metrics.json) and from the -metrics-snapshot teardown file, so the
 // whole observer path — registry, server, JSON dump — is covered.
+//
+// The same bytes pin the reader rule: without a reader on rank 0 a rank
+// sends its faces (runner.Stats.BytesSent) and its share of the one-byte
+// agreement on mp.Bcast's tree, nothing else; with one (-verify), every
+// other rank also ships its whole box, 8 bytes a point, to rank 0.
 func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 	cfg := testConfig()
-	n := int(cfg.Grid.PI * cfg.Grid.PJ)
+	g := cfg.Grid
+	n := int(g.PI * g.PJ)
+	box := 8 * g.TileI() * g.TileJ() * g.K
+	for _, reader := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reader=%v", reader), func(t *testing.T) {
+			j := job3D(cfg)
+			j.check = reader
+			ranks, stats := instrumentedSpawn(t, j)
+			peers := make([]map[int]obs.PeerTraffic, n)
+			for _, s := range ranks {
+				peers[s.Rank] = map[int]obs.PeerTraffic{}
+				for _, p := range s.Peers {
+					peers[s.Rank][p.Peer] = p
+				}
+			}
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					sent, got := peers[a][b], peers[b][a]
+					if sent.SendMsgs != got.RecvMsgs || sent.SendBytes != got.RecvBytes {
+						t.Errorf("rank %d -> %d: %d msgs / %d bytes sent, %d / %d received",
+							a, b, sent.SendMsgs, sent.SendBytes, got.RecvMsgs, got.RecvBytes)
+					}
+				}
+			}
+			for _, s := range ranks {
+				if s.Barriers != ranks[0].Barriers {
+					t.Errorf("rank %d: %d barriers, rank %d counted %d",
+						s.Rank, s.Barriers, ranks[0].Rank, ranks[0].Barriers)
+				}
+				// The wavefront's first rank only sends and its last only
+				// receives, unless a gather adds the opposite direction.
+				if s.SendBytes+s.RecvBytes == 0 {
+					t.Errorf("rank %d: no traffic recorded (%+v) — instrumentation not wired", s.Rank, s)
+				}
+				if s.TCP.DialOKs+s.TCP.AcceptOKs != int64(n-1) {
+					t.Errorf("rank %d: %d dials + %d accepts, want %d connections",
+						s.Rank, s.TCP.DialOKs, s.TCP.AcceptOKs, n-1)
+				}
+				// Every data message is one frame (control frames add more), and
+				// the writer puts one or more frames on the socket per write.
+				for _, p := range s.Peers {
+					if p.Frames < p.SendMsgs || p.Writes < 1 || p.Writes > p.Frames {
+						t.Errorf("rank %d peer %d: frames %d, writes %d for %d messages sent",
+							s.Rank, p.Peer, p.Frames, p.Writes, p.SendMsgs)
+					}
+				}
+			}
+			for r, s := range ranks {
+				want := stats[r].BytesSent + bcastSends(r, n)
+				if reader && r != 0 {
+					want += box
+					if to0 := peers[r][0].SendBytes; to0 < box {
+						t.Errorf("rank %d sent rank 0 %d bytes, fewer than its %d-byte box", r, to0, box)
+					}
+				}
+				if s.SendBytes != want {
+					t.Errorf("rank %d sent %d bytes, want %d (faces %d)",
+						r, s.SendBytes, want, stats[r].BytesSent)
+				}
+			}
+		})
+	}
+}
+
+// bcastSends is the number of messages rank sends on mp.Bcast's binomial
+// tree from root 0 over size ranks: one per round in which it already
+// holds the value and rank+mask exists.
+func bcastSends(rank, size int) int64 {
+	var n int64
+	for mask := 1; mask < size; mask <<= 1 {
+		if rank < mask && rank+mask < size {
+			n++
+		}
+	}
+	return n
+}
+
+// instrumentedSpawn runs j on a loopback TCP cluster with every rank
+// wrapped by an observer serving /metrics.json and writing a teardown
+// snapshot. It checks that the live body and the snapshot file agree and
+// returns the snapshot's ranks and each rank's runner.Stats, by rank.
+func instrumentedSpawn(t *testing.T, j job) ([]obs.CommSnapshot, []runner.Stats) {
+	t.Helper()
+	n := j.ranks
 	addrs, err := loopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +216,14 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 		// the snapshot carries the TCP writer's per-peer frames and writes.
 		return wrap(c), nil
 	}
-	if err := spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, job3D(cfg), nil) }); err != nil {
+	stats := make([]runner.Stats, n)
+	run := j.run
+	j.run = func(c mp.Comm) (*runner.Local, runner.Stats, error) {
+		l, st, err := run(c)
+		stats[c.Rank()] = st
+		return l, st, err
+	}
+	if err := spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, j, obsv) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,41 +257,56 @@ func TestSpawnRunInstrumentedSnapshot(t *testing.T) {
 	if len(dump.Ranks) != n {
 		t.Fatalf("snapshot has %d ranks, want %d", len(dump.Ranks), n)
 	}
-	peers := make([]map[int]obs.PeerTraffic, n)
+	ranks := make([]obs.CommSnapshot, n)
 	for _, s := range dump.Ranks {
-		peers[s.Rank] = map[int]obs.PeerTraffic{}
-		for _, p := range s.Peers {
-			peers[s.Rank][p.Peer] = p
-		}
+		ranks[s.Rank] = s
 	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			sent, got := peers[a][b], peers[b][a]
-			if sent.SendMsgs != got.RecvMsgs || sent.SendBytes != got.RecvBytes {
-				t.Errorf("rank %d -> %d: %d msgs / %d bytes sent, %d / %d received",
-					a, b, sent.SendMsgs, sent.SendBytes, got.RecvMsgs, got.RecvBytes)
-			}
-		}
+	return ranks, stats
+}
+
+// TestBadJobRejectedBeforeLaunch: a job the runner would reject — here one
+// with no ranks, in either shape — fails in buildJob with the runner's own
+// error, whichever way tilenode was asked to run it, before any socket is
+// dialled or any rank process started. It used to exit 0 under -spawn and
+// -rank, having run nothing.
+func TestBadJobRejectedBeforeLaunch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
 	}
-	for _, s := range dump.Ranks {
-		if s.Barriers != dump.Ranks[0].Barriers {
-			t.Errorf("rank %d: %d barriers, rank %d counted %d",
-				s.Rank, s.Barriers, dump.Ranks[0].Rank, dump.Ranks[0].Barriers)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	shapes := []struct {
+		name string
+		args []string
+		err  error
+	}{
+		{"3d", []string{"-shape", "3d", "-space", "8x8x64", "-procs", "0x1", "-v", "8"},
+			runner.Config{Grid: model.Grid3D{I: 8, J: 8, K: 64, PJ: 1}, V: 8, Kernel: stencil.Sqrt3D{}}.Validate(0)},
+		{"2d", []string{"-shape", "2d", "-space2d", "64x8", "-s1", "8", "-ranks", "0"},
+			runner.Config2D{I1: 64, I2: 8, S1: 8, Kernel: stencil.Sum2D{}}.Validate(0)},
+	}
+	modes := []struct {
+		name string
+		args []string
+	}{
+		{"spawn", []string{"-spawn"}},
+		{"rank", []string{"-rank", "0", "-addrs", "127.0.0.1:1"}},
+		{"supervise", []string{"-supervise", "-checkpoint-dir", t.TempDir(), "-checkpoint-every", "2"}},
+	}
+	for _, sh := range shapes {
+		if sh.err == nil {
+			t.Fatalf("%s: the runner accepts the job the test means to be bad", sh.name)
 		}
-		if s.SendBytes == 0 || s.RecvBytes == 0 {
-			t.Errorf("rank %d: no traffic recorded (%+v) — instrumentation not wired", s.Rank, s)
-		}
-		if s.TCP.DialOKs+s.TCP.AcceptOKs != int64(n-1) {
-			t.Errorf("rank %d: %d dials + %d accepts, want %d connections",
-				s.Rank, s.TCP.DialOKs, s.TCP.AcceptOKs, n-1)
-		}
-		// Every data message is one frame (control frames add more), and
-		// the writer puts one or more frames on the socket per write.
-		for _, p := range s.Peers {
-			if p.Frames < p.SendMsgs || p.Writes < 1 || p.Writes > p.Frames {
-				t.Errorf("rank %d peer %d: frames %d, writes %d for %d messages sent",
-					s.Rank, p.Peer, p.Frames, p.Writes, p.SendMsgs)
-			}
+		for _, m := range modes {
+			t.Run(sh.name+"/"+m.name, func(t *testing.T) {
+				out, err := child(ctx, append(m.args, sh.args...)...).CombinedOutput()
+				if err == nil {
+					t.Fatalf("exit 0 on a job with no ranks:\n%s", out)
+				}
+				if want := "tilenode: " + sh.err.Error() + "\n"; string(out) != want {
+					t.Errorf("output %q, want only the runner's error %q", out, want)
+				}
+			})
 		}
 	}
 }

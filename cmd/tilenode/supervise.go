@@ -60,9 +60,6 @@ func superviseMain() error {
 		return err
 	}
 	n := j.ranks
-	if n <= 0 {
-		return fmt.Errorf("the run needs a positive number of ranks, got %d", n)
-	}
 	if *chaosKillsFlag > 0 && (*chaosVictimFlag < 0 || *chaosVictimFlag >= n) {
 		return fmt.Errorf("-chaos-victim %d out of range [0,%d)", *chaosVictimFlag, n)
 	}

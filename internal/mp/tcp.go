@@ -64,7 +64,8 @@ type TCPOptions struct {
 	// DialBackoff is the initial retry backoff after a failed dial; it
 	// doubles per attempt up to a 500ms cap, with ±25% deterministic
 	// jitter so a cluster of late dialers doesn't stampede the listener.
-	// Default 10ms.
+	// Default 1ms: a refused dial usually means the peer process is still
+	// starting, and its listener is about a millisecond away.
 	DialBackoff time.Duration
 	// IOTimeout, when positive, bounds every post-handshake socket write;
 	// a peer that stops draining its socket then fails that peer's writer
@@ -185,7 +186,7 @@ type TCPEvent struct {
 
 const (
 	defaultDialTimeout   = 10 * time.Second
-	defaultDialBackoff   = 10 * time.Millisecond
+	defaultDialBackoff   = time.Millisecond
 	maxDialBackoff       = 500 * time.Millisecond
 	defaultHeartbeatMiss = 3
 
