@@ -5,7 +5,7 @@ GO ?= go
 
 BENCH ?= Fig9$$|Fig10$$|Fig11$$|Fig12$$|SimEngine$$|SimBuild$$|SweepParallel$$
 
-.PHONY: build test race bench bench-smoke fault-smoke serve-smoke chaos vet lint docs-check check
+.PHONY: build test race cancel-repeat bench bench-smoke fault-smoke serve-smoke chaos vet lint docs-check check
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,15 @@ test:
 # concurrency-heavy, and races have a habit of hiding in the "safe" packages.
 race:
 	$(GO) test -race ./...
+
+# The two mid-run cancellation tests, twenty times over on their own (under
+# two seconds). They used to cancel from a goroutine polling the cache, which
+# a 2-CPU host often did not schedule before the two busy evalAll workers
+# finished the ladder, and failed 2 runs in 5; they now cancel from the
+# evaluation count itself, and this keeps such a flake from coming back
+# unnoticed in a suite run that happens to pass once.
+cancel-repeat:
+	$(GO) test -count=20 -run 'TestCancelMidLadder$$|TestCancelThenRerunBitIdentical$$' ./internal/experiments
 
 bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
@@ -80,4 +89,4 @@ lint:
 docs-check:
 	$(GO) run ./cmd/docscheck .
 
-check: build test race fault-smoke serve-smoke chaos bench-smoke vet lint docs-check
+check: build test race cancel-repeat fault-smoke serve-smoke chaos bench-smoke vet lint docs-check

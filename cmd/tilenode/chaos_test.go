@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -181,13 +182,18 @@ func TestChaosKillAndRestore(t *testing.T) {
 }
 
 // TestReaderDecidedByRankZero: whether the grid is gathered is rank 0's
-// decision alone, because only rank 0's flags name a reader. Two real
-// processes run with different flags: rank 0 writing the grid while rank 1
-// does not verify must still gather a grid byte-identical to a -spawn
-// run's, and rank 0 not verifying while rank 1 keeps the default -verify
-// must skip the gather on both. A rank that decided from its own flags
-// would wait on a chunk or a credit its peer never sends; -deadline turns
-// that into a failed exit instead of a hang.
+// decision alone, because only rank 0's flags name a reader, and it is
+// broadcast before the run, because a rank whose result nobody reads only
+// times the run (runner.Time, a ring of two tiles instead of its box). Two
+// real processes run with different flags: rank 0 writing the grid while
+// rank 1 does not verify must still gather a grid byte-identical to a
+// -spawn run's, and rank 0 not verifying while rank 1 keeps the default
+// -verify must skip the gather on both and print the stats line a
+// gathering run prints. A rank deciding from its own flags would wait on a
+// chunk or a credit its peer never sends; -deadline turns that into a
+// failed exit instead of a hang. A -spawn run whose rank 0 has -grid-out
+// gathers the grid a verified run writes, and a -verify=false run that
+// checkpoints keeps its box and writes its snapshots.
 func TestReaderDecidedByRankZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -198,11 +204,40 @@ func TestReaderDecidedByRankZero(t *testing.T) {
 		"-mode", "overlapped", "-deadline", "5s"}
 	dir := t.TempDir()
 	baseGrid := filepath.Join(dir, "base.bin")
-	if out, err := child(ctx, append(shape, "-spawn", "-verify=false", "-grid-out", baseGrid)...).CombinedOutput(); err != nil {
-		t.Fatalf("baseline run: %v\n%s", err, out)
+	baseOut, err := child(ctx, append(shape, "-spawn", "-verify=false", "-grid-out", baseGrid)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("baseline run: %v\n%s", err, baseOut)
 	}
-	// pair runs rank 0 and rank 1 as processes with their own extra flags.
-	pair := func(t *testing.T, flags0, flags1 []string) {
+	// statsLine is the stats line in out without its wall-clock figure.
+	elapsed := regexp.MustCompile(`elapsed=\S+ `)
+	statsLine := func(t *testing.T, out []byte) string {
+		t.Helper()
+		for _, l := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(l, "mode=") {
+				return elapsed.ReplaceAllString(l, "elapsed=… ")
+			}
+		}
+		t.Fatalf("no stats line in %q", out)
+		return ""
+	}
+	wantLine := statsLine(t, baseOut)
+	sameGrid := func(t *testing.T, path string) {
+		t.Helper()
+		base, err := os.ReadFile(baseGrid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(base) == 0 || !bytes.Equal(base, got) {
+			t.Fatalf("grid in %s differs from the -spawn run's (%d vs %d bytes)", path, len(got), len(base))
+		}
+	}
+	// pair runs rank 0 and rank 1 as processes with their own extra flags
+	// and returns what each printed.
+	pair := func(t *testing.T, flags0, flags1 []string) [2][]byte {
 		t.Helper()
 		addrs, err := loopbackAddrs(2)
 		if err != nil {
@@ -223,25 +258,46 @@ func TestReaderDecidedByRankZero(t *testing.T) {
 				t.Errorf("rank %d: %v\n%s", r, err, outs[r].String())
 			}
 		}
+		return [2][]byte{outs[0].Bytes(), outs[1].Bytes()}
 	}
 
 	t.Run("grid-out on rank 0 only", func(t *testing.T) {
 		gridOut := filepath.Join(dir, "pair.bin")
 		pair(t, []string{"-verify=false", "-grid-out", gridOut}, []string{"-verify=false"})
-		base, err := os.ReadFile(baseGrid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(gridOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(base) == 0 || !bytes.Equal(base, got) {
-			t.Fatalf("grid written by rank 0 differs from the -spawn run's (%d vs %d bytes)", len(got), len(base))
-		}
+		sameGrid(t, gridOut)
 	})
 	t.Run("verify on rank 1 only", func(t *testing.T) {
-		pair(t, []string{"-verify=false"}, nil)
+		outs := pair(t, []string{"-verify=false"}, nil)
+		if got := statsLine(t, outs[0]); got != wantLine {
+			t.Errorf("timed run's stats line %q, a gathering run's %q", got, wantLine)
+		}
+		if strings.Contains(string(outs[0]), "verification") || len(outs[1]) != 0 {
+			t.Errorf("a run without a reader verified or printed on rank 1:\n%s\n%s", outs[0], outs[1])
+		}
+	})
+	t.Run("spawn with grid-out gathers", func(t *testing.T) {
+		checked := filepath.Join(dir, "checked.bin")
+		out, err := child(ctx, append(shape, "-spawn", "-grid-out", checked)...).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "max |parallel - sequential| = 0\n") {
+			t.Fatalf("verified run: %v\n%s", err, out)
+		}
+		sameGrid(t, checked)
+	})
+	t.Run("checkpointing keeps the box", func(t *testing.T) {
+		ck := t.TempDir()
+		out, err := child(ctx, append(shape, "-spawn", "-verify=false", "-checkpoint-dir", ck, "-checkpoint-every", "2")...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		if got := statsLine(t, out); got != wantLine {
+			t.Errorf("checkpointing run's stats line %q, want %q", got, wantLine)
+		}
+		// 20 tiles a rank, a snapshot after every second but the last.
+		for rank := 0; rank < 2; rank++ {
+			if next, _, err := runner.LatestCheckpoint(ck, rank); err != nil || next != 18 {
+				t.Errorf("rank %d: newest snapshot at tile %d (%v), want 18", rank, next, err)
+			}
+		}
 	})
 }
 

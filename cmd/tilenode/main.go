@@ -8,9 +8,11 @@
 // Rank 0 prints the wall-clock comparison line. The result is gathered onto
 // rank 0 only when something there reads it: -verify (the check against a
 // sequential run) or -grid-out. Rank 0 alone decides and tells the other
-// ranks, and then every other rank streams its box to it in chunks of at
-// most 1 MiB, so a grid of any size gathers. A timing run with
-// -verify=false and no -grid-out never holds the whole grid anywhere.
+// ranks before the run, and then every other rank streams its box to it in
+// chunks of at most 1 MiB, so a grid of any size gathers. A timing run
+// with -verify=false, no -grid-out and no checkpointing never holds the
+// whole grid anywhere: each rank computes into a ring of two tiles per
+// k-row (runner.Time), not into its whole box.
 //
 // For a single-machine demo, -spawn launches all ranks as goroutines over
 // loopback TCP sockets (separate sockets, same code path):
@@ -69,7 +71,8 @@ var (
 	procsFlag = flag.String("procs", "2x2", "processor grid PIxPJ (with -shape 3d)")
 	vFlag     = flag.Int64("v", 64, "tile height along k (with -shape 3d)")
 	modeFlag  = flag.String("mode", "overlapped", "blocking | overlapped")
-	verify    = flag.Bool("verify", true, "rank 0 gathers the grid and verifies it against a sequential run")
+	verify    = flag.Bool("verify", true,
+		"rank 0 gathers the grid and verifies it against a sequential run; with -verify=false, no -grid-out and no checkpointing every rank holds two tiles, not its box")
 
 	space2Flag = flag.String("space2d", "64x8", "iteration space I1xI2 (with -shape 2d)")
 	s1Flag     = flag.Int64("s1", 8, "tile side along dim 0 (with -shape 2d)")
@@ -120,6 +123,8 @@ type job struct {
 	ranks int
 	tiles int64 // per rank
 	run   func(mp.Comm) (*runner.Local, runner.Stats, error)
+	// time is run without the grid, for a rank whose result nobody reads.
+	time func(mp.Comm) (runner.Stats, error)
 	// gather and verify are collective-on-rank-0 steps after a run.
 	gather func(mp.Comm, *runner.Local) (*stencil.Grid, error)
 	verify func(*stencil.Grid) (float64, error)
@@ -129,6 +134,9 @@ type job struct {
 	// (-verify, -grid-out); on any other rank they mean nothing.
 	check   bool
 	gridOut string
+	// checkpointed: this rank snapshots or restores its box, so it keeps
+	// the whole box whether or not rank 0 reads the grid.
+	checkpointed bool
 }
 
 // tilesAlong is the number of tiles of the given height along n points; a
@@ -142,14 +150,17 @@ func tilesAlong(n, height int64) int64 {
 
 func job3D(cfg runner.Config) job {
 	g := cfg.Grid
+	// slow is cfg for one rank's run, which needs its own tile-delay kernel.
+	slow := func() runner.Config {
+		s := cfg
+		s.Kernel = withTileDelay(cfg.Kernel, 2, cfg.V)
+		return s
+	}
 	return job{
-		ranks: int(g.PI * g.PJ),
-		tiles: tilesAlong(g.K, cfg.V),
-		run: func(c mp.Comm) (*runner.Local, runner.Stats, error) {
-			slow := cfg
-			slow.Kernel = withTileDelay(cfg.Kernel, 2, cfg.V)
-			return runner.Run(c, slow)
-		},
+		ranks:  int(g.PI * g.PJ),
+		tiles:  tilesAlong(g.K, cfg.V),
+		run:    func(c mp.Comm) (*runner.Local, runner.Stats, error) { return runner.Run(c, slow()) },
+		time:   func(c mp.Comm) (runner.Stats, error) { return runner.Time(c, slow()) },
 		gather: func(c mp.Comm, l *runner.Local) (*stencil.Grid, error) { return runner.Gather(c, cfg, l) },
 		verify: func(grid *stencil.Grid) (float64, error) { return runner.VerifySequential(grid, cfg) },
 		line: func(st runner.Stats) string {
@@ -161,14 +172,16 @@ func job3D(cfg runner.Config) job {
 }
 
 func job2D(cfg runner.Config2D, ranks int) job {
+	slow := func() runner.Config2D {
+		s := cfg
+		s.Kernel = withTileDelay(cfg.Kernel, 0, cfg.S1)
+		return s
+	}
 	return job{
-		ranks: ranks,
-		tiles: tilesAlong(cfg.I1, cfg.S1),
-		run: func(c mp.Comm) (*runner.Local, runner.Stats, error) {
-			slow := cfg
-			slow.Kernel = withTileDelay(cfg.Kernel, 0, cfg.S1)
-			return runner.Run2D(c, slow)
-		},
+		ranks:  ranks,
+		tiles:  tilesAlong(cfg.I1, cfg.S1),
+		run:    func(c mp.Comm) (*runner.Local, runner.Stats, error) { return runner.Run2D(c, slow()) },
+		time:   func(c mp.Comm) (runner.Stats, error) { return runner.Time2D(c, slow()) },
 		gather: func(c mp.Comm, l *runner.Local) (*stencil.Grid, error) { return runner.Gather2D(c, cfg, l) },
 		verify: func(grid *stencil.Grid) (float64, error) { return runner.VerifySequential2D(grid, cfg) },
 		line: func(st runner.Stats) string {
@@ -228,7 +241,7 @@ func buildJob() (job, error) {
 	if err := validate(j.ranks); err != nil {
 		return job{}, err
 	}
-	j.check, j.gridOut = *verify, *gridOutFlag
+	j.check, j.gridOut, j.checkpointed = *verify, *gridOutFlag, ck != (runner.CheckpointConfig{})
 	return j, nil
 }
 
@@ -284,28 +297,41 @@ func writeGrid(path string, g *stencil.Grid) error {
 	return f.Close()
 }
 
-// rankMain is one rank's whole life: run, record the checkpoint counters,
-// gather if rank 0 reads the grid, and on rank 0 print the stats line,
-// verify and write the grid.
+// rankMain is one rank's whole life: learn whether rank 0 reads the grid,
+// run (timed only, when nothing needs the box), record the checkpoint
+// counters, gather if rank 0 reads the grid, and on rank 0 print the stats
+// line, verify and write the grid.
 func rankMain(c mp.Comm, j job, obsv *observer) error {
-	local, stats, err := j.run(c)
-	if err != nil {
-		return err
-	}
-	if m := obsv.metrics(c.Rank()); m != nil {
-		m.RecordCheckpoints(stats.Checkpoints, stats.CheckpointBytes)
-	}
 	// Only rank 0's flags say whether the grid has a reader (-verify means
 	// something there alone, and the supervisor hands -grid-out to rank 0
-	// only), so rank 0 decides and broadcasts one byte. A rank deciding
-	// from its own flags could wait for a credit that never comes, or
-	// never send the chunks rank 0 waits for.
+	// only), so rank 0 decides and broadcasts one byte, before the run so
+	// that a rank with no reader and no snapshots to take can compute into
+	// a ring instead of its whole box. A rank deciding from its own flags
+	// could wait for a credit that never comes, or never send the chunks
+	// rank 0 waits for. Both front doors exchange the same messages, so
+	// ranks may differ in which they take.
 	read := []byte{0}
 	if c.Rank() == 0 && (j.check || j.gridOut != "") {
 		read[0] = 1
 	}
 	if err := mp.Bcast(c, 0, read); err != nil {
 		return err
+	}
+	var (
+		local *runner.Local
+		stats runner.Stats
+		err   error
+	)
+	if read[0] == 0 && !j.checkpointed {
+		stats, err = j.time(c)
+	} else {
+		local, stats, err = j.run(c)
+	}
+	if err != nil {
+		return err
+	}
+	if m := obsv.metrics(c.Rank()); m != nil {
+		m.RecordCheckpoints(stats.Checkpoints, stats.CheckpointBytes)
 	}
 	var grid *stencil.Grid
 	if read[0] == 1 {

@@ -217,11 +217,16 @@ func instrumentedSpawn(t *testing.T, j job) ([]obs.CommSnapshot, []runner.Stats)
 		return wrap(c), nil
 	}
 	stats := make([]runner.Stats, n)
-	run := j.run
+	run, time := j.run, j.time
 	j.run = func(c mp.Comm) (*runner.Local, runner.Stats, error) {
 		l, st, err := run(c)
 		stats[c.Rank()] = st
 		return l, st, err
+	}
+	j.time = func(c mp.Comm) (runner.Stats, error) {
+		st, err := time(c)
+		stats[c.Rank()] = st
+		return st, err
 	}
 	if err := spawnRun(n, connect, func(c mp.Comm) error { return rankMain(c, j, obsv) }); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -136,25 +138,49 @@ func TestCancelledContextRejectedPromptly(t *testing.T) {
 	}
 }
 
+// cancelAfterEval is a test-owned context that the first DES evaluation
+// counted in cache cancels: from then on Err reports context.Canceled, and
+// Done closes the first time Err says so. No goroutine has to be scheduled
+// to cancel it, so evalAll, which asks its parent before every point, stops
+// at its next point even while its workers never yield.
+type cancelAfterEval struct {
+	context.Context
+	cache *sim.Cache
+	once  sync.Once
+	done  chan struct{}
+}
+
+func cancelAfterFirstEval(cache *sim.Cache) *cancelAfterEval {
+	return &cancelAfterEval{Context: context.Background(), cache: cache, done: make(chan struct{})}
+}
+
+func (c *cancelAfterEval) Done() <-chan struct{} {
+	c.Err()
+	return c.done
+}
+
+func (c *cancelAfterEval) Err() error {
+	if c.cache.Stats().Evals == 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
 // TestCancelMidLadder cancels an exhaustive sweep after its first DES
 // evaluation lands and checks the run aborts mid-ladder: the returned
-// error is context.Canceled and well under the full ladder's evaluations
-// ran. The margin is wide — one eval triggers the cancel, dozens remain —
-// so the assertion is robust to scheduling noise.
+// error is context.Canceled and fewer than the full ladder's evaluations
+// ran. The cancel comes from the evaluation count itself (cancelAfterEval),
+// not from a goroutine polling it, so it holds however the host schedules:
+// on two workers at most one more evaluation than the first can have
+// started before the cancel, and the ladder has 14.
 func TestCancelMidLadder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // evalAll's worker count
 	s := cancelSweep()
 	s.Exact = true // force the full ladder so "mid-ladder" has meat
 	total := 2 * len(s.Heights)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for s.Cache.Stats().Evals == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		cancel()
-	}()
-	_, err := s.RunCtx(ctx)
+	_, err := s.RunCtx(cancelAfterFirstEval(s.Cache))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -168,14 +194,7 @@ func TestCancelMidLadder(t *testing.T) {
 // cancellation never leaves partial state that changes an answer.
 func TestCancelThenRerunBitIdentical(t *testing.T) {
 	s := cancelSweep()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for s.Cache.Stats().Evals == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		cancel()
-	}()
-	if _, err := s.RunCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := s.RunCtx(cancelAfterFirstEval(s.Cache)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("setup cancel failed: %v", err)
 	}
 

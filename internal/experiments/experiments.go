@@ -181,8 +181,12 @@ func pair(g model.Grid3D, v int64, cap sim.Capability, o sim.GridOpts) []point {
 // is identical regardless of worker scheduling (the simulator itself is
 // deterministic). The first error — or cancellation of the parent context —
 // stops the remaining work promptly: no worker starts an evaluation under a
-// dead context, so the granularity is one DES evaluation. It is the one
-// worker pool behind every experiment; evalGrid is its grid front end.
+// dead context, so the granularity is one DES evaluation. A worker asks the
+// parent itself before every point, because the pool's own context learns
+// of a parent's cancellation by propagation, which for a context type
+// outside the standard library runs on a goroutine that may not be
+// scheduled while the workers are busy. It is the one worker pool behind
+// every experiment; evalGrid is its grid front end.
 func evalAll(parent context.Context, n int, eval func(ctx context.Context, i int) (sim.Result, error)) ([]sim.Result, error) {
 	res := make([]sim.Result, n)
 	ctx, cancel := context.WithCancel(parent)
@@ -197,7 +201,7 @@ func evalAll(parent context.Context, n int, eval func(ctx context.Context, i int
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+			for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil && parent.Err() == nil; i = int(next.Add(1)) - 1 {
 				r, err := eval(ctx, i)
 				if err != nil {
 					errOnce.Do(func() {

@@ -267,7 +267,7 @@ func TestGhostLayerAddressable(t *testing.T) {
 		{"2d", cfg2.problem(1), 0, func(li, lj, k int64) ilmath.Vec { return ilmath.V(k, lj) }, func(n int) bool { return true }},
 	} {
 		err := mp.Launch(1, func(c mp.Comm) error {
-			l, _, err := tc.p.run(c)
+			l, _, err := tc.p.run(c, tc.p.space[2])
 			if err != nil {
 				return err
 			}
@@ -309,16 +309,14 @@ func TestGhostLayerAddressable(t *testing.T) {
 	}
 }
 
-// runAllocs is the allocation count of one whole 2-rank in-process run of p
-// — world, buffers, tile loop — as testing.AllocsPerRun sees it (one P, so
-// the ranks interleave the same way every time).
-func runAllocs(t *testing.T, launch launcher, p problem) float64 {
+// runAllocs is the allocation count of one whole 2-rank in-process run —
+// world, buffers, tile loop — through run, a front door, as
+// testing.AllocsPerRun sees it (one P, so the ranks interleave the same way
+// every time).
+func runAllocs(t *testing.T, launch launcher, run func(mp.Comm) error) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(10, func() {
-		err := launch(2, func(c mp.Comm) error {
-			_, _, err := p.run(c)
-			return err
-		})
+		err := launch(2, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,10 +359,12 @@ func bareAllocs(t *testing.T, launch launcher, mode Mode, msgs, size int) float6
 }
 
 // TestTileLoopAllocationFree checks the two halves of "the steady-state tile
-// loop allocates nothing": the count does not depend on how many points a
-// tile holds, and what one more tile adds is what the transport allocates
-// for that tile's one message (measured here by a bare loop of the same
-// message count), not a buffer, request slice or closure of the runner's.
+// loop allocates nothing", through the front door that keeps the grid and
+// through the one that only times the run: the count does not depend on how
+// many points a tile holds, and what one more tile adds is what the
+// transport allocates for that tile's one message (measured here by a bare
+// loop of the same message count), not a buffer, request slice or closure
+// of the runner's.
 func TestTileLoopAllocationFree(t *testing.T) {
 	// What the in-process transport may allocate for one face-sized message
 	// that arrives before its receive is posted. Measured: eager 2.00
@@ -377,42 +377,55 @@ func TestTileLoopAllocationFree(t *testing.T) {
 	// each costs the runtime an allocation or two; a per-point or per-tile
 	// leak is hundreds.
 	const slack = 4.0
-	// Two ranks, one face per tile between them, k extent and tile height free.
+	// Two ranks, one face per tile between them, k extent and tile height
+	// free; each shape's run through the front door that keeps the grid
+	// and through the one that only times it.
 	for _, sh := range []struct {
 		name      string
-		p         func(k, v int64, mode Mode) problem
+		run       func(k, v int64, mode Mode) [2]func(mp.Comm) error // through Run, through Time
 		faceBytes func(v int64) int
 	}{
-		{"3d", func(k, v int64, mode Mode) problem {
-			return Config{Grid: model.Grid3D{I: 4, J: 4, K: k, PI: 2, PJ: 1}, V: v, Kernel: stencil.Sqrt3D{}, Mode: mode}.problem()
+		{"3d", func(k, v int64, mode Mode) [2]func(mp.Comm) error {
+			cfg := Config{Grid: model.Grid3D{I: 4, J: 4, K: k, PI: 2, PJ: 1}, V: v, Kernel: stencil.Sqrt3D{}, Mode: mode}
+			return [2]func(mp.Comm) error{
+				func(c mp.Comm) error { _, _, err := Run(c, cfg); return err },
+				func(c mp.Comm) error { _, err := Time(c, cfg); return err },
+			}
 		}, func(v int64) int { return int(8 * 4 * v) }},
-		{"2d", func(k, v int64, mode Mode) problem {
-			return Config2D{I1: k, I2: 8, S1: v, Kernel: stencil.Sum2D{}, Mode: mode}.problem(2)
+		{"2d", func(k, v int64, mode Mode) [2]func(mp.Comm) error {
+			cfg := Config2D{I1: k, I2: 8, S1: v, Kernel: stencil.Sum2D{}, Mode: mode}
+			return [2]func(mp.Comm) error{
+				func(c mp.Comm) error { _, _, err := Run2D(c, cfg); return err },
+				func(c mp.Comm) error { _, err := Time2D(c, cfg); return err },
+			}
 		}, func(v int64) int { return int(8 * (v + 1)) }},
 	} {
-		for _, w := range inprocWorlds {
-			for _, mode := range []Mode{Blocking, Overlapped} {
-				const k, v, tiles = 256, 16, 16
-				what := fmt.Sprintf("%s %s %v", sh.name, w.name, mode)
-				allocs := runAllocs(t, w.launch, sh.p(k, v, mode))
+		for door, name := range []string{"Run", "Time"} {
+			run := func(k, v int64, mode Mode) func(mp.Comm) error { return sh.run(k, v, mode)[door] }
+			for _, w := range inprocWorlds {
+				for _, mode := range []Mode{Blocking, Overlapped} {
+					const k, v, tiles = 256, 16, 16
+					what := fmt.Sprintf("%s %s %s %v", sh.name, name, w.name, mode)
+					allocs := runAllocs(t, w.launch, run(k, v, mode))
 
-				// Same 16 tiles, twice the points in each.
-				if got := runAllocs(t, w.launch, sh.p(2*k, 2*v, mode)); math.Abs(got-allocs) > slack {
-					t.Errorf("%s: %v allocations with V=%d, %v with V=%d at the same tile count", what, allocs, v, got, 2*v)
-				}
+					// Same 16 tiles, twice the points in each.
+					if got := runAllocs(t, w.launch, run(2*k, 2*v, mode)); math.Abs(got-allocs) > slack {
+						t.Errorf("%s: %v allocations with V=%d, %v with V=%d at the same tile count", what, allocs, v, got, 2*v)
+					}
 
-				// Twice the tiles at the same V.
-				perTile := (runAllocs(t, w.launch, sh.p(2*k, v, mode)) - allocs) / tiles
-				perMsg := (bareAllocs(t, w.launch, mode, 2*tiles, sh.faceBytes(v)) -
-					bareAllocs(t, w.launch, mode, tiles, sh.faceBytes(v))) / tiles
-				if perTile > perMsg+slack/tiles {
-					t.Errorf("%s: a tile adds %.2f allocations, its message alone %.2f", what, perTile, perMsg)
+					// Twice the tiles at the same V.
+					perTile := (runAllocs(t, w.launch, run(2*k, v, mode)) - allocs) / tiles
+					perMsg := (bareAllocs(t, w.launch, mode, 2*tiles, sh.faceBytes(v)) -
+						bareAllocs(t, w.launch, mode, tiles, sh.faceBytes(v))) / tiles
+					if perTile > perMsg+slack/tiles {
+						t.Errorf("%s: a tile adds %.2f allocations, its message alone %.2f", what, perTile, perMsg)
+					}
+					if perMsg > transportAllocsPerMsg+slack/tiles {
+						t.Errorf("%s: the transport allocates %.2f per message, ceiling %v", what, perMsg, transportAllocsPerMsg)
+					}
+					t.Logf("%s: %v allocations for %d tiles; +%.2f per tile, transport +%.2f per message",
+						what, allocs, tiles, perTile, perMsg)
 				}
-				if perMsg > transportAllocsPerMsg+slack/tiles {
-					t.Errorf("%s: the transport allocates %.2f per message, ceiling %v", what, perMsg, transportAllocsPerMsg)
-				}
-				t.Logf("%s: %v allocations for %d tiles; +%.2f per tile, transport +%.2f per message",
-					what, allocs, tiles, perTile, perMsg)
 			}
 		}
 	}

@@ -104,6 +104,17 @@ func (cc CheckpointConfig) validate() error {
 	return nil
 }
 
+var errTimedCheckpoint = errors.New("runner: a timed run keeps a ring of tiles, not the grid, so it cannot checkpoint or restore (use Run)")
+
+// timeable refuses, for Time and Time2D, any checkpointing: a ring cannot
+// be snapshotted into a restorable grid.
+func (cc CheckpointConfig) timeable() error {
+	if cc.Dir != "" || cc.Restore {
+		return errTimedCheckpoint
+	}
+	return nil
+}
+
 // RestoreReason classifies how a restore-enabled run chose its start tile.
 type RestoreReason int
 

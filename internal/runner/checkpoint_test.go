@@ -81,7 +81,7 @@ func runProblem(t *testing.T, p problem, wrap func(mp.Comm) mp.Comm) (*stencil.G
 		if wrap != nil {
 			c = wrap(c)
 		}
-		l, st, err := p.run(c)
+		l, st, err := p.run(c, p.space[2])
 		if err != nil {
 			return err
 		}

@@ -4,4 +4,6 @@
 // (ProcNB) of the paper's pseudocode. Run takes the Section 5 experiment (an
 // I×J×K stencil on a PI×PJ grid, all k-tiles of a column on one rank), Run2D
 // the Example 1 strip; both only describe their geometry to the same loop.
+// Time and Time2D run the same loop for a caller that only wants the
+// statistics, on a ring of two tiles per rank instead of the whole column.
 package runner

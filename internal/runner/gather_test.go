@@ -24,7 +24,7 @@ func gatherProblem(t *testing.T, launch launcher, p problem) *stencil.Grid {
 	}
 	var grid *stencil.Grid
 	err := launch(n, func(c mp.Comm) error {
-		l, _, err := p.run(c)
+		l, _, err := p.run(c, p.space[2])
 		if err != nil {
 			return err
 		}

@@ -187,6 +187,9 @@ type geometry struct {
 	// gi is the number of ghost planes below li = 0: 1 when the kernel has an
 	// i axis, else 0. j and k always have one.
 	gi int64
+	// w is the number of k-slots a row keeps after its slot 0: K when the
+	// run keeps the grid, a ring (ringSlots) when it is only timed.
+	w int64
 }
 
 // split is the balanced partition of n points over parts owners: the first
@@ -198,7 +201,7 @@ func split(n, parts, idx int64) (base, width int64) {
 }
 
 func (p problem) geometry(rank int) geometry {
-	g := geometry{Rank: rank, K: p.space[2]}
+	g := geometry{Rank: rank, K: p.space[2], w: p.space[2]}
 	g.BaseI, g.TI = split(p.space[0], p.procs[0], int64(rank)/p.procs[1])
 	g.BaseJ, g.TJ = split(p.space[1], p.procs[1], int64(rank)%p.procs[1])
 	if slices.Contains(p.axis, 0) {
@@ -207,9 +210,16 @@ func (p problem) geometry(rank int) geometry {
 	return g
 }
 
-func (g *geometry) idx(li, lj, k int64) int64 {
-	return ((li+g.gi)*(g.TJ+1)+(lj+1))*(g.K+1) + k + 1
-}
+// idx is the Data offset of local (li, lj, k): row (li, lj) holds w+1
+// slots, slot 0 the plane below the tile in it and k at slot 1 + k mod w.
+// With w = K that is every k in order after the k = −1 boundary; on a ring
+// a tile never straddles the wrap, and one that starts at slot 1 finds
+// k0−1 copied into slot 0 (see enterTile), so within a tile and the plane
+// below it consecutive k are still adjacent.
+func (g *geometry) idx(li, lj, k int64) int64 { return g.row(li, lj) + k%g.w + 1 }
+
+// row is the Data offset of row (li, lj): its slot 0.
+func (g *geometry) row(li, lj int64) int64 { return ((li+g.gi)*(g.TJ+1) + (lj + 1)) * (g.w + 1) }
 
 // Local is one rank's subdomain after a run.
 type Local struct {
@@ -224,7 +234,8 @@ type Local struct {
 
 // At returns the local value at subdomain-relative coordinates
 // (li ∈ [−1, TI), lj ∈ [−1, TJ), k ∈ [−1, K); a 2-D run's (row i1, column c)
-// is At(0, c, i1)).
+// is At(0, c, i1)). On a timing run's ring, whose Local only the package's
+// tests see, k reads its slot: the last value of k mod w written there.
 func (l *Local) At(li, lj, k int64) float64 { return l.Data[l.idx(li, lj, k)] }
 
 // Run executes the configured schedule on communicator c and returns this
@@ -241,7 +252,7 @@ func Run(c mp.Comm, cfg Config) (*Local, Stats, error) {
 	if err := cfg.Validate(c.Size()); err != nil {
 		return nil, Stats{}, err
 	}
-	return cfg.problem().run(c)
+	return cfg.problem().run(c, cfg.Grid.K)
 }
 
 // Run2D is Run for the Example 1 shape.
@@ -249,16 +260,64 @@ func Run2D(c mp.Comm, cfg Config2D) (*Local, Stats, error) {
 	if err := cfg.Validate(c.Size()); err != nil {
 		return nil, Stats{}, err
 	}
-	return cfg.problem(c.Size()).run(c)
+	return cfg.problem(c.Size()).run(c, cfg.I1)
 }
 
-func (p problem) run(c mp.Comm) (*Local, Stats, error) {
+// Time is Run for a caller that only times the run: the same schedule,
+// messages and Stats, but no grid. Each rank keeps a ring of two tiles (at
+// least 256 k-slots) per k-row instead of its whole column, so its memory
+// is O(TI·TJ·V), not O(TI·TJ·K), and the tile loop reuses pages it has
+// touched rather than faulting in fresh ones. A ring cannot be snapshotted
+// into a restorable grid, so a Config with Checkpoint.Dir or
+// Checkpoint.Restore set is an error, reported before any allocation or
+// message. Ranks may mix Time and Run in one run.
+func Time(c mp.Comm, cfg Config) (Stats, error) {
+	if err := cfg.Checkpoint.timeable(); err != nil {
+		return Stats{}, err
+	}
+	if err := cfg.Validate(c.Size()); err != nil {
+		return Stats{}, err
+	}
+	_, st, err := cfg.problem().run(c, ringSlots(cfg.V, cfg.Grid.K))
+	return st, err
+}
+
+// Time2D is Time for the Example 1 shape.
+func Time2D(c mp.Comm, cfg Config2D) (Stats, error) {
+	if err := cfg.Checkpoint.timeable(); err != nil {
+		return Stats{}, err
+	}
+	if err := cfg.Validate(c.Size()); err != nil {
+		return Stats{}, err
+	}
+	_, st, err := cfg.problem(c.Size()).run(c, ringSlots(cfg.S1, cfg.I1))
+	return st, err
+}
+
+// ringSlots is the k-slots per row of a timed run with tiles of height v
+// along k extent K: the smallest multiple of v that is at least two tiles,
+// so that the tile being computed never overwrites the one before it, whose
+// faces the overlapped schedule sends while it computes, and at least
+// minRing slots; never more than K.
+func ringSlots(v, k int64) int64 { return min(k, v*max(2, (minRing+v-1)/v)) }
+
+// minRing keeps a ring's laps long enough that the wrap copy and the lap's
+// boundary fill stay off most tiles. A lap of two slots puts them on every
+// other tile, which cost node3d-fine's V = 1 (8×2×16384 on 1×2 over TCP,
+// 16384 tiles a rank) what the ring saved in first touch; 256 slots are two
+// node3d-coarse tiles, so its ring is two tiles either way.
+const minRing = 256
+
+// run executes p with w k-slots per row (see geometry.idx): K keeps the
+// grid, a multiple of v smaller than K is a ring.
+func (p problem) run(c mp.Comm, w int64) (*Local, Stats, error) {
 	if p.boundary == nil {
 		p.boundary = stencil.ConstBoundary(1)
 	}
 	rank := c.Rank()
 	l := &Local{geometry: p.geometry(rank)}
-	l.Data = make([]float64, (l.TI+l.gi)*(l.TJ+1)*(l.K+1))
+	l.w = w
+	l.Data = make([]float64, (l.TI+l.gi)*(l.TJ+1)*(l.w+1))
 	r := newRun(c, p, l)
 	if p.checkpoint.Dir != "" {
 		removeOrphanTemps(p.checkpoint.Dir, rank)
@@ -276,7 +335,7 @@ func (p problem) run(c mp.Comm) (*Local, Stats, error) {
 		startTile = info.StartTile
 	}
 	// After the restore decision: a peer-forced fresh start zeroes Data.
-	r.fillBoundaryGhosts()
+	r.fillLap(startTile * p.v)
 	if err := c.Barrier(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -341,18 +400,20 @@ type run struct {
 	face    [2]face
 	ups     []*face         // the faces that have a rank upstream
 	downs   []*face         // ... downstream
+	bounds  []*face         // the faces whose ghost plane holds the boundary
+	kx      int             // the component of a kernel-space point that runs along k
 	blk     stencil.Block3D // the kernel's block fast path; nil when it offers only Eval
 	pt      ilmath.Vec      // the one vector handed to Eval and Boundary: neither keeps it
 	ckBuf   []byte          // the snapshot buffer, made by the first checkpoint
 }
 
 func newRun(c mp.Comm, p problem, l *Local) *run {
-	r := &run{p: p, c: c, l: l, tiles: p.tiles(), pt: ilmath.NewVec(len(p.axis))}
+	r := &run{p: p, c: c, l: l, tiles: p.tiles(), pt: ilmath.NewVec(len(p.axis)), kx: slices.Index(p.axis, 2)}
 	r.overlap, _ = p.faceOverlap() // validate has seen the error
 	r.blk, _ = p.kernel.(stencil.Block3D)
 	coord := [2]int64{int64(l.Rank) / p.procs[1], int64(l.Rank) % p.procs[1]}
 	step := [2]int{int(p.procs[1]), 1} // rank distance to the next column along i, j
-	ext, stride := [2]int64{l.TI, l.TJ}, [2]int64{(l.TJ + 1) * (l.K + 1), l.K + 1}
+	ext, stride := [2]int64{l.TI, l.TJ}, [2]int64{(l.TJ + 1) * (l.w + 1), l.w + 1}
 	for dir := range r.face {
 		f := &r.face[dir]
 		f.dir, f.up, f.down = dir, -1, -1
@@ -369,6 +430,8 @@ func newRun(c mp.Comm, p problem, l *Local) *run {
 				f.recv[1] = make([]byte, n)
 			}
 			r.ups = append(r.ups, f)
+		} else if dir != dirWest || l.gi == 1 { // the plane exists and no neighbour fills it
+			r.bounds = append(r.bounds, f)
 		}
 	}
 	return r
@@ -389,30 +452,50 @@ func (r *run) point(li, lj, k int64) ilmath.Vec {
 	return r.pt
 }
 
-// fillBoundaryGhosts turns the boundary from control flow into data: every
-// point outside the iteration space that a local point reads gets its
-// Boundary value stored in the ghost layer once, so the tile loop reads all
-// its predecessors from Data without asking where it is. (Ghost planes that
-// face a neighbour rank are filled tile by tile from the faces it sends.)
-func (r *run) fillBoundaryGhosts() {
-	l, b, c := r.l, r.p.boundary, r.overlap
-	kx := slices.Index(r.p.axis, 2) // the component of a point that runs along k
+// enterTile readies the rows of the tile that starts at k0. Only a tile
+// that starts a new lap of a ring has anything to do: it copies k0−1 from
+// each row's last slot into slot 0, where the sweep, Eval and the faces
+// that ride along read it, and fills the lap's boundary.
+func (r *run) enterTile(k0 int64) {
+	l := r.l
+	if k0 == 0 || k0%l.w != 0 {
+		return
+	}
 	for li := int64(0); li < l.TI; li++ {
 		for lj := int64(0); lj < l.TJ; lj++ {
-			l.Data[l.idx(li, lj, -1)] = b(r.point(li, lj, -1))
+			o := l.row(li, lj)
+			l.Data[o] = l.Data[o+l.w]
 		}
 	}
-	for dir := range r.face {
-		f := &r.face[dir]
-		if f.up >= 0 || dir == dirWest && l.gi == 0 { // a neighbour fills it, or there is no such plane
-			continue
+	r.fillLap(k0)
+}
+
+// fillLap turns the boundary from control flow into data for the lap of
+// the ring that starts at k0 (or, on a restored run, resumes there) and
+// runs to the ring's last slot or to K: every point outside the iteration
+// space that a tile of the lap reads gets its Boundary value stored in the
+// ghost layer — the k = −1 plane when k0 = 0, the boundary planes over the
+// lap's k range — so the tile loop reads all its predecessors from Data
+// without asking where it is. With w = K the lap is the whole column,
+// filled once before the loop. (Ghost planes that face a neighbour rank
+// are filled tile by tile from the faces it sends.)
+func (r *run) fillLap(k0 int64) {
+	l, b, c := r.l, r.p.boundary, r.overlap
+	s := k0 % l.w // the lap's first slot, less one
+	if k0 == 0 {
+		for li := int64(0); li < l.TI; li++ {
+			for lj := int64(0); lj < l.TJ; lj++ {
+				l.Data[l.row(li, lj)] = b(r.point(li, lj, -1))
+			}
 		}
+	}
+	for _, f := range r.bounds {
 		for n := int64(0); n < f.rows; n++ {
 			at := [2]int64{n, n}
-			at[dir] = -1
-			q, row := r.point(at[0], at[1], 0), l.Data[f.ghost+n*f.rowStride-c:][:l.K+c]
+			at[f.dir] = -1
+			q, row := r.point(at[0], at[1], 0), l.Data[f.ghost+n*f.rowStride+s-c:][:min(l.w-s, l.K-k0)+c]
 			for i := range row {
-				q[kx] = int64(i) - c
+				q[r.kx] = k0 - c + int64(i)
 				row[i] = b(q)
 			}
 		}
@@ -428,32 +511,36 @@ func (r *run) faceBytes(f *face, v int64) int64 { return 8 * f.rows * (v + r.ove
 // (at k0 = 0, the k = −1 boundary ghost — the very point the receiver's
 // corner stands for).
 func (r *run) packFace(f *face, k0, v int64) []byte {
-	w, buf := v+r.overlap, f.send[:r.faceBytes(f, v)]
+	w, buf, o := v+r.overlap, f.send[:r.faceBytes(f, v)], f.own+k0%r.l.w-r.overlap
 	for n := int64(0); n < f.rows; n++ {
-		putF64s(buf[8*n*w:], r.l.Data[f.own+n*f.rowStride+k0-r.overlap:][:w])
+		putF64s(buf[8*n*w:], r.l.Data[o+n*f.rowStride:][:w])
 	}
 	return buf
 }
 
 // unpackFace stores a received face into f's ghost plane.
 func (r *run) unpackFace(f *face, buf []byte, k0, v int64) {
-	w := v + r.overlap
+	w, o := v+r.overlap, f.ghost+k0%r.l.w-r.overlap
 	for n := int64(0); n < f.rows; n++ {
-		getF64s(r.l.Data[f.ghost+n*f.rowStride+k0-r.overlap:][:w], buf[8*n*w:])
+		getF64s(r.l.Data[o+n*f.rowStride:][:w], buf[8*n*w:])
 	}
 	r.stats.MsgsRecvd++
 }
 
-// computeTile evaluates the kernel over the local tile [k0, k0+v). The
-// block path hands the kernel the whole tile, k-contiguous, and the kernel
-// picks the order; the generic path calls Eval once per point.
+// computeTile readies the tile's rows (enterTile) and evaluates the kernel
+// over the local tile [k0, k0+v). The block path hands the kernel the whole
+// tile, k-contiguous, and the kernel picks the order; the generic path
+// calls Eval once per point.
 func (r *run) computeTile(k0, v int64) {
+	r.enterTile(k0)
 	l := r.l
-	strides := [3]int64{(l.TJ + 1) * (l.K + 1), l.K + 1, 1}
+	strides := [3]int64{(l.TJ + 1) * (l.w + 1), l.w + 1, 1}
 	if r.blk != nil {
 		r.blk.SweepBlock(l.Data, int(l.idx(0, 0, k0)), int(l.TI), int(l.TJ), int(v), int(strides[0]), int(strides[1]))
 	} else {
-		origin := l.idx(-l.BaseI, -l.BaseJ, 0)
+		// The offset kernel-space k = 0 would have if the tile's stretch of
+		// the ring went on downwards.
+		origin := l.idx(-l.BaseI, -l.BaseJ, k0) - k0
 		get := func(q ilmath.Vec) float64 { // the inverse of point
 			o := origin
 			for x, a := range r.p.axis {
