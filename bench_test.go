@@ -18,8 +18,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/deps"
 	"repro/internal/experiments"
 	"repro/internal/ilmath"
 	"repro/internal/model"
@@ -758,28 +756,4 @@ func BenchmarkExample1Simulated(b *testing.B) {
 	b.ReportMetric(ov, "t_overlap_s")
 	b.ReportMetric(bl, "t_blocking_s")
 	b.ReportMetric(100*(1-ov/bl), "improvement_pct")
-}
-
-// BenchmarkSkewedWavefront plans and simulates the SOR wavefront problem —
-// the beyond-the-paper skewed-tiling path.
-func BenchmarkSkewedWavefront(b *testing.B) {
-	p, err := core.NewProblem(space.MustRect(240, 60),
-		deps.MustNewSet(ilmath.V(1, -1), ilmath.V(1, 0), ilmath.V(1, 1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := model.Example1Machine()
-	var imp float64
-	for i := 0; i < b.N; i++ {
-		plan, err := p.PlanSkewed(ilmath.V(6, 6))
-		if err != nil {
-			b.Fatal(err)
-		}
-		simr, err := plan.Simulate(m, sim.CapDMA)
-		if err != nil {
-			b.Fatal(err)
-		}
-		imp = simr.Improvement
-	}
-	b.ReportMetric(imp*100, "improvement_pct")
 }

@@ -30,15 +30,19 @@ import (
 	"time"
 )
 
+// defaults is the one copy of the service's defaults: the flags start from
+// it, and the tests build their servers from defaultConfig too.
+var defaults = defaultConfig()
+
 var (
 	addrFlag  = flag.String("addr", ":8080", "listen address (\":0\" picks a free port)")
-	rateFlag  = flag.Float64("rate", 50, "admitted requests per second (<=0 = unlimited)")
-	burstFlag = flag.Int("burst", 100, "rate-limit burst allowance")
-	concFlag  = flag.Int("concurrency", 4, "concurrent plan evaluations")
-	queueFlag = flag.Int("queue", 16, "admitted requests allowed to wait for a slot")
-	qwaitFlag = flag.Duration("queue-wait", 2*time.Second, "longest a queued request waits")
-	rtoFlag   = flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline")
-	cacheFlag = flag.Int("cache-entries", 4096, "evaluation cache bound (0 = unbounded)")
+	rateFlag  = flag.Float64("rate", defaults.rate, "admitted requests per second (<=0 = unlimited)")
+	burstFlag = flag.Int("burst", defaults.burst, "rate-limit burst allowance")
+	concFlag  = flag.Int("concurrency", defaults.concurrency, "concurrent plan evaluations")
+	queueFlag = flag.Int("queue", defaults.queueDepth, "admitted requests allowed to wait for a slot")
+	qwaitFlag = flag.Duration("queue-wait", defaults.queueWait, "longest a queued request waits")
+	rtoFlag   = flag.Duration("request-timeout", defaults.reqTimeout, "per-request evaluation deadline")
+	cacheFlag = flag.Int("cache-entries", defaults.cacheBound, "evaluation cache bound (0 = unbounded)")
 	drainFlag = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline on SIGTERM")
 )
 

@@ -585,7 +585,7 @@ func TestChaosDrill(t *testing.T) {
 				t.Errorf("burst %d: unexpected status %d: %s", burst, rep.code, rep.body)
 			}
 		}
-		if n := s.cache.Len(); n > cfg.cacheBound {
+		if n := s.cache.Stats().Entries; n > cfg.cacheBound {
 			t.Fatalf("burst %d: cache holds %d entries, bound %d", burst, n, cfg.cacheBound)
 		}
 	}

@@ -37,12 +37,7 @@ func TestSequentialTiledText(t *testing.T) {
 
 func TestSequentialTiledErrors(t *testing.T) {
 	sp := space.MustRect(10, 10)
-	skew, err := tiling.SkewedRectangular(
-		deps.MustNewSet(ilmath.V(1, -1), ilmath.V(1, 0)), 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SequentialTiled(sp, skew, "x"); err == nil {
+	if _, err := SequentialTiled(sp, skewedTiling(t, 2), "x"); err == nil {
 		t.Error("skewed tiling accepted by rectangular emitter")
 	}
 	if _, err := SequentialTiled(space.MustRect(4), tiling.MustRectangular(2, 2), "x"); err == nil {
@@ -91,16 +86,33 @@ func TestTiledOrderLegalSkewed(t *testing.T) {
 	// Wavefront deps need the skewed tiling; its tiled order must be legal.
 	d := deps.MustNewSet(ilmath.V(1, -1), ilmath.V(1, 0), ilmath.V(1, 1))
 	sp := space.MustRect(12, 10)
-	tl, err := tiling.SkewedRectangular(d, 3, 3)
-	if err != nil {
-		t.Fatal(err)
+	tl := skewedTiling(t, 3)
+	if !tl.Legal(d) {
+		t.Fatal("skewed tiling not legal for the wavefront set")
 	}
-	err = CheckOrder(sp, d, func(visit func(ilmath.Vec)) error {
+	err := CheckOrder(sp, d, func(visit func(ilmath.Vec)) error {
 		return TiledOrder(sp, tl, func(j ilmath.Vec) { visit(j.Clone()) })
 	})
 	if err != nil {
 		t.Errorf("skewed tiled order illegal: %v", err)
 	}
+}
+
+// skewedTiling is the parallelepiped tiling H = (1/s)·S with the unimodular
+// skew S = [[1, 0], [1, 1]], which makes every dependence of the wavefront
+// set {(1,−1), (1,0), (1,1)} non-negative (S·D ≥ 0): square s×s tiles of
+// the skewed space.
+func skewedTiling(t *testing.T, s int64) *tiling.Tiling {
+	t.Helper()
+	h := ilmath.NewRatMat(2, 2)
+	h.Set(0, 0, ilmath.NewRat(1, s))
+	h.Set(1, 0, ilmath.NewRat(1, s))
+	h.Set(1, 1, ilmath.NewRat(1, s))
+	tl, err := tiling.FromH(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
 }
 
 func TestTiledOrderIllegalTilingDetected(t *testing.T) {

@@ -97,16 +97,6 @@ func (s *Set) IsNonNegative() bool {
 	return true
 }
 
-// Contains reports whether v is one of the dependence vectors.
-func (s *Set) Contains(v ilmath.Vec) bool {
-	for _, d := range s.vecs {
-		if d.Equal(v) {
-			return true
-		}
-	}
-	return false
-}
-
 // Unit returns the n-dimensional unit dependence set {e_1, …, e_n}, the
 // dependence structure of the tiled space J^S when |HD| < 1 holds.
 func Unit(n int) *Set {

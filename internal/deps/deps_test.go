@@ -55,7 +55,7 @@ func TestMatrixColumns(t *testing.T) {
 	if m.Rows != 2 || m.Cols != 3 {
 		t.Fatalf("Matrix shape %dx%d, want 2x3", m.Rows, m.Cols)
 	}
-	if !m.Col(0).Equal(ilmath.V(1, 1)) || !m.Col(1).Equal(ilmath.V(1, 0)) || !m.Col(2).Equal(ilmath.V(0, 1)) {
+	if m.String() != "[1 1 0]\n[1 0 1]" {
 		t.Errorf("Matrix columns wrong:\n%v", m)
 	}
 }
@@ -73,16 +73,6 @@ func TestIsNonNegative(t *testing.T) {
 	}
 	if MustNewSet(ilmath.V(1, -1)).IsNonNegative() {
 		t.Error("set with negative component reported non-negative")
-	}
-}
-
-func TestContains(t *testing.T) {
-	s := Example1Deps()
-	if !s.Contains(ilmath.V(1, 0)) {
-		t.Error("Contains false negative")
-	}
-	if s.Contains(ilmath.V(2, 0)) {
-		t.Error("Contains false positive")
 	}
 }
 

@@ -63,7 +63,7 @@ func TestRunSharedCacheIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := s.Cache.Len()
+	points := s.Cache.Stats().Entries
 	if want := 2 * len(s.Heights); points != want {
 		t.Errorf("cache holds %d points after RunCtx, want %d", points, want)
 	}
@@ -71,8 +71,8 @@ func TestRunSharedCacheIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cache.Len() != points {
-		t.Errorf("second RunCtx simulated new points: %d -> %d", points, s.Cache.Len())
+	if s.Cache.Stats().Entries != points {
+		t.Errorf("second RunCtx simulated new points: %d -> %d", points, s.Cache.Stats().Entries)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Error("cached rows differ from fresh rows")
@@ -88,23 +88,23 @@ func TestOptimumUsesCache(t *testing.T) {
 	if _, err := s.RunCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	afterRun := s.Cache.Len()
+	afterRun := s.Cache.Stats().Entries
 	o1, err := s.OptimumDetailCtx(context.Background(), sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grew := s.Cache.Len() - afterRun
+	grew := s.Cache.Stats().Entries - afterRun
 	if grew > 13 {
 		t.Errorf("Optimum added %d points, refinement should add at most 13", grew)
 	}
 	// A second identical search is answered fully from the cache.
-	before := s.Cache.Len()
+	before := s.Cache.Stats().Entries
 	o2, err := s.OptimumDetailCtx(context.Background(), sim.Overlapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cache.Len() != before {
-		t.Errorf("repeated Optimum simulated %d new points", s.Cache.Len()-before)
+	if s.Cache.Stats().Entries != before {
+		t.Errorf("repeated Optimum simulated %d new points", s.Cache.Stats().Entries-before)
 	}
 	if o1.V != o2.V || o1.T != o2.T {
 		t.Errorf("repeated Optimum disagrees: (%d, %g) vs (%d, %g)", o1.V, o1.T, o2.V, o2.T)

@@ -40,45 +40,13 @@ func FuzzRatArithmetic(f *testing.F) {
 	})
 }
 
-func FuzzHNF(f *testing.F) {
-	f.Add(int64(1), int64(0), int64(0), int64(1))
-	f.Add(int64(2), int64(1), int64(0), int64(3))
-	f.Add(int64(-2), int64(1), int64(4), int64(-3))
-	f.Fuzz(func(t *testing.T, a, b, c, d int64) {
-		a, b, c, d = a%20, b%20, c%20, d%20
-		m := MatFromRows(V(a, b), V(c, d))
-		if m.Det() == 0 {
-			t.Skip()
-		}
-		h, u, err := HermiteNormalForm(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !u.IsUnimodular() {
-			t.Fatalf("U not unimodular for %v", m)
-		}
-		if !m.Mul(u).Equal(h) {
-			t.Fatalf("A·U != H for %v", m)
-		}
-		if !h.IsLowerTriangular() || h.At(0, 0) <= 0 || h.At(1, 1) <= 0 {
-			t.Fatalf("H not canonical:\n%v", h)
-		}
-		if h.At(1, 0) < 0 || h.At(1, 0) >= h.At(1, 1) {
-			t.Fatalf("H off-diagonal not reduced:\n%v", h)
-		}
-		if AbsInt64(h.Det()) != AbsInt64(m.Det()) {
-			t.Fatalf("determinant changed")
-		}
-	})
-}
-
 func FuzzRatMatInverse(f *testing.F) {
 	f.Add(int64(1), int64(2), int64(3), int64(5))
 	f.Add(int64(4), int64(0), int64(0), int64(4))
 	f.Fuzz(func(t *testing.T, a, b, c, d int64) {
 		a, b, c, d = a%15, b%15, c%15, d%15
-		m := MatFromRows(V(a, b), V(c, d))
-		if m.Det() == 0 {
+		m := matFromRows(V(a, b), V(c, d))
+		if m.ToRat().Det().Sign() == 0 {
 			t.Skip()
 		}
 		rm := m.ToRat()
@@ -86,7 +54,7 @@ func FuzzRatMatInverse(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rm.Mul(inv).Equal(RatIdentity(2)) {
+		if !rm.Mul(inv).equal(RatIdentity(2)) {
 			t.Fatalf("A·A⁻¹ != I for %v", m)
 		}
 	})

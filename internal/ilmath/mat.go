@@ -19,23 +19,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, a: make([]int64, rows*cols)}
 }
 
-// MatFromRows builds a matrix whose rows are the given vectors.
-// All rows must have equal dimension; an empty row list yields a 0×0 matrix.
-func MatFromRows(rows ...Vec) *Mat {
-	if len(rows) == 0 {
-		return NewMat(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMat(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic("ilmath: ragged rows in MatFromRows")
-		}
-		copy(m.a[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
 // MatFromCols builds a matrix whose columns are the given vectors.
 func MatFromCols(cols ...Vec) *Mat {
 	if len(cols) == 0 {
@@ -50,24 +33,6 @@ func MatFromCols(cols ...Vec) *Mat {
 		for i := 0; i < r; i++ {
 			m.Set(i, j, c[i])
 		}
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Mat {
-	m := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Diag returns the square diagonal matrix with the given diagonal entries.
-func Diag(d ...int64) *Mat {
-	m := NewMat(len(d), len(d))
-	for i, x := range d {
-		m.Set(i, i, x)
 	}
 	return m
 }
@@ -87,167 +52,6 @@ func (m *Mat) Set(i, j int, v int64) {
 func (m *Mat) check(i, j int) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("ilmath: index (%d,%d) out of range for %dx%d matrix", i, j, m.Rows, m.Cols))
-	}
-}
-
-// Clone returns an independent copy of m.
-func (m *Mat) Clone() *Mat {
-	n := NewMat(m.Rows, m.Cols)
-	copy(n.a, m.a)
-	return n
-}
-
-// Equal reports whether m and n have identical shape and entries.
-func (m *Mat) Equal(n *Mat) bool {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i := range m.a {
-		if m.a[i] != n.a[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Row returns a copy of row i.
-func (m *Mat) Row(i int) Vec {
-	if i < 0 || i >= m.Rows {
-		panic("ilmath: row index out of range")
-	}
-	return Vec(m.a[i*m.Cols : (i+1)*m.Cols]).Clone()
-}
-
-// Col returns a copy of column j.
-func (m *Mat) Col(j int) Vec {
-	if j < 0 || j >= m.Cols {
-		panic("ilmath: column index out of range")
-	}
-	v := make(Vec, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		v[i] = m.At(i, j)
-	}
-	return v
-}
-
-// Transpose returns mᵀ.
-func (m *Mat) Transpose() *Mat {
-	t := NewMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Add returns m + n. It panics if shapes differ.
-func (m *Mat) Add(n *Mat) *Mat {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		panic("ilmath: shape mismatch in Add")
-	}
-	out := NewMat(m.Rows, m.Cols)
-	for i := range m.a {
-		out.a[i] = addChecked(m.a[i], n.a[i])
-	}
-	return out
-}
-
-// Scale returns k·m.
-func (m *Mat) Scale(k int64) *Mat {
-	out := NewMat(m.Rows, m.Cols)
-	for i := range m.a {
-		out.a[i] = mulChecked(m.a[i], k)
-	}
-	return out
-}
-
-// Mul returns the matrix product m·n. It panics on inner-dimension mismatch.
-func (m *Mat) Mul(n *Mat) *Mat {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("ilmath: cannot multiply %dx%d by %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewMat(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < n.Cols; j++ {
-			var s int64
-			for k := 0; k < m.Cols; k++ {
-				s = addChecked(s, mulChecked(m.At(i, k), n.At(k, j)))
-			}
-			out.Set(i, j, s)
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m·v.
-func (m *Mat) MulVec(v Vec) Vec {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("ilmath: cannot multiply %dx%d by vector of dim %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make(Vec, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var s int64
-		for k := 0; k < m.Cols; k++ {
-			s = addChecked(s, mulChecked(m.At(i, k), v[k]))
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// IsSquare reports whether m is square.
-func (m *Mat) IsSquare() bool { return m.Rows == m.Cols }
-
-// Det returns the determinant of a square matrix, computed exactly by
-// fraction-free Gaussian elimination (Bareiss algorithm).
-func (m *Mat) Det() int64 {
-	if !m.IsSquare() {
-		panic("ilmath: determinant of non-square matrix")
-	}
-	n := m.Rows
-	if n == 0 {
-		return 1
-	}
-	w := m.Clone()
-	sign := int64(1)
-	prev := int64(1)
-	for k := 0; k < n-1; k++ {
-		if w.At(k, k) == 0 {
-			// Find a pivot row below and swap.
-			p := -1
-			for i := k + 1; i < n; i++ {
-				if w.At(i, k) != 0 {
-					p = i
-					break
-				}
-			}
-			if p < 0 {
-				return 0
-			}
-			w.swapRows(k, p)
-			sign = -sign
-		}
-		for i := k + 1; i < n; i++ {
-			for j := k + 1; j < n; j++ {
-				num := subChecked(
-					mulChecked(w.At(i, j), w.At(k, k)),
-					mulChecked(w.At(i, k), w.At(k, j)),
-				)
-				w.Set(i, j, num/prev) // Bareiss: division is exact
-			}
-			w.Set(i, k, 0)
-		}
-		prev = w.At(k, k)
-	}
-	return mulChecked(sign, w.At(n-1, n-1))
-}
-
-func (m *Mat) swapRows(i, j int) {
-	ri := m.a[i*m.Cols : (i+1)*m.Cols]
-	rj := m.a[j*m.Cols : (j+1)*m.Cols]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
 	}
 }
 

@@ -166,12 +166,6 @@ func (r Rat) Abs() Rat {
 	return r
 }
 
-// Float returns a float64 approximation of r.
-func (r Rat) Float() float64 {
-	r.valid()
-	return float64(r.P) / float64(r.Q)
-}
-
 // String renders r as "p/q", or just "p" when r is an integer.
 func (r Rat) String() string {
 	if r.Q == 1 {

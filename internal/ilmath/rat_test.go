@@ -122,9 +122,6 @@ func TestRatIntConversions(t *testing.T) {
 }
 
 func TestRatFloatString(t *testing.T) {
-	if NewRat(1, 4).Float() != 0.25 {
-		t.Error("Float wrong")
-	}
 	if NewRat(3, 1).String() != "3" {
 		t.Errorf("String(3) = %q", NewRat(3, 1).String())
 	}

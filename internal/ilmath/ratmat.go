@@ -69,52 +69,6 @@ func (m *RatMat) Clone() *RatMat {
 	return n
 }
 
-// Equal reports whether m and n have identical shape and entries.
-func (m *RatMat) Equal(n *RatMat) bool {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i := range m.a {
-		if m.a[i].Cmp(n.a[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Row returns a copy of row i.
-func (m *RatMat) Row(i int) []Rat {
-	if i < 0 || i >= m.Rows {
-		panic("ilmath: row index out of range")
-	}
-	out := make([]Rat, m.Cols)
-	copy(out, m.a[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *RatMat) Col(j int) []Rat {
-	if j < 0 || j >= m.Cols {
-		panic("ilmath: column index out of range")
-	}
-	out := make([]Rat, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *RatMat) Transpose() *RatMat {
-	t := NewRatMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // Mul returns the matrix product m·n.
 func (m *RatMat) Mul(n *RatMat) *RatMat {
 	if m.Cols != n.Rows {
@@ -247,28 +201,6 @@ func (m *RatMat) swapRows(i, j int) {
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// IsInteger reports whether every entry of m is an integer.
-func (m *RatMat) IsInteger() bool {
-	for _, x := range m.a {
-		if !x.IsInt() {
-			return false
-		}
-	}
-	return true
-}
-
-// ToInt converts m to an integer matrix. It panics if any entry is not an
-// integer; guard with IsInteger.
-func (m *RatMat) ToInt() *Mat {
-	out := NewMat(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(i, j, m.At(i, j).Int())
-		}
-	}
-	return out
 }
 
 // FloorVec returns ⌊m·v⌋ applied componentwise, the core operation of the

@@ -17,7 +17,7 @@ func TestRatMatBasics(t *testing.T) {
 	if m.At(0, 0) != NewRat(1, 2) {
 		t.Error("Clone not independent")
 	}
-	if !RatIdentity(2).Equal(RatDiag(RatOne, RatOne)) {
+	if !RatIdentity(2).equal(RatDiag(RatOne, RatOne)) {
 		t.Error("RatIdentity != RatDiag(1,1)")
 	}
 }
@@ -26,7 +26,7 @@ func TestRatMatMul(t *testing.T) {
 	// H = diag(1/2, 1/3); P = H⁻¹ = diag(2, 3); H·P = I.
 	h := RatDiag(NewRat(1, 2), NewRat(1, 3))
 	p := RatDiag(RatInt(2), RatInt(3))
-	if !h.Mul(p).Equal(RatIdentity(2)) {
+	if !h.Mul(p).equal(RatIdentity(2)) {
 		t.Error("H·H⁻¹ != I")
 	}
 }
@@ -38,32 +38,26 @@ func TestRatMatInverseDiagonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := RatDiag(RatInt(10), RatInt(10))
-	if !p.Equal(want) {
+	if !p.equal(want) {
 		t.Errorf("Inverse = %v, want %v", p, want)
-	}
-	if !p.IsInteger() {
-		t.Error("inverse of diag(1/10,1/10) should be integer")
-	}
-	if got := p.ToInt(); !got.Equal(Diag(10, 10)) {
-		t.Errorf("ToInt = %v", got)
 	}
 }
 
 func TestRatMatInverseGeneral(t *testing.T) {
 	// A = [[1, 2], [3, 5]]; det = -1; A⁻¹ = [[-5, 2], [3, -1]].
-	a := MatFromRows(V(1, 2), V(3, 5)).ToRat()
+	a := matFromRows(V(1, 2), V(3, 5)).ToRat()
 	inv, err := a.Inverse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MatFromRows(V(-5, 2), V(3, -1)).ToRat()
-	if !inv.Equal(want) {
+	want := matFromRows(V(-5, 2), V(3, -1)).ToRat()
+	if !inv.equal(want) {
 		t.Errorf("Inverse = %v, want %v", inv, want)
 	}
 }
 
 func TestRatMatInverseSingular(t *testing.T) {
-	a := MatFromRows(V(1, 2), V(2, 4)).ToRat()
+	a := matFromRows(V(1, 2), V(2, 4)).ToRat()
 	if _, err := a.Inverse(); err == nil {
 		t.Error("inverse of singular matrix did not error")
 	}
@@ -83,12 +77,12 @@ func TestRatMatDet(t *testing.T) {
 	if NewRatMat(0, 0).Det() != RatOne {
 		t.Error("Det of 0x0 should be 1")
 	}
-	sing := MatFromRows(V(1, 1), V(1, 1)).ToRat()
+	sing := matFromRows(V(1, 1), V(1, 1)).ToRat()
 	if sing.Det() != RatZero {
 		t.Error("Det of singular should be 0")
 	}
 	// Pivoting required: zero in top-left corner.
-	perm := MatFromRows(V(0, 1), V(1, 0)).ToRat()
+	perm := matFromRows(V(0, 1), V(1, 0)).ToRat()
 	if perm.Det() != RatInt(-1) {
 		t.Errorf("Det of permutation = %v, want -1", perm.Det())
 	}
@@ -103,21 +97,6 @@ func TestRatMatFloorVec(t *testing.T) {
 	}
 }
 
-func TestRatMatTransposeRowCol(t *testing.T) {
-	m := NewRatMat(2, 3)
-	m.Set(0, 2, NewRat(1, 7))
-	mt := m.Transpose()
-	if mt.Rows != 3 || mt.Cols != 2 || mt.At(2, 0) != NewRat(1, 7) {
-		t.Error("Transpose wrong")
-	}
-	if m.Row(0)[2] != NewRat(1, 7) {
-		t.Error("Row wrong")
-	}
-	if m.Col(2)[0] != NewRat(1, 7) {
-		t.Error("Col wrong")
-	}
-}
-
 // TestPropInverseRoundTrip checks A·A⁻¹ = I on random invertible rational
 // matrices derived from random integer matrices.
 func TestPropInverseRoundTrip(t *testing.T) {
@@ -125,7 +104,7 @@ func TestPropInverseRoundTrip(t *testing.T) {
 	done := 0
 	for done < 100 {
 		a := randSmallMat(r, 3)
-		if a.Det() == 0 {
+		if a.ToRat().Det().Sign() == 0 {
 			continue
 		}
 		done++
@@ -134,7 +113,7 @@ func TestPropInverseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unexpected inverse error for %v: %v", a, err)
 		}
-		if !ra.Mul(inv).Equal(RatIdentity(3)) || !inv.Mul(ra).Equal(RatIdentity(3)) {
+		if !ra.Mul(inv).equal(RatIdentity(3)) || !inv.Mul(ra).equal(RatIdentity(3)) {
 			t.Fatalf("A·A⁻¹ != I for A=%v", a)
 		}
 	}
@@ -146,7 +125,7 @@ func TestPropDetInverseReciprocal(t *testing.T) {
 	done := 0
 	for done < 100 {
 		a := randSmallMat(r, 3)
-		if a.Det() == 0 {
+		if a.ToRat().Det().Sign() == 0 {
 			continue
 		}
 		done++

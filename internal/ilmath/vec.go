@@ -78,18 +78,6 @@ func (v Vec) Sub(w Vec) Vec {
 	return out
 }
 
-// Scale returns k·v.
-func (v Vec) Scale(k int64) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = mulChecked(v[i], k)
-	}
-	return out
-}
-
-// Neg returns −v.
-func (v Vec) Neg() Vec { return v.Scale(-1) }
-
 // Dot returns the inner product v·w. It panics if dimensions differ.
 func (v Vec) Dot(w Vec) int64 {
 	mustSameDim(len(v), len(w))
@@ -98,43 +86,6 @@ func (v Vec) Dot(w Vec) int64 {
 		s = addChecked(s, mulChecked(v[i], w[i]))
 	}
 	return s
-}
-
-// Sum returns the sum of the components of v.
-func (v Vec) Sum() int64 {
-	var s int64
-	for _, x := range v {
-		s = addChecked(s, x)
-	}
-	return s
-}
-
-// Max returns the maximum component of v. It panics on an empty vector.
-func (v Vec) Max() int64 {
-	if len(v) == 0 {
-		panic("ilmath: Max of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum component of v. It panics on an empty vector.
-func (v Vec) Min() int64 {
-	if len(v) == 0 {
-		panic("ilmath: Min of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // ArgMax returns the index of the first maximum component of v.

@@ -41,28 +41,13 @@ func TestVecArithmetic(t *testing.T) {
 	if got := w.Sub(v); !got.Equal(V(3, 3, 3)) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := v.Scale(-2); !got.Equal(V(-2, -4, -6)) {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := v.Neg(); !got.Equal(V(-1, -2, -3)) {
-		t.Errorf("Neg = %v", got)
-	}
 	if got := v.Dot(w); got != 32 {
 		t.Errorf("Dot = %d, want 32", got)
-	}
-	if got := v.Sum(); got != 6 {
-		t.Errorf("Sum = %d, want 6", got)
 	}
 }
 
 func TestVecMinMaxArg(t *testing.T) {
 	v := V(3, 9, -1, 9)
-	if v.Max() != 9 {
-		t.Errorf("Max = %d", v.Max())
-	}
-	if v.Min() != -1 {
-		t.Errorf("Min = %d", v.Min())
-	}
 	if v.ArgMax() != 1 {
 		t.Errorf("ArgMax = %d, want first max index 1", v.ArgMax())
 	}

@@ -52,7 +52,7 @@ func runFixture(t *testing.T, dir, spoof string, a *Analyzer) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := ld.LoadDir(abs, spoof)
+	pkg, err := ld.loadDir(abs, spoof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,22 +106,11 @@ func TestFixtures(t *testing.T) {
 // anywhere in the tree fails plain `go test ./...` (tier-1), not just
 // `make lint`.
 func TestModuleClean(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := ld.LoadModule()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ld, pkgs := loadModule(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("module load found only %d packages; loader is skipping code", len(pkgs))
 	}
-	for _, d := range Relativize(root, Run(pkgs, Analyzers())) {
+	for _, d := range Relativize(ld.ModuleRoot, Run(pkgs, Analyzers())) {
 		t.Errorf("%s", d)
 	}
 }
@@ -150,7 +139,7 @@ func stamp() time.Time {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := ld.LoadDir(dir, "repro/internal/sim")
+	pkg, err := ld.loadDir(dir, "repro/internal/sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +181,7 @@ var x = 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := ld.LoadDir(dir, "repro/internal/sim")
+	pkg, err := ld.loadDir(dir, "repro/internal/sim")
 	if err != nil {
 		t.Fatal(err)
 	}

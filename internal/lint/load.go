@@ -31,12 +31,6 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Position returns pos relative to the loader's module root, which keeps
-// diagnostics stable across checkouts (CI logs, golden files).
-func (p *Package) Position(pos token.Pos) token.Position {
-	return p.Fset.Position(pos)
-}
-
 // Loader parses and type-checks packages of one module using only the
 // standard library: module-internal imports are resolved by recursively
 // loading their source directories, everything else is delegated to the
@@ -127,13 +121,9 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return l.loadDir(dir, path)
 }
 
-// LoadDir type-checks the package in dir under the spoofed import path
-// asPath. Used by tests to load fixture packages from testdata as if they
-// lived at a real in-module path (path-scoped analyzers key off it).
-func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	return l.loadDir(dir, asPath)
-}
-
+// loadDir type-checks the package in dir under the import path path. The
+// tests load fixture packages from testdata this way, under a spoofed
+// in-module path (path-scoped analyzers key off it).
 func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	l.pkgs[path] = nil // cycle marker
 	names, err := sourceFiles(dir)

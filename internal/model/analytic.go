@@ -75,53 +75,3 @@ func (c Grid3D) OptimalVBlockingAnalytic(m Machine) (vOpt float64, tOpt float64,
 	t := (cSteps + float64(c.K)/v) * (a + b*v)
 	return v, t, nil
 }
-
-// PredictedImprovementAtOptima returns 1 − T_ov(V*_ov)/T_bl(V*_bl) from the
-// closed forms: the analytic counterpart of the Fig. 12 improvement row.
-func (c Grid3D) PredictedImprovementAtOptima(m Machine) (float64, error) {
-	_, tOv, err := c.OptimalVOverlapAnalytic(m)
-	if err != nil {
-		return 0, err
-	}
-	_, tBl, err := c.OptimalVBlockingAnalytic(m)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - tOv/tBl, nil
-}
-
-// CrossoverWireSpeed finds, by bisection, the per-byte wire time t_t above
-// which the overlapped schedule stops beating the blocking one at their
-// respective analytic optima — the comm-bound boundary of Section 4's case
-// 2, where the overlapped schedule's longer P(g) is no longer paid back.
-// It searches t_t in [lo, hi]; if overlap wins everywhere in the range it
-// returns hi, if it loses everywhere it returns lo.
-func (c Grid3D) CrossoverWireSpeed(m Machine, lo, hi float64) (float64, error) {
-	if lo <= 0 || hi <= lo {
-		return 0, fmt.Errorf("model: bad wire-speed range [%g, %g]", lo, hi)
-	}
-	gain := func(tt float64) float64 {
-		mm := m
-		mm.Tt = tt
-		// Discrete optima under eq. 3 / eq. 4 (the max() handles the
-		// comm-bound switch).
-		_, tOv := c.OptimalV(mm, c.PredictOverlap)
-		_, tBl := c.OptimalV(mm, c.PredictNonOverlap)
-		return 1 - tOv/tBl
-	}
-	if gain(lo) <= 0 {
-		return lo, nil
-	}
-	if gain(hi) > 0 {
-		return hi, nil
-	}
-	for i := 0; i < 40 && hi/lo > 1.001; i++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection over decades
-		if gain(mid) > 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi), nil
-}

@@ -7,12 +7,12 @@ import (
 
 func TestOptimalVOverlapAnalyticNearNumericScan(t *testing.T) {
 	m := PentiumCluster()
-	for _, c := range Fig12Experiments() {
+	for _, c := range fig12Experiments() {
 		vA, tA, err := c.OptimalVOverlapAnalytic(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vN, tN := c.OptimalV(m, c.PredictOverlap)
+		vN, tN := c.optimalV(m, c.PredictOverlap)
 		// The closed form assumes the compute-bound case, while the exact
 		// discrete scan's eq.-4 max() switches to the B-side at large V and
 		// pulls the optimum left along a very flat valley — so V can differ
@@ -28,12 +28,12 @@ func TestOptimalVOverlapAnalyticNearNumericScan(t *testing.T) {
 
 func TestOptimalVBlockingAnalyticNearNumericScan(t *testing.T) {
 	m := PentiumCluster()
-	for _, c := range Fig12Experiments() {
+	for _, c := range fig12Experiments() {
 		vA, tA, err := c.OptimalVBlockingAnalytic(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vN, tN := c.OptimalV(m, c.PredictNonOverlap)
+		vN, tN := c.optimalV(m, c.PredictNonOverlap)
 		if math.Abs(vA-float64(vN))/float64(vN) > 0.25 {
 			t.Errorf("%+v: analytic V* = %.0f vs numeric %d", c, vA, vN)
 		}
@@ -57,19 +57,6 @@ func TestClosedFormIsStationary(t *testing.T) {
 	for _, f := range []float64{0.5, 0.8, 1.25, 2} {
 		if T(v*f) < T(v) {
 			t.Errorf("T(%g·V*) = %g < T(V*) = %g", f, T(v*f), T(v))
-		}
-	}
-}
-
-func TestPredictedImprovementAtOptima(t *testing.T) {
-	m := PentiumCluster()
-	for _, c := range Fig12Experiments() {
-		imp, err := c.PredictedImprovementAtOptima(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if imp < 0.10 || imp > 0.60 {
-			t.Errorf("%+v: analytic improvement %.0f%% outside plausible band", c, imp*100)
 		}
 	}
 }
@@ -104,40 +91,5 @@ func TestAnalyticVGrowsWithBaseCost(t *testing.T) {
 	// And approximately like √4 = 2 when base dominates the a-term.
 	if v2/v1 < 1.5 || v2/v1 > 2.5 {
 		t.Errorf("V* ratio %g, want ≈2", v2/v1)
-	}
-}
-
-func TestCrossoverWireSpeed(t *testing.T) {
-	m := PentiumCluster()
-	// Use a small space so the discrete optimum scans stay fast.
-	c := Grid3D{I: 16, J: 16, K: 1024, PI: 4, PJ: 4}
-	tt, err := c.CrossoverWireSpeed(m, 1e-9, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At the paper's 100 Mbps (0.08 µs/B) the overlap wins; at very slow
-	// wires it must not. The crossover lies strictly between.
-	if tt <= m.Tt {
-		t.Errorf("crossover %g at or below the calibrated wire speed %g", tt, m.Tt)
-	}
-	if tt >= 1e-4 {
-		t.Errorf("no crossover found below 1e-4 s/B")
-	}
-	// Verify the sign flip around the crossover.
-	check := func(ttv float64) float64 {
-		mm := m
-		mm.Tt = ttv
-		_, tOv := c.OptimalV(mm, c.PredictOverlap)
-		_, tBl := c.OptimalV(mm, c.PredictNonOverlap)
-		return 1 - tOv/tBl
-	}
-	if check(tt/3) <= 0 {
-		t.Errorf("overlap should win well below the crossover")
-	}
-	if check(tt*3) > 0 {
-		t.Errorf("overlap should lose well above the crossover")
-	}
-	if _, err := c.CrossoverWireSpeed(m, 1, 0.5); err == nil {
-		t.Error("bad range accepted")
 	}
 }

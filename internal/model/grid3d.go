@@ -86,47 +86,3 @@ func (c Grid3D) PredictNonOverlap(v int64, m Machine) float64 {
 func (c Grid3D) PredictOverlap(v int64, m Machine) float64 {
 	return m.TotalOverlapped(c.POverlap(v), c.InteriorStep(v, m))
 }
-
-// SweepPoint is one point of a tile-height sweep.
-type SweepPoint struct {
-	V          int64
-	G          int64   // tile volume
-	NonOverlap float64 // predicted eq. 3 time
-	Overlap    float64 // predicted eq. 4 time
-}
-
-// Sweep evaluates both predictions for every tile height in vs.
-func (c Grid3D) Sweep(vs []int64, m Machine) []SweepPoint {
-	out := make([]SweepPoint, 0, len(vs))
-	for _, v := range vs {
-		out = append(out, SweepPoint{
-			V:          v,
-			G:          c.TileVolume(v),
-			NonOverlap: c.PredictNonOverlap(v, m),
-			Overlap:    c.PredictOverlap(v, m),
-		})
-	}
-	return out
-}
-
-// OptimalV scans tile heights 1..K and returns the height minimizing the
-// given predictor together with the predicted time.
-func (c Grid3D) OptimalV(m Machine, predict func(v int64, m Machine) float64) (int64, float64) {
-	bestV, bestT := int64(1), predict(1, m)
-	for v := int64(2); v <= c.K; v++ {
-		if t := predict(v, m); t < bestT {
-			bestV, bestT = v, t
-		}
-	}
-	return bestV, bestT
-}
-
-// Fig12Experiments returns the three iteration spaces of the paper's
-// Section 5 experiments, all on a 4×4 processor grid.
-func Fig12Experiments() []Grid3D {
-	return []Grid3D{
-		{I: 16, J: 16, K: 16384, PI: 4, PJ: 4}, // experiment i
-		{I: 16, J: 16, K: 32768, PI: 4, PJ: 4}, // experiment ii
-		{I: 32, J: 32, K: 4096, PI: 4, PJ: 4},  // experiment iii
-	}
-}

@@ -272,9 +272,9 @@ func TestGrid3DScheduleLengths(t *testing.T) {
 
 func TestGrid3DPredictOverlapBeatsNonOverlapAtOptimum(t *testing.T) {
 	m := PentiumCluster()
-	for _, c := range Fig12Experiments() {
-		vOv, tOv := c.OptimalV(m, c.PredictOverlap)
-		vNo, tNo := c.OptimalV(m, c.PredictNonOverlap)
+	for _, c := range fig12Experiments() {
+		vOv, tOv := c.optimalV(m, c.PredictOverlap)
+		vNo, tNo := c.optimalV(m, c.PredictNonOverlap)
 		if tOv >= tNo {
 			t.Errorf("%+v: overlap optimum %g (V=%d) not better than non-overlap %g (V=%d)",
 				c, tOv, vOv, tNo, vNo)
@@ -291,7 +291,7 @@ func TestGrid3DSweepUShape(t *testing.T) {
 	// strictly worse times at the extremes.
 	m := PentiumCluster()
 	c := Grid3D{I: 16, J: 16, K: 16384, PI: 4, PJ: 4}
-	vOpt, tOpt := c.OptimalV(m, c.PredictOverlap)
+	vOpt, tOpt := c.optimalV(m, c.PredictOverlap)
 	if vOpt <= 4 {
 		t.Errorf("optimal V = %d suspiciously small", vOpt)
 	}
@@ -306,7 +306,7 @@ func TestGrid3DSweepUShape(t *testing.T) {
 func TestGrid3DSweep(t *testing.T) {
 	m := PentiumCluster()
 	c := Grid3D{I: 16, J: 16, K: 1024, PI: 4, PJ: 4}
-	pts := c.Sweep([]int64{4, 16, 64, 256}, m)
+	pts := c.sweep([]int64{4, 16, 64, 256}, m)
 	if len(pts) != 4 {
 		t.Fatalf("Sweep returned %d points", len(pts))
 	}
@@ -321,7 +321,7 @@ func TestGrid3DSweep(t *testing.T) {
 }
 
 func TestFig12ExperimentsValid(t *testing.T) {
-	exps := Fig12Experiments()
+	exps := fig12Experiments()
 	if len(exps) != 3 {
 		t.Fatalf("want 3 experiments")
 	}

@@ -25,12 +25,8 @@ const (
 // ReduceOp combines two float64 values.
 type ReduceOp func(a, b float64) float64
 
-// Predefined reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 { return math.Max(a, b) }
-	OpMin ReduceOp = func(a, b float64) float64 { return math.Min(a, b) }
-)
+// OpMin is the minimum reduction: the ranks agree on a restore tile with it.
+var OpMin ReduceOp = func(a, b float64) float64 { return math.Min(a, b) }
 
 // vrank maps rank into the tree rooted at root.
 func vrank(rank, root, size int) int { return (rank - root + size) % size }

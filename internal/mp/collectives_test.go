@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// The sum and maximum reductions the tests use.
+var (
+	opSum ReduceOp = func(a, b float64) float64 { return a + b }
+	opMax ReduceOp = func(a, b float64) float64 { return math.Max(a, b) }
+)
+
 func TestBcastAllSizesAndRoots(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 13} {
 		for root := 0; root < n; root += max(1, n/3) {
@@ -51,7 +57,7 @@ func TestReduceSum(t *testing.T) {
 	const n = 7
 	err := Launch(n, func(c Comm) error {
 		in := []float64{float64(c.Rank()), 1, float64(c.Rank() * c.Rank())}
-		res, err := Reduce(c, 0, in, OpSum)
+		res, err := Reduce(c, 0, in, opSum)
 		if err != nil {
 			return err
 		}
@@ -78,7 +84,7 @@ func TestReduceSum(t *testing.T) {
 func TestReduceNonZeroRoot(t *testing.T) {
 	const n = 4
 	err := Launch(n, func(c Comm) error {
-		res, err := Reduce(c, 2, []float64{1}, OpSum)
+		res, err := Reduce(c, 2, []float64{1}, opSum)
 		if err != nil {
 			return err
 		}
@@ -96,7 +102,7 @@ func TestReduceOps(t *testing.T) {
 	const n = 5
 	err := Launch(n, func(c Comm) error {
 		in := []float64{float64(c.Rank())}
-		mx, err := Reduce(c, 0, in, OpMax)
+		mx, err := Reduce(c, 0, in, opMax)
 		if err != nil {
 			return err
 		}
@@ -132,7 +138,7 @@ func TestReduceNilOp(t *testing.T) {
 func TestAllReduce(t *testing.T) {
 	const n = 6
 	err := Launch(n, func(c Comm) error {
-		res, err := AllReduce(c, []float64{float64(c.Rank() + 1)}, OpSum)
+		res, err := AllReduce(c, []float64{float64(c.Rank() + 1)}, opSum)
 		if err != nil {
 			return err
 		}
@@ -162,7 +168,7 @@ func TestCollectivesBackToBack(t *testing.T) {
 			if buf[0] != byte(round) {
 				return fmt.Errorf("round %d: got %d", round, buf[0])
 			}
-			sum, err := AllReduce(c, []float64{float64(round)}, OpSum)
+			sum, err := AllReduce(c, []float64{float64(round)}, opSum)
 			if err != nil {
 				return err
 			}
@@ -191,7 +197,7 @@ func TestPackUnpackFloats(t *testing.T) {
 
 func TestCollectivesOverTCP(t *testing.T) {
 	err := launchTCP(t, 4, func(c Comm) error {
-		sum, err := AllReduce(c, []float64{1}, OpSum)
+		sum, err := AllReduce(c, []float64{1}, opSum)
 		if err != nil {
 			return err
 		}

@@ -23,7 +23,7 @@ func ExampleLaunch() {
 			}
 			fmt.Printf("rank 1 got %q from rank %d\n", buf[:st.Bytes], st.Source)
 		}
-		sum, err := mp.AllReduce(c, []float64{float64(c.Rank() + 1)}, mp.OpSum)
+		sum, err := mp.AllReduce(c, []float64{float64(c.Rank() + 1)}, func(a, b float64) float64 { return a + b })
 		if err != nil {
 			return err
 		}

@@ -145,7 +145,7 @@ func TestCollectivesUnderRendezvous(t *testing.T) {
 	// All collectives must still complete when every payload is
 	// rendezvous: their send/recv pairings are properly ordered.
 	err := LaunchOpts(5, WorldOptions{RendezvousThreshold: 0}, func(c Comm) error {
-		sum, err := AllReduce(c, []float64{1}, OpSum)
+		sum, err := AllReduce(c, []float64{1}, opSum)
 		if err != nil {
 			return err
 		}

@@ -142,7 +142,7 @@ func TestInprocAbortUnblocksAll(t *testing.T) {
 			case 1:
 				errs[rank] = c.Barrier()
 			case 3:
-				_, errs[rank] = AllReduce(c, []float64{1}, OpSum)
+				_, errs[rank] = AllReduce(c, []float64{1}, opSum)
 			case 2:
 				time.Sleep(20 * time.Millisecond) // let the others block
 				errs[rank] = c.Abort(cause)

@@ -76,9 +76,6 @@ func NewCommMetrics(rank, size int) *CommMetrics {
 	return &CommMetrics{rank: rank, size: size, peers: make([]peerCounters, size)}
 }
 
-// Rank returns the rank this collector was created for.
-func (m *CommMetrics) Rank() int { return m.rank }
-
 // TCPEvent tallies a transport lifecycle event; pass it as
 // mp.TCPOptions.OnEvent when dialing the mesh. Safe for concurrent use.
 func (m *CommMetrics) TCPEvent(ev mp.TCPEvent) {

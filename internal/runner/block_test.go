@@ -295,8 +295,8 @@ func TestGhostLayerAddressable(t *testing.T) {
 						case tc.filled(outside):
 							want = positionBoundary(q)
 						}
-						if got := l.At(li, lj, k); got != want {
-							return fmt.Errorf("At(%d,%d,%d) = %v, want %v", li, lj, k, got, want)
+						if got := l.at(li, lj, k); got != want {
+							return fmt.Errorf("at(%d,%d,%d) = %v, want %v", li, lj, k, got, want)
 						}
 					}
 				}

@@ -119,8 +119,9 @@ func (cc CheckpointConfig) timeable() error {
 type RestoreReason int
 
 const (
-	// RestoreNotRequested: the run started without Checkpoint.Restore.
-	RestoreNotRequested RestoreReason = iota
+	// restoreNotRequested, the zero value: the run started without
+	// Checkpoint.Restore.
+	restoreNotRequested RestoreReason = iota
 	// RestoreResumed: the run resumed from an agreed checkpoint boundary.
 	RestoreResumed
 	// RestoreFreshNoSnapshot: this rank had no snapshot files at all.

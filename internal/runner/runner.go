@@ -232,12 +232,6 @@ type Local struct {
 	Data []float64
 }
 
-// At returns the local value at subdomain-relative coordinates
-// (li ∈ [−1, TI), lj ∈ [−1, TJ), k ∈ [−1, K); a 2-D run's (row i1, column c)
-// is At(0, c, i1)). On a timing run's ring, whose Local only the package's
-// tests see, k reads its slot: the last value of k mod w written there.
-func (l *Local) At(li, lj, k int64) float64 { return l.Data[l.idx(li, lj, k)] }
-
 // Run executes the configured schedule on communicator c and returns this
 // rank's subdomain and statistics. All ranks must call Run with identical
 // configurations. On a failure inside the tile loop the statistics gathered

@@ -103,8 +103,8 @@ func compareWindow(c mp.Comm, p problem, time func(mp.Comm) (Stats, error)) erro
 	for li := int64(0); li < whole.TI; li++ {
 		for lj := int64(0); lj < whole.TJ; lj++ {
 			for k := whole.K - w; k < whole.K; k++ {
-				if a, b := ring.At(li, lj, k), whole.At(li, lj, k); math.Float64bits(a) != math.Float64bits(b) {
-					return fmt.Errorf("rank %d: ring At(%d,%d,%d) = %v, whole box %v", c.Rank(), li, lj, k, a, b)
+				if a, b := ring.at(li, lj, k), whole.at(li, lj, k); math.Float64bits(a) != math.Float64bits(b) {
+					return fmt.Errorf("rank %d: ring at(%d,%d,%d) = %v, whole box %v", c.Rank(), li, lj, k, a, b)
 				}
 			}
 		}
@@ -164,3 +164,9 @@ func TestTimeRejectsCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// at returns the local value at subdomain-relative coordinates
+// (li ∈ [−1, TI), lj ∈ [−1, TJ), k ∈ [−1, K); a 2-D run's (row i1, column c)
+// is at(0, c, i1)). On a timing run's ring, k reads its slot: the last
+// value of k mod w written there.
+func (l *Local) at(li, lj, k int64) float64 { return l.Data[l.idx(li, lj, k)] }

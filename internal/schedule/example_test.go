@@ -34,17 +34,3 @@ func Example() {
 	// non-overlapping Π=(1, 1): P = 1099
 	// overlapping     Π=(1, 2): P = 1198
 }
-
-// ExampleOptimalLinear searches for the time-optimal schedule vector of a
-// dependence set whose displacement allows two wavefronts per step.
-func ExampleOptimalLinear() {
-	sp := space.MustRect(9, 9)
-	d := deps.MustNewSet([]int64{2, 0}, []int64{0, 2})
-	pi, length, err := schedule.OptimalLinear(sp, d, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%v, %d steps\n", pi, length)
-	// Output:
-	// Π=(1, 1), 9 steps
-}

@@ -34,12 +34,6 @@ func NewMapping(ts *space.Space, mapDim int) (*Mapping, error) {
 	return &Mapping{MapDim: mapDim, TileSpace: ts, ProcSpace: ps}, nil
 }
 
-// LargestDimMapping builds the paper's mapping: along the dimension of the
-// tiled space with the largest extent.
-func LargestDimMapping(ts *space.Space) (*Mapping, error) {
-	return NewMapping(ts, ts.LargestDim())
-}
-
 // projectOut removes dimension d from a space. Projecting a 1-D space yields
 // the single-point space [0..0], i.e. one processor.
 func projectOut(s *space.Space, d int) (*space.Space, error) {
@@ -61,59 +55,9 @@ func projectOut(s *space.Space, d int) (*space.Space, error) {
 // NumProcs returns the number of processors used.
 func (m *Mapping) NumProcs() int64 { return m.ProcSpace.Volume() }
 
-// ProcCoord returns the processor coordinates of tile tc (tile coordinates
-// with the mapping dimension projected out).
-func (m *Mapping) ProcCoord(tc ilmath.Vec) ilmath.Vec {
-	if len(tc) != m.TileSpace.Dim() {
-		panic(fmt.Sprintf("schedule: tile coordinate dimension %d != %d", len(tc), m.TileSpace.Dim()))
-	}
-	if m.TileSpace.Dim() == 1 {
-		return ilmath.V(0)
-	}
-	pc := make(ilmath.Vec, 0, len(tc)-1)
-	for i, x := range tc {
-		if i == m.MapDim {
-			continue
-		}
-		pc = append(pc, x)
-	}
-	return pc
-}
-
-// ProcRank returns the linear rank of the processor executing tile tc,
-// in [0, NumProcs).
-func (m *Mapping) ProcRank(tc ilmath.Vec) int64 {
-	return m.ProcSpace.Linearize(m.ProcCoord(tc))
-}
-
-// LocalStep returns the position of tile tc within its processor's local
-// sequence (its coordinate along the mapping dimension, offset to zero).
-func (m *Mapping) LocalStep(tc ilmath.Vec) int64 {
-	return tc[m.MapDim] - m.TileSpace.Lower[m.MapDim]
-}
-
 // TilesPerProc returns the number of tiles each processor executes (the
 // extent of the mapping dimension).
 func (m *Mapping) TilesPerProc() int64 { return m.TileSpace.Extent(m.MapDim) }
-
-// TileCoord reconstructs the full tile coordinate from a processor
-// coordinate and a local step.
-func (m *Mapping) TileCoord(proc ilmath.Vec, step int64) ilmath.Vec {
-	tc := make(ilmath.Vec, 0, m.TileSpace.Dim())
-	pi := 0
-	for d := 0; d < m.TileSpace.Dim(); d++ {
-		if d == m.MapDim {
-			tc = append(tc, m.TileSpace.Lower[d]+step)
-			continue
-		}
-		if m.TileSpace.Dim() == 1 {
-			break
-		}
-		tc = append(tc, proc[pi])
-		pi++
-	}
-	return tc
-}
 
 // String summarizes the mapping.
 func (m *Mapping) String() string {

@@ -13,14 +13,6 @@ type Linear struct {
 	Pi ilmath.Vec
 }
 
-// NewLinear builds a linear schedule from Π. Π must be non-empty.
-func NewLinear(pi ilmath.Vec) (*Linear, error) {
-	if pi.Dim() == 0 {
-		return nil, fmt.Errorf("schedule: empty Π")
-	}
-	return &Linear{Pi: pi.Clone()}, nil
-}
-
 // NonOverlapping returns the optimal linear schedule Π = (1,…,1) for the
 // tiled space with unit dependence vectors (Section 3).
 func NonOverlapping(n int) *Linear {
@@ -62,13 +54,6 @@ func (l *Linear) Disp(d *deps.Set) (int64, error) {
 		}
 	}
 	return min, nil
-}
-
-// Valid reports whether Π is a valid schedule for dependence set d:
-// Π·d ≥ 1 for every dependence vector.
-func (l *Linear) Valid(d *deps.Set) bool {
-	disp, err := l.Disp(d)
-	return err == nil && disp >= 1
 }
 
 // minMaxOver returns the minimum and maximum of Π·j over the box s, using
@@ -116,25 +101,6 @@ func (l *Linear) Length(s *space.Space, d *deps.Set) (int64, error) {
 	}
 	min, max := l.minMaxOver(s)
 	return floorDiv(max-min, disp) + 1, nil
-}
-
-// ByTime groups every point of s by its execution step, returning the
-// wavefronts in increasing time order. Intended for tiled spaces (volumes up
-// to a few hundred thousand tiles), not raw iteration spaces.
-func (l *Linear) ByTime(s *space.Space, d *deps.Set) ([][]ilmath.Vec, error) {
-	length, err := l.Length(s, d)
-	if err != nil {
-		return nil, err
-	}
-	disp, _ := l.Disp(d)
-	t0 := l.T0(s)
-	waves := make([][]ilmath.Vec, length)
-	s.Points(func(j ilmath.Vec) bool {
-		t := floorDiv(l.Pi.Dot(j)+t0, disp)
-		waves[t] = append(waves[t], j.Clone())
-		return true
-	})
-	return waves, nil
 }
 
 // String renders the schedule vector.

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/deps"
@@ -31,36 +32,20 @@ func TestOverlapping(t *testing.T) {
 	}
 }
 
-func TestNewLinear(t *testing.T) {
-	if _, err := NewLinear(ilmath.V()); err == nil {
-		t.Error("empty Π accepted")
-	}
-	l, err := NewLinear(ilmath.V(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.Pi.Equal(ilmath.V(1, 2)) {
-		t.Error("Pi not stored")
-	}
-}
-
 func TestDispAndValid(t *testing.T) {
 	u := deps.Unit(2)
 	no := NonOverlapping(2)
 	if d, _ := no.Disp(u); d != 1 {
 		t.Errorf("Disp = %d, want 1", d)
 	}
-	if !no.Valid(u) {
-		t.Error("Π=(1,1) invalid for unit deps")
-	}
 	ov, _ := Overlapping(2, 0)
 	if d, _ := ov.Disp(u); d != 1 {
 		t.Errorf("overlap Disp = %d, want 1 (along mapping dim)", d)
 	}
 	// Π=(1,-1) is invalid for dependence (0,1).
-	bad, _ := NewLinear(ilmath.V(1, -1))
-	if bad.Valid(u) {
-		t.Error("Π=(1,-1) should be invalid for unit deps")
+	bad := &Linear{Pi: ilmath.V(1, -1)}
+	if d, _ := bad.Disp(u); d >= 1 {
+		t.Errorf("Π=(1,-1) has Disp %d on unit deps, want < 1 (invalid)", d)
 	}
 	// Dimension mismatch.
 	if _, err := no.Disp(deps.Unit(3)); err == nil {
@@ -129,16 +114,13 @@ func TestOverlapLengthFormulaPaper(t *testing.T) {
 }
 
 func TestTimeInvalidSchedule(t *testing.T) {
-	bad, _ := NewLinear(ilmath.V(0, 0))
+	bad := &Linear{Pi: ilmath.V(0, 0)}
 	ts := space.MustRect(3, 3)
 	if _, err := bad.Time(ilmath.V(0, 0), ts, deps.Unit(2)); err == nil {
 		t.Error("Time with disp 0 did not error")
 	}
 	if _, err := bad.Length(ts, deps.Unit(2)); err == nil {
 		t.Error("Length with disp 0 did not error")
-	}
-	if _, err := bad.ByTime(ts, deps.Unit(2)); err == nil {
-		t.Error("ByTime with disp 0 did not error")
 	}
 }
 
@@ -151,31 +133,6 @@ func TestNegativeBoundsT0(t *testing.T) {
 	// Earliest point gets step 0.
 	if tt, _ := no.Time(ilmath.V(-3, -2), ts, deps.Unit(2)); tt != 0 {
 		t.Errorf("Time(min corner) = %d, want 0", tt)
-	}
-}
-
-func TestByTimeWavefronts(t *testing.T) {
-	ts := space.MustRect(3, 3)
-	u := deps.Unit(2)
-	no := NonOverlapping(2)
-	waves, err := no.ByTime(ts, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Anti-diagonal wavefronts of a 3x3 grid: sizes 1,2,3,2,1.
-	wantSizes := []int{1, 2, 3, 2, 1}
-	if len(waves) != len(wantSizes) {
-		t.Fatalf("got %d waves, want %d", len(waves), len(wantSizes))
-	}
-	total := 0
-	for i, w := range waves {
-		if len(w) != wantSizes[i] {
-			t.Errorf("wave %d has %d tiles, want %d", i, len(w), wantSizes[i])
-		}
-		total += len(w)
-	}
-	if total != 9 {
-		t.Errorf("waves cover %d tiles, want 9", total)
 	}
 }
 
@@ -245,7 +202,7 @@ func TestOverlapCrossProcessorGap(t *testing.T) {
 
 func TestMappingBasics(t *testing.T) {
 	ts := space.MustRect(4, 4, 37)
-	m, err := LargestDimMapping(ts)
+	m, err := NewMapping(ts, ts.LargestDim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +219,6 @@ func TestMappingBasics(t *testing.T) {
 	if !m.ProcCoord(tc).Equal(ilmath.V(2, 3)) {
 		t.Errorf("ProcCoord = %v", m.ProcCoord(tc))
 	}
-	if m.LocalStep(tc) != 11 {
-		t.Errorf("LocalStep = %d", m.LocalStep(tc))
-	}
-	if got := m.TileCoord(ilmath.V(2, 3), 11); !got.Equal(tc) {
-		t.Errorf("TileCoord round trip = %v, want %v", got, tc)
-	}
 }
 
 func TestMappingRanksAreBijective(t *testing.T) {
@@ -281,7 +232,7 @@ func TestMappingRanksAreBijective(t *testing.T) {
 	}
 	seen := make(map[int64]ilmath.Vec)
 	ts.Points(func(tc ilmath.Vec) bool {
-		r := m.ProcRank(tc)
+		r := m.ProcSpace.Linearize(m.ProcCoord(tc))
 		if r < 0 || r >= m.NumProcs() {
 			t.Fatalf("rank %d out of range", r)
 		}
@@ -309,11 +260,8 @@ func TestMapping1D(t *testing.T) {
 	if m.NumProcs() != 1 {
 		t.Errorf("NumProcs = %d, want 1 for 1-D space", m.NumProcs())
 	}
-	if m.ProcRank(ilmath.V(5)) != 0 {
+	if m.ProcSpace.Linearize(m.ProcCoord(ilmath.V(5))) != 0 {
 		t.Error("rank of 1-D tile should be 0")
-	}
-	if got := m.TileCoord(ilmath.V(0), 5); !got.Equal(ilmath.V(5)) {
-		t.Errorf("TileCoord = %v", got)
 	}
 }
 
@@ -333,19 +281,18 @@ func TestMappingErrors(t *testing.T) {
 
 func TestMappingNegativeLowerBounds(t *testing.T) {
 	ts := space.MustNew(ilmath.V(-2, 0), ilmath.V(2, 9))
-	m, err := LargestDimMapping(ts)
+	m, err := NewMapping(ts, ts.LargestDim())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.MapDim != 1 {
 		t.Fatalf("MapDim = %d", m.MapDim)
 	}
-	tc := ilmath.V(-2, 0)
-	if m.LocalStep(tc) != 0 {
-		t.Errorf("LocalStep = %d, want 0", m.LocalStep(tc))
+	if got := m.ProcCoord(ilmath.V(-2, 0)); !got.Equal(ilmath.V(-2)) {
+		t.Errorf("ProcCoord = %v, want (-2)", got)
 	}
-	if got := m.TileCoord(ilmath.V(-2), 0); !got.Equal(tc) {
-		t.Errorf("TileCoord = %v, want %v", got, tc)
+	if got := m.ProcSpace.Linearize(ilmath.V(-2)); got != 0 {
+		t.Errorf("rank of the lowest processor = %d, want 0", got)
 	}
 }
 
@@ -358,4 +305,23 @@ func TestFloorDivSchedule(t *testing.T) {
 			t.Errorf("floorDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// ProcCoord returns the processor coordinates of tile tc (tile coordinates
+// with the mapping dimension projected out).
+func (m *Mapping) ProcCoord(tc ilmath.Vec) ilmath.Vec {
+	if len(tc) != m.TileSpace.Dim() {
+		panic(fmt.Sprintf("schedule: tile coordinate dimension %d != %d", len(tc), m.TileSpace.Dim()))
+	}
+	if m.TileSpace.Dim() == 1 {
+		return ilmath.V(0)
+	}
+	pc := make(ilmath.Vec, 0, len(tc)-1)
+	for i, x := range tc {
+		if i == m.MapDim {
+			continue
+		}
+		pc = append(pc, x)
+	}
+	return pc
 }

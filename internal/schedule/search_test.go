@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,88 +10,12 @@ import (
 	"repro/internal/space"
 )
 
-func TestOptimalLinearUnitDeps(t *testing.T) {
-	// For unit dependences on any box, Π = (1,…,1) is optimal (Section 3).
-	s := space.MustRect(6, 4, 3)
-	l, length, err := OptimalLinear(s, deps.Unit(3), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.Pi.Equal(ilmath.V(1, 1, 1)) {
-		t.Errorf("Π = %v, want (1,1,1)", l.Pi)
-	}
-	if length != 5+3+2+1 {
-		t.Errorf("length = %d, want 11", length)
-	}
-}
-
-func TestOptimalLinearExploitsDisp(t *testing.T) {
-	// D = {(2,0),(0,2)}: Π = (1,1) has dispΠ = 2, halving the step count —
-	// the search must find a schedule of length ⌈(u1+u2)/2⌉+1.
-	s := space.MustRect(9, 9)
-	d := deps.MustNewSet(ilmath.V(2, 0), ilmath.V(0, 2))
-	_, length, err := OptimalLinear(s, d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if length != 9 { // (8+8)/2 + 1
-		t.Errorf("length = %d, want 9", length)
-	}
-}
-
-func TestOptimalLinearSkewedDeps(t *testing.T) {
-	// D = {(1,-1),(1,0),(1,1)} (wavefront): Π must weight dim 0 enough to
-	// stay valid, e.g. (1,0) or (2,1). On a wide box the optimum is (1,0)
-	// with length u1+1.
-	s := space.MustRect(10, 100)
-	d := deps.MustNewSet(ilmath.V(1, -1), ilmath.V(1, 0), ilmath.V(1, 1))
-	l, length, err := OptimalLinear(s, d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.Valid(d) {
-		t.Fatal("search returned invalid schedule")
-	}
-	if length != 10 {
-		t.Errorf("length = %d (Π = %v), want 10", length, l.Pi)
-	}
-}
-
-func TestOptimalLinearNoValidSchedule(t *testing.T) {
-	// With maxCoef too small to satisfy Π·d ≥ 1 for d = (1,-3) and (0,1),
-	// coefficients in [0,1] admit... Π=(1,0) gives Π·(0,1)=0 invalid;
-	// Π=(1,1): Π·(1,-3) = -2 invalid; Π=(0,1): Π·(1,-3) = -3. None valid.
-	s := space.MustRect(4, 4)
-	d := deps.MustNewSet(ilmath.V(1, -3), ilmath.V(0, 1))
-	if _, _, err := OptimalLinear(s, d, 1); err == nil {
-		t.Error("expected no valid schedule with maxCoef 1")
-	}
-	// With maxCoef 4, Π = (4,1) works.
-	l, _, err := OptimalLinear(s, d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.Valid(d) {
-		t.Error("returned schedule invalid")
-	}
-}
-
-func TestOptimalLinearArgValidation(t *testing.T) {
-	s := space.MustRect(4, 4)
-	if _, _, err := OptimalLinear(s, deps.Unit(2), 0); err == nil {
-		t.Error("maxCoef 0 accepted")
-	}
-	if _, _, err := OptimalLinear(s, deps.Unit(3), 2); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
 func TestUETMakespan(t *testing.T) {
-	if got := UETMakespan(space.MustRect(4, 4, 37)); got != 3+3+36+1 {
+	if got := uetMakespan(space.MustRect(4, 4, 37)); got != 3+3+36+1 {
 		t.Errorf("UET = %d, want 43", got)
 	}
 	neg := space.MustNew(ilmath.V(-2, 0), ilmath.V(2, 3))
-	if got := UETMakespan(neg); got != 4+3+1 {
+	if got := uetMakespan(neg); got != 4+3+1 {
 		t.Errorf("UET = %d, want 8", got)
 	}
 }
@@ -98,14 +23,14 @@ func TestUETMakespan(t *testing.T) {
 func TestUETUCTMakespanFor(t *testing.T) {
 	s := space.MustRect(4, 4, 37)
 	// Map along k (dim 2): 2·3 + 2·3 + 36 + 1 = 49.
-	if got, err := UETUCTMakespanFor(s, 2); err != nil || got != 49 {
+	if got, err := uetUCTMakespanFor(s, 2); err != nil || got != 49 {
 		t.Errorf("UETUCT(map 2) = %d, %v; want 49", got, err)
 	}
 	// Map along i: 3 + 2·3 + 2·36 + 1 = 82.
-	if got, _ := UETUCTMakespanFor(s, 0); got != 82 {
+	if got, _ := uetUCTMakespanFor(s, 0); got != 82 {
 		t.Errorf("UETUCT(map 0) = %d, want 82", got)
 	}
-	if _, err := UETUCTMakespanFor(s, 5); err == nil {
+	if _, err := uetUCTMakespanFor(s, 5); err == nil {
 		t.Error("out-of-range mapDim accepted")
 	}
 }
@@ -114,14 +39,14 @@ func TestUETUCTOptimalIsLargestDim(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for i := 0; i < 200; i++ {
 		s := space.MustRect(r.Int63n(20)+1, r.Int63n(20)+1, r.Int63n(20)+1)
-		dim, length := OptimalOverlapMapping(s)
+		dim, length := optimalOverlapMapping(s)
 		// The returned length must equal the min over all mapping dims, and
 		// the largest dimension must achieve it.
-		if length != UETUCTMakespan(s) {
-			t.Fatalf("OptimalOverlapMapping length %d != UETUCTMakespan %d", length, UETUCTMakespan(s))
+		if length != uetUCTMakespan(s) {
+			t.Fatalf("optimalOverlapMapping length %d != uetUCTMakespan %d", length, uetUCTMakespan(s))
 		}
 		largest := s.LargestDim()
-		tl, _ := UETUCTMakespanFor(s, largest)
+		tl, _ := uetUCTMakespanFor(s, largest)
 		if tl != length {
 			t.Fatalf("largest-dim mapping %d not optimal for %v (got %d via dim %d)",
 				tl, s, length, dim)
@@ -145,7 +70,7 @@ func TestOverlapScheduleMatchesUETUCT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := UETUCTMakespanFor(s, d)
+			want, _ := uetUCTMakespanFor(s, d)
 			if got != want {
 				t.Fatalf("overlap schedule length %d != UET-UCT %d for %v map %d", got, want, s, d)
 			}
@@ -163,8 +88,70 @@ func TestNonOverlapScheduleMatchesUET(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != UETMakespan(s) {
-			t.Fatalf("non-overlap length %d != UET %d for %v", got, UETMakespan(s), s)
+		if got != uetMakespan(s) {
+			t.Fatalf("non-overlap length %d != UET %d for %v", got, uetMakespan(s), s)
 		}
 	}
+}
+
+// The UET and UET-UCT makespans below are the property tests' oracles: the
+// paper's two schedules must realise them exactly. No command needs them.
+
+// uetMakespan returns the optimal makespan of a unit-execution-time grid
+// task graph over space s (unit dependences, free communication): the
+// wavefront count Σ(u_d − l_d) + 1.
+func uetMakespan(s *space.Space) int64 {
+	var t int64 = 1
+	for d := 0; d < s.Dim(); d++ {
+		t += s.Upper[d] - s.Lower[d]
+	}
+	return t
+}
+
+// uetUCTMakespanFor returns the makespan of the UET-UCT (unit execution,
+// unit communication) schedule of Andronikos et al. [1] when all points
+// along dimension mapDim are assigned to the same processor:
+//
+//	2·Σ_{d≠mapDim}(u_d − l_d) + (u_mapDim − l_mapDim) + 1
+func uetUCTMakespanFor(s *space.Space, mapDim int) (int64, error) {
+	if mapDim < 0 || mapDim >= s.Dim() {
+		return 0, fmt.Errorf("schedule: mapDim %d out of range", mapDim)
+	}
+	var t int64 = 1
+	for d := 0; d < s.Dim(); d++ {
+		e := s.Upper[d] - s.Lower[d]
+		if d == mapDim {
+			t += e
+		} else {
+			t += 2 * e
+		}
+	}
+	return t, nil
+}
+
+// uetUCTMakespan returns the optimal UET-UCT makespan over all mapping
+// choices — attained by mapping along the largest dimension, the result the
+// paper's overlapping schedule builds on.
+func uetUCTMakespan(s *space.Space) int64 {
+	best, _ := uetUCTMakespanFor(s, 0)
+	for d := 1; d < s.Dim(); d++ {
+		if t, _ := uetUCTMakespanFor(s, d); t < best {
+			best = t
+		}
+	}
+	return best
+}
+
+// optimalOverlapMapping returns the mapping dimension minimizing the
+// overlapped schedule length (ties to the first), together with that
+// length. It equals the largest-extent dimension.
+func optimalOverlapMapping(s *space.Space) (int, int64) {
+	bestDim := 0
+	bestLen, _ := uetUCTMakespanFor(s, 0)
+	for d := 1; d < s.Dim(); d++ {
+		if t, _ := uetUCTMakespanFor(s, d); t < bestLen {
+			bestDim, bestLen = d, t
+		}
+	}
+	return bestDim, bestLen
 }

@@ -125,13 +125,6 @@ func NewCacheBounded(maxEntries int) *Cache {
 // MaxEntries returns the configured entry bound (0 = unbounded).
 func (c *Cache) MaxEntries() int { return c.maxEntries }
 
-// Len returns how many distinct points are currently stored.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // pushFront links e as the most recently used entry.
 func (c *Cache) pushFront(e *cacheEntry) {
 	e.prev = &c.lru

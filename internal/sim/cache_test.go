@@ -167,7 +167,7 @@ func TestCacheBoundEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		first[v] = r.Makespan
-		if n := c.Len(); n > bound {
+		if n := c.Stats().Entries; n > bound {
 			t.Fatalf("cache holds %d entries, bound is %d", n, bound)
 		}
 	}
@@ -292,7 +292,7 @@ func TestCacheBoundConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if n := c.Len(); n > bound || n != st.Entries {
+	if n := c.Stats().Entries; n > bound || n != st.Entries {
 		t.Errorf("Len() = %d, Stats().Entries = %d, bound %d", n, st.Entries, bound)
 	}
 	if st.Hits+st.Misses != workers*iters {

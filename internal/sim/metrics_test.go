@@ -212,7 +212,7 @@ func TestCacheMetricsKey(t *testing.T) {
 	if hit.Obs != with.Obs {
 		t.Error("cache hit rebuilt the report instead of sharing it")
 	}
-	if c.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Errorf("cache holds %d entries, want 2", c.Stats().Entries)
 	}
 }

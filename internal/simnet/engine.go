@@ -478,6 +478,3 @@ func (e *Engine) Run() (Result, error) {
 
 // NumActivities returns how many activities have been registered.
 func (e *Engine) NumActivities() int { return e.nacts }
-
-// NumResources returns how many resources have been registered.
-func (e *Engine) NumResources() int { return len(e.resources) }

@@ -82,18 +82,6 @@ func linkName(named bool, dir string, level int, index int64) string {
 	return fmt.Sprintf("%s%d.%d", dir, level, index)
 }
 
-// Spec returns the interconnect description the fabric was built from.
-func (f *Fabric) Spec() topo.Spec { return f.spec }
-
-// NumLinks returns how many link resources the fabric registered.
-func (f *Fabric) NumLinks() int {
-	n := 0
-	for l := range f.up {
-		n += len(f.up[l]) + len(f.down[l])
-	}
-	return n
-}
-
 // Route appends the switch hops of a from→to transfer to hops and returns
 // the extended slice: uplinks of levels 0..common−1 on the sender side,
 // then downlinks of levels common−1..0 on the receiver side. Same-edge

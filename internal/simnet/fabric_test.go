@@ -47,18 +47,18 @@ func TestFabricRouteShape(t *testing.T) {
 // hops — the old single-switch machine.
 func TestFabricFlat(t *testing.T) {
 	e := NewEngine()
-	f, err := NewFabric(e, topo.Flat(), 8, true)
+	f, err := NewFabric(e, topo.Spec{}, 8, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumLinks() != 0 {
-		t.Errorf("flat fabric has %d links, want 0", f.NumLinks())
+	if len(f.up)+len(f.down) != 0 {
+		t.Errorf("flat fabric has %d link levels, want 0", len(f.up)+len(f.down))
 	}
 	if hops := f.Route(0, 7, nil); len(hops) != 0 {
 		t.Errorf("flat route has %d hops, want 0", len(hops))
 	}
-	if e.NumResources() != 0 {
-		t.Errorf("flat fabric registered %d resources, want 0", e.NumResources())
+	if len(e.resources) != 0 {
+		t.Errorf("flat fabric registered %d resources, want 0", len(e.resources))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"log"
 
 	"repro/internal/deps"
-	"repro/internal/ilmath"
 	"repro/internal/tiling"
 )
 
@@ -26,24 +25,6 @@ func Example() {
 	fmt.Printf("g = %d, formula(1) = %v, formula(2) = %v\n", tl.VolumeInt(), v1, v2)
 	// Output:
 	// g = 100, formula(1) = 40, formula(2) = 20
-}
-
-// ExampleSkewingFor derives the unimodular skew that makes the SOR
-// wavefront dependence set tileable.
-func ExampleSkewingFor() {
-	d := deps.MustNewSet(ilmath.V(1, -1), ilmath.V(1, 0), ilmath.V(1, 1))
-	s, err := tiling.SkewingFor(d)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("S =\n%v\nS·D =\n%v\n", s, s.Mul(d.Matrix()))
-	// Output:
-	// S =
-	// [1 0]
-	// [1 1]
-	// S·D =
-	// [1 1 1]
-	// [0 1 2]
 }
 
 // ExampleOptimalRectSides shows the communication-minimal tile shape: for

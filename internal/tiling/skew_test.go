@@ -14,57 +14,20 @@ func wavefrontDeps() *deps.Set {
 	return deps.MustNewSet(ilmath.V(1, -1), ilmath.V(1, 0), ilmath.V(1, 1))
 }
 
-func TestSkewingForWavefront(t *testing.T) {
-	s, err := SkewingFor(wavefrontDeps())
+// skewedTiling is the parallelepiped tiling H = diag(1/s1, 1/s2)·S of the
+// wavefront set, with the unimodular skew S = [[1, 0], [1, 1]] that makes
+// S·D ≥ 0 (Irigoin–Triolet), written out as a literal H.
+func skewedTiling(t *testing.T, s1, s2 int64) *Tiling {
+	t.Helper()
+	h := ilmath.NewRatMat(2, 2)
+	h.Set(0, 0, ilmath.NewRat(1, s1))
+	h.Set(1, 0, ilmath.NewRat(1, s2))
+	h.Set(1, 1, ilmath.NewRat(1, s2))
+	tl, err := FromH(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// S must be unimodular and make S·D non-negative.
-	if det := s.Det(); det != 1 && det != -1 {
-		t.Errorf("skew det = %d", det)
-	}
-	sd := s.Mul(wavefrontDeps().Matrix())
-	for i := 0; i < sd.Rows; i++ {
-		for j := 0; j < sd.Cols; j++ {
-			if sd.At(i, j) < 0 {
-				t.Fatalf("S·D has negative entry at (%d,%d):\n%v", i, j, sd)
-			}
-		}
-	}
-	// The canonical skew for this set is [[1,0],[1,1]].
-	if !s.Equal(ilmath.MatFromRows(ilmath.V(1, 0), ilmath.V(1, 1))) {
-		t.Logf("note: skew %v differs from canonical but is valid", s)
-	}
-}
-
-func TestSkewingForAlreadyNonNegative(t *testing.T) {
-	s, err := SkewingFor(deps.Example1Deps())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Equal(ilmath.Identity(2)) {
-		t.Errorf("non-negative deps should need no skew, got %v", s)
-	}
-}
-
-func TestSkewingFor3D(t *testing.T) {
-	// 3-D wavefront: (1,-1,0), (1,0,-1), (1,0,0).
-	d := deps.MustNewSet(ilmath.V(1, -1, 0), ilmath.V(1, 0, -1), ilmath.V(1, 0, 0))
-	s, err := SkewingFor(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd := s.Mul(d.Matrix())
-	for i := 0; i < sd.Rows; i++ {
-		for j := 0; j < sd.Cols; j++ {
-			if sd.At(i, j) < 0 {
-				t.Fatalf("S·D negative:\n%v", sd)
-			}
-		}
-	}
-	if det := s.Det(); det != 1 && det != -1 {
-		t.Errorf("det = %d", det)
-	}
+	return tl
 }
 
 func TestSkewedRectangularLegal(t *testing.T) {
@@ -74,10 +37,7 @@ func TestSkewedRectangularLegal(t *testing.T) {
 		t.Fatal("rectangular tiling should be illegal for wavefront deps")
 	}
 	// …but the skewed tiling is legal by construction.
-	tl, err := SkewedRectangular(d, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := skewedTiling(t, 4, 4)
 	if !tl.Legal(d) {
 		t.Error("skewed tiling not legal")
 	}
@@ -86,28 +46,15 @@ func TestSkewedRectangularLegal(t *testing.T) {
 	}
 	// Tile volume is preserved: |det P| = s1·s2 (unimodular skew).
 	if tl.VolumeInt() != 16 {
-		t.Errorf("volume = %v, want 16", tl.Volume())
+		t.Errorf("volume = %d, want 16", tl.VolumeInt())
 	}
 	if !tl.ContainsDeps(d) {
 		t.Error("4x4 skewed tiles should contain the unit-length deps")
 	}
 }
 
-func TestSkewedRectangularValidation(t *testing.T) {
-	d := wavefrontDeps()
-	if _, err := SkewedRectangular(d, 4); err == nil {
-		t.Error("side-count mismatch accepted")
-	}
-	if _, err := SkewedRectangular(d, 4, 0); err == nil {
-		t.Error("zero side accepted")
-	}
-}
-
 func TestSkewedTileDeps(t *testing.T) {
-	tl, err := SkewedRectangular(wavefrontDeps(), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := skewedTiling(t, 4, 4)
 	ds, err := tl.TileDeps(wavefrontDeps())
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +73,7 @@ func TestTilePointsPartitionSkewed(t *testing.T) {
 	// Every point of the space belongs to exactly one non-empty tile, and
 	// the tile point counts sum to the space volume.
 	sp := space.MustRect(12, 9)
-	tl, err := SkewedRectangular(wavefrontDeps(), 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := skewedTiling(t, 3, 3)
 	tiles, err := tl.NonEmptyTiles(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +143,7 @@ func TestNonEmptyTilesRectangularEqualsTileSpace(t *testing.T) {
 
 func TestSkewedCommVolume(t *testing.T) {
 	// Communication volume of the skewed tiling is computable and positive.
-	tl, err := SkewedRectangular(wavefrontDeps(), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := skewedTiling(t, 4, 4)
 	v, err := tl.CommVolume(wavefrontDeps())
 	if err != nil {
 		t.Fatal(err)
@@ -221,92 +162,5 @@ func TestSkewedCommVolume(t *testing.T) {
 	}
 	if ilmath.RatInt(total).Cmp(v) > 0 {
 		t.Errorf("exact %d exceeds formula (1) %v", total, v)
-	}
-}
-
-func TestSkewingForUnskewable(t *testing.T) {
-	// (0,1) and (1,-1): dim 1 has offenders whose row-0 entries are 1 for
-	// (1,-1)… row 0 entry of column (0,1) is 0 but that column is not
-	// offending (its dim-1 entry is +1). So this IS skewable. A truly
-	// unskewable-by-this-construction set needs an offender with zero in
-	// every earlier row: (0,…) cannot be lex-positive with a leading zero
-	// and negative later? (0, 1, -1) offends dim 2 with row 0 = 0, row 1 =
-	// 1 > 0, so row 1 pivots. Dimension 0 can never offend (lex-positive ⇒
-	// d_0 ≥ 0 stays ≥ 0 under lower-triangular skews), so the construction
-	// succeeds on every lex-positive set we can express; assert that.
-	for _, d := range []*deps.Set{
-		deps.MustNewSet(ilmath.V(0, 1), ilmath.V(1, -1)),
-		deps.MustNewSet(ilmath.V(0, 1, -1), ilmath.V(1, 0, 0), ilmath.V(0, 0, 1)),
-		deps.MustNewSet(ilmath.V(1, -3), ilmath.V(0, 1)),
-	} {
-		s, err := SkewingFor(d)
-		if err != nil {
-			t.Errorf("SkewingFor(%v): %v", d, err)
-			continue
-		}
-		sd := s.Mul(d.Matrix())
-		for i := 0; i < sd.Rows; i++ {
-			for j := 0; j < sd.Cols; j++ {
-				if sd.At(i, j) < 0 {
-					t.Errorf("S·D negative for %v:\n%v", d, sd)
-				}
-			}
-		}
-	}
-}
-
-func TestOriginLatticeRectangular(t *testing.T) {
-	h, err := MustRectangular(4, 6).OriginLattice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Equal(ilmath.Diag(4, 6)) {
-		t.Errorf("origin lattice = %v, want diag(4,6)", h)
-	}
-}
-
-func TestOriginLatticeSkewed(t *testing.T) {
-	// Square sides: the lattice s·Z² is invariant under every unimodular
-	// map, so the skewed tiling anchors its tiles at the same origins as
-	// the rectangular one (only the tile shape differs).
-	tl6, err := SkewedRectangular(wavefrontDeps(), 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h6, err := tl6.OriginLattice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rect6, _ := MustRectangular(6, 6).OriginLattice()
-	if !h6.Equal(rect6) {
-		t.Errorf("square skewed lattice %v != rectangular %v (s·Z² is unimodular-invariant)", h6, rect6)
-	}
-	// Unequal sides: the skew genuinely moves the origins.
-	tl46, err := SkewedRectangular(wavefrontDeps(), 4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h46, err := tl46.OriginLattice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h46.Det() != 24 { // fundamental domain volume preserved
-		t.Errorf("lattice det = %d, want 24", h46.Det())
-	}
-	rect46, _ := MustRectangular(4, 6).OriginLattice()
-	if h46.Equal(rect46) {
-		t.Error("unequal-side skewed lattice should differ from the rectangular one")
-	}
-}
-
-func TestOriginLatticeNonIntegerP(t *testing.T) {
-	// H = diag(2, 2) gives P = diag(1/2, 1/2): not a lattice over Z.
-	h := ilmath.RatDiag(ilmath.RatInt(2), ilmath.RatInt(2))
-	tl, err := FromH(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tl.OriginLattice(); err == nil {
-		t.Error("non-integer P accepted")
 	}
 }

@@ -96,17 +96,94 @@ func (t *Tiling) TileIterations(s *space.Space, tc ilmath.Vec) (*space.Space, er
 	return space.New(lo, up)
 }
 
-// IsBoundaryTile reports whether tile tc is clipped by the iteration-space
-// bounds under a rectangular tiling (i.e. is a partial tile).
-func (t *Tiling) IsBoundaryTile(s *space.Space, tc ilmath.Vec) (bool, error) {
-	sub, err := t.TileIterations(s, tc)
+// TilePoints enumerates the integer points of iteration space sp that fall
+// in tile tc under an arbitrary (possibly skewed) tiling, by scanning the
+// bounding box of the tile's parallelepiped region P·[tc, tc+1) clipped to
+// sp. The yielded vector is reused; clone to retain. Returns the number of
+// points visited.
+func (t *Tiling) TilePoints(sp *space.Space, tc ilmath.Vec, visit func(ilmath.Vec)) (int64, error) {
+	if len(tc) != t.Dim() || sp.Dim() != t.Dim() {
+		return 0, fmt.Errorf("tiling: dimension mismatch")
+	}
+	n := t.Dim()
+	// Bounding box of {P·x : x ∈ [tc, tc+1)} per coordinate i:
+	// [Σ_k min(P_ik·tc_k, P_ik·(tc_k+1)), Σ_k max(...)], clipped to sp.
+	lo := make(ilmath.Vec, n)
+	hi := make(ilmath.Vec, n)
+	for i := 0; i < n; i++ {
+		lf, hf := ilmath.RatZero, ilmath.RatZero
+		for k := 0; k < n; k++ {
+			p := t.p.At(i, k)
+			a := p.Mul(ilmath.RatInt(tc[k]))
+			b := p.Mul(ilmath.RatInt(tc[k] + 1))
+			if a.Cmp(b) > 0 {
+				a, b = b, a
+			}
+			lf = lf.Add(a)
+			hf = hf.Add(b)
+		}
+		lo[i] = lf.Floor()
+		hi[i] = hf.Ceil()
+		if lo[i] < sp.Lower[i] {
+			lo[i] = sp.Lower[i]
+		}
+		if hi[i] > sp.Upper[i] {
+			hi[i] = sp.Upper[i]
+		}
+		if lo[i] > hi[i] {
+			return 0, nil
+		}
+	}
+	var count int64
+	j := lo.Clone()
+	for {
+		if t.TileOf(j).Equal(tc) {
+			count++
+			if visit != nil {
+				visit(j)
+			}
+		}
+		d := n - 1
+		for d >= 0 {
+			j[d]++
+			if j[d] <= hi[d] {
+				break
+			}
+			j[d] = lo[d]
+			d--
+		}
+		if d < 0 {
+			return count, nil
+		}
+	}
+}
+
+// NonEmptyTiles returns the tiles of sp under t that contain at least one
+// iteration point, in lexicographic order. For rectangular tilings every
+// tile of TileSpace is non-empty; for skewed tilings the bounding box of
+// the tiled space contains empty corners that this prunes.
+func (t *Tiling) NonEmptyTiles(sp *space.Space) ([]ilmath.Vec, error) {
+	box, err := t.TileSpaceBounds(sp)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	if sub == nil {
-		return false, fmt.Errorf("tiling: tile %v is empty", tc)
+	var out []ilmath.Vec
+	var scanErr error
+	box.Points(func(tc ilmath.Vec) bool {
+		n, err := t.TilePoints(sp, tc, nil)
+		if err != nil {
+			scanErr = err
+			return false
+		}
+		if n > 0 {
+			out = append(out, tc.Clone())
+		}
+		return true
+	})
+	if scanErr != nil {
+		return nil, scanErr
 	}
-	return sub.Volume() != t.VolumeInt(), nil
+	return out, nil
 }
 
 // floorDiv returns ⌊a/b⌋ for b > 0.

@@ -30,19 +30,6 @@ func FromH(h *ilmath.RatMat) (*Tiling, error) {
 	return &Tiling{h: h.Clone(), p: p, g: p.Det().Abs()}, nil
 }
 
-// FromP builds a Tiling from the tile side matrix P (columns are side
-// vectors). P must be square and non-singular; H is computed as P⁻¹.
-func FromP(p *ilmath.RatMat) (*Tiling, error) {
-	if p.Rows != p.Cols {
-		return nil, fmt.Errorf("tiling: P must be square, got %dx%d", p.Rows, p.Cols)
-	}
-	h, err := p.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("tiling: P is singular: %w", err)
-	}
-	return &Tiling{h: h, p: p.Clone(), g: p.Det().Abs()}, nil
-}
-
 // Rectangular builds the axis-aligned tiling with the given integer side
 // lengths: H = diag(1/s_1, …, 1/s_n), P = diag(s_1, …, s_n).
 func Rectangular(sides ...int64) (*Tiling, error) {
@@ -74,15 +61,9 @@ func (t *Tiling) Dim() int { return t.h.Rows }
 // H returns a copy of the tiling matrix.
 func (t *Tiling) H() *ilmath.RatMat { return t.h.Clone() }
 
-// P returns a copy of the tile side matrix P = H⁻¹.
-func (t *Tiling) P() *ilmath.RatMat { return t.p.Clone() }
-
-// Volume returns the tile volume g = |det P| = V_comp, the number of index
-// points per complete tile.
-func (t *Tiling) Volume() ilmath.Rat { return t.g }
-
-// VolumeInt returns the tile volume as an integer; it panics if the volume
-// is not integral (it always is for integer P).
+// VolumeInt returns the tile volume g = |det P| = V_comp, the number of
+// index points per complete tile; it panics if g is not integral (it always
+// is for integer P).
 func (t *Tiling) VolumeInt() int64 { return t.g.Int() }
 
 // IsRectangular reports whether H is diagonal, i.e. tiles are axis-aligned
@@ -119,23 +100,6 @@ func (t *Tiling) RectSides() (ilmath.Vec, error) {
 // TileOf returns ⌊Hj⌋, the coordinates of the tile containing index point j.
 func (t *Tiling) TileOf(j ilmath.Vec) ilmath.Vec {
 	return t.h.FloorVec(j)
-}
-
-// Apply computes the full supernode transformation r(j), returning the tile
-// coordinates ⌊Hj⌋ and the offset j − P⌊Hj⌋ of j within the tile.
-func (t *Tiling) Apply(j ilmath.Vec) (tile, offset ilmath.Vec) {
-	tile = t.TileOf(j)
-	org := t.p.MulVec(tile)
-	offset = make(ilmath.Vec, len(j))
-	for i := range offset {
-		// j − P·tile is always integral because j is integral and P·⌊Hj⌋
-		// differs from j by an in-tile offset; for rational P the origin
-		// itself may be rational, so take the exact difference and require
-		// integrality only when P is integral.
-		d := ilmath.RatInt(j[i]).Sub(org[i])
-		offset[i] = d.Floor()
-	}
-	return tile, offset
 }
 
 // Legal reports whether HD ≥ 0 holds, the deadlock-freedom condition of

@@ -40,9 +40,6 @@ type Spec struct {
 	L [MaxLevels]Level
 }
 
-// Flat returns the zero Spec: one non-blocking switch, no hierarchy.
-func Flat() Spec { return Spec{} }
-
 // TwoLevel builds the common cluster shape: nodes grouped radix-per-edge
 // switch, edge switches uplinked (uplinks parallel links, each bw× a node
 // link, latency seconds per hop) into a non-blocking core.

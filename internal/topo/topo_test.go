@@ -8,7 +8,7 @@ func TestValidate(t *testing.T) {
 		s    Spec
 		ok   bool
 	}{
-		{"flat", Flat(), true},
+		{"flat", Spec{}, true},
 		{"two-level", TwoLevel(32, 4, 5e-6, 2), true},
 		{"fat-tree", FatTree(16, 8, 2, 4, 5e-6, 2), true},
 		{"negative-levels", Spec{Levels: -1}, false},
@@ -84,19 +84,19 @@ func TestSpecComparable(t *testing.T) {
 	if a != b {
 		t.Error("identical specs compare unequal")
 	}
-	if a == Flat() {
+	if a == (Spec{}) {
 		t.Error("hierarchical spec compares equal to flat")
 	}
 	// Usable as a map key (the property the sim cache relies on).
-	m := map[Spec]int{a: 1, Flat(): 2}
+	m := map[Spec]int{a: 1, Spec{}: 2}
 	if m[b] != 1 {
 		t.Error("spec map lookup failed")
 	}
 }
 
 func TestString(t *testing.T) {
-	if got := Flat().String(); got != "flat" {
-		t.Errorf("Flat().String() = %q", got)
+	if got := (Spec{}).String(); got != "flat" {
+		t.Errorf("Spec{}.String() = %q", got)
 	}
 	if got := TwoLevel(32, 4, 5e-6, 2).String(); got != "radix32×bw4×2" {
 		t.Errorf("TwoLevel String() = %q", got)

@@ -107,20 +107,6 @@ func (t *Timeline) Gantt(w io.Writer, width int) error {
 	return err
 }
 
-// CSV writes the raw entries as "resource,label,start,end" rows with a
-// header, for external plotting.
-func (t *Timeline) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "resource,label,start,end"); err != nil {
-		return err
-	}
-	for _, e := range t.Entries {
-		if _, err := fmt.Fprintf(w, "%s,%s,%.9g,%.9g\n", e.Resource, e.Label, e.Start, e.End); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // svgPalette maps Gantt glyphs to fill colors.
 var svgPalette = map[byte]string{
 	'C': "#4878d0", // compute

@@ -103,23 +103,6 @@ func TestGanttNarrowWidthClamped(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTimeline().CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("csv has %d lines, want 6", len(lines))
-	}
-	if lines[0] != "resource,label,start,end" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "cpu0,compute(0, 0),0,4") {
-		t.Errorf("row 1 = %q", lines[1])
-	}
-}
-
 func TestClassify(t *testing.T) {
 	cases := map[string]byte{
 		"compute(0)": 'C', "isendX": 'S', "sendY": 'S',
