@@ -152,6 +152,24 @@ func BenchmarkOptimumTiered(b *testing.B) { benchOptimum(b, false) }
 // sim.GridLowerBound does not exceed its incumbent.
 func BenchmarkOptimumSweep(b *testing.B) { benchOptimum(b, true) }
 
+// lowerBoundSink keeps BenchmarkGridLowerBound's calls from being
+// optimised away.
+var lowerBoundSink float64
+
+// BenchmarkGridLowerBound times sim.GridLowerBound on an 8×8 processor
+// grid, both modes per op: the walk calls it on every certified query,
+// cache hits included, and the exact tier once per rung.
+func BenchmarkGridLowerBound(b *testing.B) {
+	g := model.Grid3D{I: 64, J: 64, K: 4096, PI: 8, PJ: 8}
+	m := model.PentiumCluster()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v := 1 + int64(i)%g.K
+		lowerBoundSink += sim.GridLowerBound(g, v, m, sim.Blocking, sim.CapNone, sim.GridOpts{}) +
+			sim.GridLowerBound(g, v, m, sim.Overlapped, sim.CapDMA, sim.GridOpts{})
+	}
+}
+
 // BenchmarkScaleAllocBudget locks the simulator's allocation budget at
 // scale: one overlapped simulation on the scale-sweep's fat tree at 100
 // ranks and again at 10000 ranks, with the same per-rank work. The slab

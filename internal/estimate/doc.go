@@ -12,7 +12,11 @@
 //	tier 2 (probe): the bracket rungs are simulated; from the better one a
 //	  neighbor walk descends the ladder. Unprobed neighbors whose
 //	  calibrated model prediction exceeds the incumbent by a safety margin
-//	  are elided without simulating; the rest are probed.
+//	  are elided without simulating, and so are those a closed-form lower
+//	  bound (Config.Bound; sim.GridLowerBound under ForGrid) proves no
+//	  better while the model prices them within the raw tolerance of
+//	  that bound; the rest are probed. The model guard keeps a neighbor
+//	  the model misprices in the probed set, where certification sees it.
 //	tier 3 (certify): the analytic predictions at every probed rung are
 //	  compared against their DES results — both raw and after a one-ratio
 //	  geometric-mean calibration. If either disagreement exceeds its

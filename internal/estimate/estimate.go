@@ -58,6 +58,12 @@ type Config struct {
 	// Probe concurrently, so a wrapper around it needs no locking; Probe
 	// itself may run work in parallel inside one call (ForGrid's does).
 	Probe func(v int64) (float64, error)
+	// Bound returns a lower bound on Probe(v) (seconds) without
+	// simulating; nil means no bound. The walk skips a neighbor the bound
+	// proves no better than the incumbent when the model prices it within
+	// DefaultTol of that bound. It must be deterministic for a given
+	// height.
+	Bound func(v int64) float64
 	// Exact computes the reference answer for the fallback tier. When nil,
 	// the fallback probes every height sequentially and returns the
 	// earliest height of minimal time — the same tie-break as the
@@ -178,13 +184,26 @@ func Optimum(ctx context.Context, cfg Config) (Outcome, error) {
 	// either j is off the ladder, or j is certifiably no better than the
 	// incumbent. A probed neighbor is compared directly — ties keep the
 	// walk moving down but not up, matching the exact tier's
-	// earliest-minimum tie-break. An unprobed neighbor whose calibrated
-	// prediction exceeds the incumbent by the safety margin is elided
-	// (certified worse without simulating); otherwise it is probed. The
-	// calibration ratio rho rescales the model through the incumbent's
-	// probe, so elision only trusts the model's local shape, not its
-	// absolute scale. All float comparisons are written so that a NaN
-	// prediction fails them and forces a real probe.
+	// earliest-minimum tie-break. An unprobed neighbor is elided (certified
+	// worse without simulating) when its calibrated prediction exceeds the
+	// incumbent by the safety margin, or when Config.Bound proves it no
+	// better (under the same tie-break) and the model prices it within
+	// DefaultTol of that bound; otherwise it is probed. The calibration
+	// ratio rho rescales the model through the incumbent's probe, so
+	// elision only trusts the model's local shape, not its absolute scale.
+	// The bound needs the model guard because a probe also feeds
+	// certification: a neighbor the model misprices even at its bound is
+	// probed, so it can still fail certification and send the query to the
+	// exact tier. Both elisions read only the query's own functions, never
+	// a cache, so the walk is the same on a cold cache and a warm one. All
+	// float comparisons are written so that a NaN prediction or bound fails
+	// them and forces a real probe.
+	noBetter := func(t, tBest float64, movingUp bool) bool {
+		if movingUp {
+			return !(t < tBest)
+		}
+		return t > tBest
+	}
 	stay := func(j int, movingUp bool) (bool, error) {
 		if j < 0 || j >= len(heights) {
 			return true, nil
@@ -192,23 +211,23 @@ func Optimum(ctx context.Context, cfg Config) (Outcome, error) {
 		v := heights[j]
 		tBest := seen[heights[best]]
 		if t, ok := seen[v]; ok {
-			if movingUp {
-				return !(t < tBest), nil
-			}
-			return t > tBest, nil
+			return noBetter(t, tBest, movingUp), nil
 		}
 		rho := tBest / cfg.Model(heights[best])
-		if pred := rho * cfg.Model(v); pred > tBest*(1+DefaultMargin*DefaultResidTol) {
+		pred := cfg.Model(v)
+		if rho*pred > tBest*(1+DefaultMargin*DefaultResidTol) {
 			return true, nil
+		}
+		if cfg.Bound != nil {
+			if b := cfg.Bound(v); (b > tBest || movingUp && b == tBest) && math.Abs(pred-b) <= DefaultTol*b {
+				return true, nil
+			}
 		}
 		t, err := probe(v)
 		if err != nil {
 			return false, err
 		}
-		if movingUp {
-			return !(t < tBest), nil
-		}
-		return t > tBest, nil
+		return noBetter(t, tBest, movingUp), nil
 	}
 	for steps := 0; steps < len(heights); steps++ {
 		stayDown, err := stay(best-1, false)

@@ -10,7 +10,8 @@ import (
 
 // ForGrid wires a Config to the Grid3D stack: the mode's closed form
 // (OptimalVOverlapAnalytic / OptimalVBlockingAnalytic) seeds the bracket,
-// the matching eq. 3/4 prediction prices unprobed heights, and probes run
+// the matching eq. 3/4 prediction prices unprobed heights,
+// sim.GridLowerBound bounds them, and probes run
 // through the memoized simulator under ctx, so repeated queries and later
 // sweeps share DES work and a cancelled caller stops issuing probes. If
 // the closed form has no solution for the configuration, the seed is left
@@ -41,6 +42,7 @@ func ForGrid(ctx context.Context, g model.Grid3D, m model.Machine, mode sim.Mode
 			cfg.SeedV = v
 		}
 	}
+	cfg.Bound = func(v int64) float64 { return sim.GridLowerBound(g, v, m, mode, cap, sim.GridOpts{}) }
 	simulate := func(v int64) (float64, error) {
 		r, err := c.SimulateGridCtx(ctx, g, v, m, mode, cap, sim.GridOpts{})
 		if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -104,6 +105,27 @@ var sweepOps = []struct {
 		})
 		return err
 	}},
+	{"evalAll/one point", func(ctx context.Context, s Sweep) error {
+		_, err := evalAll(ctx, 1, func(ctx context.Context, i int) (sim.Result, error) {
+			return s.Cache.SimulateGridCtx(ctx, s.Grid, s.Heights[i], s.Machine, sim.Blocking, sim.CapNone, sim.GridOpts{})
+		})
+		return err
+	}},
+}
+
+// TestEvalAllOnePointCancelledDuringEval: a one-point batch runs inline,
+// and a parent cancelled while its point evaluates still surfaces as the
+// bare context error, not as the point's own error.
+func TestEvalAllOnePointCancelledDuringEval(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := evalAll(ctx, 1, func(context.Context, int) (sim.Result, error) {
+		cancel()
+		return sim.Result{}, fmt.Errorf("point 0: %w", errors.New("interrupted"))
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want the bare context.Canceled", err)
+	}
 }
 
 // TestCancelledContextRejectedPromptly: every entry point returns the

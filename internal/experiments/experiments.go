@@ -186,8 +186,24 @@ func pair(g model.Grid3D, v int64, cap sim.Capability, o sim.GridOpts) []point {
 // of a parent's cancellation by propagation, which for a context type
 // outside the standard library runs on a goroutine that may not be
 // scheduled while the workers are busy. It is the one worker pool behind
-// every experiment; evalGrid is its grid front end.
+// every experiment; evalGrid is its grid front end. A one-point batch (the
+// exact tier's incumbent, often its only kept rung) runs on the caller's
+// goroutine under the parent itself: a pool and a derived context would
+// cost more than a cache hit, and one point has nothing to stop early.
 func evalAll(parent context.Context, n int, eval func(ctx context.Context, i int) (sim.Result, error)) ([]sim.Result, error) {
+	if n == 1 {
+		if err := parent.Err(); err != nil {
+			return nil, err
+		}
+		r, err := eval(parent, 0)
+		if perr := parent.Err(); perr != nil {
+			return nil, perr
+		}
+		if err != nil {
+			return nil, err
+		}
+		return []sim.Result{r}, nil
+	}
 	res := make([]sim.Result, n)
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()

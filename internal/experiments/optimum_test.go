@@ -123,6 +123,43 @@ func TestTieredOptimumMatchesExactOnFigures(t *testing.T) {
 	})
 }
 
+// TestGridLowerBoundTightOnFigures pins how close sim.GridLowerBound comes
+// to the simulated makespan on the paper's Fig. 9-11 geometries, at every
+// ladder rung from 4 to K/4: at least 0.85 of it under ProcB and 0.65
+// under ProcNB. The fill–program–drain path term is what reaches these
+// ratios; max(chain, busy) alone falls to about 0.44 and 0.41 at large V,
+// where the branch-and-bound exact tier and the walk's bound elision would
+// lose most of their pruning.
+func TestGridLowerBoundTightOnFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale figure spaces")
+	}
+	if raceDetectorEnabled {
+		t.Skip("full-scale DES is prohibitively slow under the race detector")
+	}
+	floor := map[sim.Mode]float64{sim.Blocking: 0.85, sim.Overlapped: 0.65}
+	tightest := map[sim.Mode]float64{sim.Blocking: 1, sim.Overlapped: 1}
+	for _, fig := range []Sweep{Fig9(), Fig10(), Fig11()} {
+		rs, err := evalGrid(context.Background(), nil, fig.ID, fig.Machine, fig.points())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range fig.Heights {
+			for k, mode := range []sim.Mode{sim.Overlapped, sim.Blocking} {
+				lb := sim.GridLowerBound(fig.Grid, v, fig.Machine, mode, fig.ModeCap(mode), sim.GridOpts{})
+				ms := rs[2*i+k].Makespan
+				r := lb / ms
+				if !(r >= floor[mode]) || r > 1 {
+					t.Errorf("%s V=%d %s: bound/makespan %.3f (bound %g, makespan %g), want in [%.2f, 1]",
+						fig.ID, v, mode, r, lb, ms, floor[mode])
+				}
+				tightest[mode] = min(tightest[mode], r)
+			}
+		}
+	}
+	t.Logf("lowest bound/makespan: blocking %.3f, overlapped %.3f", tightest[sim.Blocking], tightest[sim.Overlapped])
+}
+
 // TestOptimumMatchesSequentialArgminRandomized is the seeded property
 // test: across randomized Grid3D/Machine configurations and both modes,
 // the tiered Optimum must return exactly the answer obtained by running

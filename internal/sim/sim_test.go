@@ -323,11 +323,11 @@ func TestBuildStatsShape(t *testing.T) {
 }
 
 // TestWavefrontLowerBound: the makespan can never beat GridLowerBound,
-// whose chain term is the compute-only critical path of the dependence
-// chain. The last rank's first tile transitively depends on the first
-// k-tiles of (PI-1)+(PJ-1) ranks, each a full V·TileI·TileJ compute, and
-// that rank then computes its whole column of K·TileI·TileJ points in
-// order. The table covers the V ladder (1, a non-divisor of K, 64, K), both
+// whose path term contains the compute-only critical path of the
+// dependence chain. The last rank's first tile transitively depends on
+// the first k-tiles of (PI-1)+(PJ-1) ranks, each a full V·TileI·TileJ
+// compute, and that rank then computes its whole column of K·TileI·TileJ
+// points in order. The table covers the V ladder (1, a non-divisor of K, 64, K), both
 // modes, every capability and both networks, through the uncached
 // reference and through a small bounded cache (a miss on a pooled engine,
 // then a hit, with evictions along the way).
@@ -387,7 +387,7 @@ func TestWavefrontLowerBound(t *testing.T) {
 // TestWavefrontLowerBound's a one-row and a one-column processor grid, a
 // two-level switch hierarchy beside the flat switched and shared-bus
 // networks, and ten seeded random machines scaled as in the experiments
-// package's randomized optimum test, so the chain term and the busy-CPU
+// package's randomized optimum test, so the path term and the busy-CPU
 // term each dominate somewhere. An active fault plan yields no bound.
 func TestGridLowerBound(t *testing.T) {
 	grids := []struct {
@@ -470,6 +470,22 @@ func TestGridLowerBound(t *testing.T) {
 		}
 	}
 	t.Logf("%d points, tightest makespan/bound %.6f", points, tightest)
+}
+
+// TestGridLowerBoundAllocFree: the bound runs on every certified cache hit
+// (the walk prices the incumbent's unprobed neighbors) and on every exact
+// tier rung, so it must allocate nothing, in either mode.
+func TestGridLowerBoundAllocFree(t *testing.T) {
+	g := model.Grid3D{I: 64, J: 64, K: 4096, PI: 8, PJ: 8}
+	m := model.PentiumCluster()
+	for _, mode := range []Mode{Blocking, Overlapped} {
+		var lb float64
+		if allocs := testing.AllocsPerRun(100, func() {
+			lb = GridLowerBound(g, 100, m, mode, CapNone, GridOpts{})
+		}); allocs != 0 || !(lb > 0) {
+			t.Errorf("%s: %v allocations per call (bound %g), want 0", mode, allocs, lb)
+		}
+	}
 }
 
 // TestGenericTopology2D drives Simulate directly with a 2-D tiled space
