@@ -130,7 +130,7 @@ func run() error {
 		return err
 	}
 	fmt.Print(plan.Describe())
-	fmt.Printf("tiling H:\n%v\n", plan.Tiling.H())
+	fmt.Printf("tiling H:\n%v\n", plan.Tiling)
 	fmt.Println("exact per-direction tile transfer volumes:")
 	for _, v := range plan.DepVolumes {
 		fmt.Printf("  %v : %d points\n", v.Dir, v.Points)

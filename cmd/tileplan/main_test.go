@@ -72,3 +72,26 @@ func TestGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestBadTileSides: an explicit -tile of the wrong length or with a
+// non-positive side fails with a message naming the sides, rather than
+// panicking, reporting the tiling illegal or silently growing the side.
+func TestBadTileSides(t *testing.T) {
+	for tile, want := range map[string]string{
+		"4x4x4": "tileplan: core: tile sides (4, 4, 4) have 3 dimensions, the space has 2\n",
+		"4":     "tileplan: core: tile sides (4) have 1 dimensions, the space has 2\n",
+		"0x4":   "tileplan: core: tile sides (0, 4): side 0 in dimension 0 is not positive\n",
+	} {
+		cmd := exec.Command(os.Args[0], "-space", "16x16", "-deps", "1,0;0,1", "-tile", tile)
+		cmd.Env = append(os.Environ(), "TILEPLAN_CHILD=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+			t.Errorf("-tile %s: exit %v, want status 1", tile, err)
+		}
+		if len(out) != 0 || stderr.String() != want {
+			t.Errorf("-tile %s: stdout %q, stderr %q; want no stdout and stderr %q", tile, out, stderr.String(), want)
+		}
+	}
+}

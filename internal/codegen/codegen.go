@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/deps"
@@ -16,10 +17,7 @@ import (
 // clipping against the original bounds, the standard strip-mine-and-
 // interchange form of the supernode transformation.
 func SequentialTiled(sp *space.Space, t *tiling.Tiling, body string) (string, error) {
-	sides, err := t.RectSides()
-	if err != nil {
-		return "", err
-	}
+	sides := t.Sides()
 	if sp.Dim() != t.Dim() {
 		return "", fmt.Errorf("codegen: dimension mismatch")
 	}
@@ -83,59 +81,69 @@ func ProcNB(kTiles int64) string {
 }
 
 // TiledOrder invokes visit with every point of sp in the execution order of
-// the sequentially-tiled nest: tiles in lexicographic tile-coordinate
-// order, points within a tile in lexicographic order. Works for arbitrary
-// (including skewed) tilings.
+// the sequentially-tiled nest: tiles of TileSpace in lexicographic
+// tile-coordinate order, points within a tile in lexicographic order. The
+// yielded vector is reused; clone to retain.
 func TiledOrder(sp *space.Space, t *tiling.Tiling, visit func(ilmath.Vec)) error {
-	tiles, err := t.NonEmptyTiles(sp)
+	ts, err := t.TileSpace(sp)
 	if err != nil {
 		return err
 	}
-	for _, tc := range tiles {
-		if _, err := t.TilePoints(sp, tc, visit); err != nil {
-			return err
+	ts.Points(func(tc ilmath.Vec) bool {
+		err = visitTile(sp, t, tc, visit)
+		return err == nil
+	})
+	return err
+}
+
+// WavefrontOrder invokes visit with every point of sp in the order implied
+// by a linear schedule of the tiled space: tiles grouped by time step
+// (steps ascending, tiles within a step in lexicographic order), points
+// within a tile in lexicographic order. This is the parallel execution
+// order whose legality the schedule guarantees.
+func WavefrontOrder(sp *space.Space, t *tiling.Tiling, l *schedule.Linear, td *deps.Set, visit func(ilmath.Vec)) error {
+	ts, err := t.TileSpace(sp)
+	if err != nil {
+		return err
+	}
+	byStep := map[int64][]ilmath.Vec{}
+	var steps []int64
+	ts.Points(func(tc ilmath.Vec) bool {
+		var step int64
+		if step, err = l.Time(tc, ts, td); err != nil {
+			return false
+		}
+		if byStep[step] == nil {
+			steps = append(steps, step)
+		}
+		byStep[step] = append(byStep[step], tc.Clone())
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	slices.Sort(steps)
+	for _, s := range steps {
+		for _, tc := range byStep[s] {
+			if err := visitTile(sp, t, tc, visit); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// WavefrontOrder invokes visit with every point of sp in the order implied
-// by a linear schedule of the tiled space: tiles grouped by time step
-// (steps ascending, tiles within a step in enumeration order), points
-// within a tile in lexicographic order. This is the parallel execution
-// order whose legality the schedule guarantees.
-func WavefrontOrder(sp *space.Space, t *tiling.Tiling, l *schedule.Linear, td *deps.Set, visit func(ilmath.Vec)) error {
-	tiles, err := t.NonEmptyTiles(sp)
+// visitTile invokes visit with the points of tile tc's TileIterations box
+// in lexicographic order. Every tile of TileSpace holds at least one point.
+func visitTile(sp *space.Space, t *tiling.Tiling, tc ilmath.Vec, visit func(ilmath.Vec)) error {
+	sub, err := t.TileIterations(sp, tc)
 	if err != nil {
 		return err
 	}
-	// Group tiles by schedule step.
-	box, err := t.TileSpaceBounds(sp)
-	if err != nil {
-		return err
-	}
-	byStep := map[int64][]ilmath.Vec{}
-	var minStep, maxStep int64
-	for i, tc := range tiles {
-		step, err := l.Time(tc, box, td)
-		if err != nil {
-			return err
-		}
-		byStep[step] = append(byStep[step], tc)
-		if i == 0 || step < minStep {
-			minStep = step
-		}
-		if i == 0 || step > maxStep {
-			maxStep = step
-		}
-	}
-	for s := minStep; s <= maxStep; s++ {
-		for _, tc := range byStep[s] {
-			if _, err := t.TilePoints(sp, tc, visit); err != nil {
-				return err
-			}
-		}
-	}
+	sub.Points(func(j ilmath.Vec) bool {
+		visit(j)
+		return true
+	})
 	return nil
 }
 

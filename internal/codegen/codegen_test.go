@@ -36,10 +36,6 @@ func TestSequentialTiledText(t *testing.T) {
 }
 
 func TestSequentialTiledErrors(t *testing.T) {
-	sp := space.MustRect(10, 10)
-	if _, err := SequentialTiled(sp, skewedTiling(t, 2), "x"); err == nil {
-		t.Error("skewed tiling accepted by rectangular emitter")
-	}
 	if _, err := SequentialTiled(space.MustRect(4), tiling.MustRectangular(2, 2), "x"); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
@@ -71,48 +67,21 @@ func TestProcPseudocode(t *testing.T) {
 }
 
 func TestTiledOrderLegalRectangular(t *testing.T) {
-	sp := space.MustRect(20, 12)
-	tl := tiling.MustRectangular(4, 3)
 	d := deps.Example1Deps()
-	err := CheckOrder(sp, d, func(visit func(ilmath.Vec)) error {
-		return TiledOrder(sp, tl, func(j ilmath.Vec) { visit(j.Clone()) })
-	})
-	if err != nil {
-		t.Errorf("tiled order illegal: %v", err)
+	for _, sp := range []*space.Space{
+		space.MustRect(20, 12),
+		// Negative lower bounds and sides that divide no extent: clipped
+		// tiles on every face.
+		space.MustNew(ilmath.V(-5, -3), ilmath.V(13, 7)),
+	} {
+		tl := tiling.MustRectangular(4, 3)
+		err := CheckOrder(sp, d, func(visit func(ilmath.Vec)) error {
+			return TiledOrder(sp, tl, func(j ilmath.Vec) { visit(j.Clone()) })
+		})
+		if err != nil {
+			t.Errorf("tiled order over %v illegal: %v", sp, err)
+		}
 	}
-}
-
-func TestTiledOrderLegalSkewed(t *testing.T) {
-	// Wavefront deps need the skewed tiling; its tiled order must be legal.
-	d := deps.MustNewSet(ilmath.V(1, -1), ilmath.V(1, 0), ilmath.V(1, 1))
-	sp := space.MustRect(12, 10)
-	tl := skewedTiling(t, 3)
-	if !tl.Legal(d) {
-		t.Fatal("skewed tiling not legal for the wavefront set")
-	}
-	err := CheckOrder(sp, d, func(visit func(ilmath.Vec)) error {
-		return TiledOrder(sp, tl, func(j ilmath.Vec) { visit(j.Clone()) })
-	})
-	if err != nil {
-		t.Errorf("skewed tiled order illegal: %v", err)
-	}
-}
-
-// skewedTiling is the parallelepiped tiling H = (1/s)·S with the unimodular
-// skew S = [[1, 0], [1, 1]], which makes every dependence of the wavefront
-// set {(1,−1), (1,0), (1,1)} non-negative (S·D ≥ 0): square s×s tiles of
-// the skewed space.
-func skewedTiling(t *testing.T, s int64) *tiling.Tiling {
-	t.Helper()
-	h := ilmath.NewRatMat(2, 2)
-	h.Set(0, 0, ilmath.NewRat(1, s))
-	h.Set(1, 0, ilmath.NewRat(1, s))
-	h.Set(1, 1, ilmath.NewRat(1, s))
-	tl, err := tiling.FromH(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tl
 }
 
 func TestTiledOrderIllegalTilingDetected(t *testing.T) {

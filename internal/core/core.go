@@ -36,14 +36,13 @@ func NewProblem(s *space.Space, d *deps.Set) (*Problem, error) {
 // Hodzic–Shang rule g = c·t_s/t_c, communication-minimal rectangular shape,
 // mapping along the largest tiled dimension.
 type PlanOptions struct {
-	// TileSides fixes the rectangular tile side lengths explicitly.
+	// TileSides fixes the rectangular tile side lengths explicitly: one
+	// positive side per dimension, or Plan returns an error. Sides too short
+	// to contain a dependence are grown until they do.
 	TileSides ilmath.Vec
 	// TileVolume fixes the tile volume budget g (ignored when TileSides is
 	// set). When both are zero the Hodzic–Shang optimum is used.
 	TileVolume int64
-	// Neighbors is the c parameter of the Hodzic–Shang rule (default n−1,
-	// the number of communicating directions after mapping).
-	Neighbors int
 	// MapDim forces the processor-mapping dimension (default: the largest
 	// dimension of the tiled space, per the UET-UCT result).
 	MapDim *int
@@ -72,17 +71,23 @@ func (p *Problem) Plan(m model.Machine, opts PlanOptions) (*Plan, error) {
 	}
 	n := p.Space.Dim()
 
-	sides := opts.TileSides
-	if sides == nil {
+	var sides ilmath.Vec
+	if opts.TileSides != nil {
+		sides = opts.TileSides.Clone()
+		if len(sides) != n {
+			return nil, fmt.Errorf("core: tile sides %v have %d dimensions, the space has %d", sides, len(sides), n)
+		}
+		for i, s := range sides {
+			if s <= 0 {
+				return nil, fmt.Errorf("core: tile sides %v: side %d in dimension %d is not positive", sides, s, i)
+			}
+		}
+	} else {
 		g := opts.TileVolume
 		if g <= 0 {
-			c := opts.Neighbors
-			if c <= 0 {
-				c = n - 1
-				if c == 0 {
-					c = 1
-				}
-			}
+			// c of the Hodzic–Shang rule: the n−1 communicating directions
+			// left after mapping, at least one.
+			c := max(n-1, 1)
 			g = int64(m.HodzicShangOptimalG(c))
 			if g < 1 {
 				g = 1
@@ -163,10 +168,10 @@ func (pl *Plan) stepShape() model.StepShape {
 	}
 	var sends []int64
 	for i, r := range rows {
-		if i == pl.Mapping.MapDim || r.Sign() == 0 {
+		if i == pl.Mapping.MapDim || r == 0 {
 			continue
 		}
-		sends = append(sends, r.Floor()*pl.Machine.BytesPerElem)
+		sends = append(sends, r*pl.Machine.BytesPerElem)
 	}
 	recvs := append([]int64(nil), sends...)
 	return model.StepShape{
@@ -285,10 +290,9 @@ func (pl *Plan) topology() (sim.Topology, error) {
 // Describe renders a human-readable plan summary.
 func (pl *Plan) Describe() string {
 	var b strings.Builder
-	sides, _ := pl.Tiling.RectSides()
 	fmt.Fprintf(&b, "iteration space : %v (%d points)\n", pl.Problem.Space, pl.Problem.Space.Volume())
 	fmt.Fprintf(&b, "dependences     : %v\n", pl.Problem.Deps)
-	fmt.Fprintf(&b, "tile sides      : %v (g = %d)\n", sides, pl.Tiling.VolumeInt())
+	fmt.Fprintf(&b, "tile sides      : %v (g = %d)\n", pl.Tiling.Sides(), pl.Tiling.VolumeInt())
 	fmt.Fprintf(&b, "tiled space     : %v (%d tiles)\n", pl.TileSpace, pl.TileSpace.Volume())
 	fmt.Fprintf(&b, "tiled deps      : %v\n", pl.TileDeps)
 	fmt.Fprintf(&b, "mapping         : dim %d -> %d processors × %d tiles each\n",

@@ -40,14 +40,11 @@ func TestPlanExample1Defaults(t *testing.T) {
 	// the optimal rectangular shape is square: 10×10 tiles, map along the
 	// larger tiled dimension (dim 0).
 	p := example1Problem(t)
-	plan, err := p.Plan(model.Example1Machine(), PlanOptions{Neighbors: 1})
+	plan, err := p.Plan(model.Example1Machine(), PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sides, err := plan.Tiling.RectSides()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sides := plan.Tiling.Sides()
 	if !sides.Equal(ilmath.V(10, 10)) {
 		t.Errorf("sides = %v, want (10, 10)", sides)
 	}
@@ -68,7 +65,7 @@ func TestPlanExplicitSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sides, _ := plan.Tiling.RectSides()
+	sides := plan.Tiling.Sides()
 	if !sides.Equal(ilmath.V(20, 5)) {
 		t.Errorf("sides = %v", sides)
 	}
@@ -81,9 +78,38 @@ func TestPlanGrowsTinyTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sides, _ := plan.Tiling.RectSides()
+	sides := plan.Tiling.Sides()
 	if sides[0] < 2 || sides[1] < 2 {
 		t.Errorf("sides %v do not contain dependences", sides)
+	}
+}
+
+func TestPlanRejectsBadTileSides(t *testing.T) {
+	// Explicit sides must have one positive entry per dimension; the
+	// dependence-containment growth must not hide a bad one.
+	p := example1Problem(t)
+	for _, c := range []struct {
+		sides ilmath.Vec
+		want  string
+	}{
+		{ilmath.V(4, 4, 4), "core: tile sides (4, 4, 4) have 3 dimensions, the space has 2"},
+		{ilmath.V(4), "core: tile sides (4) have 1 dimensions, the space has 2"},
+		{ilmath.V(), "core: tile sides () have 0 dimensions, the space has 2"},
+		{ilmath.V(0, 4), "core: tile sides (0, 4): side 0 in dimension 0 is not positive"},
+		{ilmath.V(4, -2), "core: tile sides (4, -2): side -2 in dimension 1 is not positive"},
+	} {
+		_, err := p.Plan(model.Example1Machine(), PlanOptions{TileSides: c.sides})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Plan(TileSides %v) error = %v, want %q", c.sides, err, c.want)
+		}
+	}
+	// The caller's sides are not grown in place.
+	tiny := ilmath.V(1, 1)
+	if _, err := p.Plan(model.Example1Machine(), PlanOptions{TileSides: tiny}); err != nil {
+		t.Fatal(err)
+	}
+	if !tiny.Equal(ilmath.V(1, 1)) {
+		t.Errorf("Plan changed the caller's TileSides to %v", tiny)
 	}
 }
 
@@ -96,7 +122,7 @@ func TestPlanVolumeBudget(t *testing.T) {
 	if g := plan.Tiling.VolumeInt(); g > 400 {
 		t.Errorf("tile volume %d exceeds budget 400", g)
 	}
-	sides, _ := plan.Tiling.RectSides()
+	sides := plan.Tiling.Sides()
 	if sides[0] != sides[1] {
 		t.Errorf("symmetric deps should give square tiles, got %v", sides)
 	}
@@ -119,7 +145,7 @@ func TestPlanForcedMapDim(t *testing.T) {
 
 func TestPredictExample1(t *testing.T) {
 	p := example1Problem(t)
-	plan, err := p.Plan(model.Example1Machine(), PlanOptions{Neighbors: 1})
+	plan, err := p.Plan(model.Example1Machine(), PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +257,7 @@ func TestSimulateDiagonalDepsLooseAgreement(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	p := example1Problem(t)
-	plan, err := p.Plan(model.Example1Machine(), PlanOptions{Neighbors: 1})
+	plan, err := p.Plan(model.Example1Machine(), PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

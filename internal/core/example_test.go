@@ -18,11 +18,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := problem.Plan(model.Example1Machine(), core.PlanOptions{Neighbors: 1})
+	plan, err := problem.Plan(model.Example1Machine(), core.PlanOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sides, _ := plan.Tiling.RectSides()
+	sides := plan.Tiling.Sides()
 	pred, err := plan.Predict()
 	if err != nil {
 		log.Fatal(err)

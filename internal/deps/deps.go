@@ -65,12 +65,6 @@ func (s *Set) Vectors() []ilmath.Vec {
 	return out
 }
 
-// Matrix returns the n×m dependence matrix D whose columns are the
-// dependence vectors, as used in the legality condition HD ≥ 0.
-func (s *Set) Matrix() *ilmath.Mat {
-	return ilmath.MatFromCols(s.vecs...)
-}
-
 // MaxComponent returns, per dimension, the maximum component over all
 // dependence vectors; tiles must be at least this large along each dimension
 // for the unit-dependence tiled space assumption |HD| < 1 to hold.

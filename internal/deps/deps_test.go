@@ -49,17 +49,6 @@ func TestSetAccessors(t *testing.T) {
 	}
 }
 
-func TestMatrixColumns(t *testing.T) {
-	s := Example1Deps()
-	m := s.Matrix()
-	if m.Rows != 2 || m.Cols != 3 {
-		t.Fatalf("Matrix shape %dx%d, want 2x3", m.Rows, m.Cols)
-	}
-	if m.String() != "[1 1 0]\n[1 0 1]" {
-		t.Errorf("Matrix columns wrong:\n%v", m)
-	}
-}
-
 func TestMaxComponent(t *testing.T) {
 	s := MustNewSet(ilmath.V(1, -2, 0), ilmath.V(0, 3, 1))
 	if got := s.MaxComponent(); !got.Equal(ilmath.V(1, 3, 1)) {

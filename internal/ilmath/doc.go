@@ -1,8 +1,5 @@
-// Package ilmath provides exact integer and rational linear algebra for
-// loop-tiling transformations.
-//
-// Tiling matrices H and their inverses P = H⁻¹ must be manipulated exactly:
-// legality tests such as HD ≥ 0 and ⌊HD⌋ = 0 are ill-conditioned under
-// floating point when tile sides are large. All arithmetic in this package
-// is exact, over int64 numerators/denominators with overflow checks.
+// Package ilmath provides the exact integer vectors of loop-tiling
+// transformations: index points, dependence vectors, tile coordinates and
+// schedule vectors. Arithmetic is over int64 with overflow checks; an
+// overflow panics with ErrOverflow rather than wrapping silently.
 package ilmath

@@ -174,36 +174,3 @@ func mulChecked(a, b int64) int64 {
 	}
 	return p
 }
-
-// Gcd returns the greatest common divisor of a and b, always ≥ 0.
-// Gcd(0, 0) = 0.
-func Gcd(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// Lcm returns the least common multiple of a and b, always ≥ 0.
-// Lcm(0, x) = 0.
-func Lcm(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	a, b = AbsInt64(a), AbsInt64(b)
-	return mulChecked(a/Gcd(a, b), b)
-}
-
-// AbsInt64 returns |x|. It panics on math.MinInt64.
-func AbsInt64(x int64) int64 {
-	if x < 0 {
-		return subChecked(0, x)
-	}
-	return x
-}

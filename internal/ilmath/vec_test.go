@@ -113,63 +113,9 @@ func TestSubCheckedOverflow(t *testing.T) {
 	subChecked(math.MinInt64, 1)
 }
 
-func TestGcdLcm(t *testing.T) {
-	cases := []struct{ a, b, gcd, lcm int64 }{
-		{0, 0, 0, 0},
-		{0, 5, 5, 0},
-		{4, 6, 2, 12},
-		{-4, 6, 2, 12},
-		{4, -6, 2, 12},
-		{-4, -6, 2, 12},
-		{7, 13, 1, 91},
-		{12, 12, 12, 12},
-	}
-	for _, c := range cases {
-		if g := Gcd(c.a, c.b); g != c.gcd {
-			t.Errorf("Gcd(%d,%d) = %d, want %d", c.a, c.b, g, c.gcd)
-		}
-		if l := Lcm(c.a, c.b); l != c.lcm {
-			t.Errorf("Lcm(%d,%d) = %d, want %d", c.a, c.b, l, c.lcm)
-		}
-	}
-}
-
-func TestAbsInt64(t *testing.T) {
-	if AbsInt64(-7) != 7 || AbsInt64(7) != 7 || AbsInt64(0) != 0 {
-		t.Error("AbsInt64 wrong")
-	}
-}
-
 // small bounds the magnitude of quick-generated ints so exact arithmetic
 // cannot overflow inside property tests.
 func small(x int64) int64 { return x % 1000 }
-
-func TestPropGcdDividesBoth(t *testing.T) {
-	f := func(a, b int64) bool {
-		a, b = small(a), small(b)
-		g := Gcd(a, b)
-		if g == 0 {
-			return a == 0 && b == 0
-		}
-		return a%g == 0 && b%g == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropGcdLcmProduct(t *testing.T) {
-	f := func(a, b int64) bool {
-		a, b = small(a), small(b)
-		if a == 0 || b == 0 {
-			return Lcm(a, b) == 0
-		}
-		return Gcd(a, b)*Lcm(a, b) == AbsInt64(a)*AbsInt64(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestPropVecAddCommutative(t *testing.T) {
 	f := func(a, b, c, d, e, g int64) bool {

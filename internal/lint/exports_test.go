@@ -44,15 +44,16 @@ func loadModule(t *testing.T) (*Loader, []*Package) {
 	return module.ld, module.pkgs
 }
 
-// exportAllow names the exported identifiers under internal/ that no
-// non-test file uses and that stay anyway, each with its reason. An entry
-// that names nothing, or whose identifier has gained a production use,
-// fails TestExportsHaveProductionUse, so the list cannot go stale.
+// exportAllow names the declarations under internal/ that no non-test file
+// uses and that stay anyway, each with its reason. An entry that names
+// nothing, or whose identifier has gained a production use, fails
+// TestExportsHaveProductionUse, so the list cannot go stale.
 var exportAllow = map[string]string{
-	// The legality oracle for the paper's general-H formalism: tests replay
-	// tiled and wavefront orders of legal and illegal tilings through it.
+	// The legality oracle of the tiling transformation: tests replay the
+	// tiled and wavefront orders of legal and illegal box tilings through
+	// it. It walks TileSpace and TileIterations, which commands use too.
 	"codegen.CheckOrder":     "legality oracle: checks an execution order against the dependences",
-	"codegen.TiledOrder":     "legality oracle: the tiled sequential order of any H",
+	"codegen.TiledOrder":     "legality oracle: the tiled sequential order, tile boxes in lexicographic order",
 	"codegen.WavefrontOrder": "legality oracle: the tiled order under a linear schedule",
 
 	// Fixtures the tests of two or more packages share.
@@ -118,17 +119,18 @@ func dispatchedMethods(t *testing.T, imp types.Importer) map[string][]*types.Fun
 	return out
 }
 
-// exportedDecl is one exported top-level identifier or exported method
-// declared under internal/, with the source span of its declaration.
+// exportedDecl is one top-level function, type, variable or exported
+// constant, or one method, declared under internal/, with the source span of
+// its declaration.
 type exportedDecl struct {
 	name       string // package.Name or package.Type.Method
 	pos        token.Position
 	start, end token.Pos
 }
 
-// unusedExports returns, sorted by name, every exported top-level
-// identifier and exported method declared in an internal/ package of pkgs
-// that no file of pkgs uses outside its own declaration and outside the
+// unusedExports returns, sorted by name, every top-level function, type,
+// variable and exported constant, and every method, declared in an
+// internal/ package of pkgs that no file of pkgs uses outside its own declaration and outside the
 // other unused declarations (the loader reads no _test.go file), plus
 // every such identifier declared. A method also counts as used when its
 // receiver type implements the interface of a used interface method of the
@@ -158,8 +160,8 @@ func unusedExports(modulePath string, pkgs []*Package, extra map[string][]*types
 			for _, decl := range f.Decls {
 				switch decl := decl.(type) {
 				case *ast.FuncDecl:
-					if !decl.Name.IsExported() {
-						continue
+					if decl.Name.Name == "init" || decl.Name.Name == "_" {
+						continue // run by the runtime, or nothing to name
 					}
 					name := short + "." + decl.Name.Name
 					if decl.Recv != nil {
@@ -170,12 +172,14 @@ func unusedExports(modulePath string, pkgs []*Package, extra map[string][]*types
 					for _, spec := range decl.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
-							if spec.Name.IsExported() {
+							if spec.Name.Name != "_" {
 								add(p, spec.Name, short+"."+spec.Name.Name, spec)
 							}
 						case *ast.ValueSpec:
+							// Unexported constants are left out: iota
+							// members name values, not code.
 							for _, id := range spec.Names {
-								if id.IsExported() {
+								if id.Name != "_" && (decl.Tok == token.VAR || id.IsExported()) {
 									add(p, id, short+"."+id.Name, spec)
 								}
 							}
@@ -295,12 +299,13 @@ func recvName(e ast.Expr) string {
 	}
 }
 
-// TestExportsHaveProductionUse: every exported top-level identifier and
-// exported method declared under internal/ is used by some non-test file
-// outside its own declaration, or sits on exportAllow with a reason. Code
+// TestExportsHaveProductionUse: every top-level function, type, variable
+// and exported constant, and every method, declared under internal/ is used
+// by some non-test file outside its own declaration, or sits on exportAllow
+// with a reason. Unexported helpers count as much as exported API: code
 // that only tests reach belongs in a _test.go file or nowhere. Uses are
-// resolved by go/types, so an unused (*Mat).Mul is caught even while
-// (*RatMat).Mul is called.
+// resolved by go/types, so an unused method is caught even while a method
+// of the same name on another type is called.
 func TestExportsHaveProductionUse(t *testing.T) {
 	ld, pkgs := loadModule(t)
 	unused, declared, rescued := unusedExports(ld.ModulePath, pkgs, dispatchedMethods(t, ld), exportAllow)

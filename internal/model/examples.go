@@ -55,7 +55,7 @@ func Example1() (ExampleResult, error) {
 		return ExampleResult{}, err
 	}
 	// One send + one receive per step of V_comm points each.
-	bytes := vcomm.Int() * m.BytesPerElem
+	bytes := vcomm * m.BytesPerElem
 	step := StepShape{
 		ComputePoints: tl.VolumeInt(),
 		SendBytes:     []int64{bytes},
@@ -65,7 +65,7 @@ func Example1() (ExampleResult, error) {
 	total := m.TotalNonOverlapped(p, step)
 	return ExampleResult{
 		G:          tl.VolumeInt(),
-		VComm:      vcomm.Int(),
+		VComm:      vcomm,
 		P:          p,
 		StepTime:   stepTime,
 		Total:      total,
@@ -113,7 +113,7 @@ func Example3() (ExampleResult, error) {
 	if err != nil {
 		return ExampleResult{}, err
 	}
-	bytes := vcomm.Int() * m.BytesPerElem
+	bytes := vcomm * m.BytesPerElem
 	step := StepShape{
 		ComputePoints: tl.VolumeInt(),
 		SendBytes:     []int64{bytes},
@@ -123,7 +123,7 @@ func Example3() (ExampleResult, error) {
 	total := m.TotalOverlapped(p, step)
 	return ExampleResult{
 		G:          tl.VolumeInt(),
-		VComm:      vcomm.Int(),
+		VComm:      vcomm,
 		P:          p,
 		StepTime:   stepTime,
 		Total:      total,

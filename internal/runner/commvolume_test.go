@@ -87,7 +87,7 @@ func TestMeasuredTrafficMatchesFaceVolumes3D(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mapping along k (dim 2): faces crossing dims 0 and 1 are messages.
-	perTilePoints := rows[0].Int() + rows[1].Int()
+	perTilePoints := rows[0] + rows[1]
 	kTiles := cfg.Grid.KTiles(cfg.V)
 
 	snaps := measuredTraffic(t, int(cfg.Grid.PI*cfg.Grid.PJ), func(c mp.Comm) (Stats, error) {

@@ -16,18 +16,16 @@ import (
 // the number of iteration points whose results must be sent to neighboring
 // tiles, summed over all tile boundary surfaces. Legality HD ≥ 0 must hold
 // (all contributions non-negative); CommVolume returns an error otherwise.
-func (t *Tiling) CommVolume(d *deps.Set) (ilmath.Rat, error) {
-	if !t.Legal(d) {
-		return ilmath.RatZero, fmt.Errorf("tiling: illegal for %v", d)
+func (t *Tiling) CommVolume(d *deps.Set) (int64, error) {
+	rows, err := t.RowCommVolume(d)
+	if err != nil {
+		return 0, err
 	}
-	hd := t.h.MulIntMat(d.Matrix())
-	sum := ilmath.RatZero
-	for i := 0; i < hd.Rows; i++ {
-		for j := 0; j < hd.Cols; j++ {
-			sum = sum.Add(hd.At(i, j))
-		}
+	var sum int64
+	for _, r := range rows {
+		sum += r
 	}
-	return sum.Mul(t.g), nil
+	return sum, nil
 }
 
 // CommVolumeMapped computes the interprocessor communication cost per
@@ -36,42 +34,38 @@ func (t *Tiling) CommVolume(d *deps.Set) (ilmath.Rat, error) {
 // nothing. Equivalently, row mapDim of H is dropped from the formula-(1) sum:
 //
 //	V_comm(H) = (1/|det H|) · Σ_{i ≠ mapDim} Σ_j (H·D)_{i,j}
-func (t *Tiling) CommVolumeMapped(d *deps.Set, mapDim int) (ilmath.Rat, error) {
+func (t *Tiling) CommVolumeMapped(d *deps.Set, mapDim int) (int64, error) {
 	if mapDim < 0 || mapDim >= t.Dim() {
-		return ilmath.RatZero, fmt.Errorf("tiling: mapping dimension %d out of range [0,%d)", mapDim, t.Dim())
+		return 0, fmt.Errorf("tiling: mapping dimension %d out of range [0,%d)", mapDim, t.Dim())
 	}
-	if !t.Legal(d) {
-		return ilmath.RatZero, fmt.Errorf("tiling: illegal for %v", d)
+	rows, err := t.RowCommVolume(d)
+	if err != nil {
+		return 0, err
 	}
-	hd := t.h.MulIntMat(d.Matrix())
-	sum := ilmath.RatZero
-	for i := 0; i < hd.Rows; i++ {
-		if i == mapDim {
-			continue
-		}
-		for j := 0; j < hd.Cols; j++ {
-			sum = sum.Add(hd.At(i, j))
+	var sum int64
+	for i, r := range rows {
+		if i != mapDim {
+			sum += r
 		}
 	}
-	return sum.Mul(t.g), nil
+	return sum, nil
 }
 
 // RowCommVolume returns the per-boundary-surface communication contribution
-// g·Σ_j (H·D)_{i,j} for each row i. The total over all rows equals formula
-// (1); dropping the mapping row gives formula (2). Used to size per-neighbor
-// messages.
-func (t *Tiling) RowCommVolume(d *deps.Set) ([]ilmath.Rat, error) {
+// g·Σ_j (H·D)_{i,j} for each row i. For H = diag(1/s), g/s_i is the product
+// of the other sides, so row i is that face's area times Σ_j d_{j,i}, an
+// integer. The total over all rows equals formula (1); dropping the mapping
+// row gives formula (2). Used to size per-neighbor messages.
+func (t *Tiling) RowCommVolume(d *deps.Set) ([]int64, error) {
 	if !t.Legal(d) {
 		return nil, fmt.Errorf("tiling: illegal for %v", d)
 	}
-	hd := t.h.MulIntMat(d.Matrix())
-	out := make([]ilmath.Rat, hd.Rows)
-	for i := 0; i < hd.Rows; i++ {
-		sum := ilmath.RatZero
-		for j := 0; j < hd.Cols; j++ {
-			sum = sum.Add(hd.At(i, j))
+	g := t.VolumeInt()
+	out := make([]int64, t.Dim())
+	for _, v := range d.Vectors() {
+		for i, x := range v {
+			out[i] += g / t.sides[i] * x
 		}
-		out[i] = sum.Mul(t.g)
 	}
 	return out, nil
 }
@@ -100,10 +94,9 @@ func OptimalRectSides(d *deps.Set, g int64) (ilmath.Vec, error) {
 	}
 	n := d.Dim()
 	r := make([]float64, n)
-	m := d.Matrix()
-	for i := 0; i < n; i++ {
-		for j := 0; j < m.Cols; j++ {
-			r[i] += float64(m.At(i, j))
+	for _, v := range d.Vectors() {
+		for i, x := range v {
+			r[i] += float64(x)
 		}
 	}
 	// Continuous optimum: s_i = r_i · (g / Π r_k)^(1/n) over dims with r_i>0.

@@ -17,10 +17,11 @@ type TileDepVolume struct {
 // TileDepVolumes computes, by exact enumeration of the first complete tile,
 // how many index points each tiled dependence direction carries:
 //
-//	count(ds) = |{ (j₀, d) : d ∈ D, ⌊H(j₀+d)⌋ = ds ≠ 0 }|
+//	count(ds) = |{ j₀ : ∃ d ∈ D, ⌊H(j₀+d)⌋ = ds ≠ 0 }|
 //
 // counting distinct source points per direction (a point read by several
-// dependences toward the same neighbor is transferred once).
+// dependences toward the same neighbor is transferred once). The result is
+// sorted by the rendered form of Dir.
 //
 // Note: summing these counts gives the exact per-tile communication volume,
 // which can be *less* than formula (1)'s V_comm: the formula sums h_i·d_j
@@ -35,38 +36,8 @@ func (t *Tiling) TileDepVolumes(d *deps.Set) ([]TileDepVolume, error) {
 	if !t.ContainsDeps(d) {
 		return nil, fmt.Errorf("tiling: dependence set %v not contained in a tile", d)
 	}
-	const maxEnum = 1 << 20
-	if !t.g.IsInt() || t.g.Int() > maxEnum {
-		return nil, fmt.Errorf("tiling: tile volume %v too large for exact enumeration", t.g)
+	if g := t.VolumeInt(); g > maxEnum {
+		return nil, fmt.Errorf("tiling: tile volume %v too large for exact enumeration", g)
 	}
-	// For each direction, the set of distinct source points.
-	srcs := make(map[string]map[string]bool)
-	dirs := make(map[string]ilmath.Vec)
-	t.firstTilePoints(func(j0 ilmath.Vec) {
-		for k := 0; k < d.Len(); k++ {
-			ds := t.TileOf(j0.Add(d.At(k)))
-			if ds.IsZero() {
-				continue
-			}
-			key := ds.String()
-			if srcs[key] == nil {
-				srcs[key] = make(map[string]bool)
-				dirs[key] = ds
-			}
-			srcs[key][j0.String()] = true
-		}
-	})
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("tiling: no inter-tile dependences")
-	}
-	keys := make([]string, 0, len(srcs))
-	for k := range srcs {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	out := make([]TileDepVolume, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, TileDepVolume{Dir: dirs[k], Points: int64(len(srcs[k]))})
-	}
-	return out, nil
+	return t.crossings(d), nil
 }

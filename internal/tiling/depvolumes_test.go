@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/deps"
-	"repro/internal/ilmath"
 )
 
 func volumesByDir(t *testing.T, tl *Tiling, d *deps.Set) map[string]int64 {
@@ -75,7 +74,7 @@ func TestTileDepVolumesNotExceedFormula1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ilmath.RatInt(total).Cmp(f1) > 0 {
+		if total > f1 {
 			t.Errorf("exact total %d exceeds formula (1) %v", total, f1)
 		}
 	}

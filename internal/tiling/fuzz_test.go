@@ -19,7 +19,7 @@ func FuzzApplyReconstruction(f *testing.F) {
 		j1, j2 = j1%10000, j2%10000
 		tl := MustRectangular(s1, s2)
 		j := ilmath.V(j1, j2)
-		off := offsetIn(j, tl.TileOf(j), ilmath.V(s1, s2))
+		off := offsetIn(j, tl.tileOf(j), ilmath.V(s1, s2))
 		if off[0] < 0 || off[0] >= s1 || off[1] < 0 || off[1] >= s2 {
 			t.Fatalf("offset %v outside tile", off)
 		}

@@ -2,32 +2,19 @@ package tiling
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/deps"
 	"repro/internal/ilmath"
+	"repro/internal/space"
 )
 
-// Tiling is a validated supernode transformation.
+// Tiling is a validated rectangular supernode transformation: tiles are
+// boxes with positive integer side lengths s, H = diag(1/s_1, …, 1/s_n).
 type Tiling struct {
-	h *ilmath.RatMat // the tiling matrix H
-	p *ilmath.RatMat // P = H⁻¹, the tile side vectors as columns
-	g ilmath.Rat     // |det P|, the tile volume (computation cost V_comp)
-}
-
-// FromH builds a Tiling from the hyperplane matrix H. H must be square and
-// non-singular.
-func FromH(h *ilmath.RatMat) (*Tiling, error) {
-	if h.Rows != h.Cols {
-		return nil, fmt.Errorf("tiling: H must be square, got %dx%d", h.Rows, h.Cols)
-	}
-	if h.Rows == 0 {
-		return nil, fmt.Errorf("tiling: H must be at least 1x1")
-	}
-	p, err := h.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("tiling: H is singular: %w", err)
-	}
-	return &Tiling{h: h.Clone(), p: p, g: p.Det().Abs()}, nil
+	sides ilmath.Vec
 }
 
 // Rectangular builds the axis-aligned tiling with the given integer side
@@ -36,14 +23,17 @@ func Rectangular(sides ...int64) (*Tiling, error) {
 	if len(sides) == 0 {
 		return nil, fmt.Errorf("tiling: no sides given")
 	}
-	d := make([]ilmath.Rat, len(sides))
+	g := int64(1)
 	for i, s := range sides {
 		if s <= 0 {
 			return nil, fmt.Errorf("tiling: non-positive side %d in dimension %d", s, i)
 		}
-		d[i] = ilmath.NewRat(1, s)
+		if g > math.MaxInt64/s {
+			return nil, fmt.Errorf("tiling: tile volume of sides %v overflows int64", ilmath.Vec(sides))
+		}
+		g *= s
 	}
-	return FromH(ilmath.RatDiag(d...))
+	return &Tiling{sides: ilmath.V(sides...)}, nil
 }
 
 // MustRectangular is Rectangular but panics on error.
@@ -56,88 +46,59 @@ func MustRectangular(sides ...int64) *Tiling {
 }
 
 // Dim returns the dimension n.
-func (t *Tiling) Dim() int { return t.h.Rows }
+func (t *Tiling) Dim() int { return len(t.sides) }
 
-// H returns a copy of the tiling matrix.
-func (t *Tiling) H() *ilmath.RatMat { return t.h.Clone() }
+// Sides returns a copy of the tile side lengths s.
+func (t *Tiling) Sides() ilmath.Vec { return t.sides.Clone() }
 
-// VolumeInt returns the tile volume g = |det P| = V_comp, the number of
-// index points per complete tile; it panics if g is not integral (it always
-// is for integer P).
-func (t *Tiling) VolumeInt() int64 { return t.g.Int() }
-
-// IsRectangular reports whether H is diagonal, i.e. tiles are axis-aligned
-// rectangles.
-func (t *Tiling) IsRectangular() bool {
-	for i := 0; i < t.h.Rows; i++ {
-		for j := 0; j < t.h.Cols; j++ {
-			if i != j && t.h.At(i, j).Sign() != 0 {
-				return false
-			}
-		}
+// VolumeInt returns the tile volume g = Π s_i = |det P| = V_comp, the
+// number of index points per complete tile. Rectangular has checked that
+// it fits an int64.
+func (t *Tiling) VolumeInt() int64 {
+	g := int64(1)
+	for _, s := range t.sides {
+		g *= s
 	}
-	return true
+	return g
 }
 
-// RectSides returns the integer tile side lengths for a rectangular tiling
-// with integer sides. It returns an error if the tiling is not rectangular
-// or a side is not a positive integer.
-func (t *Tiling) RectSides() (ilmath.Vec, error) {
-	if !t.IsRectangular() {
-		return nil, fmt.Errorf("tiling: not rectangular:\n%v", t.h)
+// tileOf returns ⌊Hj⌋ = ⌊j/s⌋, the coordinates of the tile containing
+// index point j.
+func (t *Tiling) tileOf(j ilmath.Vec) ilmath.Vec {
+	tc := make(ilmath.Vec, len(j))
+	for i, x := range j {
+		tc[i] = floorDiv(x, t.sides[i])
 	}
-	sides := make(ilmath.Vec, t.Dim())
-	for i := range sides {
-		s := t.p.At(i, i)
-		if !s.IsInt() || s.Int() <= 0 {
-			return nil, fmt.Errorf("tiling: side %v in dimension %d is not a positive integer", s, i)
-		}
-		sides[i] = s.Int()
-	}
-	return sides, nil
-}
-
-// TileOf returns ⌊Hj⌋, the coordinates of the tile containing index point j.
-func (t *Tiling) TileOf(j ilmath.Vec) ilmath.Vec {
-	return t.h.FloorVec(j)
+	return tc
 }
 
 // Legal reports whether HD ≥ 0 holds, the deadlock-freedom condition of
-// Irigoin & Triolet.
+// Irigoin & Triolet. For H = diag(1/s) with s > 0 that is every dependence
+// component being non-negative.
 func (t *Tiling) Legal(d *deps.Set) bool {
-	if d.Dim() != t.Dim() {
-		return false
-	}
-	hd := t.h.MulIntMat(d.Matrix())
-	for i := 0; i < hd.Rows; i++ {
-		for j := 0; j < hd.Cols; j++ {
-			if hd.At(i, j).Sign() < 0 {
-				return false
-			}
-		}
-	}
-	return true
+	return d.Dim() == t.Dim() && d.IsNonNegative()
 }
 
 // ContainsDeps reports whether every dependence is contained within a tile:
-// 0 ≤ Hd < 1 componentwise (equivalently ⌊HD⌋ = 0). Under this condition
-// the tiled space has only 0/1 dependence vectors and every tile exchanges
-// data only with its nearest neighbors.
+// 0 ≤ Hd < 1 componentwise (equivalently ⌊HD⌋ = 0), that is 0 ≤ d_i < s_i.
+// Under this condition the tiled space has only 0/1 dependence vectors and
+// every tile exchanges data only with its nearest neighbors.
 func (t *Tiling) ContainsDeps(d *deps.Set) bool {
 	if d.Dim() != t.Dim() {
 		return false
 	}
-	hd := t.h.MulIntMat(d.Matrix())
-	for i := 0; i < hd.Rows; i++ {
-		for j := 0; j < hd.Cols; j++ {
-			e := hd.At(i, j)
-			if e.Sign() < 0 || e.Cmp(ilmath.RatOne) >= 0 {
+	for _, v := range d.Vectors() {
+		for i, x := range v {
+			if x < 0 || x >= t.sides[i] {
 				return false
 			}
 		}
 	}
 	return true
 }
+
+// maxEnum bounds the tile volume TileDeps and TileDepVolumes enumerate.
+const maxEnum = 1 << 20
 
 // TileDeps computes the tiled dependence matrix D^S of Section 2.3:
 //
@@ -145,7 +106,7 @@ func (t *Tiling) ContainsDeps(d *deps.Set) bool {
 //
 // (zero vectors, i.e. dependences staying inside a tile, are dropped).
 // It requires ContainsDeps(d) so that D^S ⊆ {0,1}^n. The result is returned
-// as a deduplicated dependence set.
+// as a deduplicated dependence set, sorted by rendered form.
 func (t *Tiling) TileDeps(d *deps.Set) (*deps.Set, error) {
 	if !t.Legal(d) {
 		return nil, fmt.Errorf("tiling: illegal for dependence set %v (HD has negative entries)", d)
@@ -153,94 +114,87 @@ func (t *Tiling) TileDeps(d *deps.Set) (*deps.Set, error) {
 	if !t.ContainsDeps(d) {
 		return nil, fmt.Errorf("tiling: dependence set %v not contained in a tile (⌊HD⌋ ≠ 0)", d)
 	}
-	// With 0 ≤ Hj₀ < 1 and 0 ≤ Hd < 1, ⌊H(j₀+d)⌋ ∈ {0,1}^n. Component i of
-	// the floor is 1 iff (Hj₀)_i + (Hd)_i ≥ 1 for the particular j₀. Rather
-	// than enumerating the whole first tile (volume g points), observe that
-	// the achievable floor patterns are exactly those where, independently
-	// per component, a j₀ exists realizing the needed fractional part — but
-	// components are coupled through j₀. For exactness we enumerate lattice
-	// points of the first tile, bounded by a volume guard.
-	const maxEnum = 1 << 20
-	if !t.g.IsInt() || t.g.Int() > maxEnum {
-		return nil, fmt.Errorf("tiling: tile volume %v too large for exact D^S enumeration (max %d)", t.g, maxEnum)
+	if g := t.VolumeInt(); g > maxEnum {
+		return nil, fmt.Errorf("tiling: tile volume %v too large for exact D^S enumeration (max %d)", g, maxEnum)
 	}
-	seen := make(map[string]ilmath.Vec)
-	t.firstTilePoints(func(j0 ilmath.Vec) {
-		for k := 0; k < d.Len(); k++ {
-			ds := t.TileOf(j0.Add(d.At(k)))
-			if ds.IsZero() {
-				continue
-			}
-			seen[ds.String()] = ds
-		}
-	})
-	if len(seen) == 0 {
-		return nil, fmt.Errorf("tiling: no inter-tile dependences (tile too large for space?)")
-	}
-	// Deterministic order: sort by rendered form.
-	out := make([]ilmath.Vec, 0, len(seen))
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, k := range keys {
-		out = append(out, seen[k])
+	vols := t.crossings(d)
+	out := make([]ilmath.Vec, len(vols))
+	for i, v := range vols {
+		out[i] = v.Dir
 	}
 	return deps.NewSet(out...)
 }
 
-// firstTilePoints enumerates the lattice points j₀ with 0 ≤ Hj₀ < 1, i.e.
-// the first complete tile anchored at the origin.
-func (t *Tiling) firstTilePoints(visit func(ilmath.Vec)) {
-	n := t.Dim()
-	// Bounding box of the tile {P·x : x ∈ [0,1)^n}: per coordinate i the
-	// range is [Σ_k min(0, P_ik), Σ_k max(0, P_ik)].
-	lo := make(ilmath.Vec, n)
-	hi := make(ilmath.Vec, n)
-	for i := 0; i < n; i++ {
-		lf, hf := ilmath.RatZero, ilmath.RatZero
-		for k := 0; k < n; k++ {
-			e := t.p.At(i, k)
-			if e.Sign() < 0 {
-				lf = lf.Add(e)
-			} else {
-				hf = hf.Add(e)
-			}
-		}
-		lo[i] = lf.Floor()
-		hi[i] = hf.Ceil()
+// crossings enumerates the first complete tile, the box [0, s), and returns
+// for each tiled dependence direction ⌊(j₀+d)/s⌋ ≠ 0 the number of distinct
+// source points j₀ that reach it, sorted by the direction's rendered form.
+// The caller has checked that d is legal and contained in a tile, so every
+// direction is a 0/1 vector; a dependence set of nonzero non-negative
+// vectors always crosses from the tile's far corner, so the result is never
+// empty.
+func (t *Tiling) crossings(d *deps.Set) []TileDepVolume {
+	hi := make(ilmath.Vec, t.Dim())
+	for i, s := range t.sides {
+		hi[i] = s - 1
 	}
-	j := lo.Clone()
-	for {
-		if t.TileOf(j).IsZero() {
-			visit(j)
-		}
-		d := n - 1
-		for d >= 0 {
-			j[d]++
-			if j[d] <= hi[d] {
-				break
-			}
-			j[d] = lo[d]
-			d--
-		}
-		if d < 0 {
-			return
-		}
+	box, err := space.New(ilmath.NewVec(t.Dim()), hi)
+	if err != nil {
+		panic(err) // s ≥ 1, so [0, s−1] is a valid box
 	}
+	vecs := d.Vectors()
+	count := map[string]*TileDepVolume{}
+	var reached []string // directions j₀ reaches, each counted once
+	box.Points(func(j0 ilmath.Vec) bool {
+		reached = reached[:0]
+		for _, dv := range vecs {
+			ds := t.tileOf(j0.Add(dv))
+			key := ds.String()
+			if ds.IsZero() || slices.Contains(reached, key) {
+				continue
+			}
+			reached = append(reached, key)
+			if count[key] == nil {
+				count[key] = &TileDepVolume{Dir: ds}
+			}
+			count[key].Points++
+		}
+		return true
+	})
+	keys := make([]string, 0, len(count))
+	for k := range count {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([]TileDepVolume, len(keys))
+	for i, k := range keys {
+		out[i] = *count[k]
+	}
+	return out
 }
 
-func sortStrings(s []string) {
-	// Insertion sort; dependence sets are tiny.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// String summarizes the tiling.
+// String renders the tiling matrix H = diag(1/s_1, …, 1/s_n) one row per
+// line, as "[1/10 0]\n[0 1/10]".
 func (t *Tiling) String() string {
-	return fmt.Sprintf("Tiling(H=\n%v\ng=%v)", t.h, t.g)
+	var b strings.Builder
+	for i := range t.sides {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteByte('[')
+		for j, s := range t.sides {
+			if j > 0 {
+				b.WriteByte(' ')
+			}
+			switch {
+			case i != j:
+				b.WriteByte('0')
+			case s == 1:
+				b.WriteByte('1')
+			default:
+				fmt.Fprintf(&b, "1/%d", s)
+			}
+		}
+		b.WriteByte(']')
+	}
+	return b.String()
 }

@@ -17,15 +17,13 @@ func TestRectangularConstruction(t *testing.T) {
 	if tl.VolumeInt() != 100 {
 		t.Errorf("Volume = %d, want 100", tl.VolumeInt())
 	}
-	if !tl.IsRectangular() {
-		t.Error("rectangular tiling not detected")
-	}
-	sides, err := tl.RectSides()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sides := tl.Sides()
 	if !sides.Equal(ilmath.V(10, 10)) {
-		t.Errorf("RectSides = %v", sides)
+		t.Errorf("Sides = %v", sides)
+	}
+	sides[0] = 99
+	if tl.VolumeInt() != 100 {
+		t.Error("Sides leaks internal storage")
 	}
 	if _, err := Rectangular(); err == nil {
 		t.Error("empty sides accepted")
@@ -36,18 +34,8 @@ func TestRectangularConstruction(t *testing.T) {
 	if _, err := Rectangular(-3); err == nil {
 		t.Error("negative side accepted")
 	}
-}
-
-func TestFromHRejectsSingularAndNonSquare(t *testing.T) {
-	if _, err := FromH(ilmath.NewRatMat(2, 3)); err == nil {
-		t.Error("non-square H accepted")
-	}
-	sing := ilmath.MatFromCols(ilmath.V(1, 1), ilmath.V(1, 1)).ToRat()
-	if _, err := FromH(sing); err == nil {
-		t.Error("singular H accepted")
-	}
-	if _, err := FromH(ilmath.NewRatMat(0, 0)); err == nil {
-		t.Error("0x0 H accepted")
+	if _, err := Rectangular(1<<32, 1<<31); err == nil {
+		t.Error("sides whose volume overflows int64 accepted")
 	}
 }
 
@@ -63,9 +51,9 @@ func TestTileOfAndApply(t *testing.T) {
 		{ilmath.V(-1, -1), ilmath.V(-1, -1), ilmath.V(9, 9)},
 	}
 	for _, c := range cases {
-		tile := tl.TileOf(c.j)
+		tile := tl.tileOf(c.j)
 		if off := offsetIn(c.j, tile, ilmath.V(10, 10)); !tile.Equal(c.tile) || !off.Equal(c.off) {
-			t.Errorf("TileOf(%v) = %v, offset %v; want %v, %v", c.j, tile, off, c.tile, c.off)
+			t.Errorf("tileOf(%v) = %v, offset %v; want %v, %v", c.j, tile, off, c.tile, c.off)
 		}
 	}
 }
@@ -81,13 +69,13 @@ func offsetIn(j, tile, sides ilmath.Vec) ilmath.Vec {
 }
 
 func TestApplyReconstruction(t *testing.T) {
-	// j − P·TileOf(j) must lie inside the tile for rectangular tilings.
+	// j − P·tileOf(j) must lie inside the tile for rectangular tilings.
 	tl := MustRectangular(7, 3, 5)
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		j := ilmath.V(r.Int63n(100)-50, r.Int63n(100)-50, r.Int63n(100)-50)
 		sides := ilmath.V(7, 3, 5)
-		tile := tl.TileOf(j)
+		tile := tl.tileOf(j)
 		off := offsetIn(j, tile, sides)
 		for d := 0; d < 3; d++ {
 			if off[d] < 0 || off[d] >= sides[d] {
@@ -102,19 +90,10 @@ func TestLegality(t *testing.T) {
 	if !MustRectangular(10, 10).Legal(d) {
 		t.Error("rectangular tiling should be legal for non-negative deps")
 	}
-	// H with a negative entry against dependence (1,0): skewed tiling
-	// H = [[1/2, -1/2], [0, 1/2]] gives H·(1,0) = (1/2, 0) ≥ 0 but
-	// H·(0,1) = (-1/2, 1/2) which has a negative component -> illegal.
-	h := ilmath.NewRatMat(2, 2)
-	h.Set(0, 0, ilmath.NewRat(1, 2))
-	h.Set(0, 1, ilmath.NewRat(-1, 2))
-	h.Set(1, 1, ilmath.NewRat(1, 2))
-	tl, err := FromH(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Legal(d) {
-		t.Error("skewed tiling should be illegal for D containing (0,1)")
+	// A dependence with a negative component gives H·d a negative entry
+	// for every box H = diag(1/s): no rectangular tiling is legal.
+	if MustRectangular(4, 4).Legal(deps.MustNewSet(ilmath.V(1, -1), ilmath.V(0, 1))) {
+		t.Error("rectangular tiling should be illegal for D containing (1,-1)")
 	}
 	// Dimension mismatch is simply not legal.
 	if MustRectangular(4).Legal(d) {
@@ -175,15 +154,8 @@ func TestTileDepsErrors(t *testing.T) {
 	if _, err := MustRectangular(1, 1).TileDeps(d); err == nil {
 		t.Error("TileDeps accepted deps not contained in tile")
 	}
-	// Illegal tiling.
-	h := ilmath.NewRatMat(2, 2)
-	h.Set(0, 0, ilmath.NewRat(-1, 10))
-	h.Set(1, 1, ilmath.NewRat(1, 10))
-	tl, err := FromH(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tl.TileDeps(d); err == nil {
+	// Illegal tiling: a negative dependence component.
+	if _, err := MustRectangular(10, 10).TileDeps(deps.MustNewSet(ilmath.V(1, -1))); err == nil {
 		t.Error("TileDeps accepted illegal tiling")
 	}
 }
@@ -198,14 +170,14 @@ func TestCommVolumeExample1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != ilmath.RatInt(40) {
+	if v1 != 40 {
 		t.Errorf("CommVolume = %v, want 40", v1)
 	}
 	v2, err := tl.CommVolumeMapped(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2 != ilmath.RatInt(20) {
+	if v2 != 20 {
 		t.Errorf("CommVolumeMapped = %v, want 20 (paper Example 1)", v2)
 	}
 }
@@ -228,12 +200,12 @@ func TestRowCommVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0] != ilmath.RatInt(20) || rows[1] != ilmath.RatInt(20) {
+	if rows[0] != 20 || rows[1] != 20 {
 		t.Errorf("RowCommVolume = %v, want [20 20]", rows)
 	}
 	// Sum of rows equals formula (1).
 	total, _ := tl.CommVolume(d)
-	if rows[0].Add(rows[1]) != total {
+	if rows[0]+rows[1] != total {
 		t.Error("row volumes do not sum to total")
 	}
 }
@@ -248,7 +220,7 @@ func TestCommVolume3DFaces(t *testing.T) {
 	// face sizes: i-face = 4*16, j-face = 4*16, k-face = 4*4.
 	want := []int64{64, 64, 16}
 	for i, w := range want {
-		if rows[i] != ilmath.RatInt(w) {
+		if rows[i] != w {
 			t.Errorf("row %d comm = %v, want %d", i, rows[i], w)
 		}
 	}
@@ -331,22 +303,6 @@ func TestTileSpaceNegativeBounds(t *testing.T) {
 	}
 }
 
-func TestTileSpaceBoundsMatchesRectangular(t *testing.T) {
-	s := space.MustRect(100, 40)
-	tl := MustRectangular(7, 9)
-	a, err := tl.TileSpace(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tl.TileSpaceBounds(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Errorf("TileSpace %v != TileSpaceBounds %v for rectangular tiling", a, b)
-	}
-}
-
 func TestTileSpaceEveryPointMapsInside(t *testing.T) {
 	s := space.MustRect(23, 17)
 	tl := MustRectangular(5, 4)
@@ -355,8 +311,8 @@ func TestTileSpaceEveryPointMapsInside(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Points(func(j ilmath.Vec) bool {
-		if !ts.Contains(tl.TileOf(j)) {
-			t.Fatalf("tile %v of point %v outside tile space %v", tl.TileOf(j), j, ts)
+		if !ts.Contains(tl.tileOf(j)) {
+			t.Fatalf("tile %v of point %v outside tile space %v", tl.tileOf(j), j, ts)
 		}
 		return true
 	})
@@ -436,50 +392,7 @@ func TestFloorDiv(t *testing.T) {
 	}
 }
 
-func TestNonRectangularDetection(t *testing.T) {
-	h := ilmath.NewRatMat(2, 2)
-	h.Set(0, 0, ilmath.NewRat(1, 2))
-	h.Set(0, 1, ilmath.NewRat(1, 2))
-	h.Set(1, 1, ilmath.NewRat(1, 2))
-	tl, err := FromH(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.IsRectangular() {
-		t.Error("skewed tiling reported rectangular")
-	}
-	if _, err := tl.RectSides(); err == nil {
-		t.Error("RectSides on skewed tiling did not error")
-	}
-	if _, err := tl.TileSpace(space.MustRect(4, 4)); err == nil {
-		t.Error("TileSpace on skewed tiling did not error")
-	}
-	if _, err := tl.TileIterations(space.MustRect(4, 4), ilmath.V(0, 0)); err == nil {
-		t.Error("TileIterations on skewed tiling did not error")
-	}
-}
-
-func TestSkewedTileSpaceBounds(t *testing.T) {
-	// H = [[1/2, 1/2],[0,1/2]] over [0..3]^2: row0 max = (3+3)/2 = 3,
-	// row1 max = 3/2 -> floor 1.
-	h := ilmath.NewRatMat(2, 2)
-	h.Set(0, 0, ilmath.NewRat(1, 2))
-	h.Set(0, 1, ilmath.NewRat(1, 2))
-	h.Set(1, 1, ilmath.NewRat(1, 2))
-	tl, err := FromH(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tl.TileSpaceBounds(space.MustRect(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Lower.Equal(ilmath.V(0, 0)) || !b.Upper.Equal(ilmath.V(3, 1)) {
-		t.Errorf("bounds = %v, want [0..3]x[0..1]", b)
-	}
-}
-
-// TestPropTileOfConsistentWithApply checks that j − P·TileOf(j) lies inside
+// TestPropTileOfConsistentWithApply checks that j − P·tileOf(j) lies inside
 // the tile for random rectangular tilings.
 func TestPropTileOfConsistentWithApply(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
@@ -487,7 +400,7 @@ func TestPropTileOfConsistentWithApply(t *testing.T) {
 		s1, s2 := r.Int63n(9)+1, r.Int63n(9)+1
 		tl := MustRectangular(s1, s2)
 		j := ilmath.V(r.Int63n(200)-100, r.Int63n(200)-100)
-		off := offsetIn(j, tl.TileOf(j), ilmath.V(s1, s2))
+		off := offsetIn(j, tl.tileOf(j), ilmath.V(s1, s2))
 		if off[0] < 0 || off[0] >= s1 || off[1] < 0 || off[1] >= s2 {
 			t.Fatalf("offset %v outside tile (%d,%d)", off, s1, s2)
 		}
