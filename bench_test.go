@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/fault"
 	"repro/internal/ilmath"
 	"repro/internal/model"
 	"repro/internal/mp"
@@ -298,22 +299,35 @@ const simAllocsPerTile = 0.05
 
 // BenchmarkSimEngine measures end-to-end simulation throughput
 // (activities/second, graph build plus discrete-event run) on a reused
-// sim.Simulator, the way a sim.Cache miss runs, once per schedule, and
-// gates each schedule's allocations per tile at simAllocsPerTile. Runs in
-// make bench-smoke.
+// sim.Simulator, the way a sim.Cache miss runs, and gates each case's
+// allocations per tile at simAllocsPerTile. Runs in make bench-smoke.
+//
+// The cases: a 4×4 grid under each schedule; the grid of a large planning
+// request (8×8 processors, 64×64×16384 at V = 128) under each schedule,
+// where dozens of activities are in flight at once, most of them sharing
+// a handful of durations; and that grid overlapped under a fault plan
+// whose jitter, stragglers and slow ports make the durations nearly all
+// distinct, the engine's worst case for per-duration event queues.
 func BenchmarkSimEngine(b *testing.B) {
+	small := model.Grid3D{I: 8, J: 8, K: 512, PI: 4, PJ: 4}
+	large := model.Grid3D{I: 64, J: 64, K: 16384, PI: 8, PJ: 8}
 	for _, mode := range []sim.Mode{sim.Blocking, sim.Overlapped} {
-		b.Run(mode.String(), func(b *testing.B) { benchSimEngine(b, mode) })
+		b.Run(mode.String(), func(b *testing.B) { benchSimEngine(b, small, 8, mode, nil) })
 	}
+	for _, mode := range []sim.Mode{sim.Blocking, sim.Overlapped} {
+		b.Run("8x8/"+mode.String(), func(b *testing.B) { benchSimEngine(b, large, 128, mode, nil) })
+	}
+	jitter := fault.Plan{Seed: 7, Intensity: 1, CPUStraggle: 0.3, LinkSlowdown: 0.3, WireJitter: 0.5}
+	b.Run("8x8/jitter", func(b *testing.B) { benchSimEngine(b, large, 128, sim.Overlapped, &jitter) })
 }
 
-func benchSimEngine(b *testing.B, mode sim.Mode) {
-	g := model.Grid3D{I: 8, J: 8, K: 512, PI: 4, PJ: 4}
+func benchSimEngine(b *testing.B, g model.Grid3D, v int64, mode sim.Mode, fp *fault.Plan) {
 	m := model.PentiumCluster()
-	cfg, err := sim.GridConfig(g, 8, m, mode, sim.CapDMA)
+	cfg, err := sim.GridConfig(g, v, m, mode, sim.CapDMA)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg.Fault = fp
 	acts, _, err := sim.BuildStats(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -29,6 +29,14 @@ import (
 // sim.CacheStats are unchanged; a cold query takes the longer of the two
 // evaluations instead of their sum. A cached upper rung is looked up in
 // turn as before: a hit costs less than starting a goroutine.
+//
+// The longer of the two is the lower rung, whose smaller height means more
+// tiles: on the seed-1 serve-cold list (625 requests on one cache, 2-core
+// Xeon) the lower rungs took 2.76 s summed against 1.32 s for the upper
+// ones, the pairs' wall time was 2.78 s of the list's 3.10 s, and the
+// walk's sequential probes took 0.31 s, about 10 %. Pruning walk probes
+// saves at most that share there; a cheaper evaluation saves on every
+// probe.
 func ForGrid(ctx context.Context, g model.Grid3D, m model.Machine, mode sim.Mode, cap sim.Capability, c *sim.Cache, heights []int64) Config {
 	cfg := Config{Heights: heights}
 	if mode == sim.Blocking {

@@ -227,58 +227,82 @@ func (b *builder) collectMessages() {
 	m := topo.Map
 	b.steps = m.TilesPerProc()
 	nSlots := int(b.numProcs * b.steps)
-	nDeps := b.cfg.Deps.Len()
-	depVecs := b.cfg.Deps.Vectors()
+	mapDim, mapLower := m.MapDim, ts.Lower[m.MapDim]
+
+	// A dependence d leads back from a tile to its source by fixed
+	// distances in tile rank and processor rank (the components are 0/1, so
+	// the source exists unless the tile sits on a lower face that d
+	// crosses). One along the mapping dimension alone stays on its
+	// processor and carries no message: it is dropped here, before any
+	// per-tile work.
+	type crossing struct {
+		d          ilmath.Vec
+		rank, proc int64 // tile-rank and processor-rank distance to the source
+	}
+	cross := make([]crossing, 0, b.cfg.Deps.Len())
+	for _, d := range b.cfg.Deps.Vectors() {
+		var rank, proc int64
+		tileStride, procStride := int64(1), int64(1)
+		for j := len(d) - 1; j >= 0; j-- {
+			rank += d[j] * tileStride
+			tileStride *= ts.Extent(j)
+			if j != mapDim {
+				proc += d[j] * procStride
+				procStride *= ts.Extent(j)
+			}
+		}
+		if proc != 0 {
+			cross = append(cross, crossing{d: d, rank: rank, proc: proc})
+		}
+	}
 
 	b.tiles = make([]tileInfo, nSlots)
 	b.computeActs = make([]*simnet.Activity, ts.Volume())
 	// One backing array for every inbox and outbox bucket: a tile has at
-	// most one in-edge and one out-edge per dependence vector.
-	backing := make([]*message, 2*nSlots*nDeps)
+	// most one in-edge and one out-edge per crossing dependence.
+	nc := len(cross)
+	backing := make([]*message, 2*nSlots*nc)
 	b.inbox = make([][]*message, nSlots)
 	b.outbox = make([][]*message, nSlots)
 	for i := 0; i < nSlots; i++ {
-		in := i * nDeps
-		out := (nSlots + i) * nDeps
-		b.inbox[i] = backing[in : in : in+nDeps]
-		b.outbox[i] = backing[out : out : out+nDeps]
+		in := i * nc
+		out := (nSlots + i) * nc
+		b.inbox[i] = backing[in : in : in+nc]
+		b.outbox[i] = backing[out : out : out+nc]
 	}
 
-	mapDim, mapLower := m.MapDim, ts.Lower[m.MapDim]
 	from := make(ilmath.Vec, ts.Dim())
+	var rank int64 // Points runs in lexicographic order: the tile's rank
 	ts.Points(func(tc ilmath.Vec) bool {
 		b.numTiles++
 		toProc := b.procRank(tc)
-		slot := toProc*b.steps + tc[mapDim] - mapLower
+		step := tc[mapDim] - mapLower
+		slot := toProc*b.steps + step
 		ti := &b.tiles[slot]
-		*ti = tileInfo{rank: ts.Linearize(tc), volume: topo.TileVolume(tc)}
-		for i := 0; i < nDeps; i++ {
-			d := depVecs[i]
+		*ti = tileInfo{rank: rank, volume: topo.TileVolume(tc)}
+		rank++
+	crossings:
+		for _, c := range cross {
 			for j := range tc {
-				from[j] = tc[j] - d[j]
-			}
-			if !ts.Contains(from) {
-				continue
-			}
-			fromProc := b.procRank(from)
-			if fromProc == toProc {
-				continue // intra-processor dependence: no message
+				if from[j] = tc[j] - c.d[j]; from[j] < ts.Lower[j] {
+					continue crossings
+				}
 			}
 			bytes := topo.MsgBytes(from, tc)
 			if bytes <= 0 {
-				continue // empty transfer (e.g. an empty tile of a skewed
-				// tiling's bounding box): no message, no dependence edge
+				continue // empty transfer: no message, no dependence edge
 			}
+			fromProc := toProc - c.proc
 			msg := b.msgs.alloc()
 			*msg = message{
-				fromRank: ts.Linearize(from),
+				fromRank: ti.rank - c.rank,
 				toRank:   ti.rank,
 				fromProc: fromProc,
 				toProc:   toProc,
 				bytes:    bytes,
 			}
 			b.numMsgs++
-			fromSlot := fromProc*b.steps + from[mapDim] - mapLower
+			fromSlot := fromProc*b.steps + step - c.d[mapDim]
 			b.outbox[fromSlot] = append(b.outbox[fromSlot], msg)
 			b.inbox[slot] = append(b.inbox[slot], msg)
 		}

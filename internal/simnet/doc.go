@@ -12,7 +12,27 @@
 // The model: an Activity occupies exactly one Resource for a fixed duration
 // and may start only after all its predecessors have finished. A Resource
 // executes one activity at a time, picking among ready activities the one
-// that became ready first (ties broken by creation order).
+// that became ready first (ties broken by creation order). Completions are
+// processed one at a time in (end, start sequence) order; after each, the
+// freed resource chooses first, then the resources that gained ready work,
+// in the order the completed activity's successors name them.
+//
+// # The event queue
+//
+// Every activity starts at the current event time: a resource is tried the
+// moment it frees and the moment it gains ready work, and both the ready
+// time and the resource's last end lie at or before now. So among the
+// in-flight activities of one duration, a later start never ends earlier,
+// and each duration's activities, kept in start order, are already sorted
+// by (end, start sequence). The event queue keeps one FIFO per distinct
+// duration and a binary heap over the FIFO heads only: it pops exactly the
+// order a single heap over every in-flight activity would, but a push onto
+// a non-empty FIFO costs no heap work and a pop sifts a heap of a dozen
+// classes instead of dozens of activities. When every duration differs
+// (fault jitter, per-node speeds), each FIFO holds one activity and the
+// queue degrades to a heap of all of them; the classes live in
+// engine-owned slices sized by the resource count, so even then no class
+// costs an allocation.
 //
 // # Hierarchical fabrics
 //
@@ -38,11 +58,13 @@
 // simulations (one engine per sweep worker). The graph is also
 // pointer-free: an Activity refers to its resource, its predecessors and
 // its successors by int32 index, labels live in a side table allocated
-// only for traced builds, and the edge list, the CSR array and both heaps
-// hold int32 ids. The activity slabs are therefore no-scan memory the
-// garbage collector never walks, however large the graph. The Fabric follows the same
-// discipline: its links are slab resources, sized once from the world size
-// and the spec, and Route appends into a caller-owned buffer so
-// steady-state routing allocates nothing — the per-rank allocation budget
-// stays flat from 100 to 10000 ranks (BenchmarkScaleAllocBudget locks it).
+// only for traced builds, and the edge list, the CSR array, the event
+// queue and the ready heaps hold int32 ids. The activity slabs are
+// therefore no-scan memory the garbage collector never walks, however
+// large the graph, and an Activity fills one 64-byte cache line. The
+// Fabric follows the same discipline: its links are slab resources, sized
+// once from the world size and the spec, and Route appends into a
+// caller-owned buffer so steady-state routing allocates nothing — the
+// per-rank allocation budget stays flat from 100 to 10000 ranks
+// (BenchmarkScaleAllocBudget locks it).
 package simnet

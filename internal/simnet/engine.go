@@ -28,7 +28,8 @@ func (r *Resource) BusyTime() float64 { return r.busyTime }
 // predecessors and its successors are int32 indices into the engine, and
 // its label lives in the engine's side table. The slabs activities live in
 // are therefore allocated no-scan, and the garbage collector never walks a
-// simulation graph however large it grows.
+// simulation graph however large it grows. It fills exactly one 64-byte
+// cache line, so the event loop pays one line per activity it touches.
 type Activity struct {
 	ID       int
 	Duration float64
@@ -43,12 +44,13 @@ type Activity struct {
 	// Successors live in the engine's CSR array: succList[succOff:succOff+succN].
 	succOff, succN int32
 
-	// Critical-path bookkeeping (see critpath.go): activity indices, −1 for
-	// none.
-	readyPred int32 // the predecessor whose completion set `ready`
-	critPred  int32
-	critKind  int8 // a CritKind
-	done      bool
+	// Critical-path bookkeeping (see critpath.go). Until the activity
+	// starts, critPred is the predecessor whose completion set ready (−1
+	// for none); the start may hand the blame to the resource's previous
+	// occupant instead.
+	critPred int32
+	critKind int8 // a CritKind
+	done     bool
 }
 
 // edge is one precedence constraint between two activity indices, buffered
@@ -86,7 +88,7 @@ type Engine struct {
 
 	edges    []edge
 	succList []int32
-	events   keyedHeap // in-flight activities: (end time, start sequence)
+	events   eventQueue
 
 	trace     []TraceEntry
 	keepTrace bool
@@ -144,7 +146,6 @@ func (e *Engine) Reset() {
 	e.labels = nil
 	e.edges = e.edges[:0]
 	e.succList = e.succList[:0]
-	e.events = e.events[:0]
 	if len(e.trace) > 0 {
 		e.trace = nil // the previous caller owns it now
 	}
@@ -233,7 +234,7 @@ func (e *Engine) NewActivity(r *Resource, duration float64, label string) *Activ
 		e.actSlabs = append(e.actSlabs, new([actSlabSize]Activity))
 	}
 	a := &e.actSlabs[chunk][n&(actSlabSize-1)]
-	*a = Activity{ID: n, Duration: duration, res: int32(r.ID), readyPred: -1, critPred: -1}
+	*a = Activity{ID: n, Duration: duration, res: int32(r.ID), critPred: -1}
 	e.nacts++
 	if label != "" {
 		for len(e.labels) < n {
@@ -278,6 +279,8 @@ func (e *Engine) AddDep(before, after *Activity) {
 
 // buildSuccs compacts the edge list into the CSR successor array: one pass
 // counts out-degrees, a prefix sum assigns offsets, a second pass fills.
+// The prefix-sum pass also queues every activity without predecessors on
+// its resource, ready at time 0.
 func (e *Engine) buildSuccs() {
 	for _, ed := range e.edges {
 		e.act(ed.before).succN++
@@ -290,6 +293,10 @@ func (e *Engine) buildSuccs() {
 			a.succOff = off
 			off += a.succN
 			a.succN = 0
+			if a.npreds == 0 {
+				id := int32(a.ID)
+				e.resources[a.res].pending.push(keyed{0, id, id})
+			}
 		}
 	}
 	if cap(e.succList) < len(e.edges) {
@@ -304,72 +311,6 @@ func (e *Engine) buildSuccs() {
 	}
 }
 
-// keyed is a heap entry: activity id, ordered by the time t and then by
-// tie. In the event heap t is the completion time and tie the start
-// sequence number; in a resource's ready heap t is the ready time and tie
-// the activity ID itself. Ties are unique within a heap, so each order is
-// total and the pop sequence does not depend on the heap's shape — and no
-// comparison dereferences an activity.
-type keyed struct {
-	t       float64
-	tie, id int32
-}
-
-func (k keyed) before(l keyed) bool {
-	return k.t < l.t || k.t == l.t && k.tie < l.tie
-}
-
-// keyedHeap is a binary min-heap of keyed entries, serving as both the
-// event heap and the per-resource ready heaps. The push/pop functions are
-// hand-rolled instead of container/heap because the latter boxes every
-// pushed element into an interface — one allocation per scheduled event,
-// the dominant churn of large sweeps. Both sift a hole instead of
-// swapping, so each level costs one element move.
-type keyedHeap []keyed
-
-func (h *keyedHeap) push(k keyed) {
-	*h = append(*h, k)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !k.before(s[p]) {
-			break
-		}
-		s[i] = s[p]
-		i = p
-	}
-	s[i] = k
-}
-
-func (h *keyedHeap) pop() keyed {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	x := s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		m := 2*i + 1
-		if m >= n {
-			break
-		}
-		if r := m + 1; r < n && s[r].before(s[m]) {
-			m = r
-		}
-		if !s[m].before(x) {
-			break
-		}
-		s[i] = s[m]
-		i = m
-	}
-	if n > 0 {
-		s[i] = x
-	}
-	return top
-}
-
 // Result summarizes a completed simulation.
 type Result struct {
 	Makespan float64
@@ -381,91 +322,73 @@ type Result struct {
 // dependency cycle (a deadlocked schedule). Run consumes the dependence
 // counts, so it may be called only once per build; call Reset and rebuild
 // to simulate again.
+//
+// Every activity starts at the current event time: it is queued when its
+// last predecessor completes and its resource is tried right then, and a
+// resource is tried again the moment it frees. So starts never decrease,
+// which is what lets the event queue keep one FIFO per duration (see
+// eventQueue).
 func (e *Engine) Run() (Result, error) {
 	e.buildSuccs()
-	e.events = e.events[:0]
-	events := &e.events
-	var seq int32
-	now := 0.0
-
-	startOn := func(r *Resource) {
-		for !r.busy && len(r.pending) > 0 {
-			w := r.pending.pop()
-			a := e.act(w.id)
-			start := w.t
-			a.critPred = a.readyPred
-			a.critKind = int8(CritDependency)
-			if a.readyPred < 0 {
-				a.critKind = int8(CritStart)
-			}
-			if r.freeAt > start {
-				start = r.freeAt
-				if r.lastAct >= 0 {
-					a.critPred = r.lastAct
-					a.critKind = int8(CritResource)
-				}
-			}
-			if start < now {
-				start = now
-			}
-			a.Start = start
-			a.End = start + a.Duration
-			r.busy = true
-			events.push(keyed{t: a.End, tie: seq, id: w.id})
-			seq++
-		}
-	}
-
-	// Seed: all activities with no predecessors are ready at t=0.
-	for c := 0; c < e.numSlabs(); c++ {
-		slab := e.slab(c)
-		for i := range slab {
-			if a := &slab[i]; a.npreds == 0 {
-				a.ready = 0
-				e.resources[a.res].pending.push(keyed{0, int32(a.ID), int32(a.ID)})
-			}
-		}
-	}
+	e.events.reset(len(e.resources))
 	for _, r := range e.resources {
-		startOn(r)
+		e.startOn(r, 0)
 	}
 
 	completed := 0
-	for len(*events) > 0 {
-		ev := events.pop()
-		a := e.act(ev.id)
-		now = ev.t
+	now := 0.0
+	for !e.events.empty() {
+		id, ri, end := e.events.pop()
+		now = end
+		a := e.act(id)
 		a.done = true
 		completed++
-		r := e.resources[a.res]
+		r := e.resources[ri]
 		r.busy = false
-		r.freeAt = a.End
-		r.lastAct = ev.id
+		r.freeAt = end
+		r.lastAct = id
 		r.busyTime += a.Duration
 		if e.keepTrace {
-			e.trace = append(e.trace, TraceEntry{Resource: r.Name, Label: e.label(ev.id), Start: a.Start, End: a.End, Ready: a.ready})
+			e.trace = append(e.trace, TraceEntry{Resource: r.Name, Label: e.label(id), Start: a.Start, End: end, Ready: a.ready})
 		}
 		if e.keepIntervals {
-			e.intervals = append(e.intervals, Interval{Res: r, Ready: a.ready, Start: a.Start, End: a.End})
+			e.intervals = append(e.intervals, Interval{Res: r, Ready: a.ready, Start: a.Start, End: end})
 		}
+		// Queue the successors this completion made ready, noting whose
+		// resources gained work: the first such resource, and whether a
+		// second one did.
 		succs := e.succList[a.succOff : a.succOff+a.succN]
-		for _, id := range succs {
-			s := e.act(id)
+		grew, many := int32(-1), false
+		for _, sid := range succs {
+			s := e.act(sid)
 			s.npreds--
-			if a.End > s.ready {
-				s.ready = a.End
-				s.readyPred = ev.id
+			if end > s.ready {
+				s.ready = end
+				s.critPred = id
 			}
 			if s.npreds == 0 {
-				e.resources[s.res].pending.push(keyed{s.ready, id, id})
+				e.resources[s.res].pending.push(keyed{s.ready, sid, sid})
+				if grew < 0 {
+					grew = s.res
+				} else if s.res != grew {
+					many = true
+				}
 			}
 		}
-		// The freed resource and any resources that gained ready work may
-		// start something. Trying all successors' resources plus r covers
-		// every resource whose pending set changed.
-		startOn(r)
-		for _, id := range succs {
-			startOn(e.resources[e.act(id).res])
+		// The freed resource chooses first, then each resource that gained
+		// work, in the order the successor list first names it: the start
+		// sequence breaks ties between equal end times, so the order in
+		// which resources start is part of the result. Between events no
+		// idle resource has anything ready, so trying one that gained
+		// nothing does nothing: one that gained is tried directly, several
+		// by walking the list.
+		e.startOn(r, now)
+		if many {
+			for _, sid := range succs {
+				e.startOn(e.resources[e.act(sid).res], now)
+			}
+		} else if grew >= 0 {
+			e.startOn(e.resources[grew], now)
 		}
 	}
 
@@ -474,6 +397,30 @@ func (e *Engine) Run() (Result, error) {
 			completed, e.nacts)
 	}
 	return Result{Makespan: now, Trace: e.trace}, nil
+}
+
+// startOn starts r's ready activity with the least (ready time, ID) at now,
+// unless r is busy or has nothing ready. The activity waited for the later
+// of its last predecessor and r's previous occupant, which the critical
+// path records; both lie at or before now.
+func (e *Engine) startOn(r *Resource, now float64) {
+	if r.busy || len(r.pending) == 0 {
+		return
+	}
+	id := r.pending.pop().id
+	a := e.act(id)
+	a.critKind = int8(CritDependency)
+	if a.critPred < 0 {
+		a.critKind = int8(CritStart)
+	}
+	if r.freeAt > a.ready && r.lastAct >= 0 {
+		a.critPred = r.lastAct
+		a.critKind = int8(CritResource)
+	}
+	a.Start = now
+	a.End = now + a.Duration
+	r.busy = true
+	e.events.push(int32(r.ID), id, a.End, a.Duration)
 }
 
 // NumActivities returns how many activities have been registered.
