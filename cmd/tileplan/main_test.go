@@ -95,3 +95,24 @@ func TestBadTileSides(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeTileVolumes: a tile of 2048×1024 points plans and prints its
+// exact per-direction transfer volumes, which tiling computes in closed
+// form whatever the tile's volume.
+func TestLargeTileVolumes(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-space", "2048x2048", "-tile", "2048x1024")
+	cmd.Env = append(os.Environ(), "TILEPLAN_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("exit %v, stderr %q", err, stderr.String())
+	}
+	want := "exact per-direction tile transfer volumes:\n" +
+		"  (0, 1) : 2048 points\n" +
+		"  (1, 0) : 1024 points\n" +
+		"  (1, 1) : 1 points\n"
+	if !bytes.Contains(out, []byte(want)) {
+		t.Errorf("stdout\n%s\nlacks\n%s", out, want)
+	}
+}

@@ -154,11 +154,13 @@ func (p *Problem) Plan(m model.Machine, opts PlanOptions) (*Plan, error) {
 // stepShape derives the per-step message sizes of an interior processor the
 // way the paper's analytic model does (formula (2)): one message per
 // non-mapping dimension whose boundary surface is crossed, carrying the
-// row's full communication volume g·Σ_j(H·D)_{i,j}. Dependences crossing
-// several surfaces (diagonals) are folded into each crossed row, exactly as
-// the formula counts them — the simulator, in contrast, ships the exact
-// per-direction decomposition (see Plan.topology), which is where theory
-// and "experiment" may legitimately diverge by the corner messages.
+// row's full communication volume g·Σ_j(H·D)_{i,j}, which counts every
+// (point, dependence) pair. The simulator instead ships what the runner
+// ships (sim.BoxTopology): one message per destination processor with the
+// distinct points the directions toward it carry, a diagonal's corner
+// folded into the face — Example 1's 11 points per message against the
+// formula's 20 — so theory and "experiment" may legitimately diverge by
+// that much.
 func (pl *Plan) stepShape() model.StepShape {
 	rows, err := pl.Tiling.RowCommVolume(pl.Problem.Deps)
 	if err != nil {
@@ -225,16 +227,21 @@ type SimResult struct {
 }
 
 // SimulateOne runs a single (mode, capability) configuration on the
-// discrete-event simulator. Set traced to capture a full activity timeline
-// (costly on large plans).
+// discrete-event simulator, through sim.BoxTopology: the plan's tiles are
+// boxes, so the simulator ships what the runner ships. Set traced to
+// capture a full activity timeline (costly on large plans). The space must
+// start at the origin.
 func (pl *Plan) SimulateOne(mode sim.Mode, cap sim.Capability, traced bool) (sim.Result, error) {
-	topo, err := pl.topology()
+	sp := pl.Problem.Space
+	if !sp.Lower.IsZero() {
+		return sim.Result{}, fmt.Errorf("core: simulating needs a space that starts at the origin, not %v", sp)
+	}
+	topo, err := sim.BoxTopology(sp.Extents(), pl.Tiling.Sides(), pl.Mapping.MapDim, pl.Problem.Deps, pl.Machine.BytesPerElem)
 	if err != nil {
 		return sim.Result{}, err
 	}
 	return sim.Simulate(sim.Config{
 		Topo:    topo,
-		Deps:    pl.TileDeps,
 		Machine: pl.Machine,
 		Mode:    mode,
 		Cap:     cap,
@@ -258,32 +265,6 @@ func (pl *Plan) Simulate(cap sim.Capability) (SimResult, error) {
 		NonOverlap:  rNo,
 		Overlap:     rOv,
 		Improvement: 1 - rOv.Makespan/rNo.Makespan,
-	}, nil
-}
-
-// topology adapts the plan for the simulator, with exact per-tile volumes
-// (boundary tiles are clipped) and exact per-direction message sizes.
-func (pl *Plan) topology() (sim.Topology, error) {
-	volByDir := make(map[string]int64, len(pl.DepVolumes))
-	for _, v := range pl.DepVolumes {
-		volByDir[v.Dir.String()] = v.Points
-	}
-	b := pl.Machine.BytesPerElem
-	sp := pl.Problem.Space
-	tl := pl.Tiling
-	return sim.Topology{
-		TileSpace: pl.TileSpace,
-		Map:       pl.Mapping,
-		TileVolume: func(tc ilmath.Vec) int64 {
-			sub, err := tl.TileIterations(sp, tc)
-			if err != nil || sub == nil {
-				return 0
-			}
-			return sub.Volume()
-		},
-		MsgBytes: func(from, to ilmath.Vec) int64 {
-			return volByDir[to.Sub(from).String()] * b
-		},
 	}, nil
 }
 

@@ -221,20 +221,18 @@ func TestSimulateSmallPlanAgreesWithPrediction(t *testing.T) {
 	}
 }
 
+// TestSimulateDiagonalDepsLooseAgreement: under Example 1's diagonal
+// dependences the plan is the 2-D runner's strip deployment. The corner
+// rides in the face message, so a 10×10-tiled plan on 8 strips ships one
+// message per tile and strip boundary and simulates exactly as the box
+// topology of the deployment, and overlap still wins.
 func TestSimulateDiagonalDepsLooseAgreement(t *testing.T) {
-	// With diagonal dependences the simulator pays a real startup for the
-	// corner message that formula (2) folds into the face rows, so it runs
-	// slower than the prediction — but within 2× and with overlap still
-	// winning.
 	p, err := NewProblem(space.MustRect(400, 80), deps.Example1Deps())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.Plan(model.Example1Machine(), PlanOptions{TileSides: ilmath.V(10, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := plan.Predict()
+	m := model.Example1Machine()
+	plan, err := p.Plan(m, PlanOptions{TileSides: ilmath.V(10, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +243,25 @@ func TestSimulateDiagonalDepsLooseAgreement(t *testing.T) {
 	if simr.Overlap.Makespan >= simr.NonOverlap.Makespan {
 		t.Error("overlap not faster under diagonal deps")
 	}
-	if simr.NonOverlap.Makespan < pred.NonOverlap {
-		t.Errorf("simulated blocking %g faster than model %g: corner messages should cost extra",
-			simr.NonOverlap.Makespan, pred.NonOverlap)
+	// The deployment: 40 tiles of 10 rows on each of 8 strips of 10
+	// columns, mapped along the rows.
+	topo, err := sim.BoxTopology(ilmath.V(400, 80), ilmath.V(10, 80/8), 0, deps.Example1Deps(), m.BytesPerElem)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if simr.NonOverlap.Makespan > 2*pred.NonOverlap {
-		t.Errorf("simulated blocking %g more than 2x the model %g",
-			simr.NonOverlap.Makespan, pred.NonOverlap)
+	for _, c := range []struct {
+		got  sim.Result
+		mode sim.Mode
+		cap  sim.Capability
+	}{{simr.NonOverlap, sim.Blocking, sim.CapNone}, {simr.Overlap, sim.Overlapped, sim.CapDMA}} {
+		want, err := sim.Simulate(sim.Config{Topo: topo, Machine: m, Mode: c.mode, Cap: c.cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.got.Makespan != want.Makespan || c.got.NumMessages != 7*40 || want.NumMessages != 7*40 {
+			t.Errorf("%v: plan %g s in %d messages, deployment %g s in %d, want %d messages each",
+				c.mode, c.got.Makespan, c.got.NumMessages, want.Makespan, want.NumMessages, 7*40)
+		}
 	}
 }
 

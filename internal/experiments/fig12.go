@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/deps"
+	"repro/internal/ilmath"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -142,15 +144,20 @@ func Examples(ctx context.Context) (string, error) {
 	fmt.Fprintf(&b, "  T = %.0f·t_c = %.6f s   (paper: ≈0.24 s)\n", e3.TotalInTc, e3.Total)
 	fmt.Fprintf(&b, "Improvement: %.1f%%\n", 100*(1-e3.Total/e1.Total))
 
-	// Cross-check on the simulated 100-strip cluster deployment (the
-	// message pattern of the real 2-D executor: s1+1 values per tile).
+	// Cross-check on the simulated 100-strip cluster deployment: the
+	// 10×10 tiles mapped along i₁, each strip a processor, shipping what
+	// the real 2-D executor ships (s1+1 values per tile).
 	m := model.Example1Machine()
-	g2 := sim.Example1Grid2D()
+	topo, err := sim.BoxTopology(ilmath.V(10000, 1000), ilmath.V(10, 10), 0, deps.Example1Deps(), m.BytesPerElem)
+	if err != nil {
+		return "", err
+	}
 	res, err := evalAll(ctx, 2, func(_ context.Context, i int) (sim.Result, error) {
-		if i == 0 {
-			return g2.Simulate(m, sim.Blocking, sim.CapNone)
+		cfg := sim.Config{Topo: topo, Machine: m, Mode: sim.Blocking, Cap: sim.CapNone}
+		if i == 1 {
+			cfg.Mode, cfg.Cap = sim.Overlapped, sim.CapDMA
 		}
-		return g2.Simulate(m, sim.Overlapped, sim.CapDMA)
+		return sim.Simulate(cfg)
 	})
 	if err != nil {
 		return "", err

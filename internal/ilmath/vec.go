@@ -58,16 +58,6 @@ func (v Vec) IsZero() bool {
 	return true
 }
 
-// Add returns v + w. It panics if dimensions differ.
-func (v Vec) Add(w Vec) Vec {
-	mustSameDim(len(v), len(w))
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = addChecked(v[i], w[i])
-	}
-	return out
-}
-
 // Sub returns v − w. It panics if dimensions differ.
 func (v Vec) Sub(w Vec) Vec {
 	mustSameDim(len(v), len(w))

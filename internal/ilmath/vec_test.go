@@ -149,3 +149,13 @@ func TestPropSubAddRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Add returns v + w. It panics if dimensions differ.
+func (v Vec) Add(w Vec) Vec {
+	mustSameDim(len(v), len(w))
+	out := make(Vec, len(v))
+	for i := range v {
+		out[i] = addChecked(v[i], w[i])
+	}
+	return out
+}

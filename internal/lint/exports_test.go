@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -130,14 +131,16 @@ type exportedDecl struct {
 
 // unusedExports returns, sorted by name, every top-level function, type,
 // variable and exported constant, and every method, declared in an
-// internal/ package of pkgs that no file of pkgs uses outside its own declaration and outside the
-// other unused declarations (the loader reads no _test.go file), plus
-// every such identifier declared. A method also counts as used when its
-// receiver type implements the interface of a used interface method of the
-// same name (the call goes through the interface), or of one of the extra
-// interface methods, which it returns each with the number of otherwise
-// unused methods it kept. An unused declaration that is a key of keep is
-// reported but stays a root: what it uses is not unused for its sake.
+// internal/ package of pkgs that no file of pkgs reaches (the loader reads
+// no _test.go file), plus every such identifier declared. A declaration is
+// reached when it is used outside every tracked declaration (in cmd/, in
+// an init function, ...) or inside a reached one other than itself, so a
+// cycle of declarations that only use each other is unused as a whole. A
+// method is also reached when its receiver type implements the interface
+// of a used interface method of the same name (the call goes through the
+// interface), or of one of the extra interface methods, which it returns
+// each with the number of otherwise unused methods it kept. An unused
+// declaration that is a key of keep is reported but reaches what it uses.
 func unusedExports(modulePath string, pkgs []*Package, extra map[string][]*types.Func, keep map[string]string) (unused []exportedDecl, declared map[string]bool, rescued map[*types.Func]int) {
 	prefix := modulePath + "/internal/"
 	decls := map[types.Object]*exportedDecl{}
@@ -190,8 +193,29 @@ func unusedExports(modulePath string, pkgs []*Package, extra map[string][]*types
 		}
 	}
 
-	uses := map[types.Object][]token.Pos{}     // uses outside the declaration
+	// Every use of a tracked declaration outside its own is an edge from
+	// the declarations around it, or a root when none is. Declarations do
+	// not nest, but one var spec may declare several names over one span.
+	spans := make([]*exportedDecl, 0, len(decls))
+	byStart := map[token.Pos][]types.Object{}
+	for obj, d := range decls {
+		if byStart[d.start] == nil {
+			spans = append(spans, d)
+		}
+		byStart[d.start] = append(byStart[d.start], obj)
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
+	around := func(pos token.Pos) []types.Object {
+		i := sort.Search(len(spans), func(i int) bool { return spans[i].start > pos }) - 1
+		if i < 0 || pos >= spans[i].end {
+			return nil
+		}
+		return byStart[spans[i].start]
+	}
+	uses := map[types.Object]int{}             // uses outside the declaration
+	edges := map[types.Object][]types.Object{} // user → used
 	ifaceMethods := map[string][]*types.Func{} // used interface methods by name
+	var roots []types.Object
 	for _, p := range pkgs {
 		for id, obj := range p.Info.Uses {
 			obj = origin(obj)
@@ -200,16 +224,22 @@ func unusedExports(modulePath string, pkgs []*Package, extra map[string][]*types
 					ifaceMethods[fn.Name()] = append(ifaceMethods[fn.Name()], fn)
 				}
 			}
-			if d := decls[obj]; d != nil && (id.Pos() < d.start || id.Pos() >= d.end) {
-				uses[obj] = append(uses[obj], id.Pos())
+			d := decls[obj]
+			if d == nil || d.start <= id.Pos() && id.Pos() < d.end {
+				continue
+			}
+			uses[obj]++
+			users := around(id.Pos())
+			if users == nil {
+				roots = append(roots, obj)
+			}
+			for _, u := range users {
+				edges[u] = append(edges[u], obj)
 			}
 		}
 	}
 
-	// A method reached through an interface is live. Anything else stays
-	// live while one of its uses lies outside the declarations found dead
-	// so far: what only dead code uses is dead too.
-	live := map[types.Object]bool{}
+	// A method reached through an interface is a root too.
 	rescued = map[*types.Func]int{}
 	for _, ms := range extra {
 		for _, m := range ms {
@@ -218,31 +248,37 @@ func unusedExports(modulePath string, pkgs []*Package, extra map[string][]*types
 	}
 	for obj := range decls {
 		if implementsOne(obj, ifaceMethods[obj.Name()]) != nil {
-			live[obj] = true
+			roots = append(roots, obj)
 		} else if m := implementsOne(obj, extra[obj.Name()]); m != nil {
-			live[obj] = true
-			if len(uses[obj]) == 0 {
+			roots = append(roots, obj)
+			if uses[obj] == 0 {
 				rescued[m]++
 			}
 		}
 	}
-	var dead []*exportedDecl // unused and not kept: their uses count for nothing
-	inDead := func(pos token.Pos) bool {
-		return slices.ContainsFunc(dead, func(d *exportedDecl) bool { return d.start <= pos && pos < d.end })
+	reached := map[types.Object]bool{}
+	reach := func(from []types.Object) {
+		for len(from) > 0 {
+			obj := from[len(from)-1]
+			from = from[:len(from)-1]
+			if !reached[obj] {
+				reached[obj] = true
+				from = append(from, edges[obj]...)
+			}
+		}
 	}
-	flagged := map[types.Object]bool{}
-	for changed := true; changed; {
-		changed = false
-		for obj, d := range decls {
-			if live[obj] || flagged[obj] || slices.ContainsFunc(uses[obj], func(pos token.Pos) bool { return !inDead(pos) }) {
-				continue
-			}
-			flagged[obj] = true
+	reach(roots)
+	var kept []types.Object // the unreached keys of keep
+	for obj, d := range decls {
+		if _, ok := keep[d.name]; ok && !reached[obj] {
 			unused = append(unused, *d)
-			if _, ok := keep[d.name]; !ok {
-				dead = append(dead, d)
-			}
-			changed = true
+			kept = append(kept, obj)
+		}
+	}
+	reach(kept)
+	for obj, d := range decls {
+		if !reached[obj] {
+			unused = append(unused, *d)
 		}
 	}
 	sort.Slice(unused, func(i, j int) bool { return unused[i].name < unused[j].name })
@@ -335,5 +371,58 @@ func TestExportsHaveProductionUse(t *testing.T) {
 		if n == 0 {
 			t.Errorf("dispatched interface method %s keeps no method of the module; delete its interface", m.FullName())
 		}
+	}
+}
+
+// TestUnusedExportsFindsCycles runs the reachability on a small module: a
+// pair of functions that only call each other is unused as a whole, a
+// function only a keep entry calls is not, and the keep entry itself is
+// reported.
+func TestUnusedExportsFindsCycles(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module cyc\n",
+		"internal/p/p.go": `package p
+
+func Used() int { return 1 }
+
+func ping(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return pong(n - 1)
+}
+
+func pong(n int) int { return ping(n - 1) }
+
+func kept() int { return helper() }
+
+func helper() int { return 2 }
+`,
+		"cmd/m/main.go": "package main\n\nimport \"cyc/internal/p\"\n\nfunc main() { _ = p.Used() }\n",
+	} {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ld, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ld.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused, _, _ := unusedExports(ld.ModulePath, pkgs, nil, map[string]string{"p.kept": "fixture"})
+	var got []string
+	for _, d := range unused {
+		got = append(got, d.name)
+	}
+	if want := []string{"p.kept", "p.ping", "p.pong"}; !slices.Equal(got, want) {
+		t.Errorf("unused = %v, want %v", got, want)
 	}
 }

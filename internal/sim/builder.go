@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fault"
 	"repro/internal/ilmath"
@@ -101,7 +102,7 @@ func (b *builder) speed(p int64) float64 {
 // processor coordinate: it linearizes tc over the processor space, skipping
 // the mapping dimension.
 func (b *builder) procRank(tc ilmath.Vec) int64 {
-	m := b.cfg.Topo.Map
+	m := b.cfg.Topo.m
 	if len(tc) == 1 {
 		return 0
 	}
@@ -148,7 +149,7 @@ func (b *builder) build() error {
 // interconnect is not flat. Resource names are only rendered when tracing;
 // the engine identifies resources by pointer.
 func (b *builder) makeNodes() error {
-	n := b.cfg.Topo.Map.NumProcs()
+	n := b.cfg.Topo.m.NumProcs()
 	b.numProcs = n
 	b.nodes = make([]node, n)
 	if !b.cfg.Interconnect.Flat() {
@@ -218,48 +219,22 @@ func (b *builder) installPerturb() {
 	})
 }
 
-// collectMessages enumerates every tile and every tiled dependence, filling
-// the per-tile records and creating a message for each cross-processor edge,
-// indexed by the sender's and receiver's (proc, step) slots.
+// collectMessages enumerates every tile and every processor offset of the
+// topology, filling the per-tile records and creating a message for each
+// offset whose sending tile exists and ships a non-empty box, indexed by
+// the sender's and receiver's (proc, step) slots. A message stays on its
+// step, so both slots share it.
 func (b *builder) collectMessages() {
-	topo := b.cfg.Topo
-	ts := topo.TileSpace
-	m := topo.Map
-	b.steps = m.TilesPerProc()
+	topo := &b.cfg.Topo
+	ts, cross, n := topo.ts, topo.cross, topo.ts.Dim()
+	b.steps = topo.m.TilesPerProc()
 	nSlots := int(b.numProcs * b.steps)
-	mapDim, mapLower := m.MapDim, ts.Lower[m.MapDim]
-
-	// A dependence d leads back from a tile to its source by fixed
-	// distances in tile rank and processor rank (the components are 0/1, so
-	// the source exists unless the tile sits on a lower face that d
-	// crosses). One along the mapping dimension alone stays on its
-	// processor and carries no message: it is dropped here, before any
-	// per-tile work.
-	type crossing struct {
-		d          ilmath.Vec
-		rank, proc int64 // tile-rank and processor-rank distance to the source
-	}
-	cross := make([]crossing, 0, b.cfg.Deps.Len())
-	for _, d := range b.cfg.Deps.Vectors() {
-		var rank, proc int64
-		tileStride, procStride := int64(1), int64(1)
-		for j := len(d) - 1; j >= 0; j-- {
-			rank += d[j] * tileStride
-			tileStride *= ts.Extent(j)
-			if j != mapDim {
-				proc += d[j] * procStride
-				procStride *= ts.Extent(j)
-			}
-		}
-		if proc != 0 {
-			cross = append(cross, crossing{d: d, rank: rank, proc: proc})
-		}
-	}
+	mapDim := topo.m.MapDim
 
 	b.tiles = make([]tileInfo, nSlots)
 	b.computeActs = make([]*simnet.Activity, ts.Volume())
 	// One backing array for every inbox and outbox bucket: a tile has at
-	// most one in-edge and one out-edge per crossing dependence.
+	// most one in-edge and one out-edge per processor offset.
 	nc := len(cross)
 	backing := make([]*message, 2*nSlots*nc)
 	b.inbox = make([][]*message, nSlots)
@@ -271,24 +246,36 @@ func (b *builder) collectMessages() {
 		b.outbox[i] = backing[out : out : out+nc]
 	}
 
-	from := make(ilmath.Vec, ts.Dim())
 	var rank int64 // Points runs in lexicographic order: the tile's rank
 	ts.Points(func(tc ilmath.Vec) bool {
 		b.numTiles++
 		toProc := b.procRank(tc)
-		step := tc[mapDim] - mapLower
+		step := tc[mapDim]
 		slot := toProc*b.steps + step
+		var shape int64
+		for i, x := range tc {
+			if x == topo.last[i] {
+				shape += topo.stride[i]
+			}
+		}
 		ti := &b.tiles[slot]
-		*ti = tileInfo{rank: rank, volume: topo.TileVolume(tc)}
+		*ti = tileInfo{rank: rank, volume: topo.vol[shape]}
 		rank++
 	crossings:
-		for _, c := range cross {
-			for j := range tc {
-				if from[j] = tc[j] - c.d[j]; from[j] < ts.Lower[j] {
+		for k, c := range cross {
+			// The sender sits one tile lower in each crossed dimension, so
+			// it is never the clipped last tile there.
+			from := shape
+			for dir := c.dir; dir != 0; dir &= dir - 1 {
+				i := n - 1 - bits.TrailingZeros64(dir)
+				if tc[i] == 0 {
 					continue crossings
 				}
+				if tc[i] == topo.last[i] {
+					from -= topo.stride[i]
+				}
 			}
-			bytes := topo.MsgBytes(from, tc)
+			bytes := topo.bytes[from*int64(nc)+int64(k)]
 			if bytes <= 0 {
 				continue // empty transfer: no message, no dependence edge
 			}
@@ -302,7 +289,7 @@ func (b *builder) collectMessages() {
 				bytes:    bytes,
 			}
 			b.numMsgs++
-			fromSlot := fromProc*b.steps + step - c.d[mapDim]
+			fromSlot := fromProc*b.steps + step
 			b.outbox[fromSlot] = append(b.outbox[fromSlot], msg)
 			b.inbox[slot] = append(b.inbox[slot], msg)
 		}
@@ -316,7 +303,7 @@ func (b *builder) mlabel(prefix string, m *message, recv bool) string {
 	if !b.trace {
 		return ""
 	}
-	ts := b.cfg.Topo.TileSpace
+	ts := b.cfg.Topo.ts
 	from, to := ts.Delinearize(m.fromRank), ts.Delinearize(m.toRank)
 	if recv {
 		return fmt.Sprintf("%s%v<-%v", prefix, to, from)
@@ -342,9 +329,9 @@ func (b *builder) onCPU(p int64, d float64, label string) *simnet.Activity {
 // compute, send, all copies on the CPU. Overlapped (ProcNB, Section 4):
 // send step s−1's results (A1), compute (A2), post step s+1's receives
 // (A3); step 0 posts its own receives first and an epilogue sends the last
-// step's results. Dependences have 0/1 components and the tile space is
-// rectangular, so every message's sender tile comes before its receiver
-// tile: the sender creates the wire stages once, predecessor attached.
+// step's results. A message stays on its step and goes to a processor of
+// higher rank, so its sender tile comes before its receiver tile: the
+// sender creates the wire stages once, predecessor attached.
 func (b *builder) walk() {
 	ov := b.cfg.Mode == Overlapped
 	b.prevCPU = make([]*simnet.Activity, b.numProcs)
@@ -367,19 +354,14 @@ func (b *builder) walk() {
 				}
 			}
 			// A2. Under Overlapped it waits on the B2 of every inbound
-			// message sent so far; isend adds the edge for later ones.
+			// message; isend adds those edges, one step later.
 			ti := &b.tiles[slot]
 			label := ""
 			if b.trace {
-				label = fmt.Sprintf("compute%v", b.cfg.Topo.TileSpace.Delinearize(ti.rank))
+				label = fmt.Sprintf("compute%v", b.cfg.Topo.ts.Delinearize(ti.rank))
 			}
 			comp := b.onCPU(p, float64(ti.volume)*b.cfg.Machine.Tc/b.speed(p), label)
 			b.computeActs[ti.rank] = comp
-			for _, m := range b.inbox[slot] {
-				if ov && m.ready != nil {
-					b.eng.AddDep(m.ready, comp)
-				}
-			}
 			switch {
 			case !ov:
 				for _, m := range b.outbox[slot] {
@@ -453,12 +435,8 @@ func (b *builder) isend(p int64, m *message) {
 	b2 := b.kcopy(m.toProc, b.nodes[m.toProc].commIn, m, b.mlabel("kcopy-rx", m, true))
 	b.eng.AddDep(b1, b2)
 	b.eng.AddDep(m.posted, b2)
-	// A consumer on the sender's step (a dependence along the processor
-	// dimensions only) was emitted before this send: add its edge here.
-	if comp := b.computeActs[m.toRank]; comp != nil {
-		b.eng.AddDep(b2, comp)
-	}
-	m.ready = b2
+	// The consumer, on the sender's step, was emitted before this send.
+	b.eng.AddDep(b2, b.computeActs[m.toRank])
 }
 
 // kcopy emits a kernel-buffer copy of m at processor p on res, or on p's

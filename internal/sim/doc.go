@@ -14,4 +14,12 @@
 // and wires them into an activity DAG according to either the blocking
 // receive→compute→send triplet of Section 3 (ProcB) or the pipelined
 // send/compute/receive overlap of Section 4 (ProcNB).
+//
+// Every simulated computation is a box tiling built by BoxTopology, the
+// one message model: a tile sends one message per destination processor,
+// at its own step, carrying the distinct points of every tile direction
+// with that processor offset, measured on the tile's clipped box. That is
+// what runner.Run and runner.Run2D send, so a plan (core.Plan.SimulateOne),
+// a Section 5 grid (GridConfig) and the Example 1 deployment of the same
+// space, tiles and mapping give one number.
 package sim

@@ -7,75 +7,25 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ilmath"
 	"repro/internal/model"
-	"repro/internal/schedule"
-	"repro/internal/space"
 	"repro/internal/topo"
 )
 
-// GridTopology builds the Topology of the paper's Section 5 experiments: a
-// model.Grid3D iteration space with tiles (I/PI)×(J/PJ)×v, mapped along the
-// k axis (the largest dimension), with exact handling of the partial last
-// tile when v does not divide K.
-func GridTopology(c model.Grid3D, v int64, bytesPerElem int64) (Topology, error) {
+// GridConfig assembles a full simulation Config for a Grid3D experiment:
+// tiles (I/PI)×(J/PJ)×v under deps.Stencil3D, mapped along the k axis (the
+// largest dimension), the last k tile partial when v does not divide K.
+func GridConfig(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability) (Config, error) {
 	if err := c.Validate(); err != nil {
-		return Topology{}, err
+		return Config{}, err
 	}
 	if v <= 0 || v > c.K {
-		return Topology{}, fmt.Errorf("sim: tile height %d out of range (0, %d]", v, c.K)
+		return Config{}, fmt.Errorf("sim: tile height %d out of range (0, %d]", v, c.K)
 	}
-	if bytesPerElem <= 0 {
-		return Topology{}, fmt.Errorf("sim: non-positive element size %d", bytesPerElem)
-	}
-	ti, tj := c.TileI(), c.TileJ()
-	kt := c.KTiles(v)
-	ts, err := space.Rect(c.PI, c.PJ, kt)
-	if err != nil {
-		return Topology{}, err
-	}
-	const mapDim = 2
-	m, err := schedule.NewMapping(ts, mapDim)
-	if err != nil {
-		return Topology{}, err
-	}
-	// height of the k-extent of tile tc (the last k tile may be partial).
-	height := func(tc ilmath.Vec) int64 {
-		if tc[2] == kt-1 {
-			return c.K - v*(kt-1)
-		}
-		return v
-	}
-	topo := Topology{
-		TileSpace: ts,
-		Map:       m,
-		TileVolume: func(tc ilmath.Vec) int64 {
-			return ti * tj * height(tc)
-		},
-		MsgBytes: func(from, to ilmath.Vec) int64 {
-			// The message carries the tile face of the producing tile
-			// perpendicular to the dependence direction.
-			h := height(from)
-			switch {
-			case to[0] == from[0]+1: // i-direction: j×k face
-				return tj * h * bytesPerElem
-			case to[1] == from[1]+1: // j-direction: i×k face
-				return ti * h * bytesPerElem
-			default: // k-direction (intra-processor; not used as a message)
-				return ti * tj * bytesPerElem
-			}
-		},
-	}
-	return topo, nil
-}
-
-// GridConfig assembles a full simulation Config for a Grid3D experiment.
-func GridConfig(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capability) (Config, error) {
-	topo, err := GridTopology(c, v, m.BytesPerElem)
+	topo, err := BoxTopology(ilmath.V(c.I, c.J, c.K), ilmath.V(c.TileI(), c.TileJ(), v), 2, deps.Stencil3D(), m.BytesPerElem)
 	if err != nil {
 		return Config{}, err
 	}
 	return Config{
 		Topo:    topo,
-		Deps:    deps.Stencil3D(),
 		Machine: m,
 		Mode:    mode,
 		Cap:     cap,

@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/deps"
 	"repro/internal/fault"
-	"repro/internal/ilmath"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/schedule"
 	"repro/internal/simnet"
-	"repro/internal/space"
 	"repro/internal/topo"
 )
 
@@ -95,24 +91,9 @@ func (n Network) String() string {
 	}
 }
 
-// Topology describes the tiled computation to simulate, independent of the
-// machine model: the tiled space, the processor mapping, the computation
-// volume of each tile and the message size of each tile-to-tile dependence.
-type Topology struct {
-	TileSpace *space.Space
-	Map       *schedule.Mapping
-	// TileVolume returns the number of iteration points of tile tc
-	// (boundary tiles may be smaller than interior ones).
-	TileVolume func(tc ilmath.Vec) int64
-	// MsgBytes returns the message size in bytes for the data flowing from
-	// tile 'from' to tile 'to' (to = from + d for a tiled dependence d).
-	MsgBytes func(from, to ilmath.Vec) int64
-}
-
 // Config is a full simulation request.
 type Config struct {
 	Topo    Topology
-	Deps    *deps.Set // tiled dependence vectors (0/1 components)
 	Machine model.Machine
 	Mode    Mode
 	Cap     Capability
@@ -169,21 +150,8 @@ type Result struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Topo.TileSpace == nil || c.Topo.Map == nil {
-		return fmt.Errorf("sim: topology missing tile space or mapping")
-	}
-	if c.Topo.TileVolume == nil || c.Topo.MsgBytes == nil {
-		return fmt.Errorf("sim: topology missing TileVolume or MsgBytes")
-	}
-	if c.Deps == nil || c.Deps.Dim() != c.Topo.TileSpace.Dim() {
-		return fmt.Errorf("sim: dependence set missing or of wrong dimension")
-	}
-	for _, d := range c.Deps.Vectors() {
-		for _, x := range d {
-			if x != 0 && x != 1 {
-				return fmt.Errorf("sim: tiled dependence %v has non-0/1 component", d)
-			}
-		}
+	if c.Topo.ts == nil {
+		return fmt.Errorf("sim: topology missing; build it with BoxTopology")
 	}
 	if err := c.Machine.Validate(); err != nil {
 		return err
@@ -204,7 +172,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: hierarchical interconnect %v requires the switched network model", c.Interconnect)
 	}
 	if c.NodeSpeed != nil {
-		for p := int64(0); p < c.Topo.Map.NumProcs(); p++ {
+		for p := int64(0); p < c.Topo.m.NumProcs(); p++ {
 			if s := c.NodeSpeed(p); !(s > 0) || math.IsInf(s, 0) {
 				return fmt.Errorf("sim: speed %g for node %d is not finite and positive", s, p)
 			}
@@ -233,9 +201,8 @@ type message struct {
 	fromProc int64
 	toProc   int64
 	bytes    int64
-	// ready is what the receiving side waits on: the wire's last stage (B1)
-	// under Blocking, the receiver's kernel copy (B2) under Overlapped. The
-	// sender sets it.
+	// ready is the wire's last stage (B1), which the blocking receive
+	// waits on. The sender sets it.
 	ready  *simnet.Activity
 	posted *simnet.Activity // overlapped A3 that posted the receive buffer
 }

@@ -10,8 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ilmath"
 	"repro/internal/model"
-	"repro/internal/schedule"
-	"repro/internal/space"
 	"repro/internal/topo"
 )
 
@@ -34,68 +32,172 @@ func smallGrid() model.Grid3D {
 }
 
 func TestGridTopologyValidation(t *testing.T) {
-	c := smallGrid()
-	if _, err := GridTopology(c, 0, 4); err == nil {
+	c, m := smallGrid(), testMachine()
+	if _, err := GridConfig(c, 0, m, Blocking, CapNone); err == nil {
 		t.Error("zero tile height accepted")
 	}
-	if _, err := GridTopology(c, 9, 4); err == nil {
+	if _, err := GridConfig(c, 9, m, Blocking, CapNone); err == nil {
 		t.Error("tile height > K accepted")
 	}
-	if _, err := GridTopology(c, 2, 0); err == nil {
+	m.BytesPerElem = 0
+	if _, err := GridConfig(c, 2, m, Blocking, CapNone); err == nil {
 		t.Error("zero element size accepted")
 	}
-	if _, err := GridTopology(model.Grid3D{I: 3, J: 4, K: 8, PI: 2, PJ: 2}, 2, 4); err == nil {
+	if _, err := GridConfig(model.Grid3D{I: 3, J: 4, K: 8, PI: 2, PJ: 2}, 2, testMachine(), Blocking, CapNone); err == nil {
 		t.Error("non-dividing processor grid accepted")
 	}
 }
 
-func TestGridTopologyGeometry(t *testing.T) {
-	topo, err := GridTopology(smallGrid(), 2, 4)
+// gridTopology is the topology GridConfig builds for c at tile height v.
+func gridTopology(t *testing.T, c model.Grid3D, v int64) Topology {
+	t.Helper()
+	cfg, err := GridConfig(c, v, testMachine(), Blocking, CapNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.TileSpace.Volume() != 2*2*4 {
-		t.Errorf("tile space volume = %d, want 16", topo.TileSpace.Volume())
+	return cfg.Topo
+}
+
+// shapeOf returns the shape index of tile tc.
+func (t Topology) shapeOf(tc ilmath.Vec) int64 {
+	var sh int64
+	for i, x := range tc {
+		if x == t.last[i] {
+			sh += t.stride[i]
+		}
 	}
-	if topo.Map.NumProcs() != 4 {
-		t.Errorf("procs = %d, want 4", topo.Map.NumProcs())
+	return sh
+}
+
+// tileVolume returns the points of tile tc.
+func (t Topology) tileVolume(tc ilmath.Vec) int64 { return t.vol[t.shapeOf(tc)] }
+
+// msgBytes returns the bytes tile from ships to the processor at offset
+// dir, with dimension i at bit n−1−i; 0 when it ships nothing there.
+func (t Topology) msgBytes(from ilmath.Vec, dir uint64) int64 {
+	for k, c := range t.cross {
+		if c.dir == dir {
+			return t.bytes[t.shapeOf(from)*int64(len(t.cross))+int64(k)]
+		}
+	}
+	return 0
+}
+
+func TestGridTopologyGeometry(t *testing.T) {
+	topo := gridTopology(t, smallGrid(), 2)
+	if topo.ts.Volume() != 2*2*4 {
+		t.Errorf("tile space volume = %d, want 16", topo.ts.Volume())
+	}
+	if topo.m.NumProcs() != 4 {
+		t.Errorf("procs = %d, want 4", topo.m.NumProcs())
 	}
 	// Interior tile: 2x2x2 = 8 points.
-	if g := topo.TileVolume(ilmath.V(0, 0, 0)); g != 8 {
+	if g := topo.tileVolume(ilmath.V(0, 0, 0)); g != 8 {
 		t.Errorf("tile volume = %d, want 8", g)
 	}
-	// Face bytes: j×k face = 2·2·4 = 16 bytes.
-	if bts := topo.MsgBytes(ilmath.V(0, 0, 0), ilmath.V(1, 0, 0)); bts != 16 {
+	// Face bytes: j×k face = 2·2·4 = 16 bytes; i and j faces, received in
+	// that order, and nothing along k, which stays on the processor.
+	if bts := topo.msgBytes(ilmath.V(0, 0, 0), 0b100); bts != 16 {
 		t.Errorf("i-face bytes = %d, want 16", bts)
 	}
-	if bts := topo.MsgBytes(ilmath.V(0, 0, 0), ilmath.V(0, 1, 0)); bts != 16 {
+	if bts := topo.msgBytes(ilmath.V(0, 0, 0), 0b010); bts != 16 {
 		t.Errorf("j-face bytes = %d, want 16", bts)
+	}
+	if len(topo.cross) != 2 || topo.cross[0].dir != 0b100 || topo.cross[1].dir != 0b010 {
+		t.Errorf("processor offsets %+v, want the i face then the j face", topo.cross)
 	}
 }
 
 func TestGridTopologyPartialLastTile(t *testing.T) {
 	// K = 8, v = 3: tiles of height 3, 3, 2.
-	topo, err := GridTopology(smallGrid(), 3, 4)
-	if err != nil {
-		t.Fatal(err)
+	topo := gridTopology(t, smallGrid(), 3)
+	if topo.ts.Extent(2) != 3 {
+		t.Fatalf("k tiles = %d, want 3", topo.ts.Extent(2))
 	}
-	if topo.TileSpace.Extent(2) != 3 {
-		t.Fatalf("k tiles = %d, want 3", topo.TileSpace.Extent(2))
-	}
-	if g := topo.TileVolume(ilmath.V(0, 0, 0)); g != 2*2*3 {
+	if g := topo.tileVolume(ilmath.V(0, 0, 0)); g != 2*2*3 {
 		t.Errorf("full tile volume = %d", g)
 	}
-	if g := topo.TileVolume(ilmath.V(0, 0, 2)); g != 2*2*2 {
+	if g := topo.tileVolume(ilmath.V(0, 0, 2)); g != 2*2*2 {
 		t.Errorf("partial tile volume = %d, want 8", g)
+	}
+	if bts := topo.msgBytes(ilmath.V(0, 0, 2), 0b100); bts != 2*2*4 {
+		t.Errorf("partial i-face bytes = %d, want 16", bts)
 	}
 	// Total volume conserved.
 	var total int64
-	topo.TileSpace.Points(func(tc ilmath.Vec) bool {
-		total += topo.TileVolume(tc)
+	topo.ts.Points(func(tc ilmath.Vec) bool {
+		total += topo.tileVolume(tc)
 		return true
 	})
 	if total != 4*4*8 {
 		t.Errorf("total tile volume = %d, want 128", total)
+	}
+}
+
+// TestBoxTopologyValidate pins what the constructor rejects: extents and
+// sides that disagree in dimension or are not positive, a mapping
+// dimension out of range, a dependence that is negative or reaches past
+// the neighbor tile, a missing or mismatched dependence set and a
+// non-positive element size. A tile larger than the space is a valid,
+// clipped, tile.
+func TestBoxTopologyValidate(t *testing.T) {
+	d := deps.Example1Deps()
+	if _, err := BoxTopology(ilmath.V(100, 40), ilmath.V(10, 10), 0, d, 8); err != nil {
+		t.Errorf("valid box rejected: %v", err)
+	}
+	if _, err := BoxTopology(ilmath.V(100, 40), ilmath.V(101, 10), 0, d, 8); err != nil {
+		t.Errorf("tile taller than the space rejected: %v", err)
+	}
+	for name, c := range map[string]struct {
+		ext, sides ilmath.Vec
+		mapDim     int
+		d          *deps.Set
+		bpe        int64
+	}{
+		"zero extent":     {ilmath.V(0, 40), ilmath.V(10, 10), 0, d, 8},
+		"zero side":       {ilmath.V(100, 40), ilmath.V(10, 0), 0, d, 8},
+		"no dimensions":   {ilmath.V(), ilmath.V(), 0, d, 8},
+		"sides too short": {ilmath.V(100, 40), ilmath.V(10), 0, d, 8},
+		"map dim":         {ilmath.V(100, 40), ilmath.V(10, 10), 2, d, 8},
+		"negative dep":    {ilmath.V(100, 40), ilmath.V(10, 10), 0, deps.MustNewSet(ilmath.V(1, -1)), 8},
+		"dep too long":    {ilmath.V(100, 40), ilmath.V(10, 10), 0, deps.MustNewSet(ilmath.V(11, 0)), 8},
+		"no deps":         {ilmath.V(100, 40), ilmath.V(10, 10), 0, nil, 8},
+		"3-D deps":        {ilmath.V(100, 40), ilmath.V(10, 10), 0, deps.Stencil3D(), 8},
+		"element size":    {ilmath.V(100, 40), ilmath.V(10, 10), 0, d, 0},
+	} {
+		if _, err := BoxTopology(c.ext, c.sides, c.mapDim, c.d, c.bpe); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestBoxTopologyStripGeometry is the 2-D runner's strip deployment as a
+// box: 57 rows of 10-row tiles on 4 strips of 10 columns, mapped along the
+// rows. The face and the diagonal's corner fold into one message of S1+1
+// values, and the partial last tile of 7 rows ships 8.
+func TestBoxTopologyStripGeometry(t *testing.T) {
+	topo, err := BoxTopology(ilmath.V(57, 40), ilmath.V(10, 10), 0, deps.Example1Deps(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.ts.Extent(0) != 6 || topo.m.NumProcs() != 4 {
+		t.Errorf("tile space %v on %d processors, want 6 tiles on each of 4", topo.ts, topo.m.NumProcs())
+	}
+	// Full tile: 10 rows × 10 cols; partial last tile: 7 rows.
+	if g := topo.tileVolume(ilmath.V(0, 0)); g != 100 {
+		t.Errorf("full tile volume = %d", g)
+	}
+	if g := topo.tileVolume(ilmath.V(5, 0)); g != 70 {
+		t.Errorf("partial tile volume = %d, want 70", g)
+	}
+	if len(topo.cross) != 1 {
+		t.Fatalf("processor offsets %+v, want the next strip only", topo.cross)
+	}
+	if b := topo.msgBytes(ilmath.V(0, 0), 0b01); b != 11*8 {
+		t.Errorf("face bytes = %d, want 88", b)
+	}
+	if b := topo.msgBytes(ilmath.V(5, 0), 0b01); b != 8*8 {
+		t.Errorf("partial face bytes = %d, want 64", b)
 	}
 }
 
@@ -136,11 +238,6 @@ func TestSimulateValidation(t *testing.T) {
 	bad.Cap = Capability(99)
 	if _, err := Simulate(bad); err == nil {
 		t.Error("bad capability accepted")
-	}
-	bad = good
-	bad.Deps = deps.MustNewSet(ilmath.V(2, 0, 0))
-	if _, err := Simulate(bad); err == nil {
-		t.Error("non-0/1 tiled dependence accepted")
 	}
 	bad = good
 	bad.Machine.Tc = -1
@@ -488,24 +585,17 @@ func TestGridLowerBoundAllocFree(t *testing.T) {
 	}
 }
 
-// TestGenericTopology2D drives Simulate directly with a 2-D tiled space
-// (the Example 1 shape) including a diagonal tiled dependence, checking the
-// builder handles non-axis deps and 2-D mappings.
+// TestGenericTopology2D drives Simulate with a 2-D box tiling (the
+// Example 1 shape) whose dependences include a diagonal, checking the
+// builder handles non-axis deps and 2-D mappings: the diagonal folds into
+// the face message, so every tile sends one message to the next strip.
 func TestGenericTopology2D(t *testing.T) {
-	ts := space.MustRect(6, 3)
-	m, err := schedule.NewMapping(ts, 0) // map along dim 0 (largest)
+	topo, err := BoxTopology(ilmath.V(60, 30), ilmath.V(10, 10), 0, deps.Example1Deps(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := Topology{
-		TileSpace:  ts,
-		Map:        m,
-		TileVolume: func(tc ilmath.Vec) int64 { return 100 },
-		MsgBytes:   func(from, to ilmath.Vec) int64 { return 80 },
-	}
 	cfg := Config{
 		Topo:    topo,
-		Deps:    deps.MustNewSet(ilmath.V(1, 0), ilmath.V(0, 1), ilmath.V(1, 1)),
 		Machine: model.Example1Machine(),
 		Mode:    Overlapped,
 		Cap:     CapDMA,
@@ -517,10 +607,10 @@ func TestGenericTopology2D(t *testing.T) {
 	if r.NumTiles != 18 {
 		t.Errorf("tiles = %d, want 18", r.NumTiles)
 	}
-	// Cross messages: (0,1) deps: 6·2 = 12; (1,1) deps: 5·2 = 10. The (1,0)
-	// deps are intra-processor.
-	if r.NumMessages != 22 {
-		t.Errorf("messages = %d, want 22", r.NumMessages)
+	// One message per tile and strip boundary: 6·2 = 12. The (1,0) deps
+	// are intra-processor and the (1,1) corner rides in the (0,1) face.
+	if r.NumMessages != 12 {
+		t.Errorf("messages = %d, want 12", r.NumMessages)
 	}
 	if r.Makespan <= 0 {
 		t.Error("non-positive makespan")

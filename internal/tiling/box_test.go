@@ -46,6 +46,15 @@ func randContained(r *rand.Rand, sides ilmath.Vec) *deps.Set {
 	return deps.MustNewSet(vecs...)
 }
 
+// addVec returns j + d.
+func addVec(j, d ilmath.Vec) ilmath.Vec {
+	out := j.Clone()
+	for i := range d {
+		out[i] += d[i]
+	}
+	return out
+}
+
 // bruteTileOf is ⌊j/s⌋ componentwise.
 func bruteTileOf(j, sides ilmath.Vec) ilmath.Vec {
 	tc := make(ilmath.Vec, len(j))
@@ -143,7 +152,7 @@ func TestPropBoxTilingMatchesBruteForce(t *testing.T) {
 		rows := make([]int64, n)
 		for _, j0 := range firstTile(sides) {
 			for _, dv := range d.Vectors() {
-				ds := bruteTileOf(j0.Add(dv), sides)
+				ds := bruteTileOf(addVec(j0, dv), sides)
 				for i, x := range ds {
 					rows[i] += x
 				}
@@ -187,12 +196,41 @@ func TestPropBoxTilingMatchesBruteForce(t *testing.T) {
 			t.Fatalf("%s: RowCommVolume %v, brute force %v", where, gotRows, rows)
 		}
 	}
+
+	// Tiles far too large to walk point by point: under unit dependences
+	// each face direction e_i carries the product of the other sides, and
+	// nothing crosses two faces at once.
+	for _, sides := range []ilmath.Vec{
+		ilmath.V(1<<20, 3),
+		ilmath.V(1<<10, 1<<10, 2),
+		ilmath.V(2048, 1024, 4096),
+		ilmath.V(7, 1<<16, 5, 1<<12),
+	} {
+		vols, err := MustRectangular(sides...).TileDepVolumes(deps.Unit(len(sides)))
+		if err != nil {
+			t.Fatalf("sides %v: %v", sides, err)
+		}
+		if len(vols) != len(sides) {
+			t.Fatalf("sides %v: %d directions %v, want %d faces", sides, len(vols), vols, len(sides))
+		}
+		for k, v := range vols {
+			i := len(sides) - 1 - k // lexicographic order: e_{n−1} first
+			want := int64(1)
+			for j, s := range sides {
+				if j != i {
+					want *= s
+				}
+			}
+			if !v.Dir.Equal(deps.Unit(len(sides)).At(i)) || v.Points != want {
+				t.Errorf("sides %v: direction %d = %v, want e_%d with %d points", sides, k, v, i, want)
+			}
+		}
+	}
 }
 
 // TestBoxTilingDependenceErrors pins the errors of TileDeps and
-// TileDepVolumes for a negative dependence component (HD ≥ 0 fails), for a
-// component at least as long as the tile side (⌊HD⌋ ≠ 0), and for a tile
-// over the enumeration limit.
+// TileDepVolumes for a negative dependence component (HD ≥ 0 fails) and for
+// a component at least as long as the tile side (⌊HD⌋ ≠ 0).
 func TestBoxTilingDependenceErrors(t *testing.T) {
 	tl := MustRectangular(4, 3)
 	for _, c := range []struct {
@@ -222,13 +260,52 @@ func TestBoxTilingDependenceErrors(t *testing.T) {
 			t.Errorf("TileDepVolumes(%v) error = %v, want %q", c.d, err, c.depVolume)
 		}
 	}
-	big := MustRectangular(1<<10, 1<<10, 2)
-	if _, err := big.TileDeps(deps.Stencil3D()); err == nil ||
-		err.Error() != "tiling: tile volume 2097152 too large for exact D^S enumeration (max 1048576)" {
-		t.Errorf("TileDeps over the enumeration limit: %v", err)
-	}
-	if _, err := big.TileDepVolumes(deps.Stencil3D()); err == nil ||
-		err.Error() != "tiling: tile volume 2097152 too large for exact enumeration" {
-		t.Errorf("TileDepVolumes over the enumeration limit: %v", err)
+}
+
+// TestPropBoxCrossingsMatchesBruteForce checks BoxCrossings on clipped
+// boxes, where a dependence may be as long as the box or longer, against
+// the crossing rule applied point by point.
+func TestPropBoxCrossingsMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	var out []Crossing
+	for iter := 0; iter < 300; iter++ {
+		n := 1 + r.Intn(3)
+		b := make(ilmath.Vec, n)
+		for i := range b {
+			b[i] = 1 + r.Int63n(5)
+		}
+		var vecs []ilmath.Vec
+		for m := 1 + r.Intn(4); len(vecs) < m; {
+			v := make(ilmath.Vec, n)
+			for i := range v {
+				v[i] = r.Int63n(4)
+			}
+			vecs = append(vecs, v)
+		}
+		want := map[uint64]int64{}
+		for _, j0 := range firstTile(b) {
+			reached := map[uint64]bool{}
+			for _, d := range vecs {
+				var dir uint64
+				for i := range b {
+					if j0[i]+d[i] >= b[i] {
+						dir |= 1 << (n - 1 - i)
+					}
+				}
+				if dir != 0 && !reached[dir] {
+					reached[dir] = true
+					want[dir]++
+				}
+			}
+		}
+		out = BoxCrossings(b, vecs, out)
+		if len(out) != len(want) {
+			t.Fatalf("box %v, deps %v: BoxCrossings %v, brute force %v", b, vecs, out, want)
+		}
+		for k, c := range out {
+			if c.Points != want[c.Dir] || (k > 0 && out[k-1].Dir >= c.Dir) {
+				t.Fatalf("box %v, deps %v: BoxCrossings %v, brute force %v", b, vecs, out, want)
+			}
+		}
 	}
 }

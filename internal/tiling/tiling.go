@@ -3,13 +3,15 @@ package tiling
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/deps"
 	"repro/internal/ilmath"
-	"repro/internal/space"
 )
+
+// MaxDim is the largest dimension a tiling has: BoxCrossings names a
+// direction by one bit per dimension of a uint64.
+const MaxDim = 64
 
 // Tiling is a validated rectangular supernode transformation: tiles are
 // boxes with positive integer side lengths s, H = diag(1/s_1, …, 1/s_n).
@@ -20,8 +22,8 @@ type Tiling struct {
 // Rectangular builds the axis-aligned tiling with the given integer side
 // lengths: H = diag(1/s_1, …, 1/s_n), P = diag(s_1, …, s_n).
 func Rectangular(sides ...int64) (*Tiling, error) {
-	if len(sides) == 0 {
-		return nil, fmt.Errorf("tiling: no sides given")
+	if len(sides) == 0 || len(sides) > MaxDim {
+		return nil, fmt.Errorf("tiling: %d sides given, want 1 to %d", len(sides), MaxDim)
 	}
 	g := int64(1)
 	for i, s := range sides {
@@ -62,16 +64,6 @@ func (t *Tiling) VolumeInt() int64 {
 	return g
 }
 
-// tileOf returns ⌊Hj⌋ = ⌊j/s⌋, the coordinates of the tile containing
-// index point j.
-func (t *Tiling) tileOf(j ilmath.Vec) ilmath.Vec {
-	tc := make(ilmath.Vec, len(j))
-	for i, x := range j {
-		tc[i] = floorDiv(x, t.sides[i])
-	}
-	return tc
-}
-
 // Legal reports whether HD ≥ 0 holds, the deadlock-freedom condition of
 // Irigoin & Triolet. For H = diag(1/s) with s > 0 that is every dependence
 // component being non-negative.
@@ -97,16 +89,14 @@ func (t *Tiling) ContainsDeps(d *deps.Set) bool {
 	return true
 }
 
-// maxEnum bounds the tile volume TileDeps and TileDepVolumes enumerate.
-const maxEnum = 1 << 20
-
 // TileDeps computes the tiled dependence matrix D^S of Section 2.3:
 //
 //	D^S = { ⌊H(j₀ + d)⌋ : d ∈ D, j₀ in the first complete tile }
 //
 // (zero vectors, i.e. dependences staying inside a tile, are dropped).
 // It requires ContainsDeps(d) so that D^S ⊆ {0,1}^n. The result is returned
-// as a deduplicated dependence set, sorted by rendered form.
+// as a deduplicated dependence set in lexicographic order, which for 0/1
+// vectors is the order of their rendered form.
 func (t *Tiling) TileDeps(d *deps.Set) (*deps.Set, error) {
 	if !t.Legal(d) {
 		return nil, fmt.Errorf("tiling: illegal for dependence set %v (HD has negative entries)", d)
@@ -114,62 +104,15 @@ func (t *Tiling) TileDeps(d *deps.Set) (*deps.Set, error) {
 	if !t.ContainsDeps(d) {
 		return nil, fmt.Errorf("tiling: dependence set %v not contained in a tile (⌊HD⌋ ≠ 0)", d)
 	}
-	if g := t.VolumeInt(); g > maxEnum {
-		return nil, fmt.Errorf("tiling: tile volume %v too large for exact D^S enumeration (max %d)", g, maxEnum)
+	vols, err := t.TileDepVolumes(d)
+	if err != nil {
+		return nil, err
 	}
-	vols := t.crossings(d)
 	out := make([]ilmath.Vec, len(vols))
 	for i, v := range vols {
 		out[i] = v.Dir
 	}
 	return deps.NewSet(out...)
-}
-
-// crossings enumerates the first complete tile, the box [0, s), and returns
-// for each tiled dependence direction ⌊(j₀+d)/s⌋ ≠ 0 the number of distinct
-// source points j₀ that reach it, sorted by the direction's rendered form.
-// The caller has checked that d is legal and contained in a tile, so every
-// direction is a 0/1 vector; a dependence set of nonzero non-negative
-// vectors always crosses from the tile's far corner, so the result is never
-// empty.
-func (t *Tiling) crossings(d *deps.Set) []TileDepVolume {
-	hi := make(ilmath.Vec, t.Dim())
-	for i, s := range t.sides {
-		hi[i] = s - 1
-	}
-	box, err := space.New(ilmath.NewVec(t.Dim()), hi)
-	if err != nil {
-		panic(err) // s ≥ 1, so [0, s−1] is a valid box
-	}
-	vecs := d.Vectors()
-	count := map[string]*TileDepVolume{}
-	var reached []string // directions j₀ reaches, each counted once
-	box.Points(func(j0 ilmath.Vec) bool {
-		reached = reached[:0]
-		for _, dv := range vecs {
-			ds := t.tileOf(j0.Add(dv))
-			key := ds.String()
-			if ds.IsZero() || slices.Contains(reached, key) {
-				continue
-			}
-			reached = append(reached, key)
-			if count[key] == nil {
-				count[key] = &TileDepVolume{Dir: ds}
-			}
-			count[key].Points++
-		}
-		return true
-	})
-	keys := make([]string, 0, len(count))
-	for k := range count {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	out := make([]TileDepVolume, len(keys))
-	for i, k := range keys {
-		out[i] = *count[k]
-	}
-	return out
 }
 
 // String renders the tiling matrix H = diag(1/s_1, …, 1/s_n) one row per

@@ -416,3 +416,13 @@ func hasVec(d *deps.Set, v ilmath.Vec) bool {
 	}
 	return false
 }
+
+// tileOf returns ⌊Hj⌋ = ⌊j/s⌋, the coordinates of the tile containing
+// index point j.
+func (t *Tiling) tileOf(j ilmath.Vec) ilmath.Vec {
+	tc := make(ilmath.Vec, len(j))
+	for i, x := range j {
+		tc[i] = floorDiv(x, t.sides[i])
+	}
+	return tc
+}
