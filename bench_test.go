@@ -206,20 +206,20 @@ func BenchmarkScaleAllocBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkExample1Model evaluates the paper's Example 1 closed form
-// (eq. 3 walk-through; the result is asserted in internal/model tests).
-func BenchmarkExample1Model(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := model.Example1(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExamplesPredict evaluates the paper's Examples 1 and 3 — eq. 3
+// and eq. 4 of the default Example 1 plan (the values are asserted by
+// internal/core's TestPredictExample1).
+func BenchmarkExamplesPredict(b *testing.B) {
+	p, err := core.NewProblem(space.MustRect(10000, 1000), deps.Example1Deps())
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkExample3Model evaluates the paper's Example 3 closed form.
-func BenchmarkExample3Model(b *testing.B) {
+	plan, err := p.Plan(model.Example1Machine(), core.PlanOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := model.Example3(); err != nil {
+		if _, err := plan.Predict(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -314,16 +314,16 @@ func BenchmarkSimEngine(b *testing.B) {
 	small := model.Grid3D{I: 8, J: 8, K: 512, PI: 4, PJ: 4}
 	large := model.Grid3D{I: 64, J: 64, K: 16384, PI: 8, PJ: 8}
 	for _, mode := range []sim.Mode{sim.Blocking, sim.Overlapped} {
-		b.Run(mode.String(), func(b *testing.B) { benchSimEngine(b, small, 8, mode, nil) })
+		b.Run(mode.String(), func(b *testing.B) { benchSimEngine(b, small, 8, mode, fault.Plan{}) })
 	}
 	for _, mode := range []sim.Mode{sim.Blocking, sim.Overlapped} {
-		b.Run("8x8/"+mode.String(), func(b *testing.B) { benchSimEngine(b, large, 128, mode, nil) })
+		b.Run("8x8/"+mode.String(), func(b *testing.B) { benchSimEngine(b, large, 128, mode, fault.Plan{}) })
 	}
 	jitter := fault.Plan{Seed: 7, Intensity: 1, CPUStraggle: 0.3, LinkSlowdown: 0.3, WireJitter: 0.5}
-	b.Run("8x8/jitter", func(b *testing.B) { benchSimEngine(b, large, 128, sim.Overlapped, &jitter) })
+	b.Run("8x8/jitter", func(b *testing.B) { benchSimEngine(b, large, 128, sim.Overlapped, jitter) })
 }
 
-func benchSimEngine(b *testing.B, g model.Grid3D, v int64, mode sim.Mode, fp *fault.Plan) {
+func benchSimEngine(b *testing.B, g model.Grid3D, v int64, mode sim.Mode, fp fault.Plan) {
 	m := model.PentiumCluster()
 	cfg, err := sim.GridConfig(g, v, m, mode, sim.CapDMA)
 	if err != nil {

@@ -54,7 +54,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ilmath"
 	"repro/internal/model"
 	"repro/internal/mp"
 	"repro/internal/obs"
@@ -150,17 +149,11 @@ func tilesAlong(n, height int64) int64 {
 
 func job3D(cfg runner.Config) job {
 	g := cfg.Grid
-	// slow is cfg for one rank's run, which needs its own tile-delay kernel.
-	slow := func() runner.Config {
-		s := cfg
-		s.Kernel = withTileDelay(cfg.Kernel, 2, cfg.V)
-		return s
-	}
 	return job{
 		ranks:  int(g.PI * g.PJ),
 		tiles:  tilesAlong(g.K, cfg.V),
-		run:    func(c mp.Comm) (*runner.Local, runner.Stats, error) { return runner.Run(c, slow()) },
-		time:   func(c mp.Comm) (runner.Stats, error) { return runner.Time(c, slow()) },
+		run:    func(c mp.Comm) (*runner.Local, runner.Stats, error) { return runner.Run(c, cfg) },
+		time:   func(c mp.Comm) (runner.Stats, error) { return runner.Time(c, cfg) },
 		gather: func(c mp.Comm, l *runner.Local) (*stencil.Grid, error) { return runner.Gather(c, cfg, l) },
 		verify: func(grid *stencil.Grid) (float64, error) { return runner.VerifySequential(grid, cfg) },
 		line: func(st runner.Stats) string {
@@ -172,16 +165,11 @@ func job3D(cfg runner.Config) job {
 }
 
 func job2D(cfg runner.Config2D, ranks int) job {
-	slow := func() runner.Config2D {
-		s := cfg
-		s.Kernel = withTileDelay(cfg.Kernel, 0, cfg.S1)
-		return s
-	}
 	return job{
 		ranks:  ranks,
 		tiles:  tilesAlong(cfg.I1, cfg.S1),
-		run:    func(c mp.Comm) (*runner.Local, runner.Stats, error) { return runner.Run2D(c, slow()) },
-		time:   func(c mp.Comm) (runner.Stats, error) { return runner.Time2D(c, slow()) },
+		run:    func(c mp.Comm) (*runner.Local, runner.Stats, error) { return runner.Run2D(c, cfg) },
+		time:   func(c mp.Comm) (runner.Stats, error) { return runner.Time2D(c, cfg) },
 		gather: func(c mp.Comm, l *runner.Local) (*stencil.Grid, error) { return runner.Gather2D(c, cfg, l) },
 		verify: func(grid *stencil.Grid) (float64, error) { return runner.VerifySequential2D(grid, cfg) },
 		line: func(st runner.Stats) string {
@@ -222,7 +210,7 @@ func buildJob() (job, error) {
 		}
 		cfg := runner.Config{
 			Grid: model.Grid3D{I: sp[0], J: sp[1], K: sp[2], PI: pr[0], PJ: pr[1]}, V: *vFlag,
-			Kernel: stencil.Sqrt3D{}, Mode: mode, Checkpoint: ck,
+			Kernel: withTileDelay(stencil.Sqrt3D{}), Mode: mode, Checkpoint: ck,
 		}
 		j, validate = job3D(cfg), cfg.Validate
 	case "2d":
@@ -232,7 +220,7 @@ func buildJob() (job, error) {
 		}
 		cfg := runner.Config2D{
 			I1: sp[0], I2: sp[1], S1: *s1Flag,
-			Kernel: stencil.Sum2D{}, Mode: mode, Checkpoint: ck,
+			Kernel: withTileDelay(stencil.Sum2D{}), Mode: mode, Checkpoint: ck,
 		}
 		j, validate = job2D(cfg, *ranksFlag), cfg.Validate
 	default:
@@ -245,32 +233,32 @@ func buildJob() (job, error) {
 	return j, nil
 }
 
-// slowKernel stretches a run out for chaos testing: the first point a rank
-// evaluates in each tile sleeps, so every tile costs at least delay and a
-// SIGKILL can be aimed mid-run instead of racing a sub-millisecond finish.
-// It remembers the tile it is in, so each rank's run needs its own.
-type slowKernel struct {
+// blockKernel is a kernel with the runner's block fast path.
+type blockKernel interface {
 	stencil.Kernel
-	axis   int   // the component of a point that runs along the tiles
-	height int64 // tile height along it
-	delay  time.Duration
-	tile   int64
+	stencil.Block3D
 }
 
-// withTileDelay wraps k for one rank's run when -tile-delay is set.
-func withTileDelay(k stencil.Kernel, axis int, height int64) stencil.Kernel {
+// slowKernel stretches a run out for chaos testing: each tile sleeps once
+// before the wrapped kernel sweeps it, so every tile costs at least delay
+// and a SIGKILL can be aimed mid-run instead of racing a sub-millisecond
+// finish.
+type slowKernel struct {
+	blockKernel
+	delay time.Duration
+}
+
+// withTileDelay wraps k when -tile-delay is set.
+func withTileDelay(k blockKernel) stencil.Kernel {
 	if *tileDelay <= 0 {
 		return k
 	}
-	return &slowKernel{Kernel: k, axis: axis, height: height, delay: *tileDelay, tile: -1}
+	return slowKernel{k, *tileDelay}
 }
 
-func (k *slowKernel) Eval(j ilmath.Vec, get func(ilmath.Vec) float64) float64 {
-	if t := j[k.axis] / k.height; t != k.tile {
-		k.tile = t
-		time.Sleep(k.delay)
-	}
-	return k.Kernel.Eval(j, get)
+func (k slowKernel) SweepBlock(a []float64, base, ni, nj, nk, si, sj int) {
+	time.Sleep(k.delay)
+	k.blockKernel.SweepBlock(a, base, ni, nj, nk, si, sj)
 }
 
 // writeGrid dumps a gathered grid as big-endian float64s — the format the

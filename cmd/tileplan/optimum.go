@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/planapi"
 	"repro/internal/sim"
 )
 
@@ -25,28 +25,19 @@ func runOptimum(sizes []int64, m model.Machine) error {
 	if len(procs) != 2 {
 		return fmt.Errorf("-procs must be PIxPJ, got %v", procs)
 	}
-	g := model.Grid3D{I: sizes[0], J: sizes[1], K: sizes[2], PI: procs[0], PJ: procs[1]}
-	if err := g.Validate(); err != nil {
+	// The served query's own constructor, on this command's machine (a
+	// machine file included) and without the service's request limits.
+	q := planapi.PlanRequest{Space: sizes, Procs: procs, Exact: *exactFlag}
+	s, err := q.Sweep()
+	if err != nil {
 		return err
 	}
-	s := experiments.Sweep{
-		ID: "tileplan", Title: "tileplan -optimum",
-		Grid:    g,
-		Heights: experiments.Ladder(4, g.K/4),
-		Machine: m,
-		Cap:     sim.CapDMA,
-		Cache:   sim.NewCache(),
-		Exact:   *exactFlag,
-	}
+	s.Machine, s.Cache = m, sim.NewCache()
+	g := s.Grid
 	fmt.Printf("optimum tile height for %dx%dx%d on %dx%d processors:\n",
 		g.I, g.J, g.K, g.PI, g.PJ)
 	for _, mode := range []sim.Mode{sim.Overlapped, sim.Blocking} {
-		var seed float64
-		if mode == sim.Overlapped {
-			seed, _, _ = g.OptimalVOverlapAnalytic(m)
-		} else {
-			seed, _, _ = g.OptimalVBlockingAnalytic(m)
-		}
+		seed := planapi.SeedFor(g, m, mode)
 		pre := s.Cache.Stats()
 		out, err := s.OptimumDetailCtx(context.Background(), mode)
 		if err != nil {

@@ -162,3 +162,32 @@ func TestPropPredictionTracksSimulation(t *testing.T) {
 		}
 	}
 }
+
+// TestPropGrid3DIsTheBoxPlan keeps model.Grid3D, the allocation-light
+// Section 5 specialisation the planning service prices, from drifting
+// away from the general derivation: on random grids with tile sides and
+// heights of at least 2 (Plan grows a side of 1 to contain the
+// dependences), its schedule lengths and eq. 3/4 totals equal, bit for
+// bit, the Predict of the box plan with sides (TileI, TileJ, V) mapped
+// along k.
+func TestPropGrid3DIsTheBoxPlan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	machines := []model.Machine{model.PentiumCluster(), model.Example1Machine()}
+	for trial := 0; trial < 300; trial++ {
+		pi, pj := r.Int63n(4)+1, r.Int63n(4)+1
+		g := model.Grid3D{I: pi * (r.Int63n(15) + 2), J: pj * (r.Int63n(15) + 2), K: r.Int63n(4000) + 2, PI: pi, PJ: pj}
+		v := r.Int63n(g.K-1) + 2
+		m := machines[trial%len(machines)]
+		plan := planOf(t, space.MustRect(g.I, g.J, g.K), deps.Stencil3D(), m, ilmath.V(g.TileI(), g.TileJ(), v), 2)
+		pred, err := plan.Predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred.PNonOverlap != g.PNonOverlap(v) || pred.POverlap != g.POverlap(v) ||
+			pred.NonOverlap != g.PredictNonOverlap(v, m) || pred.Overlap != g.PredictOverlap(v, m) {
+			t.Fatalf("%+v, V=%d: plan P=%d/%d T=%v/%v, Grid3D P=%d/%d T=%v/%v", g, v,
+				pred.PNonOverlap, pred.POverlap, pred.NonOverlap, pred.Overlap,
+				g.PNonOverlap(v), g.POverlap(v), g.PredictNonOverlap(v, m), g.PredictOverlap(v, m))
+		}
+	}
+}

@@ -8,7 +8,7 @@
 //
 //	p, _ := core.NewProblem(space.MustRect(10000, 1000), deps.Example1Deps())
 //	plan, _ := p.Plan(model.Example1Machine(), core.PlanOptions{})
-//	pred := plan.Predict()            // eq. 3 vs eq. 4 totals
+//	pred, _ := plan.Predict()         // eq. 3 vs eq. 4 totals
 //	simr, _ := plan.Simulate(...)     // discrete-event makespans
 //
 // The real (wall-clock, message-passing) execution path lives in

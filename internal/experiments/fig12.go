@@ -6,10 +6,11 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/deps"
-	"repro/internal/ilmath"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/space"
 )
 
 // Fig12Row reproduces one column of the paper's Fig. 12 summary table.
@@ -123,41 +124,47 @@ func FormatFig12(rows []Fig12Row) string {
 	return b.String()
 }
 
-// Examples renders the worked Examples 1 and 3 of the paper from the model
-// package, with the paper's reference values, and cross-checks them on the
-// simulator under ctx.
+// Examples renders the paper's worked Examples 1 and 3 with its reference
+// values. They are one problem under two schedules, so both come from the
+// Example 1 core.Plan (default options: the Hodzic–Shang g = 100, square
+// 10×10 tiles mapped along i₁): g, formula (2)'s V_comm, the schedule
+// lengths and eq. 3 (Example 1) and eq. 4 (Example 3) from Plan.Predict.
+// The plan then runs both schedules on the simulator under ctx.
 func Examples(ctx context.Context) (string, error) {
-	e1, err := model.Example1()
+	prob, err := core.NewProblem(space.MustRect(10000, 1000), deps.Example1Deps())
 	if err != nil {
 		return "", err
 	}
-	e3, err := model.Example3()
+	plan, err := prob.Plan(model.Example1Machine(), core.PlanOptions{})
 	if err != nil {
 		return "", err
 	}
+	pred, err := plan.Predict()
+	if err != nil {
+		return "", err
+	}
+	vcomm, err := plan.Tiling.CommVolumeMapped(prob.Deps, plan.Mapping.MapDim)
+	if err != nil {
+		return "", err
+	}
+	g, tc := plan.Tiling.VolumeInt(), plan.Machine.Tc
 	var b strings.Builder
 	fmt.Fprintf(&b, "Example 1 (non-overlapping, Section 3)\n")
-	fmt.Fprintf(&b, "  g = %d, V_comm = %d, P = %d, Π = %v\n", e1.G, e1.VComm, e1.P, e1.SchedulePi)
-	fmt.Fprintf(&b, "  T = %.0f·t_c = %.6f s   (paper: 400036·t_c = 0.4 s)\n", e1.TotalInTc, e1.Total)
+	fmt.Fprintf(&b, "  g = %d, V_comm = %d, P = %d, Π = %v\n", g, vcomm, pred.PNonOverlap, []int64(plan.NonOverlap.Pi))
+	fmt.Fprintf(&b, "  T = %.0f·t_c = %.6f s   (paper: 400036·t_c = 0.4 s)\n", pred.NonOverlap/tc, pred.NonOverlap)
 	fmt.Fprintf(&b, "Example 3 (overlapping, Section 4)\n")
-	fmt.Fprintf(&b, "  g = %d, V_comm = %d, P = %d, Π = %v\n", e3.G, e3.VComm, e3.P, e3.SchedulePi)
-	fmt.Fprintf(&b, "  T = %.0f·t_c = %.6f s   (paper: ≈0.24 s)\n", e3.TotalInTc, e3.Total)
-	fmt.Fprintf(&b, "Improvement: %.1f%%\n", 100*(1-e3.Total/e1.Total))
+	fmt.Fprintf(&b, "  g = %d, V_comm = %d, P = %d, Π = %v\n", g, vcomm, pred.POverlap, []int64(plan.Overlap.Pi))
+	fmt.Fprintf(&b, "  T = %.0f·t_c = %.6f s   (paper: ≈0.24 s)\n", pred.Overlap/tc, pred.Overlap)
+	fmt.Fprintf(&b, "Improvement: %.1f%%\n", 100*pred.Improvement)
 
-	// Cross-check on the simulated 100-strip cluster deployment: the
-	// 10×10 tiles mapped along i₁, each strip a processor, shipping what
-	// the real 2-D executor ships (s1+1 values per tile).
-	m := model.Example1Machine()
-	topo, err := sim.BoxTopology(ilmath.V(10000, 1000), ilmath.V(10, 10), 0, deps.Example1Deps(), m.BytesPerElem)
-	if err != nil {
-		return "", err
-	}
+	// Cross-check on the simulated 100-strip cluster deployment: each strip
+	// of tiles a processor, shipping what the real 2-D executor ships (s1+1
+	// values per tile).
 	res, err := evalAll(ctx, 2, func(_ context.Context, i int) (sim.Result, error) {
-		cfg := sim.Config{Topo: topo, Machine: m, Mode: sim.Blocking, Cap: sim.CapNone}
 		if i == 1 {
-			cfg.Mode, cfg.Cap = sim.Overlapped, sim.CapDMA
+			return plan.SimulateOne(sim.Overlapped, sim.CapDMA, false)
 		}
-		return sim.Simulate(cfg)
+		return plan.SimulateOne(sim.Blocking, sim.CapNone, false)
 	})
 	if err != nil {
 		return "", err

@@ -3,8 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-
-	"repro/internal/ilmath"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -168,62 +166,6 @@ func TestOptimalGEq5IsMinimum(t *testing.T) {
 		if T(g) < tOpt {
 			t.Errorf("T(%g) = %g < T(g_opt) = %g", g, T(g), tOpt)
 		}
-	}
-}
-
-func TestExample1MatchesPaper(t *testing.T) {
-	r, err := Example1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.G != 100 {
-		t.Errorf("g = %d, want 100", r.G)
-	}
-	if r.VComm != 20 {
-		t.Errorf("V_comm = %d, want 20", r.VComm)
-	}
-	if r.P != 1099 {
-		t.Errorf("P = %d, want 1099", r.P)
-	}
-	if r.MapDim != 0 {
-		t.Errorf("mapDim = %d, want 0", r.MapDim)
-	}
-	if !almostEq(r.TotalInTc, 400036, 1e-9) {
-		t.Errorf("T = %g·t_c, want 400036·t_c (paper: 0.4 s)", r.TotalInTc)
-	}
-	if !almostEq(r.Total, 0.400036, 1e-9) {
-		t.Errorf("T = %g s, want 0.400036 s", r.Total)
-	}
-	if !ilmath.Vec(r.SchedulePi).Equal(ilmath.V(1, 1)) {
-		t.Errorf("Π = %v, want (1,1)", r.SchedulePi)
-	}
-}
-
-func TestExample3MatchesPaper(t *testing.T) {
-	r, err := Example3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.P != 1198 {
-		t.Errorf("P = %d, want 1198", r.P)
-	}
-	if !ilmath.Vec(r.SchedulePi).Equal(ilmath.V(1, 2)) {
-		t.Errorf("Π = %v, want (1,2)", r.SchedulePi)
-	}
-	// Wire-inclusive step = 228·t_c (see TestOverlappedStepPartsExample3);
-	// the headline comparison: overlap total must be well below the
-	// non-overlap 0.4 s, around the paper's ~0.24 s.
-	if r.Total >= 0.3 {
-		t.Errorf("overlap total %g s not clearly below non-overlap 0.4 s", r.Total)
-	}
-	if r.Total < 0.2 {
-		t.Errorf("overlap total %g s implausibly low", r.Total)
-	}
-	// Improvement vs Example 1 ≈ 30-45%.
-	e1, _ := Example1()
-	imp := 1 - r.Total/e1.Total
-	if imp < 0.25 || imp > 0.5 {
-		t.Errorf("improvement = %.0f%%, want 25-50%% (paper: ~40%%)", imp*100)
 	}
 }
 

@@ -210,11 +210,12 @@ func (q PlanRequest) Key() string {
 		machine, mode, q.Exact)
 }
 
-// Sweep builds the experiments.Sweep answering this request, constructed
-// exactly like `tileplan -optimum` builds its offline query — same height
-// ladder, machine resolution, capability, and Exact flag — so a served
-// answer is bit-identical to the CLI's. The caller attaches a sim.Cache
-// before running.
+// Sweep builds the experiments.Sweep answering this request: the height
+// ladder, the capability and the Exact flag of the one optimum query.
+// `tileplan -optimum` builds its offline query here too and swaps in its
+// own machine, so a served answer is bit-identical to the CLI's. Sweep
+// checks the grid, not Validate's request limits. The caller attaches a
+// sim.Cache before running.
 func (q PlanRequest) Sweep() (experiments.Sweep, error) {
 	g, err := q.Grid()
 	if err != nil {

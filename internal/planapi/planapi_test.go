@@ -148,9 +148,9 @@ func TestKeyIgnoresTenant(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesTileplan: the served query must be constructed exactly
-// like `tileplan -optimum` builds its offline sweep, and answer
-// bit-identically to it.
+// TestSweepMatchesTileplan pins the one optimum query's construction (the
+// ladder, capability and Exact flag `tileplan -optimum` also runs through
+// Sweep) against a hand-built sweep, and its answers against that sweep's.
 func TestSweepMatchesTileplan(t *testing.T) {
 	q, err := DecodeRequest(strings.NewReader(validJSON()))
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/fault"
 	"repro/internal/ilmath"
 	"repro/internal/simnet"
 )
@@ -26,9 +25,6 @@ type builder struct {
 	fabric *simnet.Fabric   // hierarchical links, nil when Interconnect is flat
 	hops   []simnet.Hop     // reusable route buffer (wire() is serial)
 	trace  bool
-	// fp is the active fault plan, nil when Config.Fault is absent or has
-	// zero intensity — the fault-free build path stays byte-identical.
-	fp *fault.Plan
 
 	numProcs int64
 	steps    int64 // tiles per processor (extent of the mapping dimension)
@@ -83,19 +79,7 @@ func (a *msgArena) alloc() *message {
 }
 
 func newBuilder(cfg Config, eng *simnet.Engine) *builder {
-	b := &builder{cfg: cfg, eng: eng, trace: cfg.Trace}
-	if cfg.Fault != nil && cfg.Fault.Active() {
-		b.fp = cfg.Fault
-	}
-	return b
-}
-
-// speed returns node p's CPU speed factor (1.0 when homogeneous).
-func (b *builder) speed(p int64) float64 {
-	if b.cfg.NodeSpeed == nil {
-		return 1
-	}
-	return b.cfg.NodeSpeed(p)
+	return &builder{cfg: cfg, eng: eng, trace: cfg.Trace}
 }
 
 // procRank computes Map.ProcRank(tc) without materializing the projected
@@ -135,9 +119,9 @@ func (b *builder) build() error {
 		acts += 2 * lv * b.numMsgs
 		edges += 2 * lv * b.numMsgs
 	}
-	if b.fp != nil {
-		acts += b.numTiles + 2*b.fp.MaxResend*b.numMsgs
-		edges += b.numTiles + 2*b.fp.MaxResend*b.numMsgs
+	if fp := &b.cfg.Fault; fp.Active() {
+		acts += b.numTiles + 2*fp.MaxResend*b.numMsgs
+		edges += b.numTiles + 2*fp.MaxResend*b.numMsgs
 	}
 	b.eng.Reserve(acts, edges)
 	b.walk()
@@ -185,35 +169,44 @@ func (b *builder) makeNodes() error {
 		}
 		b.nodes[p] = node{cpu: cpu, commIn: in, commOut: out}
 	}
-	if b.fp != nil {
-		b.installPerturb()
-	}
+	b.installPerturb()
 	return nil
 }
 
-// installPerturb registers the engine-level duration hook carrying the
-// fault plan's per-resource factors: CPU straggler factors on each
-// processor's CPU, link slowdown factors on each communication port (rx
-// port 2p, tx port 2p+1, shared bus −1). Per-message jitter and
-// retransmissions are handled structurally in wire(); resources without a
-// factor — fabric links among them — pass through unchanged.
+// installPerturb registers the engine-level duration hook that slows
+// single resources, when a NodeSpeed or an active fault plan asks for one.
+// Work on processor p's CPU is divided by NodeSpeed(p), then scaled by the
+// plan's straggler factor; each communication port is scaled by the plan's
+// link slowdown factor (rx port 2p, tx port 2p+1, shared bus −1).
+// Per-message jitter and retransmissions are handled structurally in
+// wire(); resources without an entry — fabric links among them — pass
+// through unchanged.
 func (b *builder) installPerturb() {
-	factors := make(map[*simnet.Resource]float64, 3*len(b.nodes)+1)
+	speed, fp := b.cfg.NodeSpeed, &b.cfg.Fault
+	if speed == nil && !fp.Active() {
+		return
+	}
+	type scale struct{ div, mul float64 }
+	scales := make(map[*simnet.Resource]scale, 3*len(b.nodes)+1)
 	for p := range b.nodes {
 		n := &b.nodes[p]
-		factors[n.cpu] = b.fp.CPUFactor(int64(p))
+		cpu := scale{1, fp.CPUFactor(int64(p))}
+		if speed != nil {
+			cpu.div = speed(int64(p))
+		}
+		scales[n.cpu] = cpu
 		// With a single half-duplex channel commIn == commOut: the rx-port
 		// factor is assigned first and the tx write below overwrites it, so
 		// the shared channel deterministically carries the tx-port factor.
-		factors[n.commIn] = b.fp.LinkFactor(2 * int64(p))
-		factors[n.commOut] = b.fp.LinkFactor(2*int64(p) + 1)
+		scales[n.commIn] = scale{1, fp.LinkFactor(2 * int64(p))}
+		scales[n.commOut] = scale{1, fp.LinkFactor(2*int64(p) + 1)}
 	}
 	if b.bus != nil {
-		factors[b.bus] = b.fp.LinkFactor(-1)
+		scales[b.bus] = scale{1, fp.LinkFactor(-1)}
 	}
 	b.eng.SetPerturb(func(r *simnet.Resource, d float64) float64 {
-		if f, ok := factors[r]; ok {
-			return d * f
+		if s, ok := scales[r]; ok {
+			return d / s.div * s.mul
 		}
 		return d
 	})
@@ -360,7 +353,7 @@ func (b *builder) walk() {
 			if b.trace {
 				label = fmt.Sprintf("compute%v", b.cfg.Topo.ts.Delinearize(ti.rank))
 			}
-			comp := b.onCPU(p, float64(ti.volume)*b.cfg.Machine.Tc/b.speed(p), label)
+			comp := b.onCPU(p, float64(ti.volume)*b.cfg.Machine.Tc, label)
 			b.computeActs[ti.rank] = comp
 			switch {
 			case !ov:
@@ -386,10 +379,7 @@ func (b *builder) walk() {
 // pause chains the fault plan's transient node pause (if any) onto
 // processor p's CPU program order ahead of its step-s tile work.
 func (b *builder) pause(p, s int64) {
-	if b.fp == nil {
-		return
-	}
-	if d := b.fp.Pause(p, s); d > 0 {
+	if d := b.cfg.Fault.Pause(p, s); d > 0 {
 		b.pauseCount++
 		label := ""
 		if b.trace {
@@ -403,8 +393,7 @@ func (b *builder) pause(p, s int64) {
 // preparation (A3) on the CPU, once the data has left the wire (B1).
 func (b *builder) recv(p int64, m *message) {
 	mch := b.cfg.Machine
-	r := b.onCPU(p, (mch.FillKernel(m.bytes)+mch.FillMPI(m.bytes))/b.speed(p),
-		b.mlabel("recv", m, true))
+	r := b.onCPU(p, mch.FillKernel(m.bytes)+mch.FillMPI(m.bytes), b.mlabel("recv", m, true))
 	b.eng.AddDep(m.ready, r)
 }
 
@@ -412,22 +401,21 @@ func (b *builder) recv(p int64, m *message) {
 // the CPU after the tile's compute, then the wire stages.
 func (b *builder) send(p int64, m *message, comp *simnet.Activity) {
 	mch := b.cfg.Machine
-	a := b.onCPU(p, (mch.FillMPI(m.bytes)+mch.FillKernel(m.bytes))/b.speed(p),
-		b.mlabel("send", m, false))
+	a := b.onCPU(p, mch.FillMPI(m.bytes)+mch.FillKernel(m.bytes), b.mlabel("send", m, false))
 	b.eng.AddDep(comp, a)
 	m.ready = b.wire(m, a)
 }
 
 // post is the overlapped A3: the CPU posts m's receive buffer.
 func (b *builder) post(p int64, m *message) {
-	m.posted = b.onCPU(p, b.cfg.Machine.FillMPI(m.bytes)/b.speed(p), b.mlabel("irecv", m, true))
+	m.posted = b.onCPU(p, b.cfg.Machine.FillMPI(m.bytes), b.mlabel("irecv", m, true))
 }
 
 // isend is the overlapped send of m: A1 on the CPU after the producing
 // tile's compute, B3, the wire stages, then B2 at the receiver once its
 // buffer is posted. B2 gates the consuming compute.
 func (b *builder) isend(p int64, m *message) {
-	a1 := b.onCPU(p, b.cfg.Machine.FillMPI(m.bytes)/b.speed(p), b.mlabel("isend", m, false))
+	a1 := b.onCPU(p, b.cfg.Machine.FillMPI(m.bytes), b.mlabel("isend", m, false))
 	b.eng.AddDep(b.computeActs[m.fromRank], a1)
 	b3 := b.kcopy(p, b.nodes[p].commOut, m, b.mlabel("kcopy-tx", m, false))
 	b.eng.AddDep(a1, b3)
@@ -445,7 +433,6 @@ func (b *builder) kcopy(p int64, res *simnet.Resource, m *message, label string)
 	d := b.cfg.Machine.FillKernel(m.bytes)
 	if b.cfg.Cap == CapNone {
 		res = b.nodes[p].cpu
-		d /= b.speed(p)
 	}
 	return b.eng.NewActivity(res, d, label)
 }
@@ -464,30 +451,25 @@ func (b *builder) kcopy(p int64, res *simnet.Resource, m *message, label string)
 func (b *builder) wire(m *message, pred *simnet.Activity) *simnet.Activity {
 	tx := b.nodes[m.fromProc].commOut
 	base := b.cfg.Machine.Wire(m.bytes)
-	resends := 0
-	if b.fp != nil {
-		resends = b.fp.Resends(m.fromRank, m.toRank)
-		if resends > 0 {
-			b.retransmits += resends
-			if b.linkRetx == nil {
-				b.linkRetx = make(map[int64]int)
-			}
-			b.linkRetx[m.fromProc*b.numProcs+m.toProc] += resends
+	fp := &b.cfg.Fault // an inactive plan loses nothing and jitters by 1
+	resends := fp.Resends(m.fromRank, m.toRank)
+	if resends > 0 {
+		b.retransmits += resends
+		if b.linkRetx == nil {
+			b.linkRetx = make(map[int64]int)
 		}
+		b.linkRetx[m.fromProc*b.numProcs+m.toProc] += resends
 	}
 	prev := pred
 	for attempt := 0; attempt <= resends; attempt++ {
-		dur := base
-		if b.fp != nil {
-			dur *= b.fp.WireFactor(m.fromRank, m.toRank, attempt)
-		}
+		dur := base * fp.WireFactor(m.fromRank, m.toRank, attempt)
 		a := b.eng.NewActivity(tx, dur, b.mlabel("wire-tx", m, false))
 		b.eng.AddDep(prev, a)
 		prev = a
 		if attempt < resends {
 			// Lost attempt: the sender's NIC waits out the retransmission
 			// timeout (with exponential backoff) before trying again.
-			to := b.eng.NewActivity(tx, b.fp.RetryDelay(base, attempt),
+			to := b.eng.NewActivity(tx, fp.RetryDelay(base, attempt),
 				b.mlabel("retx-timeout", m, false))
 			b.eng.AddDep(a, to)
 			prev = to

@@ -16,9 +16,7 @@ func faultedConfig(t *testing.T, mode Mode, cap Capability, fp fault.Plan) Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp.Active() {
-		cfg.Fault = &fp
-	}
+	cfg.Fault = fp
 	return cfg
 }
 
@@ -62,10 +60,7 @@ func TestFaultZeroIntensityIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			zero := fault.Default(99, 0)
-			cfg := faultedConfig(t, mode, cap, zero)
-			cfg.Fault = &zero // force the plan through even though inactive
-			got, err := Simulate(cfg)
+			got, err := Simulate(faultedConfig(t, mode, cap, fault.Default(99, 0)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -188,10 +188,7 @@ func gridConfig(c model.Grid3D, v int64, m model.Machine, mode Mode, cap Capabil
 	}
 	cfg.Network = o.Net
 	cfg.Interconnect = o.Interconnect
-	if o.Fault.Active() {
-		fp := o.Fault
-		cfg.Fault = &fp
-	}
+	cfg.Fault = o.Fault
 	cfg.Metrics = o.Metrics
 	cfg.Trace = o.Trace
 	return cfg, nil

@@ -109,15 +109,16 @@ type Config struct {
 	Interconnect topo.Spec
 	Trace        bool
 	// NodeSpeed optionally scales per-node CPU performance: rank r's
-	// CPU-resident work takes duration/NodeSpeed(r). nil means homogeneous
-	// (all 1.0). Models stragglers in the otherwise identical cluster.
+	// CPU-resident work takes duration/NodeSpeed(r), a fault pause
+	// included. nil means homogeneous (all 1.0). Models stragglers in the
+	// otherwise identical cluster.
 	NodeSpeed func(rank int64) float64
 	// Fault optionally injects deterministic, seeded perturbations into
 	// the simulated cluster: CPU stragglers, link slowdowns, per-message
 	// wire jitter, message loss with timeout/backoff retransmits, and
-	// transient node pauses. nil — or a plan with zero intensity — leaves
-	// the simulation byte-identical to the fault-free one.
-	Fault *fault.Plan
+	// transient node pauses. A plan with zero intensity (the zero value)
+	// leaves the simulation byte-identical to the fault-free one.
+	Fault fault.Plan
 	// Metrics enables the phase-accounting pass: the engine records a
 	// string-free per-activity interval log and Simulate aggregates it into
 	// Result.Obs (busy/idle/queue-wait per resource, overlap efficiency,
@@ -178,12 +179,7 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if c.Fault != nil {
-		if err := c.Fault.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Fault.Validate()
 }
 
 // node bundles the per-processor resources.
