@@ -5,7 +5,7 @@ GO ?= go
 
 BENCH ?= Fig9$$|Fig10$$|Fig11$$|Fig12$$|SimEngine$$|SimBuild$$|SweepParallel$$
 
-.PHONY: build test race cancel-repeat bench bench-smoke fault-smoke serve-smoke chaos vet lint docs-check check
+.PHONY: build test race cancel-repeat portable bench bench-smoke fault-smoke serve-smoke chaos vet lint docs-check check
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,15 @@ race:
 cancel-repeat:
 	$(GO) test -count=20 -run 'TestCancelMidLadder$$|TestCancelThenRerunBitIdentical$$' ./internal/experiments
 
+# The portable build of Sqrt3D's grouped sweep: on amd64 its steady loop is
+# SSE2 assembly (internal/stencil/sqrt_amd64.s), everywhere else the same
+# eight-lane loop in Go. A 386 test run takes the Go loop on an amd64 host
+# through both kernel tests, and an arm64 vet keeps the !amd64 files
+# compiling.
+portable:
+	GOARCH=386 $(GO) test ./internal/stencil ./internal/runner
+	GOARCH=arm64 $(GO) vet ./internal/stencil
+
 bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
 
@@ -41,9 +50,10 @@ bench:
 # hit allocates, a small message over the TCP transport costs more than 4
 # allocations, a simulation of either schedule (blocking or overlapped) on
 # a reused sim.Simulator allocates per tile, or one Sqrt3D block sweep
-# allocates (the grouped sweep's root buffer must stay on the stack) on
-# either node geometry's rank box. PlanHot keeps the in-process warm-cache
-# tileserve request benchmark compiling and running.
+# allocates (the grouped sweep's root buffers must stay on the stack) on
+# either node geometry's rank box, the coarse one at both of its pitches.
+# PlanHot keeps the in-process warm-cache tileserve request benchmark
+# compiling and running.
 bench-smoke:
 	$(GO) test -bench 'OptimumTiered$$|OptimumSweep$$|ScaleAllocBudget$$|SimEngine$$|RunnerBlocking$$|RunnerOverlapped$$|Runner2D$$|Gather$$|SimCache$$|StencilBlock$$' -benchmem -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'TCPSmallMsgStream$$' -benchtime=1x -run '^$$' ./internal/mp
@@ -89,4 +99,4 @@ lint:
 docs-check:
 	$(GO) run ./cmd/docscheck .
 
-check: build test race cancel-repeat fault-smoke serve-smoke chaos bench-smoke vet lint docs-check
+check: build test race cancel-repeat portable fault-smoke serve-smoke chaos bench-smoke vet lint docs-check

@@ -680,37 +680,45 @@ func BenchmarkStencilSequential(b *testing.B) {
 	b.SetBytes(sp.Volume() * 8)
 }
 
+// coarseRingSlots is the k-extent of a row in node3d-coarse's timed reps:
+// runner.Time computes into a ring of runner's ringSlots(128, 2048) = 256
+// k-slots per row (two tiles of V = 128) instead of the whole column.
+const coarseRingSlots = 256
+
 // BenchmarkStencilBlock measures the kernel the runner actually calls,
 // Sqrt3D's block sweep, one tile per iteration on the two rank boxes of the
 // benchmark's node geometries (bench/README.md), laid out as runner.Local
 // lays them out, ghosts included: node3d-coarse's 32×64 cross-section of a
-// K = 2048 column at V = 128, which takes the grouped sweep, and
-// node3d-fine's 8×1 cross-section of K = 16384 at V = 1, which takes the
-// plain row loop. It reports ns/point and fails if a sweep allocates.
+// K = 2048 column at V = 128, which takes the grouped sweep, once at the
+// whole-column pitch of a checked rep (coarse) and once at the ring pitch
+// of a timed one (coarse-ring), and node3d-fine's 8×1 cross-section of
+// K = 16384 at V = 1, which takes the plain row loop. It reports ns/point
+// and fails if a sweep allocates.
 func BenchmarkStencilBlock(b *testing.B) {
 	for _, c := range []struct {
-		name         string
-		ti, tj, k, v int
+		name             string
+		ti, tj, slots, v int // slots: the k-extent a row is laid out over
 	}{
 		{"coarse", 32, 64, 2048, 128},
+		{"coarse-ring", 32, 64, coarseRingSlots, 128},
 		{"fine", 8, 1, 16384, 1},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			sj := c.k + 1         // j-row pitch
+			sj := c.slots + 1     // j-row pitch: the k−1 ghost, then the slots
 			si := (c.tj + 1) * sj // i-plane pitch
 			a := make([]float64, (c.ti+1)*si)
 			for x := range a {
 				a[x] = 1 // the boundary value, in the ghosts and as a start everywhere else
 			}
 			var blk stencil.Block3D = stencil.Sqrt3D{}
-			tiles := c.k / c.v
+			tiles := c.slots / c.v
 			tile := 0
 			sweep := func() {
 				blk.SweepBlock(a, si+sj+1+tile*c.v, c.ti, c.tj, c.v, si, sj)
 				tile = (tile + 1) % tiles
 			}
 			for range tiles {
-				sweep() // first touch of the whole column, outside the timing
+				sweep() // first touch of the whole row, outside the timing
 			}
 			if n := testing.AllocsPerRun(10, sweep); n != 0 {
 				b.Errorf("one sweep allocates %.0f times", n)

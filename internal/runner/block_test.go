@@ -112,10 +112,10 @@ func positionBoundary(j ilmath.Vec) float64 {
 // for bit — in both modes, on eager and on pure-rendezvous in-process
 // worlds, with tile heights that do not divide K, V = 1 and V = K, and a
 // boundary that depends on position. The random geometries have at most
-// three rows per rank; three fixed ones add ranks of 4, 7 and 9 rows and
-// tiles longer than the kernel's 256-point chunk, so its grouped sweep runs
-// whole groups, groups with rows left over, and ragged last tiles too short
-// to group.
+// three rows per rank; fixed ones add ranks of 4, 7, 8, 9, 15 and 16 rows
+// and tiles longer than the kernel's 256-point chunk, so its grouped sweep
+// of eight rows runs one and two whole groups, groups with rows left over,
+// rows too few to group, and ragged last tiles too short to group.
 func TestBlockPathMatchesGenericAndSequential(t *testing.T) {
 	if _, ok := stencil.Kernel(stencil.Sqrt3D{}).(stencil.Block3D); !ok {
 		t.Fatal("stencil.Sqrt3D does not offer the block path")
@@ -142,6 +142,9 @@ func TestBlockPathMatchesGenericAndSequential(t *testing.T) {
 		geometry{model.Grid3D{I: 3, J: 4, K: 300, PI: 1, PJ: 1}, []int64{7, 1, 300}},    // last tile 6
 		geometry{model.Grid3D{I: 6, J: 14, K: 530, PI: 2, PJ: 2}, []int64{4, 1, 530}},   // last tile 2
 		geometry{model.Grid3D{I: 4, J: 18, K: 600, PI: 2, PJ: 2}, []int64{257, 1, 600}}, // last tile 86
+		geometry{model.Grid3D{I: 4, J: 16, K: 300, PI: 2, PJ: 2}, []int64{8, 1, 300}},   // last tile 4
+		geometry{model.Grid3D{I: 3, J: 15, K: 270, PI: 1, PJ: 1}, []int64{9, 1, 270}},
+		geometry{model.Grid3D{I: 2, J: 32, K: 260, PI: 2, PJ: 2}, []int64{17, 1, 260}}, // last tile 5
 	)
 	for _, c := range cases {
 		g := c.g

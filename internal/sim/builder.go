@@ -16,7 +16,9 @@ import (
 // inbox/outbox indexes are flat (proc, step)-addressed slices whose buckets
 // are carved out of a single backing array sized numTiles × deps up front.
 // Messages live in a chunked arena. Human-readable activity labels are only
-// materialized when Config.Trace is set; untraced sweeps run label-free.
+// materialized when Config.Trace is set; untraced sweeps run label-free. A
+// Simulator keeps one builder and rewinds it for every run (reset), so
+// these arrays and the arena are allocated once, not once per run.
 type builder struct {
 	cfg    Config
 	eng    *simnet.Engine
@@ -34,9 +36,11 @@ type builder struct {
 	// tiles[p*steps+s] describes the tile processor p runs at local step s.
 	tiles []tileInfo
 	// inbox[p*steps+s] lists messages consumed by that tile; outbox the
-	// messages it produces. Bucket capacity is deps.Len() each.
-	inbox  [][]*message
-	outbox [][]*message
+	// messages it produces. Bucket capacity is deps.Len() each, carved out
+	// of backing.
+	inbox   [][]*message
+	outbox  [][]*message
+	backing []*message
 	// computeActs[tileRank] is the A2 activity of each tile emitted so far.
 	computeActs []*simnet.Activity
 	// prevCPU[p] is the last activity in processor p's program order.
@@ -61,7 +65,8 @@ type tileInfo struct {
 
 // msgArena allocates messages in chunked slabs: pointers stay stable while
 // the arena grows, and the whole graph's messages amount to a handful of
-// allocations instead of one per dependence edge.
+// allocations instead of one per dependence edge. A rewound arena (n = 0)
+// hands its chunks out again.
 type msgArena struct {
 	chunks [][]message
 	n      int
@@ -78,8 +83,27 @@ func (a *msgArena) alloc() *message {
 	return &a.chunks[chunk][idx]
 }
 
-func newBuilder(cfg Config, eng *simnet.Engine) *builder {
-	return &builder{cfg: cfg, eng: eng, trace: cfg.Trace}
+// reset rewinds b for a run of cfg on eng. It keeps the arrays of the run
+// before, and the arena's chunks, for the next build to reuse.
+func (b *builder) reset(cfg Config, eng *simnet.Engine) {
+	*b = builder{
+		cfg: cfg, eng: eng, trace: cfg.Trace,
+		hops:  b.hops[:0],
+		nodes: b.nodes, tiles: b.tiles, computeActs: b.computeActs, prevCPU: b.prevCPU,
+		inbox: b.inbox, outbox: b.outbox, backing: b.backing,
+		msgs: msgArena{chunks: b.msgs.chunks},
+	}
+}
+
+// zeroed returns s cut to length n and cleared, or a fresh slice when s has
+// too little capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // procRank computes Map.ProcRank(tc) without materializing the projected
@@ -135,7 +159,7 @@ func (b *builder) build() error {
 func (b *builder) makeNodes() error {
 	n := b.cfg.Topo.m.NumProcs()
 	b.numProcs = n
-	b.nodes = make([]node, n)
+	b.nodes = zeroed(b.nodes, int(n))
 	if !b.cfg.Interconnect.Flat() {
 		f, err := simnet.NewFabric(b.eng, b.cfg.Interconnect, n, b.trace)
 		if err != nil {
@@ -224,19 +248,19 @@ func (b *builder) collectMessages() {
 	nSlots := int(b.numProcs * b.steps)
 	mapDim := topo.m.MapDim
 
-	b.tiles = make([]tileInfo, nSlots)
-	b.computeActs = make([]*simnet.Activity, ts.Volume())
+	b.tiles = zeroed(b.tiles, nSlots)
+	b.computeActs = zeroed(b.computeActs, int(ts.Volume()))
 	// One backing array for every inbox and outbox bucket: a tile has at
 	// most one in-edge and one out-edge per processor offset.
 	nc := len(cross)
-	backing := make([]*message, 2*nSlots*nc)
-	b.inbox = make([][]*message, nSlots)
-	b.outbox = make([][]*message, nSlots)
+	b.backing = zeroed(b.backing, 2*nSlots*nc)
+	b.inbox = zeroed(b.inbox, nSlots)
+	b.outbox = zeroed(b.outbox, nSlots)
 	for i := 0; i < nSlots; i++ {
 		in := i * nc
 		out := (nSlots + i) * nc
-		b.inbox[i] = backing[in : in : in+nc]
-		b.outbox[i] = backing[out : out : out+nc]
+		b.inbox[i] = b.backing[in : in : in+nc]
+		b.outbox[i] = b.backing[out : out : out+nc]
 	}
 
 	var rank int64 // Points runs in lexicographic order: the tile's rank
@@ -327,7 +351,7 @@ func (b *builder) onCPU(p int64, d float64, label string) *simnet.Activity {
 // sender creates the wire stages once, predecessor attached.
 func (b *builder) walk() {
 	ov := b.cfg.Mode == Overlapped
-	b.prevCPU = make([]*simnet.Activity, b.numProcs)
+	b.prevCPU = zeroed(b.prevCPU, int(b.numProcs))
 	for s := int64(0); s < b.steps; s++ {
 		for p := int64(0); p < b.numProcs; p++ {
 			slot := p*b.steps + s

@@ -204,11 +204,13 @@ type message struct {
 }
 
 // Simulator runs simulations while reusing one discrete-event engine — and
-// all of its slab, heap and edge memory — across runs. Sweeps reach it
-// through a Cache, which pools Simulators so that each miss reuses one. A
-// Simulator is not safe for concurrent use.
+// all of its slab, heap and edge memory — and one graph builder, with its
+// per-run arrays and message arena, across runs. Sweeps reach it through a
+// Cache, which pools Simulators so that each miss reuses one. A Simulator is
+// not safe for concurrent use.
 type Simulator struct {
 	eng *simnet.Engine
+	b   builder
 }
 
 // NewSimulator returns a Simulator with a fresh reusable engine.
@@ -223,7 +225,8 @@ func (sm *Simulator) Simulate(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	sm.eng.Reset()
-	b := newBuilder(cfg, sm.eng)
+	b := &sm.b
+	b.reset(cfg, sm.eng)
 	if err := b.build(); err != nil {
 		return Result{}, err
 	}
@@ -267,7 +270,8 @@ func BuildStats(cfg Config) (activities, messages int, err error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, 0, err
 	}
-	b := newBuilder(cfg, simnet.NewEngine())
+	var b builder
+	b.reset(cfg, simnet.NewEngine())
 	if err := b.build(); err != nil {
 		return 0, 0, err
 	}

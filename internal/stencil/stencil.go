@@ -69,10 +69,11 @@ type Block3D interface {
 	SweepBlock(a []float64, base, ni, nj, nk, si, sj int)
 }
 
-// Sqrt3D's grouped sweep advances sqrtGroup rows together over k-runs of at
-// most sqrtChunk points, the length of its root buffer.
+// Sqrt3D's grouped sweep advances sqrtGroup rows together, two to an SSE2
+// register, over k-runs of at most sqrtChunk points, the length of its root
+// buffer.
 const (
-	sqrtGroup = 4
+	sqrtGroup = 8
 	sqrtChunk = 256
 )
 
@@ -86,7 +87,7 @@ func (Sqrt3D) SweepBlock(a []float64, base, ni, nj, nk, si, sj int) {
 	if nk >= sqrtGroup {
 		grouped = nj - nj%sqrtGroup
 	}
-	if grouped > 0 { // only then: the call zeroes an 8 KiB root buffer
+	if grouped > 0 { // only then: the call zeroes 18.5 KiB of root buffers
 		sweepSqrtGroups(a, base, ni, grouped, nk, si, sj)
 	}
 	sweepSqrtRows(a, base+grouped*sj, ni, nj-grouped, nk, si, sj)
@@ -98,22 +99,28 @@ func (Sqrt3D) SweepBlock(a []float64, base, ni, nj, nk, si, sj int) {
 // north root row r+1 needs at the same step. Every root taken is kept in
 // roots as the west root of the next i-plane. Fresh roots remain only for the
 // north of a group's first row, the west of the box's first plane and the
-// k−1 ghost of each row in each chunk: about 1.25 per point instead of 3.
+// k−1 ghost of each row in each chunk: about 1.15 per point instead of 3.
+//
+// roots is interleaved by step: roots[s*sqrtGroup+r] is the root of row r's
+// point s−r, so the eight roots one step reads, and the eight it writes, are
+// each one contiguous 64-byte run.
 func sweepSqrtGroups(a []float64, base, ni, nj, nk, si, sj int) {
-	var roots [sqrtGroup][sqrtChunk]float64 // roots[r][x]: √ of row r's point x in the plane before
+	var roots [(sqrtChunk + sqrtGroup) * sqrtGroup]float64
+	var row [sqrtChunk]float64 // one row's roots: each west row's in turn, then each plane's north row's
 	chunks := (nk + sqrtChunk - 1) / sqrtChunk
 	for c := 0; c < chunks; c++ {
 		k0 := c * nk / chunks
 		n := (c+1)*nk/chunks - k0 // even split: never below sqrtChunk/2 once nk > sqrtChunk
 		for j := 0; j < nj; j += sqrtGroup {
 			o := base + j*sj + k0
-			for r := range roots {
-				for x, v := range a[o-si+r*sj:][:n] {
-					roots[r][x] = math.Sqrt(v)
+			for r := 0; r < sqrtGroup; r++ {
+				sqrtRow(row[:n], a[o-si+r*sj:][:n])
+				for x, q := range row[:n] {
+					roots[(x+r)*sqrtGroup+r] = q
 				}
 			}
 			for i := 0; i < ni; i++ {
-				sweepSqrtGroup(a, o+i*si, n, sj, &roots)
+				sweepSqrtGroup(a, o+i*si, n, sj, roots[:(n+sqrtGroup-1)*sqrtGroup], row[:n])
 			}
 		}
 	}
@@ -122,17 +129,18 @@ func sweepSqrtGroups(a []float64, base, ni, nj, nk, si, sj int) {
 // sweepSqrtGroup computes sqrtGroup rows of n ≥ sqrtGroup points starting at
 // a[o], a[o+sj], …, their west roots in roots, which it overwrites with the
 // roots of the rows it computes. At step t row r takes the root of its point
-// t−r−1 (or of its k−1 ghost) and, while t−r < n, computes point t−r.
-func sweepSqrtGroup(a []float64, o, n, sj int, roots *[sqrtGroup][sqrtChunk]float64) {
-	north := a[o-sj:][:n]
+// t−r−1 (or of its k−1 ghost) and, while t−r < n, computes point t−r. The
+// steps where some row has not started or has already finished run here, row
+// by row; the steps between, where all rows compute, run in sqrtSteady.
+// north is scratch for the n roots of the row before the group.
+func sweepSqrtGroup(a []float64, o, n, sj int, roots, north []float64) {
+	sqrtRow(north, a[o-sj:][:n])
 	var rows [sqrtGroup][]float64
 	var last [sqrtGroup]float64 // each row's latest value, whose root the next step takes
 	for r := range rows {
 		rows[r] = a[o+r*sj:][:n]
 		last[r] = a[o+r*sj-1]
 	}
-	// ramp runs steps [t0, t1) row by row; it covers the steps where some
-	// row has not started or has already finished.
 	ramp := func(t0, t1 int) {
 		for t := t0; t < t1; t++ {
 			var q float64 // the root the row above took this step: this row's north
@@ -140,33 +148,27 @@ func sweepSqrtGroup(a []float64, o, n, sj int, roots *[sqrtGroup][sqrtChunk]floa
 				x, above := t-r, q
 				q = math.Sqrt(last[r])
 				if x > 0 {
-					roots[r][x-1] = q
+					roots[(t-1)*sqrtGroup+r] = q
 				}
 				if x < n {
 					if r == 0 {
-						above = math.Sqrt(north[x])
+						above = north[x]
 					}
-					last[r] = roots[r][x] + above + q
+					last[r] = roots[t*sqrtGroup+r] + above + q
 					rows[r][x] = last[r]
 				}
 			}
 		}
 	}
 	ramp(0, sqrtGroup)
-	// The steady state, unrolled: all four rows are inside the chunk.
-	r0, r1, r2, r3 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
-	w0, w1, w2, w3 := roots[0][:n], roots[1][:n], roots[2][:n], roots[3][:n]
-	v0, v1, v2, v3 := last[0], last[1], last[2], last[3]
-	for x := sqrtGroup; x < n; x++ {
-		q0, q1, q2, q3 := math.Sqrt(v0), math.Sqrt(v1), math.Sqrt(v2), math.Sqrt(v3)
-		w0[x-1], w1[x-2], w2[x-3], w3[x-4] = q0, q1, q2, q3
-		v0 = w0[x] + math.Sqrt(north[x]) + q0
-		v1 = w1[x-1] + q0 + q1
-		v2 = w2[x-2] + q1 + q2
-		v3 = w3[x-3] + q2 + q3
-		r0[x], r1[x-1], r2[x-2], r3[x-3] = v0, v1, v2, v3
+	// The steady steps t in [sqrtGroup, n), each slice cut to exactly what
+	// they touch: row r's points t−r, the north row's points t, the roots
+	// the steps write (at t−1) and read (at t).
+	var steady [sqrtGroup][]float64
+	for r := range steady {
+		steady[r] = rows[r][sqrtGroup-r : n-r]
 	}
-	last = [sqrtGroup]float64{v0, v1, v2, v3}
+	sqrtSteady(&steady, north[sqrtGroup:], roots[(sqrtGroup-1)*sqrtGroup:n*sqrtGroup], &last)
 	ramp(n, n+sqrtGroup)
 }
 

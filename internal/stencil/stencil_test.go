@@ -209,20 +209,25 @@ func TestBoundaryInfluence(t *testing.T) {
 // boundary, and compares every point with Eval driven over the same data.
 // The box is embedded with slack on every side (and poisoned with NaN
 // outside the ghost planes) so a stray read or write shows. The shapes cover
-// every row count modulo the group of four, boxes too short to group, and
-// k-extents on both sides of the chunk length.
+// every row count modulo the group of eight and two whole groups, boxes too
+// short to group, k-extents on both sides of the group width and of the
+// chunk length, and one box at the k-pitch of a timed run's ring (257: the
+// k−1 ghost and 256 slots, runner's ringSlots for V = 128 along K = 2048).
 func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
+	vec := func(i, j, k int) ilmath.Vec { return ilmath.V(int64(i), int64(j), int64(k)) }
+	unvec := func(q ilmath.Vec) (i, j, k int) { return int(q[0]), int(q[1]), int(q[2]) }
 	for _, ni := range []int{1, 3} {
-		for nj := 1; nj <= 9; nj++ {
-			for _, nk := range []int{1, 2, 3, 4, 5, 255, 256, 257, 515} {
+		for nj := 1; nj <= 17; nj++ {
+			for _, nk := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 255, 256, 257, 515} {
 				t.Run(fmt.Sprintf("%dx%dx%d", ni, nj, nk), func(t *testing.T) {
-					sweepBlockMatchesEval(t, Sqrt3D{}, ni, nj, nk,
-						func(i, j, k int) ilmath.Vec { return ilmath.V(int64(i), int64(j), int64(k)) },
-						func(q ilmath.Vec) (i, j, k int) { return int(q[0]), int(q[1]), int(q[2]) })
+					sweepBlockMatchesEval(t, Sqrt3D{}, ni, nj, nk, nk+3, vec, unvec)
 				})
 			}
 		}
 	}
+	t.Run("ring pitch", func(t *testing.T) {
+		sweepBlockMatchesEval(t, Sqrt3D{}, 3, 17, 128, 257, vec, unvec)
+	})
 }
 
 // TestSum2DSweepBlockMatchesEval is the same for the 2-D kernel, swept the
@@ -230,16 +235,16 @@ func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
 // Its ghost shell is the j = −1 column and the k = −1 row, corner included
 // (the diagonal dependence reads it); the i = −1 plane stays poisoned.
 func TestSum2DSweepBlockMatchesEval(t *testing.T) {
-	sweepBlockMatchesEval(t, Sum2D{}, 1, 4, 5,
+	sweepBlockMatchesEval(t, Sum2D{}, 1, 4, 5, 8,
 		func(i, j, k int) ilmath.Vec { return ilmath.V(int64(k), int64(j)) },
 		func(q ilmath.Vec) (i, j, k int) { return 0, int(q[1]), int(q[0]) })
 }
 
 // sweepBlockMatchesEval checks kern's SweepBlock against its Eval on an
-// ni×nj×nk box; vec and its inverse say which kernel-space point a box point
+// ni×nj×nk box laid out at k-row pitch sj ≥ nk+3, so that slack follows
+// every row; vec and its inverse say which kernel-space point a box point
 // is.
-func sweepBlockMatchesEval(t *testing.T, kern Kernel, ni, nj, nk int, vec func(i, j, k int) ilmath.Vec, unvec func(ilmath.Vec) (i, j, k int)) {
-	sj := nk + 3        // k-row pitch, wider than the box
+func sweepBlockMatchesEval(t *testing.T, kern Kernel, ni, nj, nk, sj int, vec func(i, j, k int) ilmath.Vec, unvec func(ilmath.Vec) (i, j, k int)) {
 	si := (nj + 2) * sj // i-plane pitch
 	base := si + sj + 2 // where point (0,0,0) lives
 	at := func(i, j, k int) int { return base + i*si + j*sj + k }
