@@ -681,9 +681,9 @@ func BenchmarkStencilSequential(b *testing.B) {
 }
 
 // coarseRingSlots is the k-extent of a row in node3d-coarse's timed reps:
-// runner.Time computes into a ring of runner's ringSlots(128, 2048) = 256
-// k-slots per row (two tiles of V = 128) instead of the whole column.
-const coarseRingSlots = 256
+// runner.Time computes into a ring of runner's ringSlots(128, 2048) = 128
+// k-slots per row (one tile of V = 128) instead of the whole column.
+const coarseRingSlots = 128
 
 // BenchmarkStencilBlock measures the kernel the runner actually calls,
 // Sqrt3D's block sweep, one tile per iteration on the two rank boxes of the

@@ -184,7 +184,7 @@ func TestChaosKillAndRestore(t *testing.T) {
 // TestReaderDecidedByRankZero: whether the grid is gathered is rank 0's
 // decision alone, because only rank 0's flags name a reader, and it is
 // broadcast before the run, because a rank whose result nobody reads only
-// times the run (runner.Time, a ring of two tiles instead of its box). Two
+// times the run (runner.Time, a ring of one tile instead of its box). Two
 // real processes run with different flags: rank 0 writing the grid while
 // rank 1 does not verify must still gather a grid byte-identical to a
 // -spawn run's, and rank 0 not verifying while rank 1 keeps the default

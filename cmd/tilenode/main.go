@@ -11,8 +11,8 @@
 // ranks before the run, and then every other rank streams its box to it in
 // chunks of at most 1 MiB, so a grid of any size gathers. A timing run
 // with -verify=false, no -grid-out and no checkpointing never holds the
-// whole grid anywhere: each rank computes into a ring of two tiles per
-// k-row (runner.Time), not into its whole box.
+// whole grid anywhere: each rank computes into a ring of one tile (at
+// least 128 k-slots) per k-row (runner.Time), not into its whole box.
 //
 // For a single-machine demo, -spawn launches all ranks as goroutines over
 // loopback TCP sockets (separate sockets, same code path):
@@ -71,7 +71,7 @@ var (
 	vFlag     = flag.Int64("v", 64, "tile height along k (with -shape 3d)")
 	modeFlag  = flag.String("mode", "overlapped", "blocking | overlapped")
 	verify    = flag.Bool("verify", true,
-		"rank 0 gathers the grid and verifies it against a sequential run; with -verify=false, no -grid-out and no checkpointing every rank holds two tiles, not its box")
+		"rank 0 gathers the grid and verifies it against a sequential run; with -verify=false, no -grid-out and no checkpointing every rank holds a ring of one tile, not its box")
 
 	space2Flag = flag.String("space2d", "64x8", "iteration space I1xI2 (with -shape 2d)")
 	s1Flag     = flag.Int64("s1", 8, "tile side along dim 0 (with -shape 2d)")

@@ -10,3 +10,18 @@ func listen(c mp.Comm, buf []byte) error {
 	}
 	return c.Send(0, 7, buf)
 }
+
+func listenPersistent(c mp.Comm, buf []byte) error {
+	p, err := c.RecvInit(mp.AnySource, buf)
+	if err != nil {
+		return err
+	}
+	if err := p.Start(mp.AnyTag); err != nil {
+		return err
+	}
+	if err := p.Start(3); err != nil {
+		return err
+	}
+	_, err = p.Wait()
+	return err
+}

@@ -45,3 +45,45 @@ func propagated(c mp.Comm, buf []byte) error {
 	_, err = cur.Wait()
 	return err
 }
+
+type ghostRecvs struct{ recv [2]mp.Persistent }
+
+func rounds(c mp.Comm, g *ghostRecvs, bufs [2][]byte) error {
+	var err error
+	for b := range g.recv {
+		if g.recv[b], err = c.RecvInit(0, bufs[b]); err != nil {
+			return err
+		}
+	}
+	for t := 0; t < 8; t++ {
+		if err := g.recv[t&1].Start(t); err != nil {
+			return err
+		}
+		if _, err := g.recv[t&1].Wait(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func startedThenWaitAll(c mp.Comm, buf []byte) error {
+	p, err := c.RecvInit(0, buf)
+	if err != nil {
+		return err
+	}
+	if err := p.Start(0); err != nil {
+		return err
+	}
+	return mp.WaitAll(p)
+}
+
+// countedRecv forwards Start: its caller waits for the round.
+type countedRecv struct {
+	mp.Persistent
+	starts int
+}
+
+func (r *countedRecv) Start(tag int) error {
+	r.starts++
+	return r.Persistent.Start(tag)
+}

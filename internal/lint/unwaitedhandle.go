@@ -22,6 +22,15 @@ import (
 // consumed is a diagnostic. The check is object-based and deliberately
 // conservative: any consuming use anywhere in the file clears the
 // variable.
+//
+// A persistent receive (mp.Persistent) is posted by Start rather than by
+// the call that makes it, so the rule follows the Start: the handle it is
+// called on — a variable, or a field however indexed — must somewhere
+// have its Wait or Test called, or be passed to a function, stored or
+// returned, and its own Start does not count. A Start on a handle with no
+// name (a call's result) can never be waited for. A Start method of a type
+// that also has a Wait is a wrapper forwarding its caller's round, which
+// its caller waits for.
 var AnalyzerUnwaitedHandle = &Analyzer{
 	Name: "unwaitedhandle",
 	Doc:  "every mp non-blocking request handle must reach a Wait/WaitAll, be stored, or be returned",
@@ -46,6 +55,34 @@ func isRequestType(t types.Type) bool {
 	return n.Obj().Name() == "Request" && isMPPackage(n.Obj().Pkg())
 }
 
+// isPersistentType reports whether t is mp.Persistent.
+func isPersistentType(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "Persistent" && isMPPackage(n.Obj().Pkg())
+}
+
+// handleObject names the handle expression e stands for: the variable of
+// an identifier, the field of a selector, through any index, paren or
+// dereference; nil when e has no name (a call's result).
+func handleObject(p *Package, e ast.Expr) types.Object {
+	switch x := e.(type) {
+	case *ast.Ident:
+		if obj := p.Info.Uses[x]; obj != nil {
+			return obj
+		}
+		return p.Info.Defs[x]
+	case *ast.SelectorExpr:
+		return p.Info.Uses[x.Sel]
+	case *ast.IndexExpr:
+		return handleObject(p, x.X)
+	case *ast.ParenExpr:
+		return handleObject(p, x.X)
+	case *ast.StarExpr:
+		return handleObject(p, x.X)
+	}
+	return nil
+}
+
 // producesRequest reports whether call's (first) result is an mp.Request.
 func producesRequest(p *Package, call *ast.CallExpr) bool {
 	tv, ok := p.Info.Types[call]
@@ -58,11 +95,20 @@ func producesRequest(p *Package, call *ast.CallExpr) bool {
 	return isRequestType(tv.Type)
 }
 
+// handle is a tracked request or started persistent receive: the call
+// that made (or started) it, and whether only its Wait and Test among its
+// own methods consume it.
+type handle struct {
+	call      *ast.CallExpr
+	waitsOnly bool
+	consumed  bool
+}
+
 func runUnwaitedHandle(p *Package) []Diagnostic {
 	var out []Diagnostic
 
 	// Pass 1: find request producers and how their results are bound.
-	tracked := map[types.Object]*ast.CallExpr{} // handle var -> producing call
+	tracked := map[types.Object]*handle{} // handle var or field -> its producing call
 	inspect(p, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ExprStmt:
@@ -89,10 +135,8 @@ func runUnwaitedHandle(p *Package) []Diagnostic {
 				if obj == nil {
 					obj = p.Info.Uses[lhs]
 				}
-				if obj != nil {
-					if _, seen := tracked[obj]; !seen {
-						tracked[obj] = call
-					}
+				if obj != nil && tracked[obj] == nil {
+					tracked[obj] = &handle{call: call}
 				}
 			default:
 				// Field, index or dereference store: the handle escapes
@@ -101,12 +145,15 @@ func runUnwaitedHandle(p *Package) []Diagnostic {
 		}
 		return true
 	})
+	out = append(out, trackStarts(p, tracked)...)
 	if len(tracked) == 0 {
 		return out
 	}
 
-	// Pass 2: hunt for a consuming use of each tracked handle variable.
-	consumed := map[types.Object]bool{}
+	// Pass 2: hunt for a consuming use of each tracked handle. A started
+	// persistent receive is reached through any expression naming it
+	// (r.recv[i] for a field), as long as that expression is the receive
+	// itself and not, say, the slice holding it.
 	for _, f := range p.Files {
 		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -114,50 +161,53 @@ func runUnwaitedHandle(p *Package) []Diagnostic {
 				stack = stack[:len(stack)-1]
 				return true
 			}
-			if id, ok := n.(*ast.Ident); ok && len(stack) > 0 {
-				obj := p.Info.Uses[id]
-				if obj != nil {
-					if _, want := tracked[obj]; want && consumingUse(id, stack) {
-						consumed[obj] = true
-					}
+			if e, ok := n.(ast.Expr); ok && len(stack) > 0 {
+				if h := tracked[handleObject(p, e)]; h != nil && !h.consumed &&
+					(!h.waitsOnly || isPersistentType(p.Info.TypeOf(e))) &&
+					consumingUse(e, stack[len(stack)-1], h.waitsOnly) {
+					h.consumed = true
 				}
 			}
 			stack = append(stack, n)
 			return true
 		})
 	}
-	for obj, call := range tracked {
-		if !consumed[obj] {
-			out = append(out, diag(p, "unwaitedhandle", call.Pos(),
+	for obj, h := range tracked {
+		switch {
+		case h.consumed:
+		case h.waitsOnly:
+			out = append(out, diag(p, "unwaitedhandle", h.call.Pos(),
+				"persistent receive %q is started but never waited for (no Wait/Test, no WaitAll, not stored or returned)", obj.Name()))
+		default:
+			out = append(out, diag(p, "unwaitedhandle", h.call.Pos(),
 				"request handle %q is never consumed (no Wait/Test, no WaitAll, not stored or returned)", obj.Name()))
 		}
 	}
 	return out
 }
 
-// consumingUse reports whether the identifier use at the top of stack
-// counts as consuming the handle. Comparisons (nil checks) and plain
-// reassignments do not; method calls, call arguments, stores, sends and
-// returns do.
-func consumingUse(id *ast.Ident, stack []ast.Node) bool {
-	parent := stack[len(stack)-1]
+// consumingUse reports whether the use of handle e under parent counts as
+// consuming it. Comparisons (nil checks) and plain reassignments do not;
+// method calls, call arguments, stores, sends and returns do — of a
+// persistent receive's own methods (waitsOnly) only Wait and Test.
+func consumingUse(e ast.Expr, parent ast.Node, waitsOnly bool) bool {
 	switch par := parent.(type) {
 	case *ast.SelectorExpr:
 		// req.Wait(), req.Test(), even a bare field access: the handle's
 		// own API is being exercised.
-		return par.X == id
+		return par.X == e && (!waitsOnly || par.Sel.Name == "Wait" || par.Sel.Name == "Test")
 	case *ast.CallExpr:
 		for _, a := range par.Args {
-			if a == id {
+			if a == e {
 				return true
 			}
 		}
-		return par.Fun == id
+		return par.Fun == e
 	case *ast.ReturnStmt:
 		return true
 	case *ast.AssignStmt:
 		for _, r := range par.Rhs {
-			if r == id {
+			if r == e {
 				return true // value propagated to another binding
 			}
 		}
@@ -165,12 +215,47 @@ func consumingUse(id *ast.Ident, stack []ast.Node) bool {
 	case *ast.CompositeLit, *ast.KeyValueExpr:
 		return true
 	case *ast.SendStmt:
-		return par.Value == id
+		return par.Value == e
 	case *ast.UnaryExpr:
 		return par.Op.String() == "&" // address taken: escapes
 	case *ast.RangeStmt:
-		return par.X == id
+		return par.X == e
 	default:
 		return false
 	}
+}
+
+// trackStarts adds to tracked, as waitsOnly, every persistent receive a
+// Start is called on, and flags a Start on a handle with no name. The body
+// of a Start method on a type that has a Wait too is skipped: it is a
+// wrapper forwarding its caller's round, which its caller waits for.
+func trackStarts(p *Package, tracked map[types.Object]*handle) []Diagnostic {
+	var out []Diagnostic
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "Start" &&
+				hasMethod(p, p.Info.TypeOf(fd.Recv.List[0].Type), "Wait") {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Start" || !isPersistentType(p.Info.TypeOf(sel.X)) {
+					return true
+				}
+				switch obj := handleObject(p, sel.X); {
+				case obj == nil:
+					out = append(out, diag(p, "unwaitedhandle", call.Pos(),
+						"persistent receive started on a handle with no name: nothing can Wait for the round"))
+				case tracked[obj] == nil:
+					tracked[obj] = &handle{call: call, waitsOnly: true}
+				}
+				return true
+			})
+		}
+	}
+	return out
 }

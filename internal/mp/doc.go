@@ -3,7 +3,8 @@
 // reproduction builds its own).
 //
 // It provides the primitives the paper's pseudocode uses — blocking
-// Send/Recv (ProcB) and non-blocking Isend/Irecv + Wait (ProcNB) — with
+// Send/Recv (ProcB) and non-blocking Isend/Irecv + Wait (ProcNB), whose
+// receives also come persistent (RecvInit + Start) — with
 // MPI-style matching on (source, tag) including wildcards, FIFO
 // non-overtaking order per (source, tag), and a Barrier.
 //
@@ -40,6 +41,25 @@
 // peer: TCPOptions.OnEvent sees EvWriteErr once, and the next Send or Isend
 // to that peer, Wait on any request to it, Barrier, and Close all return
 // that error.
+//
+// # Persistent receives
+//
+// RecvInit makes a Persistent receive (MPI_Recv_init) bound to one source
+// and one buffer, and posts nothing: it is idle, and Wait on it returns a
+// zero Status at once. Each Start(tag) (MPI_Start) begins a round: it posts
+// the receive for one message with that tag, and the round is pending
+// until a message matches it or a deadline, abort or close ends it. Wait
+// and Test then report that round — as often as asked, like an Irecv's
+// request — until the next Start clears it; Start on a pending round
+// fails with ErrActive, and a refused Start (a bad tag, a closed or
+// aborted communicator) fails the round too. Irecv's buffer rule holds per
+// round. The transport reuses the one op from round to round, with its
+// completion channel and its deadline timer, which is what an Irecv per
+// message allocates anew; in exchange Start and Wait on one Persistent
+// belong to one goroutine. runner's overlapped tile loop makes one per
+// receive buffer and starts it with each tile's tag. Wrappers that embed
+// a Comm pass RecvInit through untouched unless they wrap it, as
+// obs.InstrumentComm does.
 //
 // # Message size
 //

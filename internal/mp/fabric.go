@@ -102,6 +102,11 @@ type recvOp struct {
 
 	mb       *mailbox
 	deadline time.Duration // 0 = wait forever
+	// keepTimer marks a persistent op, which has one waiter at a time:
+	// its Wait keeps the deadline timer in timer and resets it instead of
+	// making a new one.
+	keepTimer bool
+	timer     *time.Timer
 
 	// Position in the mailbox's posted queue; guarded by mb.mu.
 	seq        uint64
@@ -167,21 +172,90 @@ func (op *recvOp) Wait() (Status, error) {
 	}
 	op.mu.Unlock()
 	if op.deadline > 0 {
-		timer := time.NewTimer(op.deadline)
+		start := time.Now()
+		timer := op.deadlineTimer()
 		defer timer.Stop()
-		select {
-		case <-op.ch:
-			op.ch <- struct{}{}
-			return op.status, op.err
-		case <-timer.C:
-			op.mb.cancel(op, ErrDeadline) // false: a match is completing it right now
+		for expired := false; !expired; {
+			select {
+			case <-op.ch:
+				op.ch <- struct{}{}
+				return op.status, op.err
+			case <-timer.C:
+			}
+			// A kept timer's channel may still deliver the tick of an
+			// earlier Wait that its Stop came too late for (the module's
+			// timers predate Go 1.23's synchronous channels); such a tick
+			// comes early, and the timer is set again for the rest.
+			if rest := op.deadline - time.Since(start); rest > 0 {
+				timer.Reset(rest)
+			} else {
+				expired = true
+			}
 		}
+		op.mb.cancel(op, ErrDeadline) // false: a match is completing it right now
 	}
 	// The token goes straight back so any other waiter on the same request
 	// wakes too.
 	<-op.ch
 	op.ch <- struct{}{}
 	return op.status, op.err
+}
+
+// deadlineTimer starts the timer of one deadline-bounded Wait. A
+// persistent op keeps its timer and resets it; an Irecv's op may have
+// concurrent waiters, so each of them gets its own.
+func (op *recvOp) deadlineTimer() *time.Timer {
+	switch {
+	case !op.keepTimer:
+		return time.NewTimer(op.deadline)
+	case op.timer == nil:
+		op.timer = time.NewTimer(op.deadline)
+	default:
+		op.timer.Reset(op.deadline)
+	}
+	return op.timer
+}
+
+// persistentRecv is the Persistent both transports' RecvInit return: one
+// recvOp that every Start re-arms and posts again, so a loop of receives
+// allocates nothing once it is made.
+type persistentRecv struct {
+	recvOp
+	closed func() bool // the endpoint's own closed flag; nil where closing poisons the mailbox
+}
+
+// Start implements Persistent. A done op is in no posted queue (whoever
+// finished it took it out first), so it can be re-armed without the
+// mailbox lock. A refused Start (a bad tag, a closed endpoint) ends its
+// round at once with the refusal, so the round's Wait reports that and not
+// the previous round's message.
+func (p *persistentRecv) Start(tag int) error {
+	refused := checkTag(tag, true)
+	if refused == nil && p.closed != nil && p.closed() {
+		refused = ErrClosed
+	}
+	op := &p.recvOp
+	op.mu.Lock()
+	if !op.done {
+		op.mu.Unlock()
+		return ErrActive
+	}
+	op.tag, op.status, op.err, op.done = tag, Status{}, refused, refused != nil
+	if op.ch != nil { // the token the last round's Wait handed back
+		select {
+		case <-op.ch:
+		default:
+		}
+	}
+	op.mu.Unlock()
+	if refused != nil {
+		return refused
+	}
+	if err := op.mb.post(op); err != nil {
+		op.fail(err)
+		return err
+	}
+	return nil
 }
 
 // matchKey is a receive pattern, wildcards included; posted receives queue
@@ -468,6 +542,14 @@ func (mb *mailbox) irecv(src, tag int, buf []byte, deadline time.Duration) (Requ
 		return nil, err
 	}
 	return op, nil
+}
+
+// recvInit is the idle persistent receive both transports' RecvInit
+// return: done, with a zero status, until its first Start.
+func (mb *mailbox) recvInit(src int, buf []byte, deadline time.Duration, closed func() bool) *persistentRecv {
+	p := &persistentRecv{closed: closed}
+	p.src, p.buf, p.mb, p.deadline, p.keepTimer, p.done = src, buf, mb, deadline, true, true
+	return p
 }
 
 // cancel withdraws a posted receive and fails it with err (the deadline

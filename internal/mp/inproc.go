@@ -191,6 +191,13 @@ func (c *inprocComm) Irecv(src, tag int, buf []byte) (Request, error) {
 	return c.world.boxes[c.rank].irecv(src, tag, buf, c.world.opts.Deadline)
 }
 
+func (c *inprocComm) RecvInit(src int, buf []byte) (Persistent, error) {
+	if err := c.checkRecv(src, 0); err != nil {
+		return nil, err
+	}
+	return c.world.boxes[c.rank].recvInit(src, buf, c.world.opts.Deadline, c.isClosed), nil
+}
+
 func (c *inprocComm) Barrier() error {
 	if c.isClosed() {
 		return ErrClosed

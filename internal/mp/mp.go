@@ -24,6 +24,10 @@ var ErrTruncated = errors.New("mp: message truncated (receive buffer too small)"
 // out no longer matches incoming messages.
 var ErrDeadline = errors.New("mp: deadline exceeded")
 
+// ErrActive is returned by Persistent.Start while the receive's previous
+// round is still pending (MPI forbids MPI_Start on an active request).
+var ErrActive = errors.New("mp: persistent receive started while still pending")
+
 // ErrAborted is the sentinel matched (via errors.Is) by the *AbortError
 // returned from every operation after a communicator abort.
 var ErrAborted = errors.New("mp: world aborted")
@@ -66,6 +70,23 @@ type Request interface {
 	Test() (bool, Status, error)
 }
 
+// Persistent is a receive made once by Comm.RecvInit and started again for
+// every message it takes (MPI_Recv_init and MPI_Start): a loop that receives
+// into the same buffer round after round re-arms one op instead of posting
+// a new one each time. Wait and Test act on the round the last Start began,
+// with Irecv's buffer rule and the communicator's deadline; before the
+// first Start the receive is idle and Wait returns a zero Status at once.
+// Start and Wait on one Persistent are called from one goroutine.
+type Persistent interface {
+	Request
+	// Start posts the receive for the next message from its source with
+	// the given tag (AnyTag allowed). The previous round must be complete:
+	// Start on a receive still pending fails with ErrActive. A Start that
+	// is refused (a bad tag, a closed or aborted communicator) fails, and
+	// so does the round's Wait.
+	Start(tag int) error
+}
+
 // Comm is one rank's endpoint of a communicator.
 type Comm interface {
 	// Rank returns this endpoint's rank in [0, Size).
@@ -97,6 +118,9 @@ type Comm interface {
 	// cycle a fixed set of receive buffers, reusing one once its Wait has
 	// returned.
 	Irecv(src, tag int, buf []byte) (Request, error)
+	// RecvInit makes an idle persistent receive from src (AnySource
+	// allowed) into buf; each Start posts it for one message.
+	RecvInit(src int, buf []byte) (Persistent, error)
 	// Barrier blocks until every rank has entered the barrier.
 	Barrier() error
 	// Abort poisons the whole communicator: every rank's pending and

@@ -1070,6 +1070,13 @@ func (c *tcpComm) Irecv(src, tag int, buf []byte) (Request, error) {
 	return c.box.irecv(src, tag, buf, c.deadline)
 }
 
+func (c *tcpComm) RecvInit(src int, buf []byte) (Persistent, error) {
+	if err := checkSource(src, c.size); err != nil {
+		return nil, err
+	}
+	return c.box.recvInit(src, buf, c.deadline, nil), nil
+}
+
 // Barrier: ranks send an arrive frame to rank 0; rank 0 waits for size−1
 // arrivals plus itself, then broadcasts release frames. The wait observes
 // both the communicator deadline and aborts.

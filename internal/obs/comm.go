@@ -227,8 +227,9 @@ func (m *CommMetrics) Snapshot() CommSnapshot {
 }
 
 // InstrumentComm wraps c so every operation updates m: per-peer traffic on
-// Send/Isend/Recv/Irecv, and the blocking-wait histogram on Recv,
-// Request.Wait and Barrier. It is the one Comm decorator outside tests: a
+// Send/Isend/Recv/Irecv and on every round of a persistent receive, and the
+// blocking-wait histogram on Recv, Wait (a request's or a persistent
+// receive's) and Barrier. It is the one Comm decorator outside tests: a
 // drop-in wrapper with the per-peer / latency / transport detail the live
 // metrics endpoint serves. Counting happens only on success, matching the
 // simulator's convention that failed transfers contribute retransmits, not
@@ -286,6 +287,16 @@ func (c *instrumentedComm) Irecv(src, tag int, buf []byte) (mp.Request, error) {
 	return &instrumentedReq{Request: req, m: c.m, recv: true, comm: c}, nil
 }
 
+func (c *instrumentedComm) RecvInit(src int, buf []byte) (mp.Persistent, error) {
+	p, err := c.Comm.RecvInit(src, buf)
+	if err != nil {
+		return nil, err
+	}
+	r := &instrumentedRecv{Persistent: p, comm: c}
+	r.counted.Store(true) // idle: no round to count before the first Start
+	return r, nil
+}
+
 func (c *instrumentedComm) Barrier() error {
 	start := time.Now()
 	err := c.Comm.Barrier()
@@ -330,4 +341,41 @@ func (r *instrumentedReq) Test() (bool, mp.Status, error) {
 		r.comm.countRecv(st)
 	}
 	return done, st, err
+}
+
+// instrumentedRecv wraps a persistent receive as instrumentedReq wraps an
+// Irecv's request, round by round: each Start begins a round whose
+// completed receive is counted once.
+type instrumentedRecv struct {
+	mp.Persistent
+	comm    *instrumentedComm
+	counted atomic.Bool // the current round is counted, or there is none
+}
+
+func (r *instrumentedRecv) Start(tag int) error {
+	r.counted.Store(false)
+	return r.Persistent.Start(tag)
+}
+
+func (r *instrumentedRecv) Wait() (mp.Status, error) {
+	start := time.Now()
+	st, err := r.Persistent.Wait()
+	r.comm.m.recordWait(time.Since(start))
+	r.count(st, err)
+	return st, err
+}
+
+func (r *instrumentedRecv) Test() (bool, mp.Status, error) {
+	done, st, err := r.Persistent.Test()
+	if done {
+		r.count(st, err)
+	}
+	return done, st, err
+}
+
+// count tallies the round's receive once.
+func (r *instrumentedRecv) count(st mp.Status, err error) {
+	if err == nil && r.counted.CompareAndSwap(false, true) {
+		r.comm.countRecv(st)
+	}
 }

@@ -95,6 +95,53 @@ func ringTraffic(t *testing.T, size int) []*CommMetrics {
 	return metrics
 }
 
+// TestInstrumentCommCountsPersistentRecv: a persistent receive is counted
+// once per round however often the round is observed (Wait twice, Test),
+// never while idle, and its Waits feed the histogram as Irecv's do.
+func TestInstrumentCommCountsPersistentRecv(t *testing.T) {
+	const rounds = 3
+	world, comms, err := mp.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	m := NewCommMetrics(1, 2)
+	c := InstrumentComm(comms[1], m)
+	p, err := c.RecvInit(0, make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Wait(); err != nil { // idle: nothing to count
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		if err := comms[0].Send(1, r, make([]byte, 10+r)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(r); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if done, _, err := p.Test(); !done || err != nil {
+			t.Fatalf("round %d: Test after Wait: done=%v err=%v", r, done, err)
+		}
+	}
+	snap := m.Snapshot()
+	if snap.RecvMsgs != rounds || snap.RecvBytes != 10+11+12 {
+		t.Errorf("received %d msgs / %d bytes, want %d / %d", snap.RecvMsgs, snap.RecvBytes, rounds, 10+11+12)
+	}
+	if len(snap.Peers) != 1 || snap.Peers[0].Peer != 0 || snap.Peers[0].RecvMsgs != rounds {
+		t.Errorf("per-peer traffic %+v, want %d messages from rank 0", snap.Peers, rounds)
+	}
+	if want := int64(1 + 2*rounds); snap.WaitCount != want {
+		t.Errorf("%d waits recorded, want %d", snap.WaitCount, want)
+	}
+}
+
 // TestInstrumentCommCountsRingTraffic checks every counter against the
 // traffic ringTraffic is known to generate.
 func TestInstrumentCommCountsRingTraffic(t *testing.T) {

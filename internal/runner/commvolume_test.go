@@ -110,8 +110,9 @@ func TestMeasuredTrafficMatchesFaceVolumes3D(t *testing.T) {
 // measuredTraffic runs run on n in-process ranks, each wrapped by
 // obs.InstrumentComm, and returns the per-rank traffic the transport saw.
 // It also checks that traffic against the executor's own Stats: the tile
-// loop's face messages are the only point-to-point sends of a run without
-// restore (the barriers are not sends), so the two tallies must agree.
+// loop's face messages are the only point-to-point messages of a run
+// without restore (the barriers are not messages), so the two tallies must
+// agree, sent and received, and the received ones peer by peer.
 func measuredTraffic(t *testing.T, n int, run func(mp.Comm) (Stats, error)) []obs.CommSnapshot {
 	t.Helper()
 	snaps := make([]obs.CommSnapshot, n)
@@ -132,6 +133,14 @@ func measuredTraffic(t *testing.T, n int, run func(mp.Comm) (Stats, error)) []ob
 		if s.SendMsgs != int64(stats[r].MsgsSent) || s.SendBytes != stats[r].BytesSent {
 			t.Errorf("rank %d: transport saw %d msgs / %d bytes sent, executor counted %d / %d",
 				r, s.SendMsgs, s.SendBytes, stats[r].MsgsSent, stats[r].BytesSent)
+		}
+		var perPeer int64
+		for _, p := range s.Peers {
+			perPeer += p.RecvMsgs
+		}
+		if s.RecvMsgs != int64(stats[r].MsgsRecvd) || perPeer != s.RecvMsgs {
+			t.Errorf("rank %d: transport saw %d msgs received (%d over its peers), executor counted %d",
+				r, s.RecvMsgs, perPeer, stats[r].MsgsRecvd)
 		}
 	}
 	return snaps

@@ -5,5 +5,6 @@
 // I×J×K stencil on a PI×PJ grid, all k-tiles of a column on one rank), Run2D
 // the Example 1 strip; both only describe their geometry to the same loop.
 // Time and Time2D run the same loop for a caller that only wants the
-// statistics, on a ring of two tiles per rank instead of the whole column.
+// statistics, on a ring of one tile (at least 128 k-slots) per k-row
+// instead of the whole column.
 package runner

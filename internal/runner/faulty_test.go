@@ -51,6 +51,26 @@ func (d *delayComm) Irecv(src, tag int, buf []byte) (mp.Request, error) {
 	return d.Comm.Irecv(src, tag, buf)
 }
 
+func (d *delayComm) RecvInit(src int, buf []byte) (mp.Persistent, error) {
+	p, err := d.Comm.RecvInit(src, buf)
+	if err != nil {
+		return nil, err
+	}
+	return delayedRecv{p, d}, nil
+}
+
+// delayedRecv delays every Start of a persistent receive, as delayComm
+// delays every Irecv.
+type delayedRecv struct {
+	mp.Persistent
+	d *delayComm
+}
+
+func (r delayedRecv) Start(tag int) error {
+	r.d.delay()
+	return r.Persistent.Start(tag)
+}
+
 func (d *delayComm) Barrier() error {
 	d.delay()
 	return d.Comm.Barrier()

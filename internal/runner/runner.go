@@ -258,10 +258,10 @@ func Run2D(c mp.Comm, cfg Config2D) (*Local, Stats, error) {
 }
 
 // Time is Run for a caller that only times the run: the same schedule,
-// messages and Stats, but no grid. Each rank keeps a ring of two tiles (at
-// least 256 k-slots) per k-row instead of its whole column, so its memory
-// is O(TI·TJ·V), not O(TI·TJ·K), and the tile loop reuses pages it has
-// touched rather than faulting in fresh ones. A ring cannot be snapshotted
+// messages and Stats, but no grid. Each rank keeps a ring of whole tiles
+// (one tile, or minRing k-slots) per k-row instead of its whole column, so
+// its memory is O(TI·TJ·V), not O(TI·TJ·K), and the tile loop reuses pages
+// it has touched rather than faulting in fresh ones. A ring cannot be snapshotted
 // into a restorable grid, so a Config with Checkpoint.Dir or
 // Checkpoint.Restore set is an error, reported before any allocation or
 // message. Ranks may mix Time and Run in one run.
@@ -289,18 +289,19 @@ func Time2D(c mp.Comm, cfg Config2D) (Stats, error) {
 }
 
 // ringSlots is the k-slots per row of a timed run with tiles of height v
-// along k extent K: the smallest multiple of v that is at least two tiles,
-// so that the tile being computed never overwrites the one before it, whose
-// faces the overlapped schedule sends while it computes, and at least
-// minRing slots; never more than K.
-func ringSlots(v, k int64) int64 { return min(k, v*max(2, (minRing+v-1)/v)) }
+// along k extent K: the smallest multiple of v that is at least minRing
+// slots, never more than K. One tile is enough: a tile overwrites the one
+// before it only once that tile's faces are packed — both schedules copy
+// them into the send buffer before the next tile computes — and the row
+// below it sits in slot 0 (see enterTile).
+func ringSlots(v, k int64) int64 { return min(k, v*((minRing+v-1)/v)) }
 
 // minRing keeps a ring's laps long enough that the wrap copy and the lap's
 // boundary fill stay off most tiles. A lap of two slots puts them on every
 // other tile, which cost node3d-fine's V = 1 (8×2×16384 on 1×2 over TCP,
-// 16384 tiles a rank) what the ring saved in first touch; 256 slots are two
-// node3d-coarse tiles, so its ring is two tiles either way.
-const minRing = 256
+// 16384 tiles a rank) what the ring saved in first touch; 128 slots are one
+// node3d-coarse tile.
+const minRing = 128
 
 // run executes p with w k-slots per row (see geometry.idx): K keeps the
 // grid, a multiple of v smaller than K is a ring.
@@ -375,12 +376,13 @@ type face struct {
 	// allocates nothing of its own. The send buffer is repacked only after
 	// Send, or Wait on its Isend, has returned (mp's buffer-ownership
 	// contract). The overlapped schedule has tile t+1's receive posted while
-	// tile t's is still being unpacked, hence two receive buffers and
-	// requests, indexed by tile parity.
+	// tile t's is still being unpacked, hence two receive buffers, indexed
+	// by tile parity, and a persistent receive into each, made once and
+	// started again with every other tile's tag.
 	send    []byte
 	recv    [2][]byte
 	sendReq mp.Request
-	recvReq [2]mp.Request
+	recvReq [2]mp.Persistent
 }
 
 // run carries the per-rank execution state.
@@ -580,14 +582,43 @@ func (r *run) runBlocking(start int64) error {
 	return nil
 }
 
-// postGhostRecvs posts the non-blocking receives of tile t's ghost planes
-// into receive buffers t&1.
-func (r *run) postGhostRecvs(t int64) (err error) {
-	_, v := r.tileRange(t)
+// initGhostRecvs makes the persistent receives of the overlapped schedule,
+// one into each receive buffer.
+func (r *run) initGhostRecvs() (err error) {
 	for _, f := range r.ups {
-		if f.recvReq[t&1], err = r.c.Irecv(f.up, tileTag(t, f.dir), f.recv[t&1][:r.faceBytes(f, v)]); err != nil {
+		for b := range f.recvReq {
+			if f.recvReq[b], err = r.c.RecvInit(f.up, f.recv[b]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// postGhostRecvs starts the receives of tile t's ghost planes into receive
+// buffers t&1.
+func (r *run) postGhostRecvs(t int64) error {
+	for _, f := range r.ups {
+		if err := f.recvReq[t&1].Start(tileTag(t, f.dir)); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// waitGhosts waits for tile t's ghost planes and unpacks them. A receive
+// buffer holds a full tile, so the size of a short last tile's face is
+// checked here.
+func (r *run) waitGhosts(t, k0, v int64) error {
+	for _, f := range r.ups {
+		st, err := f.recvReq[t&1].Wait()
+		if err != nil {
+			return err
+		}
+		if want := r.faceBytes(f, v); int64(st.Bytes) != want {
+			return fmt.Errorf("tile %d: a face of %d bytes from rank %d, want %d", t, st.Bytes, f.up, want)
+		}
+		r.unpackFace(f, f.recv[t&1], k0, v)
 	}
 	return nil
 }
@@ -623,7 +654,10 @@ func (r *run) sent(buf []byte) {
 // before the neighbour's snapshot — its ghosts are in the neighbour's Data —
 // and the first face sent is tile start's, one iteration later.
 func (r *run) runOverlapped(start int64) error {
-	// Prologue: pre-post the receives for the first tile.
+	// Prologue: make the receives and pre-post them for the first tile.
+	if err := r.initGhostRecvs(); err != nil {
+		return err
+	}
 	if err := r.postGhostRecvs(start); err != nil {
 		return err
 	}
@@ -642,11 +676,8 @@ func (r *run) runOverlapped(start int64) error {
 			}
 		}
 		// Wait for this tile's ghosts, then compute.
-		for _, f := range r.ups {
-			if _, err := f.recvReq[t&1].Wait(); err != nil {
-				return err
-			}
-			r.unpackFace(f, f.recv[t&1], k0, v)
+		if err := r.waitGhosts(t, k0, v); err != nil {
+			return err
 		}
 		r.computeTile(k0, v)
 		if err := r.waitSends(); err != nil {

@@ -11,10 +11,12 @@ import (
 	"repro/internal/stencil"
 )
 
-// windowShapes are the two loop shapes with a k extent that three tile
-// heights cut differently: V = 1 (a ring of minRing slots, lapped twice), a
-// ragged V whose ring of the first multiple of V past minRing laps twice
-// before a short last tile, and V = K (no ring at all).
+// windowShapes are the two loop shapes with a k extent that four tile
+// heights cut differently: V = 1 (a ring of minRing slots, lapped more than
+// twice), a ragged V whose ring of the first multiple of V past minRing
+// laps more than twice before a short last tile, a V past minRing whose
+// ring is one tile (w = V < K, every tile a lap of its own), and V = K (no
+// ring at all).
 var windowShapes = []struct {
 	name   string
 	ranks  int
@@ -24,19 +26,19 @@ var windowShapes = []struct {
 	// door.
 	config func(v int64, mode Mode, kernel stencil.Kernel) (problem, func(mp.Comm) (Stats, error))
 }{
-	{"3d", 4, []int64{1, 7, 600}, stencil.Sqrt3D{}, func(v int64, mode Mode, kernel stencil.Kernel) (problem, func(mp.Comm) (Stats, error)) {
+	{"3d", 4, []int64{1, 7, 200, 600}, stencil.Sqrt3D{}, func(v int64, mode Mode, kernel stencil.Kernel) (problem, func(mp.Comm) (Stats, error)) {
 		cfg := Config{Grid: model.Grid3D{I: 6, J: 4, K: 600, PI: 2, PJ: 2}, V: v, Kernel: kernel, Boundary: positionBoundary, Mode: mode}
 		return cfg.problem(), func(c mp.Comm) (Stats, error) { return Time(c, cfg) }
 	}},
-	{"2d", 3, []int64{1, 9, 700}, stencil.Sum2D{}, func(v int64, mode Mode, kernel stencil.Kernel) (problem, func(mp.Comm) (Stats, error)) {
+	{"2d", 3, []int64{1, 9, 300, 700}, stencil.Sum2D{}, func(v int64, mode Mode, kernel stencil.Kernel) (problem, func(mp.Comm) (Stats, error)) {
 		cfg := Config2D{I1: 700, I2: 7, S1: v, Kernel: kernel, Boundary: positionBoundary, Mode: mode}
 		return cfg.problem(3), func(c mp.Comm) (Stats, error) { return Time2D(c, cfg) }
 	}},
 }
 
-// TestWindowMatchesWholeBox: a timed run computes into a ring of two tiles
-// per k-row, a kept one into the whole column; the executor is the same.
-// Over both shapes and modes, V ∈ {1, ragged, K}, the block and the
+// TestWindowMatchesWholeBox: a timed run computes into a ring of whole
+// tiles per k-row, a kept one into the whole column; the executor is the
+// same. Over both shapes and modes, V ∈ {1, ragged, one-tile ring, K}, the block and the
 // per-point path, eager and rendezvous worlds (and one TCP case), with a
 // boundary that differs at every ghost point, the timed run reports the
 // same Stats but Elapsed, and its ring holds, bit for bit, the values the
@@ -90,7 +92,7 @@ func compareWindow(c mp.Comm, p problem, time func(mp.Comm) (Stats, error)) erro
 		return fmt.Errorf("rank %d: Time's stats %+v, Run's %+v", c.Rank(), got, want)
 	}
 	v, k, w := p.v, p.space[2], ringSlots(p.v, p.space[2])
-	if w != k && (w%v != 0 || w < 2*v || w < minRing || w-v >= max(2*v, minRing)) || w > k {
+	if w != k && (w%v != 0 || w < v || w < minRing || w-v >= max(v, minRing)) || w > k {
 		return fmt.Errorf("ring of %d slots for V=%d, K=%d", w, v, k)
 	}
 	ring, _, err := p.run(c, w)

@@ -211,8 +211,9 @@ func TestBoundaryInfluence(t *testing.T) {
 // outside the ghost planes) so a stray read or write shows. The shapes cover
 // every row count modulo the group of eight and two whole groups, boxes too
 // short to group, k-extents on both sides of the group width and of the
-// chunk length, and one box at the k-pitch of a timed run's ring (257: the
-// k−1 ghost and 256 slots, runner's ringSlots for V = 128 along K = 2048).
+// chunk length, and one box at the k-pitch of a timed run's ring (129: the
+// k−1 ghost and 128 slots, runner's ringSlots for V = 128 along K = 2048;
+// the box is two k short of that tile, which leaves the slack).
 func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
 	vec := func(i, j, k int) ilmath.Vec { return ilmath.V(int64(i), int64(j), int64(k)) }
 	unvec := func(q ilmath.Vec) (i, j, k int) { return int(q[0]), int(q[1]), int(q[2]) }
@@ -226,7 +227,7 @@ func TestSqrt3DSweepBlockMatchesEval(t *testing.T) {
 		}
 	}
 	t.Run("ring pitch", func(t *testing.T) {
-		sweepBlockMatchesEval(t, Sqrt3D{}, 3, 17, 128, 257, vec, unvec)
+		sweepBlockMatchesEval(t, Sqrt3D{}, 3, 17, 126, 129, vec, unvec)
 	})
 }
 
